@@ -1,12 +1,14 @@
 """Gradient and bordered-Hessian assembly of the Lagrangian.
 
 The Lagrangian is L = F + sum_i lambda_i l(u_i) over the free poses,
-where F sums all active measurement costs.  Assembly walks the
-measurement lists once and scatters each 4x4/4-vector block to the
-free-pose blocks it touches; per-pose constraint terms are added
-afterwards.  The result is a block-sparse symmetric system whose
-lambda-lambda diagonal entries are exactly zero (a bordered saddle
-system).
+where F sums all active measurement costs.  One walk over the active
+measurements (_record_terms) evaluates each record's cost terms in a
+fixed order; assembly, the value-only merit and the multiplier
+initialization all consume it.  Assembly scatters each record's summed
+4x4/4-vector blocks to the free-pose blocks they touch; per-pose
+constraint terms are added afterwards.  The result is a block-sparse
+symmetric system whose lambda-lambda diagonal entries are exactly zero
+(a bordered saddle system).
 
 A brute-force dense reference (assemble_dense) loops over all free-pose
 pairs and matches measurement indices explicitly.  Both paths consume
@@ -20,21 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse as sp
 
-from .constraints import eval_constraint
+from .constraints import eval_constraint, residual
 from .costs import (
-    compass_value,
-    distance_value,
+    ORI,
     eval_compass,
     eval_distance,
     eval_home_vector,
     eval_rotation,
     eval_translation,
-    home_vector_value,
-    rotation_value,
-    translation_value,
 )
-from .errors import DegenerateVectorError
-from .graph import StateLayout
+from .errors import DegenerateVectorError, PreconditionError
+from .graph import UNIT_TOL, StateLayout
 from .orvec import omega
 
 
@@ -103,48 +101,52 @@ class SparseSymmetricSystem:
             data[s] = b.ravel()
         return sp.coo_matrix((data, (rows, cols)), shape=(self.dim, self.dim)).tocsr()
 
-    def dump_coordinates(self, stream):
-        """Debug dump of H as 'row col value' triplets (nonzero entries)."""
-        for (k, l) in sorted(self.blocks):
-            b = self.blocks[(k, l)]
-            for i in range(5):
-                for j in range(5):
-                    if b[i, j] != 0.0:
-                        stream.write(f"{5 * k + i} {5 * l + j} {float(b[i, j])!r}\n")
 
+def _record_terms(graph, cfg, active, use_distance_error, derivs=True):
+    """Evaluate the active measurements, one record at a time.
 
-def _measurement_blocks(graph, cfg, active, use_distance_error):
-    """Evaluate every active measurement once, summing its cost terms.
-
-    Returns (i1, i2, CostEval) triples in canonical order: odometry in
-    list order, then active homing in list order.  Degenerate
-    evaluations are re-raised with the offending record named.
+    Yields (i1, i2, terms) in canonical order: odometry in list order
+    (translation, the optional distance term, rotation), then active
+    homing in list order (home vector, compass).  terms holds one
+    CostEval per term, or its float value when derivs is false.
+    Degenerate evaluations are re-raised with the offending record named.
     """
-    out = []
     for k, m in enumerate(graph.odometry):
         pa, pb = graph.pose(m.i1), graph.pose(m.i2)
         try:
-            ev = eval_translation(pa, pb, m.T, m.r)
+            terms = [eval_translation(pa, pb, m.T, m.r, derivs)]
             if use_distance_error and active.distance[k]:
-                ev += eval_distance(pa, pb, m.sigma_e, m.rho)
-            ev += eval_rotation(pa, pb, omega(m.q), m.sigma, cfg)
+                terms.append(eval_distance(pa, pb, m.sigma_e, m.rho, derivs))
+            terms.append(eval_rotation(pa, pb, omega(m.q), m.sigma, cfg, derivs))
         except DegenerateVectorError as exc:
             raise DegenerateVectorError(
                 f"odometry record {k + 1} ({m.i1}->{m.i2}): {exc}"
             ) from exc
-        out.append((m.i1, m.i2, ev))
+        yield m.i1, m.i2, terms
     for k, m in enumerate(graph.homing):
         if not active.homing[k]:
             continue
         pa, pb = graph.pose(m.i1), graph.pose(m.i2)
         try:
-            ev = eval_home_vector(pa, pb, omega(m.alpha), m.sigma_h, cfg)
-            ev += eval_compass(pa, pb, omega(m.psi), m.sigma_c, cfg)
+            terms = (
+                eval_home_vector(pa, pb, omega(m.alpha), m.sigma_h, cfg, derivs),
+                eval_compass(pa, pb, omega(m.psi), m.sigma_c, cfg, derivs),
+            )
         except DegenerateVectorError as exc:
             raise DegenerateVectorError(
                 f"homing record {k + 1} ({m.i1}->{m.i2}): {exc}"
             ) from exc
-        out.append((m.i1, m.i2, ev))
+        yield m.i1, m.i2, terms
+
+
+def _measurement_blocks(graph, cfg, active, use_distance_error):
+    """(i1, i2, CostEval) per active record, its terms summed in order."""
+    out = []
+    for i1, i2, terms in _record_terms(graph, cfg, active, use_distance_error):
+        ev = terms[0]
+        for term in terms[1:]:
+            ev += term
+        out.append((i1, i2, ev))
     return out
 
 
@@ -254,18 +256,9 @@ def total_values(graph, cfg, active=None, lambdas=None, use_distance_error=False
     if active is None:
         active = ActiveMask.all_active(graph)
     F = 0.0
-    for k, m in enumerate(graph.odometry):
-        pa, pb = graph.pose(m.i1), graph.pose(m.i2)
-        F += translation_value(pa, pb, m.T, m.r)
-        if use_distance_error and active.distance[k]:
-            F += distance_value(pa, pb, m.sigma_e, m.rho)
-        F += rotation_value(pa, pb, omega(m.q), m.sigma, cfg)
-    for k, m in enumerate(graph.homing):
-        if not active.homing[k]:
-            continue
-        pa, pb = graph.pose(m.i1), graph.pose(m.i2)
-        F += home_vector_value(pa, pb, omega(m.alpha), m.sigma_h, cfg)
-        F += compass_value(pa, pb, omega(m.psi), m.sigma_c, cfg)
+    for _, _, terms in _record_terms(graph, cfg, active, use_distance_error, False):
+        for value in terms:
+            F += value
 
     free = graph.free_ids()
     if lambdas is None:
@@ -273,11 +266,39 @@ def total_values(graph, cfg, active=None, lambdas=None, use_distance_error=False
     w_sum = 0.0
     l1 = 0.0
     for lam, pid in zip(lambdas, free):
-        u = graph.pose(pid).u
-        l = 0.5 * (float(u @ u) - 1.0)
+        l = residual(graph.pose(pid).u)
         w_sum += lam * l
         l1 += abs(l)
     return F, F + w_sum, l1
+
+
+def init_lambdas(graph, cfg, active=None):
+    """Initial multipliers lambda_i = -u_i^T g_i from the cost gradient.
+
+    g_i is the gradient of the total cost (constraints excluded) with
+    respect to u_i at the initial poses.  The formula assumes unit
+    initial orientation vectors, which is checked here; the distance
+    error has no orientation gradient and therefore never contributes.
+
+    Returns one multiplier per free pose, in state-layout order
+    (ascending pose id, fixed pose excluded).
+    """
+    for pid, pose in graph.items():
+        n = float(np.hypot(pose.u[0], pose.u[1]))
+        if abs(n - 1.0) > UNIT_TOL:
+            raise PreconditionError(
+                f"pose {pid}: initial orientation vector must be unit, got norm {n!r}"
+            )
+    if active is None:
+        active = ActiveMask.all_active(graph)
+
+    grads = {pid: np.zeros(2) for pid in graph.pose_ids()}
+    for i1, i2, ev in _measurement_blocks(graph, cfg, active, False):
+        grads[i1] += ev.grad1[ORI]
+        grads[i2] += ev.grad2[ORI]
+    return np.array(
+        [-float(graph.pose(pid).u @ grads[pid]) for pid in graph.free_ids()]
+    )
 
 
 def merit(graph, cfg, active, mu, lambdas=None, use_distance_error=False):

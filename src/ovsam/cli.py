@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 iteration limit or failed derivative check,
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -28,20 +29,7 @@ _COST = RotCostConfig()
 
 
 def cmd_simulate(args):
-    cfg = SimConfig(
-        lanes=args.lanes,
-        points_per_lane=args.points_per_lane,
-        lane_spacing=args.lane_spacing,
-        segment_length=args.segment_length,
-        wheel_speed_bias=args.wheel_speed_bias,
-        euler_substeps=args.euler_substeps,
-        noise_trans=args.noise_trans,
-        noise_ang=args.noise_ang,
-        sigma_h=args.sigma_h,
-        sigma_c=args.sigma_c,
-        homing_neighbors=args.homing_neighbors,
-        seed=args.seed,
-    )
+    cfg = SimConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SimConfig)})
     graph, truth = simulate(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -116,18 +104,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a synthetic multi-lane cleaning run")
-    sim.add_argument("--lanes", type=int, default=_SIM.lanes)
-    sim.add_argument("--points-per-lane", type=int, default=_SIM.points_per_lane)
-    sim.add_argument("--lane-spacing", type=float, default=_SIM.lane_spacing)
-    sim.add_argument("--segment-length", type=float, default=_SIM.segment_length)
-    sim.add_argument("--wheel-speed-bias", type=float, default=_SIM.wheel_speed_bias)
-    sim.add_argument("--euler-substeps", type=int, default=_SIM.euler_substeps)
-    sim.add_argument("--noise-trans", type=float, default=_SIM.noise_trans)
-    sim.add_argument("--noise-ang", type=float, default=_SIM.noise_ang)
-    sim.add_argument("--sigma-h", type=float, default=_SIM.sigma_h)
-    sim.add_argument("--sigma-c", type=float, default=_SIM.sigma_c)
-    sim.add_argument("--homing-neighbors", type=int, default=_SIM.homing_neighbors)
-    sim.add_argument("--seed", type=int, default=_SIM.seed)
+    for f in dataclasses.fields(SimConfig):
+        sim.add_argument(
+            "--" + f.name.replace("_", "-"), type=f.type, default=getattr(_SIM, f.name)
+        )
     sim.add_argument("--out", default=".", help="output directory")
     sim.set_defaults(func=cmd_simulate)
 

@@ -1,4 +1,4 @@
-"""Unit-length constraints and Lagrange-multiplier initialization.
+"""Unit-length constraint terms.
 
 Each free pose i carries the constraint l(u_i) = 0.5 (u_i^T u_i - 1) = 0
 with multiplier lambda_i; the Lagrangian gains w = lambda_i * l(u_i).
@@ -14,18 +14,6 @@ The derivative structure is tiny and fully dense per pose:
 from dataclasses import dataclass
 
 import numpy as np
-
-from .costs import (
-    ORI,
-    eval_compass,
-    eval_home_vector,
-    eval_rotation,
-    eval_translation,
-)
-from .errors import PreconditionError
-from .orvec import omega
-
-UNIT_TOL = 1e-9
 
 
 @dataclass
@@ -56,43 +44,4 @@ def eval_constraint(lam, u):
         grad_lambda=l,
         h_uu=lam * np.eye(2),
         h_ulambda=u.copy(),
-    )
-
-
-def init_lambdas(graph, cfg, active=None):
-    """Initial multipliers lambda_i = -u_i^T g_i from the cost gradient.
-
-    g_i is the gradient of the total cost (constraints excluded) with
-    respect to u_i at the initial poses.  The formula assumes unit
-    initial orientation vectors, which is checked here; the distance
-    error has no orientation gradient and therefore never contributes.
-
-    Returns one multiplier per free pose, in state-layout order
-    (ascending pose id, fixed pose excluded).
-    """
-    for pid, pose in graph.items():
-        if abs(float(np.hypot(pose.u[0], pose.u[1])) - 1.0) > UNIT_TOL:
-            raise PreconditionError(
-                f"pose {pid}: initial orientation vector must be unit, "
-                f"got norm {float(np.hypot(pose.u[0], pose.u[1]))!r}"
-            )
-
-    grads = {pid: np.zeros(2) for pid in graph.pose_ids()}
-    for m in graph.odometry:
-        pa, pb = graph.pose(m.i1), graph.pose(m.i2)
-        ev = eval_translation(pa, pb, m.T, m.r)
-        ev += eval_rotation(pa, pb, omega(m.q), m.sigma, cfg)
-        grads[m.i1] += ev.grad1[ORI]
-        grads[m.i2] += ev.grad2[ORI]
-    for k, m in enumerate(graph.homing):
-        if active is not None and not active.homing[k]:
-            continue
-        pa, pb = graph.pose(m.i1), graph.pose(m.i2)
-        ev = eval_home_vector(pa, pb, omega(m.alpha), m.sigma_h, cfg)
-        ev += eval_compass(pa, pb, omega(m.psi), m.sigma_c, cfg)
-        grads[m.i1] += ev.grad1[ORI]
-        grads[m.i2] += ev.grad2[ORI]
-
-    return np.array(
-        [-float(graph.pose(pid).u @ grads[pid]) for pid in graph.free_ids()]
     )

@@ -27,7 +27,10 @@ difference delta0 = (x' - x)/|x' - x|, and the first-form offset is
 t1 + (1 - t1)|u| since |delta0| = 1 identically.
 
 Every evaluator returns the value together with all gradient and
-Hessian blocks over the stacked pose-pair coordinates [x (2), u (2)].
+Hessian blocks over the stacked pose-pair coordinates [x (2), u (2)];
+with derivs=False it returns the float value alone and skips all
+derivative work, so the merit and the derivative oracle run the same
+value code as assembly.
 Blocks are written exactly in the form in which they were derived (no
 re-simplification), so each term can be checked in isolation against
 the finite-difference oracle.  Only the forward mixed block
@@ -39,10 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateVectorError, InvalidCovarianceError
-from .orvec import omega, omega_bar
-
-# Norm threshold below which normalizing cost paths refuse to evaluate.
-DEGENERATE_NORM = 1e-9
+from .orvec import DEGENERATE_NORM, omega, omega_bar
 
 # Slices of the stacked per-pose coordinates [x, u].
 POS = slice(0, 2)
@@ -155,13 +155,7 @@ def _proj_curvature(a, z0, nz):
 # translation and distance
 
 
-def translation_value(p, pp, T, r):
-    """Value-only translation cost (used by merit evaluation)."""
-    e = omega(p.u).T @ (pp.x - p.x) - r
-    return 0.5 * float(e @ _spd_inverse(T) @ e)
-
-
-def eval_translation(p, pp, T, r):
+def eval_translation(p, pp, T, r, derivs=True):
     """Mahalanobis translation cost with all derivative blocks.
 
     Parameters
@@ -172,15 +166,20 @@ def eval_translation(p, pp, T, r):
         Symmetric positive definite covariance of r.
     r : (2,) ndarray
         Measured translation expressed in the frame of the first pose.
+    derivs : bool
+        When false, return only the float value.
     """
     Tinv = _spd_inverse(T)
     delta = pp.x - p.x
     U = omega(p.u)
-    D = omega_bar(delta)
     e = U.T @ delta - r
+    value = 0.5 * float(e @ Tinv @ e)
+    if not derivs:
+        return value
+    D = omega_bar(delta)
     w = Tinv @ e
 
-    out = CostEval(value=0.5 * float(e @ w))
+    out = CostEval(value=value)
     out.grad1[POS] = -U @ w
     out.grad1[ORI] = D @ w
     out.grad2[POS] = U @ w
@@ -199,27 +198,25 @@ def eval_translation(p, pp, T, r):
     return out
 
 
-def distance_value(p, pp, sigma_e, rho):
-    """Value-only traveled-distance cost."""
-    nd = _checked_norm(pp.x - p.x, "pose position difference")
-    return 0.5 * (nd - rho) ** 2 / sigma_e
-
-
-def eval_distance(p, pp, sigma_e, rho):
+def eval_distance(p, pp, sigma_e, rho, derivs=True):
     """Scalar traveled-distance cost with all derivative blocks.
 
     Weighted by 1/sigma_e.  Orientations do not enter.  Raises
     DegenerateVectorError when the two positions (numerically) coincide.
+    With derivs false, returns only the float value.
     """
     if not sigma_e > 0.0:
         raise ValueError(f"sigma_e must be positive, got {sigma_e!r}")
     delta = pp.x - p.x
     nd = _checked_norm(delta, "pose position difference")
+    resid = nd - rho
+    value = 0.5 * resid**2 / sigma_e
+    if not derivs:
+        return value
     d0 = delta / nd
     winv = 1.0 / sigma_e
-    resid = nd - rho
 
-    out = CostEval(value=0.5 * winv * resid**2)
+    out = CostEval(value=value)
     g = winv * resid * d0
     out.grad1[POS] = -g
     out.grad2[POS] = g
@@ -237,98 +234,61 @@ def eval_distance(p, pp, sigma_e, rho):
 # generic rotational kernel over (u, u'); shared by rotation and compass
 
 
-def _rot_value(Phi, u, up, cfg):
+def eval_generic_rotational(Phi, u, up, cfg, weight=1.0, derivs=True):
+    """Rotational cost s (first form) or s-bar (second form), times weight.
+
+    Returns the float value when derivs is false, else a CostEval whose
+    position blocks are zero.
+    """
+    Phiu = Phi @ u
+    c = float(Phiu @ up)
     if cfg.form == "second":
         nu = _checked_norm(u, "orientation vector")
         nup = _checked_norm(up, "orientation vector")
-        return 1.0 - float((Phi @ u) @ up) / (nu * nup)
-    if cfg.t1 == 1:
-        return 1.0 - float((Phi @ u) @ up)
-    nu = _checked_norm(u, "orientation vector")
-    nup = _checked_norm(up, "orientation vector")
-    return nu * nup - float((Phi @ u) @ up)
-
-
-def _rot_first(Phi, u, up, t1):
-    """First-form rotational kernel: u/u' gradients and Hessian blocks."""
-    value = -float((Phi @ u) @ up)
-    gu = -(Phi.T @ up)
-    gup = -(Phi @ u)
-    huu = np.zeros((2, 2))
-    huup = -Phi.T.copy()
-    hupup = np.zeros((2, 2))
-    if t1 == 1:
-        value += 1.0
+        value = 1.0 - c / (nu * nup)
+    elif cfg.t1 == 1:
+        value = 1.0 - c
     else:
         nu = _checked_norm(u, "orientation vector")
         nup = _checked_norm(up, "orientation vector")
+        value = nu * nup - c
+    if not derivs:
+        return weight * value
+
+    if cfg.form == "second":
         u0 = u / nu
         up0 = up / nup
-        value += nu * nup
-        gu = gu + nup * u0
-        gup = gup + nu * up0
-        huu = huu + (nup / nu) * (np.eye(2) - np.outer(u0, u0))
-        huup = huup + np.outer(u0, up0)
-        hupup = hupup + (nu / nup) * (np.eye(2) - np.outer(up0, up0))
-    return value, gu, gup, huu, huup, hupup
-
-
-def _rot_second(Phi, u, up):
-    """Second-form (normalized) rotational kernel."""
-    nu = _checked_norm(u, "orientation vector")
-    nup = _checked_norm(up, "orientation vector")
-    u0 = u / nu
-    up0 = up / nup
-    Pu = (np.eye(2) - np.outer(u0, u0)) / nu
-    Pup = (np.eye(2) - np.outer(up0, up0)) / nup
-
-    value = 1.0 - float((Phi @ u0) @ up0)
-    gu = -(Pu @ Phi.T @ up0)
-    gup = -(Pup @ Phi @ u0)
-    huu = _proj_curvature(Phi.T @ up0, u0, nu)
-    huup = -Pu @ Phi.T @ Pup
-    hupup = _proj_curvature(Phi @ u0, up0, nup)
-    return value, gu, gup, huu, huup, hupup
-
-
-def eval_generic_rotational(Phi, u, up, cfg):
-    """Unweighted rotational cost s (first form) or s-bar (second form).
-
-    Returns a CostEval whose position blocks are zero; callers apply
-    their own gamma/sigma^2 weight.
-    """
-    u = np.asarray(u, dtype=float)
-    up = np.asarray(up, dtype=float)
-    if cfg.form == "second":
-        value, gu, gup, huu, huup, hupup = _rot_second(Phi, u, up)
+        Pu = (np.eye(2) - np.outer(u0, u0)) / nu
+        Pup = (np.eye(2) - np.outer(up0, up0)) / nup
+        gu = -(Pu @ Phi.T @ up0)
+        gup = -(Pup @ Phi @ u0)
+        huu = _proj_curvature(Phi.T @ up0, u0, nu)
+        huup = -Pu @ Phi.T @ Pup
+        hupup = _proj_curvature(Phi @ u0, up0, nup)
     else:
-        value, gu, gup, huu, huup, hupup = _rot_first(Phi, u, up, cfg.t1)
-    out = CostEval(value=value)
-    out.grad1[ORI] = gu
-    out.grad2[ORI] = gup
-    out.h11[ORI, ORI] = huu
-    out.h12[ORI, ORI] = huup
-    out.h22[ORI, ORI] = hupup
+        gu = -(Phi.T @ up)
+        gup = -Phiu
+        huu = hupup = np.zeros((2, 2))
+        huup = -Phi.T
+        if cfg.t1 == 0:
+            u0 = u / nu
+            up0 = up / nup
+            gu = gu + nup * u0
+            gup = gup + nu * up0
+            huu = huu + (nup / nu) * (np.eye(2) - np.outer(u0, u0))
+            huup = huup + np.outer(u0, up0)
+            hupup = hupup + (nu / nup) * (np.eye(2) - np.outer(up0, up0))
+
+    out = CostEval(value=weight * value)
+    out.grad1[ORI] = weight * gu
+    out.grad2[ORI] = weight * gup
+    out.h11[ORI, ORI] = weight * huu
+    out.h12[ORI, ORI] = weight * huup
+    out.h22[ORI, ORI] = weight * hupup
     return out
 
 
-def _weighted_rotational(Phi, u, up, weight, cfg):
-    out = eval_generic_rotational(Phi, u, up, cfg)
-    out.value *= weight
-    out.grad1 *= weight
-    out.grad2 *= weight
-    out.h11 *= weight
-    out.h12 *= weight
-    out.h22 *= weight
-    return out
-
-
-def rotation_value(p, pp, Q, sigma, cfg):
-    """Value-only rotation cost."""
-    return cfg.gamma / sigma**2 * _rot_value(Q, p.u, pp.u, cfg)
-
-
-def eval_rotation(p, pp, Q, sigma, cfg):
+def eval_rotation(p, pp, Q, sigma, cfg, derivs=True):
     """Rotational cost against the measured relative rotation matrix Q.
 
     Q is the orientation matrix of the measured unit rotation vector
@@ -336,15 +296,10 @@ def eval_rotation(p, pp, Q, sigma, cfg):
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    return _weighted_rotational(Q, p.u, pp.u, cfg.gamma / sigma**2, cfg)
+    return eval_generic_rotational(Q, p.u, pp.u, cfg, cfg.gamma / sigma**2, derivs)
 
 
-def compass_value(p, pp, Psi, sigma_c, cfg):
-    """Value-only compass cost."""
-    return cfg.gamma / sigma_c**2 * _rot_value(Psi, p.u, pp.u, cfg)
-
-
-def eval_compass(p, pp, Psi, sigma_c, cfg):
+def eval_compass(p, pp, Psi, sigma_c, cfg, derivs=True):
     """Compass cost against the measured relative orientation matrix Psi.
 
     Identical functional form to the rotation cost; Psi comes from a
@@ -352,28 +307,14 @@ def eval_compass(p, pp, Psi, sigma_c, cfg):
     """
     if not sigma_c > 0.0:
         raise ValueError(f"sigma_c must be positive, got {sigma_c!r}")
-    return _weighted_rotational(Psi, p.u, pp.u, cfg.gamma / sigma_c**2, cfg)
+    return eval_generic_rotational(Psi, p.u, pp.u, cfg, cfg.gamma / sigma_c**2, derivs)
 
 
 # ---------------------------------------------------------------------------
 # home vector
 
 
-def home_vector_value(p, pp, A, sigma_h, cfg):
-    """Value-only home-vector cost."""
-    delta = pp.x - p.x
-    nd = _checked_norm(delta, "pose position difference")
-    d0 = delta / nd
-    w = cfg.gamma / sigma_h**2
-    if cfg.form == "second":
-        nu = _checked_norm(p.u, "orientation vector")
-        return w * (1.0 - float((A @ p.u) @ d0) / nu)
-    if cfg.t1 == 1:
-        return w * (1.0 - float((A @ p.u) @ d0))
-    return w * (_checked_norm(p.u, "orientation vector") - float((A @ p.u) @ d0))
-
-
-def eval_home_vector(p, pp, A, sigma_h, cfg):
+def eval_home_vector(p, pp, A, sigma_h, cfg, derivs=True):
     """Home-vector cost with all derivative blocks.
 
     A is the orientation matrix of the measured unit direction from
@@ -381,7 +322,7 @@ def eval_home_vector(p, pp, A, sigma_h, cfg):
     second orientation vector of the rotational form is taken by the
     normalized position difference, so this cost couples x, x' and u;
     the orientation of pp never enters.  The first-form offset is
-    t1 + (1 - t1)|u|.
+    t1 + (1 - t1)|u|.  With derivs false, returns only the float value.
     """
     if not sigma_h > 0.0:
         raise ValueError(f"sigma_h must be positive, got {sigma_h!r}")
@@ -389,18 +330,28 @@ def eval_home_vector(p, pp, A, sigma_h, cfg):
     delta = pp.x - p.x
     nd = _checked_norm(delta, "pose position difference")
     d0 = delta / nd
-    Pd = (np.eye(2) - np.outer(d0, d0)) / nd
     w = cfg.gamma / sigma_h**2
-
-    out = CostEval()
+    a = A @ u
+    c = float(a @ d0)
     if cfg.form == "second":
         nu = _checked_norm(u, "orientation vector")
+        value = w * (1.0 - c / nu)
+    elif cfg.t1 == 1:
+        value = w * (1.0 - c)
+    else:
+        nu = _checked_norm(u, "orientation vector")
+        value = w * (nu - c)
+    if not derivs:
+        return value
+    Pd = (np.eye(2) - np.outer(d0, d0)) / nd
+
+    out = CostEval(value=value)
+    if cfg.form == "second":
         u0 = u / nu
         Pu = (np.eye(2) - np.outer(u0, u0)) / nu
         a = A @ u0
         S = _proj_curvature(a, d0, nd)
 
-        out.value = w * (1.0 - float(a @ d0))
         out.grad1[POS] = w * (Pd @ a)
         out.grad2[POS] = -w * (Pd @ a)
         out.grad1[ORI] = -w * (Pu @ A.T @ d0)
@@ -414,10 +365,8 @@ def eval_home_vector(p, pp, A, sigma_h, cfg):
         out.h22[POS, POS] = w * S
         return out
 
-    a = A @ u
     S = _proj_curvature(a, d0, nd)
 
-    out.value = w * (float(cfg.t1) - float(a @ d0))
     out.grad1[POS] = w * (Pd @ a)
     out.grad2[POS] = -w * (Pd @ a)
     out.grad1[ORI] = -w * (A.T @ d0)
@@ -430,9 +379,7 @@ def eval_home_vector(p, pp, A, sigma_h, cfg):
     out.h22[POS, POS] = w * S
 
     if cfg.t1 == 0:
-        nu = _checked_norm(u, "orientation vector")
         u0 = u / nu
-        out.value += w * nu
         out.grad1[ORI] += w * u0
         out.h11[ORI, ORI] += w * (np.eye(2) - np.outer(u0, u0)) / nu
     return out

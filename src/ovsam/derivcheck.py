@@ -24,16 +24,11 @@ from .constraints import eval_constraint
 from .costs import (
     Pose,
     RotCostConfig,
-    compass_value,
-    distance_value,
     eval_compass,
     eval_distance,
     eval_home_vector,
     eval_rotation,
     eval_translation,
-    home_vector_value,
-    rotation_value,
-    translation_value,
 )
 from .findiff import fd_gradient, fd_jacobian
 from .orvec import from_angle, omega
@@ -103,16 +98,22 @@ def _pose_pair(s):
     return Pose(s[0:2], s[2:4]), Pose(s[4:6], s[6:8])
 
 
-def _pair_case(rng, value_of, eval_of):
+def _pair_case(rng, kernel):
+    """Case over one cost kernel(p1, p2, derivs).
+
+    The finite differences run the kernel's value-only path, the path
+    the merit evaluates.
+    """
+
     def value(s):
-        return value_of(*_pose_pair(s))
+        return kernel(*_pose_pair(s), False)
 
     def grad(s):
-        ev = eval_of(*_pose_pair(s))
+        ev = kernel(*_pose_pair(s), True)
         return np.concatenate([ev.grad1, ev.grad2])
 
     def hess(s):
-        ev = eval_of(*_pose_pair(s))
+        ev = kernel(*_pose_pair(s), True)
         return np.block([[ev.h11, ev.h12], [ev.h21, ev.h22]])
 
     return CaseInstance(
@@ -123,20 +124,14 @@ def _pair_case(rng, value_of, eval_of):
 def _case_translation(rng):
     T = _random_spd(rng)
     r = rng.uniform(-1.5, 1.5, 2)
-    return _pair_case(
-        rng,
-        lambda p1, p2: translation_value(p1, p2, T, r),
-        lambda p1, p2: eval_translation(p1, p2, T, r),
-    )
+    return _pair_case(rng, lambda p1, p2, derivs: eval_translation(p1, p2, T, r, derivs))
 
 
 def _case_distance(rng):
     sigma_e = rng.uniform(0.1, 1.0)
     rho = rng.uniform(0.2, 2.0)
     return _pair_case(
-        rng,
-        lambda p1, p2: distance_value(p1, p2, sigma_e, rho),
-        lambda p1, p2: eval_distance(p1, p2, sigma_e, rho),
+        rng, lambda p1, p2, derivs: eval_distance(p1, p2, sigma_e, rho, derivs)
     )
 
 
@@ -150,9 +145,7 @@ def _case_rotation(form, t1):
         Q = omega(_random_unit(rng))
         sigma = rng.uniform(0.2, 1.0)
         return _pair_case(
-            rng,
-            lambda p1, p2: rotation_value(p1, p2, Q, sigma, cfg),
-            lambda p1, p2: eval_rotation(p1, p2, Q, sigma, cfg),
+            rng, lambda p1, p2, derivs: eval_rotation(p1, p2, Q, sigma, cfg, derivs)
         )
 
     return make
@@ -164,9 +157,7 @@ def _case_compass(form, t1):
         Psi = omega(_random_unit(rng))
         sigma_c = rng.uniform(0.2, 1.0)
         return _pair_case(
-            rng,
-            lambda p1, p2: compass_value(p1, p2, Psi, sigma_c, cfg),
-            lambda p1, p2: eval_compass(p1, p2, Psi, sigma_c, cfg),
+            rng, lambda p1, p2, derivs: eval_compass(p1, p2, Psi, sigma_c, cfg, derivs)
         )
 
     return make
@@ -178,9 +169,7 @@ def _case_home(form, t1):
         A = omega(_random_unit(rng))
         sigma_h = rng.uniform(0.2, 1.0)
         return _pair_case(
-            rng,
-            lambda p1, p2: home_vector_value(p1, p2, A, sigma_h, cfg),
-            lambda p1, p2: eval_home_vector(p1, p2, A, sigma_h, cfg),
+            rng, lambda p1, p2, derivs: eval_home_vector(p1, p2, A, sigma_h, cfg, derivs)
         )
 
     return make

@@ -18,7 +18,6 @@ angle-to-vector conversion happens before a file is written.
 """
 
 import io
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,9 +86,6 @@ class HomingMeasurement:
     def __post_init__(self):
         self.alpha = _vec2(self.alpha)
         self.psi = _vec2(self.psi)
-
-
-Incidence = namedtuple("Incidence", "kind index slot")
 
 
 class FactorGraph:
@@ -176,25 +172,6 @@ class FactorGraph:
             )
 
 
-def build_adjacency(graph):
-    """Per-pose incidence lists: which measurement uses the pose in which slot.
-
-    Every measurement appears exactly twice, once per slot.  Raises on
-    out-of-range indices (malformed graph).
-    """
-    n = len(graph)
-    adj = {pid: [] for pid in graph.pose_ids()}
-    for kind, measurements in (("odom", graph.odometry), ("home", graph.homing)):
-        for k, m in enumerate(measurements):
-            for pid, slot in ((m.i1, "first"), (m.i2, "second")):
-                if not 1 <= pid <= n:
-                    raise GraphValidationError(
-                        f"{kind} record {k + 1}: pose index {pid} out of range 1..{n}"
-                    )
-                adj[pid].append(Incidence(kind, k, slot))
-    return adj
-
-
 class StateLayout:
     """Offsets of the free-pose blocks [x, u, lambda] in the flat state."""
 
@@ -259,19 +236,24 @@ def apply_state(vec, graph):
     return lambdas
 
 
-def unpack_state(vec, graph):
-    """Return (poses, lambdas) for a flat state vector, graph untouched."""
-    scratch = graph.copy()
-    lambdas = apply_state(vec, scratch)
-    return scratch.poses, lambdas
-
-
 # ---------------------------------------------------------------------------
 # text format
 
 
 def _fmt(x):
     return repr(float(x))
+
+
+def write_text(text, dest=None):
+    """Return text if dest is None, else write it to a stream or a path."""
+    if dest is None:
+        return text
+    if hasattr(dest, "write"):
+        dest.write(text)
+    else:
+        with open(dest, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return None
 
 
 def load_graph(source):
@@ -371,12 +353,4 @@ def save_graph(graph, dest=None):
             f"HOME {m.i1} {m.i2} {_fmt(m.alpha[0])} {_fmt(m.alpha[1])} "
             f"{_fmt(m.psi[0])} {_fmt(m.psi[1])} {_fmt(m.sigma_h)} {_fmt(m.sigma_c)}\n"
         )
-    text = buf.getvalue()
-    if dest is None:
-        return text
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return None
+    return write_text(buf.getvalue(), dest)

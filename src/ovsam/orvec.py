@@ -12,13 +12,11 @@ import numpy as np
 from .errors import DegenerateVectorError
 
 # Norms at or below this are treated as zero length.
-DEGENERATE_NORM = 1e-12
+DEGENERATE_NORM = 1e-9
 
-# Mirror along the first axis and swap of the two axes.  MN = -NM.
+# Mirror along the first axis.
 M = np.array([[1.0, 0.0], [0.0, -1.0]])
-N = np.array([[0.0, 1.0], [1.0, 0.0]])
 M.setflags(write=False)
-N.setflags(write=False)
 
 
 def omega(z):
@@ -44,24 +42,6 @@ def omega_bar(z):
 def norm(z):
     """Euclidean length of a 2-vector."""
     return float(np.hypot(z[0], z[1]))
-
-
-def normalize(z):
-    """Return (z / |z|, |z|); raises DegenerateVectorError near zero length."""
-    z = np.asarray(z, dtype=float)
-    n = norm(z)
-    if n <= DEGENERATE_NORM:
-        raise DegenerateVectorError(f"cannot normalize vector with norm {n!r}")
-    return z / n, n
-
-
-def norm_projector(z):
-    """Jacobian of z -> z/|z|, equal to (I - z0 z0^T) / |z| with z0 = z/|z|.
-
-    Symmetric, annihilates z, and acts as 1/|z| on the orthogonal complement.
-    """
-    z0, n = normalize(z)
-    return (np.eye(2) - np.outer(z0, z0)) / n
 
 
 def from_angle(theta):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import Pose
-from .graph import FactorGraph, HomingMeasurement, OdometryMeasurement
+from .graph import FactorGraph, HomingMeasurement, OdometryMeasurement, write_text
 from .orvec import from_angle, omega, to_angle
 
 WHEEL_BASE = 1.0  # m; track width of the simulated robot
@@ -267,15 +267,7 @@ def save_ground_truth(gt, dest=None):
     buf = io.StringIO()
     for i, (x, y, th) in enumerate(gt.poses, start=1):
         buf.write(f"TRUE {i} {float(x)!r} {float(y)!r} {float(th)!r}\n")
-    text = buf.getvalue()
-    if dest is None:
-        return text
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return None
+    return write_text(buf.getvalue(), dest)
 
 
 def write_plot_csv(graph, gt, dest=None):
@@ -288,12 +280,4 @@ def write_plot_csv(graph, gt, dest=None):
             f"{pid},{float(pose.x[0])!r},{float(pose.x[1])!r},{to_angle(pose.u)!r},"
             f"{float(tx)!r},{float(ty)!r},{float(tth)!r}\n"
         )
-    text = buf.getvalue()
-    if dest is None:
-        return text
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return None
+    return write_text(buf.getvalue(), dest)

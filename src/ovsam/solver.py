@@ -27,10 +27,9 @@ import scipy.linalg
 from scipy.sparse import diags
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from .assembly import ActiveMask, assemble, merit
-from .constraints import init_lambdas
+from .assembly import ActiveMask, assemble, init_lambdas, merit
 from .costs import RotCostConfig
-from .errors import DegenerateVectorError, NumericalFailure, PreconditionError
+from .errors import DegenerateVectorError, NumericalFailure
 from .graph import StateLayout, apply_state, pack_state
 
 # Dense factorization below this state dimension, sparse LU at or above
@@ -198,16 +197,12 @@ def solve(graph, cfg=None):
 
     The input graph is not modified; the report carries a copy holding
     the final poses.  Initial orientation vectors must be unit (they
-    seed the multiplier initialization).
+    seed the multiplier initialization, which raises PreconditionError
+    otherwise).
     """
     if cfg is None:
         cfg = SolverConfig()
     graph.validate()
-    for pid, pose in graph.items():
-        if abs(float(np.hypot(pose.u[0], pose.u[1])) - 1.0) > 1e-9:
-            raise PreconditionError(
-                f"pose {pid}: solve requires unit initial orientation vectors"
-            )
 
     work = graph.copy()  # current iterate
     scratch = graph.copy()  # trial states during line search

@@ -1,7 +1,5 @@
 """Gradient/Hessian assembly: oracle checks and structural invariants."""
 
-import io
-
 import numpy as np
 import pytest
 from conftest import consistent_graph, random_graph
@@ -16,7 +14,13 @@ from ovsam.assembly import (
 from ovsam.costs import Pose, RotCostConfig
 from ovsam.errors import DegenerateVectorError
 from ovsam.findiff import fd_gradient, fd_jacobian
-from ovsam.graph import FactorGraph, OdometryMeasurement, apply_state, pack_state
+from ovsam.graph import (
+    FactorGraph,
+    HomingMeasurement,
+    OdometryMeasurement,
+    apply_state,
+    pack_state,
+)
 
 
 def _perturbed(rng, n_poses=5, n_homing=4):
@@ -207,21 +211,6 @@ def test_distance_mask_equals_flag_off():
     assert np.array_equal(a.g, b.g)
 
 
-def test_dump_coordinates_round_trip():
-    rng = np.random.default_rng(12)
-    graph, lambdas = _perturbed(rng, n_poses=4, n_homing=2)
-    system = assemble(graph, RotCostConfig(), lambdas=lambdas)
-    buf = io.StringIO()
-    system.dump_coordinates(buf)
-    H = np.zeros((system.dim, system.dim))
-    for line in buf.getvalue().splitlines():
-        i, j, v = line.split()
-        H[int(i), int(j)] = float(v)
-    dense = system.to_dense()
-    assert np.array_equal(H[dense != 0.0], dense[dense != 0.0])
-    assert np.max(np.abs(H - dense)) == 0.0
-
-
 def test_fixed_pose_rows_dropped_but_contributions_kept():
     rng = np.random.default_rng(13)
     graph = consistent_graph(rng, n_poses=3, with_homing=False)
@@ -254,3 +243,22 @@ def test_degenerate_evaluation_names_the_record():
     )
     with pytest.raises(DegenerateVectorError, match=r"odometry record 1 \(1->2\)"):
         assemble(graph, RotCostConfig(), use_distance_error=True)
+
+
+def test_value_path_names_the_degenerate_homing_record():
+    graph = FactorGraph(
+        [Pose([0.0, 0.0], [1.0, 0.0]), Pose([0.0, 0.0], [1.0, 0.0])],
+        # coincident positions leave the home direction undefined
+        homing=[
+            HomingMeasurement(
+                i1=2,
+                i2=1,
+                alpha=np.array([1.0, 0.0]),
+                psi=np.array([1.0, 0.0]),
+                sigma_h=0.1,
+                sigma_c=0.1,
+            )
+        ],
+    )
+    with pytest.raises(DegenerateVectorError, match=r"homing record 1 \(2->1\)"):
+        total_values(graph, RotCostConfig())

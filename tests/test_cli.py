@@ -199,9 +199,10 @@ def test_check_derivatives_case_filter(capsys):
 def test_check_derivatives_flags_injected_fault(capsys, monkeypatch):
     orig = derivcheck.eval_translation
 
-    def broken(p, pp, T, r):
-        ev = orig(p, pp, T, r)
-        ev.grad2 = ev.grad2 + 5e-3
+    def broken(p, pp, T, r, derivs=True):
+        ev = orig(p, pp, T, r, derivs)
+        if derivs:
+            ev.grad2 = ev.grad2 + 5e-3
         return ev
 
     monkeypatch.setattr(derivcheck, "eval_translation", broken)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from conftest import consistent_graph, random_graph
 
-from ovsam.constraints import eval_constraint, init_lambdas, residual
+from ovsam.assembly import init_lambdas
+from ovsam.constraints import eval_constraint, residual
 from ovsam.costs import Pose, RotCostConfig
 from ovsam.errors import PreconditionError
 from ovsam.findiff import fd_gradient

@@ -14,17 +14,12 @@ from ovsam.costs import (
     Pose,
     RotCostConfig,
     _spd_inverse,
-    compass_value,
-    distance_value,
     eval_compass,
     eval_distance,
     eval_generic_rotational,
     eval_home_vector,
     eval_rotation,
     eval_translation,
-    home_vector_value,
-    rotation_value,
-    translation_value,
 )
 from ovsam.errors import DegenerateVectorError, InvalidCovarianceError
 from ovsam.orvec import from_angle, omega
@@ -118,13 +113,12 @@ def test_translation_zero_at_consistency():
 
 def test_translation_pinned_values():
     p = Pose([0.0, 0.0], [1.0, 0.0])
-    assert translation_value(p, Pose([1.0, 0.0], [1.0, 0.0]), I2, np.zeros(2)) == 0.5
+    pp = Pose([1.0, 0.0], [1.0, 0.0])
+    assert eval_translation(p, pp, I2, np.zeros(2), derivs=False) == 0.5
     # rotated frame: u = (0,1) maps world (0,1) onto local (1,0)
     pr = Pose([0.0, 0.0], [0.0, 1.0])
-    assert (
-        translation_value(pr, Pose([0.0, 1.0], [1.0, 0.0]), I2, np.array([1.0, 0.0]))
-        < 1e-15
-    )
+    pp = Pose([0.0, 1.0], [1.0, 0.0])
+    assert eval_translation(pr, pp, I2, np.array([1.0, 0.0]), derivs=False) < 1e-15
 
 
 def test_translation_nonnegative():
@@ -134,7 +128,7 @@ def test_translation_nonnegative():
         T = B @ B.T + 0.05 * I2
         p = Pose(rng.normal(size=2), rng.normal(size=2))
         pp = Pose(rng.normal(size=2), rng.normal(size=2))
-        assert translation_value(p, pp, T, rng.normal(size=2)) >= 0.0
+        assert eval_translation(p, pp, T, rng.normal(size=2), derivs=False) >= 0.0
 
 
 def test_translation_second_orientation_unused():
@@ -154,7 +148,7 @@ def test_translation_second_orientation_unused():
 def test_distance_pinned_values():
     p = Pose([0.0, 0.0], [1.0, 0.0])
     pp = Pose([3.0, 4.0], [1.0, 0.0])
-    assert distance_value(p, pp, 1.0, 5.0) == 0.0
+    assert eval_distance(p, pp, 1.0, 5.0, derivs=False) == 0.0
     out = eval_distance(p, pp, 1.0, 4.0)
     assert out.value == pytest.approx(0.5, abs=1e-15)
     assert np.max(np.abs(out.grad2[POS] - [0.6, 0.8])) < 1e-15
@@ -190,7 +184,7 @@ def test_distance_coincident_raises():
 def test_rotation_zero_at_consistency():
     p = Pose([0.0, 0.0], [1.0, 0.0])
     pp = Pose([1.0, 0.0], [1.0, 0.0])
-    assert rotation_value(p, pp, I2, 1.0, _cfg(t1=1)) == 0.0
+    assert eval_rotation(p, pp, I2, 1.0, _cfg(t1=1), derivs=False) == 0.0
 
 
 def test_rotation_worked_example_all_forms():
@@ -199,15 +193,15 @@ def test_rotation_worked_example_all_forms():
     p = Pose([0.0, 0.0], from_angle(math.pi / 3.0))
     pp = Pose([1.0, 0.0], from_angle(math.pi / 2.0))
     for cfg in (_cfg(t1=1), _cfg(t1=0), _cfg(form="second")):
-        assert abs(rotation_value(p, pp, Q, 1.0, cfg)) < 1e-12
+        assert abs(eval_rotation(p, pp, Q, 1.0, cfg, derivs=False)) < 1e-12
 
 
 def test_rotation_scaled_u_distinguishes_forms():
     p = Pose([0.0, 0.0], [2.0, 0.0])
     pp = Pose([1.0, 0.0], [1.0, 0.0])
-    assert abs(rotation_value(p, pp, I2, 1.0, _cfg(form="second"))) < 1e-15
-    assert abs(rotation_value(p, pp, I2, 1.0, _cfg(t1=0))) < 1e-15
-    assert rotation_value(p, pp, I2, 1.0, _cfg(t1=1)) == pytest.approx(-1.0)
+    assert abs(eval_rotation(p, pp, I2, 1.0, _cfg(form="second"), derivs=False)) < 1e-15
+    assert abs(eval_rotation(p, pp, I2, 1.0, _cfg(t1=0), derivs=False)) < 1e-15
+    assert eval_rotation(p, pp, I2, 1.0, _cfg(t1=1), derivs=False) == pytest.approx(-1.0)
 
 
 def test_rotation_position_blocks_zero():
@@ -228,8 +222,8 @@ def test_rotation_weight_scaling():
     p = Pose([0.0, 0.0], from_angle(0.2))
     pp = Pose([1.0, 0.0], from_angle(1.3))
     Q = omega(from_angle(0.5))
-    v1 = rotation_value(p, pp, Q, 0.5, _cfg(gamma=1.0))
-    v2 = rotation_value(p, pp, Q, 1.0, _cfg(gamma=4.0))
+    v1 = eval_rotation(p, pp, Q, 0.5, _cfg(gamma=1.0), derivs=False)
+    v2 = eval_rotation(p, pp, Q, 1.0, _cfg(gamma=4.0), derivs=False)
     assert v1 == pytest.approx(v2, rel=1e-14)
     with pytest.raises(ValueError):
         eval_rotation(p, pp, Q, 0.0, _cfg())
@@ -243,7 +237,7 @@ def test_compass_pinned_values():
     p = Pose([0.0, 0.0], [1.0, 0.0])
     pp = Pose([3.0, 1.0], [0.0, 1.0])
     cfg = _cfg(t1=1, gamma=2.0)
-    assert compass_value(p, pp, I2, 0.5, cfg) == pytest.approx(8.0)
+    assert eval_compass(p, pp, I2, 0.5, cfg, derivs=False) == pytest.approx(8.0)
 
 
 def test_compass_second_form_cross_hessian():
@@ -263,17 +257,17 @@ def test_compass_second_form_cross_hessian():
 def test_home_zero_when_aimed_at_goal():
     p = Pose([0.0, 0.0], [1.0, 0.0])
     pp = Pose([2.0, 0.0], [0.0, 1.0])
-    assert home_vector_value(p, pp, I2, 1.0, _cfg(t1=1)) == 0.0
+    assert eval_home_vector(p, pp, I2, 1.0, _cfg(t1=1), derivs=False) == 0.0
 
 
 def test_home_pinned_values():
     cfg = _cfg(t1=1, gamma=2.0)
     p = Pose([0.0, 0.0], [1.0, 0.0])
     # goal straight ahead vs. off to the side by 90 degrees
-    assert home_vector_value(p, Pose([2.0, 0.0], [1.0, 0.0]), I2, 0.5, cfg) < 1e-15
-    assert home_vector_value(p, Pose([0.0, 2.0], [1.0, 0.0]), I2, 0.5, cfg) == pytest.approx(
-        8.0
-    )
+    ahead = Pose([2.0, 0.0], [1.0, 0.0])
+    aside = Pose([0.0, 2.0], [1.0, 0.0])
+    assert eval_home_vector(p, ahead, I2, 0.5, cfg, derivs=False) < 1e-15
+    assert eval_home_vector(p, aside, I2, 0.5, cfg, derivs=False) == pytest.approx(8.0)
     out = eval_home_vector(p, Pose([1.0, 0.0], [1.0, 0.0]), I2, 0.5, cfg)
     assert np.max(np.abs(out.grad1[ORI] + 8.0 * np.array([1.0, 0.0]))) < 1e-12
 
@@ -338,19 +332,19 @@ def test_value_only_matches_full_eval():
         pp = Pose(p.x + [0.8, -0.2], 0.8 * from_angle(rng.uniform(-3, 3)))
         Phi = omega(from_angle(rng.uniform(-3, 3)))
         r = rng.normal(size=2)
-        cfg = _cfg(t1=rng.integers(0, 2), gamma=1.5)
-        pairs = [
-            (translation_value(p, pp, T, r), eval_translation(p, pp, T, r).value),
-            (distance_value(p, pp, 0.7, 1.1), eval_distance(p, pp, 0.7, 1.1).value),
-            (rotation_value(p, pp, Phi, 0.6, cfg), eval_rotation(p, pp, Phi, 0.6, cfg).value),
-            (compass_value(p, pp, Phi, 0.6, cfg), eval_compass(p, pp, Phi, 0.6, cfg).value),
-            (
-                home_vector_value(p, pp, Phi, 0.6, cfg),
-                eval_home_vector(p, pp, Phi, 0.6, cfg).value,
-            ),
+        kernels = [
+            lambda derivs: eval_translation(p, pp, T, r, derivs),
+            lambda derivs: eval_distance(p, pp, 0.7, 1.1, derivs),
         ]
-        for value_only, full in pairs:
-            assert value_only == pytest.approx(full, rel=1e-12, abs=1e-15)
+        for cfg in (_cfg(t1=0, gamma=1.5), _cfg(t1=1, gamma=1.5), _cfg(form="second")):
+            kernels += [
+                lambda derivs, cfg=cfg: eval_rotation(p, pp, Phi, 0.6, cfg, derivs),
+                lambda derivs, cfg=cfg: eval_compass(p, pp, Phi, 0.6, cfg, derivs),
+                lambda derivs, cfg=cfg: eval_home_vector(p, pp, Phi, 0.6, cfg, derivs),
+            ]
+        for kernel in kernels:
+            # the merit's value path and assembly's F must be the same number
+            assert kernel(False) == kernel(True).value
 
 
 def test_forms_agree_on_unit_vectors():

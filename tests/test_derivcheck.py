@@ -64,9 +64,10 @@ def test_detects_a_broken_gradient(monkeypatch):
     # sabotage one evaluator; the harness must flag exactly that case
     orig = derivcheck.eval_translation
 
-    def broken(p, pp, T, r):
-        out = orig(p, pp, T, r)
-        out.grad1 = out.grad1 + 1e-2
+    def broken(p, pp, T, r, derivs=True):
+        out = orig(p, pp, T, r, derivs)
+        if derivs:
+            out.grad1 = out.grad1 + 1e-2
         return out
 
     monkeypatch.setattr(derivcheck, "eval_translation", broken)
@@ -81,9 +82,10 @@ def test_detects_a_broken_gradient(monkeypatch):
 def test_detects_a_broken_hessian(monkeypatch):
     orig = derivcheck.eval_distance
 
-    def broken(p, pp, sigma_e, rho):
-        out = orig(p, pp, sigma_e, rho)
-        out.h12 = out.h12 + 1e-2
+    def broken(p, pp, sigma_e, rho, derivs=True):
+        out = orig(p, pp, sigma_e, rho, derivs)
+        if derivs:
+            out.h12 = out.h12 + 1e-2
         return out
 
     monkeypatch.setattr(derivcheck, "eval_distance", broken)

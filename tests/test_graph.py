@@ -14,11 +14,9 @@ from ovsam.graph import (
     OdometryMeasurement,
     StateLayout,
     apply_state,
-    build_adjacency,
     load_graph,
     pack_state,
     save_graph,
-    unpack_state,
 )
 
 
@@ -128,28 +126,6 @@ def test_validate_accepts_random_graphs():
     del rng
 
 
-def test_build_adjacency():
-    g = FactorGraph(_two_poses(), odometry=[_odom()], homing=[_home()])
-    adj = build_adjacency(g)
-    assert adj[1] == [("odom", 0, "first"), ("home", 0, "second")]
-    assert adj[2] == [("odom", 0, "second"), ("home", 0, "first")]
-
-
-def test_build_adjacency_counts_every_measurement_twice():
-    g = random_graph(np.random.default_rng(1), n_poses=6, n_homing=5)
-    adj = build_adjacency(g)
-    total = sum(len(v) for v in adj.values())
-    assert total == 2 * (len(g.odometry) + len(g.homing))
-
-
-def test_build_adjacency_empty_and_malformed():
-    g = FactorGraph(_two_poses())
-    assert build_adjacency(g) == {1: [], 2: []}
-    bad = FactorGraph(_two_poses(), odometry=[_odom(i2=9)])
-    with pytest.raises(GraphValidationError):
-        build_adjacency(bad)
-
-
 def test_state_layout_offsets():
     g = FactorGraph(_two_poses())
     lay = StateLayout(g)
@@ -191,18 +167,6 @@ def test_pack_apply_round_trip():
         assert np.array_equal(target.pose(pid).x, g.pose(pid).x)
         assert np.array_equal(target.pose(pid).u, g.pose(pid).u)
     assert np.array_equal(pack_state(target, got), vec)
-
-
-def test_unpack_leaves_graph_untouched():
-    rng = np.random.default_rng(3)
-    g = random_graph(rng, n_poses=4, n_homing=2)
-    before = save_graph(g)
-    vec = pack_state(g) + 1.0
-    poses, lams = unpack_state(vec, g)
-    assert save_graph(g) == before
-    assert np.array_equal(lams, np.ones(3))
-    free = g.free_ids()
-    assert np.array_equal(poses[free[0] - 1].x, g.pose(free[0]).x + 1.0)
 
 
 def test_state_layout_errors():

@@ -9,11 +9,8 @@ from ovsam.errors import DegenerateVectorError
 from ovsam.findiff import fd_jacobian
 from ovsam.orvec import (
     M,
-    N,
     from_angle,
     norm,
-    norm_projector,
-    normalize,
     omega,
     omega_bar,
     to_angle,
@@ -44,8 +41,6 @@ def test_omega_bar_entries():
 
 def test_mn_matrices():
     assert np.array_equal(M, [[1.0, 0.0], [0.0, -1.0]])
-    assert np.array_equal(N, [[0.0, 1.0], [1.0, 0.0]])
-    assert np.array_equal(M @ N, -(N @ M))
     with pytest.raises(ValueError):
         M[0, 0] = 2.0
 
@@ -80,46 +75,6 @@ def test_omega_jacobian_identities_fd():
 def test_norm():
     assert norm([3.0, 4.0]) == 5.0
     assert norm([0.0, 0.0]) == 0.0
-
-
-def test_normalize():
-    unit, n = normalize([3.0, 4.0])
-    assert np.allclose(unit, [0.6, 0.8], atol=1e-15)
-    assert n == 5.0
-    unit, n = normalize([1.0, 0.0])
-    assert np.array_equal(unit, [1.0, 0.0])
-    assert n == 1.0
-
-
-def test_normalize_degenerate():
-    with pytest.raises(DegenerateVectorError):
-        normalize([0.0, 0.0])
-    with pytest.raises(DegenerateVectorError):
-        normalize([1e-13, 0.0])
-
-
-def test_norm_projector_values():
-    assert np.allclose(norm_projector([1.0, 0.0]), [[0.0, 0.0], [0.0, 1.0]], atol=1e-15)
-    assert np.allclose(norm_projector([2.0, 0.0]), [[0.0, 0.0], [0.0, 0.5]], atol=1e-15)
-
-
-def test_norm_projector_annihilates():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        z = rng.uniform(-3.0, 3.0, 2)
-        if norm(z) < 1e-3:
-            continue
-        P = norm_projector(z)
-        assert np.max(np.abs(P @ z)) < 1e-12
-        assert np.array_equal(P, P.T)
-
-
-def test_norm_projector_is_normalize_jacobian():
-    rng = np.random.default_rng(13)
-    for _ in range(30):
-        z = rng.uniform(0.3, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
-        J = fd_jacobian(lambda v: normalize(v)[0], z)
-        assert np.max(np.abs(J - norm_projector(z))) < 1e-6
 
 
 def test_angle_round_trip():
