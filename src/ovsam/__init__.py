@@ -8,7 +8,7 @@ descent on the Lagrangian saddle point over odometry and visual-homing
 measurements.
 """
 
-from .costs import CostEval, Pose, RotCostConfig
+from .costs import CostEval, RotCostConfig
 from .errors import (
     DegenerateVectorError,
     GraphFormatError,
@@ -24,6 +24,7 @@ from .graph import (
     FactorGraph,
     HomingMeasurement,
     OdometryMeasurement,
+    Pose,
     StateLayout,
     load_graph,
     save_graph,

@@ -1,20 +1,16 @@
 """Gradient and bordered-Hessian assembly of the Lagrangian.
 
 The Lagrangian is L = F + sum_i lambda_i l(u_i) over the free poses,
-where F sums all active measurement costs.  One walk over the active
-measurements (_record_terms) evaluates each record's cost terms in a
-fixed order; assembly, the value-only merit and the multiplier
-initialization all consume it.  Assembly scatters each record's summed
-4x4/4-vector blocks to the free-pose blocks they touch; per-pose
-constraint terms are added afterwards.  The result is a block-sparse
-symmetric system whose lambda-lambda diagonal entries are exactly zero
-(a bordered saddle system).
-
-A brute-force dense reference (assemble_dense) loops over all free-pose
-pairs and matches measurement indices explicitly.  Both paths consume
-the identical per-measurement evaluations and add them in the same
-order, so they agree bitwise; the dense path exists as a test oracle
-for the scatter bookkeeping.
+where F sums all active measurement costs.  Every evaluation reads the
+poses from a pose table (graph.py), which defaults to the graph's own
+poses; the graph supplies the measurements and the anchor.  One walk
+over the active measurements (_record_terms) evaluates each record's
+cost terms in a fixed order; assembly, the value-only merit and the
+multiplier initialization all consume it.  Assembly scatters each
+record's summed 4x4/4-vector blocks to the free-pose blocks they touch;
+per-pose constraint terms are added afterwards.  The result is a
+block-sparse symmetric system whose lambda-lambda diagonal entries are
+exactly zero (a bordered saddle system).
 """
 
 from dataclasses import dataclass
@@ -102,8 +98,8 @@ class SparseSymmetricSystem:
         return sp.coo_matrix((data, (rows, cols)), shape=(self.dim, self.dim)).tocsr()
 
 
-def _record_terms(graph, cfg, active, use_distance_error, derivs=True):
-    """Evaluate the active measurements, one record at a time.
+def _record_terms(graph, table, cfg, active, use_distance_error, derivs=True):
+    """Evaluate the active measurements at the table's poses, one record at a time.
 
     Yields (i1, i2, terms) in canonical order: odometry in list order
     (translation, the optional distance term, rotation), then active
@@ -112,7 +108,7 @@ def _record_terms(graph, cfg, active, use_distance_error, derivs=True):
     Degenerate evaluations are re-raised with the offending record named.
     """
     for k, m in enumerate(graph.odometry):
-        pa, pb = graph.pose(m.i1), graph.pose(m.i2)
+        pa, pb = table[m.i1 - 1], table[m.i2 - 1]
         try:
             terms = [eval_translation(pa, pb, m.T, m.r, derivs)]
             if use_distance_error and active.distance[k]:
@@ -126,7 +122,7 @@ def _record_terms(graph, cfg, active, use_distance_error, derivs=True):
     for k, m in enumerate(graph.homing):
         if not active.homing[k]:
             continue
-        pa, pb = graph.pose(m.i1), graph.pose(m.i2)
+        pa, pb = table[m.i1 - 1], table[m.i2 - 1]
         try:
             terms = (
                 eval_home_vector(pa, pb, omega(m.alpha), m.sigma_h, cfg, derivs),
@@ -139,10 +135,10 @@ def _record_terms(graph, cfg, active, use_distance_error, derivs=True):
         yield m.i1, m.i2, terms
 
 
-def _measurement_blocks(graph, cfg, active, use_distance_error):
+def _measurement_blocks(graph, table, cfg, active, use_distance_error):
     """(i1, i2, CostEval) per active record, its terms summed in order."""
     out = []
-    for i1, i2, terms in _record_terms(graph, cfg, active, use_distance_error):
+    for i1, i2, terms in _record_terms(graph, table, cfg, active, use_distance_error):
         ev = terms[0]
         for term in terms[1:]:
             ev += term
@@ -150,7 +146,7 @@ def _measurement_blocks(graph, cfg, active, use_distance_error):
     return out
 
 
-def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False):
+def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False, table=None):
     """Assemble gradient, bordered Hessian, and the L and F values.
 
     Measurements touching the fixed pose in one slot still contribute
@@ -158,6 +154,8 @@ def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False):
     are dropped entirely.
     """
     layout = StateLayout(graph)
+    if table is None:
+        table = graph.pose_table()
     if active is None:
         active = ActiveMask.all_active(graph)
     if lambdas is None:
@@ -165,7 +163,7 @@ def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False):
     system = SparseSymmetricSystem(layout)
     free = set(layout.free)
 
-    for i1, i2, ev in _measurement_blocks(graph, cfg, active, use_distance_error):
+    for i1, i2, ev in _measurement_blocks(graph, table, cfg, active, use_distance_error):
         system.F += ev.value
         if i1 in free:
             o1, r1 = layout.offset(i1), layout.rank(i1)
@@ -181,7 +179,7 @@ def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False):
 
     w_sum = 0.0
     for k, pid in enumerate(layout.free):
-        ce = eval_constraint(lambdas[k], graph.pose(pid).u)
+        ce = eval_constraint(lambdas[k], table[pid - 1, ORI])
         w_sum += ce.w
         o = layout.offset(pid)
         system.g[o + 2 : o + 4] += ce.grad_u
@@ -196,67 +194,14 @@ def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False):
     return system
 
 
-def assemble_dense(graph, cfg, active=None, lambdas=None, use_distance_error=False):
-    """Brute-force dense reference assembly.
-
-    Loops over all free-pose pairs (k, l) and matches each measurement's
-    slot indices against them, instead of scattering measurement-wise.
-    Returns (H, g, L, F).  Consumes the same per-measurement blocks as
-    assemble(), in the same per-entry order, so the results agree
-    bitwise with the sparse path.
-    """
-    layout = StateLayout(graph)
-    if active is None:
-        active = ActiveMask.all_active(graph)
-    if lambdas is None:
-        lambdas = np.zeros(len(layout.free))
-    blocks = _measurement_blocks(graph, cfg, active, use_distance_error)
-
-    H = np.zeros((layout.dim, layout.dim))
-    g = np.zeros(layout.dim)
-
-    for kp in layout.free:
-        ok = layout.offset(kp)
-        for i1, i2, ev in blocks:
-            if kp == i1:
-                g[ok : ok + 4] += ev.grad1
-            if kp == i2:
-                g[ok : ok + 4] += ev.grad2
-        for lp in layout.free:
-            ol = layout.offset(lp)
-            h = H[ok : ok + 4, ol : ol + 4]
-            for i1, i2, ev in blocks:
-                if kp == i1 and lp == i1:
-                    h += ev.h11
-                if kp == i1 and lp == i2:
-                    h += ev.h12
-                if kp == i2 and lp == i1:
-                    h += ev.h21
-                if kp == i2 and lp == i2:
-                    h += ev.h22
-
-    F = 0.0
-    for _, _, ev in blocks:
-        F += ev.value
-    w_sum = 0.0
-    for k, pid in enumerate(layout.free):
-        ce = eval_constraint(lambdas[k], graph.pose(pid).u)
-        w_sum += ce.w
-        o = layout.offset(pid)
-        g[o + 2 : o + 4] += ce.grad_u
-        g[o + 4] += ce.grad_lambda
-        H[o + 2 : o + 4, o + 2 : o + 4] += ce.h_uu
-        H[o + 2 : o + 4, o + 4] += ce.h_ulambda
-        H[o + 4, o + 2 : o + 4] += ce.h_ulambda
-    return H, g, F + w_sum, F
-
-
-def total_values(graph, cfg, active=None, lambdas=None, use_distance_error=False):
+def total_values(graph, cfg, active=None, lambdas=None, use_distance_error=False, table=None):
     """Value-only evaluation of (F, L, sum |l_i|), same masking as assemble."""
+    if table is None:
+        table = graph.pose_table()
     if active is None:
         active = ActiveMask.all_active(graph)
     F = 0.0
-    for _, _, terms in _record_terms(graph, cfg, active, use_distance_error, False):
+    for _, _, terms in _record_terms(graph, table, cfg, active, use_distance_error, False):
         for value in terms:
             F += value
 
@@ -266,25 +211,27 @@ def total_values(graph, cfg, active=None, lambdas=None, use_distance_error=False
     w_sum = 0.0
     l1 = 0.0
     for lam, pid in zip(lambdas, free):
-        l = residual(graph.pose(pid).u)
+        l = residual(table[pid - 1, ORI])
         w_sum += lam * l
         l1 += abs(l)
     return F, F + w_sum, l1
 
 
-def init_lambdas(graph, cfg, active=None):
+def init_lambdas(graph, cfg, active=None, table=None):
     """Initial multipliers lambda_i = -u_i^T g_i from the cost gradient.
 
     g_i is the gradient of the total cost (constraints excluded) with
-    respect to u_i at the initial poses.  The formula assumes unit
+    respect to u_i at the table's poses.  The formula assumes unit
     initial orientation vectors, which is checked here; the distance
     error has no orientation gradient and therefore never contributes.
 
     Returns one multiplier per free pose, in state-layout order
     (ascending pose id, fixed pose excluded).
     """
-    for pid, pose in graph.items():
-        n = float(np.hypot(pose.u[0], pose.u[1]))
+    if table is None:
+        table = graph.pose_table()
+    for pid, (_, _, u1, u2) in enumerate(table, start=1):
+        n = float(np.hypot(u1, u2))
         if abs(n - 1.0) > UNIT_TOL:
             raise PreconditionError(
                 f"pose {pid}: initial orientation vector must be unit, got norm {n!r}"
@@ -292,18 +239,18 @@ def init_lambdas(graph, cfg, active=None):
     if active is None:
         active = ActiveMask.all_active(graph)
 
-    grads = {pid: np.zeros(2) for pid in graph.pose_ids()}
-    for i1, i2, ev in _measurement_blocks(graph, cfg, active, False):
-        grads[i1] += ev.grad1[ORI]
-        grads[i2] += ev.grad2[ORI]
+    grads = np.zeros((len(table), 2))
+    for i1, i2, ev in _measurement_blocks(graph, table, cfg, active, False):
+        grads[i1 - 1] += ev.grad1[ORI]
+        grads[i2 - 1] += ev.grad2[ORI]
     return np.array(
-        [-float(graph.pose(pid).u @ grads[pid]) for pid in graph.free_ids()]
+        [-float(table[pid - 1, ORI] @ grads[pid - 1]) for pid in graph.free_ids()]
     )
 
 
-def merit(graph, cfg, active, mu, lambdas=None, use_distance_error=False):
+def merit(graph, cfg, active, mu, lambdas=None, use_distance_error=False, table=None):
     """Augmented-Lagrangian merit: L plus mu times the constraint L1 norm."""
     if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu!r}")
-    _, L, l1 = total_values(graph, cfg, active, lambdas, use_distance_error)
+    _, L, l1 = total_values(graph, cfg, active, lambdas, use_distance_error, table)
     return L + mu * l1

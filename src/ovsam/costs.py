@@ -1,8 +1,10 @@
 """Cost functions over pose pairs with exact first and second derivatives.
 
-A pose is a position x (2-vector) plus an orientation vector u
-(2-vector, unit length only on the constraint manifold).  Five costs are
-defined, each over an ordered pose pair (p, p'):
+A pose enters every kernel as the stacked 4-vector [x, u]: position x
+(2-vector) and orientation vector u (2-vector, unit length only on the
+constraint manifold), read as p[POS] and p[ORI]; a row of the pose table
+is such a vector.  Five costs are defined, each over an ordered pose
+pair (p, p'):
 
   translation   Mahalanobis error of the odometry translation r measured
                 in frame p:  0.5 (d - r)^T T^-1 (d - r),
@@ -47,27 +49,6 @@ from .orvec import DEGENERATE_NORM, omega, omega_bar
 # Slices of the stacked per-pose coordinates [x, u].
 POS = slice(0, 2)
 ORI = slice(2, 4)
-
-
-@dataclass
-class Pose:
-    """Planar pose: position x and orientation vector u, world frame.
-
-    u need not be unit during optimization; the unit-length requirement
-    is enforced by the solver's constraints, not by this type.
-    """
-
-    x: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float).copy()
-        self.u = np.asarray(self.u, dtype=float).copy()
-        if self.x.shape != (2,) or self.u.shape != (2,):
-            raise ValueError("pose components must be 2-vectors")
-
-    def copy(self):
-        return Pose(self.x, self.u)
 
 
 @dataclass(frozen=True)
@@ -160,8 +141,9 @@ def eval_translation(p, pp, T, r, derivs=True):
 
     Parameters
     ----------
-    p, pp : Pose
-        First and second pose; the orientation of pp does not enter.
+    p, pp : (4,) ndarray
+        First and second pose as [x, u]; the orientation of pp does not
+        enter.
     T : (2, 2) ndarray
         Symmetric positive definite covariance of r.
     r : (2,) ndarray
@@ -170,8 +152,8 @@ def eval_translation(p, pp, T, r, derivs=True):
         When false, return only the float value.
     """
     Tinv = _spd_inverse(T)
-    delta = pp.x - p.x
-    U = omega(p.u)
+    delta = pp[POS] - p[POS]
+    U = omega(p[ORI])
     e = U.T @ delta - r
     value = 0.5 * float(e @ Tinv @ e)
     if not derivs:
@@ -201,13 +183,14 @@ def eval_translation(p, pp, T, r, derivs=True):
 def eval_distance(p, pp, sigma_e, rho, derivs=True):
     """Scalar traveled-distance cost with all derivative blocks.
 
-    Weighted by 1/sigma_e.  Orientations do not enter.  Raises
-    DegenerateVectorError when the two positions (numerically) coincide.
-    With derivs false, returns only the float value.
+    p and pp are [x, u] 4-vectors; weighted by 1/sigma_e.  Orientations
+    do not enter.  Raises DegenerateVectorError when the two positions
+    (numerically) coincide.  With derivs false, returns only the float
+    value.
     """
     if not sigma_e > 0.0:
         raise ValueError(f"sigma_e must be positive, got {sigma_e!r}")
-    delta = pp.x - p.x
+    delta = pp[POS] - p[POS]
     nd = _checked_norm(delta, "pose position difference")
     resid = nd - rho
     value = 0.5 * resid**2 / sigma_e
@@ -291,23 +274,24 @@ def eval_generic_rotational(Phi, u, up, cfg, weight=1.0, derivs=True):
 def eval_rotation(p, pp, Q, sigma, cfg, derivs=True):
     """Rotational cost against the measured relative rotation matrix Q.
 
-    Q is the orientation matrix of the measured unit rotation vector
-    (frame p to frame pp); positions do not enter.
+    p and pp are [x, u] 4-vectors.  Q is the orientation matrix of the
+    measured unit rotation vector (frame p to frame pp); positions do not
+    enter.
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    return eval_generic_rotational(Q, p.u, pp.u, cfg, cfg.gamma / sigma**2, derivs)
+    return eval_generic_rotational(Q, p[ORI], pp[ORI], cfg, cfg.gamma / sigma**2, derivs)
 
 
 def eval_compass(p, pp, Psi, sigma_c, cfg, derivs=True):
     """Compass cost against the measured relative orientation matrix Psi.
 
-    Identical functional form to the rotation cost; Psi comes from a
-    visual compass instead of odometry.
+    Identical functional form to the rotation cost, over the same [x, u]
+    4-vectors; Psi comes from a visual compass instead of odometry.
     """
     if not sigma_c > 0.0:
         raise ValueError(f"sigma_c must be positive, got {sigma_c!r}")
-    return eval_generic_rotational(Psi, p.u, pp.u, cfg, cfg.gamma / sigma_c**2, derivs)
+    return eval_generic_rotational(Psi, p[ORI], pp[ORI], cfg, cfg.gamma / sigma_c**2, derivs)
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +301,18 @@ def eval_compass(p, pp, Psi, sigma_c, cfg, derivs=True):
 def eval_home_vector(p, pp, A, sigma_h, cfg, derivs=True):
     """Home-vector cost with all derivative blocks.
 
-    A is the orientation matrix of the measured unit direction from
-    pose p toward pose pp, expressed in frame p.  The role of the
-    second orientation vector of the rotational form is taken by the
-    normalized position difference, so this cost couples x, x' and u;
-    the orientation of pp never enters.  The first-form offset is
-    t1 + (1 - t1)|u|.  With derivs false, returns only the float value.
+    p and pp are [x, u] 4-vectors.  A is the orientation matrix of the
+    measured unit direction from pose p toward pose pp, expressed in
+    frame p.  The role of the second orientation vector of the rotational
+    form is taken by the normalized position difference, so this cost
+    couples x, x' and u; the orientation of pp never enters.  The
+    first-form offset is t1 + (1 - t1)|u|.  With derivs false, returns
+    only the float value.
     """
     if not sigma_h > 0.0:
         raise ValueError(f"sigma_h must be positive, got {sigma_h!r}")
-    u = p.u
-    delta = pp.x - p.x
+    u = p[ORI]
+    delta = pp[POS] - p[POS]
     nd = _checked_norm(delta, "pose position difference")
     d0 = delta / nd
     w = cfg.gamma / sigma_h**2

@@ -22,7 +22,6 @@ import numpy as np
 
 from .constraints import eval_constraint
 from .costs import (
-    Pose,
     RotCostConfig,
     eval_compass,
     eval_distance,
@@ -94,26 +93,23 @@ def _random_pair_state(rng):
     return np.concatenate([x1, _random_orvec(rng), x2, _random_orvec(rng)])
 
 
-def _pose_pair(s):
-    return Pose(s[0:2], s[2:4]), Pose(s[4:6], s[6:8])
-
-
 def _pair_case(rng, kernel):
-    """Case over one cost kernel(p1, p2, derivs).
+    """Case over one cost kernel(p1, p2, derivs) on [x, u] 4-vectors.
 
-    The finite differences run the kernel's value-only path, the path
-    the merit evaluates.
+    The state is the two poses stacked, so it splits into the kernel's
+    arguments directly.  The finite differences run the kernel's
+    value-only path, the path the merit evaluates.
     """
 
     def value(s):
-        return kernel(*_pose_pair(s), False)
+        return kernel(s[0:4], s[4:8], False)
 
     def grad(s):
-        ev = kernel(*_pose_pair(s), True)
+        ev = kernel(s[0:4], s[4:8], True)
         return np.concatenate([ev.grad1, ev.grad2])
 
     def hess(s):
-        ev = kernel(*_pose_pair(s), True)
+        ev = kernel(s[0:4], s[4:8], True)
         return np.block([[ev.h11, ev.h12], [ev.h21, ev.h22]])
 
     return CaseInstance(

@@ -1,9 +1,11 @@
-"""Factor-graph data model, state-vector layout, and text persistence.
+"""Factor-graph data model, pose table, state-vector layout, and text persistence.
 
-Pose ids are 1-based everywhere (files, measurements, APIs).  One pose
-is the fixed anchor and never enters the optimization state; the flat
-state stacks the remaining poses in ascending id order as per-pose
-blocks [x (2), u (2), lambda (1)], total length 5 (N - 1).
+Pose ids are 1-based everywhere (files, measurements, APIs).  Costs are
+evaluated from a pose table, an (N, 4) array whose row pid - 1 holds
+[x1, x2, u1, u2] of pose pid.  One pose is the fixed anchor and never
+enters the optimization state; the flat state stacks the remaining poses
+in ascending id order as per-pose blocks [x (2), u (2), lambda (1)],
+total length 5 (N - 1), so its multipliers are vec[4::5].
 
 Graph file format, line based, '#' starts a comment, floats written in
 full round-trip precision:
@@ -18,11 +20,11 @@ angle-to-vector conversion happens before a file is written.
 """
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import Pose, _spd_inverse
+from .costs import ORI, POS, _spd_inverse
 from .errors import (
     GraphFormatError,
     GraphValidationError,
@@ -31,6 +33,27 @@ from .errors import (
 )
 
 UNIT_TOL = 1e-9
+
+
+@dataclass
+class Pose:
+    """Planar pose: position x and orientation vector u, world frame.
+
+    u need not be unit during optimization; the unit-length requirement
+    is enforced by the solver's constraints, not by this type.
+    """
+
+    x: np.ndarray
+    u: np.ndarray
+
+    def __post_init__(self):
+        self.x = np.asarray(self.x, dtype=float).copy()
+        self.u = np.asarray(self.u, dtype=float).copy()
+        if self.x.shape != (2,) or self.u.shape != (2,):
+            raise ValueError("pose components must be 2-vectors")
+
+    def copy(self):
+        return Pose(self.x, self.u)
 
 
 def _vec2(a):
@@ -91,8 +114,9 @@ class HomingMeasurement:
 class FactorGraph:
     """Poses plus odometry and homing measurement lists.
 
-    Treated as immutable after validation; the solver works on private
-    copies obtained through copy().
+    Treated as immutable after validation.  The solver never writes
+    poses: it evaluates trial states from a pose table and returns its
+    result through with_poses().
     """
 
     def __init__(self, poses, odometry=(), homing=(), fixed_id=1):
@@ -125,6 +149,18 @@ class FactorGraph:
         if pid not in self.pose_ids():
             raise GraphValidationError(f"fixed pose id {pid} out of range 1..{len(self)}")
         return FactorGraph(self.poses, self.odometry, self.homing, pid)
+
+    def pose_table(self):
+        """The poses as an (N, 4) array, row pid - 1 holding [x, u] of pose pid."""
+        return np.array([[*p.x, *p.u] for p in self.poses])
+
+    def with_poses(self, table):
+        """A graph with the same measurements and anchor and the table's poses."""
+        table = np.asarray(table, dtype=float)
+        if table.shape != (len(self), 4):
+            raise StateLayoutError(f"expected a ({len(self)}, 4) pose table, got {table.shape}")
+        poses = [Pose(row[POS], row[ORI]) for row in table]
+        return FactorGraph(poses, self.odometry, self.homing, self.fixed_id)
 
     def validate(self):
         """Check every structural invariant; raises GraphValidationError."""
@@ -186,54 +222,27 @@ class StateLayout:
     def offset(self, pid):
         return 5 * self._rank[pid]
 
-    def x_slice(self, pid):
-        off = self.offset(pid)
-        return slice(off, off + 2)
-
-    def u_slice(self, pid):
-        off = self.offset(pid)
-        return slice(off + 2, off + 4)
-
-    def lam_index(self, pid):
-        return self.offset(pid) + 4
-
 
 def pack_state(graph, lambdas=None):
     """Flatten the free poses (and multipliers) into the state vector."""
-    layout = StateLayout(graph)
+    free = graph.free_ids()
     if lambdas is None:
-        lambdas = np.zeros(len(layout.free))
+        lambdas = np.zeros(len(free))
     lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.shape != (len(layout.free),):
-        raise StateLayoutError(
-            f"expected {len(layout.free)} multipliers, got shape {lambdas.shape}"
-        )
-    vec = np.empty(layout.dim)
-    for k, pid in enumerate(layout.free):
-        pose = graph.pose(pid)
-        vec[layout.x_slice(pid)] = pose.x
-        vec[layout.u_slice(pid)] = pose.u
-        vec[layout.lam_index(pid)] = lambdas[k]
-    return vec
+    if lambdas.shape != (len(free),):
+        raise StateLayoutError(f"expected {len(free)} multipliers, got shape {lambdas.shape}")
+    return np.column_stack((graph.pose_table()[np.subtract(free, 1)], lambdas)).ravel()
 
 
-def apply_state(vec, graph):
-    """Write a flat state vector into the graph's free poses, in place.
-
-    Intended for the solver's private graph copies.  The fixed pose is
-    never touched.  Returns the multipliers in layout order.
-    """
-    layout = StateLayout(graph)
+def state_table(table, fixed_id, vec):
+    """A copy of table with the free poses' rows taken from the flat state vec."""
     vec = np.asarray(vec, dtype=float)
-    if vec.shape != (layout.dim,):
-        raise StateLayoutError(f"expected state of length {layout.dim}, got {vec.shape}")
-    lambdas = np.empty(len(layout.free))
-    for k, pid in enumerate(layout.free):
-        pose = graph.pose(pid)
-        pose.x[:] = vec[layout.x_slice(pid)]
-        pose.u[:] = vec[layout.u_slice(pid)]
-        lambdas[k] = vec[layout.lam_index(pid)]
-    return lambdas
+    dim = 5 * (len(table) - 1)
+    if vec.shape != (dim,):
+        raise StateLayoutError(f"expected state of length {dim}, got {vec.shape}")
+    out = table.copy()
+    out[np.arange(len(table)) != fixed_id - 1] = vec.reshape(-1, 5)[:, :4]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,6 @@ from .errors import DegenerateVectorError
 # Norms at or below this are treated as zero length.
 DEGENERATE_NORM = 1e-9
 
-# Mirror along the first axis.
-M = np.array([[1.0, 0.0], [0.0, -1.0]])
-M.setflags(write=False)
-
 
 def omega(z):
     """Orientation matrix Omega(z) = [[z1, -z2], [z2, z1]].
@@ -30,9 +26,10 @@ def omega(z):
 
 
 def omega_bar(z):
-    """Mirrored orientation matrix [[z1, z2], [z2, -z1]] = omega(z) @ M.
+    """Mirrored orientation matrix [[z1, z2], [z2, -z1]].
 
-    Symmetric, and satisfies omega(z).T @ x == omega_bar(x) @ z, which is
+    Equals omega(z) @ diag(1, -1), omega composed with the mirror along
+    the first axis.  Symmetric, and satisfies omega(z).T @ x == omega_bar(x) @ z, which is
     the Jacobian identity d/dz (omega(z).T @ x) = omega_bar(x).
     """
     z = np.asarray(z, dtype=float)

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import Pose
-from .graph import FactorGraph, HomingMeasurement, OdometryMeasurement, write_text
+from .graph import FactorGraph, HomingMeasurement, OdometryMeasurement, Pose, write_text
 from .orvec import from_angle, omega, to_angle
 
 WHEEL_BASE = 1.0  # m; track width of the simulated robot

@@ -1,7 +1,9 @@
 """Lagrange-Newton descent over the factor graph.
 
-Each iteration assembles the bordered system H ds = -g at the current
-state, solves it (dense symmetric-indefinite factorization at desk
+The iterate is the flat state [x, u, lambda] per free pose (graph.py),
+evaluated through the pose table at that state; the input graph is never
+copied or written.  Each iteration assembles the bordered system
+H ds = -g at the current state, solves it (dense symmetric-indefinite factorization at desk
 scale, sparse LU for large graphs), and backtracks on the
 augmented-Lagrangian merit L + mu sum|l_i|.  When plain Newton finds no
 acceptable step, a Levenberg-Marquardt regularization (H + R) ds = -g
@@ -28,9 +30,9 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .assembly import ActiveMask, assemble, init_lambdas, merit
-from .costs import RotCostConfig
+from .costs import POS, RotCostConfig
 from .errors import DegenerateVectorError, NumericalFailure
-from .graph import StateLayout, apply_state, pack_state
+from .graph import pack_state, state_table
 
 # Dense factorization below this state dimension, sparse LU at or above
 # (dimension 495 corresponds to 100 poses).
@@ -55,6 +57,10 @@ class SolverConfig:
         for name in ("grad_tol", "step_tol", "mu", "eta0", "eta_max", "emergency_alpha"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+        if not self.eta0 <= self.eta_max:
+            raise ValueError("eta0 must not exceed eta_max")
+        if not self.home_dist_threshold >= 0.0:
+            raise ValueError("home_dist_threshold must be a non-negative number")
         if len(self.ls_alphas) == 0 or self.ls_alphas[0] != 1.0:
             raise ValueError("ls_alphas must be nonempty and start at 1")
 
@@ -98,11 +104,13 @@ class SolveReport:
             )
 
 
-def compute_active_mask(graph, threshold, use_distance_error=False):
-    """Mask measurements whose pose pair is closer than the threshold."""
+def compute_active_mask(graph, threshold, use_distance_error=False, table=None):
+    """Mask measurements whose pose pair (in table) is closer than the threshold."""
+    if table is None:
+        table = graph.pose_table()
 
     def far(m):
-        d = graph.pose(m.i2).x - graph.pose(m.i1).x
+        d = table[m.i2 - 1, POS] - table[m.i1 - 1, POS]
         return math.hypot(d[0], d[1]) >= threshold
 
     return ActiveMask(
@@ -195,28 +203,24 @@ def lm_escalate(system, merit_fn, state, cfg, merit0=None):
 def solve(graph, cfg=None):
     """Run the full descent on a validated graph; returns a SolveReport.
 
-    The input graph is not modified; the report carries a copy holding
-    the final poses.  Initial orientation vectors must be unit (they
-    seed the multiplier initialization, which raises PreconditionError
-    otherwise).
+    The input graph is not modified; the report carries a new graph
+    holding the final poses.  Initial orientation vectors must be unit
+    (they seed the multiplier initialization, which raises
+    PreconditionError otherwise).
     """
     if cfg is None:
         cfg = SolverConfig()
     graph.validate()
 
-    work = graph.copy()  # current iterate
-    scratch = graph.copy()  # trial states during line search
-    layout = StateLayout(work)
-
-    mask = compute_active_mask(work, cfg.home_dist_threshold, cfg.use_distance_error)
-    lambdas = init_lambdas(work, cfg.cost, active=mask)
-    state = pack_state(work, lambdas)
+    base = graph.pose_table()  # the anchor row is read from here throughout
+    mask = compute_active_mask(graph, cfg.home_dist_threshold, cfg.use_distance_error, base)
+    state = pack_state(graph, init_lambdas(graph, cfg.cost, mask, base))
     guard = 1e6 * max(1.0, float(np.linalg.norm(state)))
 
     def merit_at(vec):
-        lams = apply_state(vec, scratch)
         try:
-            return merit(scratch, cfg.cost, mask, cfg.mu, lams, cfg.use_distance_error)
+            trial = state_table(base, graph.fixed_id, vec)
+            return merit(graph, cfg.cost, mask, cfg.mu, vec[4::5], cfg.use_distance_error, trial)
         except DegenerateVectorError:
             return np.inf  # trial state collapsed a pose pair; reject it
 
@@ -224,11 +228,10 @@ def solve(graph, cfg=None):
     reason = "max_iters"
     prev_step_norm = np.inf
     for iteration in range(1, cfg.max_iters + 1):
-        mask = compute_active_mask(work, cfg.home_dist_threshold, cfg.use_distance_error)
+        table = state_table(base, graph.fixed_id, state)
+        mask = compute_active_mask(graph, cfg.home_dist_threshold, cfg.use_distance_error, table)
         try:
-            system = assemble(
-                work, cfg.cost, mask, lambdas, cfg.use_distance_error
-            )
+            system = assemble(graph, cfg.cost, mask, state[4::5], cfg.use_distance_error, table)
         except DegenerateVectorError:
             # Collapsing pose pairs mid-run are a symptom of a diverging
             # state, not a numerical-solver defect.
@@ -267,12 +270,10 @@ def solve(graph, cfg=None):
 
         step = alpha * delta
         state = state + step
-        lambdas = apply_state(state, work)
         record.step_norm = prev_step_norm = float(np.linalg.norm(step))
         if not np.all(np.isfinite(state)) or float(np.linalg.norm(state)) > guard:
             reason = "diverged"
             break
 
-    final = graph.copy()
-    final_lambdas = apply_state(state, final)
-    return SolveReport(reason=reason, trace=trace, graph=final, lambdas=final_lambdas)
+    final = graph.with_poses(state_table(base, graph.fixed_id, state))
+    return SolveReport(reason=reason, trace=trace, graph=final, lambdas=state[4::5].copy())

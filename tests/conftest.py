@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from ovsam.costs import Pose
-from ovsam.graph import FactorGraph, HomingMeasurement, OdometryMeasurement
+from ovsam.graph import FactorGraph, HomingMeasurement, OdometryMeasurement, Pose
 from ovsam.orvec import from_angle, omega
 
 

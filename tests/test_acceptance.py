@@ -10,13 +10,15 @@ import time
 import numpy as np
 import pytest
 from conftest import random_graph, two_pose_graph
+from dense_assembly import assemble_dense
+from test_orvec import M
 
-from ovsam.assembly import assemble, assemble_dense, total_values
+from ovsam.assembly import assemble, total_values
 from ovsam.costs import RotCostConfig, eval_generic_rotational
 from ovsam.derivcheck import run_checks
 from ovsam.findiff import fd_jacobian
 from ovsam.graph import load_graph, save_graph
-from ovsam.orvec import M, from_angle, omega, omega_bar
+from ovsam.orvec import from_angle, omega, omega_bar
 from ovsam.sim import SimConfig, simulate
 from ovsam.solver import SolverConfig, compute_active_mask, solve
 

@@ -3,23 +3,24 @@
 import numpy as np
 import pytest
 from conftest import consistent_graph, random_graph
+from dense_assembly import assemble_dense
 
 from ovsam.assembly import (
     ActiveMask,
     assemble,
-    assemble_dense,
     merit,
     total_values,
 )
-from ovsam.costs import Pose, RotCostConfig
+from ovsam.costs import RotCostConfig
 from ovsam.errors import DegenerateVectorError
 from ovsam.findiff import fd_gradient, fd_jacobian
 from ovsam.graph import (
     FactorGraph,
     HomingMeasurement,
     OdometryMeasurement,
-    apply_state,
+    Pose,
     pack_state,
+    state_table,
 )
 
 
@@ -28,6 +29,11 @@ def _perturbed(rng, n_poses=5, n_homing=4):
     graph = random_graph(rng, n_poses=n_poses, n_homing=n_homing)
     lambdas = rng.normal(size=n_poses - 1)
     return graph, lambdas
+
+
+def _at_state(graph, vec):
+    """(pose table, multipliers) of a flat state over the graph's free poses."""
+    return state_table(graph.pose_table(), graph.fixed_id, vec), vec[4::5]
 
 
 def test_gradient_vanishes_at_consistent_graph():
@@ -64,9 +70,8 @@ def test_gradient_matches_fd_of_lagrangian(cfg, use_distance):
     state0 = pack_state(graph, lambdas)
 
     def L_of(vec):
-        scratch = graph.copy()
-        lams = apply_state(vec, scratch)
-        _, L, _ = total_values(scratch, cfg, None, lams, use_distance)
+        table, lams = _at_state(graph, vec)
+        _, L, _ = total_values(graph, cfg, None, lams, use_distance, table)
         return L
 
     system = assemble(graph, cfg, lambdas=lambdas, use_distance_error=use_distance)
@@ -83,9 +88,8 @@ def test_gradient_matches_fd_with_nondefault_fixed_pose():
     state0 = pack_state(graph, lambdas)
 
     def L_of(vec):
-        scratch = graph.copy()
-        lams = apply_state(vec, scratch)
-        return total_values(scratch, RotCostConfig(), None, lams)[1]
+        table, lams = _at_state(graph, vec)
+        return total_values(graph, RotCostConfig(), None, lams, table=table)[1]
 
     system = assemble(graph, RotCostConfig(), lambdas=lambdas)
     assert system.dim == 15
@@ -101,9 +105,8 @@ def test_hessian_matches_fd_of_gradient(cfg):
     state0 = pack_state(graph, lambdas)
 
     def g_of(vec):
-        scratch = graph.copy()
-        lams = apply_state(vec, scratch)
-        return assemble(scratch, cfg, lambdas=lams).g
+        table, lams = _at_state(graph, vec)
+        return assemble(graph, cfg, lambdas=lams, table=table).g
 
     H = assemble(graph, cfg, lambdas=lambdas).to_dense()
     fd = fd_jacobian(g_of, state0)
@@ -122,6 +125,32 @@ def test_sparse_and_dense_assembly_agree_bitwise():
         assert np.array_equal(system.g, g)
         assert system.L == L
         assert system.F == F
+
+
+def test_table_evaluation_equals_graph_evaluation():
+    # a table built from a random state evaluates bitwise like a graph
+    # carrying those poses, anchor row included
+    rng = np.random.default_rng(14)
+    graph, _ = _perturbed(rng, n_poses=6, n_homing=5)
+    graph = graph.with_fixed(4)
+    vec = pack_state(graph, rng.normal(size=5)) + rng.normal(0.0, 0.05, 25)
+    table, lams = _at_state(graph, vec)
+    moved = graph.with_poses(table)
+    assert moved.fixed_id == 4
+    assert np.array_equal(moved.pose(4).x, graph.pose(4).x)
+    for cfg in (RotCostConfig(t1=0), RotCostConfig(t1=1), RotCostConfig(form="second")):
+        for use_distance in (False, True):
+            a = assemble(graph, cfg, None, lams, use_distance, table)
+            b = assemble(moved, cfg, None, lams, use_distance)
+            assert np.array_equal(a.to_dense(), b.to_dense())
+            assert np.array_equal(a.g, b.g)
+            assert (a.F, a.L) == (b.F, b.L)
+            assert total_values(graph, cfg, None, lams, use_distance, table) == (
+                total_values(moved, cfg, None, lams, use_distance)
+            )
+            assert merit(graph, cfg, None, 10.0, lams, use_distance, table) == (
+                merit(moved, cfg, None, 10.0, lams, use_distance)
+            )
 
 
 def test_csr_matches_dense():

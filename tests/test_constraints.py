@@ -8,10 +8,10 @@ from conftest import consistent_graph, random_graph
 
 from ovsam.assembly import init_lambdas
 from ovsam.constraints import eval_constraint, residual
-from ovsam.costs import Pose, RotCostConfig
+from ovsam.costs import RotCostConfig
 from ovsam.errors import PreconditionError
 from ovsam.findiff import fd_gradient
-from ovsam.graph import FactorGraph, OdometryMeasurement
+from ovsam.graph import FactorGraph, OdometryMeasurement, Pose
 
 
 def test_residual_values():

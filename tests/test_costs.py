@@ -11,7 +11,6 @@ from ovsam.costs import (
     ORI,
     POS,
     CostEval,
-    Pose,
     RotCostConfig,
     _spd_inverse,
     eval_compass,
@@ -22,6 +21,7 @@ from ovsam.costs import (
     eval_translation,
 )
 from ovsam.errors import DegenerateVectorError, InvalidCovarianceError
+from ovsam.graph import Pose
 from ovsam.orvec import from_angle, omega
 
 I2 = np.eye(2)
@@ -29,6 +29,11 @@ I2 = np.eye(2)
 
 def _cfg(form="first", t1=1, gamma=1.0):
     return RotCostConfig(form=form, t1=t1, gamma=gamma)
+
+
+def _pose(x, u):
+    """The stacked [x, u] 4-vector a cost kernel takes as a pose."""
+    return np.array([*x, *u], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +108,8 @@ def test_spd_inverse():
 
 
 def test_translation_zero_at_consistency():
-    p = Pose([0.0, 0.0], [1.0, 0.0])
-    pp = Pose([1.0, 2.0], [0.0, 1.0])
+    p = _pose([0.0, 0.0], [1.0, 0.0])
+    pp = _pose([1.0, 2.0], [0.0, 1.0])
     out = eval_translation(p, pp, I2, np.array([1.0, 2.0]))
     assert out.value == 0.0
     assert np.max(np.abs(out.grad1)) == 0.0
@@ -112,12 +117,12 @@ def test_translation_zero_at_consistency():
 
 
 def test_translation_pinned_values():
-    p = Pose([0.0, 0.0], [1.0, 0.0])
-    pp = Pose([1.0, 0.0], [1.0, 0.0])
+    p = _pose([0.0, 0.0], [1.0, 0.0])
+    pp = _pose([1.0, 0.0], [1.0, 0.0])
     assert eval_translation(p, pp, I2, np.zeros(2), derivs=False) == 0.5
     # rotated frame: u = (0,1) maps world (0,1) onto local (1,0)
-    pr = Pose([0.0, 0.0], [0.0, 1.0])
-    pp = Pose([0.0, 1.0], [1.0, 0.0])
+    pr = _pose([0.0, 0.0], [0.0, 1.0])
+    pp = _pose([0.0, 1.0], [1.0, 0.0])
     assert eval_translation(pr, pp, I2, np.array([1.0, 0.0]), derivs=False) < 1e-15
 
 
@@ -126,15 +131,15 @@ def test_translation_nonnegative():
     for _ in range(100):
         B = rng.normal(size=(2, 2))
         T = B @ B.T + 0.05 * I2
-        p = Pose(rng.normal(size=2), rng.normal(size=2))
-        pp = Pose(rng.normal(size=2), rng.normal(size=2))
+        p = _pose(rng.normal(size=2), rng.normal(size=2))
+        pp = _pose(rng.normal(size=2), rng.normal(size=2))
         assert eval_translation(p, pp, T, rng.normal(size=2), derivs=False) >= 0.0
 
 
 def test_translation_second_orientation_unused():
     rng = np.random.default_rng(3)
-    p = Pose(rng.normal(size=2), rng.normal(size=2))
-    pp = Pose(rng.normal(size=2), rng.normal(size=2))
+    p = _pose(rng.normal(size=2), rng.normal(size=2))
+    pp = _pose(rng.normal(size=2), rng.normal(size=2))
     out = eval_translation(p, pp, I2, rng.normal(size=2))
     assert np.max(np.abs(out.grad2[ORI])) == 0.0
     assert np.max(np.abs(out.h22[:, ORI])) == 0.0
@@ -146,8 +151,8 @@ def test_translation_second_orientation_unused():
 
 
 def test_distance_pinned_values():
-    p = Pose([0.0, 0.0], [1.0, 0.0])
-    pp = Pose([3.0, 4.0], [1.0, 0.0])
+    p = _pose([0.0, 0.0], [1.0, 0.0])
+    pp = _pose([3.0, 4.0], [1.0, 0.0])
     assert eval_distance(p, pp, 1.0, 5.0, derivs=False) == 0.0
     out = eval_distance(p, pp, 1.0, 4.0)
     assert out.value == pytest.approx(0.5, abs=1e-15)
@@ -159,8 +164,8 @@ def test_distance_pinned_values():
 
 def test_distance_orientation_blocks_zero():
     rng = np.random.default_rng(4)
-    p = Pose(rng.normal(size=2), rng.normal(size=2))
-    pp = Pose(p.x + [0.7, -0.3], rng.normal(size=2))
+    p = _pose(rng.normal(size=2), rng.normal(size=2))
+    pp = _pose(p[POS] + [0.7, -0.3], rng.normal(size=2))
     out = eval_distance(p, pp, 0.5, 1.2)
     for block in (out.grad1, out.grad2):
         assert np.max(np.abs(block[ORI])) == 0.0
@@ -170,11 +175,11 @@ def test_distance_orientation_blocks_zero():
 
 
 def test_distance_coincident_raises():
-    p = Pose([1.0, 1.0], [1.0, 0.0])
+    p = _pose([1.0, 1.0], [1.0, 0.0])
     with pytest.raises(DegenerateVectorError):
         eval_distance(p, p.copy(), 1.0, 1.0)
     with pytest.raises(ValueError):
-        eval_distance(p, Pose([2.0, 1.0], [1.0, 0.0]), 0.0, 1.0)
+        eval_distance(p, _pose([2.0, 1.0], [1.0, 0.0]), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +187,23 @@ def test_distance_coincident_raises():
 
 
 def test_rotation_zero_at_consistency():
-    p = Pose([0.0, 0.0], [1.0, 0.0])
-    pp = Pose([1.0, 0.0], [1.0, 0.0])
+    p = _pose([0.0, 0.0], [1.0, 0.0])
+    pp = _pose([1.0, 0.0], [1.0, 0.0])
     assert eval_rotation(p, pp, I2, 1.0, _cfg(t1=1), derivs=False) == 0.0
 
 
 def test_rotation_worked_example_all_forms():
     # rotating a 60 degree heading by 30 degrees lands on 90 degrees
     Q = omega(from_angle(math.pi / 6.0))
-    p = Pose([0.0, 0.0], from_angle(math.pi / 3.0))
-    pp = Pose([1.0, 0.0], from_angle(math.pi / 2.0))
+    p = _pose([0.0, 0.0], from_angle(math.pi / 3.0))
+    pp = _pose([1.0, 0.0], from_angle(math.pi / 2.0))
     for cfg in (_cfg(t1=1), _cfg(t1=0), _cfg(form="second")):
         assert abs(eval_rotation(p, pp, Q, 1.0, cfg, derivs=False)) < 1e-12
 
 
 def test_rotation_scaled_u_distinguishes_forms():
-    p = Pose([0.0, 0.0], [2.0, 0.0])
-    pp = Pose([1.0, 0.0], [1.0, 0.0])
+    p = _pose([0.0, 0.0], [2.0, 0.0])
+    pp = _pose([1.0, 0.0], [1.0, 0.0])
     assert abs(eval_rotation(p, pp, I2, 1.0, _cfg(form="second"), derivs=False)) < 1e-15
     assert abs(eval_rotation(p, pp, I2, 1.0, _cfg(t1=0), derivs=False)) < 1e-15
     assert eval_rotation(p, pp, I2, 1.0, _cfg(t1=1), derivs=False) == pytest.approx(-1.0)
@@ -206,8 +211,8 @@ def test_rotation_scaled_u_distinguishes_forms():
 
 def test_rotation_position_blocks_zero():
     rng = np.random.default_rng(5)
-    p = Pose(rng.normal(size=2), rng.normal(size=2))
-    pp = Pose(rng.normal(size=2), rng.normal(size=2))
+    p = _pose(rng.normal(size=2), rng.normal(size=2))
+    pp = _pose(rng.normal(size=2), rng.normal(size=2))
     Q = omega(from_angle(0.4))
     for cfg in (_cfg(t1=1), _cfg(t1=0), _cfg(form="second")):
         out = eval_rotation(p, pp, Q, 0.7, cfg)
@@ -219,8 +224,8 @@ def test_rotation_position_blocks_zero():
 
 
 def test_rotation_weight_scaling():
-    p = Pose([0.0, 0.0], from_angle(0.2))
-    pp = Pose([1.0, 0.0], from_angle(1.3))
+    p = _pose([0.0, 0.0], from_angle(0.2))
+    pp = _pose([1.0, 0.0], from_angle(1.3))
     Q = omega(from_angle(0.5))
     v1 = eval_rotation(p, pp, Q, 0.5, _cfg(gamma=1.0), derivs=False)
     v2 = eval_rotation(p, pp, Q, 1.0, _cfg(gamma=4.0), derivs=False)
@@ -234,15 +239,15 @@ def test_rotation_weight_scaling():
 
 
 def test_compass_pinned_values():
-    p = Pose([0.0, 0.0], [1.0, 0.0])
-    pp = Pose([3.0, 1.0], [0.0, 1.0])
+    p = _pose([0.0, 0.0], [1.0, 0.0])
+    pp = _pose([3.0, 1.0], [0.0, 1.0])
     cfg = _cfg(t1=1, gamma=2.0)
     assert eval_compass(p, pp, I2, 0.5, cfg, derivs=False) == pytest.approx(8.0)
 
 
 def test_compass_second_form_cross_hessian():
-    p = Pose([0.0, 0.0], [1.0, 0.0])
-    pp = Pose([1.0, 0.0], [1.0, 0.0])
+    p = _pose([0.0, 0.0], [1.0, 0.0])
+    pp = _pose([1.0, 0.0], [1.0, 0.0])
     cfg = _cfg(form="second", gamma=3.0)
     out = eval_compass(p, pp, I2, 0.5, cfg)
     w = 3.0 / 0.25
@@ -255,36 +260,36 @@ def test_compass_second_form_cross_hessian():
 
 
 def test_home_zero_when_aimed_at_goal():
-    p = Pose([0.0, 0.0], [1.0, 0.0])
-    pp = Pose([2.0, 0.0], [0.0, 1.0])
+    p = _pose([0.0, 0.0], [1.0, 0.0])
+    pp = _pose([2.0, 0.0], [0.0, 1.0])
     assert eval_home_vector(p, pp, I2, 1.0, _cfg(t1=1), derivs=False) == 0.0
 
 
 def test_home_pinned_values():
     cfg = _cfg(t1=1, gamma=2.0)
-    p = Pose([0.0, 0.0], [1.0, 0.0])
+    p = _pose([0.0, 0.0], [1.0, 0.0])
     # goal straight ahead vs. off to the side by 90 degrees
-    ahead = Pose([2.0, 0.0], [1.0, 0.0])
-    aside = Pose([0.0, 2.0], [1.0, 0.0])
+    ahead = _pose([2.0, 0.0], [1.0, 0.0])
+    aside = _pose([0.0, 2.0], [1.0, 0.0])
     assert eval_home_vector(p, ahead, I2, 0.5, cfg, derivs=False) < 1e-15
     assert eval_home_vector(p, aside, I2, 0.5, cfg, derivs=False) == pytest.approx(8.0)
-    out = eval_home_vector(p, Pose([1.0, 0.0], [1.0, 0.0]), I2, 0.5, cfg)
+    out = eval_home_vector(p, _pose([1.0, 0.0], [1.0, 0.0]), I2, 0.5, cfg)
     assert np.max(np.abs(out.grad1[ORI] + 8.0 * np.array([1.0, 0.0]))) < 1e-12
 
 
 def test_home_first_form_offset_gradient():
     # with the norm offset active the u-gradient is w (u0 - A^T d0)
     cfg = _cfg(t1=0, gamma=1.0)
-    p = Pose([0.0, 0.0], [2.0, 0.0])
-    pp = Pose([0.0, 3.0], [1.0, 0.0])
+    p = _pose([0.0, 0.0], [2.0, 0.0])
+    pp = _pose([0.0, 3.0], [1.0, 0.0])
     out = eval_home_vector(p, pp, I2, 1.0, cfg)
     assert np.max(np.abs(out.grad1[ORI] - [1.0, -1.0])) < 1e-12
 
 
 def test_home_second_pose_orientation_unused():
     rng = np.random.default_rng(6)
-    p = Pose(rng.normal(size=2), rng.normal(size=2))
-    pp = Pose(p.x + [0.4, 0.9], rng.normal(size=2))
+    p = _pose(rng.normal(size=2), rng.normal(size=2))
+    pp = _pose(p[POS] + [0.4, 0.9], rng.normal(size=2))
     A = omega(from_angle(-0.3))
     for cfg in (_cfg(t1=1), _cfg(t1=0), _cfg(form="second")):
         out = eval_home_vector(p, pp, A, 0.4, cfg)
@@ -301,9 +306,9 @@ def test_home_second_pose_orientation_unused():
 def _all_evals(rng):
     B = rng.normal(size=(2, 2))
     T = B @ B.T + 0.1 * I2
-    p = Pose(rng.normal(size=2), rng.uniform(0.5, 1.5) * from_angle(rng.uniform(-3, 3)))
-    pp = Pose(
-        p.x + rng.uniform(0.3, 1.0) * from_angle(rng.uniform(-3, 3)),
+    p = _pose(rng.normal(size=2), rng.uniform(0.5, 1.5) * from_angle(rng.uniform(-3, 3)))
+    pp = _pose(
+        p[POS] + rng.uniform(0.3, 1.0) * from_angle(rng.uniform(-3, 3)),
         rng.uniform(0.5, 1.5) * from_angle(rng.uniform(-3, 3)),
     )
     Phi = omega(from_angle(rng.uniform(-3, 3)))
@@ -328,8 +333,8 @@ def test_value_only_matches_full_eval():
     for _ in range(20):
         B = rng.normal(size=(2, 2))
         T = B @ B.T + 0.1 * I2
-        p = Pose(rng.normal(size=2), 1.2 * from_angle(rng.uniform(-3, 3)))
-        pp = Pose(p.x + [0.8, -0.2], 0.8 * from_angle(rng.uniform(-3, 3)))
+        p = _pose(rng.normal(size=2), 1.2 * from_angle(rng.uniform(-3, 3)))
+        pp = _pose(p[POS] + [0.8, -0.2], 0.8 * from_angle(rng.uniform(-3, 3)))
         Phi = omega(from_angle(rng.uniform(-3, 3)))
         r = rng.normal(size=2)
         kernels = [
@@ -395,8 +400,8 @@ def test_second_form_scale_invariant(au, aup, aphi, c, cp):
 
 
 def test_rotational_degenerate_raises():
-    p = Pose([0.0, 0.0], [0.0, 0.0])
-    pp = Pose([1.0, 0.0], [1.0, 0.0])
+    p = _pose([0.0, 0.0], [0.0, 0.0])
+    pp = _pose([1.0, 0.0], [1.0, 0.0])
     with pytest.raises(DegenerateVectorError):
         eval_rotation(p, pp, I2, 1.0, _cfg(form="second"))
     with pytest.raises(DegenerateVectorError):

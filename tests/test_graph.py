@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 from conftest import random_graph
 
-from ovsam.costs import Pose
 from ovsam.errors import GraphFormatError, GraphValidationError, StateLayoutError
 from ovsam.graph import (
     FactorGraph,
     HomingMeasurement,
     OdometryMeasurement,
+    Pose,
     StateLayout,
-    apply_state,
     load_graph,
     pack_state,
     save_graph,
+    state_table,
 )
 
 
@@ -131,15 +131,14 @@ def test_state_layout_offsets():
     lay = StateLayout(g)
     assert lay.dim == 5
     assert lay.free == [2]
-    assert lay.x_slice(2) == slice(0, 2)
-    assert lay.u_slice(2) == slice(2, 4)
-    assert lay.lam_index(2) == 4
+    assert lay.offset(2) == 0
+    assert lay.rank(2) == 0
 
     g3 = FactorGraph(_two_poses() + [Pose([2.0, 0.0], [1.0, 0.0])])
     lay3 = StateLayout(g3)
     assert lay3.dim == 10
     assert lay3.offset(3) == 5
-    assert lay3.lam_index(3) == 9
+    assert lay3.rank(3) == 1
 
 
 def test_state_layout_nondefault_fixed():
@@ -151,22 +150,32 @@ def test_state_layout_nondefault_fixed():
     assert 2 not in lay._rank
 
 
-def test_pack_apply_round_trip():
+def test_pack_state_with_poses_round_trip():
     rng = np.random.default_rng(2)
-    g = random_graph(rng, n_poses=5, n_homing=3)
+    g = random_graph(rng, n_poses=5, n_homing=3).with_fixed(3)
     lams = rng.normal(size=4)
     vec = pack_state(g, lams)
     assert vec.shape == (20,)
+    assert np.array_equal(vec[4::5], lams)
+    for pid in g.pose_ids():
+        assert np.array_equal(g.pose_table()[pid - 1], [*g.pose(pid).x, *g.pose(pid).u])
 
-    target = g.copy()
-    for pid in target.free_ids():
-        target.pose(pid).x[:] = 0.0
-    got = apply_state(vec, target)
-    assert np.array_equal(got, lams)
+    blank = np.full((5, 4), 7.0)
+    table = state_table(blank, g.fixed_id, vec)
+    assert np.array_equal(table[2], blank[2])  # anchor row kept
+    table[2] = g.pose_table()[2]
+    assert np.array_equal(table, g.pose_table())
+
+    target = g.with_poses(table)
+    assert target.fixed_id == 3
+    assert target.odometry[0] is g.odometry[0]  # records are shared
+    assert target.homing[0] is g.homing[0]
     for pid in g.pose_ids():
         assert np.array_equal(target.pose(pid).x, g.pose(pid).x)
         assert np.array_equal(target.pose(pid).u, g.pose(pid).u)
-    assert np.array_equal(pack_state(target, got), vec)
+    assert np.array_equal(pack_state(target, lams), vec)
+    table[0] = 9.0  # the new graph owns its poses
+    assert target.pose(1).x[0] != 9.0
 
 
 def test_state_layout_errors():
@@ -174,7 +183,9 @@ def test_state_layout_errors():
     with pytest.raises(StateLayoutError):
         pack_state(g, np.zeros(2))
     with pytest.raises(StateLayoutError):
-        apply_state(np.zeros(7), g)
+        state_table(g.pose_table(), g.fixed_id, np.zeros(7))
+    with pytest.raises(StateLayoutError):
+        g.with_poses(np.zeros((3, 4)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,16 @@ import pytest
 from ovsam.errors import DegenerateVectorError
 from ovsam.findiff import fd_jacobian
 from ovsam.orvec import (
-    M,
     from_angle,
     norm,
     omega,
     omega_bar,
     to_angle,
 )
+
+# Mirror along the first axis: omega_bar(z) == omega(z) @ M.
+M = np.array([[1.0, 0.0], [0.0, -1.0]])
+M.setflags(write=False)
 
 
 def test_omega_entries():

@@ -8,9 +8,16 @@ import pytest
 from conftest import consistent_graph, random_graph, two_pose_graph
 
 import ovsam.solver as solver_module
-from ovsam.costs import Pose, RotCostConfig
+from ovsam.costs import RotCostConfig
 from ovsam.errors import DegenerateVectorError, NumericalFailure, PreconditionError
-from ovsam.graph import FactorGraph, HomingMeasurement, OdometryMeasurement, pack_state
+from ovsam.graph import (
+    FactorGraph,
+    HomingMeasurement,
+    OdometryMeasurement,
+    Pose,
+    pack_state,
+    save_graph,
+)
 from ovsam.orvec import from_angle, omega
 from ovsam.solver import (
     SolverConfig,
@@ -44,6 +51,15 @@ def test_solver_config_validation():
         SolverConfig(ls_alphas=(0.5, 0.25))
     with pytest.raises(ValueError):
         SolverConfig(ls_alphas=())
+    # NaN would mask every homing record; a negative threshold none
+    with pytest.raises(ValueError, match="home_dist_threshold"):
+        SolverConfig(home_dist_threshold=float("nan"))
+    with pytest.raises(ValueError, match="home_dist_threshold"):
+        SolverConfig(home_dist_threshold=-0.1)
+    # an empty regularization schedule would try no system at all
+    with pytest.raises(ValueError, match="eta0"):
+        SolverConfig(eta0=1e3, eta_max=1.0)
+    SolverConfig(eta0=1.0, eta_max=1.0, home_dist_threshold=0.0)
 
 
 def test_newton_step_identity():
@@ -163,8 +179,6 @@ def test_consistent_graph_converges_immediately():
 
 
 def test_solve_leaves_input_untouched_and_fixes_anchor():
-    from ovsam.graph import save_graph
-
     rng = np.random.default_rng(1)
     graph = random_graph(rng, n_poses=5, n_homing=3, unit_orientations=True)
     before = save_graph(graph)
@@ -184,6 +198,24 @@ def test_solve_deterministic():
     b = solve(graph, cfg)
     assert [t.L for t in a.trace] == [t.L for t in b.trace]
     assert np.array_equal(pack_state(a.graph, a.lambdas), pack_state(b.graph, b.lambdas))
+
+
+def test_solve_makes_no_graph_copy(monkeypatch):
+    # trial states live in the pose table; no graph copy is needed
+    rng = np.random.default_rng(5)
+    graph = random_graph(rng, n_poses=6, n_homing=4, unit_orientations=True)
+    cfg = SolverConfig(max_iters=8)
+    expected = solve(graph, cfg)
+
+    def no_copy(self):
+        raise AssertionError("solve copied a graph")
+
+    monkeypatch.setattr(FactorGraph, "copy", no_copy)
+    got = solve(graph, cfg)
+    assert (got.reason, got.iterations) == (expected.reason, expected.iterations)
+    assert got.trace == expected.trace
+    assert save_graph(got.graph) == save_graph(expected.graph)
+    assert got.lambdas.tobytes() == expected.lambdas.tobytes()
 
 
 def test_step_tol_termination():
