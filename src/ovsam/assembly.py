@@ -3,33 +3,41 @@
 The Lagrangian is L = F + sum_i lambda_i l(u_i) over the free poses,
 where F sums all active measurement costs.  Every evaluation reads the
 poses from a pose table (graph.py), which defaults to the graph's own
-poses; the graph supplies the measurements and the anchor.  One walk
-over the active measurements (_record_terms) evaluates each record's
-cost terms in a fixed order; assembly, the value-only merit and the
-multiplier initialization all consume it.  Assembly scatters each
-record's summed 4x4/4-vector blocks to the free-pose blocks they touch;
-per-pose constraint terms are added afterwards.  The result is a
-block-sparse symmetric system whose lambda-lambda diagonal entries are
-exactly zero (a bordered saddle system).
+poses, and the measurements from MeasurementTables, structure-of-arrays
+copies of the graph's measurement data that solve builds once and that
+default to being built from the graph on each call.
+
+Each cost family is evaluated for all its active records in one batched
+kernel call (record_terms).  The results keep the numbers of a walk over
+the records one at a time: F adds the term values one by one in the
+canonical order (odometry in list order: translation, the optional
+distance term, rotation; then active homing in list order: home vector,
+compass); assembly sums each record's terms in that order and scatters
+the sums record by record to the free-pose blocks they touch; per-pose
+constraint terms are added afterwards.  The result is a block-sparse
+symmetric system whose lambda-lambda diagonal entries are exactly zero
+(a bordered saddle system).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse as sp
 
 from .constraints import eval_constraint, residual
 from .costs import (
     ORI,
+    CostEval,
+    _spd_inverse,
     eval_compass,
     eval_distance,
     eval_home_vector,
     eval_rotation,
     eval_translation,
+    term_weight,
 )
 from .errors import DegenerateVectorError, PreconditionError
 from .graph import UNIT_TOL, StateLayout
-from .orvec import omega
+from .orvec import omega, rowdot
 
 
 @dataclass
@@ -52,172 +60,299 @@ class ActiveMask:
         )
 
 
+@dataclass(frozen=True)
+class MeasurementTables:
+    """The measurements of a graph as stacked arrays, one row per record.
+
+    Pose indices are 0-based rows of the pose table.  Per-record
+    constants are computed once, with the expressions the kernels use:
+    Tinv by _spd_inverse, Q, A and Psi as Omega(q), Omega(alpha) and
+    Omega(psi), and the w_* weights by term_weight for the cost
+    configuration the tables were built with.
+    """
+
+    layout: StateLayout
+    rank: np.ndarray  # (N,) state rank of each pose row, -1 for the anchor
+    free: np.ndarray  # (N - 1,) pose rows of the free poses, in state order
+    odo_i1: np.ndarray
+    odo_i2: np.ndarray
+    r: np.ndarray
+    Tinv: np.ndarray
+    Q: np.ndarray
+    w_rot: np.ndarray
+    sigma_e: np.ndarray
+    rho: np.ndarray
+    hom_i1: np.ndarray
+    hom_i2: np.ndarray
+    A: np.ndarray
+    Psi: np.ndarray
+    w_home: np.ndarray
+    w_compass: np.ndarray
+
+
+def measurement_tables(graph, cfg):
+    """MeasurementTables of graph's measurements under the cost configuration cfg."""
+    layout = StateLayout(graph)
+    free = np.subtract(layout.free, 1)
+    rank = np.full(len(graph), -1)
+    rank[free] = np.arange(len(free))
+    odo, hom = graph.odometry, graph.homing
+
+    def rows(ms, name):
+        return np.array([getattr(m, name) - 1 for m in ms], dtype=np.intp)
+
+    def vecs(ms, name):
+        return np.array([getattr(m, name) for m in ms], dtype=float).reshape(-1, 2)
+
+    def weights(ms, name):
+        return np.array([term_weight(cfg.gamma, getattr(m, name)) for m in ms], dtype=float)
+
+    return MeasurementTables(
+        layout=layout,
+        rank=rank,
+        free=free,
+        odo_i1=rows(odo, "i1"),
+        odo_i2=rows(odo, "i2"),
+        r=vecs(odo, "r"),
+        Tinv=np.array([_spd_inverse(m.T) for m in odo], dtype=float).reshape(-1, 2, 2),
+        Q=omega(vecs(odo, "q")),
+        w_rot=weights(odo, "sigma"),
+        sigma_e=np.array([m.sigma_e for m in odo], dtype=float),
+        rho=np.array([m.rho for m in odo], dtype=float),
+        hom_i1=rows(hom, "i1"),
+        hom_i2=rows(hom, "i2"),
+        A=omega(vecs(hom, "alpha")),
+        Psi=omega(vecs(hom, "psi")),
+        w_home=weights(hom, "sigma_h"),
+        w_compass=weights(hom, "sigma_c"),
+    )
+
+
 class SparseSymmetricSystem:
     """Block-sparse bordered Hessian H, gradient g, and the L/F values.
 
-    Blocks are 5x5 per free-pose pair, keyed by (rank, rank) in state
-    layout order; only pairs sharing a measurement (plus the diagonal)
-    exist.  Row/column order within a block is [x (2), u (2), lambda].
+    H is stored as 5x5 blocks, data[b] at block row/column keys[b] in
+    state-layout ranks; only pairs sharing an active measurement (plus
+    the diagonal) have a block, all 25 entries stored.  Row/column order
+    within a block is [x (2), u (2), lambda].  to_dense and to_csr
+    convert once and return the same read-only matrix on every call.
     """
 
-    def __init__(self, layout):
+    def __init__(self, layout, keys, data, g, F, L, l_values):
         self.layout = layout
         self.dim = layout.dim
-        self.blocks = {}
-        self.g = np.zeros(self.dim)
-        self.F = 0.0
-        self.L = 0.0
-        self.l_values = np.zeros(len(layout.free))
+        self.keys = keys
+        self.data = data
+        self.g = g
+        self.F = F
+        self.L = L
+        self.l_values = l_values
+        self._dense = self._csr = None
 
-    def block(self, k, l):
-        b = self.blocks.get((k, l))
-        if b is None:
-            b = self.blocks[(k, l)] = np.zeros((5, 5))
-        return b
+    @property
+    def blocks(self):
+        """The blocks as a dict keyed (rank, rank)."""
+        return {(int(k), int(l)): b for (k, l), b in zip(self.keys, self.data)}
 
     def max_constraint(self):
         return float(np.max(np.abs(self.l_values))) if self.l_values.size else 0.0
 
     def to_dense(self):
-        H = np.zeros((self.dim, self.dim))
-        for (k, l), b in self.blocks.items():
-            H[5 * k : 5 * k + 5, 5 * l : 5 * l + 5] = b
-        return H
+        if self._dense is None:
+            n = len(self.layout.free)
+            H = np.zeros((n, 5, n, 5))
+            H[self.keys[:, 0], :, self.keys[:, 1], :] = self.data
+            self._dense = H.reshape(self.dim, self.dim)
+            self._dense.flags.writeable = False
+        return self._dense
 
     def to_csr(self):
-        n = len(self.blocks)
-        rows = np.empty(25 * n, dtype=np.int64)
-        cols = np.empty(25 * n, dtype=np.int64)
-        data = np.empty(25 * n)
-        i, j = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
-        for idx, ((k, l), b) in enumerate(self.blocks.items()):
-            s = slice(25 * idx, 25 * idx + 25)
-            rows[s] = (5 * k + i).ravel()
-            cols[s] = (5 * l + j).ravel()
-            data[s] = b.ravel()
-        return sp.coo_matrix((data, (rows, cols)), shape=(self.dim, self.dim)).tocsr()
+        if self._csr is None:
+            from scipy import sparse as sp  # only the sparse solve path needs it
+
+            i, j = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
+            rows = (5 * self.keys[:, 0, None, None] + i).ravel()
+            cols = (5 * self.keys[:, 1, None, None] + j).ravel()
+            coo = sp.coo_matrix((self.data.ravel(), (rows, cols)), shape=(self.dim, self.dim))
+            self._csr = coo.tocsr()
+            self._csr.data.flags.writeable = False
+        return self._csr
 
 
-def _record_terms(graph, table, cfg, active, use_distance_error, derivs=True):
-    """Evaluate the active measurements at the table's poses, one record at a time.
+def _running_sum(values):
+    """0.0 + values[0] + values[1] + ..., added one at a time in order."""
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
-    Yields (i1, i2, terms) in canonical order: odometry in list order
-    (translation, the optional distance term, rotation), then active
-    homing in list order (home vector, compass).  terms holds one
-    CostEval per term, or its float value when derivs is false.
-    Degenerate evaluations are re-raised with the offending record named.
+
+def _interleave(a, b):
+    """Rows a[0], b[0], a[1], b[1], ..."""
+    return np.stack((a, b), axis=1).reshape(-1, *a.shape[1:])
+
+
+def _evaluate(group, i1, i2, calls):
+    """Run one record group's kernel calls, in term order.
+
+    calls holds (rows, call) per term: call() evaluates the term for
+    the records rows (None for all records of the group).  If any call
+    hits a degenerate vector, re-raises for the first such record in
+    list order, and within it the first such term, with the record named.
     """
-    for k, m in enumerate(graph.odometry):
-        pa, pb = table[m.i1 - 1], table[m.i2 - 1]
+    outs, failures = [], []
+    for pos, (rows, call) in enumerate(calls):
         try:
-            terms = [eval_translation(pa, pb, m.T, m.r, derivs)]
-            if use_distance_error and active.distance[k]:
-                terms.append(eval_distance(pa, pb, m.sigma_e, m.rho, derivs))
-            terms.append(eval_rotation(pa, pb, omega(m.q), m.sigma, cfg, derivs))
+            outs.append(call())
         except DegenerateVectorError as exc:
-            raise DegenerateVectorError(
-                f"odometry record {k + 1} ({m.i1}->{m.i2}): {exc}"
-            ) from exc
-        yield m.i1, m.i2, terms
-    for k, m in enumerate(graph.homing):
-        if not active.homing[k]:
-            continue
-        pa, pb = table[m.i1 - 1], table[m.i2 - 1]
-        try:
-            terms = (
-                eval_home_vector(pa, pb, omega(m.alpha), m.sigma_h, cfg, derivs),
-                eval_compass(pa, pb, omega(m.psi), m.sigma_c, cfg, derivs),
-            )
-        except DegenerateVectorError as exc:
-            raise DegenerateVectorError(
-                f"homing record {k + 1} ({m.i1}->{m.i2}): {exc}"
-            ) from exc
-        yield m.i1, m.i2, terms
+            k = exc.index if rows is None else int(rows[exc.index])
+            failures.append((k, pos, exc))
+    if failures:
+        k, _, exc = min(failures, key=lambda f: f[:2])
+        raise DegenerateVectorError(
+            f"{group} record {k + 1} ({i1[k] + 1}->{i2[k] + 1}): {exc}"
+        ) from exc
+    return outs
 
 
-def _measurement_blocks(graph, table, cfg, active, use_distance_error):
-    """(i1, i2, CostEval) per active record, its terms summed in order."""
-    out = []
-    for i1, i2, terms in _record_terms(graph, table, cfg, active, use_distance_error):
-        ev = terms[0]
-        for term in terms[1:]:
-            ev += term
-        out.append((i1, i2, ev))
-    return out
+def record_terms(tables, table, cfg, active, use_distance_error, derivs=True):
+    """Evaluate every cost family over its active records at the table's poses.
+
+    Returns (odometry, drows, homing, hrows).  odometry holds the
+    translation, the distance term if use_distance_error (over the
+    odometry records drows, those active in active.distance) and the
+    rotation; translation and rotation cover all odometry records.
+    homing holds the home vector and the compass over the active homing
+    records hrows.  Each entry is a CostEval, or the (K,) values when
+    derivs is false.
+    """
+    t = tables
+    p1, p2 = table[t.odo_i1], table[t.odo_i2]
+    d = np.flatnonzero(active.distance) if use_distance_error else None
+    calls = [(None, lambda: eval_translation(p1, p2, t.Tinv, t.r, derivs))]
+    if use_distance_error:
+        calls.append(
+            (d, lambda: eval_distance(p1[d], p2[d], t.sigma_e[d], t.rho[d], derivs))
+        )
+    calls.append((None, lambda: eval_rotation(p1, p2, t.Q, t.w_rot, cfg, derivs)))
+    odometry = _evaluate("odometry", t.odo_i1, t.odo_i2, calls)
+
+    h = np.flatnonzero(active.homing)
+    q1, q2 = table[t.hom_i1[h]], table[t.hom_i2[h]]
+    homing = _evaluate(
+        "homing",
+        t.hom_i1,
+        t.hom_i2,
+        [
+            (h, lambda: eval_home_vector(q1, q2, t.A[h], t.w_home[h], cfg, derivs)),
+            (h, lambda: eval_compass(q1, q2, t.Psi[h], t.w_compass[h], cfg, derivs)),
+        ],
+    )
+    return odometry, d, homing, h
 
 
-def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False, table=None):
+_FIELDS = ("value", "grad1", "grad2", "h11", "h12", "h22")
+
+
+def record_blocks(tables, table, cfg, active, use_distance_error):
+    """(i1, i2, CostEval) over the active records, each record's terms summed in order.
+
+    Records are odometry then active homing, in list order; i1 and i2
+    are their 0-based pose rows.
+    """
+    odometry, d, homing, h = record_terms(tables, table, cfg, active, use_distance_error)
+    odo = odometry[0]
+    if use_distance_error:
+        for name in _FIELDS:
+            getattr(odo, name)[d] += getattr(odometry[1], name)
+    odo += odometry[-1]
+    hom = homing[0]
+    hom += homing[1]
+    ev = CostEval(*(np.concatenate((getattr(odo, n), getattr(hom, n))) for n in _FIELDS))
+    i1 = np.concatenate((tables.odo_i1, tables.hom_i1[h]))
+    i2 = np.concatenate((tables.odo_i2, tables.hom_i2[h]))
+    return i1, i2, ev
+
+
+def _defaults(graph, cfg, active, table, tables):
+    if tables is None:
+        tables = measurement_tables(graph, cfg)
+    if table is None:
+        table = graph.pose_table()
+    if active is None:
+        active = ActiveMask.all_active(graph)
+    return active, table, tables
+
+
+def assemble(
+    graph, cfg, active=None, lambdas=None, use_distance_error=False, table=None, tables=None
+):
     """Assemble gradient, bordered Hessian, and the L and F values.
 
     Measurements touching the fixed pose in one slot still contribute
     to the other slot's blocks; the fixed pose's own rows and columns
     are dropped entirely.
     """
-    layout = StateLayout(graph)
-    if table is None:
-        table = graph.pose_table()
-    if active is None:
-        active = ActiveMask.all_active(graph)
+    active, table, tables = _defaults(graph, cfg, active, table, tables)
+    layout = tables.layout
+    n = len(layout.free)
     if lambdas is None:
-        lambdas = np.zeros(len(layout.free))
-    system = SparseSymmetricSystem(layout)
-    free = set(layout.free)
+        lambdas = np.zeros(n)
+    i1, i2, ev = record_blocks(tables, table, cfg, active, use_distance_error)
+    F = _running_sum(ev.value)
 
-    for i1, i2, ev in _measurement_blocks(graph, table, cfg, active, use_distance_error):
-        system.F += ev.value
-        if i1 in free:
-            o1, r1 = layout.offset(i1), layout.rank(i1)
-            system.g[o1 : o1 + 4] += ev.grad1
-            system.block(r1, r1)[0:4, 0:4] += ev.h11
-        if i2 in free:
-            o2, r2 = layout.offset(i2), layout.rank(i2)
-            system.g[o2 : o2 + 4] += ev.grad2
-            system.block(r2, r2)[0:4, 0:4] += ev.h22
-        if i1 in free and i2 in free:
-            system.block(layout.rank(i1), layout.rank(i2))[0:4, 0:4] += ev.h12
-            system.block(layout.rank(i2), layout.rank(i1))[0:4, 0:4] += ev.h21
+    # Contributions to the anchor's rows go to the discarded slot n.
+    r1, r2 = tables.rank[i1], tables.rank[i2]
+    s1, s2 = np.where(r1 < 0, n, r1), np.where(r2 < 0, n, r2)
+    G = np.zeros((n + 1, 5))
+    np.add.at(G[:, :4], _interleave(s1, s2), _interleave(ev.grad1, ev.grad2))
 
-    w_sum = 0.0
-    for k, pid in enumerate(layout.free):
-        ce = eval_constraint(lambdas[k], table[pid - 1, ORI])
-        w_sum += ce.w
-        o = layout.offset(pid)
-        system.g[o + 2 : o + 4] += ce.grad_u
-        system.g[o + 4] += ce.grad_lambda
-        d = system.block(k, k)
-        d[2:4, 2:4] += ce.h_uu
-        d[2:4, 4] += ce.h_ulambda
-        d[4, 2:4] += ce.h_ulambda
-        system.l_values[k] = ce.l
+    # Each record's blocks h11, h22, h12, h21 at (r1, r1), (r2, r2),
+    # (r1, r2), (r2, r1), keyed k * n + l; key n * n (sorting last) is
+    # discarded.  One add.at in record order keeps every block's sum in
+    # record order.
+    k = np.stack((s1, s2, s1, s2), axis=1)
+    l = np.stack((s1, s2, s2, s1), axis=1)
+    key = np.where((k < n) & (l < n), k * n + l, n * n).ravel()
+    diag = np.arange(n) * (n + 1)
+    keys, where = np.unique(np.concatenate((key, diag)), return_inverse=True)
+    data = np.zeros((len(keys), 5, 5))
+    hs = np.stack((ev.h11, ev.h22, ev.h12, ev.h21), axis=1).reshape(-1, 4, 4)
+    np.add.at(data[:, :4, :4], where[: len(key)], hs)
 
-    system.L = system.F + w_sum
-    return system
+    ce = eval_constraint(lambdas, table[tables.free, ORI])
+    G[:n, 2:4] += ce.grad_u
+    G[:n, 4] += ce.grad_lambda
+    d = where[len(key) :]
+    data[d, 2:4, 2:4] += ce.h_uu
+    data[d, 2:4, 4] += ce.h_ulambda
+    data[d, 4, 2:4] += ce.h_ulambda
+
+    nb = np.searchsorted(keys, n * n)
+    keys = np.column_stack(np.divmod(keys[:nb], n))
+    L = F + _running_sum(ce.w)
+    return SparseSymmetricSystem(layout, keys, data[:nb], G[:n].ravel(), F, L, ce.l)
 
 
-def total_values(graph, cfg, active=None, lambdas=None, use_distance_error=False, table=None):
+def total_values(
+    graph, cfg, active=None, lambdas=None, use_distance_error=False, table=None, tables=None
+):
     """Value-only evaluation of (F, L, sum |l_i|), same masking as assemble."""
-    if table is None:
-        table = graph.pose_table()
-    if active is None:
-        active = ActiveMask.all_active(graph)
-    F = 0.0
-    for _, _, terms in _record_terms(graph, table, cfg, active, use_distance_error, False):
-        for value in terms:
-            F += value
-
-    free = graph.free_ids()
+    active, table, tables = _defaults(graph, cfg, active, table, tables)
+    odometry, d, homing, _ = record_terms(tables, table, cfg, active, use_distance_error, False)
+    if use_distance_error:
+        # Masked distance terms become zeros, which change no running sum
+        # that starts at +0.0: it is never -0.0, and x + 0.0 == x otherwise.
+        full = np.zeros(len(tables.odo_i1))
+        full[d] = odometry[1]
+        odometry[1] = full
+    F = _running_sum(
+        np.concatenate((np.column_stack(odometry).ravel(), np.column_stack(homing).ravel()))
+    )
+    l = residual(table[tables.free, ORI])
     if lambdas is None:
-        lambdas = np.zeros(len(free))
-    w_sum = 0.0
-    l1 = 0.0
-    for lam, pid in zip(lambdas, free):
-        l = residual(table[pid - 1, ORI])
-        w_sum += lam * l
-        l1 += abs(l)
-    return F, F + w_sum, l1
+        lambdas = np.zeros(len(l))
+    return F, F + _running_sum(l * lambdas), _running_sum(np.abs(l))
 
 
-def init_lambdas(graph, cfg, active=None, table=None):
+def init_lambdas(graph, cfg, active=None, table=None, tables=None):
     """Initial multipliers lambda_i = -u_i^T g_i from the cost gradient.
 
     g_i is the gradient of the total cost (constraints excluded) with
@@ -228,29 +363,26 @@ def init_lambdas(graph, cfg, active=None, table=None):
     Returns one multiplier per free pose, in state-layout order
     (ascending pose id, fixed pose excluded).
     """
-    if table is None:
-        table = graph.pose_table()
-    for pid, (_, _, u1, u2) in enumerate(table, start=1):
-        n = float(np.hypot(u1, u2))
-        if abs(n - 1.0) > UNIT_TOL:
-            raise PreconditionError(
-                f"pose {pid}: initial orientation vector must be unit, got norm {n!r}"
-            )
-    if active is None:
-        active = ActiveMask.all_active(graph)
+    active, table, tables = _defaults(graph, cfg, active, table, tables)
+    norms = np.hypot(table[:, 2], table[:, 3])
+    bad = np.abs(norms - 1.0) > UNIT_TOL
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise PreconditionError(
+            f"pose {k + 1}: initial orientation vector must be unit, got norm {float(norms[k])!r}"
+        )
 
+    i1, i2, ev = record_blocks(tables, table, cfg, active, False)
     grads = np.zeros((len(table), 2))
-    for i1, i2, ev in _measurement_blocks(graph, table, cfg, active, False):
-        grads[i1 - 1] += ev.grad1[ORI]
-        grads[i2 - 1] += ev.grad2[ORI]
-    return np.array(
-        [-float(table[pid - 1, ORI] @ grads[pid - 1]) for pid in graph.free_ids()]
-    )
+    np.add.at(grads, _interleave(i1, i2), _interleave(ev.grad1[:, ORI], ev.grad2[:, ORI]))
+    return -rowdot(table[tables.free, ORI], grads[tables.free])
 
 
-def merit(graph, cfg, active, mu, lambdas=None, use_distance_error=False, table=None):
+def merit(
+    graph, cfg, active, mu, lambdas=None, use_distance_error=False, table=None, tables=None
+):
     """Augmented-Lagrangian merit: L plus mu times the constraint L1 norm."""
     if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu!r}")
-    _, L, l1 = total_values(graph, cfg, active, lambdas, use_distance_error, table)
+    _, L, l1 = total_values(graph, cfg, active, lambdas, use_distance_error, table, tables)
     return L + mu * l1

@@ -9,16 +9,24 @@ The derivative structure is tiny and fully dense per pose:
   d2 w / du du    = lambda * I
   d2 w / du dlambda = u
   d2 w / dlambda dlambda = 0   (this zero makes the Hessian a saddle system)
+
+Both functions take one pose's (lambda, u) or a batch of them, (K,)
+multipliers with (K, 2) orientation vectors.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .orvec import rowdot
+
 
 @dataclass
 class ConstraintEval:
-    """Derivative pieces of one unit-length constraint term."""
+    """Derivative pieces of one unit-length constraint term, or of a batch.
+
+    For a batch every field gains a leading axis of length K.
+    """
 
     w: float  # lambda * l, the Lagrangian contribution
     l: float  # 0.5 (u^T u - 1)
@@ -30,18 +38,20 @@ class ConstraintEval:
 
 def residual(u):
     """Constraint residual l(u) = 0.5 (u^T u - 1)."""
-    return 0.5 * (float(u @ u) - 1.0)
+    u = np.asarray(u, dtype=float)
+    return 0.5 * (rowdot(u, u) - 1.0)
 
 
 def eval_constraint(lam, u):
-    """Evaluate one constraint term and all its derivatives."""
+    """Evaluate constraint terms and all their derivatives."""
+    lam = np.asarray(lam, dtype=float)
     u = np.asarray(u, dtype=float)
     l = residual(u)
     return ConstraintEval(
         w=lam * l,
         l=l,
-        grad_u=lam * u,
+        grad_u=lam[..., None] * u,
         grad_lambda=l,
-        h_uu=lam * np.eye(2),
+        h_uu=lam[..., None, None] * np.eye(2),
         h_ulambda=u.copy(),
     )

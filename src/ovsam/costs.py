@@ -1,10 +1,13 @@
 """Cost functions over pose pairs with exact first and second derivatives.
 
-A pose enters every kernel as the stacked 4-vector [x, u]: position x
+Every kernel evaluates one cost family for a batch of K pose pairs at
+once.  A pose enters as the stacked 4-vector [x, u]: position x
 (2-vector) and orientation vector u (2-vector, unit length only on the
-constraint manifold), read as p[POS] and p[ORI]; a row of the pose table
-is such a vector.  Five costs are defined, each over an ordered pose
-pair (p, p'):
+constraint manifold), so a batch of first poses p is a (K, 4) array read
+as p[:, POS] and p[:, ORI]; rows of the pose table are such vectors.
+Per-record measurement data comes stacked the same way: (K, 2) vectors,
+(K, 2, 2) matrices and (K,) scalars.  Five costs are defined, each over
+an ordered pose pair (p, p'):
 
   translation   Mahalanobis error of the odometry translation r measured
                 in frame p:  0.5 (d - r)^T T^-1 (d - r),
@@ -23,32 +26,40 @@ orientation matrix of the measurement:
   first   t1 + (1 - t1) |u| |u'| - (Phi u)^T u',   t1 in {0, 1}
   second  1 - (Phi u/|u|)^T (u'/|u'|)
 
-each weighted by gamma/sigma^2 of the respective measurement.  For the
-home vector the role of u' is taken by the normalized position
-difference delta0 = (x' - x)/|x' - x|, and the first-form offset is
-t1 + (1 - t1)|u| since |delta0| = 1 identically.
+each weighted by gamma/sigma^2 of the respective measurement
+(term_weight).  For the home vector the role of u' is taken by the
+normalized position difference delta0 = (x' - x)/|x' - x|, and the
+first-form offset is t1 + (1 - t1)|u| since |delta0| = 1 identically.
 
-Every evaluator returns the value together with all gradient and
-Hessian blocks over the stacked pose-pair coordinates [x (2), u (2)];
-with derivs=False it returns the float value alone and skips all
-derivative work, so the merit and the derivative oracle run the same
-value code as assembly.
-Blocks are written exactly in the form in which they were derived (no
-re-simplification), so each term can be checked in isolation against
-the finite-difference oracle.  Only the forward mixed block
-d^2 f / (dp dp') is stored; the reverse block is always its transpose.
+Every kernel returns a CostEval holding the K values together with all
+gradient and Hessian blocks over the stacked pose-pair coordinates
+[x (2), u (2)]; with derivs=False it returns the (K,) values alone and
+skips all derivative work, so the merit and the derivative oracle run
+the same value code as assembly.  Blocks are written exactly in the form
+in which they were derived (no re-simplification), so each term can be
+checked in isolation against the finite-difference oracle.  Only the
+forward mixed block d^2 f / (dp dp') is stored; the reverse block is
+always its transpose.
+
+Each record's numbers are those of the single-pair formulas: every
+product of small matrices is a batched matmul whose operands have the
+per-record memory layout of the single-pair operands (a transpose is a
+transposed view, never a copy), and squares of norms go through libm pow
+(np.float_power) as a float's ** 2 does.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateVectorError, InvalidCovarianceError
-from .orvec import DEGENERATE_NORM, omega, omega_bar
+from .orvec import DEGENERATE_NORM, omega, omega_bar, rowdot
 
 # Slices of the stacked per-pose coordinates [x, u].
 POS = slice(0, 2)
 ORI = slice(2, 4)
+
+_I2 = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -72,26 +83,32 @@ class RotCostConfig:
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
 
+    @property
+    def uses_norms(self):
+        """Whether the form divides by or offsets with orientation norms."""
+        return self.form == "second" or self.t1 == 0
+
 
 @dataclass
 class CostEval:
-    """Value and derivative blocks of one cost term over a pose pair.
+    """Values and derivative blocks of K cost terms over K pose pairs.
 
-    grad1/grad2 are the gradients with respect to the stacked
-    coordinates [x, u] of the first/second pose; h11, h12, h22 the
-    corresponding Hessian blocks, h12 being d^2 f / (dp dp').
+    value is (K,); grad1/grad2 (K, 4) are the gradients with respect to
+    the stacked coordinates [x, u] of the first/second pose; h11, h12,
+    h22 (K, 4, 4) the corresponding Hessian blocks, h12 being
+    d^2 f / (dp dp').
     """
 
-    value: float = 0.0
-    grad1: np.ndarray = field(default_factory=lambda: np.zeros(4))
-    grad2: np.ndarray = field(default_factory=lambda: np.zeros(4))
-    h11: np.ndarray = field(default_factory=lambda: np.zeros((4, 4)))
-    h12: np.ndarray = field(default_factory=lambda: np.zeros((4, 4)))
-    h22: np.ndarray = field(default_factory=lambda: np.zeros((4, 4)))
+    value: np.ndarray
+    grad1: np.ndarray
+    grad2: np.ndarray
+    h11: np.ndarray
+    h12: np.ndarray
+    h22: np.ndarray
 
     @property
     def h21(self):
-        return self.h12.T
+        return np.swapaxes(self.h12, -1, -2)
 
     def __iadd__(self, other):
         self.value += other.value
@@ -102,114 +119,173 @@ class CostEval:
         self.h22 += other.h22
         return self
 
+    @classmethod
+    def zeros(cls, value):
+        """Values with all-zero derivative blocks of matching batch size."""
+        k = len(value)
+        return cls(value, *np.zeros((2, k, 4)), *np.zeros((3, k, 4, 4)))
 
-def _checked_norm(z, what):
-    n = float(np.hypot(z[0], z[1]))
-    if n <= DEGENERATE_NORM:
-        raise DegenerateVectorError(f"{what} has norm {n!r}, below {DEGENERATE_NORM}")
-    return n
+
+def term_weight(gamma, sigma):
+    """Weight gamma / sigma^2 of one rotational, compass or home-vector term."""
+    if not sigma > 0.0:
+        raise ValueError(f"standard deviation must be positive, got {sigma!r}")
+    return gamma / sigma**2
 
 
 def _spd_inverse(T):
     """Inverse of a symmetric positive definite 2x2 matrix."""
     T = np.asarray(T, dtype=float)
+    # the checks fail on NaN and on inf entries, whose inverse is no covariance
     scale = max(1.0, float(np.abs(T).max()))
-    if abs(T[0, 1] - T[1, 0]) > 1e-12 * scale:
+    if not abs(T[0, 1] - T[1, 0]) <= 1e-12 * scale:
         raise InvalidCovarianceError(f"covariance not symmetric: {T!r}")
     det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
-    if T[0, 0] <= 0.0 or det <= 0.0:
+    if not (T[0, 0] > 0.0 and 0.0 < det < np.inf):
         raise InvalidCovarianceError(f"covariance not positive definite: {T!r}")
     return np.array([[T[1, 1], -T[0, 1]], [-T[1, 0], T[0, 0]]]) / det
 
 
-def _proj_curvature(a, z0, nz):
-    """Curvature matrix S with d/dz [ (I - z0 z0^T)/|z| a ] = -S.
+# ---------------------------------------------------------------------------
+# batched small-matrix algebra, one record per leading index
 
-    z0 is z/|z|, nz is |z|, and a is held constant.  S is symmetric.
+
+def _T(M):
+    """Per-record transpose, as a view."""
+    return M.transpose(0, 2, 1)
+
+
+def _mv(M, v):
+    """Per-record matrix @ vector."""
+    return (M @ v[:, :, None])[:, :, 0]
+
+
+def _outer(a, b):
+    return a[:, :, None] * b[:, None, :]
+
+
+def _col(v):
+    """(K,) scalars (or one scalar) shaped to scale (K, 2) vectors."""
+    return np.reshape(v, (-1, 1))
+
+
+def _mat(v):
+    """(K,) scalars (or one scalar) shaped to scale (K, 2, 2) matrices."""
+    return np.reshape(v, (-1, 1, 1))
+
+
+def _norms(z):
+    return np.hypot(z[:, 0], z[:, 1])
+
+
+def _check_norms(*checks):
+    """Raise DegenerateVectorError for the first record with a zero-length vector.
+
+    checks are (norms, what) pairs in the order the vectors are
+    normalized.  The error names the first record that fails any check,
+    the first check it fails, and carries the record's batch position
+    as its index.
+    """
+    bad = [norms <= DEGENERATE_NORM for norms, _ in checks]
+    failing = [int(np.argmax(b)) for b in bad if b.any()]
+    if not failing:
+        return
+    k = min(failing)
+    norms, what = next(check for check, b in zip(checks, bad) if b[k])
+    raise DegenerateVectorError(
+        f"{what} has norm {float(norms[k])!r}, below {DEGENERATE_NORM}", index=k
+    )
+
+
+def _proj_curvature(a, z0, nz):
+    """Curvature matrices S with d/dz [ (I - z0 z0^T)/|z| a ] = -S.
+
+    z0 is z/|z|, nz is |z|, and a is held constant.  Each S is symmetric.
     """
     return (
-        np.outer(a, z0) + np.outer(z0, a) + (z0 @ a) * (np.eye(2) - 3.0 * np.outer(z0, z0))
-    ) / nz**2
+        _outer(a, z0) + _outer(z0, a) + _mat(rowdot(z0, a)) * (_I2 - 3.0 * _outer(z0, z0))
+    ) / _mat(np.float_power(nz, 2.0))
 
 
 # ---------------------------------------------------------------------------
 # translation and distance
 
 
-def eval_translation(p, pp, T, r, derivs=True):
+def eval_translation(p, pp, Tinv, r, derivs=True):
     """Mahalanobis translation cost with all derivative blocks.
 
     Parameters
     ----------
-    p, pp : (4,) ndarray
-        First and second pose as [x, u]; the orientation of pp does not
+    p, pp : (K, 4) ndarray
+        First and second poses as [x, u]; the orientation of pp does not
         enter.
-    T : (2, 2) ndarray
-        Symmetric positive definite covariance of r.
-    r : (2,) ndarray
-        Measured translation expressed in the frame of the first pose.
+    Tinv : (K, 2, 2) ndarray
+        Inverses of the symmetric positive definite covariances of r
+        (_spd_inverse).
+    r : (K, 2) ndarray
+        Measured translations expressed in the frame of the first pose.
     derivs : bool
-        When false, return only the float value.
+        When false, return only the (K,) values.
     """
-    Tinv = _spd_inverse(T)
-    delta = pp[POS] - p[POS]
-    U = omega(p[ORI])
-    e = U.T @ delta - r
-    value = 0.5 * float(e @ Tinv @ e)
+    delta = pp[:, POS] - p[:, POS]
+    U = omega(p[:, ORI])
+    e = _mv(_T(U), delta) - r
+    value = 0.5 * rowdot((e[:, None, :] @ Tinv)[:, 0, :], e)
     if not derivs:
         return value
     D = omega_bar(delta)
-    w = Tinv @ e
+    w = _mv(Tinv, e)
 
-    out = CostEval(value=value)
-    out.grad1[POS] = -U @ w
-    out.grad1[ORI] = D @ w
-    out.grad2[POS] = U @ w
+    out = CostEval.zeros(value)
+    out.grad1[:, POS] = _mv(-U, w)
+    out.grad1[:, ORI] = _mv(D, w)
+    out.grad2[:, POS] = _mv(U, w)
 
     UTinv = U @ Tinv
-    core = UTinv @ U.T  # U T^-1 U^T
+    core = UTinv @ _T(U)  # U T^-1 U^T
     Ow = omega(w)
 
-    out.h11[POS, POS] = core
-    out.h11[POS, ORI] = -(UTinv @ D + Ow)
-    out.h11[ORI, POS] = out.h11[POS, ORI].T
-    out.h11[ORI, ORI] = D @ Tinv @ D
-    out.h12[POS, POS] = -core
-    out.h12[ORI, POS] = (UTinv @ D + Ow).T
-    out.h22[POS, POS] = core
+    out.h11[:, POS, POS] = core
+    out.h11[:, POS, ORI] = -(UTinv @ D + Ow)
+    out.h11[:, ORI, POS] = _T(out.h11[:, POS, ORI])
+    out.h11[:, ORI, ORI] = D @ Tinv @ D
+    out.h12[:, POS, POS] = -core
+    out.h12[:, ORI, POS] = _T(UTinv @ D + Ow)
+    out.h22[:, POS, POS] = core
     return out
 
 
 def eval_distance(p, pp, sigma_e, rho, derivs=True):
     """Scalar traveled-distance cost with all derivative blocks.
 
-    p and pp are [x, u] 4-vectors; weighted by 1/sigma_e.  Orientations
-    do not enter.  Raises DegenerateVectorError when the two positions
-    (numerically) coincide.  With derivs false, returns only the float
-    value.
+    p and pp are (K, 4) [x, u] poses; sigma_e and rho are (K,), each term
+    weighted by 1/sigma_e.  Orientations do not enter.  Raises
+    DegenerateVectorError when two positions (numerically) coincide.
+    With derivs false, returns only the (K,) values.
     """
-    if not sigma_e > 0.0:
+    if not np.all(sigma_e > 0.0):
         raise ValueError(f"sigma_e must be positive, got {sigma_e!r}")
-    delta = pp[POS] - p[POS]
-    nd = _checked_norm(delta, "pose position difference")
+    delta = pp[:, POS] - p[:, POS]
+    nd = _norms(delta)
+    _check_norms((nd, "pose position difference"))
     resid = nd - rho
-    value = 0.5 * resid**2 / sigma_e
+    value = 0.5 * np.float_power(resid, 2.0) / sigma_e
     if not derivs:
         return value
-    d0 = delta / nd
+    d0 = delta / _col(nd)
     winv = 1.0 / sigma_e
 
-    out = CostEval(value=value)
-    g = winv * resid * d0
-    out.grad1[POS] = -g
-    out.grad2[POS] = g
+    out = CostEval.zeros(value)
+    g = _col(winv * resid) * d0
+    out.grad1[:, POS] = -g
+    out.grad2[:, POS] = g
 
     # d^2/d(delta)^2 [0.5 (|delta| - rho)^2] = I - rho (I - d0 d0^T)/|delta|
-    P = (np.eye(2) - np.outer(d0, d0)) / nd
-    core = winv * (np.eye(2) - rho * P)
-    out.h11[POS, POS] = core
-    out.h12[POS, POS] = -core
-    out.h22[POS, POS] = core
+    P = (_I2 - _outer(d0, d0)) / _mat(nd)
+    core = _mat(winv) * (_I2 - _mat(rho) * P)
+    out.h11[:, POS, POS] = core
+    out.h12[:, POS, POS] = -core
+    out.h22[:, POS, POS] = core
     return out
 
 
@@ -218,153 +294,150 @@ def eval_distance(p, pp, sigma_e, rho, derivs=True):
 
 
 def eval_generic_rotational(Phi, u, up, cfg, weight=1.0, derivs=True):
-    """Rotational cost s (first form) or s-bar (second form), times weight.
+    """Rotational costs s (first form) or s-bar (second form), times weight.
 
-    Returns the float value when derivs is false, else a CostEval whose
+    Phi is (K, 2, 2), u and up are (K, 2), weight is (K,) or one scalar.
+    Returns the (K,) values when derivs is false, else a CostEval whose
     position blocks are zero.
     """
-    Phiu = Phi @ u
-    c = float(Phiu @ up)
+    Phiu = _mv(Phi, u)
+    c = rowdot(Phiu, up)
+    if cfg.uses_norms:
+        nu, nup = _norms(u), _norms(up)
+        _check_norms((nu, "orientation vector"), (nup, "orientation vector"))
     if cfg.form == "second":
-        nu = _checked_norm(u, "orientation vector")
-        nup = _checked_norm(up, "orientation vector")
         value = 1.0 - c / (nu * nup)
     elif cfg.t1 == 1:
         value = 1.0 - c
     else:
-        nu = _checked_norm(u, "orientation vector")
-        nup = _checked_norm(up, "orientation vector")
         value = nu * nup - c
     if not derivs:
         return weight * value
 
+    PhiT = _T(Phi)
     if cfg.form == "second":
-        u0 = u / nu
-        up0 = up / nup
-        Pu = (np.eye(2) - np.outer(u0, u0)) / nu
-        Pup = (np.eye(2) - np.outer(up0, up0)) / nup
-        gu = -(Pu @ Phi.T @ up0)
-        gup = -(Pup @ Phi @ u0)
-        huu = _proj_curvature(Phi.T @ up0, u0, nu)
-        huup = -Pu @ Phi.T @ Pup
-        hupup = _proj_curvature(Phi @ u0, up0, nup)
+        u0 = u / _col(nu)
+        up0 = up / _col(nup)
+        Pu = (_I2 - _outer(u0, u0)) / _mat(nu)
+        Pup = (_I2 - _outer(up0, up0)) / _mat(nup)
+        gu = -_mv(Pu @ PhiT, up0)
+        gup = -_mv(Pup @ Phi, u0)
+        huu = _proj_curvature(_mv(PhiT, up0), u0, nu)
+        huup = -Pu @ PhiT @ Pup
+        hupup = _proj_curvature(_mv(Phi, u0), up0, nup)
     else:
-        gu = -(Phi.T @ up)
+        gu = -_mv(PhiT, up)
         gup = -Phiu
-        huu = hupup = np.zeros((2, 2))
-        huup = -Phi.T
+        huu = hupup = np.zeros_like(Phi)
+        huup = -PhiT
         if cfg.t1 == 0:
-            u0 = u / nu
-            up0 = up / nup
-            gu = gu + nup * u0
-            gup = gup + nu * up0
-            huu = huu + (nup / nu) * (np.eye(2) - np.outer(u0, u0))
-            huup = huup + np.outer(u0, up0)
-            hupup = hupup + (nu / nup) * (np.eye(2) - np.outer(up0, up0))
+            u0 = u / _col(nu)
+            up0 = up / _col(nup)
+            gu = gu + _col(nup) * u0
+            gup = gup + _col(nu) * up0
+            huu = huu + _mat(nup / nu) * (_I2 - _outer(u0, u0))
+            huup = huup + _outer(u0, up0)
+            hupup = hupup + _mat(nu / nup) * (_I2 - _outer(up0, up0))
 
-    out = CostEval(value=weight * value)
-    out.grad1[ORI] = weight * gu
-    out.grad2[ORI] = weight * gup
-    out.h11[ORI, ORI] = weight * huu
-    out.h12[ORI, ORI] = weight * huup
-    out.h22[ORI, ORI] = weight * hupup
+    out = CostEval.zeros(weight * value)
+    out.grad1[:, ORI] = _col(weight) * gu
+    out.grad2[:, ORI] = _col(weight) * gup
+    out.h11[:, ORI, ORI] = _mat(weight) * huu
+    out.h12[:, ORI, ORI] = _mat(weight) * huup
+    out.h22[:, ORI, ORI] = _mat(weight) * hupup
     return out
 
 
-def eval_rotation(p, pp, Q, sigma, cfg, derivs=True):
-    """Rotational cost against the measured relative rotation matrix Q.
+def eval_rotation(p, pp, Phi, weight, cfg, derivs=True):
+    """Rotational costs of the orientations of p and pp against Phi.
 
-    p and pp are [x, u] 4-vectors.  Q is the orientation matrix of the
-    measured unit rotation vector (frame p to frame pp); positions do not
-    enter.
+    p and pp are (K, 4) [x, u] poses, positions do not enter.  Phi holds
+    the orientation matrices of the measured unit rotation vectors
+    (frame p to frame pp): Omega(q) for odometry, Omega(psi) for the
+    visual compass, which has the identical functional form.  weight is
+    term_weight(gamma, sigma) per record.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    return eval_generic_rotational(Q, p[ORI], pp[ORI], cfg, cfg.gamma / sigma**2, derivs)
+    return eval_generic_rotational(Phi, p[:, ORI], pp[:, ORI], cfg, weight, derivs)
 
 
-def eval_compass(p, pp, Psi, sigma_c, cfg, derivs=True):
-    """Compass cost against the measured relative orientation matrix Psi.
-
-    Identical functional form to the rotation cost, over the same [x, u]
-    4-vectors; Psi comes from a visual compass instead of odometry.
-    """
-    if not sigma_c > 0.0:
-        raise ValueError(f"sigma_c must be positive, got {sigma_c!r}")
-    return eval_generic_rotational(Psi, p[ORI], pp[ORI], cfg, cfg.gamma / sigma_c**2, derivs)
+eval_compass = eval_rotation
 
 
 # ---------------------------------------------------------------------------
 # home vector
 
 
-def eval_home_vector(p, pp, A, sigma_h, cfg, derivs=True):
-    """Home-vector cost with all derivative blocks.
+def eval_home_vector(p, pp, A, weight, cfg, derivs=True):
+    """Home-vector costs with all derivative blocks.
 
-    p and pp are [x, u] 4-vectors.  A is the orientation matrix of the
-    measured unit direction from pose p toward pose pp, expressed in
-    frame p.  The role of the second orientation vector of the rotational
-    form is taken by the normalized position difference, so this cost
-    couples x, x' and u; the orientation of pp never enters.  The
-    first-form offset is t1 + (1 - t1)|u|.  With derivs false, returns
-    only the float value.
+    p and pp are (K, 4) [x, u] poses.  A holds the orientation matrices
+    of the measured unit directions from pose p toward pose pp, expressed
+    in frame p, and weight is term_weight(gamma, sigma_h) per record.
+    The role of the second orientation vector of the rotational form is
+    taken by the normalized position difference, so this cost couples
+    x, x' and u; the orientation of pp never enters.  The first-form
+    offset is t1 + (1 - t1)|u|.  With derivs false, returns only the
+    (K,) values.
     """
-    if not sigma_h > 0.0:
-        raise ValueError(f"sigma_h must be positive, got {sigma_h!r}")
-    u = p[ORI]
-    delta = pp[POS] - p[POS]
-    nd = _checked_norm(delta, "pose position difference")
-    d0 = delta / nd
-    w = cfg.gamma / sigma_h**2
-    a = A @ u
-    c = float(a @ d0)
+    u = p[:, ORI]
+    delta = pp[:, POS] - p[:, POS]
+    nd = _norms(delta)
+    if cfg.uses_norms:
+        nu = _norms(u)
+        _check_norms((nd, "pose position difference"), (nu, "orientation vector"))
+    else:
+        _check_norms((nd, "pose position difference"))
+    d0 = delta / _col(nd)
+    w = weight
+    a = _mv(A, u)
+    c = rowdot(a, d0)
     if cfg.form == "second":
-        nu = _checked_norm(u, "orientation vector")
         value = w * (1.0 - c / nu)
     elif cfg.t1 == 1:
         value = w * (1.0 - c)
     else:
-        nu = _checked_norm(u, "orientation vector")
         value = w * (nu - c)
     if not derivs:
         return value
-    Pd = (np.eye(2) - np.outer(d0, d0)) / nd
+    Pd = (_I2 - _outer(d0, d0)) / _mat(nd)
+    AT = _T(A)
+    w1, w2 = _col(w), _mat(w)
 
-    out = CostEval(value=value)
+    out = CostEval.zeros(value)
     if cfg.form == "second":
-        u0 = u / nu
-        Pu = (np.eye(2) - np.outer(u0, u0)) / nu
-        a = A @ u0
+        u0 = u / _col(nu)
+        Pu = (_I2 - _outer(u0, u0)) / _mat(nu)
+        a = _mv(A, u0)
         S = _proj_curvature(a, d0, nd)
 
-        out.grad1[POS] = w * (Pd @ a)
-        out.grad2[POS] = -w * (Pd @ a)
-        out.grad1[ORI] = -w * (Pu @ A.T @ d0)
+        out.grad1[:, POS] = w1 * _mv(Pd, a)
+        out.grad2[:, POS] = -w1 * _mv(Pd, a)
+        out.grad1[:, ORI] = -w1 * _mv(Pu @ AT, d0)
 
-        out.h11[POS, POS] = w * S
-        out.h11[POS, ORI] = w * (Pd @ A @ Pu)
-        out.h11[ORI, POS] = out.h11[POS, ORI].T
-        out.h11[ORI, ORI] = w * _proj_curvature(A.T @ d0, u0, nu)
-        out.h12[POS, POS] = -w * S
-        out.h12[ORI, POS] = -w * (Pu @ A.T @ Pd)
-        out.h22[POS, POS] = w * S
+        out.h11[:, POS, POS] = w2 * S
+        out.h11[:, POS, ORI] = w2 * (Pd @ A @ Pu)
+        out.h11[:, ORI, POS] = _T(out.h11[:, POS, ORI])
+        out.h11[:, ORI, ORI] = w2 * _proj_curvature(_mv(AT, d0), u0, nu)
+        out.h12[:, POS, POS] = -w2 * S
+        out.h12[:, ORI, POS] = -w2 * (Pu @ AT @ Pd)
+        out.h22[:, POS, POS] = w2 * S
         return out
 
     S = _proj_curvature(a, d0, nd)
 
-    out.grad1[POS] = w * (Pd @ a)
-    out.grad2[POS] = -w * (Pd @ a)
-    out.grad1[ORI] = -w * (A.T @ d0)
+    out.grad1[:, POS] = w1 * _mv(Pd, a)
+    out.grad2[:, POS] = -w1 * _mv(Pd, a)
+    out.grad1[:, ORI] = -w1 * _mv(AT, d0)
 
-    out.h11[POS, POS] = w * S
-    out.h11[POS, ORI] = w * (Pd @ A)
-    out.h11[ORI, POS] = out.h11[POS, ORI].T
-    out.h12[POS, POS] = -w * S
-    out.h12[ORI, POS] = -w * (A.T @ Pd)
-    out.h22[POS, POS] = w * S
+    out.h11[:, POS, POS] = w2 * S
+    out.h11[:, POS, ORI] = w2 * (Pd @ A)
+    out.h11[:, ORI, POS] = _T(out.h11[:, POS, ORI])
+    out.h12[:, POS, POS] = -w2 * S
+    out.h12[:, ORI, POS] = -w2 * (AT @ Pd)
+    out.h22[:, POS, POS] = w2 * S
 
     if cfg.t1 == 0:
-        u0 = u / nu
-        out.grad1[ORI] += w * u0
-        out.h11[ORI, ORI] += w * (np.eye(2) - np.outer(u0, u0)) / nu
+        u0 = u / _col(nu)
+        out.grad1[:, ORI] += w1 * u0
+        out.h11[:, ORI, ORI] += w2 * (_I2 - _outer(u0, u0)) / _mat(nu)
     return out

@@ -23,11 +23,13 @@ import numpy as np
 from .constraints import eval_constraint
 from .costs import (
     RotCostConfig,
+    _spd_inverse,
     eval_compass,
     eval_distance,
     eval_home_vector,
     eval_rotation,
     eval_translation,
+    term_weight,
 )
 from .findiff import fd_gradient, fd_jacobian
 from .orvec import from_angle, omega
@@ -94,23 +96,23 @@ def _random_pair_state(rng):
 
 
 def _pair_case(rng, kernel):
-    """Case over one cost kernel(p1, p2, derivs) on [x, u] 4-vectors.
+    """Case over one batched cost kernel(p1, p2, derivs) on [x, u] poses.
 
     The state is the two poses stacked, so it splits into the kernel's
-    arguments directly.  The finite differences run the kernel's
-    value-only path, the path the merit evaluates.
+    arguments directly, a batch of one pair.  The finite differences run
+    the kernel's value-only path, the path the merit evaluates.
     """
 
     def value(s):
-        return kernel(s[0:4], s[4:8], False)
+        return kernel(s[None, 0:4], s[None, 4:8], False)[0]
 
     def grad(s):
-        ev = kernel(s[0:4], s[4:8], True)
-        return np.concatenate([ev.grad1, ev.grad2])
+        ev = kernel(s[None, 0:4], s[None, 4:8], True)
+        return np.concatenate([ev.grad1[0], ev.grad2[0]])
 
     def hess(s):
-        ev = kernel(s[0:4], s[4:8], True)
-        return np.block([[ev.h11, ev.h12], [ev.h21, ev.h22]])
+        ev = kernel(s[None, 0:4], s[None, 4:8], True)
+        return np.block([[ev.h11[0], ev.h12[0]], [ev.h21[0], ev.h22[0]]])
 
     return CaseInstance(
         value, grad, hess, _random_pair_state(rng), _PAIR_GRAD_BLOCKS, _PAIR_HESS_BLOCKS
@@ -118,14 +120,14 @@ def _pair_case(rng, kernel):
 
 
 def _case_translation(rng):
-    T = _random_spd(rng)
-    r = rng.uniform(-1.5, 1.5, 2)
-    return _pair_case(rng, lambda p1, p2, derivs: eval_translation(p1, p2, T, r, derivs))
+    Tinv = _spd_inverse(_random_spd(rng))[None]
+    r = rng.uniform(-1.5, 1.5, (1, 2))
+    return _pair_case(rng, lambda p1, p2, derivs: eval_translation(p1, p2, Tinv, r, derivs))
 
 
 def _case_distance(rng):
-    sigma_e = rng.uniform(0.1, 1.0)
-    rho = rng.uniform(0.2, 2.0)
+    sigma_e = rng.uniform(0.1, 1.0, 1)
+    rho = rng.uniform(0.2, 2.0, 1)
     return _pair_case(
         rng, lambda p1, p2, derivs: eval_distance(p1, p2, sigma_e, rho, derivs)
     )
@@ -138,11 +140,9 @@ def _rot_cfg(rng, form, t1):
 def _case_rotation(form, t1):
     def make(rng):
         cfg = _rot_cfg(rng, form, t1)
-        Q = omega(_random_unit(rng))
-        sigma = rng.uniform(0.2, 1.0)
-        return _pair_case(
-            rng, lambda p1, p2, derivs: eval_rotation(p1, p2, Q, sigma, cfg, derivs)
-        )
+        Q = omega(_random_unit(rng))[None]
+        w = np.array([term_weight(cfg.gamma, rng.uniform(0.2, 1.0))])
+        return _pair_case(rng, lambda p1, p2, derivs: eval_rotation(p1, p2, Q, w, cfg, derivs))
 
     return make
 
@@ -150,10 +150,10 @@ def _case_rotation(form, t1):
 def _case_compass(form, t1):
     def make(rng):
         cfg = _rot_cfg(rng, form, t1)
-        Psi = omega(_random_unit(rng))
-        sigma_c = rng.uniform(0.2, 1.0)
+        Psi = omega(_random_unit(rng))[None]
+        w = np.array([term_weight(cfg.gamma, rng.uniform(0.2, 1.0))])
         return _pair_case(
-            rng, lambda p1, p2, derivs: eval_compass(p1, p2, Psi, sigma_c, cfg, derivs)
+            rng, lambda p1, p2, derivs: eval_compass(p1, p2, Psi, w, cfg, derivs)
         )
 
     return make
@@ -162,10 +162,10 @@ def _case_compass(form, t1):
 def _case_home(form, t1):
     def make(rng):
         cfg = _rot_cfg(rng, form, t1)
-        A = omega(_random_unit(rng))
-        sigma_h = rng.uniform(0.2, 1.0)
+        A = omega(_random_unit(rng))[None]
+        w = np.array([term_weight(cfg.gamma, rng.uniform(0.2, 1.0))])
         return _pair_case(
-            rng, lambda p1, p2, derivs: eval_home_vector(p1, p2, A, sigma_h, cfg, derivs)
+            rng, lambda p1, p2, derivs: eval_home_vector(p1, p2, A, w, cfg, derivs)
         )
 
     return make

@@ -6,7 +6,15 @@ class OvsamError(Exception):
 
 
 class DegenerateVectorError(OvsamError, ValueError):
-    """A vector that must be normalized has (numerically) zero length."""
+    """A vector that must be normalized has (numerically) zero length.
+
+    index is the batch position of the offending record when a batched
+    cost kernel raised, else None.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class InvalidCovarianceError(OvsamError, ValueError):

@@ -172,25 +172,30 @@ class FactorGraph:
         for pid, pose in self.items():
             if not (np.all(np.isfinite(pose.x)) and np.all(np.isfinite(pose.u))):
                 raise GraphValidationError(f"pose {pid}: non-finite components")
+        # Every check below is written to fail on NaN (any comparison
+        # with NaN is false) and on inf, so no non-finite field gets
+        # through; _reject then names such a field.
         for k, m in enumerate(self.odometry):
             where = f"odometry record {k + 1} ({m.i1}->{m.i2})"
+            fields = ("r", "q", "T", "sigma", "sigma_e", "rho")
             self._check_indices(where, m.i1, m.i2, n)
-            self._check_unit(where, "q", m.q)
+            self._check_unit(where, m, fields, "q")
             try:
                 _spd_inverse(m.T)
             except InvalidCovarianceError as exc:
-                raise GraphValidationError(f"{where}: {exc}") from exc
-            if not (m.sigma > 0.0 and m.sigma_e > 0.0):
-                raise GraphValidationError(f"{where}: sigma and sigma_e must be positive")
-            if abs(m.rho - float(np.hypot(m.r[0], m.r[1]))) > UNIT_TOL:
-                raise GraphValidationError(f"{where}: rho must equal |r|")
+                self._reject(where, m, fields, str(exc))
+            if not (0.0 < m.sigma < np.inf and 0.0 < m.sigma_e < np.inf):
+                self._reject(where, m, fields, "sigma and sigma_e must be positive")
+            if not abs(m.rho - float(np.hypot(m.r[0], m.r[1]))) <= UNIT_TOL:
+                self._reject(where, m, fields, "rho must equal |r|")
         for k, m in enumerate(self.homing):
             where = f"homing record {k + 1} ({m.i1}->{m.i2})"
+            fields = ("alpha", "psi", "sigma_h", "sigma_c")
             self._check_indices(where, m.i1, m.i2, n)
-            self._check_unit(where, "alpha", m.alpha)
-            self._check_unit(where, "psi", m.psi)
-            if not (m.sigma_h > 0.0 and m.sigma_c > 0.0):
-                raise GraphValidationError(f"{where}: sigma_h and sigma_c must be positive")
+            self._check_unit(where, m, fields, "alpha")
+            self._check_unit(where, m, fields, "psi")
+            if not (0.0 < m.sigma_h < np.inf and 0.0 < m.sigma_c < np.inf):
+                self._reject(where, m, fields, "sigma_h and sigma_c must be positive")
 
     @staticmethod
     def _check_indices(where, i1, i2, n):
@@ -200,12 +205,20 @@ class FactorGraph:
             raise GraphValidationError(f"{where}: measurement connects a pose to itself")
 
     @staticmethod
-    def _check_unit(where, name, v):
-        if abs(float(np.hypot(v[0], v[1])) - 1.0) > UNIT_TOL:
-            raise GraphValidationError(
-                f"{where}: {name} must be a unit vector, |{name}| = "
-                f"{float(np.hypot(v[0], v[1]))!r}"
-            )
+    def _reject(where, m, fields, message):
+        """Raise for a record that failed a check, naming a non-finite field if any."""
+        for name in fields:
+            value = getattr(m, name)
+            if not np.all(np.isfinite(value)):
+                raise GraphValidationError(f"{where}: non-finite {name}: {value!r}")
+        raise GraphValidationError(f"{where}: {message}")
+
+    @classmethod
+    def _check_unit(cls, where, m, fields, name):
+        v = getattr(m, name)
+        norm = float(np.hypot(v[0], v[1]))
+        if not abs(norm - 1.0) <= UNIT_TOL:
+            cls._reject(where, m, fields, f"{name} must be a unit vector, |{name}| = {norm!r}")
 
 
 class StateLayout:

@@ -19,10 +19,15 @@ def omega(z):
     """Orientation matrix Omega(z) = [[z1, -z2], [z2, z1]].
 
     For unit z this is the rotation matrix with cosine z1 and sine z2.
-    Linear in z, and omega(z) @ x == omega(x) @ z for all x, z.
+    Linear in z, and omega(z) @ x == omega(x) @ z for all x, z.  A stack
+    of vectors (..., 2) gives the stack of matrices (..., 2, 2).
     """
     z = np.asarray(z, dtype=float)
-    return np.array([[z[0], -z[1]], [z[1], z[0]]])
+    out = np.empty(z.shape[:-1] + (2, 2))
+    out[..., 0, 0] = out[..., 1, 1] = z[..., 0]
+    out[..., 1, 0] = z[..., 1]
+    out[..., 0, 1] = -z[..., 1]
+    return out
 
 
 def omega_bar(z):
@@ -30,10 +35,23 @@ def omega_bar(z):
 
     Equals omega(z) @ diag(1, -1), omega composed with the mirror along
     the first axis.  Symmetric, and satisfies omega(z).T @ x == omega_bar(x) @ z, which is
-    the Jacobian identity d/dz (omega(z).T @ x) = omega_bar(x).
+    the Jacobian identity d/dz (omega(z).T @ x) = omega_bar(x).  Stacks
+    like omega.
     """
     z = np.asarray(z, dtype=float)
-    return np.array([[z[0], z[1]], [z[1], -z[0]]])
+    out = np.empty(z.shape[:-1] + (2, 2))
+    out[..., 0, 0] = z[..., 0]
+    out[..., 0, 1] = out[..., 1, 0] = z[..., 1]
+    out[..., 1, 1] = -z[..., 0]
+    return out
+
+
+def rowdot(a, b):
+    """a^T b over the last axis, for two vectors or two stacks (..., 2) of them.
+
+    Each product is the one a @ b gives for that pair of vectors.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def norm(z):

@@ -26,10 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import diags
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from .assembly import ActiveMask, assemble, init_lambdas, merit
+from .assembly import ActiveMask, assemble, init_lambdas, measurement_tables, merit
 from .costs import POS, RotCostConfig
 from .errors import DegenerateVectorError, NumericalFailure
 from .graph import pack_state, state_table
@@ -131,22 +129,42 @@ def eta_schedule(eta0, eta_max):
         c *= 10.0
 
 
+def spsolve(A, b):
+    """Sparse LU solve of A x = b (scipy.sparse.linalg.spsolve).
+
+    Raises NumericalFailure for a singular A.  scipy.sparse and its
+    solvers are imported here, on the first sparse solve: systems below
+    SPARSE_SOLVE_DIM never need them, and they add about 2.5 MB to a
+    process that holds only scipy.linalg.
+    """
+    from scipy.sparse.linalg import MatrixRankWarning
+    from scipy.sparse.linalg import spsolve as superlu_solve
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MatrixRankWarning)
+        try:
+            return superlu_solve(A, b)
+        except MatrixRankWarning as exc:
+            raise NumericalFailure(f"linear solve failed: {exc}") from exc
+
+
 def newton_step(system, eta_w=0.0, eta_a=0.0):
     """Solve (H + R) ds = -g for the given regularization factors.
 
     R repeats diag(eta_w, eta_w, eta_w, eta_w, -eta_a) per free pose.
-    Raises NumericalFailure when the system cannot be solved.
+    Every rung of one system reuses its one matrix conversion.  Raises
+    NumericalFailure when the system cannot be solved.
     """
     n_free = len(system.layout.free)
     reg = np.tile([eta_w, eta_w, eta_w, eta_w, -eta_a], n_free)
     try:
         if system.dim >= SPARSE_SOLVE_DIM:
+            from scipy.sparse import diags
+
             H = system.to_csr()
             if eta_w != 0.0 or eta_a != 0.0:
                 H = H + diags(reg)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", MatrixRankWarning)
-                delta = spsolve(H.tocsc(), -system.g)
+            delta = spsolve(H.tocsc(), -system.g)
         else:
             H = system.to_dense()
             if eta_w != 0.0 or eta_a != 0.0:
@@ -156,7 +174,7 @@ def newton_step(system, eta_w=0.0, eta_a=0.0):
                 # line search rejects any step they ruin
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
                 delta = scipy.linalg.solve(H, -system.g, assume_a="sym")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, MatrixRankWarning) as exc:
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalFailure(f"linear solve failed: {exc}") from exc
     if not np.all(np.isfinite(delta)):
         raise NumericalFailure("linear solve produced non-finite step")
@@ -213,14 +231,17 @@ def solve(graph, cfg=None):
     graph.validate()
 
     base = graph.pose_table()  # the anchor row is read from here throughout
+    tables = measurement_tables(graph, cfg.cost)
     mask = compute_active_mask(graph, cfg.home_dist_threshold, cfg.use_distance_error, base)
-    state = pack_state(graph, init_lambdas(graph, cfg.cost, mask, base))
+    state = pack_state(graph, init_lambdas(graph, cfg.cost, mask, base, tables))
     guard = 1e6 * max(1.0, float(np.linalg.norm(state)))
 
     def merit_at(vec):
         try:
             trial = state_table(base, graph.fixed_id, vec)
-            return merit(graph, cfg.cost, mask, cfg.mu, vec[4::5], cfg.use_distance_error, trial)
+            return merit(
+                graph, cfg.cost, mask, cfg.mu, vec[4::5], cfg.use_distance_error, trial, tables
+            )
         except DegenerateVectorError:
             return np.inf  # trial state collapsed a pose pair; reject it
 
@@ -230,8 +251,11 @@ def solve(graph, cfg=None):
     for iteration in range(1, cfg.max_iters + 1):
         table = state_table(base, graph.fixed_id, state)
         mask = compute_active_mask(graph, cfg.home_dist_threshold, cfg.use_distance_error, table)
+        system = None  # free the last system and its matrix before building the next
         try:
-            system = assemble(graph, cfg.cost, mask, state[4::5], cfg.use_distance_error, table)
+            system = assemble(
+                graph, cfg.cost, mask, state[4::5], cfg.use_distance_error, table, tables
+            )
         except DegenerateVectorError:
             # Collapsing pose pairs mid-run are a symptom of a diverging
             # state, not a numerical-solver defect.

@@ -168,6 +168,11 @@ def test_criterion_07_saddle_at_converged_solution():
     )
 
 
+def _rot_value(Phi, u, up, cfg):
+    """The rotational kernel's value for one pair, a batch of one."""
+    return eval_generic_rotational(Phi[None], u[None], up[None], cfg, derivs=False)[0]
+
+
 def test_criterion_08_variant_properties():
     rng = np.random.default_rng(1)
     t1_cfg = RotCostConfig(t1=0)
@@ -177,7 +182,7 @@ def test_criterion_08_variant_properties():
         u = rng.uniform(0.1, 3.0) * from_angle(rng.uniform(-math.pi, math.pi))
         up = rng.uniform(0.1, 3.0) * from_angle(rng.uniform(-math.pi, math.pi))
         Phi = omega(from_angle(rng.uniform(-math.pi, math.pi)))
-        t1_min = min(t1_min, eval_generic_rotational(Phi, u, up, t1_cfg).value)
+        t1_min = min(t1_min, _rot_value(Phi, u, up, t1_cfg))
     assert t1_min >= -1e-12
 
     worst_scale = 0.0
@@ -186,13 +191,13 @@ def test_criterion_08_variant_properties():
         a, ap = rng.uniform(-math.pi, math.pi, 2)
         Phi = omega(from_angle(rng.uniform(-math.pi, math.pi)))
         u, up = from_angle(a), from_angle(ap)
-        base = eval_generic_rotational(Phi, u, up, second_cfg).value
+        base = _rot_value(Phi, u, up, second_cfg)
         c, cp = rng.uniform(0.1, 10.0, 2)
-        scaled = eval_generic_rotational(Phi, c * u, cp * up, second_cfg).value
+        scaled = _rot_value(Phi, c * u, cp * up, second_cfg)
         worst_scale = max(worst_scale, abs(base - scaled))
         vals = [
-            eval_generic_rotational(Phi, u, up, RotCostConfig(t1=1)).value,
-            eval_generic_rotational(Phi, u, up, t1_cfg).value,
+            _rot_value(Phi, u, up, RotCostConfig(t1=1)),
+            _rot_value(Phi, u, up, t1_cfg),
             base,
         ]
         worst_agree = max(worst_agree, max(vals) - min(vals))

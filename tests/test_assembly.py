@@ -160,6 +160,17 @@ def test_csr_matches_dense():
     assert np.array_equal(system.to_csr().toarray(), system.to_dense())
 
 
+def test_matrix_is_converted_once_and_read_only():
+    # every LM rung of one assembly solves with the same matrix
+    rng = np.random.default_rng(12)
+    graph, lambdas = _perturbed(rng)
+    system = assemble(graph, RotCostConfig(), lambdas=lambdas)
+    H, C = system.to_dense(), system.to_csr()
+    assert system.to_dense() is H and system.to_csr() is C
+    assert not H.flags.writeable and not C.data.flags.writeable
+    assert np.array_equal(C.toarray(), H)
+
+
 def test_hessian_symmetric_with_zero_lambda_diagonal():
     for seed in range(5):
         rng = np.random.default_rng(seed)

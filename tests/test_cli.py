@@ -140,6 +140,31 @@ def test_solve_missing_and_malformed_files(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "lanes, points, field",
+    [(3, 10, "r"), (4, 25, "alpha")],
+    ids=["dense", "sparse"],
+)
+def test_solve_rejects_non_finite_measurement(tmp_path, capsys, lanes, points, field):
+    # 4 x 25 has 100 poses, which the solver factors sparsely
+    flags = ["--lanes", str(lanes), "--points-per-lane", str(points)]
+    assert main(["simulate", "--out", str(tmp_path), *flags]) == 0
+    lines = (tmp_path / "graph.txt").read_text().splitlines()
+    tag = "ODOM" if field == "r" else "HOME"
+    k = [i for i, line in enumerate(lines) if line.startswith(tag)][4]
+    tokens = lines[k].split()
+    tokens[3:5] = ["nan", "nan"]
+    lines[k] = " ".join(tokens)
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["solve", str(path), "--out", str(tmp_path / "s")])
+    assert code == 2
+    group = "odometry" if field == "r" else "homing"
+    err = capsys.readouterr().err
+    assert f"{group} record 5 ({tokens[1]}->{tokens[2]}): non-finite {field}" in err
+
+
 def test_solve_iteration_limit_exit(tmp_path, capsys):
     rng = np.random.default_rng(3)
     graph = random_graph(rng, n_poses=6, n_homing=4, unit_orientations=True)

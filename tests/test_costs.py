@@ -1,4 +1,9 @@
-"""Cost terms: pinned values, derivative blocks, structural invariants."""
+"""Cost terms: pinned values, derivative blocks, structural invariants.
+
+The kernels are batched; the tests call them on batches of one pair
+through wrappers with single-pair signatures (sigma in place of the
+term weight, T in place of its inverse).
+"""
 
 import math
 
@@ -7,19 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovsam.costs import (
-    ORI,
-    POS,
-    CostEval,
-    RotCostConfig,
-    _spd_inverse,
-    eval_compass,
-    eval_distance,
-    eval_generic_rotational,
-    eval_home_vector,
-    eval_rotation,
-    eval_translation,
-)
+from ovsam import costs
+from ovsam.costs import ORI, POS, CostEval, RotCostConfig, _spd_inverse, term_weight
 from ovsam.errors import DegenerateVectorError, InvalidCovarianceError
 from ovsam.graph import Pose
 from ovsam.orvec import from_angle, omega
@@ -34,6 +28,44 @@ def _cfg(form="first", t1=1, gamma=1.0):
 def _pose(x, u):
     """The stacked [x, u] 4-vector a cost kernel takes as a pose."""
     return np.array([*x, *u], dtype=float)
+
+
+def _one(out, derivs=True):
+    """The single record of a kernel's output over a batch of one."""
+    if not derivs:
+        return out[0]
+    fields = ("value", "grad1", "grad2", "h11", "h12", "h22")
+    return CostEval(*(getattr(out, name)[0] for name in fields))
+
+
+def eval_translation(p, pp, T, r, derivs=True):
+    Tinv, r = _spd_inverse(T)[None], np.asarray(r)[None]
+    return _one(costs.eval_translation(p[None], pp[None], Tinv, r, derivs), derivs)
+
+
+def eval_distance(p, pp, sigma_e, rho, derivs=True):
+    sigma_e, rho = np.array([sigma_e]), np.array([rho])
+    return _one(costs.eval_distance(p[None], pp[None], sigma_e, rho, derivs), derivs)
+
+
+def eval_rotation(p, pp, Q, sigma, cfg, derivs=True):
+    w = np.array([term_weight(cfg.gamma, sigma)])
+    return _one(costs.eval_rotation(p[None], pp[None], Q[None], w, cfg, derivs), derivs)
+
+
+def eval_compass(p, pp, Psi, sigma_c, cfg, derivs=True):
+    w = np.array([term_weight(cfg.gamma, sigma_c)])
+    return _one(costs.eval_compass(p[None], pp[None], Psi[None], w, cfg, derivs), derivs)
+
+
+def eval_home_vector(p, pp, A, sigma_h, cfg, derivs=True):
+    w = np.array([term_weight(cfg.gamma, sigma_h)])
+    return _one(costs.eval_home_vector(p[None], pp[None], A[None], w, cfg, derivs), derivs)
+
+
+def eval_generic_rotational(Phi, u, up, cfg):
+    u, up = np.asarray(u)[None], np.asarray(up)[None]
+    return _one(costs.eval_generic_rotational(Phi[None], u, up, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -75,19 +107,20 @@ def test_rot_cost_config_rejects(kwargs):
 def test_cost_eval_accumulates_and_transposes():
     rng = np.random.default_rng(0)
     a = CostEval(
-        value=1.0,
-        grad1=rng.normal(size=4),
-        grad2=rng.normal(size=4),
-        h11=rng.normal(size=(4, 4)),
-        h12=rng.normal(size=(4, 4)),
-        h22=rng.normal(size=(4, 4)),
+        value=np.array([1.0]),
+        grad1=rng.normal(size=(1, 4)),
+        grad2=rng.normal(size=(1, 4)),
+        h11=rng.normal(size=(1, 4, 4)),
+        h12=rng.normal(size=(1, 4, 4)),
+        h22=rng.normal(size=(1, 4, 4)),
     )
-    b = CostEval(value=2.5, grad1=np.ones(4))
+    b = CostEval.zeros(np.array([2.5]))
+    b.grad1[:] = 1.0
     h12_before = a.h12.copy()
     a += b
-    assert a.value == 3.5
+    assert a.value[0] == 3.5
     assert np.array_equal(a.h12, h12_before)
-    assert np.array_equal(a.h21, a.h12.T)
+    assert np.array_equal(a.h21[0], a.h12[0].T)
 
 
 def test_spd_inverse():

@@ -269,6 +269,33 @@ def test_load_rejects_invalid_measurements_by_record():
         load_graph(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "record,match",
+    [
+        ("ODOM 1 2 nan nan 1.0 0.0 1.0 0.0 1.0 0.1 0.1", r"odometry record 1 .1->2.: non-finite r"),
+        ("ODOM 1 2 1.0 0.0 nan 0.0 1.0 0.0 1.0 0.1 0.1", "odometry record 1.*non-finite q"),
+        ("ODOM 1 2 1.0 0.0 1.0 0.0 inf 0.0 1.0 0.1 0.1", "odometry record 1.*non-finite T"),
+        ("ODOM 1 2 1.0 0.0 1.0 0.0 1.0 nan 1.0 0.1 0.1", "odometry record 1.*non-finite T"),
+        ("ODOM 1 2 1.0 0.0 1.0 0.0 1.0 0.0 1.0 inf 0.1", "odometry record 1.*non-finite sigma:"),
+        ("ODOM 1 2 1.0 0.0 1.0 0.0 1.0 0.0 1.0 0.1 nan", "odometry record 1.*non-finite sigma_e"),
+        ("HOME 2 1 nan nan 1.0 0.0 0.1 0.2", r"homing record 1 \(2->1\): non-finite alpha"),
+        ("HOME 2 1 1.0 0.0 1.0 inf 0.1 0.2", "homing record 1.*non-finite psi"),
+        ("HOME 2 1 1.0 0.0 1.0 0.0 inf 0.2", "homing record 1.*non-finite sigma_h"),
+        ("HOME 2 1 1.0 0.0 1.0 0.0 0.1 nan", "homing record 1.*non-finite sigma_c"),
+    ],
+)
+def test_load_rejects_non_finite_measurements_by_record(record, match):
+    # a NaN passes every comparison-based check, an inf sigma passes > 0
+    text = "POSE 1 0 0 1 0 FIXED\nPOSE 2 1 0 1 0\n" + record + "\n"
+    with pytest.raises(GraphValidationError, match=match):
+        load_graph(io.StringIO(text))
+
+
+def test_validate_rejects_non_finite_rho():
+    with pytest.raises(GraphValidationError, match="non-finite rho"):
+        FactorGraph(_two_poses(), odometry=[_odom(rho=np.nan)]).validate()
+
+
 def test_load_blank_and_comment_lines():
     text = "\n# header\n\n" + MINIMAL + "\n   # footer\n"
     g = load_graph(io.StringIO(text))

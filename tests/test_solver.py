@@ -1,7 +1,11 @@
 """Newton/LM stepping machinery and the full descent loop."""
 
 import io
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +318,18 @@ def test_sparse_solve_path_matches_dense(monkeypatch):
     dense = np.linalg.solve(system.to_dense(), -system.g)
     scale = max(1.0, float(np.max(np.abs(dense))))
     assert np.max(np.abs(delta - dense)) / scale < 1e-8
+
+
+def test_dense_solves_do_not_import_scipy_sparse():
+    # scipy.sparse and its solvers add memory; only the sparse path loads them
+    code = (
+        "import sys; from ovsam import SimConfig, simulate, solve; "
+        "solve(simulate(SimConfig(lanes=2, points_per_lane=4))[0]); "
+        "sys.exit('scipy.sparse' in sys.modules)"
+    )
+    src = str(Path(solver_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 def test_trace_csv_format():

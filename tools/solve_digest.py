@@ -1,0 +1,100 @@
+"""Print one sha256 per solve over a fixed set of 99 solves.
+
+    python3 tools/solve_digest.py [--only PREFIX]
+
+Each line is "<label> <sha256>", the digest covering the termination
+reason, the iteration count, every field of every per-iteration trace
+record, the solved graph's save_graph text and the multipliers' bytes.
+Run it on two checkouts and diff the outputs: identical lines mean the
+two programs solve every graph of the set bitwise alike.  The last line
+digests all lines above it.
+
+The set:
+  * the graphs of the three benchmark workloads (perfbench.bench.make_inputs),
+    loaded from their text and solved with the workload's SolverConfig;
+  * SimConfig(seed=0..19) and SimConfig(seed=12, noise_ang=1e-4) with the
+    default SolverConfig;
+  * seeds 0-2 under the second form, t1 = 0, the distance error, and the
+    second form with the distance error.
+
+The program and the benchmark are imported from this checkout's src/ and
+perfbench/ directories; the benchmark is only read, never changed.
+"""
+
+import argparse
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+VARIANTS = {
+    "second": {"cost": {"form": "second"}},
+    "t1=0": {"cost": {"t1": 0}},
+    "distance": {"use_distance_error": True},
+    "second+distance": {"cost": {"form": "second"}, "use_distance_error": True},
+}
+
+
+def solve_set():
+    """(label, graph, SolverConfig) for every solve of the set, in order."""
+    import bench
+    from ovsam import RotCostConfig, SimConfig, SolverConfig, load_graph, simulate
+
+    for name in sorted(bench.WORKLOADS):
+        wl = bench.WORKLOADS[name]
+        for inp in bench.make_inputs(wl):
+            yield f"{name}/seed={inp.sim_seed}", load_graph(io.StringIO(inp.text)), wl.solver
+    for seed in range(20):
+        yield f"sim/seed={seed}", simulate(SimConfig(seed=seed))[0], SolverConfig()
+    yield "sim/seed=12,noise_ang=1e-4", simulate(SimConfig(seed=12, noise_ang=1e-4))[0], (
+        SolverConfig()
+    )
+    for variant, kwargs in VARIANTS.items():
+        cfg = SolverConfig(
+            cost=RotCostConfig(**kwargs.get("cost", {})),
+            use_distance_error=kwargs.get("use_distance_error", False),
+        )
+        for seed in range(3):
+            yield f"{variant}/seed={seed}", simulate(SimConfig(seed=seed))[0], cfg
+
+
+def digest(report):
+    import numpy as np
+    from ovsam import save_graph
+
+    h = hashlib.sha256()
+    h.update(f"{report.reason} {report.iterations}\n".encode())
+    for t in report.trace:
+        fields = (t.L, t.F, t.grad_norm, t.step_norm, t.max_constraint)
+        h.update(" ".join(float(v).hex() for v in fields).encode())
+        h.update(f" {t.iteration} {t.lm_escalations} {int(t.emergency)}\n".encode())
+    h.update(save_graph(report.graph).encode())
+    h.update(np.asarray(report.lambdas, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--only", default="", help="solve only labels starting with this")
+    args = parser.parse_args(argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from ovsam import solve
+
+    total = hashlib.sha256()
+    for label, graph, cfg in solve_set():
+        if not label.startswith(args.only):
+            continue
+        line = f"{label} {digest(solve(graph, cfg))}"
+        print(line, flush=True)
+        total.update(line.encode() + b"\n")
+    print(f"all {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
