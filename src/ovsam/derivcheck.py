@@ -137,36 +137,18 @@ def _rot_cfg(rng, form, t1):
     return RotCostConfig(form=form, t1=t1, gamma=rng.uniform(0.5, 2.0))
 
 
-def _case_rotation(form, t1):
+def _case_rotational(kernel, form, t1):
+    """Case factory for a rotational cost: rotation, compass or home vector.
+
+    The three kernels share the signature kernel(p1, p2, M, w, cfg, derivs),
+    M being the measurement's 2x2 orientation matrix.
+    """
+
     def make(rng):
         cfg = _rot_cfg(rng, form, t1)
-        Q = omega(_random_unit(rng))[None]
+        M = omega(_random_unit(rng))[None]
         w = np.array([term_weight(cfg.gamma, rng.uniform(0.2, 1.0))])
-        return _pair_case(rng, lambda p1, p2, derivs: eval_rotation(p1, p2, Q, w, cfg, derivs))
-
-    return make
-
-
-def _case_compass(form, t1):
-    def make(rng):
-        cfg = _rot_cfg(rng, form, t1)
-        Psi = omega(_random_unit(rng))[None]
-        w = np.array([term_weight(cfg.gamma, rng.uniform(0.2, 1.0))])
-        return _pair_case(
-            rng, lambda p1, p2, derivs: eval_compass(p1, p2, Psi, w, cfg, derivs)
-        )
-
-    return make
-
-
-def _case_home(form, t1):
-    def make(rng):
-        cfg = _rot_cfg(rng, form, t1)
-        A = omega(_random_unit(rng))[None]
-        w = np.array([term_weight(cfg.gamma, rng.uniform(0.2, 1.0))])
-        return _pair_case(
-            rng, lambda p1, p2, derivs: eval_home_vector(p1, p2, A, w, cfg, derivs)
-        )
+        return _pair_case(rng, lambda p1, p2, derivs: kernel(p1, p2, M, w, cfg, derivs))
 
     return make
 
@@ -196,15 +178,15 @@ def _case_constraint(rng):
 CASES = {
     "translation": _case_translation,
     "distance": _case_distance,
-    "rotation-first-t0": _case_rotation("first", 0),
-    "rotation-first-t1": _case_rotation("first", 1),
-    "rotation-second": _case_rotation("second", 1),
-    "compass-first-t0": _case_compass("first", 0),
-    "compass-first-t1": _case_compass("first", 1),
-    "compass-second": _case_compass("second", 1),
-    "home-first-t0": _case_home("first", 0),
-    "home-first-t1": _case_home("first", 1),
-    "home-second": _case_home("second", 1),
+    "rotation-first-t0": _case_rotational(eval_rotation, "first", 0),
+    "rotation-first-t1": _case_rotational(eval_rotation, "first", 1),
+    "rotation-second": _case_rotational(eval_rotation, "second", 1),
+    "compass-first-t0": _case_rotational(eval_compass, "first", 0),
+    "compass-first-t1": _case_rotational(eval_compass, "first", 1),
+    "compass-second": _case_rotational(eval_compass, "second", 1),
+    "home-first-t0": _case_rotational(eval_home_vector, "first", 0),
+    "home-first-t1": _case_rotational(eval_home_vector, "first", 1),
+    "home-second": _case_rotational(eval_home_vector, "second", 1),
     "constraint": _case_constraint,
 }
 

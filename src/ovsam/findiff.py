@@ -26,13 +26,7 @@ def _probe(f, x, i, hi):
 
 def fd_gradient(f, x, h=1e-6):
     """Central-difference gradient of a scalar function f at x."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty(x.size)
-    for i in range(x.size):
-        hi = h * max(1.0, abs(x[i]))
-        fp, fm = _probe(f, x, i, hi)
-        g[i] = (fp - fm) / (2.0 * hi)
-    return g
+    return fd_jacobian(f, x, h)[0]
 
 
 def fd_jacobian(F, x, h=1e-6):

@@ -3,15 +3,17 @@
 The iterate is the flat state [x, u, lambda] per free pose (graph.py),
 evaluated through the pose table at that state; the input graph is never
 copied or written.  Each iteration assembles the bordered system
-H ds = -g at the current state, solves it (dense symmetric-indefinite factorization at desk
-scale, sparse LU for large graphs), and backtracks on the
-augmented-Lagrangian merit L + mu sum|l_i|.  When plain Newton finds no
-acceptable step, a Levenberg-Marquardt regularization (H + R) ds = -g
-is escalated through a zigzag schedule of (eta_W, eta_A) pairs, where R
-repeats diag(eta_W, eta_W, eta_W, eta_W, -eta_A) per free pose; the
-sign flip on the multiplier entry preserves the saddle structure.  If
-the whole schedule fails, a short emergency step is taken along the
-last direction.  Termination on gradient norm, step norm, iteration
+H ds = -g at the current state and searches for a step along one
+constant regularization ladder, LADDER: each rung solves (H + R) ds = -g
+(dense symmetric-indefinite factorization at desk scale, sparse LU for
+large graphs) and backtracks on the augmented-Lagrangian merit
+L + mu sum|l_i|.  R repeats diag(eta_W, eta_W, eta_W, eta_W, -eta_A) per
+free pose; the sign flip on the multiplier entry preserves the saddle
+structure.  Rung 0 is plain Newton (R = 0); the rungs after it are the
+Levenberg-Marquardt zigzag (c, 0), (0, c), (c, c) for c = 1e-6 ... 1e6.
+The first rung whose step decreases the merit is taken.  If none does, a
+short emergency step of length EMERGENCY_STEP is taken along the last
+solvable direction.  Termination on gradient norm, step norm, iteration
 budget, or a divergence guard on the state norm.
 
 Home-vector and compass measurements (and the optional traveled-
@@ -20,6 +22,7 @@ pair is closer than home_dist_threshold, since the home direction is
 discontinuous where the positions coincide.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -36,6 +39,20 @@ from .graph import pack_state, state_table
 # (dimension 495 corresponds to 100 poses).
 SPARSE_SOLVE_DIM = 495
 
+# The regularization ladder of (eta_W, eta_A) pairs, 40 rungs: plain
+# Newton, then (c, 0), (0, c), (c, c) for c = 1e-6, 1e-5, ..., 1e6.  The
+# c values are the running products 1e-6 * 10 * 10 ..., so rung 4 is
+# (9.999999999999999e-06, 0.0), not (1e-05, 0.0).
+LADDER = ((0.0, 0.0),) + tuple(
+    rung
+    for c in itertools.accumulate(range(12), lambda c, _: c * 10.0, initial=1e-6)
+    for rung in ((c, 0.0), (0.0, c), (c, c))
+)
+# Backtracking factors of the merit line search: 1, 1/2, ..., 2**-20.
+LS_ALPHAS = tuple(0.5**k for k in range(21))
+# Length of the step taken when no rung of the ladder decreases the merit.
+EMERGENCY_STEP = 1e-3
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -43,24 +60,18 @@ class SolverConfig:
     grad_tol: float = 1e-8
     step_tol: float = 1e-8
     mu: float = 10.0
-    eta0: float = 1e-6
-    eta_max: float = 1e6
-    ls_alphas: tuple = tuple(0.5**k for k in range(21))
-    emergency_alpha: float = 1e-3
     home_dist_threshold: float = 0.05
     cost: RotCostConfig = field(default_factory=RotCostConfig)
     use_distance_error: bool = False
 
     def __post_init__(self):
-        for name in ("grad_tol", "step_tol", "mu", "eta0", "eta_max", "emergency_alpha"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not self.eta0 <= self.eta_max:
-            raise ValueError("eta0 must not exceed eta_max")
+        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        for name in ("grad_tol", "step_tol", "mu"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not self.home_dist_threshold >= 0.0:
             raise ValueError("home_dist_threshold must be a non-negative number")
-        if len(self.ls_alphas) == 0 or self.ls_alphas[0] != 1.0:
-            raise ValueError("ls_alphas must be nonempty and start at 1")
 
 
 @dataclass
@@ -119,16 +130,6 @@ def compute_active_mask(graph, threshold, use_distance_error=False, table=None):
     )
 
 
-def eta_schedule(eta0, eta_max):
-    """Zigzag schedule (c, 0), (0, c), (c, c) for c = eta0, 10 eta0, ..."""
-    c = eta0
-    while c <= eta_max * (1.0 + 1e-12):
-        yield (c, 0.0)
-        yield (0.0, c)
-        yield (c, c)
-        c *= 10.0
-
-
 def spsolve(A, b):
     """Sparse LU solve of A x = b (scipy.sparse.linalg.spsolve).
 
@@ -155,8 +156,7 @@ def newton_step(system, eta_w=0.0, eta_a=0.0):
     Every rung of one system reuses its one matrix conversion.  Raises
     NumericalFailure when the system cannot be solved.
     """
-    n_free = len(system.layout.free)
-    reg = np.tile([eta_w, eta_w, eta_w, eta_w, -eta_a], n_free)
+    reg = np.tile([eta_w, eta_w, eta_w, eta_w, -eta_a], system.dim // 5)
     try:
         if system.dim >= SPARSE_SOLVE_DIM:
             from scipy.sparse import diags
@@ -191,31 +191,30 @@ def line_search(merit_fn, state, direction, alphas, merit0=None):
     return None
 
 
-def lm_escalate(system, merit_fn, state, cfg, merit0=None):
-    """Walk the regularization schedule after plain Newton failed.
+def find_step(system, merit_fn, state):
+    """Walk LADDER to the first rung whose step decreases the merit.
 
-    Returns (direction, alpha, escalations, emergency).  If no schedule
-    entry yields an acceptable step, the emergency result scales the
-    last solvable direction to length cfg.emergency_alpha.  Raises
-    NumericalFailure if no regularized system can be solved at all.
+    Returns (direction, alpha, escalations, emergency), escalations being
+    the index of the accepted rung (0 for plain Newton).  A rung whose
+    system cannot be solved is skipped.  If no rung yields an acceptable
+    step, the emergency result scales the last solvable direction to
+    length EMERGENCY_STEP.  Raises NumericalFailure if no rung can be
+    solved at all.
     """
-    if merit0 is None:
-        merit0 = merit_fn(state)
-    escalations = 0
+    merit0 = merit_fn(state)
     last = None
-    for eta_w, eta_a in eta_schedule(cfg.eta0, cfg.eta_max):
-        escalations += 1
+    for escalations, (eta_w, eta_a) in enumerate(LADDER):
         try:
             delta = newton_step(system, eta_w, eta_a)
         except NumericalFailure:
             continue
         last = delta
-        alpha = line_search(merit_fn, state, delta, cfg.ls_alphas, merit0)
+        alpha = line_search(merit_fn, state, delta, LS_ALPHAS, merit0)
         if alpha is not None:
             return delta, alpha, escalations, False
     if last is None:
-        raise NumericalFailure("no regularized system could be solved")
-    return last, cfg.emergency_alpha / float(np.linalg.norm(last)), escalations, True
+        raise NumericalFailure("no rung of the regularization ladder could be solved")
+    return last, EMERGENCY_STEP / float(np.linalg.norm(last)), escalations, True
 
 
 def solve(graph, cfg=None):
@@ -280,17 +279,9 @@ def solve(graph, cfg=None):
             reason = "step_tol"
             break
 
-        merit0 = merit_at(state)
-        alpha = None
-        try:
-            delta = newton_step(system)
-            alpha = line_search(merit_at, state, delta, cfg.ls_alphas, merit0)
-        except NumericalFailure:
-            pass
-        if alpha is None:
-            delta, alpha, record.lm_escalations, record.emergency = lm_escalate(
-                system, merit_at, state, cfg, merit0
-            )
+        delta, alpha, record.lm_escalations, record.emergency = find_step(
+            system, merit_at, state
+        )
 
         step = alpha * delta
         state = state + step

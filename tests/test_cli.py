@@ -174,6 +174,27 @@ def test_solve_iteration_limit_exit(tmp_path, capsys):
     assert "iteration limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--grad-tol", "inf"),
+        ("--step-tol", "inf"),
+        ("--mu", "inf"),
+        ("--max-iters", "0"),
+        ("--max-iters", "-3"),
+    ],
+)
+def test_solve_rejects_settings_that_fake_convergence(tmp_path, capsys, flag, value):
+    # an infinite tolerance would report convergence after one iteration,
+    # and no iteration at all would write a header-only trace
+    rng = np.random.default_rng(3)
+    path = _write_graph(tmp_path, random_graph(rng, n_poses=4, n_homing=2, unit_orientations=True))
+    out = tmp_path / "s"
+    assert main(["solve", path, flag, value, "--out", str(out)]) == 2
+    assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_diverged_exit(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(4)
     graph = consistent_graph(rng, n_poses=3)

@@ -4,7 +4,6 @@ import io
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +23,12 @@ from ovsam.graph import (
 )
 from ovsam.orvec import from_angle, omega
 from ovsam.solver import (
+    EMERGENCY_STEP,
+    LADDER,
     SolverConfig,
     compute_active_mask,
-    eta_schedule,
+    find_step,
     line_search,
-    lm_escalate,
     newton_step,
     solve,
 )
@@ -41,8 +41,6 @@ class _StubSystem:
         self._H = np.asarray(H, dtype=float)
         self.g = np.asarray(g, dtype=float)
         self.dim = len(self.g)
-        n_free = max(1, self.dim // 5)
-        self.layout = types.SimpleNamespace(free=list(range(n_free)))
 
     def to_dense(self):
         return self._H.copy()
@@ -51,19 +49,21 @@ class _StubSystem:
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(mu=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(ls_alphas=(0.5, 0.25))
-    with pytest.raises(ValueError):
-        SolverConfig(ls_alphas=())
+    # an infinite tolerance reports convergence at any state; NaN never does
+    for name in ("grad_tol", "step_tol", "mu"):
+        for bad in (float("inf"), float("nan"), -1.0):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: bad})
+    # no iteration would run; a fraction fails only inside solve
+    for bad in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(max_iters=bad)
     # NaN would mask every homing record; a negative threshold none
     with pytest.raises(ValueError, match="home_dist_threshold"):
         SolverConfig(home_dist_threshold=float("nan"))
     with pytest.raises(ValueError, match="home_dist_threshold"):
         SolverConfig(home_dist_threshold=-0.1)
-    # an empty regularization schedule would try no system at all
-    with pytest.raises(ValueError, match="eta0"):
-        SolverConfig(eta0=1e3, eta_max=1.0)
-    SolverConfig(eta0=1.0, eta_max=1.0, home_dist_threshold=0.0)
+    SolverConfig(max_iters=1, home_dist_threshold=0.0)
 
 
 def test_newton_step_identity():
@@ -92,13 +92,13 @@ def test_newton_step_regularization_signs():
     assert np.max(np.abs(delta - [-0.5, -0.5, -0.5, -0.5, -1.0])) < 1e-14
 
 
-def test_eta_schedule():
-    sched = list(eta_schedule(1e-6, 1e6))
-    assert len(sched) == 39
-    assert sched[0] == (1e-6, 0.0)
-    assert sched[1] == (0.0, 1e-6)
-    assert sched[2] == (1e-6, 1e-6)
-    assert sched[-1] == (1e6, 1e6)
+def test_ladder_rungs():
+    assert len(LADDER) == 40
+    assert LADDER[0] == (0.0, 0.0)  # plain Newton
+    assert LADDER[1:4] == ((1e-6, 0.0), (0.0, 1e-6), (1e-6, 1e-6))
+    # the eta values are running products of 10, not decimal literals
+    assert LADDER[4][0] == 9.999999999999999e-06
+    assert LADDER[-1] == (1e6, 1e6)
 
 
 def test_line_search_behavior():
@@ -112,45 +112,73 @@ def test_line_search_behavior():
     assert line_search(m, state, np.array([1.0, 0.0]), alphas) is None
 
 
-def test_lm_escalate_first_entry_success():
-    # regularization tiles per 5-wide pose block, so use dim 5
+def _sq(s):
+    return float(s @ s)
+
+
+def _counting_newton_step(monkeypatch, flip_plain=False):
+    """Record the rungs newton_step is called with; optionally negate rung 0."""
+    rungs = []
+
+    def step(system, eta_w=0.0, eta_a=0.0):
+        rungs.append((eta_w, eta_a))
+        delta = newton_step(system, eta_w, eta_a)
+        return -delta if flip_plain and (eta_w, eta_a) == (0.0, 0.0) else delta
+
+    monkeypatch.setattr(solver_module, "newton_step", step)
+    return rungs
+
+
+def test_find_step_plain_newton_accepted(monkeypatch):
+    rungs = _counting_newton_step(monkeypatch)
     system = _StubSystem(np.eye(5), np.ones(5))
-
-    def m(s):
-        return float(s @ s)
-
-    delta, alpha, escalations, emergency = lm_escalate(
-        system, m, np.ones(5), SolverConfig()
-    )
-    assert escalations == 1
-    assert not emergency
-    assert alpha == 1.0
+    delta, alpha, escalations, emergency = find_step(system, _sq, np.ones(5))
+    assert (escalations, alpha, emergency) == (0, 1.0, False)
+    assert rungs == [(0.0, 0.0)]
+    assert np.array_equal(delta, -np.ones(5))
 
 
-def test_lm_escalate_emergency_step_length():
+def test_find_step_rejected_plain_step_takes_rung_1(monkeypatch):
+    # the plain direction points uphill, so its line search fails
+    rungs = _counting_newton_step(monkeypatch, flip_plain=True)
+    system = _StubSystem(np.eye(5), np.ones(5))
+    delta, alpha, escalations, emergency = find_step(system, _sq, np.ones(5))
+    assert (escalations, alpha, emergency) == (1, 1.0, False)
+    assert rungs == list(LADDER[:2])
+
+
+def test_find_step_singular_plain_system_falls_through(monkeypatch):
+    # H is singular until a rung puts -eta_A on the multiplier entry
+    rungs = _counting_newton_step(monkeypatch)
+    system = _StubSystem(np.diag([1.0, 1.0, 1.0, 1.0, 0.0]), np.ones(5))
+
+    def pose_merit(s):
+        return float(s[:4] @ s[:4])
+
+    delta, alpha, escalations, emergency = find_step(system, pose_merit, np.ones(5))
+    assert (escalations, alpha, emergency) == (2, 1.0, False)
+    assert LADDER[2] == (0.0, 1e-6)
+    assert rungs == list(LADDER[:3])
+    assert np.array_equal(delta[:4], -np.ones(4))
+
+
+def test_find_step_emergency_step_length():
     # the state already minimizes the merit: every line search fails
     system = _StubSystem(np.eye(5), np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
-
-    def ascent(s):
-        return float(s @ s)
-
-    cfg = SolverConfig()
-    delta, alpha, escalations, emergency = lm_escalate(
-        system, ascent, np.zeros(5), cfg
-    )
+    delta, alpha, escalations, emergency = find_step(system, _sq, np.zeros(5))
     assert emergency
-    assert escalations == 39
-    assert float(np.linalg.norm(alpha * delta)) == pytest.approx(cfg.emergency_alpha)
+    assert escalations == len(LADDER) - 1 == 39
+    assert float(np.linalg.norm(alpha * delta)) == pytest.approx(EMERGENCY_STEP)
 
 
-def test_lm_escalate_nothing_solvable(monkeypatch):
+def test_find_step_nothing_solvable(monkeypatch):
     def always_fail(system, eta_w=0.0, eta_a=0.0):
         raise NumericalFailure("nope")
 
     monkeypatch.setattr(solver_module, "newton_step", always_fail)
     system = _StubSystem(np.eye(2), np.ones(2))
     with pytest.raises(NumericalFailure):
-        solver_module.lm_escalate(system, lambda s: 0.0, np.zeros(2), SolverConfig())
+        find_step(system, lambda s: 0.0, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
