@@ -8,8 +8,11 @@ copies of the graph's measurement data that solve builds once and that
 default to being built from the graph on each call.
 
 Each cost family is evaluated for all its active records in one batched
-kernel call (record_terms).  The results keep the numbers of a walk over
-the records one at a time: F adds the term values one by one in the
+kernel call (record_terms).  The value-only functions also take a stack
+(S, N, 4) of pose tables, S trial points, and evaluate all S K records
+in the same kernel calls; each trial's numbers are those of a call on
+its table alone.  The results keep the numbers of a walk over the
+records one at a time: F adds the term values one by one in the
 canonical order (odometry in list order: translation, the optional
 distance term, rotation; then active homing in list order: home vector,
 compass); assembly sums each record's terms in that order and scatters
@@ -104,8 +107,15 @@ def measurement_tables(graph, cfg):
     def vecs(ms, name):
         return np.array([getattr(m, name) for m in ms], dtype=float).reshape(-1, 2)
 
-    def weights(ms, name):
-        return np.array([term_weight(cfg.gamma, getattr(m, name)) for m in ms], dtype=float)
+    def weights(ms, group, name):
+        out = []
+        for k, m in enumerate(ms):
+            try:
+                out.append(term_weight(cfg.gamma, getattr(m, name)))
+            except ValueError as exc:
+                where = f"{group} record {k + 1} ({m.i1}->{m.i2})"
+                raise ValueError(f"{where}: {name}: {exc}") from exc
+        return np.array(out, dtype=float)
 
     return MeasurementTables(
         layout=layout,
@@ -116,15 +126,15 @@ def measurement_tables(graph, cfg):
         r=vecs(odo, "r"),
         Tinv=np.array([_spd_inverse(m.T) for m in odo], dtype=float).reshape(-1, 2, 2),
         Q=omega(vecs(odo, "q")),
-        w_rot=weights(odo, "sigma"),
+        w_rot=weights(odo, "odometry", "sigma"),
         sigma_e=np.array([m.sigma_e for m in odo], dtype=float),
         rho=np.array([m.rho for m in odo], dtype=float),
         hom_i1=rows(hom, "i1"),
         hom_i2=rows(hom, "i2"),
         A=omega(vecs(hom, "alpha")),
         Psi=omega(vecs(hom, "psi")),
-        w_home=weights(hom, "sigma_h"),
-        w_compass=weights(hom, "sigma_c"),
+        w_home=weights(hom, "homing", "sigma_h"),
+        w_compass=weights(hom, "homing", "sigma_c"),
     )
 
 
@@ -180,8 +190,9 @@ class SparseSymmetricSystem:
 
 
 def _running_sum(values):
-    """0.0 + values[0] + values[1] + ..., added one at a time in order."""
-    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
+    """0.0 + v[0] + v[1] + ... over the last axis, added one at a time in order."""
+    zero = np.zeros(values.shape[:-1] + (1,))
+    return np.add.accumulate(np.concatenate((zero, values), axis=-1), axis=-1)[..., -1]
 
 
 def _interleave(a, b):
@@ -193,16 +204,21 @@ def _evaluate(group, i1, i2, calls):
     """Run one record group's kernel calls, in term order.
 
     calls holds (rows, call) per term: call() evaluates the term for
-    the records rows (None for all records of the group).  If any call
-    hits a degenerate vector, re-raises for the first such record in
-    list order, and within it the first such term, with the record named.
+    the records rows (None for all records of the group), once per
+    trial of a stack.  If any call hits a degenerate vector, re-raises
+    for the first such record in list order, and within it the first
+    such term, with the record named (for a stack, the first failing
+    batch position; its trial is not named).
     """
     outs, failures = [], []
     for pos, (rows, call) in enumerate(calls):
         try:
             outs.append(call())
         except DegenerateVectorError as exc:
-            k = exc.index if rows is None else int(rows[exc.index])
+            if rows is None:
+                k = exc.index % len(i1)
+            else:
+                k = int(rows[exc.index % len(rows)])
             failures.append((k, pos, exc))
     if failures:
         k, _, exc = min(failures, key=lambda f: f[:2])
@@ -222,27 +238,42 @@ def record_terms(tables, table, cfg, active, use_distance_error, derivs=True):
     homing holds the home vector and the compass over the active homing
     records hrows.  Each entry is a CostEval, or the (K,) values when
     derivs is false.
+
+    A stack (S, N, 4) of tables evaluates each term once over S K
+    records, trial after trial: the pose rows are gathered from every
+    table and the per-record data is tiled S times.
     """
     t = tables
-    p1, p2 = table[t.odo_i1], table[t.odo_i2]
+    trials = len(table) if table.ndim == 3 else 1
+
+    def poses(rows):
+        return np.take(table, rows, axis=-2).reshape(-1, 4)
+
+    def data(a):
+        return np.concatenate((a,) * trials) if trials > 1 else a
+
+    p1, p2 = poses(t.odo_i1), poses(t.odo_i2)
     d = np.flatnonzero(active.distance) if use_distance_error else None
-    calls = [(None, lambda: eval_translation(p1, p2, t.Tinv, t.r, derivs))]
+    calls = [(None, lambda: eval_translation(p1, p2, data(t.Tinv), data(t.r), derivs))]
     if use_distance_error:
-        calls.append(
-            (d, lambda: eval_distance(p1[d], p2[d], t.sigma_e[d], t.rho[d], derivs))
-        )
-    calls.append((None, lambda: eval_rotation(p1, p2, t.Q, t.w_rot, cfg, derivs)))
+        e1, e2 = poses(t.odo_i1[d]), poses(t.odo_i2[d])
+        sigma_e, rho = data(t.sigma_e[d]), data(t.rho[d])
+        calls.append((d, lambda: eval_distance(e1, e2, sigma_e, rho, derivs)))
+    calls.append(
+        (None, lambda: eval_rotation(p1, p2, data(t.Q), data(t.w_rot), cfg, derivs))
+    )
     odometry = _evaluate("odometry", t.odo_i1, t.odo_i2, calls)
 
     h = np.flatnonzero(active.homing)
-    q1, q2 = table[t.hom_i1[h]], table[t.hom_i2[h]]
+    q1, q2 = poses(t.hom_i1[h]), poses(t.hom_i2[h])
+    A, Psi = data(t.A[h]), data(t.Psi[h])
     homing = _evaluate(
         "homing",
         t.hom_i1,
         t.hom_i2,
         [
-            (h, lambda: eval_home_vector(q1, q2, t.A[h], t.w_home[h], cfg, derivs)),
-            (h, lambda: eval_compass(q1, q2, t.Psi[h], t.w_compass[h], cfg, derivs)),
+            (h, lambda: eval_home_vector(q1, q2, A, data(t.w_home[h]), cfg, derivs)),
+            (h, lambda: eval_compass(q1, q2, Psi, data(t.w_compass[h]), cfg, derivs)),
         ],
     )
     return odometry, d, homing, h
@@ -296,7 +327,7 @@ def assemble(
     if lambdas is None:
         lambdas = np.zeros(n)
     i1, i2, ev = record_blocks(tables, table, cfg, active, use_distance_error)
-    F = _running_sum(ev.value)
+    F = float(_running_sum(ev.value))
 
     # Contributions to the anchor's rows go to the discarded slot n.
     r1, r2 = tables.rank[i1], tables.rank[i2]
@@ -327,29 +358,41 @@ def assemble(
 
     nb = np.searchsorted(keys, n * n)
     keys = np.column_stack(np.divmod(keys[:nb], n))
-    L = F + _running_sum(ce.w)
+    L = F + float(_running_sum(ce.w))
     return SparseSymmetricSystem(layout, keys, data[:nb], G[:n].ravel(), F, L, ce.l)
 
 
 def total_values(
     graph, cfg, active=None, lambdas=None, use_distance_error=False, table=None, tables=None
 ):
-    """Value-only evaluation of (F, L, sum |l_i|), same masking as assemble."""
+    """Value-only evaluation of (F, L, sum |l_i|), same masking as assemble.
+
+    For a stack (S, N, 4) of tables, with lambdas (S, n), each value is
+    an (S,) array whose row s equals the value of a call on table[s].
+    """
     active, table, tables = _defaults(graph, cfg, active, table, tables)
     odometry, d, homing, _ = record_terms(tables, table, cfg, active, use_distance_error, False)
+    stack = table.shape[:-2]  # () or (S,)
     if use_distance_error:
         # Masked distance terms become zeros, which change no running sum
         # that starts at +0.0: it is never -0.0, and x + 0.0 == x otherwise.
-        full = np.zeros(len(tables.odo_i1))
-        full[d] = odometry[1]
-        odometry[1] = full
-    F = _running_sum(
-        np.concatenate((np.column_stack(odometry).ravel(), np.column_stack(homing).ravel()))
-    )
-    l = residual(table[tables.free, ORI])
+        full = np.zeros(stack + (len(tables.odo_i1),))
+        full[..., d] = odometry[1].reshape(stack + (-1,))
+        odometry[1] = full.ravel()
+
+    def per_trial(terms):
+        # each trial's records in order, each record's terms in order
+        return np.stack(terms, axis=-1).reshape(stack + (-1,))
+
+    F = _running_sum(np.concatenate((per_trial(odometry), per_trial(homing)), axis=-1))
+    free = np.take(table[..., ORI], tables.free, axis=-2)
+    l = residual(free.reshape(-1, 2)).reshape(free.shape[:-1])
     if lambdas is None:
-        lambdas = np.zeros(len(l))
-    return F, F + _running_sum(l * lambdas), _running_sum(np.abs(l))
+        lambdas = np.zeros(l.shape)
+    L, l1 = F + _running_sum(l * lambdas), _running_sum(np.abs(l))
+    if not stack:
+        return float(F), float(L), float(l1)
+    return F, L, l1
 
 
 def init_lambdas(graph, cfg, active=None, table=None, tables=None):
@@ -381,7 +424,11 @@ def init_lambdas(graph, cfg, active=None, table=None, tables=None):
 def merit(
     graph, cfg, active, mu, lambdas=None, use_distance_error=False, table=None, tables=None
 ):
-    """Augmented-Lagrangian merit: L plus mu times the constraint L1 norm."""
+    """Augmented-Lagrangian merit: L plus mu times the constraint L1 norm.
+
+    A stack (S, N, 4) of tables with lambdas (S, n) gives the (S,)
+    merits of its trials.
+    """
     if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu!r}")
     _, L, l1 = total_values(graph, cfg, active, lambdas, use_distance_error, table, tables)

@@ -48,6 +48,7 @@ transposed view, never a copy), and squares of norms go through libm pow
 (np.float_power) as a float's ** 2 does.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,8 @@ class RotCostConfig:
             raise ValueError(f"unknown rotational cost form {self.form!r}")
         if self.t1 not in (0, 1):
             raise ValueError(f"t1 must be 0 or 1, got {self.t1!r}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
 
     @property
     def uses_norms(self):
@@ -127,10 +128,23 @@ class CostEval:
 
 
 def term_weight(gamma, sigma):
-    """Weight gamma / sigma^2 of one rotational, compass or home-vector term."""
+    """Weight gamma / sigma^2 of one rotational, compass or home-vector term.
+
+    Raises ValueError unless the weight is finite and positive: sigma**2
+    underflows to 0 for sigma below about 1e-162 and overflows above
+    about 1e154, and a large gamma overflows the quotient.
+    """
     if not sigma > 0.0:
         raise ValueError(f"standard deviation must be positive, got {sigma!r}")
-    return gamma / sigma**2
+    try:
+        weight = gamma / sigma**2
+    except (ZeroDivisionError, OverflowError):
+        weight = math.nan
+    if not 0.0 < weight < math.inf:
+        raise ValueError(
+            f"weight gamma / sigma**2 = {gamma!r} / {sigma!r}**2 is not finite and positive"
+        )
+    return weight
 
 
 def _spd_inverse(T):

@@ -248,13 +248,18 @@ def pack_state(graph, lambdas=None):
 
 
 def state_table(table, fixed_id, vec):
-    """A copy of table with the free poses' rows taken from the flat state vec."""
+    """A copy of table with the free poses' rows taken from the flat state vec.
+
+    A stack (S, dim) of states gives the stack (S, N, 4) of their tables.
+    """
     vec = np.asarray(vec, dtype=float)
     dim = 5 * (len(table) - 1)
-    if vec.shape != (dim,):
+    if vec.ndim not in (1, 2) or vec.shape[-1] != dim:
         raise StateLayoutError(f"expected state of length {dim}, got {vec.shape}")
-    out = table.copy()
-    out[np.arange(len(table)) != fixed_id - 1] = vec.reshape(-1, 5)[:, :4]
+    out = np.broadcast_to(table, vec.shape[:-1] + table.shape).copy()
+    out[..., np.arange(len(table)) != fixed_id - 1, :] = vec.reshape(
+        vec.shape[:-1] + (-1, 5)
+    )[..., :4]
     return out
 
 

@@ -4,7 +4,9 @@ total_values, merit, assemble and init_lambdas must reproduce every
 number of tests/loop_reference.py exactly (same bytes, so even the sign
 of a zero), over all cost forms, masked distance and homing terms, a
 graph without homing records, a non-default anchor, and simulated
-graphs; a degenerate record must be named as the loop names it.
+graphs; a degenerate record must be named as the loop names it.  A
+stack of S = 3 states must give total_values and merit of the three
+single-state calls byte for byte.
 """
 
 import loop_reference as ref
@@ -70,6 +72,19 @@ def _check_values_and_system(graph, cfg, active, lambdas, use_distance, table):
     assert all(_same(got[key], blocks[key]) for key in blocks)
 
 
+def _check_stack(graph, cfg, active, use_distance, states):
+    """A stack of the states gives each state's total_values and merit byte for byte."""
+    tables = measurement_tables(graph, cfg)
+    stack = np.stack([table for table, _ in states])
+    lambdas = np.stack([lam for _, lam in states])
+    got = total_values(graph, cfg, active, lambdas, use_distance, stack, tables)
+    want = [total_values(graph, cfg, active, lam, use_distance, t, tables) for t, lam in states]
+    assert all(_same(got[k], [w[k] for w in want]) for k in range(3))
+    got = merit(graph, cfg, active, 10.0, lambdas, use_distance, stack, tables)
+    want = [merit(graph, cfg, active, 10.0, lam, use_distance, t, tables) for t, lam in states]
+    assert _same(got, want)
+
+
 def _random_mask(graph, rng):
     return ActiveMask(
         homing=rng.random(len(graph.homing)) < 0.6,
@@ -83,9 +98,12 @@ def test_random_graphs_match_the_loop(cfg, use_distance):
     rng = np.random.default_rng(40)
     for _ in range(4):
         graph = random_graph(rng, n_poses=7, n_homing=8)
-        for table, lambdas in _states(graph, rng):
+        states = list(_states(graph, rng))
+        for table, lambdas in states:
             for active in (None, _random_mask(graph, rng)):
                 _check_values_and_system(graph, cfg, active, lambdas, use_distance, table)
+        for active in (None, _random_mask(graph, rng)):
+            _check_stack(graph, cfg, active, use_distance, states[1:])
 
 
 @pytest.mark.parametrize("cfg", CFGS, ids=["t1=1", "t1=0", "second"])
@@ -94,9 +112,12 @@ def test_nondefault_anchor_and_no_homing_match_the_loop(cfg):
     graph = random_graph(rng, n_poses=6, n_homing=5).with_fixed(4)
     bare = FactorGraph(graph.poses, graph.odometry, (), 4)
     for g in (graph, bare):
-        for table, lambdas in _states(g, rng):
+        states = list(_states(g, rng))
+        for table, lambdas in states:
             for use_distance in (False, True):
                 _check_values_and_system(g, cfg, None, lambdas, use_distance, table)
+        for use_distance in (False, True):
+            _check_stack(g, cfg, None, use_distance, states[1:])
 
 
 @pytest.mark.parametrize("cfg", CFGS, ids=["t1=1", "t1=0", "second"])
@@ -104,11 +125,13 @@ def test_simulated_graphs_match_the_loop(cfg):
     # the threshold masks some homing records and distance terms
     rng = np.random.default_rng(42)
     graph, _ = simulate(SimConfig(lanes=3, points_per_lane=6, seed=3))
-    for table, lambdas in _states(graph, rng, scale=0.2):
+    states = list(_states(graph, rng, scale=0.2))
+    for table, lambdas in states:
         for use_distance in (False, True):
             active = compute_active_mask(graph, 0.5, use_distance, table)
             assert not active.homing.all() and active.homing.any()
             _check_values_and_system(graph, cfg, active, lambdas, use_distance, table)
+            _check_stack(graph, cfg, active, use_distance, states[1:])
         unit = table.copy()
         unit[:, 2:4] /= np.hypot(unit[:, 2], unit[:, 3])[:, None]
         active = compute_active_mask(graph, 0.5, False, unit)
@@ -161,3 +184,12 @@ def test_degenerate_records_are_named_as_the_loop_names_them(cfg, use_distance, 
         else:
             table = graph.pose_table()
             _check_values_and_system(graph, cfg, None, None, use_distance, table)
+    # in a stack, the degenerate trial's record is named as a call on it alone names it
+    good = _degenerate_graph([1.0, 0.0], [1.0, 0.0], [1.0, 0.0]).pose_table()
+    stack = np.stack((good, graph.pose_table(), good))
+    try:
+        total_values(graph, cfg, use_distance_error=use_distance)
+    except DegenerateVectorError as exc:
+        with pytest.raises(DegenerateVectorError) as got:
+            total_values(graph, cfg, None, np.zeros((3, 2)), use_distance, stack)
+        assert str(got.value) == str(exc)

@@ -165,6 +165,48 @@ def test_solve_rejects_non_finite_measurement(tmp_path, capsys, lanes, points, f
     assert f"{group} record 5 ({tokens[1]}->{tokens[2]}): non-finite {field}" in err
 
 
+@pytest.mark.parametrize(
+    "tag, column, value, field",
+    [
+        ("HOME", 7, "1e-200", "sigma_h"),
+        ("HOME", 8, "1e-170", "sigma_c"),
+        ("ODOM", 10, "1e200", "sigma"),
+    ],
+)
+def test_solve_rejects_weights_that_underflow_or_overflow(
+    tmp_path, capsys, tag, column, value, field
+):
+    # a valid graph whose gamma / sigma**2 is 0 or not finite: sigma**2
+    # underflows to 0 below about 1e-162 and overflows above about 1e154
+    assert main(["simulate", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "graph.txt").read_text().splitlines()
+    k = [i for i, line in enumerate(lines) if line.startswith(tag)][2]
+    tokens = lines[k].split()
+    tokens[column] = value
+    lines[k] = " ".join(tokens)
+    path = tmp_path / "tiny.txt"
+    path.write_text("\n".join(lines) + "\n")
+    load_graph(path).validate()
+    capsys.readouterr()
+    assert main(["solve", str(path), "--out", str(tmp_path / "s")]) == 2
+    group = "homing" if tag == "HOME" else "odometry"
+    err = capsys.readouterr().err
+    assert f"{group} record 3 ({tokens[1]}->{tokens[2]}): {field}: weight" in err
+
+
+@pytest.mark.parametrize(
+    "gamma, named", [("inf", "gamma must be finite"), ("1e308", "odometry record 1 (1->2): sigma")]
+)
+def test_solve_rejects_gamma_without_finite_weights(tmp_path, capsys, gamma, named):
+    assert main(["simulate", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "s"
+    code = main(["solve", str(tmp_path / "graph.txt"), "--gamma", gamma, "--out", str(out)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_iteration_limit_exit(tmp_path, capsys):
     rng = np.random.default_rng(3)
     graph = random_graph(rng, n_poses=6, n_homing=4, unit_orientations=True)

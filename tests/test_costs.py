@@ -97,11 +97,30 @@ def test_pose_shape_validation():
         {"t1": 0.5},
         {"gamma": 0.0},
         {"gamma": -1.0},
+        {"gamma": float("inf")},
+        {"gamma": float("nan")},
     ],
 )
 def test_rot_cost_config_rejects(kwargs):
     with pytest.raises(ValueError):
         RotCostConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "gamma, sigma",
+    [
+        (1.0, 0.0),
+        (1.0, float("nan")),
+        (1.0, 1e-200),  # sigma**2 underflows to 0
+        (1.0, 1e200),  # sigma**2 overflows
+        (1e308, 0.1),  # the quotient overflows
+        (1e-320, 1e10),  # the quotient underflows to 0
+    ],
+)
+def test_term_weight_rejects_weights_that_are_not_finite_and_positive(gamma, sigma):
+    with pytest.raises(ValueError):
+        term_weight(gamma, sigma)
+    assert term_weight(1.7, 0.3) == 1.7 / 0.3**2
 
 
 def test_cost_eval_accumulates_and_transposes():

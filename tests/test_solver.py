@@ -1,6 +1,7 @@
 """Newton/LM stepping machinery and the full descent loop."""
 
 import io
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from conftest import consistent_graph, random_graph, two_pose_graph
 
 import ovsam.solver as solver_module
+from ovsam.assembly import measurement_tables
 from ovsam.costs import RotCostConfig
 from ovsam.errors import DegenerateVectorError, NumericalFailure, PreconditionError
 from ovsam.graph import (
@@ -22,9 +24,11 @@ from ovsam.graph import (
     save_graph,
 )
 from ovsam.orvec import from_angle, omega
+from ovsam.sim import SimConfig, simulate
 from ovsam.solver import (
     EMERGENCY_STEP,
     LADDER,
+    LS_ALPHAS,
     SolverConfig,
     compute_active_mask,
     find_step,
@@ -102,8 +106,8 @@ def test_ladder_rungs():
 
 
 def test_line_search_behavior():
-    def m(s):
-        return float(s @ s)
+    def m(states):
+        return np.array([float(s @ s) for s in states])
 
     state = np.array([1.0, 0.0])
     alphas = tuple(0.5**k for k in range(21))
@@ -112,8 +116,82 @@ def test_line_search_behavior():
     assert line_search(m, state, np.array([1.0, 0.0]), alphas) is None
 
 
-def _sq(s):
-    return float(s @ s)
+def _sq(states):
+    return np.array([float(s @ s) for s in states])
+
+
+def _sequential_line_search(merit_fn, state, direction, alphas, merit0=None):
+    """Reference search: one trial point per merit_fn call, in order."""
+
+    def merit_of(vec):
+        try:
+            return merit_fn(vec[None])[0]
+        except DegenerateVectorError:
+            return np.inf
+
+    if merit0 is None:
+        merit0 = merit_of(state)
+    for alpha in alphas:
+        if merit_of(state + alpha * direction) < merit0:
+            return alpha
+    return None
+
+
+def _indexed_merit(acceptable, degenerate=()):
+    """merit_fn over trials state + LS_ALPHAS[k] * e_0 from state 0, merit0 = 0.5.
+
+    Trial k has merit 0 if k is in acceptable, else 1; a stack holding a
+    trial in degenerate raises DegenerateVectorError, as the cost kernels do.
+    Records the batch size of every call.
+    """
+    index = {alpha: k for k, alpha in enumerate(LS_ALPHAS)}
+    calls = []
+
+    def merit_fn(states):
+        calls.append(len(states))
+        ks = [index[float(s[0])] for s in states]
+        if any(k in degenerate for k in ks):
+            raise DegenerateVectorError("trial collapsed a pose pair")
+        return np.array([0.0 if k in acceptable else 1.0 for k in ks])
+
+    return merit_fn, calls
+
+
+@pytest.mark.parametrize("first", [*range(len(LS_ALPHAS)), None])
+def test_chunked_line_search_matches_the_sequential_search(first):
+    # first is the index of the first acceptable factor, None for none
+    rng = np.random.default_rng(len(LS_ALPHAS) if first is None else first)
+    head = set() if first is None else {first}
+    later = range(len(LS_ALPHAS) if first is None else first + 1, len(LS_ALPHAS))
+    for acceptable in (head, head | set(later), head | {k for k in later if rng.random() < 0.5}):
+        state, direction = np.zeros(2), np.array([1.0, 0.0])
+        merit_fn, calls = _indexed_merit(acceptable)
+        want = _sequential_line_search(merit_fn, state, direction, LS_ALPHAS, 0.5)
+        calls.clear()
+        got = line_search(merit_fn, state, direction, LS_ALPHAS, 0.5)
+        assert got == want == (None if first is None else LS_ALPHAS[first])
+        # chunks of 1, 2, 4, 8, 6: the chunk holding trial k is the
+        # bit_length(k + 1)-th, and it ends before trial 2 (k + 1) - 1
+        assert len(calls) == (5 if first is None else (first + 1).bit_length()) <= 5
+        assert sum(calls) <= (len(LS_ALPHAS) if first is None else 2 * (first + 1))
+
+
+def test_line_search_chunk_sizes():
+    merit_fn, calls = _indexed_merit(set())
+    assert line_search(merit_fn, np.zeros(2), np.array([1.0, 0.0]), LS_ALPHAS, 0.5) is None
+    assert calls == [1, 2, 4, 8, 6]
+
+
+def test_degenerate_trial_rejects_only_itself():
+    # trials 3-6 are one chunk; trial 4 degenerates and trial 5 is accepted
+    merit_fn, calls = _indexed_merit({5, 6}, degenerate={4})
+    alpha = line_search(merit_fn, np.zeros(2), np.array([1.0, 0.0]), LS_ALPHAS, 0.5)
+    assert alpha == LS_ALPHAS[5]
+    assert calls == [1, 2, 4, 1, 1, 1, 1]
+    # a degenerate trial is never accepted, also when it is the first acceptable one
+    merit_fn, _ = _indexed_merit({4, 5}, degenerate={4})
+    alpha = line_search(merit_fn, np.zeros(2), np.array([1.0, 0.0]), LS_ALPHAS, 0.5)
+    assert alpha == LS_ALPHAS[5]
 
 
 def _counting_newton_step(monkeypatch, flip_plain=False):
@@ -152,8 +230,8 @@ def test_find_step_singular_plain_system_falls_through(monkeypatch):
     rungs = _counting_newton_step(monkeypatch)
     system = _StubSystem(np.diag([1.0, 1.0, 1.0, 1.0, 0.0]), np.ones(5))
 
-    def pose_merit(s):
-        return float(s[:4] @ s[:4])
+    def pose_merit(states):
+        return np.array([float(s[:4] @ s[:4]) for s in states])
 
     delta, alpha, escalations, emergency = find_step(system, pose_merit, np.ones(5))
     assert (escalations, alpha, emergency) == (2, 1.0, False)
@@ -178,7 +256,7 @@ def test_find_step_nothing_solvable(monkeypatch):
     monkeypatch.setattr(solver_module, "newton_step", always_fail)
     system = _StubSystem(np.eye(2), np.ones(2))
     with pytest.raises(NumericalFailure):
-        find_step(system, lambda s: 0.0, np.zeros(2))
+        find_step(system, lambda states: np.zeros(len(states)), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +328,17 @@ def test_solve_makes_no_graph_copy(monkeypatch):
     assert got.lambdas.tobytes() == expected.lambdas.tobytes()
 
 
+def test_chunked_line_search_solves_as_the_sequential_search(monkeypatch):
+    graph = simulate(SimConfig())[0]
+    chunked = solve(graph)
+    monkeypatch.setattr(solver_module, "line_search", _sequential_line_search)
+    sequential = solve(graph)
+    assert chunked.trace == sequential.trace
+    assert sum(t.lm_escalations for t in chunked.trace) == 95  # every rung searched
+    assert save_graph(chunked.graph) == save_graph(sequential.graph)
+    assert chunked.lambdas.tobytes() == sequential.lambdas.tobytes()
+
+
 def test_step_tol_termination():
     graph = two_pose_graph()
     graph.pose(2).x += [0.05, -0.02]
@@ -305,6 +394,39 @@ def test_compute_active_mask_threshold():
     assert mask.distance.tolist() == [True]  # distance untouched unless enabled
     mask2 = compute_active_mask(graph, 0.05, use_distance_error=True)
     assert mask2.distance.tolist() == [False]
+
+
+def test_compute_active_mask_decides_as_math_hypot():
+    # pose pairs about the threshold apart, where np.hypot and math.hypot
+    # can differ in the last bit: every decision must be math.hypot's
+    rng = np.random.default_rng(6)
+    threshold = 0.05
+    theta = rng.uniform(-np.pi, np.pi, 3000)
+    x0 = np.array([0.3, -0.2])
+    xs = x0 + threshold * np.column_stack((np.cos(theta), np.sin(theta)))
+    poses = [Pose(x0, [1.0, 0.0])] + [Pose(x, [1.0, 0.0]) for x in xs]
+    ids = range(2, len(poses) + 1)
+    homing = [HomingMeasurement(k, 1, [1.0, 0.0], [1.0, 0.0], 0.1, 0.1) for k in ids]
+    odometry = [
+        OdometryMeasurement(1, k, [0.05, 0.0], [1.0, 0.0], np.eye(2), 1.0, 1.0) for k in ids
+    ]
+    graph = FactorGraph(poses, odometry, homing)
+    table = graph.pose_table()
+
+    def far(m):
+        d = table[m.i2 - 1, :2] - table[m.i1 - 1, :2]
+        return math.hypot(d[0], d[1]) >= threshold
+
+    tables = measurement_tables(graph, RotCostConfig())
+    for mask in (
+        compute_active_mask(graph, threshold, True),
+        compute_active_mask(graph, threshold, True, table, tables),
+    ):
+        assert mask.homing.tolist() == [far(m) for m in homing]
+        assert mask.distance.tolist() == [far(m) for m in odometry]
+    # the check is sharp: np.hypot alone decides some of these pairs the other way
+    d = x0 - xs
+    assert list(np.hypot(d[:, 0], d[:, 1]) >= threshold) != [far(m) for m in homing]
 
 
 def test_sparse_solve_path_matches_dense(monkeypatch):
