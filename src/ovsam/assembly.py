@@ -31,6 +31,7 @@ from .costs import (
     ORI,
     CostEval,
     _spd_inverse,
+    distance_weight,
     eval_compass,
     eval_distance,
     eval_home_vector,
@@ -93,8 +94,14 @@ class MeasurementTables:
     w_compass: np.ndarray
 
 
-def measurement_tables(graph, cfg):
-    """MeasurementTables of graph's measurements under the cost configuration cfg."""
+def measurement_tables(graph, cfg, use_distance_error=False):
+    """MeasurementTables of graph's measurements under the cost configuration cfg.
+
+    Raises ValueError, naming the record and the field, for a weight
+    that is not finite and positive: gamma / sigma**2 of every
+    rotational, home-vector and compass term, and 1 / sigma_e of every
+    distance term if use_distance_error.
+    """
     layout = StateLayout(graph)
     free = np.subtract(layout.free, 1)
     rank = np.full(len(graph), -1)
@@ -107,16 +114,18 @@ def measurement_tables(graph, cfg):
     def vecs(ms, name):
         return np.array([getattr(m, name) for m in ms], dtype=float).reshape(-1, 2)
 
-    def weights(ms, group, name):
+    def weights(ms, group, name, weight=lambda sigma: term_weight(cfg.gamma, sigma)):
         out = []
         for k, m in enumerate(ms):
             try:
-                out.append(term_weight(cfg.gamma, getattr(m, name)))
+                out.append(weight(getattr(m, name)))
             except ValueError as exc:
                 where = f"{group} record {k + 1} ({m.i1}->{m.i2})"
                 raise ValueError(f"{where}: {name}: {exc}") from exc
         return np.array(out, dtype=float)
 
+    if use_distance_error:  # only checked: eval_distance divides by sigma_e itself
+        weights(odo, "odometry", "sigma_e", distance_weight)
     return MeasurementTables(
         layout=layout,
         rank=rank,
@@ -302,9 +311,9 @@ def record_blocks(tables, table, cfg, active, use_distance_error):
     return i1, i2, ev
 
 
-def _defaults(graph, cfg, active, table, tables):
+def _defaults(graph, cfg, active, table, tables, use_distance_error=False):
     if tables is None:
-        tables = measurement_tables(graph, cfg)
+        tables = measurement_tables(graph, cfg, use_distance_error)
     if table is None:
         table = graph.pose_table()
     if active is None:
@@ -321,7 +330,7 @@ def assemble(
     to the other slot's blocks; the fixed pose's own rows and columns
     are dropped entirely.
     """
-    active, table, tables = _defaults(graph, cfg, active, table, tables)
+    active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
     layout = tables.layout
     n = len(layout.free)
     if lambdas is None:
@@ -370,7 +379,7 @@ def total_values(
     For a stack (S, N, 4) of tables, with lambdas (S, n), each value is
     an (S,) array whose row s equals the value of a call on table[s].
     """
-    active, table, tables = _defaults(graph, cfg, active, table, tables)
+    active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
     odometry, d, homing, _ = record_terms(tables, table, cfg, active, use_distance_error, False)
     stack = table.shape[:-2]  # () or (S,)
     if use_distance_error:

@@ -147,6 +147,18 @@ def term_weight(gamma, sigma):
     return weight
 
 
+def distance_weight(sigma_e):
+    """Weight 1 / sigma_e of one traveled-distance term.
+
+    Raises ValueError unless the weight is finite and positive: 1 / sigma_e
+    overflows for sigma_e below about 5.6e-309.
+    """
+    weight = 1.0 / sigma_e if sigma_e > 0.0 else math.nan
+    if not 0.0 < weight < math.inf:
+        raise ValueError(f"weight 1 / sigma_e = 1 / {sigma_e!r} is not finite and positive")
+    return weight
+
+
 def _spd_inverse(T):
     """Inverse of a symmetric positive definite 2x2 matrix."""
     T = np.asarray(T, dtype=float)

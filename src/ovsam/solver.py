@@ -16,13 +16,15 @@ short emergency step of length EMERGENCY_STEP is taken along the last
 solvable direction.  Termination on gradient norm, step norm, iteration
 budget, or a divergence guard on the state norm.
 
-The line search tries the backtracking factors LS_ALPHAS in chunks of
-1, 2, 4, 8, ... trial points, each chunk one merit call over a stack of
-pose tables, and takes the first factor in order whose merit is
-strictly smaller than at the iterate.  That is the factor a search
-trying one at a time would take, for 5 merit calls instead of 21 on a
-rung that fails.  A trial point that collapses a pose pair has merit
-inf.
+Each rung's line search takes the first of the backtracking factors
+LS_ALPHAS whose merit is strictly smaller than at the iterate: the
+factor a search trying one at a time would take.  A merit call
+evaluates a stack of trial points.  On the first solvable rung the
+iterate rides in the call of its factor-1 trial, and the other factors
+follow in chunks of 2, 4, 8 and 6 trials, which costs little where
+plain Newton is accepted early.  A later rung is reached only after
+that rung failed every factor, so it tries all 21 factors in one call.
+A trial point that collapses a pose pair has merit inf.
 
 Home-vector and compass measurements (and the optional traveled-
 distance term) are masked out for any iteration in which their pose
@@ -92,6 +94,7 @@ class IterationRecord:
     max_constraint: float
     lm_escalations: int
     emergency: bool
+    alpha: float  # accepted backtracking factor, or the emergency one; 0.0 without a step
 
 
 @dataclass
@@ -100,6 +103,8 @@ class SolveReport:
     trace: list
     graph: object  # FactorGraph holding the final poses
     lambdas: np.ndarray
+    merit_calls: int = 0  # stacked merit evaluations
+    merit_states: int = 0  # states (iterates and trial points) they evaluated
 
     @property
     def iterations(self):
@@ -220,16 +225,17 @@ def _merits(merit_fn, trials):
         return np.concatenate([_merits(merit_fn, trial[None]) for trial in trials])
 
 
-def line_search(merit_fn, state, direction, alphas, merit0=None):
+def line_search(merit_fn, state, direction, alphas, merit0=None, size=1):
     """First backtracking factor that strictly decreases the merit, or None.
 
     merit_fn maps (S, dim) states to their (S,) merits.  The factors are
-    tried in order in chunks of 1, 2, 4, ... trial points, one merit_fn
-    call per chunk, so the factor returned is the first acceptable one.
+    tried in order in chunks of size, 2 size, 4 size, ... trial points,
+    one merit_fn call per chunk, so the factor returned is the first
+    acceptable one.
     """
     if merit0 is None:
         merit0 = _merits(merit_fn, state[None])[0]
-    start, size = 0, 1
+    start = 0
     while start < len(alphas):
         chunk = alphas[start : start + size]
         merits = _merits(merit_fn, state + np.multiply.outer(chunk, direction))
@@ -243,7 +249,10 @@ def line_search(merit_fn, state, direction, alphas, merit0=None):
 def find_step(system, merit_fn, state):
     """Walk LADDER to the first rung whose step decreases the merit.
 
-    merit_fn maps (S, dim) states to their (S,) merits.  Returns
+    merit_fn maps (S, dim) states to their (S,) merits.  The first
+    solvable rung evaluates the iterate with its factor-1 trial, then
+    searches the other factors in chunks of 2, 4, 8 and 6; each later
+    rung searches all LS_ALPHAS in one call.  Returns
     (direction, alpha, escalations, emergency), escalations being
     the index of the accepted rung (0 for plain Newton).  A rung whose
     system cannot be solved is skipped.  If no rung yields an acceptable
@@ -251,15 +260,21 @@ def find_step(system, merit_fn, state):
     length EMERGENCY_STEP.  Raises NumericalFailure if no rung can be
     solved at all.
     """
-    merit0 = _merits(merit_fn, state[None])[0]
     last = None
     for escalations, (eta_w, eta_a) in enumerate(LADDER):
         try:
             delta = newton_step(system, eta_w, eta_a)
         except NumericalFailure:
             continue
+        if last is None:
+            merit0, first = _merits(merit_fn, np.stack((state, state + LS_ALPHAS[0] * delta)))
+            if first < merit0:
+                alpha = LS_ALPHAS[0]
+            else:
+                alpha = line_search(merit_fn, state, delta, LS_ALPHAS[1:], merit0, size=2)
+        else:
+            alpha = line_search(merit_fn, state, delta, LS_ALPHAS, merit0, size=len(LS_ALPHAS))
         last = delta
-        alpha = line_search(merit_fn, state, delta, LS_ALPHAS, merit0)
         if alpha is not None:
             return delta, alpha, escalations, False
     if last is None:
@@ -280,14 +295,18 @@ def solve(graph, cfg=None):
     graph.validate()
 
     base = graph.pose_table()  # the anchor row is read from here throughout
-    tables = measurement_tables(graph, cfg.cost)
+    tables = measurement_tables(graph, cfg.cost, cfg.use_distance_error)
     mask = compute_active_mask(
         graph, cfg.home_dist_threshold, cfg.use_distance_error, base, tables
     )
     state = pack_state(graph, init_lambdas(graph, cfg.cost, mask, base, tables))
     guard = 1e6 * max(1.0, float(np.linalg.norm(state)))
+    merit_calls = merit_states = 0
 
     def merit_at(vecs):
+        nonlocal merit_calls, merit_states
+        merit_calls += 1
+        merit_states += len(vecs)
         trials = state_table(base, graph.fixed_id, vecs)
         return merit(
             graph, cfg.cost, mask, cfg.mu, vecs[:, 4::5], cfg.use_distance_error, trials, tables
@@ -321,6 +340,7 @@ def solve(graph, cfg=None):
             max_constraint=system.max_constraint(),
             lm_escalations=0,
             emergency=False,
+            alpha=0.0,
         )
         trace.append(record)
         if grad_norm < cfg.grad_tol:
@@ -330,11 +350,11 @@ def solve(graph, cfg=None):
             reason = "step_tol"
             break
 
-        delta, alpha, record.lm_escalations, record.emergency = find_step(
+        delta, record.alpha, record.lm_escalations, record.emergency = find_step(
             system, merit_at, state
         )
 
-        step = alpha * delta
+        step = record.alpha * delta
         state = state + step
         record.step_norm = prev_step_norm = float(np.linalg.norm(step))
         if not np.all(np.isfinite(state)) or float(np.linalg.norm(state)) > guard:
@@ -342,4 +362,11 @@ def solve(graph, cfg=None):
             break
 
     final = graph.with_poses(state_table(base, graph.fixed_id, state))
-    return SolveReport(reason=reason, trace=trace, graph=final, lambdas=state[4::5].copy())
+    return SolveReport(
+        reason=reason,
+        trace=trace,
+        graph=final,
+        lambdas=state[4::5].copy(),
+        merit_calls=merit_calls,
+        merit_states=merit_states,
+    )

@@ -207,6 +207,31 @@ def test_solve_rejects_gamma_without_finite_weights(tmp_path, capsys, gamma, nam
     assert not out.exists()
 
 
+def test_solve_rejects_a_distance_weight_that_overflows(tmp_path, capsys):
+    # sigma_e = 1e-320 is positive and finite, but 1 / sigma_e overflows;
+    # only the distance term reads sigma_e
+    assert main(["simulate", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "graph.txt").read_text().splitlines()
+    k = [i for i, line in enumerate(lines) if line.startswith("ODOM")][2]
+    tokens = lines[k].split()
+    tokens[11] = "1e-320"
+    lines[k] = " ".join(tokens)
+    path = tmp_path / "tiny.txt"
+    path.write_text("\n".join(lines) + "\n")
+    load_graph(path).validate()
+    capsys.readouterr()
+    out = tmp_path / "d"
+    assert main(["solve", str(path), "--use-distance-error", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"odometry record 3 ({tokens[1]}->{tokens[2]}): sigma_e: weight" in err
+    assert not out.exists()
+    # without the distance term the graph solves as the unedited one does
+    assert main(["solve", str(path), "--out", str(tmp_path / "a")]) == 0
+    assert main(["solve", str(tmp_path / "graph.txt"), "--out", str(tmp_path / "b")]) == 0
+    trace = [(tmp_path / name / "trace.csv").read_text() for name in ("a", "b")]
+    assert trace[0] == trace[1]
+
+
 def test_solve_iteration_limit_exit(tmp_path, capsys):
     rng = np.random.default_rng(3)
     graph = random_graph(rng, n_poses=6, n_homing=4, unit_orientations=True)

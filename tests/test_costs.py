@@ -13,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovsam import costs
-from ovsam.costs import ORI, POS, CostEval, RotCostConfig, _spd_inverse, term_weight
+from ovsam.costs import (
+    ORI,
+    POS,
+    CostEval,
+    RotCostConfig,
+    _spd_inverse,
+    distance_weight,
+    term_weight,
+)
 from ovsam.errors import DegenerateVectorError, InvalidCovarianceError
 from ovsam.graph import Pose
 from ovsam.orvec import from_angle, omega
@@ -121,6 +129,15 @@ def test_term_weight_rejects_weights_that_are_not_finite_and_positive(gamma, sig
     with pytest.raises(ValueError):
         term_weight(gamma, sigma)
     assert term_weight(1.7, 0.3) == 1.7 / 0.3**2
+
+
+@pytest.mark.parametrize("sigma_e", [1e-320, 5e-324, 0.0, -1.0, math.inf, math.nan])
+def test_distance_weight_rejects_weights_that_are_not_finite_and_positive(sigma_e):
+    # 1 / sigma_e overflows below about 5.6e-309
+    with pytest.raises(ValueError, match="sigma_e"):
+        distance_weight(sigma_e)
+    assert distance_weight(1e-308) == 1.0 / 1e-308
+    assert distance_weight(0.3) == 1.0 / 0.3
 
 
 def test_cost_eval_accumulates_and_transposes():

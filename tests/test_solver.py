@@ -12,7 +12,7 @@ import pytest
 from conftest import consistent_graph, random_graph, two_pose_graph
 
 import ovsam.solver as solver_module
-from ovsam.assembly import measurement_tables
+from ovsam.assembly import measurement_tables, merit
 from ovsam.costs import RotCostConfig
 from ovsam.errors import DegenerateVectorError, NumericalFailure, PreconditionError
 from ovsam.graph import (
@@ -120,21 +120,45 @@ def _sq(states):
     return np.array([float(s @ s) for s in states])
 
 
+def _merit_of(merit_fn, vec):
+    """merit_fn at one state, inf where its poses degenerate."""
+    try:
+        return merit_fn(vec[None])[0]
+    except DegenerateVectorError:
+        return np.inf
+
+
 def _sequential_line_search(merit_fn, state, direction, alphas, merit0=None):
     """Reference search: one trial point per merit_fn call, in order."""
-
-    def merit_of(vec):
-        try:
-            return merit_fn(vec[None])[0]
-        except DegenerateVectorError:
-            return np.inf
-
     if merit0 is None:
-        merit0 = merit_of(state)
+        merit0 = _merit_of(merit_fn, state)
     for alpha in alphas:
-        if merit_of(state + alpha * direction) < merit0:
+        if _merit_of(merit_fn, state + alpha * direction) < merit0:
             return alpha
     return None
+
+
+def _sequential_find_step(system, merit_fn, state):
+    """Reference step search: LADDER walked with the sequential line search.
+
+    The iterate's merit is one merit_fn call and every trial point one
+    more; newton_step is looked up on the solver module, so a patched
+    step applies here too.
+    """
+    merit0 = _merit_of(merit_fn, state)
+    last = None
+    for escalations, (eta_w, eta_a) in enumerate(LADDER):
+        try:
+            delta = solver_module.newton_step(system, eta_w, eta_a)
+        except NumericalFailure:
+            continue
+        last = delta
+        alpha = _sequential_line_search(merit_fn, state, delta, LS_ALPHAS, merit0)
+        if alpha is not None:
+            return delta, alpha, escalations, False
+    if last is None:
+        raise NumericalFailure("no rung of the regularization ladder could be solved")
+    return last, EMERGENCY_STEP / float(np.linalg.norm(last)), escalations, True
 
 
 def _indexed_merit(acceptable, degenerate=()):
@@ -259,6 +283,100 @@ def test_find_step_nothing_solvable(monkeypatch):
         find_step(system, lambda states: np.zeros(len(states)), np.zeros(2))
 
 
+def _ladder_stub(monkeypatch, accept, singular=(), degenerate=()):
+    """Patch newton_step to step e_0 + r e_1 on rung r; merit_fn over its trials.
+
+    Rung r raises NumericalFailure if r is in singular.  From state 0
+    (merit 0.5), trial LS_ALPHAS[k] of rung r has merit 0 if k is in
+    accept.get(r, ()), else 1; a stack holding (r, k) in degenerate
+    raises DegenerateVectorError.  Returns merit_fn and the list of its
+    call sizes.
+    """
+    rung_of = {eta: r for r, eta in enumerate(LADDER)}
+    index = {alpha: k for k, alpha in enumerate(LS_ALPHAS)}
+
+    def step(system, eta_w=0.0, eta_a=0.0):
+        r = rung_of[(eta_w, eta_a)]
+        if r in singular:
+            raise NumericalFailure("singular")
+        return np.array([1.0, float(r)])
+
+    monkeypatch.setattr(solver_module, "newton_step", step)
+    calls = []
+
+    def merit_fn(states):
+        calls.append(len(states))
+        trials = [(round(s[1] / s[0]), index[float(s[0])]) for s in states if s[0] != 0.0]
+        if any(t in degenerate for t in trials):
+            raise DegenerateVectorError("trial collapsed a pose pair")
+        merits = iter([0.0 if k in accept.get(r, ()) else 1.0 for r, k in trials])
+        return np.array([0.5 if s[0] == 0.0 else next(merits) for s in states])
+
+    return merit_fn, calls
+
+
+def _check_find_step(merit_fn, calls):
+    """find_step against the sequential reference; returns find_step's call sizes."""
+    want = _sequential_find_step(None, merit_fn, np.zeros(2))
+    calls.clear()
+    got = find_step(None, merit_fn, np.zeros(2))
+    assert got[1:] == want[1:]
+    assert np.array_equal(got[0], want[0])
+    return got, list(calls)
+
+
+@pytest.mark.parametrize("first", range(len(LS_ALPHAS)))
+def test_find_step_folds_the_iterate_into_the_first_chunk(monkeypatch, first):
+    # plain Newton accepts from factor index first on: the iterate and the
+    # factor-1 trial are one call, then chunks of 2, 4, 8, 6 factors
+    rng = np.random.default_rng(first)
+    later = {k for k in range(first + 1, len(LS_ALPHAS)) if rng.random() < 0.5}
+    merit_fn, calls = _ladder_stub(monkeypatch, {0: {first} | later, 1: {0}})
+    (_, alpha, escalations, emergency), sizes = _check_find_step(merit_fn, calls)
+    assert (alpha, escalations, emergency) == (LS_ALPHAS[first], 0, False)
+    assert sizes == [2] + [2, 4, 8, 6][: (first + 1).bit_length() - 1]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 17, 38])
+def test_find_step_searches_every_later_rung_whole(monkeypatch, k):
+    # rung 0 and rungs 1..k fail every factor; rung k + 1 accepts
+    rng = np.random.default_rng(k)
+    for first in (0, 3, 20):
+        later = {j for j in range(first + 1, len(LS_ALPHAS)) if rng.random() < 0.5}
+        merit_fn, calls = _ladder_stub(monkeypatch, {k + 1: {first} | later})
+        (_, alpha, escalations, emergency), sizes = _check_find_step(merit_fn, calls)
+        assert (alpha, escalations, emergency) == (LS_ALPHAS[first], k + 1, False)
+        assert sizes == [2, 2, 4, 8, 6] + [21] * k + [21]
+
+
+def test_find_step_merit_calls_when_no_rung_accepts(monkeypatch):
+    merit_fn, calls = _ladder_stub(monkeypatch, {})
+    (delta, alpha, escalations, emergency), sizes = _check_find_step(merit_fn, calls)
+    assert (escalations, emergency) == (len(LADDER) - 1, True)
+    assert np.array_equal(delta, [1.0, len(LADDER) - 1])
+    assert sizes == [2, 2, 4, 8, 6] + [21] * (len(LADDER) - 1)
+
+
+def test_find_step_folds_the_iterate_into_the_first_solvable_rung(monkeypatch):
+    # rungs 0, 1 and 4 cannot be solved: rung 2 is searched in chunks, rung 3
+    # whole, rung 4 not at all, and rung 5 accepts
+    merit_fn, calls = _ladder_stub(monkeypatch, {5: {2}}, singular={0, 1, 4})
+    (_, alpha, escalations, emergency), sizes = _check_find_step(merit_fn, calls)
+    assert (alpha, escalations, emergency) == (LS_ALPHAS[2], 5, False)
+    assert sizes == [2, 2, 4, 8, 6, 21, 21]
+
+
+def test_find_step_degenerate_first_trial_keeps_the_iterate_merit(monkeypatch):
+    # the factor-1 trial degenerates: the folded call is redone one state at a
+    # time, and a degenerate trial on a later rung rejects only itself
+    merit_fn, calls = _ladder_stub(
+        monkeypatch, {0: {0}, 1: {0, 1, 3}}, degenerate={(0, 0), (1, 0), (1, 1)}
+    )
+    (_, alpha, escalations, emergency), sizes = _check_find_step(merit_fn, calls)
+    assert (alpha, escalations, emergency) == (LS_ALPHAS[3], 1, False)
+    assert sizes == [2, 1, 1, 2, 4, 8, 6, 21] + [1] * 21
+
+
 # ---------------------------------------------------------------------------
 # full solve loop
 
@@ -328,15 +446,69 @@ def test_solve_makes_no_graph_copy(monkeypatch):
     assert got.lambdas.tobytes() == expected.lambdas.tobytes()
 
 
+def _truth_start(cfg):
+    """The simulated graph of cfg started at the true poses."""
+    graph, truth = simulate(cfg)
+    poses = [Pose(t[:2], from_angle(t[2])) for t in truth.poses]
+    return FactorGraph(poses, graph.odometry, graph.homing, graph.fixed_id)
+
+
 def test_chunked_line_search_solves_as_the_sequential_search(monkeypatch):
-    graph = simulate(SimConfig())[0]
-    chunked = solve(graph)
-    monkeypatch.setattr(solver_module, "line_search", _sequential_line_search)
-    sequential = solve(graph)
-    assert chunked.trace == sequential.trace
-    assert sum(t.lm_escalations for t in chunked.trace) == 95  # every rung searched
-    assert save_graph(chunked.graph) == save_graph(sequential.graph)
-    assert chunked.lambdas.tobytes() == sequential.lambdas.tobytes()
+    # the default scenario; a short solve from the truth that escalates on
+    # most iterations; and a run whose multipliers diverge.  Each case:
+    # reason, escalations, newton_step calls, merit calls and states.
+    cases = [
+        (simulate(SimConfig())[0], SolverConfig(), ("grad_tol", 95, 109, 130, 2115)),
+        (
+            _truth_start(SimConfig(seed=34)),
+            SolverConfig(max_iters=10),
+            ("max_iters", 123, 133, 163, 2747),
+        ),
+        (
+            simulate(SimConfig(seed=12, noise_ang=1e-4))[0],
+            SolverConfig(),
+            ("diverged", 265, 287, 362, 5973),
+        ),
+    ]
+    for graph, cfg, counts in cases:
+        monkeypatch.undo()
+        rungs = _counting_newton_step(monkeypatch)
+        chunked = solve(graph, cfg)
+        steps = len(rungs)
+        monkeypatch.setattr(solver_module, "find_step", _sequential_find_step)
+        sequential = solve(graph, cfg)
+        assert chunked.reason == sequential.reason
+        assert chunked.trace == sequential.trace
+        assert save_graph(chunked.graph) == save_graph(sequential.graph)
+        assert chunked.lambdas.tobytes() == sequential.lambdas.tobytes()
+        # every rung searched, none solved speculatively
+        escalations = sum(t.lm_escalations for t in chunked.trace)
+        assert (chunked.reason, escalations, steps) == counts[:3]
+        assert len(rungs) == 2 * steps
+        assert (chunked.merit_calls, chunked.merit_states) == counts[3:]
+        assert sequential.merit_calls == sequential.merit_states
+
+
+def test_report_counts_merit_calls_and_records_alpha(monkeypatch):
+    graph = simulate(SimConfig(lanes=2, points_per_lane=5))[0]
+    alphas, stacks = [], []
+
+    def counted_find_step(system, merit_fn, state):
+        out = find_step(system, merit_fn, state)
+        alphas.append(out[1])
+        return out
+
+    def counted_merit(graph, cfg, active, mu, lambdas, use_distance_error, table, tables):
+        stacks.append(len(table))
+        return merit(graph, cfg, active, mu, lambdas, use_distance_error, table, tables)
+
+    monkeypatch.setattr(solver_module, "find_step", counted_find_step)
+    monkeypatch.setattr(solver_module, "merit", counted_merit)
+    report = solve(graph)
+    assert report.reason == "grad_tol"
+    assert [t.alpha for t in report.trace] == alphas + [0.0]
+    assert (report.merit_calls, report.merit_states) == (len(stacks), sum(stacks))
+    assert report.merit_calls < report.merit_states
 
 
 def test_step_tol_termination():

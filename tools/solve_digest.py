@@ -1,6 +1,6 @@
 """Print one sha256 per solve over a fixed set of 99 solves.
 
-    python3 tools/solve_digest.py [--only PREFIX]
+    python3 tools/solve_digest.py [--only PREFIX] [--against FILE]
 
 Each line is "<label> <sha256>", the digest covering the termination
 reason, the iteration count, every field of every per-iteration trace
@@ -8,6 +8,11 @@ record, the solved graph's save_graph text and the multipliers' bytes.
 Run it on two checkouts and diff the outputs: identical lines mean the
 two programs solve every graph of the set bitwise alike.  The last line
 digests all lines above it.
+
+--against FILE compares the run with FILE, the saved output of an
+earlier run: each label whose digest differs from FILE's, or that only
+one of the two holds, is printed to stderr, and the exit status is 1 if
+there is any.  Labels outside --only are not compared.
 
 The set:
   * the graphs of the three benchmark workloads (perfbench.bench.make_inputs),
@@ -79,21 +84,35 @@ def digest(report):
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--only", default="", help="solve only labels starting with this")
+    parser.add_argument("--against", help="saved output to compare the digests with")
     args = parser.parse_args(argv)
+    saved = None
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            saved = dict(line.split() for line in fh if line.strip())
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from ovsam import solve
 
     total = hashlib.sha256()
+    digests = {}
     for label, graph, cfg in solve_set():
         if not label.startswith(args.only):
             continue
-        line = f"{label} {digest(solve(graph, cfg))}"
+        digests[label] = digest(solve(graph, cfg))
+        line = f"{label} {digests[label]}"
         print(line, flush=True)
         total.update(line.encode() + b"\n")
     print(f"all {total.hexdigest()}")
-    return 0
+    if saved is None:
+        return 0
+    saved = {label: d for label, d in saved.items() if label.startswith(args.only)}
+    saved.pop("all", None)
+    differ = [label for label in {**saved, **digests} if saved.get(label) != digests.get(label)]
+    for label in differ:
+        print(f"differs from {args.against}: {label}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
