@@ -25,7 +25,6 @@ from .graph import (
     HomingMeasurement,
     OdometryMeasurement,
     Pose,
-    StateLayout,
     load_graph,
     save_graph,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "SimConfig",
     "SolveReport",
     "SolverConfig",
-    "StateLayout",
     "__version__",
     "simulate",
     "solve",

@@ -40,7 +40,7 @@ from .costs import (
     term_weight,
 )
 from .errors import DegenerateVectorError, PreconditionError
-from .graph import UNIT_TOL, StateLayout
+from .graph import UNIT_TOL
 from .orvec import omega, rowdot
 
 
@@ -75,7 +75,6 @@ class MeasurementTables:
     configuration the tables were built with.
     """
 
-    layout: StateLayout
     rank: np.ndarray  # (N,) state rank of each pose row, -1 for the anchor
     free: np.ndarray  # (N - 1,) pose rows of the free poses, in state order
     odo_i1: np.ndarray
@@ -102,8 +101,7 @@ def measurement_tables(graph, cfg, use_distance_error=False):
     rotational, home-vector and compass term, and 1 / sigma_e of every
     distance term if use_distance_error.
     """
-    layout = StateLayout(graph)
-    free = np.subtract(layout.free, 1)
+    free = np.subtract(graph.free_ids(), 1)
     rank = np.full(len(graph), -1)
     rank[free] = np.arange(len(free))
     odo, hom = graph.odometry, graph.homing
@@ -127,7 +125,6 @@ def measurement_tables(graph, cfg, use_distance_error=False):
     if use_distance_error:  # only checked: eval_distance divides by sigma_e itself
         weights(odo, "odometry", "sigma_e", distance_weight)
     return MeasurementTables(
-        layout=layout,
         rank=rank,
         free=free,
         odo_i1=rows(odo, "i1"),
@@ -151,15 +148,15 @@ class SparseSymmetricSystem:
     """Block-sparse bordered Hessian H, gradient g, and the L/F values.
 
     H is stored as 5x5 blocks, data[b] at block row/column keys[b] in
-    state-layout ranks; only pairs sharing an active measurement (plus
-    the diagonal) have a block, all 25 entries stored.  Row/column order
-    within a block is [x (2), u (2), lambda].  to_dense and to_csr
-    convert once and return the same read-only matrix on every call.
+    state ranks (MeasurementTables.rank); only pairs sharing an active
+    measurement (plus the diagonal) have a block, all 25 entries stored.
+    Row/column order within a block is [x (2), u (2), lambda].  to_dense
+    and to_csr convert once and return the same read-only matrix on
+    every call.
     """
 
-    def __init__(self, layout, keys, data, g, F, L, l_values):
-        self.layout = layout
-        self.dim = layout.dim
+    def __init__(self, dim, keys, data, g, F, L, l_values):
+        self.dim = dim
         self.keys = keys
         self.data = data
         self.g = g
@@ -178,7 +175,7 @@ class SparseSymmetricSystem:
 
     def to_dense(self):
         if self._dense is None:
-            n = len(self.layout.free)
+            n = self.dim // 5
             H = np.zeros((n, 5, n, 5))
             H[self.keys[:, 0], :, self.keys[:, 1], :] = self.data
             self._dense = H.reshape(self.dim, self.dim)
@@ -331,8 +328,7 @@ def assemble(
     are dropped entirely.
     """
     active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
-    layout = tables.layout
-    n = len(layout.free)
+    n = len(tables.free)
     if lambdas is None:
         lambdas = np.zeros(n)
     i1, i2, ev = record_blocks(tables, table, cfg, active, use_distance_error)
@@ -368,7 +364,7 @@ def assemble(
     nb = np.searchsorted(keys, n * n)
     keys = np.column_stack(np.divmod(keys[:nb], n))
     L = F + float(_running_sum(ce.w))
-    return SparseSymmetricSystem(layout, keys, data[:nb], G[:n].ravel(), F, L, ce.l)
+    return SparseSymmetricSystem(5 * n, keys, data[:nb], G[:n].ravel(), F, L, ce.l)
 
 
 def total_values(
@@ -412,7 +408,7 @@ def init_lambdas(graph, cfg, active=None, table=None, tables=None):
     initial orientation vectors, which is checked here; the distance
     error has no orientation gradient and therefore never contributes.
 
-    Returns one multiplier per free pose, in state-layout order
+    Returns one multiplier per free pose, in state order
     (ascending pose id, fixed pose excluded).
     """
     active, table, tables = _defaults(graph, cfg, active, table, tables)

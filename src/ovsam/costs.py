@@ -430,40 +430,30 @@ def eval_home_vector(p, pp, A, weight, cfg, derivs=True):
     w1, w2 = _col(w), _mat(w)
 
     out = CostEval.zeros(value)
-    if cfg.form == "second":
+    if cfg.uses_norms:
         u0 = u / _col(nu)
+    if cfg.form == "second":
         Pu = (_I2 - _outer(u0, u0)) / _mat(nu)
         a = _mv(A, u0)
-        S = _proj_curvature(a, d0, nd)
-
-        out.grad1[:, POS] = w1 * _mv(Pd, a)
-        out.grad2[:, POS] = -w1 * _mv(Pd, a)
-        out.grad1[:, ORI] = -w1 * _mv(Pu @ AT, d0)
-
-        out.h11[:, POS, POS] = w2 * S
-        out.h11[:, POS, ORI] = w2 * (Pd @ A @ Pu)
-        out.h11[:, ORI, POS] = _T(out.h11[:, POS, ORI])
-        out.h11[:, ORI, ORI] = w2 * _proj_curvature(_mv(AT, d0), u0, nu)
-        out.h12[:, POS, POS] = -w2 * S
-        out.h12[:, ORI, POS] = -w2 * (Pu @ AT @ Pd)
-        out.h22[:, POS, POS] = w2 * S
-        return out
-
     S = _proj_curvature(a, d0, nd)
 
     out.grad1[:, POS] = w1 * _mv(Pd, a)
     out.grad2[:, POS] = -w1 * _mv(Pd, a)
-    out.grad1[:, ORI] = -w1 * _mv(AT, d0)
-
     out.h11[:, POS, POS] = w2 * S
-    out.h11[:, POS, ORI] = w2 * (Pd @ A)
-    out.h11[:, ORI, POS] = _T(out.h11[:, POS, ORI])
     out.h12[:, POS, POS] = -w2 * S
-    out.h12[:, ORI, POS] = -w2 * (AT @ Pd)
     out.h22[:, POS, POS] = w2 * S
 
-    if cfg.t1 == 0:
-        u0 = u / _col(nu)
-        out.grad1[:, ORI] += w1 * u0
-        out.h11[:, ORI, ORI] += w2 * (_I2 - _outer(u0, u0)) / _mat(nu)
+    if cfg.form == "second":
+        out.grad1[:, ORI] = -w1 * _mv(Pu @ AT, d0)
+        out.h11[:, POS, ORI] = w2 * (Pd @ A @ Pu)
+        out.h11[:, ORI, ORI] = w2 * _proj_curvature(_mv(AT, d0), u0, nu)
+        out.h12[:, ORI, POS] = -w2 * (Pu @ AT @ Pd)
+    else:
+        out.grad1[:, ORI] = -w1 * _mv(AT, d0)
+        out.h11[:, POS, ORI] = w2 * (Pd @ A)
+        out.h12[:, ORI, POS] = -w2 * (AT @ Pd)
+        if cfg.t1 == 0:
+            out.grad1[:, ORI] += w1 * u0
+            out.h11[:, ORI, ORI] += w2 * (_I2 - _outer(u0, u0)) / _mat(nu)
+    out.h11[:, ORI, POS] = _T(out.h11[:, POS, ORI])
     return out

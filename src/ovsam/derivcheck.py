@@ -230,9 +230,16 @@ class CheckReport:
 
 
 def run_checks(n_configs=100, seed=0, grad_tol=GRAD_TOL, hess_tol=HESS_TOL, names=None):
-    """Run the derivative cases; deterministic for a fixed seed."""
+    """Run the derivative cases; deterministic for a fixed seed.
+
+    The tolerances must be finite and positive: an infinite one passes
+    every case, and a NaN or one at or below zero fails every case.
+    """
     if n_configs < 1:
         raise ValueError("n_configs must be at least 1")
+    for name, tol in (("grad_tol", grad_tol), ("hess_tol", hess_tol)):
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {tol!r}")
     chosen = list(names) if names is not None else list(CASES)
     unknown = [n for n in chosen if n not in CASES]
     if unknown:

@@ -221,21 +221,6 @@ class FactorGraph:
             cls._reject(where, m, fields, f"{name} must be a unit vector, |{name}| = {norm!r}")
 
 
-class StateLayout:
-    """Offsets of the free-pose blocks [x, u, lambda] in the flat state."""
-
-    def __init__(self, graph):
-        self.free = list(graph.free_ids())
-        self._rank = {pid: k for k, pid in enumerate(self.free)}
-        self.dim = 5 * len(self.free)
-
-    def rank(self, pid):
-        return self._rank[pid]
-
-    def offset(self, pid):
-        return 5 * self._rank[pid]
-
-
 def pack_state(graph, lambdas=None):
     """Flatten the free poses (and multipliers) into the state vector."""
     free = graph.free_ids()

@@ -19,12 +19,12 @@ budget, or a divergence guard on the state norm.
 Each rung's line search takes the first of the backtracking factors
 LS_ALPHAS whose merit is strictly smaller than at the iterate: the
 factor a search trying one at a time would take.  A merit call
-evaluates a stack of trial points.  On the first solvable rung the
-iterate rides in the call of its factor-1 trial, and the other factors
-follow in chunks of 2, 4, 8 and 6 trials, which costs little where
-plain Newton is accepted early.  A later rung is reached only after
-that rung failed every factor, so it tries all 21 factors in one call.
-A trial point that collapses a pose pair has merit inf.
+evaluates a stack of trial points.  The first solvable rung evaluates
+its factors in chunks of FIRST_CHUNKS trials, the iterate riding in the
+call of the factor-1 trial, which costs little where plain Newton is
+accepted early.  A later rung is reached only after the rung before it
+failed every factor, so it tries all 21 factors in one call.  A trial
+point that collapses a pose pair has merit inf.
 
 Home-vector and compass measurements (and the optional traveled-
 distance term) are masked out for any iteration in which their pose
@@ -60,6 +60,8 @@ LADDER = ((0.0, 0.0),) + tuple(
 )
 # Backtracking factors of the merit line search: 1, 1/2, ..., 2**-20.
 LS_ALPHAS = tuple(0.5**k for k in range(21))
+# Chunk sizes in which the first solvable rung tries LS_ALPHAS.
+FIRST_CHUNKS = (1, 2, 4, 8, 6)
 # Length of the step taken when no rung of the ladder decreases the merit.
 EMERGENCY_STEP = 1e-3
 
@@ -225,61 +227,42 @@ def _merits(merit_fn, trials):
         return np.concatenate([_merits(merit_fn, trial[None]) for trial in trials])
 
 
-def line_search(merit_fn, state, direction, alphas, merit0=None, size=1):
-    """First backtracking factor that strictly decreases the merit, or None.
-
-    merit_fn maps (S, dim) states to their (S,) merits.  The factors are
-    tried in order in chunks of size, 2 size, 4 size, ... trial points,
-    one merit_fn call per chunk, so the factor returned is the first
-    acceptable one.
-    """
-    if merit0 is None:
-        merit0 = _merits(merit_fn, state[None])[0]
-    start = 0
-    while start < len(alphas):
-        chunk = alphas[start : start + size]
-        merits = _merits(merit_fn, state + np.multiply.outer(chunk, direction))
-        accepted = np.flatnonzero(merits < merit0)
-        if accepted.size:
-            return chunk[accepted[0]]
-        start, size = start + size, 2 * size
-    return None
-
-
 def find_step(system, merit_fn, state):
     """Walk LADDER to the first rung whose step decreases the merit.
 
-    merit_fn maps (S, dim) states to their (S,) merits.  The first
-    solvable rung evaluates the iterate with its factor-1 trial, then
-    searches the other factors in chunks of 2, 4, 8 and 6; each later
-    rung searches all LS_ALPHAS in one call.  Returns
-    (direction, alpha, escalations, emergency), escalations being
-    the index of the accepted rung (0 for plain Newton).  A rung whose
-    system cannot be solved is skipped.  If no rung yields an acceptable
-    step, the emergency result scales the last solvable direction to
-    length EMERGENCY_STEP.  Raises NumericalFailure if no rung can be
-    solved at all.
+    merit_fn maps (S, dim) states to their (S,) merits.  Each rung
+    tries the factors LS_ALPHAS in order and takes the first whose merit
+    is strictly smaller than the iterate's.  The first solvable rung
+    evaluates them in chunks of FIRST_CHUNKS trials, the iterate riding
+    in the first call; each later rung evaluates all of them in one
+    call.  Returns (direction, alpha, escalations, emergency),
+    escalations being the index of the accepted rung (0 for plain
+    Newton).  A rung whose system cannot be solved is skipped.  If no
+    rung yields an acceptable step, the emergency result scales the last
+    solvable direction to length EMERGENCY_STEP.  Raises
+    NumericalFailure if no rung can be solved at all.
     """
-    last = None
+    merit0 = None
     for escalations, (eta_w, eta_a) in enumerate(LADDER):
         try:
             delta = newton_step(system, eta_w, eta_a)
         except NumericalFailure:
             continue
-        if last is None:
-            merit0, first = _merits(merit_fn, np.stack((state, state + LS_ALPHAS[0] * delta)))
-            if first < merit0:
-                alpha = LS_ALPHAS[0]
+        start = 0
+        for size in FIRST_CHUNKS if merit0 is None else (len(LS_ALPHAS),):
+            alphas = LS_ALPHAS[start : start + size]
+            start += size
+            trials = state + np.multiply.outer(alphas, delta)
+            if merit0 is None:
+                merit0, *merits = _merits(merit_fn, np.vstack((state, trials)))
             else:
-                alpha = line_search(merit_fn, state, delta, LS_ALPHAS[1:], merit0, size=2)
-        else:
-            alpha = line_search(merit_fn, state, delta, LS_ALPHAS, merit0, size=len(LS_ALPHAS))
-        last = delta
-        if alpha is not None:
-            return delta, alpha, escalations, False
-    if last is None:
+                merits = _merits(merit_fn, trials)
+            accepted = np.flatnonzero(np.less(merits, merit0))
+            if accepted.size:
+                return delta, alphas[accepted[0]], escalations, False
+    if merit0 is None:
         raise NumericalFailure("no rung of the regularization ladder could be solved")
-    return last, EMERGENCY_STEP / float(np.linalg.norm(last)), escalations, True
+    return delta, EMERGENCY_STEP / float(np.linalg.norm(delta)), escalations, True
 
 
 def solve(graph, cfg=None):

@@ -12,33 +12,33 @@ import numpy as np
 from ovsam.assembly import ActiveMask, measurement_tables, record_blocks
 from ovsam.constraints import eval_constraint
 from ovsam.costs import ORI
-from ovsam.graph import StateLayout
 
 
 def assemble_dense(graph, cfg, active=None, lambdas=None, use_distance_error=False):
     """Dense (H, g, L, F) at the graph's own poses."""
-    layout = StateLayout(graph)
+    free = graph.free_ids()
+    dim = 5 * len(free)
     table = graph.pose_table()
     if active is None:
         active = ActiveMask.all_active(graph)
     if lambdas is None:
-        lambdas = np.zeros(len(layout.free))
+        lambdas = np.zeros(len(free))
     tables = measurement_tables(graph, cfg)
     i1s, i2s, ev = record_blocks(tables, table, cfg, active, use_distance_error)
     records = list(enumerate(zip(i1s + 1, i2s + 1)))
 
-    H = np.zeros((layout.dim, layout.dim))
-    g = np.zeros(layout.dim)
+    H = np.zeros((dim, dim))
+    g = np.zeros(dim)
 
-    for kp in layout.free:
-        ok = layout.offset(kp)
+    for k, kp in enumerate(free):
+        ok = 5 * k
         for j, (i1, i2) in records:
             if kp == i1:
                 g[ok : ok + 4] += ev.grad1[j]
             if kp == i2:
                 g[ok : ok + 4] += ev.grad2[j]
-        for lp in layout.free:
-            ol = layout.offset(lp)
+        for l, lp in enumerate(free):
+            ol = 5 * l
             h = H[ok : ok + 4, ol : ol + 4]
             for j, (i1, i2) in records:
                 if kp == i1 and lp == i1:
@@ -54,10 +54,10 @@ def assemble_dense(graph, cfg, active=None, lambdas=None, use_distance_error=Fal
     for value in ev.value:
         F += value
     w_sum = 0.0
-    ce = eval_constraint(lambdas, table[np.subtract(layout.free, 1), ORI])
-    for k, pid in enumerate(layout.free):
+    ce = eval_constraint(lambdas, table[np.subtract(free, 1), ORI])
+    for k in range(len(free)):
         w_sum += ce.w[k]
-        o = layout.offset(pid)
+        o = 5 * k
         g[o + 2 : o + 4] += ce.grad_u[k]
         g[o + 4] += ce.grad_lambda[k]
         H[o + 2 : o + 4, o + 2 : o + 4] += ce.h_uu[k]

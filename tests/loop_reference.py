@@ -14,7 +14,7 @@ import numpy as np
 from ovsam.assembly import ActiveMask
 from ovsam.costs import ORI, POS, _spd_inverse
 from ovsam.errors import DegenerateVectorError, PreconditionError
-from ovsam.graph import UNIT_TOL, StateLayout
+from ovsam.graph import UNIT_TOL
 from ovsam.orvec import DEGENERATE_NORM
 
 
@@ -366,17 +366,17 @@ def _measurement_blocks(graph, table, cfg, active, use_distance_error):
 
 def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False, table=None):
     """(g, blocks, F, L, l_values) with blocks keyed (rank, rank) as 5x5 arrays."""
-    layout = StateLayout(graph)
+    free = graph.free_ids()
+    rank = {pid: k for k, pid in enumerate(free)}
     if table is None:
         table = graph.pose_table()
     if active is None:
         active = ActiveMask.all_active(graph)
     if lambdas is None:
-        lambdas = np.zeros(len(layout.free))
-    g = np.zeros(layout.dim)
+        lambdas = np.zeros(len(free))
+    g = np.zeros(5 * len(free))
     blocks = {}
     F = 0.0
-    free = set(layout.free)
 
     def block(k, l):
         if (k, l) not in blocks:
@@ -385,26 +385,26 @@ def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False, ta
 
     for i1, i2, ev in _measurement_blocks(graph, table, cfg, active, use_distance_error):
         F += ev.value
-        if i1 in free:
-            o1, r1 = layout.offset(i1), layout.rank(i1)
-            g[o1 : o1 + 4] += ev.grad1
+        if i1 in rank:
+            r1 = rank[i1]
+            g[5 * r1 : 5 * r1 + 4] += ev.grad1
             block(r1, r1)[0:4, 0:4] += ev.h11
-        if i2 in free:
-            o2, r2 = layout.offset(i2), layout.rank(i2)
-            g[o2 : o2 + 4] += ev.grad2
+        if i2 in rank:
+            r2 = rank[i2]
+            g[5 * r2 : 5 * r2 + 4] += ev.grad2
             block(r2, r2)[0:4, 0:4] += ev.h22
-        if i1 in free and i2 in free:
-            block(layout.rank(i1), layout.rank(i2))[0:4, 0:4] += ev.h12
-            block(layout.rank(i2), layout.rank(i1))[0:4, 0:4] += ev.h21
+        if i1 in rank and i2 in rank:
+            block(rank[i1], rank[i2])[0:4, 0:4] += ev.h12
+            block(rank[i2], rank[i1])[0:4, 0:4] += ev.h21
 
     w_sum = 0.0
-    l_values = np.zeros(len(layout.free))
-    for k, pid in enumerate(layout.free):
+    l_values = np.zeros(len(free))
+    for k, pid in enumerate(free):
         u = table[pid - 1, ORI]
         lam = lambdas[k]
         l = residual(u)
         w_sum += lam * l
-        o = layout.offset(pid)
+        o = 5 * k
         g[o + 2 : o + 4] += lam * u
         g[o + 4] += l
         d = block(k, k)

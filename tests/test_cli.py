@@ -309,6 +309,18 @@ def test_check_derivatives_case_filter(capsys):
     assert out[1].startswith("distance")
 
 
+@pytest.mark.parametrize("flag", ["--grad-threshold", "--hess-threshold"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_check_derivatives_rejects_thresholds_that_decide_nothing(capsys, flag, value):
+    # inf would pass every case, the others fail every case and blame the
+    # derivatives for the flag
+    assert main(["check-derivatives", "--samples", "1", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag.replace("-threshold", "_tol").lstrip("-") in captured.err
+    assert "derivative check failed" not in captured.err
+
+
 def test_check_derivatives_flags_injected_fault(capsys, monkeypatch):
     orig = derivcheck.eval_translation
 

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from conftest import random_graph
 
+from ovsam.assembly import measurement_tables
+from ovsam.costs import RotCostConfig
 from ovsam.errors import GraphFormatError, GraphValidationError, StateLayoutError
 from ovsam.graph import (
     FactorGraph,
     HomingMeasurement,
     OdometryMeasurement,
     Pose,
-    StateLayout,
     load_graph,
     pack_state,
     save_graph,
@@ -127,27 +128,27 @@ def test_validate_accepts_random_graphs():
 
 
 def test_state_layout_offsets():
+    # free poses in ascending id order; the state block of rank k starts at 5 k
     g = FactorGraph(_two_poses())
-    lay = StateLayout(g)
-    assert lay.dim == 5
-    assert lay.free == [2]
-    assert lay.offset(2) == 0
-    assert lay.rank(2) == 0
+    tables = measurement_tables(g, RotCostConfig())
+    assert tables.free.tolist() == [1]
+    assert tables.rank.tolist() == [-1, 0]
+    assert pack_state(g).shape == (5,)
 
     g3 = FactorGraph(_two_poses() + [Pose([2.0, 0.0], [1.0, 0.0])])
-    lay3 = StateLayout(g3)
-    assert lay3.dim == 10
-    assert lay3.offset(3) == 5
-    assert lay3.rank(3) == 1
+    tables3 = measurement_tables(g3, RotCostConfig())
+    assert tables3.free.tolist() == [1, 2]
+    assert tables3.rank.tolist() == [-1, 0, 1]
+    assert np.array_equal(pack_state(g3)[5:9], [2.0, 0.0, 1.0, 0.0])
 
 
 def test_state_layout_nondefault_fixed():
     g = FactorGraph(_two_poses() + [Pose([2.0, 0.0], [1.0, 0.0])], fixed_id=2)
-    lay = StateLayout(g)
-    assert lay.free == [1, 3]
-    assert lay.offset(1) == 0
-    assert lay.offset(3) == 5
-    assert 2 not in lay._rank
+    tables = measurement_tables(g, RotCostConfig())
+    assert g.free_ids() == [1, 3]
+    assert tables.free.tolist() == [0, 2]
+    assert tables.rank.tolist() == [0, -1, 1]
+    assert np.array_equal(pack_state(g)[5:9], g.pose_table()[2])
 
 
 def test_pack_state_with_poses_round_trip():

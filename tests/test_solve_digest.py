@@ -1,9 +1,13 @@
-"""tools/solve_digest.py --against: the bitwise gate as one command."""
+"""tools/solve_digest.py: the bitwise gate as one command."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import ovsam
+import ovsam.sim
 
 ROOT = Path(__file__).resolve().parents[1]
 LABEL = "t1=0/seed=1"
@@ -39,3 +43,29 @@ def test_against_reports_each_label_that_differs(tmp_path):
     assert again.returncode == 0, again.stderr
     assert again.stdout == run.stdout
     assert again.stderr == ""
+
+
+def test_only_builds_just_the_selected_graphs(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    path = ROOT / "tools" / "solve_digest.py"
+    spec = importlib.util.spec_from_file_location("solve_digest", path)
+    solve_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(solve_digest)
+    seeds = []
+
+    def counted_simulate(cfg):
+        seeds.append(cfg.seed)
+        return simulate(cfg)
+
+    simulate = ovsam.sim.simulate
+    monkeypatch.setattr(ovsam.sim, "simulate", counted_simulate)  # the benchmark's inputs
+    monkeypatch.setattr(ovsam, "simulate", counted_simulate)  # the other graphs
+    warm = [6, 60, 61, 62, 63]
+    for only, labels, simulated in (
+        (LABEL, [LABEL], [1]),
+        ("warm_3x10/seed=6", [f"warm_3x10/seed={s}" for s in warm], warm),
+        ("sim/seed=12", ["sim/seed=12", "sim/seed=12,noise_ang=1e-4"], [12, 12]),
+    ):
+        seeds.clear()
+        assert [label for label, _, _ in solve_digest.solve_set(only)] == labels
+        assert seeds == simulated

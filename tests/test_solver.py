@@ -14,7 +14,12 @@ from conftest import consistent_graph, random_graph, two_pose_graph
 import ovsam.solver as solver_module
 from ovsam.assembly import measurement_tables, merit
 from ovsam.costs import RotCostConfig
-from ovsam.errors import DegenerateVectorError, NumericalFailure, PreconditionError
+from ovsam.errors import (
+    DegenerateVectorError,
+    GraphValidationError,
+    NumericalFailure,
+    PreconditionError,
+)
 from ovsam.graph import (
     FactorGraph,
     HomingMeasurement,
@@ -27,12 +32,12 @@ from ovsam.orvec import from_angle, omega
 from ovsam.sim import SimConfig, simulate
 from ovsam.solver import (
     EMERGENCY_STEP,
+    FIRST_CHUNKS,
     LADDER,
     LS_ALPHAS,
     SolverConfig,
     compute_active_mask,
     find_step,
-    line_search,
     newton_step,
     solve,
 )
@@ -105,19 +110,21 @@ def test_ladder_rungs():
     assert LADDER[-1] == (1e6, 1e6)
 
 
-def test_line_search_behavior():
-    def m(states):
-        return np.array([float(s @ s) for s in states])
-
-    state = np.array([1.0, 0.0])
-    alphas = tuple(0.5**k for k in range(21))
-    assert line_search(m, state, np.array([-1.0, 0.0]), alphas) == 1.0
-    assert line_search(m, state, np.array([-3.0, 0.0]), alphas) == 0.5
-    assert line_search(m, state, np.array([1.0, 0.0]), alphas) is None
-
-
 def _sq(states):
     return np.array([float(s @ s) for s in states])
+
+
+def test_line_search_behavior():
+    # H = I, so plain Newton steps by -g from e_0 on the merit |s|^2
+    state = np.eye(5)[0]
+
+    def search(g):
+        return find_step(_StubSystem(np.eye(5), g), _sq, state)
+
+    assert search(state)[1:] == (1.0, 0, False)
+    assert search(3.0 * state)[1:] == (0.5, 0, False)
+    # every rung steps uphill: no factor is accepted
+    assert search(-state)[2:] == (len(LADDER) - 1, True)
 
 
 def _merit_of(merit_fn, vec):
@@ -128,18 +135,8 @@ def _merit_of(merit_fn, vec):
         return np.inf
 
 
-def _sequential_line_search(merit_fn, state, direction, alphas, merit0=None):
-    """Reference search: one trial point per merit_fn call, in order."""
-    if merit0 is None:
-        merit0 = _merit_of(merit_fn, state)
-    for alpha in alphas:
-        if _merit_of(merit_fn, state + alpha * direction) < merit0:
-            return alpha
-    return None
-
-
 def _sequential_find_step(system, merit_fn, state):
-    """Reference step search: LADDER walked with the sequential line search.
+    """Reference step search: LADDER walked one trial point at a time.
 
     The iterate's merit is one merit_fn call and every trial point one
     more; newton_step is looked up on the solver module, so a patched
@@ -153,69 +150,12 @@ def _sequential_find_step(system, merit_fn, state):
         except NumericalFailure:
             continue
         last = delta
-        alpha = _sequential_line_search(merit_fn, state, delta, LS_ALPHAS, merit0)
-        if alpha is not None:
-            return delta, alpha, escalations, False
+        for alpha in LS_ALPHAS:
+            if _merit_of(merit_fn, state + alpha * delta) < merit0:
+                return delta, alpha, escalations, False
     if last is None:
         raise NumericalFailure("no rung of the regularization ladder could be solved")
     return last, EMERGENCY_STEP / float(np.linalg.norm(last)), escalations, True
-
-
-def _indexed_merit(acceptable, degenerate=()):
-    """merit_fn over trials state + LS_ALPHAS[k] * e_0 from state 0, merit0 = 0.5.
-
-    Trial k has merit 0 if k is in acceptable, else 1; a stack holding a
-    trial in degenerate raises DegenerateVectorError, as the cost kernels do.
-    Records the batch size of every call.
-    """
-    index = {alpha: k for k, alpha in enumerate(LS_ALPHAS)}
-    calls = []
-
-    def merit_fn(states):
-        calls.append(len(states))
-        ks = [index[float(s[0])] for s in states]
-        if any(k in degenerate for k in ks):
-            raise DegenerateVectorError("trial collapsed a pose pair")
-        return np.array([0.0 if k in acceptable else 1.0 for k in ks])
-
-    return merit_fn, calls
-
-
-@pytest.mark.parametrize("first", [*range(len(LS_ALPHAS)), None])
-def test_chunked_line_search_matches_the_sequential_search(first):
-    # first is the index of the first acceptable factor, None for none
-    rng = np.random.default_rng(len(LS_ALPHAS) if first is None else first)
-    head = set() if first is None else {first}
-    later = range(len(LS_ALPHAS) if first is None else first + 1, len(LS_ALPHAS))
-    for acceptable in (head, head | set(later), head | {k for k in later if rng.random() < 0.5}):
-        state, direction = np.zeros(2), np.array([1.0, 0.0])
-        merit_fn, calls = _indexed_merit(acceptable)
-        want = _sequential_line_search(merit_fn, state, direction, LS_ALPHAS, 0.5)
-        calls.clear()
-        got = line_search(merit_fn, state, direction, LS_ALPHAS, 0.5)
-        assert got == want == (None if first is None else LS_ALPHAS[first])
-        # chunks of 1, 2, 4, 8, 6: the chunk holding trial k is the
-        # bit_length(k + 1)-th, and it ends before trial 2 (k + 1) - 1
-        assert len(calls) == (5 if first is None else (first + 1).bit_length()) <= 5
-        assert sum(calls) <= (len(LS_ALPHAS) if first is None else 2 * (first + 1))
-
-
-def test_line_search_chunk_sizes():
-    merit_fn, calls = _indexed_merit(set())
-    assert line_search(merit_fn, np.zeros(2), np.array([1.0, 0.0]), LS_ALPHAS, 0.5) is None
-    assert calls == [1, 2, 4, 8, 6]
-
-
-def test_degenerate_trial_rejects_only_itself():
-    # trials 3-6 are one chunk; trial 4 degenerates and trial 5 is accepted
-    merit_fn, calls = _indexed_merit({5, 6}, degenerate={4})
-    alpha = line_search(merit_fn, np.zeros(2), np.array([1.0, 0.0]), LS_ALPHAS, 0.5)
-    assert alpha == LS_ALPHAS[5]
-    assert calls == [1, 2, 4, 1, 1, 1, 1]
-    # a degenerate trial is never accepted, also when it is the first acceptable one
-    merit_fn, _ = _indexed_merit({4, 5}, degenerate={4})
-    alpha = line_search(merit_fn, np.zeros(2), np.array([1.0, 0.0]), LS_ALPHAS, 0.5)
-    assert alpha == LS_ALPHAS[5]
 
 
 def _counting_newton_step(monkeypatch, flip_plain=False):
@@ -364,6 +304,46 @@ def test_find_step_folds_the_iterate_into_the_first_solvable_rung(monkeypatch):
     (_, alpha, escalations, emergency), sizes = _check_find_step(merit_fn, calls)
     assert (alpha, escalations, emergency) == (LS_ALPHAS[2], 5, False)
     assert sizes == [2, 2, 4, 8, 6, 21, 21]
+
+
+@pytest.mark.parametrize("first", [*range(len(LS_ALPHAS)), None])
+def test_chunked_line_search_matches_the_sequential_search(monkeypatch, first):
+    # first is the index of plain Newton's first acceptable factor; with
+    # None rung 0 accepts none and rung 1 accepts factor 1
+    rng = np.random.default_rng(len(LS_ALPHAS) if first is None else first)
+    head = set() if first is None else {first}
+    later = range(len(LS_ALPHAS) if first is None else first + 1, len(LS_ALPHAS))
+    for acceptable in (head, head | set(later), head | {k for k in later if rng.random() < 0.5}):
+        merit_fn, calls = _ladder_stub(monkeypatch, {0: acceptable, 1: {0}})
+        (_, alpha, escalations, _), sizes = _check_find_step(merit_fn, calls)
+        assert (alpha, escalations) == ((1.0, 1) if first is None else (LS_ALPHAS[first], 0))
+        # the chunk holding trial k is the bit_length(k + 1)-th, and it
+        # ends before trial 2 (k + 1) - 1; the first one also holds the iterate
+        assert len(sizes) == (6 if first is None else (first + 1).bit_length())
+        assert sum(sizes) <= (1 + 2 * len(LS_ALPHAS) if first is None else 2 * (first + 1) + 1)
+
+
+def test_line_search_chunk_sizes(monkeypatch):
+    # the first solvable rung tries the factors in FIRST_CHUNKS, a later rung
+    # in one call
+    assert FIRST_CHUNKS == (1, 2, 4, 8, 6)
+    assert sum(FIRST_CHUNKS) == len(LS_ALPHAS)
+    merit_fn, calls = _ladder_stub(monkeypatch, {1: {len(LS_ALPHAS) - 1}})
+    (_, alpha, escalations, _), sizes = _check_find_step(merit_fn, calls)
+    assert (alpha, escalations) == (LS_ALPHAS[-1], 1)
+    assert sizes == [2, 2, 4, 8, 6, 21]
+
+
+def test_degenerate_trial_rejects_only_itself(monkeypatch):
+    # trials 3-6 are one chunk; trial 4 degenerates and trial 5 is accepted
+    merit_fn, calls = _ladder_stub(monkeypatch, {0: {5, 6}}, degenerate={(0, 4)})
+    (_, alpha, escalations, _), sizes = _check_find_step(merit_fn, calls)
+    assert (alpha, escalations) == (LS_ALPHAS[5], 0)
+    assert sizes == [2, 2, 4, 1, 1, 1, 1]
+    # a degenerate trial is never accepted, also when it is the first acceptable one
+    merit_fn, calls = _ladder_stub(monkeypatch, {0: {4, 5}}, degenerate={(0, 4)})
+    (_, alpha, escalations, _), sizes = _check_find_step(merit_fn, calls)
+    assert (alpha, escalations) == (LS_ALPHAS[5], 0)
 
 
 def test_find_step_degenerate_first_trial_keeps_the_iterate_merit(monkeypatch):
@@ -534,6 +514,25 @@ def test_solve_rejects_non_unit_initial_orientation():
     graph.pose(2).u *= 1.1
     with pytest.raises(PreconditionError):
         solve(graph)
+
+
+def test_solve_rejects_an_invalid_graph_built_in_code():
+    # graphs that never went through load_graph: solve runs the checks itself
+    graph = two_pose_graph()
+    odo = graph.odometry[0]
+
+    def odometry(**changes):
+        fields = dict(i1=odo.i1, i2=odo.i2, r=odo.r, q=odo.q, T=odo.T, sigma=0.1, sigma_e=0.1)
+        return [OdometryMeasurement(**{**fields, **changes})]
+
+    poses = [graph.pose(1), Pose([np.nan, 0.0], graph.pose(2).u)]
+    for bad, match in (
+        (FactorGraph(poses, graph.odometry), "pose 2: non-finite"),
+        (FactorGraph(graph.poses, odometry(i2=1)), "a pose to itself"),
+        (FactorGraph(graph.poses, odometry(q=[1.1, 0.0])), "q must be a unit vector"),
+    ):
+        with pytest.raises(GraphValidationError, match=match):
+            solve(bad)
 
 
 def test_collapse_during_assembly_reports_diverged(monkeypatch):

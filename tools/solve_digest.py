@@ -27,6 +27,7 @@ perfbench/ directories; the benchmark is only read, never changed.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import os
@@ -43,27 +44,31 @@ VARIANTS = {
 }
 
 
-def solve_set():
-    """(label, graph, SolverConfig) for every solve of the set, in order."""
+def solve_set(only=""):
+    """(label, graph, SolverConfig) for each solve of the set whose label starts with only.
+
+    In set order; a graph is simulated and loaded only if its label is
+    selected.
+    """
     import bench
     from ovsam import RotCostConfig, SimConfig, SolverConfig, load_graph, simulate
 
     for name in sorted(bench.WORKLOADS):
         wl = bench.WORKLOADS[name]
-        for inp in bench.make_inputs(wl):
+        seeds = tuple(seed for seed in wl.sim_seeds if f"{name}/seed={seed}".startswith(only))
+        for inp in bench.make_inputs(dataclasses.replace(wl, sim_seeds=seeds)):
             yield f"{name}/seed={inp.sim_seed}", load_graph(io.StringIO(inp.text)), wl.solver
-    for seed in range(20):
-        yield f"sim/seed={seed}", simulate(SimConfig(seed=seed))[0], SolverConfig()
-    yield "sim/seed=12,noise_ang=1e-4", simulate(SimConfig(seed=12, noise_ang=1e-4))[0], (
-        SolverConfig()
-    )
+    sims = [(f"sim/seed={seed}", SimConfig(seed=seed), SolverConfig()) for seed in range(20)]
+    sims.append(("sim/seed=12,noise_ang=1e-4", SimConfig(seed=12, noise_ang=1e-4), SolverConfig()))
     for variant, kwargs in VARIANTS.items():
         cfg = SolverConfig(
             cost=RotCostConfig(**kwargs.get("cost", {})),
             use_distance_error=kwargs.get("use_distance_error", False),
         )
-        for seed in range(3):
-            yield f"{variant}/seed={seed}", simulate(SimConfig(seed=seed))[0], cfg
+        sims += [(f"{variant}/seed={seed}", SimConfig(seed=seed), cfg) for seed in range(3)]
+    for label, sim_cfg, cfg in sims:
+        if label.startswith(only):
+            yield label, simulate(sim_cfg)[0], cfg
 
 
 def digest(report):
@@ -97,9 +102,7 @@ def main(argv):
 
     total = hashlib.sha256()
     digests = {}
-    for label, graph, cfg in solve_set():
-        if not label.startswith(args.only):
-            continue
+    for label, graph, cfg in solve_set(args.only):
         digests[label] = digest(solve(graph, cfg))
         line = f"{label} {digests[label]}"
         print(line, flush=True)
