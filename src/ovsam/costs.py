@@ -78,7 +78,7 @@ class RotCostConfig:
 
     def __post_init__(self):
         if self.form not in ("first", "second"):
-            raise ValueError(f"unknown rotational cost form {self.form!r}")
+            raise ValueError(f"form must be 'first' or 'second', got {self.form!r}")
         if self.t1 not in (0, 1):
             raise ValueError(f"t1 must be 0 or 1, got {self.t1!r}")
         if not 0.0 < self.gamma < math.inf:

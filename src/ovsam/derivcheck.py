@@ -243,7 +243,8 @@ def run_checks(n_configs=100, seed=0, grad_tol=GRAD_TOL, hess_tol=HESS_TOL, name
     chosen = list(names) if names is not None else list(CASES)
     unknown = [n for n in chosen if n not in CASES]
     if unknown:
-        raise ValueError(f"unknown derivative cases: {', '.join(unknown)}")
+        known = ", ".join(CASES)
+        raise ValueError(f"unknown derivative cases: {', '.join(unknown)} (known: {known})")
     rng = np.random.default_rng(seed)
     results = []
     for name in chosen:

@@ -169,9 +169,9 @@ class FactorGraph:
             raise GraphValidationError(f"need at least 2 poses, got {n}")
         if self.fixed_id not in self.pose_ids():
             raise GraphValidationError(f"fixed pose id {self.fixed_id} out of range 1..{n}")
-        for pid, pose in self.items():
-            if not (np.all(np.isfinite(pose.x)) and np.all(np.isfinite(pose.u))):
-                raise GraphValidationError(f"pose {pid}: non-finite components")
+        bad = ~np.isfinite(self.pose_table()).all(axis=1)
+        if bad.any():
+            raise GraphValidationError(f"pose {int(bad.argmax()) + 1}: non-finite components")
         # Every check below is written to fail on NaN (any comparison
         # with NaN is false) and on inf, so no non-finite field gets
         # through; _reject then names such a field.

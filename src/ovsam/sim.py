@@ -27,7 +27,7 @@ bitwise reproducible for a fixed seed across platforms.
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,6 +56,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.lanes < 2:
             raise ValueError("need at least 2 lanes for homing measurements to exist")
         if self.points_per_lane < 2:

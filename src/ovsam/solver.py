@@ -35,7 +35,7 @@ discontinuous where the positions coincide.
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
@@ -43,7 +43,7 @@ import scipy.linalg
 from .assembly import ActiveMask, assemble, init_lambdas, measurement_tables, merit
 from .costs import POS, RotCostConfig
 from .errors import DegenerateVectorError, NumericalFailure
-from .graph import pack_state, state_table
+from .graph import pack_state, state_table, write_text
 
 # Dense factorization below this state dimension, sparse LU at or above
 # (dimension 495 corresponds to 100 poses).
@@ -116,16 +116,15 @@ class SolveReport:
     def converged(self):
         return self.reason in ("grad_tol", "step_tol")
 
-    def write_trace_csv(self, stream):
-        stream.write(
-            "iteration,L,F,grad_norm,step_norm,max_constraint,lm_escalations,emergency\n"
-        )
+    def write_trace_csv(self, dest=None):
+        """The trace as CSV, one column per IterationRecord field: floats as
+        repr(float), ints as-is, bools as 0/1.  Returns the text if dest is None."""
+        cols = fields(IterationRecord)
+        lines = [",".join(f.name for f in cols)]
         for t in self.trace:
-            stream.write(
-                f"{t.iteration},{float(t.L)!r},{float(t.F)!r},{float(t.grad_norm)!r},"
-                f"{float(t.step_norm)!r},{float(t.max_constraint)!r},"
-                f"{t.lm_escalations},{int(t.emergency)}\n"
-            )
+            cells = ((f.type, getattr(t, f.name)) for f in cols)
+            lines.append(",".join(repr(float(v)) if k is float else str(int(v)) for k, v in cells))
+        return write_text("\n".join(lines) + "\n", dest)
 
 
 def compute_active_mask(graph, threshold, use_distance_error=False, table=None, tables=None):

@@ -1,5 +1,11 @@
 """Command-line interface, exercised in process through main()."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import consistent_graph, random_graph
@@ -7,8 +13,10 @@ from conftest import consistent_graph, random_graph
 import ovsam.cli as cli
 import ovsam.derivcheck as derivcheck
 from ovsam.cli import main
+from ovsam.costs import RotCostConfig
 from ovsam.graph import load_graph, save_graph
-from ovsam.solver import SolveReport
+from ovsam.sim import SimConfig
+from ovsam.solver import SolveReport, SolverConfig
 
 
 def _write_graph(tmp_path, graph, name="graph.txt"):
@@ -69,6 +77,35 @@ def test_simulate_rejects_bad_scenario(tmp_path, capsys):
     code = main(["simulate", "--out", str(tmp_path), "--lanes", "1"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--noise-ang", "inf"),
+        ("--lane-spacing", "inf"),
+        ("--noise-trans", "nan"),
+        ("--sigma-h", "inf"),
+    ],
+)
+def test_simulate_rejects_non_finite_settings(tmp_path, capsys, flag, value):
+    out = tmp_path / "run"
+    assert main(["simulate", flag, value, "--out", str(out)]) == 2
+    assert flag.lstrip("-").replace("-", "_") + " must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_without_flags_simulates_the_default_config(tmp_path, monkeypatch):
+    seen = []
+
+    def recording_simulate(cfg):
+        seen.append(cfg)
+        return real_simulate(cfg)
+
+    real_simulate = cli.simulate
+    monkeypatch.setattr(cli, "simulate", recording_simulate)
+    assert main(["simulate", "--out", str(tmp_path)]) == 0
+    assert seen == [SimConfig()]
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +313,55 @@ def test_solve_diverged_exit(tmp_path, capsys, monkeypatch):
     assert "diverged" in capsys.readouterr().err
 
 
+def _solver_config_of(tmp_path, monkeypatch, flags):
+    """The SolverConfig that `ovsam solve` with flags passes to solve."""
+    seen = []
+
+    def fake_solve(g, cfg):
+        seen.append(cfg)
+        return SolveReport(reason="grad_tol", trace=[], graph=g, lambdas=np.zeros(len(g) - 1))
+
+    monkeypatch.setattr(cli, "solve", fake_solve)
+    rng = np.random.default_rng(5)
+    path = _write_graph(tmp_path, consistent_graph(rng, n_poses=3))
+    assert main(["solve", path, "--out", str(tmp_path / "s"), *flags]) == 0
+    return seen[0]
+
+
+def test_solve_flags_default_to_the_solver_config(tmp_path, monkeypatch, capsys):
+    assert _solver_config_of(tmp_path, monkeypatch, []) == SolverConfig()
+
+
+def test_solve_flags_reach_every_config_field(tmp_path, monkeypatch, capsys):
+    flags = "--form second --t1 0 --gamma 2 --mu 5 --grad-tol 1e-6 --step-tol 1e-7"
+    flags += " --max-iters 7 --home-dist-threshold 0.1 --use-distance-error"
+    cfg = _solver_config_of(tmp_path, monkeypatch, flags.split())
+    assert cfg == SolverConfig(
+        max_iters=7,
+        grad_tol=1e-6,
+        step_tol=1e-7,
+        mu=5.0,
+        home_dist_threshold=0.1,
+        cost=RotCostConfig(form="second", t1=0, gamma=2.0),
+        use_distance_error=True,
+    )
+    default = SolverConfig()
+    for config, base in ((cfg, default), (cfg.cost, default.cost)):
+        for f in dataclasses.fields(config):
+            if f.name != "cost":
+                assert getattr(config, f.name) != getattr(base, f.name), f.name
+
+
+@pytest.mark.parametrize("flag, value", [("--form", "bogus"), ("--t1", "2")])
+def test_solve_rejects_invalid_cost_settings(tmp_path, capsys, flag, value):
+    rng = np.random.default_rng(5)
+    path = _write_graph(tmp_path, consistent_graph(rng, n_poses=3))
+    out = tmp_path / "s"
+    assert main(["solve", path, flag, value, "--out", str(out)]) == 2
+    assert f"{flag.lstrip('-')} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_argparse_rejects_unknown_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--warp", str(tmp_path / "g.txt")])
@@ -307,6 +393,12 @@ def test_check_derivatives_case_filter(capsys):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2
     assert out[1].startswith("distance")
+
+
+def test_check_derivatives_rejects_an_unknown_case(capsys):
+    assert main(["check-derivatives", "--samples", "1", "--case", "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown derivative cases: bogus" in err and "translation" in err
 
 
 @pytest.mark.parametrize("flag", ["--grad-threshold", "--hess-threshold"])
@@ -341,3 +433,12 @@ def test_check_derivatives_flags_injected_fault(capsys, monkeypatch):
             break
     else:
         pytest.fail("translation row missing from report")
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "ovsam", "check-derivatives", "--case", "constraint"]
+    run = subprocess.run([*argv, "--samples", "2"], env=env, capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert b"constraint" in run.stdout

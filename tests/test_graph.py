@@ -120,6 +120,14 @@ def test_validate_rejects(make, match):
         make().validate()
 
 
+def test_validate_names_the_lowest_non_finite_pose():
+    poses = [Pose([float(k), 0.0], [1.0, 0.0]) for k in range(4)]
+    poses[3].x[1] = np.nan
+    poses[1].u[0] = np.inf
+    with pytest.raises(GraphValidationError, match=r"^pose 2: non-finite components$"):
+        FactorGraph(poses).validate()
+
+
 def test_validate_accepts_random_graphs():
     rng = np.random.default_rng(0)
     for seed in range(5):

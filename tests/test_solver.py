@@ -659,12 +659,14 @@ def test_trace_csv_format():
     report = solve(graph)
     buf = io.StringIO()
     report.write_trace_csv(buf)
+    assert report.write_trace_csv() == buf.getvalue()
     lines = buf.getvalue().splitlines()
     assert lines[0] == (
-        "iteration,L,F,grad_norm,step_norm,max_constraint,lm_escalations,emergency"
+        "iteration,L,F,grad_norm,step_norm,max_constraint,lm_escalations,emergency,alpha"
     )
     assert len(lines) == 1 + report.iterations
     first = lines[1].split(",")
     assert first[0] == "1"
     float(first[1]), float(first[3])  # parseable floats
     assert first[7] in ("0", "1")
+    assert float(first[8]) == report.trace[0].alpha
