@@ -18,7 +18,6 @@ from .errors import (
     OracleError,
     OvsamError,
     PreconditionError,
-    StateLayoutError,
 )
 from .graph import (
     FactorGraph,

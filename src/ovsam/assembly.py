@@ -40,7 +40,7 @@ from .costs import (
     term_weight,
 )
 from .errors import DegenerateVectorError, PreconditionError
-from .graph import UNIT_TOL
+from .graph import UNIT_TOL, record_rows
 from .orvec import omega, rowdot
 
 
@@ -106,9 +106,6 @@ def measurement_tables(graph, cfg, use_distance_error=False):
     rank[free] = np.arange(len(free))
     odo, hom = graph.odometry, graph.homing
 
-    def rows(ms, name):
-        return np.array([getattr(m, name) - 1 for m in ms], dtype=np.intp)
-
     def vecs(ms, name):
         return np.array([getattr(m, name) for m in ms], dtype=float).reshape(-1, 2)
 
@@ -124,19 +121,21 @@ def measurement_tables(graph, cfg, use_distance_error=False):
 
     if use_distance_error:  # only checked: eval_distance divides by sigma_e itself
         weights(odo, "odometry", "sigma_e", distance_weight)
+    odo_i1, odo_i2 = record_rows(odo)
+    hom_i1, hom_i2 = record_rows(hom)
     return MeasurementTables(
         rank=rank,
         free=free,
-        odo_i1=rows(odo, "i1"),
-        odo_i2=rows(odo, "i2"),
+        odo_i1=odo_i1,
+        odo_i2=odo_i2,
         r=vecs(odo, "r"),
         Tinv=np.array([_spd_inverse(m.T) for m in odo], dtype=float).reshape(-1, 2, 2),
         Q=omega(vecs(odo, "q")),
         w_rot=weights(odo, "odometry", "sigma"),
         sigma_e=np.array([m.sigma_e for m in odo], dtype=float),
         rho=np.array([m.rho for m in odo], dtype=float),
-        hom_i1=rows(hom, "i1"),
-        hom_i2=rows(hom, "i2"),
+        hom_i1=hom_i1,
+        hom_i2=hom_i2,
         A=omega(vecs(hom, "alpha")),
         Psi=omega(vecs(hom, "psi")),
         w_home=weights(hom, "homing", "sigma_h"),

@@ -162,14 +162,16 @@ def distance_weight(sigma_e):
 def _spd_inverse(T):
     """Inverse of a symmetric positive definite 2x2 matrix."""
     T = np.asarray(T, dtype=float)
-    # the checks fail on NaN and on inf entries, whose inverse is no covariance
+    # the checks fail on NaN and on inf entries, whose inverse is no covariance;
+    # Python float arithmetic overflows to inf and makes NaN without warnings
     scale = max(1.0, float(np.abs(T).max()))
-    if not abs(T[0, 1] - T[1, 0]) <= 1e-12 * scale:
+    (a, b), (c, d) = T.tolist()
+    if not abs(b - c) <= 1e-12 * scale:
         raise InvalidCovarianceError(f"covariance not symmetric: {T!r}")
-    det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
-    if not (T[0, 0] > 0.0 and 0.0 < det < np.inf):
+    det = a * d - b * c
+    if not (a > 0.0 and 0.0 < det < math.inf):
         raise InvalidCovarianceError(f"covariance not positive definite: {T!r}")
-    return np.array([[T[1, 1], -T[0, 1]], [-T[1, 0], T[0, 0]]]) / det
+    return np.array([[d, -b], [-c, a]]) / det
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,6 @@ class GraphValidationError(OvsamError, ValueError):
     """A parsed graph violates a structural invariant."""
 
 
-class StateLayoutError(OvsamError, ValueError):
-    """A flat state vector does not match the layout of the graph."""
-
-
 class PreconditionError(OvsamError, ValueError):
     """An operation was called with inputs outside its contract."""
 

@@ -29,10 +29,18 @@ from .errors import (
     GraphFormatError,
     GraphValidationError,
     InvalidCovarianceError,
-    StateLayoutError,
+    PreconditionError,
 )
 
 UNIT_TOL = 1e-9
+
+
+def _array(name, value, shape):
+    """A float copy of the record array field name, checked to have the given shape."""
+    a = np.array(value, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    return a
 
 
 @dataclass
@@ -47,20 +55,11 @@ class Pose:
     u: np.ndarray
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float).copy()
-        self.u = np.asarray(self.u, dtype=float).copy()
-        if self.x.shape != (2,) or self.u.shape != (2,):
-            raise ValueError("pose components must be 2-vectors")
+        self.x = _array("x", self.x, (2,))
+        self.u = _array("u", self.u, (2,))
 
     def copy(self):
         return Pose(self.x, self.u)
-
-
-def _vec2(a):
-    v = np.asarray(a, dtype=float).copy()
-    if v.shape != (2,):
-        raise ValueError("expected a 2-vector")
-    return v
 
 
 @dataclass
@@ -83,9 +82,9 @@ class OdometryMeasurement:
     rho: float = None
 
     def __post_init__(self):
-        self.r = _vec2(self.r)
-        self.q = _vec2(self.q)
-        self.T = np.asarray(self.T, dtype=float).copy()
+        self.r = _array("r", self.r, (2,))
+        self.q = _array("q", self.q, (2,))
+        self.T = _array("T", self.T, (2, 2))
         if self.rho is None:
             self.rho = float(np.hypot(self.r[0], self.r[1]))
 
@@ -107,8 +106,8 @@ class HomingMeasurement:
     sigma_c: float
 
     def __post_init__(self):
-        self.alpha = _vec2(self.alpha)
-        self.psi = _vec2(self.psi)
+        self.alpha = _array("alpha", self.alpha, (2,))
+        self.psi = _array("psi", self.psi, (2,))
 
 
 class FactorGraph:
@@ -158,7 +157,7 @@ class FactorGraph:
         """A graph with the same measurements and anchor and the table's poses."""
         table = np.asarray(table, dtype=float)
         if table.shape != (len(self), 4):
-            raise StateLayoutError(f"expected a ({len(self)}, 4) pose table, got {table.shape}")
+            raise PreconditionError(f"expected a ({len(self)}, 4) pose table, got {table.shape}")
         poses = [Pose(row[POS], row[ORI]) for row in table]
         return FactorGraph(poses, self.odometry, self.homing, self.fixed_id)
 
@@ -199,6 +198,9 @@ class FactorGraph:
 
     @staticmethod
     def _check_indices(where, i1, i2, n):
+        ints = (int, np.integer)  # bool is an int subclass, but no pose index
+        if not (isinstance(i1, ints) and isinstance(i2, ints) and bool not in (type(i1), type(i2))):
+            raise GraphValidationError(f"{where}: pose indices must be integers")
         if not (1 <= i1 <= n and 1 <= i2 <= n):
             raise GraphValidationError(f"{where}: pose index out of range 1..{n}")
         if i1 == i2:
@@ -221,6 +223,14 @@ class FactorGraph:
             cls._reject(where, m, fields, f"{name} must be a unit vector, |{name}| = {norm!r}")
 
 
+def record_rows(ms):
+    """The 0-based pose rows i1 - 1 and i2 - 1 of records ms, as two contiguous intp arrays."""
+    return (
+        np.array([m.i1 - 1 for m in ms], dtype=np.intp),
+        np.array([m.i2 - 1 for m in ms], dtype=np.intp),
+    )
+
+
 def pack_state(graph, lambdas=None):
     """Flatten the free poses (and multipliers) into the state vector."""
     free = graph.free_ids()
@@ -228,7 +238,7 @@ def pack_state(graph, lambdas=None):
         lambdas = np.zeros(len(free))
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.shape != (len(free),):
-        raise StateLayoutError(f"expected {len(free)} multipliers, got shape {lambdas.shape}")
+        raise PreconditionError(f"expected {len(free)} multipliers, got shape {lambdas.shape}")
     return np.column_stack((graph.pose_table()[np.subtract(free, 1)], lambdas)).ravel()
 
 
@@ -240,7 +250,7 @@ def state_table(table, fixed_id, vec):
     vec = np.asarray(vec, dtype=float)
     dim = 5 * (len(table) - 1)
     if vec.ndim not in (1, 2) or vec.shape[-1] != dim:
-        raise StateLayoutError(f"expected state of length {dim}, got {vec.shape}")
+        raise PreconditionError(f"expected state of length {dim}, got {vec.shape}")
     out = np.broadcast_to(table, vec.shape[:-1] + table.shape).copy()
     out[..., np.arange(len(table)) != fixed_id - 1, :] = vec.reshape(
         vec.shape[:-1] + (-1, 5)

@@ -28,6 +28,7 @@ bitwise reproducible for a fixed seed across platforms.
 import io
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -59,22 +60,23 @@ class SimConfig:
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
-        if self.lanes < 2:
-            raise ValueError("need at least 2 lanes for homing measurements to exist")
-        if self.points_per_lane < 2:
-            raise ValueError("need at least 2 points per lane")
-        if not (self.lane_spacing > 0.0 and self.segment_length > 0.0):
-            raise ValueError("lane spacing and segment length must be positive")
-        if not 0.0 <= self.wheel_speed_bias < 2.0:
-            raise ValueError("wheel speed bias must be in [0, 2)")
-        if self.euler_substeps < 1:
-            raise ValueError("need at least one Euler substep")
-        if self.noise_trans < 0.0 or self.noise_ang < 0.0:
-            raise ValueError("noise densities must be nonnegative")
-        if not (self.sigma_h > 0.0 and self.sigma_c > 0.0):
-            raise ValueError("homing noise levels must be positive")
-        if self.homing_neighbors < 1:
-            raise ValueError("need at least one homing neighbor")
+        checks = (
+            ("lanes", self.lanes >= 2, "at least 2, for homing measurements to exist"),
+            ("points_per_lane", self.points_per_lane >= 2, "at least 2"),
+            ("lane_spacing", self.lane_spacing > 0.0, "positive"),
+            ("segment_length", self.segment_length > 0.0, "positive"),
+            ("wheel_speed_bias", 0.0 <= self.wheel_speed_bias < 2.0, "in [0, 2)"),
+            ("euler_substeps", self.euler_substeps >= 1, "at least 1"),
+            ("noise_trans", self.noise_trans >= 0.0, "nonnegative"),
+            ("noise_ang", self.noise_ang >= 0.0, "nonnegative"),
+            ("sigma_h", self.sigma_h > 0.0, "positive"),
+            ("sigma_c", self.sigma_c > 0.0, "positive"),
+            ("homing_neighbors", self.homing_neighbors >= 1, "at least 1"),
+            ("seed", isinstance(self.seed, Integral) and self.seed >= 0, "a nonnegative integer"),
+        )
+        for name, ok, requirement in checks:
+            if not ok:
+                raise ValueError(f"{name} must be {requirement}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -99,15 +101,30 @@ class _Drive:
         # constant true curvature bias/wheel_base when driving forward.
         self.kappa = cfg.wheel_speed_bias / WHEEL_BASE
 
-    def _noise(self, wheel_path):
-        qt, qa = self.cfg.noise_trans, self.cfg.noise_ang
-        st = math.sqrt(qt * wheel_path)
-        sa = math.sqrt(qa * wheel_path)
-        return (
-            self.rng.normal(0.0, st),
-            self.rng.normal(0.0, st),
-            self.rng.normal(0.0, sa),
-        )
+    def _substep(self, move, turn, cmd_move, cmd_turn, wheel_path):
+        """One Euler substep; returns the believed heading before it and (dsf, dsl).
+
+        The true pose moves by (move, turn), the believed one by the command
+        (cmd_move, cmd_turn) plus noise for wheel_path meters of wheel travel:
+        dsf forward, dsl lateral.  rng.normal(0.0, s) never returns -0.0, so
+        a zero command adds nothing to its noise.
+        """
+        th = self.true[2]
+        self.true[0] += math.cos(th) * move
+        self.true[1] += math.sin(th) * move
+        self.true[2] += turn
+
+        st = math.sqrt(self.cfg.noise_trans * wheel_path)
+        sa = math.sqrt(self.cfg.noise_ang * wheel_path)
+        rng = self.rng
+        ef, el, eth = rng.normal(0.0, st), rng.normal(0.0, st), rng.normal(0.0, sa)
+        dsf, dsl, dth = cmd_move + ef, el, cmd_turn + eth
+        thb = self.bel[2]
+        c, s = math.cos(thb), math.sin(thb)
+        self.bel[0] += c * dsf - s * dsl
+        self.bel[1] += s * dsf + c * dsl
+        self.bel[2] += dth
+        return thb, dsf, dsl
 
     def straight(self, length, with_cov):
         """Drive a commanded-straight segment; optionally propagate covariance.
@@ -122,19 +139,7 @@ class _Drive:
         C = np.zeros((3, 3))
         W = np.diag([cfg.noise_trans * ds, cfg.noise_trans * ds, cfg.noise_ang * ds])
         for _ in range(cfg.euler_substeps):
-            th = self.true[2]
-            self.true[0] += math.cos(th) * ds
-            self.true[1] += math.sin(th) * ds
-            self.true[2] += self.kappa * ds
-
-            ef, el, eth = self._noise(ds)
-            dsf, dsl, dth = ds + ef, el, eth
-            thb = self.bel[2]
-            c, s = math.cos(thb), math.sin(thb)
-            self.bel[0] += c * dsf - s * dsl
-            self.bel[1] += s * dsf + c * dsl
-            self.bel[2] += dth
-
+            thb, dsf, dsl = self._substep(ds, self.kappa * ds, ds, 0.0, ds)
             if with_cov:
                 rel = thb - start_theta
                 cr, sr = math.cos(rel), math.sin(rel)
@@ -158,17 +163,7 @@ class _Drive:
         # creep forward by bias * wheel_base / 4 meters per radian.
         drift = cfg.wheel_speed_bias * WHEEL_BASE / 4.0 * dth
         for _ in range(cfg.euler_substeps):
-            th = self.true[2]
-            self.true[0] += math.cos(th) * drift
-            self.true[1] += math.sin(th) * drift
-            self.true[2] += dth
-
-            ef, el, eth = self._noise(wheel_path)
-            thb = self.bel[2]
-            c, s = math.cos(thb), math.sin(thb)
-            self.bel[0] += c * ef - s * el
-            self.bel[1] += s * ef + c * el
-            self.bel[2] += dth + eth
+            self._substep(drift, dth, 0.0, dth, wheel_path)
 
 
 def _floor_spd(T):

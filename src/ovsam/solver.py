@@ -43,7 +43,7 @@ import scipy.linalg
 from .assembly import ActiveMask, assemble, init_lambdas, measurement_tables, merit
 from .costs import POS, RotCostConfig
 from .errors import DegenerateVectorError, NumericalFailure
-from .graph import pack_state, state_table, write_text
+from .graph import pack_state, record_rows, state_table, write_text
 
 # Dense factorization below this state dimension, sparse LU at or above
 # (dimension 495 corresponds to 100 poses).
@@ -138,11 +138,8 @@ def compute_active_mask(graph, threshold, use_distance_error=False, table=None, 
     if table is None:
         table = graph.pose_table()
 
-    def rows(ms):
-        return np.array([(m.i1 - 1, m.i2 - 1) for m in ms], dtype=np.intp).reshape(-1, 2).T
-
     if tables is None:
-        hom, odo = rows(graph.homing), rows(graph.odometry)
+        hom, odo = record_rows(graph.homing), record_rows(graph.odometry)
     else:
         hom, odo = (tables.hom_i1, tables.hom_i2), (tables.odo_i1, tables.odo_i2)
 

@@ -79,6 +79,15 @@ def test_simulate_rejects_bad_scenario(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--points-per-lane", "1"), ("--seed", "-1")])
+def test_simulate_rejects_a_bad_setting_naming_its_field(tmp_path, capsys, flag, value):
+    out = tmp_path / "run"
+    assert main(["simulate", flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + flag.lstrip("-").replace("-", "_") + " must be ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

@@ -1,6 +1,7 @@
 """Graph data model, state layout, and the text file format."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from conftest import random_graph
 
 from ovsam.assembly import measurement_tables
 from ovsam.costs import RotCostConfig
-from ovsam.errors import GraphFormatError, GraphValidationError, StateLayoutError
+from ovsam.errors import GraphFormatError, GraphValidationError, PreconditionError
 from ovsam.graph import (
     FactorGraph,
     HomingMeasurement,
@@ -91,6 +92,14 @@ def test_with_fixed():
         (lambda: FactorGraph(_two_poses(), odometry=[_odom(i2=7)]), "out of range"),
         (lambda: FactorGraph(_two_poses(), odometry=[_odom(i2=1)]), "itself"),
         (
+            lambda: FactorGraph(_two_poses(), homing=[_home(i1=2.5)]),
+            r"^homing record 1 \(2\.5->1\): pose indices must be integers$",
+        ),
+        (
+            lambda: FactorGraph(_two_poses(), odometry=[_odom(i1=True)]),
+            r"^odometry record 1 \(True->2\): pose indices must be integers$",
+        ),
+        (
             lambda: FactorGraph(_two_poses(), odometry=[_odom(q=np.array([1.0, 0.5]))]),
             "q must be a unit vector",
         ),
@@ -118,6 +127,40 @@ def test_with_fixed():
 def test_validate_rejects(make, match):
     with pytest.raises(GraphValidationError, match=match):
         make().validate()
+
+
+def test_validate_accepts_numpy_integer_indices():
+    odom = _odom(i1=np.int64(1), i2=np.int32(2))
+    FactorGraph(_two_poses(), odometry=[odom], homing=[_home(i1=np.intp(2))]).validate()
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: _odom(T=np.eye(3)), r"^T must have shape \(2, 2\), got \(3, 3\)$"),
+        (lambda: _odom(T=[1.0, 1.0]), r"^T must have shape \(2, 2\), got \(2,\)$"),
+        (lambda: _odom(r=[1.0, 0.0, 0.0]), r"^r must have shape \(2,\), got \(3,\)$"),
+        (lambda: _odom(q=np.ones((2, 1))), r"^q must have shape \(2,\), got \(2, 1\)$"),
+        (lambda: _home(alpha=[1.0]), r"^alpha must have shape \(2,\), got \(1,\)$"),
+        (lambda: _home(psi=np.zeros((2, 2))), r"^psi must have shape \(2,\), got \(2, 2\)$"),
+        (lambda: Pose([0.0, 0.0, 0.0], [1.0, 0.0]), r"^x must have shape \(2,\), got \(3,\)$"),
+        (lambda: Pose([0.0, 0.0], 1.0), r"^u must have shape \(2,\), got \(\)$"),
+    ],
+)
+def test_record_arrays_are_shape_checked_at_construction(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_records_own_float_copies_of_their_arrays():
+    r, T = np.array([3, 4]), np.eye(2)
+    m = _odom(r=r, T=T)
+    T[0, 0] = 9.0
+    assert m.r.dtype == float and m.T[0, 0] == 1.0 and m.rho == 5.0
+    x = np.zeros(2)
+    p = Pose(x, [1, 0])
+    x[0] = 9.0
+    assert p.x[0] == 0.0 and p.u.dtype == float
 
 
 def test_validate_names_the_lowest_non_finite_pose():
@@ -159,6 +202,18 @@ def test_state_layout_nondefault_fixed():
     assert np.array_equal(pack_state(g)[5:9], g.pose_table()[2])
 
 
+def test_measurement_tables_pose_rows_are_contiguous_intp():
+    # every merit call gathers pose rows with np.take, which is slower on
+    # strided index arrays such as the columns of a transposed (K, 2) array
+    g = random_graph(np.random.default_rng(3), n_poses=5, n_homing=4)
+    tables = measurement_tables(g, RotCostConfig())
+    for name, ms in (("odo", g.odometry), ("hom", g.homing)):
+        for end in ("i1", "i2"):
+            rows = getattr(tables, f"{name}_{end}")
+            assert rows.dtype == np.intp and rows.flags.c_contiguous
+            assert rows.tolist() == [getattr(m, end) - 1 for m in ms]
+
+
 def test_pack_state_with_poses_round_trip():
     rng = np.random.default_rng(2)
     g = random_graph(rng, n_poses=5, n_homing=3).with_fixed(3)
@@ -189,11 +244,11 @@ def test_pack_state_with_poses_round_trip():
 
 def test_state_layout_errors():
     g = FactorGraph(_two_poses())
-    with pytest.raises(StateLayoutError):
+    with pytest.raises(PreconditionError):
         pack_state(g, np.zeros(2))
-    with pytest.raises(StateLayoutError):
+    with pytest.raises(PreconditionError):
         state_table(g.pose_table(), g.fixed_id, np.zeros(7))
-    with pytest.raises(StateLayoutError):
+    with pytest.raises(PreconditionError):
         g.with_poses(np.zeros((3, 4)))
 
 
@@ -298,6 +353,19 @@ def test_load_rejects_non_finite_measurements_by_record(record, match):
     text = "POSE 1 0 0 1 0 FIXED\nPOSE 2 1 0 1 0\n" + record + "\n"
     with pytest.raises(GraphValidationError, match=match):
         load_graph(io.StringIO(text))
+
+
+@pytest.mark.parametrize("T", ["1e300 1e300 1e300", "1e300 0.0 1e300", "1e200 -1e300 1e200"])
+def test_load_rejects_an_overflowing_covariance_without_numpy_warnings(T):
+    # its determinant overflows to inf, or to inf - inf = nan
+    text = f"POSE 1 0 0 1 0 FIXED\nPOSE 2 1 0 1 0\nODOM 1 2 1.0 0.0 1.0 0.0 {T} 0.1 0.1\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            GraphValidationError,
+            match=r"^odometry record 1 \(1->2\): covariance not positive definite",
+        ):
+            load_graph(io.StringIO(text))
 
 
 def test_validate_rejects_non_finite_rho():

@@ -1,5 +1,6 @@
 """Differential-drive scenario generator."""
 
+import hashlib
 import io
 import math
 
@@ -46,6 +47,29 @@ def test_simulation_deterministic():
     assert np.array_equal(gta.poses, gtb.poses)
     c, _ = simulate(SimConfig(seed=1))
     assert save_graph(c) != save_graph(a)
+
+
+@pytest.mark.parametrize(
+    "cfg, graph_sha, truth_sha",
+    [
+        (
+            SimConfig(),
+            "f71d22025321e4a62c0567f7e66f9854003bf3fbb845c19983df1585e7bd342d",
+            "221de1cafd73b6b5f5e0c815e48fd8aadace14630bed31fdf9aa08c1ad0351e9",
+        ),
+        (
+            SimConfig(lanes=10, points_per_lane=30),
+            "2a0ab9154bf421ce03da277c3e2ff5f33862fac7cad973a0510c1d51fcb03337",
+            "fdcb5027f8cfa7e1facca472ce039a0d71f43bae97f6f7fe38eff65816aedcba",
+        ),
+    ],
+)
+def test_benchmark_scenarios_are_pinned_bitwise(cfg, graph_sha, truth_sha):
+    # the benchmark's inputs: a change to the kinematics, the noise draws
+    # or the text format shows up here first
+    graph, gt = simulate(cfg)
+    assert hashlib.sha256(save_graph(graph).encode()).hexdigest() == graph_sha
+    assert hashlib.sha256(save_ground_truth(gt).encode()).hexdigest() == truth_sha
 
 
 def test_pose_one_at_origin():
@@ -164,11 +188,18 @@ def test_drift_makes_a_real_problem():
         {"sigma_h": 0.0},
         {"sigma_c": 0.0},
         {"homing_neighbors": 0},
+        {"seed": -1},
+        {"seed": 1.5},
     ],
 )
 def test_sim_config_rejects(kwargs):
-    with pytest.raises(ValueError):
+    ((name, value),) = kwargs.items()
+    with pytest.raises(ValueError, match=rf"^{name} must be .*, got {value!r}$"):
         SimConfig(**kwargs)
+
+
+def test_sim_config_accepts_a_numpy_integer_seed():
+    assert SimConfig(seed=np.int64(3)).seed == 3
 
 
 def test_ground_truth_text(tmp_path):
