@@ -30,7 +30,6 @@ from .constraints import eval_constraint, residual
 from .costs import (
     ORI,
     CostEval,
-    _spd_inverse,
     distance_weight,
     eval_compass,
     eval_distance,
@@ -40,7 +39,7 @@ from .costs import (
     term_weight,
 )
 from .errors import DegenerateVectorError, PreconditionError
-from .graph import UNIT_TOL, record_rows
+from .graph import UNIT_TOL, record_name
 from .orvec import omega, rowdot
 
 
@@ -70,9 +69,9 @@ class MeasurementTables:
 
     Pose indices are 0-based rows of the pose table.  Per-record
     constants are computed once, with the expressions the kernels use:
-    Tinv by _spd_inverse, Q, A and Psi as Omega(q), Omega(alpha) and
-    Omega(psi), and the w_* weights by term_weight for the cost
-    configuration the tables were built with.
+    Tinv by _spd_inverse (in validate), Q, A and Psi as Omega(q),
+    Omega(alpha) and Omega(psi), and the w_* weights by term_weight for
+    the cost configuration the tables were built with.
     """
 
     rank: np.ndarray  # (N,) state rank of each pose row, -1 for the anchor
@@ -93,53 +92,51 @@ class MeasurementTables:
     w_compass: np.ndarray
 
 
+def _weights(group, cols, name, gamma=None):
+    """The weights of column cols[name]: term_weight with gamma, else distance_weight.
+
+    A failure is re-raised as ValueError naming the record and the field.
+    """
+    try:
+        return distance_weight(cols[name]) if gamma is None else term_weight(gamma, cols[name])
+    except PreconditionError as exc:
+        k = exc.index
+        where = record_name(group, k, cols["i1"][k], cols["i2"][k])
+        raise ValueError(f"{where}: {name}: {exc}") from exc
+
+
 def measurement_tables(graph, cfg, use_distance_error=False):
     """MeasurementTables of graph's measurements under the cost configuration cfg.
 
-    Raises ValueError, naming the record and the field, for a weight
-    that is not finite and positive: gamma / sigma**2 of every
-    rotational, home-vector and compass term, and 1 / sigma_e of every
-    distance term if use_distance_error.
+    Built from the columns that graph.validate() checks and returns.  Then
+    raises ValueError, naming the record and the field, for a weight that
+    is not finite and positive: gamma / sigma**2 of every rotational,
+    home-vector and compass term, and 1 / sigma_e of every distance term
+    if use_distance_error.
     """
+    odo, hom = graph.validate()
     free = np.subtract(graph.free_ids(), 1)
     rank = np.full(len(graph), -1)
     rank[free] = np.arange(len(free))
-    odo, hom = graph.odometry, graph.homing
-
-    def vecs(ms, name):
-        return np.array([getattr(m, name) for m in ms], dtype=float).reshape(-1, 2)
-
-    def weights(ms, group, name, weight=lambda sigma: term_weight(cfg.gamma, sigma)):
-        out = []
-        for k, m in enumerate(ms):
-            try:
-                out.append(weight(getattr(m, name)))
-            except ValueError as exc:
-                where = f"{group} record {k + 1} ({m.i1}->{m.i2})"
-                raise ValueError(f"{where}: {name}: {exc}") from exc
-        return np.array(out, dtype=float)
-
     if use_distance_error:  # only checked: eval_distance divides by sigma_e itself
-        weights(odo, "odometry", "sigma_e", distance_weight)
-    odo_i1, odo_i2 = record_rows(odo)
-    hom_i1, hom_i2 = record_rows(hom)
+        _weights("odometry", odo, "sigma_e")
     return MeasurementTables(
         rank=rank,
         free=free,
-        odo_i1=odo_i1,
-        odo_i2=odo_i2,
-        r=vecs(odo, "r"),
-        Tinv=np.array([_spd_inverse(m.T) for m in odo], dtype=float).reshape(-1, 2, 2),
-        Q=omega(vecs(odo, "q")),
-        w_rot=weights(odo, "odometry", "sigma"),
-        sigma_e=np.array([m.sigma_e for m in odo], dtype=float),
-        rho=np.array([m.rho for m in odo], dtype=float),
-        hom_i1=hom_i1,
-        hom_i2=hom_i2,
-        A=omega(vecs(hom, "alpha")),
-        Psi=omega(vecs(hom, "psi")),
-        w_home=weights(hom, "homing", "sigma_h"),
-        w_compass=weights(hom, "homing", "sigma_c"),
+        odo_i1=odo["i1"] - 1,
+        odo_i2=odo["i2"] - 1,
+        r=odo["r"],
+        Tinv=odo["Tinv"],
+        Q=omega(odo["q"]),
+        w_rot=_weights("odometry", odo, "sigma", cfg.gamma),
+        sigma_e=odo["sigma_e"],
+        rho=odo["rho"],
+        hom_i1=hom["i1"] - 1,
+        hom_i2=hom["i2"] - 1,
+        A=omega(hom["alpha"]),
+        Psi=omega(hom["psi"]),
+        w_home=_weights("homing", hom, "sigma_h", cfg.gamma),
+        w_compass=_weights("homing", hom, "sigma_c", cfg.gamma),
     )
 
 
@@ -227,9 +224,8 @@ def _evaluate(group, i1, i2, calls):
             failures.append((k, pos, exc))
     if failures:
         k, _, exc = min(failures, key=lambda f: f[:2])
-        raise DegenerateVectorError(
-            f"{group} record {k + 1} ({i1[k] + 1}->{i2[k] + 1}): {exc}"
-        ) from exc
+        where = record_name(group, k, i1[k] + 1, i2[k] + 1)
+        raise DegenerateVectorError(f"{where}: {exc}") from exc
     return outs
 
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVectorError, InvalidCovarianceError
+from .errors import DegenerateVectorError, InvalidCovarianceError, PreconditionError
 from .orvec import DEGENERATE_NORM, omega, omega_bar, rowdot
 
 # Slices of the stacked per-pose coordinates [x, u].
@@ -127,51 +127,81 @@ class CostEval:
         return cls(value, *np.zeros((2, k, 4)), *np.zeros((3, k, 4, 4)))
 
 
-def term_weight(gamma, sigma):
-    """Weight gamma / sigma^2 of one rotational, compass or home-vector term.
+def first_failure(failed):
+    """(k, j): the first record k that fails any check and the first check j it fails.
 
-    Raises ValueError unless the weight is finite and positive: sigma**2
-    underflows to 0 for sigma below about 1e-162 and overflows above
-    about 1e154, and a large gamma overflows the quotient.
+    failed holds a boolean column per check, in check order; None if all pass.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"standard deviation must be positive, got {sigma!r}")
-    try:
-        weight = gamma / sigma**2
-    except (ZeroDivisionError, OverflowError):
-        weight = math.nan
-    if not 0.0 < weight < math.inf:
-        raise ValueError(
-            f"weight gamma / sigma**2 = {gamma!r} / {sigma!r}**2 is not finite and positive"
-        )
-    return weight
+    failed = np.vstack(failed)
+    if not failed.any():
+        return None
+    k = int(failed.any(axis=0).argmax())
+    return k, int(failed[:, k].argmax())
+
+
+def _checked_weight(weight, sigma, failed, messages):
+    """weight, unless a position fails a check.
+
+    The checks are failed, then the weight's own: finite and positive.  The
+    first failing position raises PreconditionError, indexed by it, with
+    the message of its first failing check formatting its sigma.
+    """
+    hit = first_failure(failed + [~((0.0 < weight) & (weight < math.inf))])
+    if hit is None:
+        return weight
+    k, j = hit
+    raise PreconditionError(messages[j].format(float(sigma.flat[k])), index=k)
+
+
+def term_weight(gamma, sigma):
+    """Weights gamma / sigma^2 of rotational, compass or home-vector terms.
+
+    sigma is one standard deviation or an array of them.  Raises
+    PreconditionError (a ValueError) unless every weight is finite and
+    positive (_checked_weight): sigma**2 underflows to 0 for sigma below
+    about 1e-162 and overflows above about 1e154, and a large gamma
+    overflows the quotient.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    with np.errstate(all="ignore"):
+        weight = gamma / np.float_power(sigma, 2.0)  # libm pow, as a float's ** 2
+    positive = "standard deviation must be positive, got {!r}"
+    finite = f"weight gamma / sigma**2 = {gamma!r} / {{!r}}**2 is not finite and positive"
+    return _checked_weight(weight, sigma, [~(sigma > 0.0)], [positive, finite])
 
 
 def distance_weight(sigma_e):
-    """Weight 1 / sigma_e of one traveled-distance term.
+    """Weights 1 / sigma_e of traveled-distance terms, checked as term_weight's.
 
-    Raises ValueError unless the weight is finite and positive: 1 / sigma_e
-    overflows for sigma_e below about 5.6e-309.
+    1 / sigma_e overflows for sigma_e below about 5.6e-309.
     """
-    weight = 1.0 / sigma_e if sigma_e > 0.0 else math.nan
-    if not 0.0 < weight < math.inf:
-        raise ValueError(f"weight 1 / sigma_e = 1 / {sigma_e!r} is not finite and positive")
-    return weight
+    sigma_e = np.asarray(sigma_e, dtype=float)
+    with np.errstate(all="ignore"):
+        weight = 1.0 / sigma_e
+    finite = "weight 1 / sigma_e = 1 / {!r} is not finite and positive"
+    return _checked_weight(weight, sigma_e, [], [finite])
 
 
 def _spd_inverse(T):
-    """Inverse of a symmetric positive definite 2x2 matrix."""
+    """Inverses of a (K, 2, 2) stack of symmetric positive definite matrices.
+
+    Raises InvalidCovarianceError, indexed by its position, for the first that is
+    not symmetric, or not positive definite with a finite inverse (NaN and inf fail).
+    """
     T = np.asarray(T, dtype=float)
-    # the checks fail on NaN and on inf entries, whose inverse is no covariance;
-    # Python float arithmetic overflows to inf and makes NaN without warnings
-    scale = max(1.0, float(np.abs(T).max()))
-    (a, b), (c, d) = T.tolist()
-    if not abs(b - c) <= 1e-12 * scale:
-        raise InvalidCovarianceError(f"covariance not symmetric: {T!r}")
-    det = a * d - b * c
-    if not (a > 0.0 and 0.0 < det < math.inf):
-        raise InvalidCovarianceError(f"covariance not positive definite: {T!r}")
-    return np.array([[d, -b], [-c, a]]) / det
+    a, b, c, d = T.reshape(-1, 4).T
+    with np.errstate(all="ignore"):
+        scale = np.fmax(1.0, np.abs(T).max(axis=(1, 2)))  # fmax skips NaN, as max(1.0, x)
+        symmetric = np.abs(b - c) <= 1e-12 * scale
+        det = a * d - b * c
+        Tinv = np.stack((d, -b, -c, a), axis=1).reshape(-1, 2, 2) / det[:, None, None]
+    posdef = (a > 0.0) & (0.0 < det) & (det < math.inf) & np.isfinite(Tinv).all(axis=(1, 2))
+    hit = first_failure((~symmetric, ~posdef))
+    if hit is None:
+        return Tinv
+    k, j = hit
+    what = ("symmetric", "positive definite")[j]
+    raise InvalidCovarianceError(f"covariance not {what}: {T[k]!r}", index=k)
 
 
 # ---------------------------------------------------------------------------
@@ -207,22 +237,18 @@ def _norms(z):
 
 
 def _check_norms(*checks):
-    """Raise DegenerateVectorError for the first record with a zero-length vector.
+    """Raise DegenerateVectorError, indexed by its batch position, for the
+    first record with a zero-length vector, naming the first check it fails.
 
-    checks are (norms, what) pairs in the order the vectors are
-    normalized.  The error names the first record that fails any check,
-    the first check it fails, and carries the record's batch position
-    as its index.
+    checks are (norms, what) pairs in the order the vectors are normalized.
     """
-    bad = [norms <= DEGENERATE_NORM for norms, _ in checks]
-    failing = [int(np.argmax(b)) for b in bad if b.any()]
-    if not failing:
-        return
-    k = min(failing)
-    norms, what = next(check for check, b in zip(checks, bad) if b[k])
-    raise DegenerateVectorError(
-        f"{what} has norm {float(norms[k])!r}, below {DEGENERATE_NORM}", index=k
-    )
+    hit = first_failure([norms <= DEGENERATE_NORM for norms, _ in checks])
+    if hit is not None:
+        k, j = hit
+        norms, what = checks[j]
+        raise DegenerateVectorError(
+            f"{what} has norm {float(norms[k])!r}, below {DEGENERATE_NORM}", index=k
+        )
 
 
 def _proj_curvature(a, z0, nz):

@@ -120,7 +120,7 @@ def _pair_case(rng, kernel):
 
 
 def _case_translation(rng):
-    Tinv = _spd_inverse(_random_spd(rng))[None]
+    Tinv = _spd_inverse(_random_spd(rng)[None])
     r = rng.uniform(-1.5, 1.5, (1, 2))
     return _pair_case(rng, lambda p1, p2, derivs: eval_translation(p1, p2, Tinv, r, derivs))
 

@@ -2,19 +2,16 @@
 
 
 class OvsamError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class DegenerateVectorError(OvsamError, ValueError):
-    """A vector that must be normalized has (numerically) zero length.
-
-    index is the batch position of the offending record when a batched
-    cost kernel raised, else None.
-    """
+    """Base class for all errors raised by this package; index is the batch
+    position of the offending record when a batched check raised."""
 
     def __init__(self, message, index=None):
         super().__init__(message)
         self.index = index
+
+
+class DegenerateVectorError(OvsamError, ValueError):
+    """A vector that must be normalized has (numerically) zero length."""
 
 
 class InvalidCovarianceError(OvsamError, ValueError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import ORI, POS, _spd_inverse
+from .costs import ORI, POS, _spd_inverse, first_failure
 from .errors import (
     GraphFormatError,
     GraphValidationError,
@@ -86,7 +86,8 @@ class OdometryMeasurement:
         self.q = _array("q", self.q, (2,))
         self.T = _array("T", self.T, (2, 2))
         if self.rho is None:
-            self.rho = float(np.hypot(self.r[0], self.r[1]))
+            with np.errstate(over="ignore"):  # an |r| that overflows validate rejects
+                self.rho = float(np.hypot(self.r[0], self.r[1]))
 
 
 @dataclass
@@ -122,7 +123,7 @@ class FactorGraph:
         self.poses = list(poses)
         self.odometry = list(odometry)
         self.homing = list(homing)
-        self.fixed_id = int(fixed_id)
+        self.fixed_id = fixed_id
 
     def __len__(self):
         return len(self.poses)
@@ -162,73 +163,90 @@ class FactorGraph:
         return FactorGraph(poses, self.odometry, self.homing, self.fixed_id)
 
     def validate(self):
-        """Check every structural invariant; raises GraphValidationError."""
+        """Check every structural invariant; raises GraphValidationError.
+
+        Returns the checked columns (odometry, homing): per group a dict from
+        each record field to its values over the records, i1 and i2 as intp
+        arrays, and for odometry also Tinv, the inverses of T (_spd_inverse).
+        """
         n = len(self.poses)
         if n < 2:
             raise GraphValidationError(f"need at least 2 poses, got {n}")
-        if self.fixed_id not in self.pose_ids():
+        if not _is_index(self.fixed_id):
+            raise GraphValidationError(f"fixed pose id must be an integer, got {self.fixed_id!r}")
+        if not 1 <= self.fixed_id <= n:
             raise GraphValidationError(f"fixed pose id {self.fixed_id} out of range 1..{n}")
         bad = ~np.isfinite(self.pose_table()).all(axis=1)
         if bad.any():
             raise GraphValidationError(f"pose {int(bad.argmax()) + 1}: non-finite components")
-        # Every check below is written to fail on NaN (any comparison
-        # with NaN is false) and on inf, so no non-finite field gets
-        # through; _reject then names such a field.
-        for k, m in enumerate(self.odometry):
-            where = f"odometry record {k + 1} ({m.i1}->{m.i2})"
-            fields = ("r", "q", "T", "sigma", "sigma_e", "rho")
-            self._check_indices(where, m.i1, m.i2, n)
-            self._check_unit(where, m, fields, "q")
+        return tuple(_checked_columns(group, getattr(self, group), n) for group in _FIELDS)
+
+
+def record_name(group, k, i1, i2):
+    """How messages name record k (0-based) of a group, between poses i1 and i2."""
+    return f"{group} record {k + 1} ({i1}->{i2})"
+
+
+def _is_index(i):
+    return isinstance(i, (int, np.integer)) and type(i) is not bool  # bool is an int
+
+
+# Each group's record fields and their shapes, in the order a rejection names a non-finite one.
+_FIELDS = {
+    "odometry": {"r": (2,), "q": (2,), "T": (2, 2), "sigma": (), "sigma_e": (), "rho": ()},
+    "homing": {"alpha": (2,), "psi": (2,), "sigma_h": (), "sigma_c": ()},
+}
+
+
+def _checked_columns(group, ms, n):
+    """The field columns of records ms, of a graph with n poses, once they pass every check.
+
+    A check is a column, True where a record fails it, its message and the
+    columns the message formats.  A record's first failing check names it.
+    """
+    cols = {
+        name: np.array([getattr(m, name) for m in ms], dtype=float).reshape(-1, *shape)
+        for name, shape in _FIELDS[group].items()
+    }
+    # NaN stands for a pose index that is no integer
+    ends = [(m.i1, m.i2) if _is_index(m.i1) and _is_index(m.i2) else (np.nan,) * 2 for m in ms]
+    try:
+        i1, i2 = np.array(ends, dtype=float).reshape(-1, 2).T
+    except OverflowError:  # an integer beyond float range, out of range once clamped
+        i1, i2 = np.array([[max(min(i, n + 1), 0) for i in e] for e in ends]).T
+    sigmas = [name for name in cols if name.startswith("sigma")]
+    with np.errstate(all="ignore"):
+        checks = [
+            (np.isnan(i1), "pose indices must be integers"),
+            (~((1 <= i1) & (i1 <= n) & (1 <= i2) & (i2 <= n)), f"pose index out of range 1..{n}"),
+            (i1 == i2, "measurement connects a pose to itself"),
+        ]
+        for v in ("q",) if group == "odometry" else ("alpha", "psi"):
+            norm = np.hypot(*cols[v].T)
+            message = f"{v} must be a unit vector, |{v}| = {{!r}}"
+            checks.append((~(np.abs(norm - 1.0) <= UNIT_TOL), message, norm))
+        if group == "odometry":
             try:
-                _spd_inverse(m.T)
-            except InvalidCovarianceError as exc:
-                self._reject(where, m, fields, str(exc))
-            if not (0.0 < m.sigma < np.inf and 0.0 < m.sigma_e < np.inf):
-                self._reject(where, m, fields, "sigma and sigma_e must be positive")
-            if not abs(m.rho - float(np.hypot(m.r[0], m.r[1]))) <= UNIT_TOL:
-                self._reject(where, m, fields, "rho must equal |r|")
-        for k, m in enumerate(self.homing):
-            where = f"homing record {k + 1} ({m.i1}->{m.i2})"
-            fields = ("alpha", "psi", "sigma_h", "sigma_c")
-            self._check_indices(where, m.i1, m.i2, n)
-            self._check_unit(where, m, fields, "alpha")
-            self._check_unit(where, m, fields, "psi")
-            if not (0.0 < m.sigma_h < np.inf and 0.0 < m.sigma_c < np.inf):
-                self._reject(where, m, fields, "sigma_h and sigma_c must be positive")
-
-    @staticmethod
-    def _check_indices(where, i1, i2, n):
-        ints = (int, np.integer)  # bool is an int subclass, but no pose index
-        if not (isinstance(i1, ints) and isinstance(i2, ints) and bool not in (type(i1), type(i2))):
-            raise GraphValidationError(f"{where}: pose indices must be integers")
-        if not (1 <= i1 <= n and 1 <= i2 <= n):
-            raise GraphValidationError(f"{where}: pose index out of range 1..{n}")
-        if i1 == i2:
-            raise GraphValidationError(f"{where}: measurement connects a pose to itself")
-
-    @staticmethod
-    def _reject(where, m, fields, message):
-        """Raise for a record that failed a check, naming a non-finite field if any."""
-        for name in fields:
-            value = getattr(m, name)
-            if not np.all(np.isfinite(value)):
-                raise GraphValidationError(f"{where}: non-finite {name}: {value!r}")
-        raise GraphValidationError(f"{where}: {message}")
-
-    @classmethod
-    def _check_unit(cls, where, m, fields, name):
-        v = getattr(m, name)
-        norm = float(np.hypot(v[0], v[1]))
-        if not abs(norm - 1.0) <= UNIT_TOL:
-            cls._reject(where, m, fields, f"{name} must be a unit vector, |{name}| = {norm!r}")
-
-
-def record_rows(ms):
-    """The 0-based pose rows i1 - 1 and i2 - 1 of records ms, as two contiguous intp arrays."""
-    return (
-        np.array([m.i1 - 1 for m in ms], dtype=np.intp),
-        np.array([m.i2 - 1 for m in ms], dtype=np.intp),
-    )
+                cols["Tinv"] = _spd_inverse(cols["T"])
+            except InvalidCovarianceError as exc:  # marks the first record it fails
+                checks.append((np.arange(len(ms)) == exc.index, str(exc)))
+        positive = np.logical_and(*[(0.0 < cols[s]) & (cols[s] < np.inf) for s in sigmas])
+        checks.append((~positive, " and ".join(sigmas) + " must be positive"))
+        if group == "odometry":
+            failed = ~(np.abs(cols["rho"] - np.hypot(*cols["r"].T)) <= UNIT_TOL)
+            checks.append((failed, "rho must equal |r|"))
+    hit = first_failure([check[0] for check in checks])
+    if hit is None:
+        cols["i1"], cols["i2"] = i1.astype(np.intp), i2.astype(np.intp)
+        return cols
+    k, j = hit
+    m, (_, message, *values) = ms[k], checks[j]
+    where = record_name(group, k, m.i1, m.i2)
+    if j >= 3:  # every non-finite field fails such a check: name the field instead
+        for name in _FIELDS[group]:
+            if not np.all(np.isfinite(getattr(m, name))):
+                raise GraphValidationError(f"{where}: non-finite {name}: {getattr(m, name)!r}")
+    raise GraphValidationError(f"{where}: " + message.format(*(float(x[k]) for x in values)))
 
 
 def pack_state(graph, lambdas=None):

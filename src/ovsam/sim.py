@@ -58,8 +58,11 @@ class SimConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.type is int and (not isinstance(value, Integral) or isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         checks = (
             ("lanes", self.lanes >= 2, "at least 2, for homing measurements to exist"),
             ("points_per_lane", self.points_per_lane >= 2, "at least 2"),
@@ -72,7 +75,7 @@ class SimConfig:
             ("sigma_h", self.sigma_h > 0.0, "positive"),
             ("sigma_c", self.sigma_c > 0.0, "positive"),
             ("homing_neighbors", self.homing_neighbors >= 1, "at least 1"),
-            ("seed", isinstance(self.seed, Integral) and self.seed >= 0, "a nonnegative integer"),
+            ("seed", self.seed >= 0, "a nonnegative integer"),
         )
         for name, ok, requirement in checks:
             if not ok:

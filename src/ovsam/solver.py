@@ -43,7 +43,7 @@ import scipy.linalg
 from .assembly import ActiveMask, assemble, init_lambdas, measurement_tables, merit
 from .costs import POS, RotCostConfig
 from .errors import DegenerateVectorError, NumericalFailure
-from .graph import pack_state, record_rows, state_table, write_text
+from .graph import pack_state, state_table, write_text
 
 # Dense factorization below this state dimension, sparse LU at or above
 # (dimension 495 corresponds to 100 poses).
@@ -131,7 +131,7 @@ def compute_active_mask(graph, threshold, use_distance_error=False, table=None, 
     """Mask measurements whose pose pair (in table) is closer than the threshold.
 
     The pose rows of the pairs come from tables (MeasurementTables) when
-    given, else from the graph.  Each decision is that of math.hypot:
+    given, else from graph.validate().  Each decision is that of math.hypot:
     np.hypot can differ from it in the last bit, so distances within two
     ulps of the threshold are re-decided with math.hypot.
     """
@@ -139,7 +139,8 @@ def compute_active_mask(graph, threshold, use_distance_error=False, table=None, 
         table = graph.pose_table()
 
     if tables is None:
-        hom, odo = record_rows(graph.homing), record_rows(graph.odometry)
+        odo, hom = graph.validate()
+        hom, odo = (hom["i1"] - 1, hom["i2"] - 1), (odo["i1"] - 1, odo["i2"] - 1)
     else:
         hom, odo = (tables.hom_i1, tables.hom_i2), (tables.odo_i1, tables.odo_i2)
 
@@ -262,7 +263,7 @@ def find_step(system, merit_fn, state):
 
 
 def solve(graph, cfg=None):
-    """Run the full descent on a validated graph; returns a SolveReport.
+    """Validate graph and run the full descent on it; returns a SolveReport.
 
     The input graph is not modified; the report carries a new graph
     holding the final poses.  Initial orientation vectors must be unit
@@ -271,10 +272,8 @@ def solve(graph, cfg=None):
     """
     if cfg is None:
         cfg = SolverConfig()
-    graph.validate()
-
+    tables = measurement_tables(graph, cfg.cost, cfg.use_distance_error)  # validates graph
     base = graph.pose_table()  # the anchor row is read from here throughout
-    tables = measurement_tables(graph, cfg.cost, cfg.use_distance_error)
     mask = compute_active_mask(
         graph, cfg.home_dist_threshold, cfg.use_distance_error, base, tables
     )

@@ -5,7 +5,14 @@ pose pair each, the walk over the measurements one record at a time
 (_record_terms), and loop versions of assemble, total_values and
 init_lambdas that consume it.  tests/test_batched.py requires the
 batched code to reproduce every number these produce exactly.
+
+validate is the reference for FactorGraph.validate: its checks one
+record at a time, the covariance checks those of the scalar inverse.
+tests/test_validate_reference.py requires the column-wise checks to
+reject every corrupted graph with the same exception and message.
 """
+
+import math
 
 from dataclasses import dataclass, field
 
@@ -13,7 +20,12 @@ import numpy as np
 
 from ovsam.assembly import ActiveMask
 from ovsam.costs import ORI, POS, _spd_inverse
-from ovsam.errors import DegenerateVectorError, PreconditionError
+from ovsam.errors import (
+    DegenerateVectorError,
+    GraphValidationError,
+    InvalidCovarianceError,
+    PreconditionError,
+)
 from ovsam.graph import UNIT_TOL
 from ovsam.orvec import DEGENERATE_NORM
 
@@ -93,7 +105,7 @@ def eval_translation(p, pp, T, r, derivs=True):
     derivs : bool
         When false, return only the float value.
     """
-    Tinv = _spd_inverse(T)
+    Tinv = _spd_inverse(T[None])[0]
     delta = pp[POS] - p[POS]
     U = _omega(p[ORI])
     e = U.T @ delta - r
@@ -461,3 +473,78 @@ def init_lambdas(graph, cfg, active=None, table=None):
     return np.array(
         [-float(table[pid - 1, ORI] @ grads[pid - 1]) for pid in graph.free_ids()]
     )
+
+
+# ---------------------------------------------------------------------------
+# structural checks
+
+
+def _check_spd(T):
+    """The checks the scalar inverse of a symmetric positive definite 2x2 matrix made."""
+    T = np.asarray(T, dtype=float)
+    scale = max(1.0, float(np.abs(T).max()))
+    (a, b), (c, d) = T.tolist()
+    if not abs(b - c) <= 1e-12 * scale:
+        raise InvalidCovarianceError(f"covariance not symmetric: {T!r}")
+    det = a * d - b * c
+    if not (a > 0.0 and 0.0 < det < math.inf):
+        raise InvalidCovarianceError(f"covariance not positive definite: {T!r}")
+
+
+def validate(graph):
+    """Check every structural invariant, one record at a time."""
+    n = len(graph.poses)
+    if n < 2:
+        raise GraphValidationError(f"need at least 2 poses, got {n}")
+    if graph.fixed_id not in graph.pose_ids():
+        raise GraphValidationError(f"fixed pose id {graph.fixed_id} out of range 1..{n}")
+    bad = ~np.isfinite(graph.pose_table()).all(axis=1)
+    if bad.any():
+        raise GraphValidationError(f"pose {int(bad.argmax()) + 1}: non-finite components")
+    for k, m in enumerate(graph.odometry):
+        where = f"odometry record {k + 1} ({m.i1}->{m.i2})"
+        fields = ("r", "q", "T", "sigma", "sigma_e", "rho")
+        _check_indices(where, m.i1, m.i2, n)
+        _check_unit(where, m, fields, "q")
+        try:
+            _check_spd(m.T)
+        except InvalidCovarianceError as exc:
+            _reject(where, m, fields, str(exc))
+        if not (0.0 < m.sigma < np.inf and 0.0 < m.sigma_e < np.inf):
+            _reject(where, m, fields, "sigma and sigma_e must be positive")
+        if not abs(m.rho - float(np.hypot(m.r[0], m.r[1]))) <= UNIT_TOL:
+            _reject(where, m, fields, "rho must equal |r|")
+    for k, m in enumerate(graph.homing):
+        where = f"homing record {k + 1} ({m.i1}->{m.i2})"
+        fields = ("alpha", "psi", "sigma_h", "sigma_c")
+        _check_indices(where, m.i1, m.i2, n)
+        _check_unit(where, m, fields, "alpha")
+        _check_unit(where, m, fields, "psi")
+        if not (0.0 < m.sigma_h < np.inf and 0.0 < m.sigma_c < np.inf):
+            _reject(where, m, fields, "sigma_h and sigma_c must be positive")
+
+
+def _check_indices(where, i1, i2, n):
+    ints = (int, np.integer)  # bool is an int subclass, but no pose index
+    if not (isinstance(i1, ints) and isinstance(i2, ints) and bool not in (type(i1), type(i2))):
+        raise GraphValidationError(f"{where}: pose indices must be integers")
+    if not (1 <= i1 <= n and 1 <= i2 <= n):
+        raise GraphValidationError(f"{where}: pose index out of range 1..{n}")
+    if i1 == i2:
+        raise GraphValidationError(f"{where}: measurement connects a pose to itself")
+
+
+def _reject(where, m, fields, message):
+    """Raise for a record that failed a check, naming a non-finite field if any."""
+    for name in fields:
+        value = getattr(m, name)
+        if not np.all(np.isfinite(value)):
+            raise GraphValidationError(f"{where}: non-finite {name}: {value!r}")
+    raise GraphValidationError(f"{where}: {message}")
+
+
+def _check_unit(where, m, fields, name):
+    v = getattr(m, name)
+    norm = float(np.hypot(v[0], v[1]))
+    if not abs(norm - 1.0) <= UNIT_TOL:
+        _reject(where, m, fields, f"{name} must be a unit vector, |{name}| = {norm!r}")

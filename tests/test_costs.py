@@ -47,7 +47,7 @@ def _one(out, derivs=True):
 
 
 def eval_translation(p, pp, T, r, derivs=True):
-    Tinv, r = _spd_inverse(T)[None], np.asarray(r)[None]
+    Tinv, r = _spd_inverse(np.asarray(T)[None]), np.asarray(r)[None]
     return _one(costs.eval_translation(p[None], pp[None], Tinv, r, derivs), derivs)
 
 
@@ -163,13 +163,13 @@ def test_spd_inverse():
     rng = np.random.default_rng(1)
     B = rng.normal(size=(2, 2))
     T = B @ B.T + 0.1 * I2
-    assert np.max(np.abs(T @ _spd_inverse(T) - I2)) < 1e-12
+    assert np.max(np.abs(T @ _spd_inverse(T[None])[0] - I2)) < 1e-12
     with pytest.raises(InvalidCovarianceError):
-        _spd_inverse(np.array([[1.0, 0.5], [0.2, 1.0]]))
+        _spd_inverse(np.array([[[1.0, 0.5], [0.2, 1.0]]]))
     with pytest.raises(InvalidCovarianceError):
-        _spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+        _spd_inverse(np.array([[[1.0, 2.0], [2.0, 1.0]]]))  # indefinite
     with pytest.raises(InvalidCovarianceError):
-        _spd_inverse(-I2)
+        _spd_inverse(-I2[None])
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,14 @@ def test_with_fixed():
         (lambda: FactorGraph([Pose([0, 0], [1, 0])]), "at least 2"),
         (lambda: FactorGraph(_two_poses(), fixed_id=5), "out of range"),
         (
+            lambda: FactorGraph(_two_poses(), fixed_id=2.7),
+            r"^fixed pose id must be an integer, got 2\.7$",
+        ),
+        (
+            lambda: FactorGraph(_two_poses(), fixed_id=True),
+            r"^fixed pose id must be an integer, got True$",
+        ),
+        (
             lambda: FactorGraph(
                 [Pose([np.nan, 0.0], [1.0, 0.0]), Pose([1, 0], [1, 0])]
             ),
@@ -131,7 +139,9 @@ def test_validate_rejects(make, match):
 
 def test_validate_accepts_numpy_integer_indices():
     odom = _odom(i1=np.int64(1), i2=np.int32(2))
-    FactorGraph(_two_poses(), odometry=[odom], homing=[_home(i1=np.intp(2))]).validate()
+    graph = FactorGraph(_two_poses(), [odom], [_home(i1=np.intp(2))], fixed_id=np.int64(2))
+    graph.validate()
+    assert graph.free_ids() == [1]
 
 
 @pytest.mark.parametrize(
@@ -355,9 +365,12 @@ def test_load_rejects_non_finite_measurements_by_record(record, match):
         load_graph(io.StringIO(text))
 
 
-@pytest.mark.parametrize("T", ["1e300 1e300 1e300", "1e300 0.0 1e300", "1e200 -1e300 1e200"])
+@pytest.mark.parametrize(
+    "T", ["1e300 1e300 1e300", "1e300 0.0 1e300", "1e200 -1e300 1e200", "1.0 0.0 5e-324"]
+)
 def test_load_rejects_an_overflowing_covariance_without_numpy_warnings(T):
-    # its determinant overflows to inf, or to inf - inf = nan
+    # its determinant overflows to inf, or to inf - inf = nan, or its
+    # inverse overflows (1 / 5e-324)
     text = f"POSE 1 0 0 1 0 FIXED\nPOSE 2 1 0 1 0\nODOM 1 2 1.0 0.0 1.0 0.0 {T} 0.1 0.1\n"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -190,6 +190,11 @@ def test_drift_makes_a_real_problem():
         {"homing_neighbors": 0},
         {"seed": -1},
         {"seed": 1.5},
+        {"lanes": 2.5},
+        {"points_per_lane": 10.0},
+        {"euler_substeps": True},
+        {"homing_neighbors": "3"},
+        {"seed": True},
     ],
 )
 def test_sim_config_rejects(kwargs):

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from conftest import consistent_graph, random_graph, two_pose_graph
 
+import ovsam.assembly as assembly_module
+import ovsam.graph as graph_module
 import ovsam.solver as solver_module
 from ovsam.assembly import measurement_tables, merit
 from ovsam.costs import RotCostConfig
@@ -533,6 +535,24 @@ def test_solve_rejects_an_invalid_graph_built_in_code():
     ):
         with pytest.raises(GraphValidationError, match=match):
             solve(bad)
+
+
+def test_solve_inverts_the_covariances_in_one_batched_call(monkeypatch):
+    # one walk over the records: the validated columns carry the inverses
+    # that the measurement tables use, so nothing inverts a covariance twice
+    graph, _ = simulate(SimConfig())
+    batches = []
+    for module in (graph_module, assembly_module):
+        inverse = getattr(module, "_spd_inverse", None)
+        if inverse is not None:
+
+            def counted(T, inverse=inverse):
+                batches.append(np.shape(T))
+                return inverse(T)
+
+            monkeypatch.setattr(module, "_spd_inverse", counted)
+    solve(graph, SolverConfig(max_iters=1))
+    assert batches == [(27, 2, 2)]
 
 
 def test_collapse_during_assembly_reports_diverged(monkeypatch):
