@@ -147,8 +147,8 @@ class SparseSymmetricSystem:
     state ranks (MeasurementTables.rank); only pairs sharing an active
     measurement (plus the diagonal) have a block, all 25 entries stored.
     Row/column order within a block is [x (2), u (2), lambda].  to_dense
-    and to_csr convert once and return the same read-only matrix on
-    every call.
+    and to_csc build H + R from the blocks on every call, where R adds
+    diag(eta_w, eta_w, eta_w, eta_w, -eta_a) to each diagonal block.
     """
 
     def __init__(self, dim, keys, data, g, F, L, l_values):
@@ -159,7 +159,6 @@ class SparseSymmetricSystem:
         self.F = F
         self.L = L
         self.l_values = l_values
-        self._dense = self._csr = None
 
     @property
     def blocks(self):
@@ -169,26 +168,26 @@ class SparseSymmetricSystem:
     def max_constraint(self):
         return float(np.max(np.abs(self.l_values))) if self.l_values.size else 0.0
 
-    def to_dense(self):
-        if self._dense is None:
-            n = self.dim // 5
-            H = np.zeros((n, 5, n, 5))
-            H[self.keys[:, 0], :, self.keys[:, 1], :] = self.data
-            self._dense = H.reshape(self.dim, self.dim)
-            self._dense.flags.writeable = False
-        return self._dense
+    def _regularized(self, eta_w, eta_a):
+        """The blocks of H + R."""
+        data = self.data.copy()
+        data[self.keys[:, 0] == self.keys[:, 1]] += np.diag([eta_w, eta_w, eta_w, eta_w, -eta_a])
+        return data
 
-    def to_csr(self):
-        if self._csr is None:
-            from scipy import sparse as sp  # only the sparse solve path needs it
+    def to_dense(self, eta_w=0.0, eta_a=0.0):
+        n = self.dim // 5
+        H = np.zeros((n, 5, n, 5))
+        H[self.keys[:, 0], :, self.keys[:, 1], :] = self._regularized(eta_w, eta_a)
+        return H.reshape(self.dim, self.dim)
 
-            i, j = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
-            rows = (5 * self.keys[:, 0, None, None] + i).ravel()
-            cols = (5 * self.keys[:, 1, None, None] + j).ravel()
-            coo = sp.coo_matrix((self.data.ravel(), (rows, cols)), shape=(self.dim, self.dim))
-            self._csr = coo.tocsr()
-            self._csr.data.flags.writeable = False
-        return self._csr
+    def to_csc(self, eta_w=0.0, eta_a=0.0):
+        """H + R in CSC form, holding only its nonzero entries."""
+        from scipy import sparse as sp  # only the sparse solve path needs it
+
+        data = self._regularized(eta_w, eta_a)
+        b, i, j = np.nonzero(data)
+        rows, cols = 5 * self.keys[b, 0] + i, 5 * self.keys[b, 1] + j
+        return sp.csc_matrix((data[b, i, j], (rows, cols)), shape=(self.dim, self.dim))
 
 
 def _running_sum(values):

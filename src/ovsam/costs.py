@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVectorError, InvalidCovarianceError, PreconditionError
+from .errors import DegenerateVectorError, InvalidCovarianceError, PreconditionError, is_integer
 from .orvec import DEGENERATE_NORM, omega, omega_bar, rowdot
 
 # Slices of the stacked per-pose coordinates [x, u].
@@ -79,7 +79,7 @@ class RotCostConfig:
     def __post_init__(self):
         if self.form not in ("first", "second"):
             raise ValueError(f"form must be 'first' or 'second', got {self.form!r}")
-        if self.t1 not in (0, 1):
+        if not (is_integer(self.t1) and self.t1 in (0, 1)):
             raise ValueError(f"t1 must be 0 or 1, got {self.t1!r}")
         if not 0.0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")

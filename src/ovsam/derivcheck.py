@@ -31,6 +31,7 @@ from .costs import (
     eval_translation,
     term_weight,
 )
+from .errors import is_integer
 from .findiff import fd_gradient, fd_jacobian
 from .orvec import from_angle, omega
 
@@ -234,13 +235,18 @@ def run_checks(n_configs=100, seed=0, grad_tol=GRAD_TOL, hess_tol=HESS_TOL, name
 
     The tolerances must be finite and positive: an infinite one passes
     every case, and a NaN or one at or below zero fails every case.
+    names, if given, must name at least one case.
     """
-    if n_configs < 1:
-        raise ValueError("n_configs must be at least 1")
+    if not (is_integer(n_configs) and n_configs >= 1):
+        raise ValueError(f"n_configs must be an integer >= 1, got {n_configs!r}")
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     for name, tol in (("grad_tol", grad_tol), ("hess_tol", hess_tol)):
         if not 0.0 < tol < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {tol!r}")
     chosen = list(names) if names is not None else list(CASES)
+    if not chosen:
+        raise ValueError("names must name at least one derivative case")
     unknown = [n for n in chosen if n not in CASES]
     if unknown:
         known = ", ".join(CASES)

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule."""
+
+from numbers import Integral
+
+
+def is_integer(value):
+    """Whether value is an integer (numpy integers included) and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class OvsamError(Exception):

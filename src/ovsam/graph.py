@@ -30,6 +30,7 @@ from .errors import (
     GraphValidationError,
     InvalidCovarianceError,
     PreconditionError,
+    is_integer,
 )
 
 UNIT_TOL = 1e-9
@@ -172,7 +173,7 @@ class FactorGraph:
         n = len(self.poses)
         if n < 2:
             raise GraphValidationError(f"need at least 2 poses, got {n}")
-        if not _is_index(self.fixed_id):
+        if not is_integer(self.fixed_id):
             raise GraphValidationError(f"fixed pose id must be an integer, got {self.fixed_id!r}")
         if not 1 <= self.fixed_id <= n:
             raise GraphValidationError(f"fixed pose id {self.fixed_id} out of range 1..{n}")
@@ -185,10 +186,6 @@ class FactorGraph:
 def record_name(group, k, i1, i2):
     """How messages name record k (0-based) of a group, between poses i1 and i2."""
     return f"{group} record {k + 1} ({i1}->{i2})"
-
-
-def _is_index(i):
-    return isinstance(i, (int, np.integer)) and type(i) is not bool  # bool is an int
 
 
 # Each group's record fields and their shapes, in the order a rejection names a non-finite one.
@@ -209,7 +206,7 @@ def _checked_columns(group, ms, n):
         for name, shape in _FIELDS[group].items()
     }
     # NaN stands for a pose index that is no integer
-    ends = [(m.i1, m.i2) if _is_index(m.i1) and _is_index(m.i2) else (np.nan,) * 2 for m in ms]
+    ends = [(m.i1, m.i2) if is_integer(m.i1) and is_integer(m.i2) else (np.nan,) * 2 for m in ms]
     try:
         i1, i2 = np.array(ends, dtype=float).reshape(-1, 2).T
     except OverflowError:  # an integer beyond float range, out of range once clamped

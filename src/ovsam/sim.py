@@ -28,10 +28,10 @@ bitwise reproducible for a fixed seed across platforms.
 import io
 import math
 from dataclasses import dataclass, fields
-from numbers import Integral
 
 import numpy as np
 
+from .errors import is_integer
 from .graph import FactorGraph, HomingMeasurement, OdometryMeasurement, Pose, write_text
 from .orvec import from_angle, omega, to_angle
 
@@ -61,7 +61,7 @@ class SimConfig:
             value = getattr(self, f.name)
             if f.type is float and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-            if f.type is int and (not isinstance(value, Integral) or isinstance(value, bool)):
+            if f.type is int and not is_integer(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
         checks = (
             ("lanes", self.lanes >= 2, "at least 2, for homing measurements to exist"),

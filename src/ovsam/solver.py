@@ -42,7 +42,7 @@ import scipy.linalg
 
 from .assembly import ActiveMask, assemble, init_lambdas, measurement_tables, merit
 from .costs import POS, RotCostConfig
-from .errors import DegenerateVectorError, NumericalFailure
+from .errors import DegenerateVectorError, NumericalFailure, is_integer
 from .graph import pack_state, state_table, write_text
 
 # Dense factorization below this state dimension, sparse LU at or above
@@ -77,7 +77,7 @@ class SolverConfig:
     use_distance_error: bool = False
 
     def __post_init__(self):
-        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
+        if not (is_integer(self.max_iters) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         for name in ("grad_tol", "step_tol", "mu"):
             if not 0.0 < getattr(self, name) < math.inf:
@@ -181,23 +181,15 @@ def spsolve(A, b):
 def newton_step(system, eta_w=0.0, eta_a=0.0):
     """Solve (H + R) ds = -g for the given regularization factors.
 
-    R repeats diag(eta_w, eta_w, eta_w, eta_w, -eta_a) per free pose.
-    Every rung of one system reuses its one matrix conversion.  Raises
-    NumericalFailure when the system cannot be solved.
+    R repeats diag(eta_w, eta_w, eta_w, eta_w, -eta_a) per free pose;
+    the system forms H + R afresh for each rung.  Raises NumericalFailure
+    when the system cannot be solved.
     """
-    reg = np.tile([eta_w, eta_w, eta_w, eta_w, -eta_a], system.dim // 5)
     try:
         if system.dim >= SPARSE_SOLVE_DIM:
-            from scipy.sparse import diags
-
-            H = system.to_csr()
-            if eta_w != 0.0 or eta_a != 0.0:
-                H = H + diags(reg)
-            delta = spsolve(H.tocsc(), -system.g)
+            delta = spsolve(system.to_csc(eta_w, eta_a), -system.g)
         else:
-            H = system.to_dense()
-            if eta_w != 0.0 or eta_a != 0.0:
-                H = H + np.diag(reg)
+            H = system.to_dense(eta_w, eta_a)
             with warnings.catch_warnings():
                 # ill-conditioned solves are fine to attempt: the merit
                 # line search rejects any step they ruin

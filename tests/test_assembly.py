@@ -8,6 +8,7 @@ from dense_assembly import assemble_dense
 from ovsam.assembly import (
     ActiveMask,
     assemble,
+    init_lambdas,
     merit,
     total_values,
 )
@@ -22,6 +23,8 @@ from ovsam.graph import (
     pack_state,
     state_table,
 )
+from ovsam.sim import SimConfig, simulate
+from ovsam.solver import LADDER
 
 
 def _perturbed(rng, n_poses=5, n_homing=4):
@@ -153,22 +156,58 @@ def test_table_evaluation_equals_graph_evaluation():
             )
 
 
-def test_csr_matches_dense():
+def test_csc_matches_dense_on_every_rung():
     rng = np.random.default_rng(6)
     graph, lambdas = _perturbed(rng)
     system = assemble(graph, RotCostConfig(), lambdas=lambdas)
-    assert np.array_equal(system.to_csr().toarray(), system.to_dense())
+    for rung in LADDER:
+        C = system.to_csc(*rung)
+        assert np.array_equal(C.toarray(), system.to_dense(*rung))
+        assert np.all(C.data != 0.0)
 
 
-def test_matrix_is_converted_once_and_read_only():
-    # every LM rung of one assembly solves with the same matrix
+def test_regularization_adds_positive_pose_and_negative_multiplier_entries():
     rng = np.random.default_rng(12)
     graph, lambdas = _perturbed(rng)
     system = assemble(graph, RotCostConfig(), lambdas=lambdas)
-    H, C = system.to_dense(), system.to_csr()
-    assert system.to_dense() is H and system.to_csr() is C
-    assert not H.flags.writeable and not C.data.flags.writeable
-    assert np.array_equal(C.toarray(), H)
+    n = system.dim // 5
+    H = system.to_dense()
+    for w, a in ((1.0, 0.0), (0.0, 2.0), (1e-6, 1e6)):
+        assert np.array_equal(system.to_dense(w, a), H + np.diag(np.tile([w, w, w, w, -a], n)))
+    # every call builds a fresh matrix from the unchanged blocks
+    assert np.array_equal(system.to_dense(), H) and system.to_dense() is not H
+
+
+def _block_csr(system):
+    """All 25 stored entries of every block, as CSR."""
+    from scipy import sparse as sp
+
+    i, j = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
+    rows = (5 * system.keys[:, 0, None, None] + i).ravel()
+    cols = (5 * system.keys[:, 1, None, None] + j).ravel()
+    coo = sp.coo_matrix((system.data.ravel(), (rows, cols)), shape=(system.dim, system.dim))
+    return coo.tocsr()
+
+
+@pytest.mark.parametrize("lanes, points_per_lane, seed", [(3, 10, 0), (6, 20, 1)])
+def test_csc_equals_the_block_matrix_plus_diagonal_array_for_array(lanes, points_per_lane, seed):
+    # the regularized rungs equal CSR(blocks) + diags(R) converted to CSC;
+    # rung 0 is that matrix with its stored zeros dropped
+    from scipy.sparse import diags
+
+    graph, _ = simulate(SimConfig(lanes=lanes, points_per_lane=points_per_lane, seed=seed))
+    system = assemble(graph, RotCostConfig(), lambdas=init_lambdas(graph, RotCostConfig()))
+    H = _block_csr(system)
+    for w, a in LADDER:
+        if (w, a) == (0.0, 0.0):
+            expect = H.tocsc()
+            expect.eliminate_zeros()
+        else:
+            expect = (H + diags(np.tile([w, w, w, w, -a], system.dim // 5))).tocsc()
+        C = system.to_csc(w, a)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(C, name), getattr(expect, name)), (w, a, name)
+        assert np.all(C.data != 0.0)
 
 
 def test_hessian_symmetric_with_zero_lambda_diagonal():

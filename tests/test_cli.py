@@ -410,6 +410,13 @@ def test_check_derivatives_rejects_an_unknown_case(capsys):
     assert "unknown derivative cases: bogus" in err and "translation" in err
 
 
+def test_check_derivatives_rejects_a_negative_seed(capsys):
+    assert main(["check-derivatives", "--samples", "1", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be a non-negative integer, got -1" in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--grad-threshold", "--hess-threshold"])
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
 def test_check_derivatives_rejects_thresholds_that_decide_nothing(capsys, flag, value):

@@ -107,6 +107,8 @@ def test_pose_shape_validation():
         {"gamma": -1.0},
         {"gamma": float("inf")},
         {"gamma": float("nan")},
+        {"t1": True},
+        {"t1": 1.0},
     ],
 )
 def test_rot_cost_config_rejects(kwargs):

@@ -48,8 +48,18 @@ def test_name_filter_and_validation():
     assert [r.name for r in report.results] == ["translation", "constraint"]
     with pytest.raises(ValueError, match="unknown derivative cases"):
         run_checks(n_configs=5, names=["translation", "warp-drive"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_configs"):
         run_checks(n_configs=0)
+    # a fraction, a bool, a negative seed and an empty selection name their argument
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="n_configs"):
+            run_checks(n_configs=bad)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="seed"):
+            run_checks(n_configs=1, seed=bad)
+    with pytest.raises(ValueError, match="at least one derivative case"):
+        run_checks(n_configs=1, names=[])
+    assert run_checks(n_configs=1, seed=np.int64(2), names=["distance"]).passed
 
 
 def test_format_table_shape():

@@ -52,9 +52,11 @@ class _StubSystem:
         self._H = np.asarray(H, dtype=float)
         self.g = np.asarray(g, dtype=float)
         self.dim = len(self.g)
+        self.rungs = []  # the (eta_w, eta_a) of each to_dense call
 
-    def to_dense(self):
-        return self._H.copy()
+    def to_dense(self, eta_w=0.0, eta_a=0.0):
+        self.rungs.append((eta_w, eta_a))
+        return self._H + np.diag(np.resize([eta_w, eta_w, eta_w, eta_w, -eta_a], self.dim))
 
 
 def test_solver_config_validation():
@@ -66,9 +68,10 @@ def test_solver_config_validation():
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: bad})
     # no iteration would run; a fraction fails only inside solve
-    for bad in (0, -3, 2.5):
+    for bad in (0, -3, 2.5, True):
         with pytest.raises(ValueError, match="max_iters"):
             SolverConfig(max_iters=bad)
+    assert SolverConfig(max_iters=np.int64(5)).max_iters == 5
     # NaN would mask every homing record; a negative threshold none
     with pytest.raises(ValueError, match="home_dist_threshold"):
         SolverConfig(home_dist_threshold=float("nan"))
@@ -96,11 +99,17 @@ def test_newton_step_singular_raises():
 
 
 def test_newton_step_regularization_signs():
-    # R adds +eta_w on pose coordinates and -eta_a on the multiplier
-    H = np.diag([1.0, 1.0, 1.0, 1.0, 2.0])
-    g = np.ones(5)
-    delta = newton_step(_StubSystem(H, g), eta_w=1.0, eta_a=1.0)
+    # the rung's factors reach the system, which forms H + R itself:
+    # +eta_w on pose coordinates, -eta_a on the multiplier
+    stub = _StubSystem(np.diag([1.0, 1.0, 1.0, 1.0, 2.0]), np.ones(5))
+    delta = newton_step(stub, eta_w=1.0, eta_a=1.0)
+    assert stub.rungs == [(1.0, 1.0)]
     assert np.max(np.abs(delta - [-0.5, -0.5, -0.5, -0.5, -1.0])) < 1e-14
+    graph = random_graph(np.random.default_rng(5), n_poses=4, n_homing=3)
+    system = assembly_module.assemble(graph, RotCostConfig(), lambdas=np.ones(3))
+    H = system.to_dense() + np.diag(np.tile([1e-3, 1e-3, 1e-3, 1e-3, -2e-3], 3))
+    delta = newton_step(system, eta_w=1e-3, eta_a=2e-3)
+    assert np.max(np.abs(H @ delta + system.g)) < 1e-10 * max(1.0, np.max(np.abs(system.g)))
 
 
 def test_ladder_rungs():
@@ -654,11 +663,13 @@ def test_sparse_solve_path_matches_dense(monkeypatch):
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(solver_module, "spsolve", spy)
-    delta = solver_module.newton_step(system)
-    assert used["spsolve"]
-    dense = np.linalg.solve(system.to_dense(), -system.g)
-    scale = max(1.0, float(np.max(np.abs(dense))))
-    assert np.max(np.abs(delta - dense)) / scale < 1e-8
+    for rung in (0, 1, 2, 3, 39):
+        used["spsolve"] = False
+        delta = solver_module.newton_step(system, *LADDER[rung])
+        assert used["spsolve"]
+        dense = np.linalg.solve(system.to_dense(*LADDER[rung]), -system.g)
+        scale = max(1.0, float(np.max(np.abs(dense))))
+        assert np.max(np.abs(delta - dense)) / scale < 1e-8, rung
 
 
 def test_dense_solves_do_not_import_scipy_sparse():

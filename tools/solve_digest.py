@@ -1,4 +1,4 @@
-"""Print one sha256 per solve over a fixed set of 99 solves.
+"""Print one sha256 per solve over a fixed set of 100 solves.
 
     python3 tools/solve_digest.py [--only PREFIX] [--against FILE]
 
@@ -20,7 +20,11 @@ The set:
   * SimConfig(seed=0..19) and SimConfig(seed=12, noise_ang=1e-4) with the
     default SolverConfig;
   * seeds 0-2 under the second form, t1 = 0, the distance error, and the
-    second form with the distance error.
+    second form with the distance error;
+  * SimConfig(lanes=6, points_per_lane=20, seed=1) with max_iters=4: a
+    sparse-path solve (120 poses) that escalates the ladder (8 rungs in
+    iteration 1, 11 in iteration 4), where the benchmark's sparse
+    workload never escalates.
 
 The program and the benchmark are imported from this checkout's src/ and
 perfbench/ directories; the benchmark is only read, never changed.
@@ -66,6 +70,13 @@ def solve_set(only=""):
             use_distance_error=kwargs.get("use_distance_error", False),
         )
         sims += [(f"{variant}/seed={seed}", SimConfig(seed=seed), cfg) for seed in range(3)]
+    sims.append(
+        (
+            "sparse/seed=1",
+            SimConfig(lanes=6, points_per_lane=20, seed=1),
+            SolverConfig(max_iters=4),
+        )
+    )
     for label, sim_cfg, cfg in sims:
         if label.startswith(only):
             yield label, simulate(sim_cfg)[0], cfg
