@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVectorError, InvalidCovarianceError, PreconditionError, is_integer
+from .errors import DegenerateVectorError, InvalidCovarianceError, PreconditionError, Settings
 from .orvec import DEGENERATE_NORM, omega, omega_bar, rowdot
 
 # Slices of the stacked per-pose coordinates [x, u].
@@ -64,7 +64,7 @@ _I2 = np.eye(2)
 
 
 @dataclass(frozen=True)
-class RotCostConfig:
+class RotCostConfig(Settings):
     """Shape parameters shared by the rotational costs.
 
     form selects the functional form ('first' or 'second'), t1 the
@@ -76,13 +76,12 @@ class RotCostConfig:
     t1: int = 1
     gamma: float = 1.0
 
-    def __post_init__(self):
-        if self.form not in ("first", "second"):
-            raise ValueError(f"form must be 'first' or 'second', got {self.form!r}")
-        if not (is_integer(self.t1) and self.t1 in (0, 1)):
-            raise ValueError(f"t1 must be 0 or 1, got {self.t1!r}")
-        if not 0.0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
+    def requirements(self):
+        return (
+            ("form", self.form in ("first", "second"), "'first' or 'second'"),
+            ("t1", self.t1 in (0, 1), "0 or 1"),
+            ("gamma", self.gamma > 0.0, "positive"),
+        )
 
     @property
     def uses_norms(self):

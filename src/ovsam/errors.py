@@ -1,11 +1,36 @@
-"""Exception types shared across the package, and its one integer rule."""
+"""Exception types, the integer rule and the settings rule shared across the package."""
 
-from numbers import Integral
+import math
+from dataclasses import fields
+from numbers import Integral, Real
 
 
 def is_integer(value):
     """Whether value is an integer (numpy integers included) and not a bool."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+class Settings:
+    """Base of the settings dataclasses.  On construction each field must fit
+    its annotation, then each (name, ok, requirement) row of the subclass's
+    requirements() must hold; the first failure raises a ValueError."""
+
+    def _annotation_rows(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float:
+                real = isinstance(value, Real) and not isinstance(value, bool)
+                yield f.name, real and math.isfinite(value), "finite"
+            elif f.type is int:
+                yield f.name, is_integer(value), "an integer"
+            else:
+                yield f.name, isinstance(value, f.type), f"a {f.type.__name__}"
+
+    def __post_init__(self):
+        for rows in (self._annotation_rows, self.requirements):
+            for name, ok, requirement in rows():
+                if not ok:
+                    raise ValueError(f"{name} must be {requirement}, got {getattr(self, name)!r}")
 
 
 class OvsamError(Exception):

@@ -27,11 +27,11 @@ bitwise reproducible for a fixed seed across platforms.
 
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import is_integer
+from .errors import Settings
 from .graph import FactorGraph, HomingMeasurement, OdometryMeasurement, Pose, write_text
 from .orvec import from_angle, omega, to_angle
 
@@ -42,7 +42,7 @@ SIGMA_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Settings):
     lanes: int = 3
     points_per_lane: int = 10
     lane_spacing: float = 0.5  # m
@@ -56,14 +56,8 @@ class SimConfig:
     homing_neighbors: int = 3
     seed: int = 0
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-            if f.type is int and not is_integer(value):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        checks = (
+    def requirements(self):
+        return (
             ("lanes", self.lanes >= 2, "at least 2, for homing measurements to exist"),
             ("points_per_lane", self.points_per_lane >= 2, "at least 2"),
             ("lane_spacing", self.lane_spacing > 0.0, "positive"),
@@ -77,9 +71,6 @@ class SimConfig:
             ("homing_neighbors", self.homing_neighbors >= 1, "at least 1"),
             ("seed", self.seed >= 0, "a nonnegative integer"),
         )
-        for name, ok, requirement in checks:
-            if not ok:
-                raise ValueError(f"{name} must be {requirement}, got {getattr(self, name)!r}")
 
 
 @dataclass

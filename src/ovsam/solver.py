@@ -42,7 +42,7 @@ import scipy.linalg
 
 from .assembly import ActiveMask, assemble, init_lambdas, measurement_tables, merit
 from .costs import POS, RotCostConfig
-from .errors import DegenerateVectorError, NumericalFailure, is_integer
+from .errors import DegenerateVectorError, NumericalFailure, Settings
 from .graph import pack_state, state_table, write_text
 
 # Dense factorization below this state dimension, sparse LU at or above
@@ -67,7 +67,7 @@ EMERGENCY_STEP = 1e-3
 
 
 @dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Settings):
     max_iters: int = 100
     grad_tol: float = 1e-8
     step_tol: float = 1e-8
@@ -76,14 +76,14 @@ class SolverConfig:
     cost: RotCostConfig = field(default_factory=RotCostConfig)
     use_distance_error: bool = False
 
-    def __post_init__(self):
-        if not (is_integer(self.max_iters) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        for name in ("grad_tol", "step_tol", "mu"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if not self.home_dist_threshold >= 0.0:
-            raise ValueError("home_dist_threshold must be a non-negative number")
+    def requirements(self):
+        return (
+            ("max_iters", self.max_iters >= 1, "at least 1"),
+            ("grad_tol", self.grad_tol > 0.0, "positive"),
+            ("step_tol", self.step_tol > 0.0, "positive"),
+            ("mu", self.mu > 0.0, "positive"),
+            ("home_dist_threshold", self.home_dist_threshold >= 0.0, "nonnegative"),
+        )
 
 
 @dataclass
@@ -195,7 +195,7 @@ def newton_step(system, eta_w=0.0, eta_a=0.0):
                 # line search rejects any step they ruin
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
                 delta = scipy.linalg.solve(H, -system.g, assume_a="sym")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"linear solve failed: {exc}") from exc
     if not np.all(np.isfinite(delta)):
         raise NumericalFailure("linear solve produced non-finite step")

@@ -295,11 +295,13 @@ def test_solve_iteration_limit_exit(tmp_path, capsys):
         ("--mu", "inf"),
         ("--max-iters", "0"),
         ("--max-iters", "-3"),
+        ("--home-dist-threshold", "inf"),
     ],
 )
 def test_solve_rejects_settings_that_fake_convergence(tmp_path, capsys, flag, value):
     # an infinite tolerance would report convergence after one iteration,
-    # and no iteration at all would write a header-only trace
+    # as would an infinite threshold masking every homing record, and no
+    # iteration at all would write a header-only trace
     rng = np.random.default_rng(3)
     path = _write_graph(tmp_path, random_graph(rng, n_poses=4, n_homing=2, unit_orientations=True))
     out = tmp_path / "s"

@@ -109,6 +109,7 @@ def test_pose_shape_validation():
         {"gamma": float("nan")},
         {"t1": True},
         {"t1": 1.0},
+        {"gamma": True},
     ],
 )
 def test_rot_cost_config_rejects(kwargs):

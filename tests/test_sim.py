@@ -195,6 +195,7 @@ def test_drift_makes_a_real_problem():
         {"euler_substeps": True},
         {"homing_neighbors": "3"},
         {"seed": True},
+        {"lane_spacing": True},
     ],
 )
 def test_sim_config_rejects(kwargs):

@@ -1,6 +1,8 @@
 """tools/solve_digest.py: the bitwise gate as one command."""
 
+import dataclasses
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -45,12 +47,31 @@ def test_against_reports_each_label_that_differs(tmp_path):
     assert again.stderr == ""
 
 
-def test_only_builds_just_the_selected_graphs(monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+def _load_tool():
     path = ROOT / "tools" / "solve_digest.py"
     spec = importlib.util.spec_from_file_location("solve_digest", path)
     solve_digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(solve_digest)
+    return solve_digest
+
+
+def test_digest_covers_every_trace_field():
+    # a one-ulp, one-count or flipped change to any field of one trace
+    # record changes the digest
+    solve_digest = _load_tool()
+    report = ovsam.solve(ovsam.simulate(ovsam.SimConfig())[0], ovsam.SolverConfig(max_iters=2))
+    record = report.trace[0]
+    base = solve_digest.digest(report)
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        changed = {float: math.nextafter(value, math.inf), int: value + 1, bool: not value}[f.type]
+        trace = [dataclasses.replace(record, **{f.name: changed}), *report.trace[1:]]
+        assert solve_digest.digest(dataclasses.replace(report, trace=trace)) != base, f.name
+
+
+def test_only_builds_just_the_selected_graphs(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    solve_digest = _load_tool()
     seeds = []
 
     def counted_simulate(cfg):

@@ -77,6 +77,13 @@ def test_solver_config_validation():
         SolverConfig(home_dist_threshold=float("nan"))
     with pytest.raises(ValueError, match="home_dist_threshold"):
         SolverConfig(home_dist_threshold=-0.1)
+    with pytest.raises(ValueError, match="^home_dist_threshold must be finite, got inf$"):
+        SolverConfig(home_dist_threshold=float("inf"))
+    # each field is checked against its annotation: no bool for a float, no
+    # string for a bool, no form name for the nested config
+    for name, bad in (("grad_tol", True), ("use_distance_error", "yes"), ("cost", "second")):
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {bad!r}$"):
+            SolverConfig(**{name: bad})
     SolverConfig(max_iters=1, home_dist_threshold=0.0)
 
 

@@ -4,7 +4,9 @@
 
 Each line is "<label> <sha256>", the digest covering the termination
 reason, the iteration count, every field of every per-iteration trace
-record, the solved graph's save_graph text and the multipliers' bytes.
+record (each IterationRecord field, floats by float.hex, ints and bools
+as integers), the solved graph's save_graph text and the multipliers'
+bytes.
 Run it on two checkouts and diff the outputs: identical lines mean the
 two programs solve every graph of the set bitwise alike.  The last line
 digests all lines above it.
@@ -89,9 +91,9 @@ def digest(report):
     h = hashlib.sha256()
     h.update(f"{report.reason} {report.iterations}\n".encode())
     for t in report.trace:
-        fields = (t.L, t.F, t.grad_norm, t.step_norm, t.max_constraint)
-        h.update(" ".join(float(v).hex() for v in fields).encode())
-        h.update(f" {t.iteration} {t.lm_escalations} {int(t.emergency)}\n".encode())
+        cells = ((f.type, getattr(t, f.name)) for f in dataclasses.fields(t))
+        h.update(" ".join(float(v).hex() if k is float else str(int(v)) for k, v in cells).encode())
+        h.update(b"\n")
     h.update(save_graph(report.graph).encode())
     h.update(np.asarray(report.lambdas, dtype=float).tobytes())
     return h.hexdigest()
