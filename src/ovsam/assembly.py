@@ -1,25 +1,27 @@
-"""Gradient and bordered-Hessian assembly of the Lagrangian.
+"""State layout, gradient and bordered-Hessian assembly of the Lagrangian.
 
 The Lagrangian is L = F + sum_i lambda_i l(u_i) over the free poses,
 where F sums all active measurement costs.  Every evaluation reads the
-poses from a pose table (graph.py), which defaults to the graph's own
-poses, and the measurements from MeasurementTables, structure-of-arrays
+poses from a pose table (graph.pose_table), which defaults to the graph's
+own poses, and the measurements from MeasurementTables, structure-of-arrays
 copies of the graph's measurement data that solve builds once and that
-default to being built from the graph on each call.
+default to being built from the graph on each call.  The tables also hold
+the state layout: the flat state stacks one block [x (2), u (2), lambda]
+per free pose, in the order tables.free (pack_state, unpack_state).
 
 Each cost family is evaluated for all its active records in one batched
 kernel call (record_terms).  The value-only functions also take a stack
-(S, N, 4) of pose tables, S trial points, and evaluate all S K records
-in the same kernel calls; each trial's numbers are those of a call on
-its table alone.  The results keep the numbers of a walk over the
-records one at a time: F adds the term values one by one in the
-canonical order (odometry in list order: translation, the optional
-distance term, rotation; then active homing in list order: home vector,
-compass); assembly sums each record's terms in that order and scatters
-the sums record by record to the free-pose blocks they touch; per-pose
-constraint terms are added afterwards.  The result is a block-sparse
-symmetric system whose lambda-lambda diagonal entries are exactly zero
-(a bordered saddle system).
+(S, N, 4) of pose tables, S trial points, whose (S, K, 4) poses the
+kernels broadcast against the (K, ...) per-record data; each trial's
+numbers are those of a call on its table alone.  The results keep the
+numbers of a walk over the records one at a time: F adds the term values
+one by one in the canonical order (odometry in list order: translation,
+the optional distance term, rotation; then active homing in list order:
+home vector, compass); assembly sums each record's terms in that order
+and scatters the sums record by record to the free-pose blocks they
+touch; per-pose constraint terms are added afterwards, in pose-row order.
+The result is a block-sparse symmetric system whose lambda-lambda
+diagonal entries are exactly zero (a bordered saddle system).
 """
 
 from dataclasses import dataclass
@@ -115,7 +117,7 @@ def measurement_tables(graph, cfg, use_distance_error=False):
     if use_distance_error.
     """
     odo, hom = graph.validate()
-    free = np.subtract(graph.free_ids(), 1)
+    free = np.delete(np.arange(len(graph)), graph.fixed_id - 1)
     rank = np.full(len(graph), -1)
     rank[free] = np.arange(len(free))
     if use_distance_error:  # only checked: eval_distance divides by sigma_e itself
@@ -138,6 +140,31 @@ def measurement_tables(graph, cfg, use_distance_error=False):
         w_home=_weights("homing", hom, "sigma_h", cfg.gamma),
         w_compass=_weights("homing", hom, "sigma_c", cfg.gamma),
     )
+
+
+def pack_state(tables, table, lambdas):
+    """The flat state of the pose table's free poses and their multipliers."""
+    n = len(tables.free)
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.shape != (n,):
+        raise PreconditionError(f"expected {n} multipliers, got shape {lambdas.shape}")
+    return np.column_stack((table[tables.free], lambdas)).ravel()
+
+
+def unpack_state(tables, table, vec):
+    """(poses, lambdas) of the flat state vec: a copy of the pose table with
+    the free poses' rows taken from vec, and the multipliers, a view of vec.
+
+    A stack (S, dim) of states gives (S, N, 4) tables and (S, N - 1) multipliers.
+    """
+    vec = np.asarray(vec, dtype=float)
+    dim = 5 * len(tables.free)
+    if vec.ndim not in (1, 2) or vec.shape[-1] != dim:
+        raise PreconditionError(f"expected state of length {dim}, got {vec.shape}")
+    blocks = vec.reshape(vec.shape[:-1] + (-1, 5))
+    out = np.broadcast_to(table, vec.shape[:-1] + table.shape).copy()
+    out[..., tables.free, :] = blocks[..., :4]
+    return out, blocks[..., 4]
 
 
 class SparseSymmetricSystem:
@@ -205,11 +232,11 @@ def _evaluate(group, i1, i2, calls):
     """Run one record group's kernel calls, in term order.
 
     calls holds (rows, call) per term: call() evaluates the term for
-    the records rows (None for all records of the group), once per
+    the records rows (None for all records of the group), at every
     trial of a stack.  If any call hits a degenerate vector, re-raises
     for the first such record in list order, and within it the first
     such term, with the record named (for a stack, the first failing
-    batch position; its trial is not named).
+    position of the flattened (S, K) values; its trial is not named).
     """
     outs, failures = [], []
     for pos, (rows, call) in enumerate(calls):
@@ -239,41 +266,31 @@ def record_terms(tables, table, cfg, active, use_distance_error, derivs=True):
     records hrows.  Each entry is a CostEval, or the (K,) values when
     derivs is false.
 
-    A stack (S, N, 4) of tables evaluates each term once over S K
-    records, trial after trial: the pose rows are gathered from every
-    table and the per-record data is tiled S times.
+    A stack (S, N, 4) of tables (derivs false) gives (S, K) values.
     """
     t = tables
-    trials = len(table) if table.ndim == 3 else 1
 
     def poses(rows):
-        return np.take(table, rows, axis=-2).reshape(-1, 4)
-
-    def data(a):
-        return np.concatenate((a,) * trials) if trials > 1 else a
+        return np.take(table, rows, axis=-2)
 
     p1, p2 = poses(t.odo_i1), poses(t.odo_i2)
     d = np.flatnonzero(active.distance) if use_distance_error else None
-    calls = [(None, lambda: eval_translation(p1, p2, data(t.Tinv), data(t.r), derivs))]
+    calls = [(None, lambda: eval_translation(p1, p2, t.Tinv, t.r, derivs))]
     if use_distance_error:
         e1, e2 = poses(t.odo_i1[d]), poses(t.odo_i2[d])
-        sigma_e, rho = data(t.sigma_e[d]), data(t.rho[d])
-        calls.append((d, lambda: eval_distance(e1, e2, sigma_e, rho, derivs)))
-    calls.append(
-        (None, lambda: eval_rotation(p1, p2, data(t.Q), data(t.w_rot), cfg, derivs))
-    )
+        calls.append((d, lambda: eval_distance(e1, e2, t.sigma_e[d], t.rho[d], derivs)))
+    calls.append((None, lambda: eval_rotation(p1, p2, t.Q, t.w_rot, cfg, derivs)))
     odometry = _evaluate("odometry", t.odo_i1, t.odo_i2, calls)
 
     h = np.flatnonzero(active.homing)
     q1, q2 = poses(t.hom_i1[h]), poses(t.hom_i2[h])
-    A, Psi = data(t.A[h]), data(t.Psi[h])
     homing = _evaluate(
         "homing",
         t.hom_i1,
         t.hom_i2,
         [
-            (h, lambda: eval_home_vector(q1, q2, A, data(t.w_home[h]), cfg, derivs)),
-            (h, lambda: eval_compass(q1, q2, Psi, data(t.w_compass[h]), cfg, derivs)),
+            (h, lambda: eval_home_vector(q1, q2, t.A[h], t.w_home[h], cfg, derivs)),
+            (h, lambda: eval_compass(q1, q2, t.Psi[h], t.w_compass[h], cfg, derivs)),
         ],
     )
     return odometry, d, homing, h
@@ -357,7 +374,7 @@ def assemble(
 
     nb = np.searchsorted(keys, n * n)
     keys = np.column_stack(np.divmod(keys[:nb], n))
-    L = F + float(_running_sum(ce.w))
+    L = F + float(_running_sum(ce.w[tables.rank[tables.rank >= 0]]))  # in pose-row order
     return SparseSymmetricSystem(5 * n, keys, data[:nb], G[:n].ravel(), F, L, ce.l)
 
 
@@ -376,19 +393,20 @@ def total_values(
         # Masked distance terms become zeros, which change no running sum
         # that starts at +0.0: it is never -0.0, and x + 0.0 == x otherwise.
         full = np.zeros(stack + (len(tables.odo_i1),))
-        full[..., d] = odometry[1].reshape(stack + (-1,))
-        odometry[1] = full.ravel()
+        full[..., d] = odometry[1]
+        odometry[1] = full
 
     def per_trial(terms):
         # each trial's records in order, each record's terms in order
         return np.stack(terms, axis=-1).reshape(stack + (-1,))
 
     F = _running_sum(np.concatenate((per_trial(odometry), per_trial(homing)), axis=-1))
-    free = np.take(table[..., ORI], tables.free, axis=-2)
-    l = residual(free.reshape(-1, 2)).reshape(free.shape[:-1])
+    # the per-pose terms add in pose-row order, whatever the state order
+    slots = tables.rank[tables.rank >= 0]
+    l = residual(np.take(table[..., ORI], tables.free, axis=-2))[..., slots]
     if lambdas is None:
         lambdas = np.zeros(l.shape)
-    L, l1 = F + _running_sum(l * lambdas), _running_sum(np.abs(l))
+    L, l1 = F + _running_sum(l * lambdas[..., slots]), _running_sum(np.abs(l))
     if not stack:
         return float(F), float(L), float(l1)
     return F, L, l1
@@ -402,8 +420,7 @@ def init_lambdas(graph, cfg, active=None, table=None, tables=None):
     initial orientation vectors, which is checked here; the distance
     error has no orientation gradient and therefore never contributes.
 
-    Returns one multiplier per free pose, in state order
-    (ascending pose id, fixed pose excluded).
+    Returns one multiplier per free pose, in the state order tables.free.
     """
     active, table, tables = _defaults(graph, cfg, active, table, tables)
     norms = np.hypot(table[:, 2], table[:, 3])

@@ -4,10 +4,12 @@ Every kernel evaluates one cost family for a batch of K pose pairs at
 once.  A pose enters as the stacked 4-vector [x, u]: position x
 (2-vector) and orientation vector u (2-vector, unit length only on the
 constraint manifold), so a batch of first poses p is a (K, 4) array read
-as p[:, POS] and p[:, ORI]; rows of the pose table are such vectors.
+as p[..., POS] and p[..., ORI]; rows of the pose table are such vectors.
 Per-record measurement data comes stacked the same way: (K, 2) vectors,
-(K, 2, 2) matrices and (K,) scalars.  Five costs are defined, each over
-an ordered pose pair (p, p'):
+(K, 2, 2) matrices and (K,) scalars.  The value path (derivs=False) also
+takes poses with leading trial axes, (S, K, 4), against the same (K, ...)
+data, and returns (S, K) values, each trial's those of a (K, 4) call.
+Five costs are defined, each over an ordered pose pair (p, p'):
 
   translation   Mahalanobis error of the odometry translation r measured
                 in frame p:  0.5 (d - r)^T T^-1 (d - r),
@@ -209,12 +211,12 @@ def _spd_inverse(T):
 
 def _T(M):
     """Per-record transpose, as a view."""
-    return M.transpose(0, 2, 1)
+    return np.swapaxes(M, -1, -2)
 
 
 def _mv(M, v):
     """Per-record matrix @ vector."""
-    return (M @ v[:, :, None])[:, :, 0]
+    return (M @ v[..., None])[..., 0]
 
 
 def _outer(a, b):
@@ -222,8 +224,8 @@ def _outer(a, b):
 
 
 def _col(v):
-    """(K,) scalars (or one scalar) shaped to scale (K, 2) vectors."""
-    return np.reshape(v, (-1, 1))
+    """(..., K) scalars (or one scalar) shaped to scale (..., K, 2) vectors."""
+    return np.asarray(v)[..., None]
 
 
 def _mat(v):
@@ -232,7 +234,7 @@ def _mat(v):
 
 
 def _norms(z):
-    return np.hypot(z[:, 0], z[:, 1])
+    return np.hypot(z[..., 0], z[..., 1])
 
 
 def _check_norms(*checks):
@@ -240,13 +242,14 @@ def _check_norms(*checks):
     first record with a zero-length vector, naming the first check it fails.
 
     checks are (norms, what) pairs in the order the vectors are normalized.
+    For (S, K) norms the position is that in the flattened S K records.
     """
-    hit = first_failure([norms <= DEGENERATE_NORM for norms, _ in checks])
+    hit = first_failure([np.ravel(norms) <= DEGENERATE_NORM for norms, _ in checks])
     if hit is not None:
         k, j = hit
         norms, what = checks[j]
         raise DegenerateVectorError(
-            f"{what} has norm {float(norms[k])!r}, below {DEGENERATE_NORM}", index=k
+            f"{what} has norm {float(norms.flat[k])!r}, below {DEGENERATE_NORM}", index=k
         )
 
 
@@ -280,10 +283,10 @@ def eval_translation(p, pp, Tinv, r, derivs=True):
     derivs : bool
         When false, return only the (K,) values.
     """
-    delta = pp[:, POS] - p[:, POS]
-    U = omega(p[:, ORI])
+    delta = pp[..., POS] - p[..., POS]
+    U = omega(p[..., ORI])
     e = _mv(_T(U), delta) - r
-    value = 0.5 * rowdot((e[:, None, :] @ Tinv)[:, 0, :], e)
+    value = 0.5 * rowdot((e[..., None, :] @ Tinv)[..., 0, :], e)
     if not derivs:
         return value
     D = omega_bar(delta)
@@ -318,7 +321,7 @@ def eval_distance(p, pp, sigma_e, rho, derivs=True):
     """
     if not np.all(sigma_e > 0.0):
         raise ValueError(f"sigma_e must be positive, got {sigma_e!r}")
-    delta = pp[:, POS] - p[:, POS]
+    delta = pp[..., POS] - p[..., POS]
     nd = _norms(delta)
     _check_norms((nd, "pose position difference"))
     resid = nd - rho
@@ -410,7 +413,7 @@ def eval_rotation(p, pp, Phi, weight, cfg, derivs=True):
     visual compass, which has the identical functional form.  weight is
     term_weight(gamma, sigma) per record.
     """
-    return eval_generic_rotational(Phi, p[:, ORI], pp[:, ORI], cfg, weight, derivs)
+    return eval_generic_rotational(Phi, p[..., ORI], pp[..., ORI], cfg, weight, derivs)
 
 
 eval_compass = eval_rotation
@@ -432,8 +435,8 @@ def eval_home_vector(p, pp, A, weight, cfg, derivs=True):
     offset is t1 + (1 - t1)|u|.  With derivs false, returns only the
     (K,) values.
     """
-    u = p[:, ORI]
-    delta = pp[:, POS] - p[:, POS]
+    u = p[..., ORI]
+    delta = pp[..., POS] - p[..., POS]
     nd = _norms(delta)
     if cfg.uses_norms:
         nu = _norms(u)

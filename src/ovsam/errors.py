@@ -20,7 +20,11 @@ class Settings:
             value = getattr(self, f.name)
             if f.type is float:
                 real = isinstance(value, Real) and not isinstance(value, bool)
-                yield f.name, real and math.isfinite(value), "finite"
+                try:
+                    finite = real and math.isfinite(value)
+                except OverflowError:  # an int too large for a float
+                    finite = False
+                yield f.name, finite, "finite"
             elif f.type is int:
                 yield f.name, is_integer(value), "an integer"
             else:

@@ -1,11 +1,9 @@
-"""Factor-graph data model, pose table, state-vector layout, and text persistence.
+"""Factor-graph data model and text persistence.
 
-Pose ids are 1-based everywhere (files, measurements, APIs).  Costs are
-evaluated from a pose table, an (N, 4) array whose row pid - 1 holds
-[x1, x2, u1, u2] of pose pid.  One pose is the fixed anchor and never
-enters the optimization state; the flat state stacks the remaining poses
-in ascending id order as per-pose blocks [x (2), u (2), lambda (1)],
-total length 5 (N - 1), so its multipliers are vec[4::5].
+Pose ids are 1-based everywhere (files, measurements, APIs).  pose_table
+gives the poses as an (N, 4) array whose row pid - 1 holds [x1, x2, u1, u2]
+of pose pid.  One pose is the fixed anchor; the state layout of the other,
+free poses is MeasurementTables' (assembly.py).
 
 Graph file format, line based, '#' starts a comment, floats written in
 full round-trip precision:
@@ -138,9 +136,6 @@ class FactorGraph:
     def items(self):
         return ((i + 1, p) for i, p in enumerate(self.poses))
 
-    def free_ids(self):
-        return [pid for pid in self.pose_ids() if pid != self.fixed_id]
-
     def copy(self):
         return FactorGraph(
             [p.copy() for p in self.poses], self.odometry, self.homing, self.fixed_id
@@ -244,33 +239,6 @@ def _checked_columns(group, ms, n):
             if not np.all(np.isfinite(getattr(m, name))):
                 raise GraphValidationError(f"{where}: non-finite {name}: {getattr(m, name)!r}")
     raise GraphValidationError(f"{where}: " + message.format(*(float(x[k]) for x in values)))
-
-
-def pack_state(graph, lambdas=None):
-    """Flatten the free poses (and multipliers) into the state vector."""
-    free = graph.free_ids()
-    if lambdas is None:
-        lambdas = np.zeros(len(free))
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.shape != (len(free),):
-        raise PreconditionError(f"expected {len(free)} multipliers, got shape {lambdas.shape}")
-    return np.column_stack((graph.pose_table()[np.subtract(free, 1)], lambdas)).ravel()
-
-
-def state_table(table, fixed_id, vec):
-    """A copy of table with the free poses' rows taken from the flat state vec.
-
-    A stack (S, dim) of states gives the stack (S, N, 4) of their tables.
-    """
-    vec = np.asarray(vec, dtype=float)
-    dim = 5 * (len(table) - 1)
-    if vec.ndim not in (1, 2) or vec.shape[-1] != dim:
-        raise PreconditionError(f"expected state of length {dim}, got {vec.shape}")
-    out = np.broadcast_to(table, vec.shape[:-1] + table.shape).copy()
-    out[..., np.arange(len(table)) != fixed_id - 1, :] = vec.reshape(
-        vec.shape[:-1] + (-1, 5)
-    )[..., :4]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Lagrange-Newton descent over the factor graph.
 
-The iterate is the flat state [x, u, lambda] per free pose (graph.py),
+The iterate is the flat state [x, u, lambda] per free pose (assembly.py),
 evaluated through the pose table at that state; the input graph is never
 copied or written.  Each iteration assembles the bordered system
 H ds = -g at the current state and searches for a step along one
@@ -41,9 +41,10 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import ActiveMask, assemble, init_lambdas, measurement_tables, merit
+from .assembly import pack_state, unpack_state
 from .costs import POS, RotCostConfig
 from .errors import DegenerateVectorError, NumericalFailure, Settings
-from .graph import pack_state, state_table, write_text
+from .graph import write_text
 
 # Dense factorization below this state dimension, sparse LU at or above
 # (dimension 495 corresponds to 100 poses).
@@ -269,7 +270,7 @@ def solve(graph, cfg=None):
     mask = compute_active_mask(
         graph, cfg.home_dist_threshold, cfg.use_distance_error, base, tables
     )
-    state = pack_state(graph, init_lambdas(graph, cfg.cost, mask, base, tables))
+    state = pack_state(tables, base, init_lambdas(graph, cfg.cost, mask, base, tables))
     guard = 1e6 * max(1.0, float(np.linalg.norm(state)))
     merit_calls = merit_states = 0
 
@@ -277,23 +278,23 @@ def solve(graph, cfg=None):
         nonlocal merit_calls, merit_states
         merit_calls += 1
         merit_states += len(vecs)
-        trials = state_table(base, graph.fixed_id, vecs)
+        trials, lambdas = unpack_state(tables, base, vecs)
         return merit(
-            graph, cfg.cost, mask, cfg.mu, vecs[:, 4::5], cfg.use_distance_error, trials, tables
+            graph, cfg.cost, mask, cfg.mu, lambdas, cfg.use_distance_error, trials, tables
         )
 
     trace = []
     reason = "max_iters"
     prev_step_norm = np.inf
     for iteration in range(1, cfg.max_iters + 1):
-        table = state_table(base, graph.fixed_id, state)
+        table, lambdas = unpack_state(tables, base, state)
         mask = compute_active_mask(
             graph, cfg.home_dist_threshold, cfg.use_distance_error, table, tables
         )
         system = None  # free the last system and its matrix before building the next
         try:
             system = assemble(
-                graph, cfg.cost, mask, state[4::5], cfg.use_distance_error, table, tables
+                graph, cfg.cost, mask, lambdas, cfg.use_distance_error, table, tables
             )
         except DegenerateVectorError:
             # Collapsing pose pairs mid-run are a symptom of a diverging
@@ -331,12 +332,12 @@ def solve(graph, cfg=None):
             reason = "diverged"
             break
 
-    final = graph.with_poses(state_table(base, graph.fixed_id, state))
+    table, lambdas = unpack_state(tables, base, state)
     return SolveReport(
         reason=reason,
         trace=trace,
-        graph=final,
-        lambdas=state[4::5].copy(),
+        graph=graph.with_poses(table),
+        lambdas=lambdas.copy(),
         merit_calls=merit_calls,
         merit_states=merit_states,
     )

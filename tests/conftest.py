@@ -2,8 +2,20 @@
 
 import numpy as np
 
+from ovsam.assembly import measurement_tables, pack_state, unpack_state
+from ovsam.costs import RotCostConfig
 from ovsam.graph import FactorGraph, HomingMeasurement, OdometryMeasurement, Pose
 from ovsam.orvec import from_angle, omega
+
+
+def state_of(graph, lambdas):
+    """The flat state of the graph's poses with the multipliers lambdas."""
+    return pack_state(measurement_tables(graph, RotCostConfig()), graph.pose_table(), lambdas)
+
+
+def at_state(graph, vec):
+    """(pose table, multipliers) of a flat state, or a stack, over the graph's free poses."""
+    return unpack_state(measurement_tables(graph, RotCostConfig()), graph.pose_table(), vec)
 
 
 def random_spd(rng, lo=0.05, hi=1.0):

@@ -16,7 +16,7 @@ from ovsam.costs import ORI
 
 def assemble_dense(graph, cfg, active=None, lambdas=None, use_distance_error=False):
     """Dense (H, g, L, F) at the graph's own poses."""
-    free = graph.free_ids()
+    free = [pid for pid in graph.pose_ids() if pid != graph.fixed_id]
     dim = 5 * len(free)
     table = graph.pose_table()
     if active is None:

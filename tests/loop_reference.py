@@ -376,9 +376,14 @@ def _measurement_blocks(graph, table, cfg, active, use_distance_error):
     return out
 
 
+def _free_ids(graph):
+    """The free pose ids in ascending order, the state order of the loop."""
+    return [pid for pid in graph.pose_ids() if pid != graph.fixed_id]
+
+
 def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False, table=None):
     """(g, blocks, F, L, l_values) with blocks keyed (rank, rank) as 5x5 arrays."""
-    free = graph.free_ids()
+    free = _free_ids(graph)
     rank = {pid: k for k, pid in enumerate(free)}
     if table is None:
         table = graph.pose_table()
@@ -437,7 +442,7 @@ def total_values(graph, cfg, active=None, lambdas=None, use_distance_error=False
         for value in terms:
             F += value
 
-    free = graph.free_ids()
+    free = _free_ids(graph)
     if lambdas is None:
         lambdas = np.zeros(len(free))
     w_sum = 0.0
@@ -471,7 +476,7 @@ def init_lambdas(graph, cfg, active=None, table=None):
         grads[i1 - 1] += ev.grad1[ORI]
         grads[i2 - 1] += ev.grad2[ORI]
     return np.array(
-        [-float(table[pid - 1, ORI] @ grads[pid - 1]) for pid in graph.free_ids()]
+        [-float(table[pid - 1, ORI] @ grads[pid - 1]) for pid in _free_ids(graph)]
     )
 
 

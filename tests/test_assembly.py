@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import consistent_graph, random_graph
+from conftest import at_state, consistent_graph, random_graph, state_of
 from dense_assembly import assemble_dense
 
 from ovsam.assembly import (
@@ -15,14 +15,7 @@ from ovsam.assembly import (
 from ovsam.costs import RotCostConfig
 from ovsam.errors import DegenerateVectorError
 from ovsam.findiff import fd_gradient, fd_jacobian
-from ovsam.graph import (
-    FactorGraph,
-    HomingMeasurement,
-    OdometryMeasurement,
-    Pose,
-    pack_state,
-    state_table,
-)
+from ovsam.graph import FactorGraph, HomingMeasurement, OdometryMeasurement, Pose
 from ovsam.sim import SimConfig, simulate
 from ovsam.solver import LADDER
 
@@ -32,11 +25,6 @@ def _perturbed(rng, n_poses=5, n_homing=4):
     graph = random_graph(rng, n_poses=n_poses, n_homing=n_homing)
     lambdas = rng.normal(size=n_poses - 1)
     return graph, lambdas
-
-
-def _at_state(graph, vec):
-    """(pose table, multipliers) of a flat state over the graph's free poses."""
-    return state_table(graph.pose_table(), graph.fixed_id, vec), vec[4::5]
 
 
 def test_gradient_vanishes_at_consistent_graph():
@@ -70,10 +58,10 @@ def test_constraint_only_system():
 def test_gradient_matches_fd_of_lagrangian(cfg, use_distance):
     rng = np.random.default_rng(1)
     graph, lambdas = _perturbed(rng, n_poses=4, n_homing=3)
-    state0 = pack_state(graph, lambdas)
+    state0 = state_of(graph, lambdas)
 
     def L_of(vec):
-        table, lams = _at_state(graph, vec)
+        table, lams = at_state(graph, vec)
         _, L, _ = total_values(graph, cfg, None, lams, use_distance, table)
         return L
 
@@ -87,11 +75,11 @@ def test_gradient_matches_fd_with_nondefault_fixed_pose():
     rng = np.random.default_rng(2)
     graph, lambdas = _perturbed(rng, n_poses=4, n_homing=3)
     graph = graph.with_fixed(3)
-    lambdas = lambdas[: len(graph.free_ids())]
-    state0 = pack_state(graph, lambdas)
+    lambdas = lambdas[: len(graph) - 1]
+    state0 = state_of(graph, lambdas)
 
     def L_of(vec):
-        table, lams = _at_state(graph, vec)
+        table, lams = at_state(graph, vec)
         return total_values(graph, RotCostConfig(), None, lams, table=table)[1]
 
     system = assemble(graph, RotCostConfig(), lambdas=lambdas)
@@ -105,10 +93,10 @@ def test_gradient_matches_fd_with_nondefault_fixed_pose():
 def test_hessian_matches_fd_of_gradient(cfg):
     rng = np.random.default_rng(3)
     graph, lambdas = _perturbed(rng, n_poses=4, n_homing=3)
-    state0 = pack_state(graph, lambdas)
+    state0 = state_of(graph, lambdas)
 
     def g_of(vec):
-        table, lams = _at_state(graph, vec)
+        table, lams = at_state(graph, vec)
         return assemble(graph, cfg, lambdas=lams, table=table).g
 
     H = assemble(graph, cfg, lambdas=lambdas).to_dense()
@@ -136,8 +124,8 @@ def test_table_evaluation_equals_graph_evaluation():
     rng = np.random.default_rng(14)
     graph, _ = _perturbed(rng, n_poses=6, n_homing=5)
     graph = graph.with_fixed(4)
-    vec = pack_state(graph, rng.normal(size=5)) + rng.normal(0.0, 0.05, 25)
-    table, lams = _at_state(graph, vec)
+    vec = state_of(graph, rng.normal(size=5)) + rng.normal(0.0, 0.05, 25)
+    table, lams = at_state(graph, vec)
     moved = graph.with_poses(table)
     assert moved.fixed_id == 4
     assert np.array_equal(moved.pose(4).x, graph.pose(4).x)
@@ -226,7 +214,8 @@ def test_block_sparsity_only_measurement_pairs():
     rng = np.random.default_rng(7)
     graph = random_graph(rng, n_poses=5, n_homing=0)
     system = assemble(graph, RotCostConfig())
-    ranks = {pid: k for k, pid in enumerate(graph.free_ids())}
+    free = [pid for pid in graph.pose_ids() if pid != graph.fixed_id]
+    ranks = {pid: k for k, pid in enumerate(free)}
     keys = set(system.blocks)
     assert (ranks[2], ranks[4]) not in keys
     assert (ranks[2], ranks[3]) in keys

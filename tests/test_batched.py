@@ -6,13 +6,16 @@ of a zero), over all cost forms, masked distance and homing terms, a
 graph without homing records, a non-default anchor, and simulated
 graphs; a degenerate record must be named as the loop names it.  A
 stack of S = 3 states must give total_values and merit of the three
-single-state calls byte for byte.
+single-state calls byte for byte, and so must each kernel's values.  A
+permuted state order must permute the state and the system, bitwise.
 """
+
+import dataclasses
 
 import loop_reference as ref
 import numpy as np
 import pytest
-from conftest import random_graph
+from conftest import at_state, random_graph, state_of
 
 from ovsam.assembly import (
     ActiveMask,
@@ -20,18 +23,20 @@ from ovsam.assembly import (
     init_lambdas,
     measurement_tables,
     merit,
-    total_values,
-)
-from ovsam.costs import RotCostConfig
-from ovsam.errors import DegenerateVectorError
-from ovsam.graph import (
-    FactorGraph,
-    HomingMeasurement,
-    OdometryMeasurement,
-    Pose,
     pack_state,
-    state_table,
+    total_values,
+    unpack_state,
 )
+from ovsam.costs import (
+    RotCostConfig,
+    eval_compass,
+    eval_distance,
+    eval_home_vector,
+    eval_rotation,
+    eval_translation,
+)
+from ovsam.errors import DegenerateVectorError
+from ovsam.graph import FactorGraph, HomingMeasurement, OdometryMeasurement, Pose
 from ovsam.sim import SimConfig, simulate
 from ovsam.solver import compute_active_mask
 
@@ -45,12 +50,10 @@ def _same(a, b):
 
 def _states(graph, rng, count=3, scale=0.05):
     """(table, lambdas) at the graph's poses and at perturbed states."""
-    n = len(graph.free_ids())
-    base = pack_state(graph, rng.normal(size=n))
-    yield graph.pose_table(), base[4::5]
+    base = state_of(graph, rng.normal(size=len(graph) - 1))
+    yield graph.pose_table(), at_state(graph, base)[1]
     for _ in range(count):
-        vec = base + rng.normal(0.0, scale, base.shape)
-        yield state_table(graph.pose_table(), graph.fixed_id, vec), vec[4::5]
+        yield at_state(graph, base + rng.normal(0.0, scale, base.shape))
 
 
 def _check_values_and_system(graph, cfg, active, lambdas, use_distance, table):
@@ -193,3 +196,105 @@ def test_degenerate_records_are_named_as_the_loop_names_them(cfg, use_distance, 
         with pytest.raises(DegenerateVectorError) as got:
             total_values(graph, cfg, None, np.zeros((3, 2)), use_distance, stack)
         assert str(got.value) == str(exc)
+
+
+def _kernels(tables, cfg):
+    """(name, pose rows of the pairs, values of poses (p, pp)) of each kernel's value path."""
+    t = tables
+    odo, hom = (t.odo_i1, t.odo_i2), (t.hom_i1, t.hom_i2)
+    return [
+        ("translation", odo, lambda p, pp: eval_translation(p, pp, t.Tinv, t.r, False)),
+        ("distance", odo, lambda p, pp: eval_distance(p, pp, t.sigma_e, t.rho, False)),
+        ("rotation", odo, lambda p, pp: eval_rotation(p, pp, t.Q, t.w_rot, cfg, False)),
+        ("home", hom, lambda p, pp: eval_home_vector(p, pp, t.A, t.w_home, cfg, False)),
+        ("compass", hom, lambda p, pp: eval_compass(p, pp, t.Psi, t.w_compass, cfg, False)),
+    ]
+
+
+def _trial_calls(kernel, p, pp):
+    """The kernel over each trial of (S, K, 4) poses: its values, or the error it raises."""
+    out = []
+    for s in range(len(p)):
+        try:
+            out.append(kernel(p[s], pp[s]))
+        except DegenerateVectorError as exc:
+            out.append(exc)
+    return out
+
+
+@pytest.mark.parametrize("cfg", CFGS, ids=["t1=1", "t1=0", "second"])
+def test_kernels_broadcast_a_stack_of_trials_bitwise(cfg):
+    # (S, K, 4) poses against (K, ...) data: the values of S separate calls
+    rng = np.random.default_rng(45)
+    graph = random_graph(rng, n_poses=7, n_homing=8)
+    tables = measurement_tables(graph, cfg, True)
+    stack = np.stack([table for table, _ in _states(graph, rng)])
+    for _, (i1, i2), kernel in _kernels(tables, cfg):
+        p, pp = stack[:, i1], stack[:, i2]
+        want = _trial_calls(kernel, p, pp)
+        assert all(isinstance(w, np.ndarray) for w in want)
+        assert _same(kernel(p, pp), want)
+
+
+@pytest.mark.parametrize("cfg", CFGS, ids=["t1=1", "t1=0", "second"])
+def test_kernels_index_a_degenerate_record_of_a_stack_by_its_flat_position(cfg):
+    # record k of trial 2 has coincident positions and zero orientations;
+    # the stacked call raises at position 2 K + k with the message of the
+    # call on trial 2 alone, and a kernel that checks neither evaluates
+    rng = np.random.default_rng(46)
+    graph = random_graph(rng, n_poses=7, n_homing=8)
+    tables = measurement_tables(graph, cfg, True)
+    stack = np.stack([table for table, _ in _states(graph, rng)])
+    raised = set()
+    for name, (i1, i2), kernel in _kernels(tables, cfg):
+        p, pp = stack[:, i1], stack[:, i2]
+        k = len(i1) - 2
+        pp[2, k, :2] = p[2, k, :2]
+        p[2, k, 2:], pp[2, k, 2:] = 0.0, 0.0
+        want = _trial_calls(kernel, p, pp)
+        if not isinstance(want[2], DegenerateVectorError):
+            assert _same(kernel(p, pp), want)
+            continue
+        raised.add(name)
+        assert want[2].index == k
+        with pytest.raises(DegenerateVectorError) as got:
+            kernel(p, pp)
+        assert got.value.index == 2 * len(i1) + k
+        assert str(got.value) == str(want[2])
+    norms = {"rotation", "compass"} if cfg.uses_norms else set()
+    assert raised == {"distance", "home"} | norms
+
+
+@pytest.mark.parametrize("cfg", CFGS, ids=["t1=1", "t1=0", "second"])
+def test_a_permuted_state_order_permutes_the_state_and_the_system(cfg):
+    # the order item RCM would give: tables.free non-ascending, rank its inverse
+    rng = np.random.default_rng(47)
+    graph = random_graph(rng, n_poses=7, n_homing=8).with_fixed(3)
+    tables = measurement_tables(graph, cfg, True)
+    perm = tables.free[[4, 1, 5, 0, 3, 2]]
+    rank = np.full(len(graph), -1)
+    rank[perm] = np.arange(len(perm))
+    permuted = dataclasses.replace(tables, free=perm, rank=rank)
+    order = tables.rank[perm]  # each permuted slot's slot in the ascending order
+    cols = (5 * order[:, None] + np.arange(5)).ravel()
+    states = list(_states(graph, rng))
+    for table, lambdas in states:
+        vec = pack_state(permuted, table, lambdas[order])
+        assert _same(vec, pack_state(tables, table, lambdas)[cols])
+        back, lams = unpack_state(permuted, np.zeros_like(table), vec)
+        assert _same(back[perm], table[perm]) and _same(back[2], np.zeros(4))
+        assert _same(lams, lambdas[order])
+        for use_distance in (False, True):
+            a = (graph, cfg, None, lambdas, use_distance, table, tables)
+            b = (graph, cfg, None, lambdas[order], use_distance, table, permuted)
+            assert all(_same(x, y) for x, y in zip(total_values(*a), total_values(*b)))
+            want, got = assemble(*a), assemble(*b)
+            assert _same(got.g, want.g[cols])
+            assert _same(got.to_dense(), want.to_dense()[np.ix_(cols, cols)])
+            assert _same(got.F, want.F) and _same(got.L, want.L)
+    stack = np.stack([table for table, _ in states])
+    lambdas = np.stack([lam for _, lam in states])
+    for use_distance in (False, True):
+        a = (graph, cfg, None, lambdas, use_distance, stack, tables)
+        b = (graph, cfg, None, lambdas[:, order], use_distance, stack, permuted)
+        assert all(_same(x, y) for x, y in zip(total_values(*a), total_values(*b)))

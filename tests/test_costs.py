@@ -110,11 +110,17 @@ def test_pose_shape_validation():
         {"t1": True},
         {"t1": 1.0},
         {"gamma": True},
+        {"gamma": 10**400},  # an int too large for a float is not finite
+        {"gamma": -(10**400)},
     ],
 )
 def test_rot_cost_config_rejects(kwargs):
     with pytest.raises(ValueError):
         RotCostConfig(**kwargs)
+    ((name, value),) = kwargs.items()
+    if isinstance(value, int) and abs(value) > 2**1024:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            RotCostConfig(**kwargs)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import random_graph
 
-from ovsam.assembly import measurement_tables
+from ovsam.assembly import measurement_tables, pack_state, unpack_state
 from ovsam.costs import RotCostConfig
 from ovsam.errors import GraphFormatError, GraphValidationError, PreconditionError
 from ovsam.graph import (
@@ -16,9 +16,7 @@ from ovsam.graph import (
     OdometryMeasurement,
     Pose,
     load_graph,
-    pack_state,
     save_graph,
-    state_table,
 )
 
 
@@ -60,7 +58,7 @@ def test_accessors_and_copy():
     g = FactorGraph(_two_poses(), odometry=[_odom()])
     assert len(g) == 2
     assert list(g.pose_ids()) == [1, 2]
-    assert g.free_ids() == [2]
+    assert measurement_tables(g, RotCostConfig()).free.tolist() == [1]
     assert g.pose(2).x[0] == 1.0
     c = g.copy()
     c.pose(2).x[0] = 9.0
@@ -73,7 +71,7 @@ def test_with_fixed():
     g = FactorGraph(_two_poses())
     g2 = g.with_fixed(2)
     assert g2.fixed_id == 2 and g.fixed_id == 1
-    assert g2.free_ids() == [1]
+    assert measurement_tables(g2, RotCostConfig()).free.tolist() == [0]
     with pytest.raises(GraphValidationError):
         g.with_fixed(3)
 
@@ -141,7 +139,7 @@ def test_validate_accepts_numpy_integer_indices():
     odom = _odom(i1=np.int64(1), i2=np.int32(2))
     graph = FactorGraph(_two_poses(), [odom], [_home(i1=np.intp(2))], fixed_id=np.int64(2))
     graph.validate()
-    assert graph.free_ids() == [1]
+    assert measurement_tables(graph, RotCostConfig()).free.tolist() == [0]
 
 
 @pytest.mark.parametrize(
@@ -194,22 +192,22 @@ def test_state_layout_offsets():
     tables = measurement_tables(g, RotCostConfig())
     assert tables.free.tolist() == [1]
     assert tables.rank.tolist() == [-1, 0]
-    assert pack_state(g).shape == (5,)
+    assert pack_state(tables, g.pose_table(), np.zeros(1)).shape == (5,)
 
     g3 = FactorGraph(_two_poses() + [Pose([2.0, 0.0], [1.0, 0.0])])
     tables3 = measurement_tables(g3, RotCostConfig())
     assert tables3.free.tolist() == [1, 2]
     assert tables3.rank.tolist() == [-1, 0, 1]
-    assert np.array_equal(pack_state(g3)[5:9], [2.0, 0.0, 1.0, 0.0])
+    vec = pack_state(tables3, g3.pose_table(), np.zeros(2))
+    assert np.array_equal(vec[5:9], [2.0, 0.0, 1.0, 0.0])
 
 
 def test_state_layout_nondefault_fixed():
     g = FactorGraph(_two_poses() + [Pose([2.0, 0.0], [1.0, 0.0])], fixed_id=2)
     tables = measurement_tables(g, RotCostConfig())
-    assert g.free_ids() == [1, 3]
     assert tables.free.tolist() == [0, 2]
     assert tables.rank.tolist() == [0, -1, 1]
-    assert np.array_equal(pack_state(g)[5:9], g.pose_table()[2])
+    assert np.array_equal(pack_state(tables, g.pose_table(), np.zeros(2))[5:9], g.pose_table()[2])
 
 
 def test_measurement_tables_pose_rows_are_contiguous_intp():
@@ -227,16 +225,21 @@ def test_measurement_tables_pose_rows_are_contiguous_intp():
 def test_pack_state_with_poses_round_trip():
     rng = np.random.default_rng(2)
     g = random_graph(rng, n_poses=5, n_homing=3).with_fixed(3)
+    tables = measurement_tables(g, RotCostConfig())
     lams = rng.normal(size=4)
-    vec = pack_state(g, lams)
+    vec = pack_state(tables, g.pose_table(), lams)
     assert vec.shape == (20,)
     assert np.array_equal(vec[4::5], lams)
     for pid in g.pose_ids():
         assert np.array_equal(g.pose_table()[pid - 1], [*g.pose(pid).x, *g.pose(pid).u])
 
     blank = np.full((5, 4), 7.0)
-    table = state_table(blank, g.fixed_id, vec)
+    table, unpacked = unpack_state(tables, blank, vec)
+    assert np.array_equal(unpacked, lams)
     assert np.array_equal(table[2], blank[2])  # anchor row kept
+    stack, stacked = unpack_state(tables, blank, np.stack((vec, 2.0 * vec)))
+    assert np.array_equal(stack, [table, unpack_state(tables, blank, 2.0 * vec)[0]])
+    assert np.array_equal(stacked, [lams, 2.0 * lams])
     table[2] = g.pose_table()[2]
     assert np.array_equal(table, g.pose_table())
 
@@ -247,17 +250,20 @@ def test_pack_state_with_poses_round_trip():
     for pid in g.pose_ids():
         assert np.array_equal(target.pose(pid).x, g.pose(pid).x)
         assert np.array_equal(target.pose(pid).u, g.pose(pid).u)
-    assert np.array_equal(pack_state(target, lams), vec)
+    assert np.array_equal(pack_state(tables, target.pose_table(), lams), vec)
     table[0] = 9.0  # the new graph owns its poses
     assert target.pose(1).x[0] != 9.0
 
 
 def test_state_layout_errors():
     g = FactorGraph(_two_poses())
+    tables = measurement_tables(g, RotCostConfig())
     with pytest.raises(PreconditionError):
-        pack_state(g, np.zeros(2))
+        pack_state(tables, g.pose_table(), np.zeros(2))
     with pytest.raises(PreconditionError):
-        state_table(g.pose_table(), g.fixed_id, np.zeros(7))
+        unpack_state(tables, g.pose_table(), np.zeros(7))
+    with pytest.raises(PreconditionError):
+        unpack_state(tables, g.pose_table(), np.zeros((1, 1, 5)))
     with pytest.raises(PreconditionError):
         g.with_poses(np.zeros((3, 4)))
 

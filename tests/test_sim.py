@@ -196,12 +196,17 @@ def test_drift_makes_a_real_problem():
         {"homing_neighbors": "3"},
         {"seed": True},
         {"lane_spacing": True},
+        {"lane_spacing": 10**400},  # an int too large for a float is not finite
+        {"noise_ang": -(10**400)},
     ],
 )
 def test_sim_config_rejects(kwargs):
     ((name, value),) = kwargs.items()
     with pytest.raises(ValueError, match=rf"^{name} must be .*, got {value!r}$"):
         SimConfig(**kwargs)
+    if isinstance(value, int) and abs(value) > 2**1024:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SimConfig(**kwargs)
 
 
 def test_sim_config_accepts_a_numpy_integer_seed():
