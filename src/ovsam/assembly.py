@@ -21,7 +21,10 @@ home vector, compass); assembly sums each record's terms in that order
 and scatters the sums record by record to the free-pose blocks they
 touch; per-pose constraint terms are added afterwards, in pose-row order.
 The result is a block-sparse symmetric system whose lambda-lambda
-diagonal entries are exactly zero (a bordered saddle system).
+diagonal entries are exactly zero (a bordered saddle system).  Given
+no multipliers, assembly estimates them from the cost gradient it has
+just scattered, lambda_i = -u_i^T g_i, before adding the constraint
+terms; this estimate is the solver's start.
 """
 
 from dataclasses import dataclass
@@ -41,7 +44,7 @@ from .costs import (
     term_weight,
 )
 from .errors import DegenerateVectorError, PreconditionError
-from .graph import UNIT_TOL, record_name
+from .graph import record_name
 from .orvec import omega, rowdot
 
 
@@ -178,7 +181,7 @@ class SparseSymmetricSystem:
     diag(eta_w, eta_w, eta_w, eta_w, -eta_a) to each diagonal block.
     """
 
-    def __init__(self, dim, keys, data, g, F, L, l_values):
+    def __init__(self, dim, keys, data, g, F, L, l_values, lambdas):
         self.dim = dim
         self.keys = keys
         self.data = data
@@ -186,6 +189,7 @@ class SparseSymmetricSystem:
         self.F = F
         self.L = L
         self.l_values = l_values
+        self.lambdas = lambdas  # the multipliers it was assembled with
 
     @property
     def blocks(self):
@@ -336,12 +340,14 @@ def assemble(
 
     Measurements touching the fixed pose in one slot still contribute
     to the other slot's blocks; the fixed pose's own rows and columns
-    are dropped entirely.
+    are dropped entirely.  Without lambdas, the multipliers are the
+    first-order estimate lambda_i = -u_i^T g_i, g_i the cost gradient
+    (constraints excluded) with respect to u_i; it is the least-squares
+    multiplier only where u_i is unit.  The system carries the
+    multipliers it was built with (lambdas).
     """
     active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
     n = len(tables.free)
-    if lambdas is None:
-        lambdas = np.zeros(n)
     i1, i2, ev = record_blocks(tables, table, cfg, active, use_distance_error)
     F = float(_running_sum(ev.value))
 
@@ -364,7 +370,10 @@ def assemble(
     hs = np.stack((ev.h11, ev.h22, ev.h12, ev.h21), axis=1).reshape(-1, 4, 4)
     np.add.at(data[:, :4, :4], where[: len(key)], hs)
 
-    ce = eval_constraint(lambdas, table[tables.free, ORI])
+    u = table[tables.free, ORI]
+    if lambdas is None:
+        lambdas = -rowdot(u, G[:n, ORI])
+    ce = eval_constraint(lambdas, u)
     G[:n, 2:4] += ce.grad_u
     G[:n, 4] += ce.grad_lambda
     d = where[len(key) :]
@@ -375,7 +384,7 @@ def assemble(
     nb = np.searchsorted(keys, n * n)
     keys = np.column_stack(np.divmod(keys[:nb], n))
     L = F + float(_running_sum(ce.w[tables.rank[tables.rank >= 0]]))  # in pose-row order
-    return SparseSymmetricSystem(5 * n, keys, data[:nb], G[:n].ravel(), F, L, ce.l)
+    return SparseSymmetricSystem(5 * n, keys, data[:nb], G[:n].ravel(), F, L, ce.l, lambdas)
 
 
 def total_values(
@@ -410,31 +419,6 @@ def total_values(
     if not stack:
         return float(F), float(L), float(l1)
     return F, L, l1
-
-
-def init_lambdas(graph, cfg, active=None, table=None, tables=None):
-    """Initial multipliers lambda_i = -u_i^T g_i from the cost gradient.
-
-    g_i is the gradient of the total cost (constraints excluded) with
-    respect to u_i at the table's poses.  The formula assumes unit
-    initial orientation vectors, which is checked here; the distance
-    error has no orientation gradient and therefore never contributes.
-
-    Returns one multiplier per free pose, in the state order tables.free.
-    """
-    active, table, tables = _defaults(graph, cfg, active, table, tables)
-    norms = np.hypot(table[:, 2], table[:, 3])
-    bad = np.abs(norms - 1.0) > UNIT_TOL
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise PreconditionError(
-            f"pose {k + 1}: initial orientation vector must be unit, got norm {float(norms[k])!r}"
-        )
-
-    i1, i2, ev = record_blocks(tables, table, cfg, active, False)
-    grads = np.zeros((len(table), 2))
-    np.add.at(grads, _interleave(i1, i2), _interleave(ev.grad1[:, ORI], ev.grad2[:, ORI]))
-    return -rowdot(table[tables.free, ORI], grads[tables.free])
 
 
 def merit(

@@ -2,12 +2,13 @@
 
 The iterate is the flat state [x, u, lambda] per free pose (assembly.py),
 evaluated through the pose table at that state; the input graph is never
-copied or written.  Each iteration assembles the bordered system
-H ds = -g at the current state and searches for a step along one
-constant regularization ladder, LADDER: each rung solves (H + R) ds = -g
-(dense symmetric-indefinite factorization at desk scale, sparse LU for
-large graphs) and backtracks on the augmented-Lagrangian merit
-L + mu sum|l_i|.  R repeats diag(eta_W, eta_W, eta_W, eta_W, -eta_A) per
+copied or written.  The start's multipliers are the estimate that
+assemble makes at the start's poses, and that system serves iteration
+1; each later iteration assembles the bordered system H ds = -g at the
+current state.  Each iteration walks one constant regularization
+ladder, LADDER: each rung solves (H + R) ds = -g (dense
+symmetric-indefinite factorization at desk scale, sparse LU for large
+graphs) and backtracks on the augmented-Lagrangian merit L + mu sum|l_i|.  R repeats diag(eta_W, eta_W, eta_W, eta_W, -eta_A) per
 free pose; the sign flip on the multiplier entry preserves the saddle
 structure.  Rung 0 is plain Newton (R = 0); the rungs after it are the
 Levenberg-Marquardt zigzag (c, 0), (0, c), (c, c) for c = 1e-6 ... 1e6.
@@ -40,11 +41,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.linalg
 
-from .assembly import ActiveMask, assemble, init_lambdas, measurement_tables, merit
+from .assembly import ActiveMask, assemble, measurement_tables, merit
 from .assembly import pack_state, unpack_state
 from .costs import POS, RotCostConfig
-from .errors import DegenerateVectorError, NumericalFailure, Settings
-from .graph import write_text
+from .errors import DegenerateVectorError, NumericalFailure, PreconditionError, Settings
+from .graph import UNIT_TOL, write_text
 
 # Dense factorization below this state dimension, sparse LU at or above
 # (dimension 495 corresponds to 100 poses).
@@ -260,17 +261,27 @@ def solve(graph, cfg=None):
 
     The input graph is not modified; the report carries a new graph
     holding the final poses.  Initial orientation vectors must be unit
-    (they seed the multiplier initialization, which raises
-    PreconditionError otherwise).
+    (PreconditionError otherwise): the start's multiplier estimate is
+    the least-squares one only there.  A degenerate start raises
+    DegenerateVectorError naming the record; a collapse at a later
+    assembly ends the solve as diverged.
     """
     if cfg is None:
         cfg = SolverConfig()
     tables = measurement_tables(graph, cfg.cost, cfg.use_distance_error)  # validates graph
     base = graph.pose_table()  # the anchor row is read from here throughout
+    norms = np.hypot(base[:, 2], base[:, 3])
+    bad = np.abs(norms - 1.0) > UNIT_TOL
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise PreconditionError(
+            f"pose {k + 1}: initial orientation vector must be unit, got norm {float(norms[k])!r}"
+        )
     mask = compute_active_mask(
         graph, cfg.home_dist_threshold, cfg.use_distance_error, base, tables
     )
-    state = pack_state(tables, base, init_lambdas(graph, cfg.cost, mask, base, tables))
+    system = assemble(graph, cfg.cost, mask, None, cfg.use_distance_error, base, tables)
+    state = pack_state(tables, base, system.lambdas)
     guard = 1e6 * max(1.0, float(np.linalg.norm(state)))
     merit_calls = merit_states = 0
 
@@ -287,20 +298,20 @@ def solve(graph, cfg=None):
     reason = "max_iters"
     prev_step_norm = np.inf
     for iteration in range(1, cfg.max_iters + 1):
-        table, lambdas = unpack_state(tables, base, state)
-        mask = compute_active_mask(
-            graph, cfg.home_dist_threshold, cfg.use_distance_error, table, tables
-        )
-        system = None  # free the last system and its matrix before building the next
-        try:
-            system = assemble(
-                graph, cfg.cost, mask, lambdas, cfg.use_distance_error, table, tables
+        if system is None:
+            table, lambdas = unpack_state(tables, base, state)
+            mask = compute_active_mask(
+                graph, cfg.home_dist_threshold, cfg.use_distance_error, table, tables
             )
-        except DegenerateVectorError:
-            # Collapsing pose pairs mid-run are a symptom of a diverging
-            # state, not a numerical-solver defect.
-            reason = "diverged"
-            break
+            try:
+                system = assemble(
+                    graph, cfg.cost, mask, lambdas, cfg.use_distance_error, table, tables
+                )
+            except DegenerateVectorError:
+                # Collapsing pose pairs mid-run are a symptom of a diverging
+                # state, not a numerical-solver defect.
+                reason = "diverged"
+                break
         grad_norm = float(np.linalg.norm(system.g))
         record = IterationRecord(
             iteration=iteration,
@@ -324,6 +335,7 @@ def solve(graph, cfg=None):
         delta, record.alpha, record.lm_escalations, record.emergency = find_step(
             system, merit_at, state
         )
+        system = None  # free it and its matrix before the next is built
 
         step = record.alpha * delta
         state = state + step

@@ -134,3 +134,16 @@ def two_pose_graph(theta1=0.3, x1=(0.2, -0.1), r=(0.8, 0.4), rel=0.7):
     graph = FactorGraph(poses, odometry)
     graph.validate()
     return graph
+
+
+def coincident_start(homing=False):
+    """Poses 1 and 2 both at the origin, joined by odometry record 1 and,
+    if homing, by homing record 1 (2->1)."""
+    poses = [Pose([0.0, 0.0], [1.0, 0.0]), Pose([0.0, 0.0], [1.0, 0.0])]
+    poses.append(Pose([1.0, 1.0], [0.0, 1.0]))
+    odometry = [
+        OdometryMeasurement(i1, i2, [1.0, 0.0], [1.0, 0.0], 0.01 * np.eye(2), 0.1, 0.1)
+        for i1, i2 in [(1, 2), (2, 3)]
+    ]
+    records = [HomingMeasurement(2, 1, [1.0, 0.0], [1.0, 0.0], 0.1, 0.1)] if homing else []
+    return FactorGraph(poses, odometry, records)

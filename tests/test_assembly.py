@@ -8,7 +8,6 @@ from dense_assembly import assemble_dense
 from ovsam.assembly import (
     ActiveMask,
     assemble,
-    init_lambdas,
     merit,
     total_values,
 )
@@ -184,7 +183,7 @@ def test_csc_equals_the_block_matrix_plus_diagonal_array_for_array(lanes, points
     from scipy.sparse import diags
 
     graph, _ = simulate(SimConfig(lanes=lanes, points_per_lane=points_per_lane, seed=seed))
-    system = assemble(graph, RotCostConfig(), lambdas=init_lambdas(graph, RotCostConfig()))
+    system = assemble(graph, RotCostConfig())  # at the start's multiplier estimate
     H = _block_csr(system)
     for w, a in LADDER:
         if (w, a) == (0.0, 0.0):

@@ -1,10 +1,11 @@
 """Bitwise gate: batched evaluation against the per-record loop reference.
 
-total_values, merit, assemble and init_lambdas must reproduce every
-number of tests/loop_reference.py exactly (same bytes, so even the sign
-of a zero), over all cost forms, masked distance and homing terms, a
-graph without homing records, a non-default anchor, and simulated
-graphs; a degenerate record must be named as the loop names it.  A
+total_values, merit and assemble (with the multiplier estimate it makes
+when given none) must reproduce every number of tests/loop_reference.py
+exactly (same bytes, so even the sign of a zero), over all cost forms,
+masked distance and homing terms, a graph without homing records, a
+non-default anchor, and simulated graphs; a degenerate record must be
+named as the loop names it.  A
 stack of S = 3 states must give total_values and merit of the three
 single-state calls byte for byte, and so must each kernel's values.  A
 permuted state order must permute the state and the system, bitwise.
@@ -20,7 +21,6 @@ from conftest import at_state, random_graph, state_of
 from ovsam.assembly import (
     ActiveMask,
     assemble,
-    init_lambdas,
     measurement_tables,
     merit,
     pack_state,
@@ -137,17 +137,18 @@ def test_simulated_graphs_match_the_loop(cfg):
             _check_stack(graph, cfg, active, use_distance, states[1:])
         unit = table.copy()
         unit[:, 2:4] /= np.hypot(unit[:, 2], unit[:, 3])[:, None]
-        active = compute_active_mask(graph, 0.5, False, unit)
-        assert _same(
-            init_lambdas(graph, cfg, active, unit), ref.init_lambdas(graph, cfg, active, unit)
-        )
+        want = ref.init_lambdas(graph, cfg, compute_active_mask(graph, 0.5, False, unit), unit)
+        for use_distance in (False, True):  # the distance term has no orientation gradient
+            active = compute_active_mask(graph, 0.5, use_distance, unit)
+            system = assemble(graph, cfg, active, None, use_distance, unit)
+            assert _same(system.lambdas, want)
 
 
 def test_init_lambdas_match_the_loop_with_nondefault_anchor():
     rng = np.random.default_rng(43)
     graph = random_graph(rng, n_poses=6, n_homing=6, unit_orientations=True).with_fixed(3)
     for cfg in CFGS:
-        assert _same(init_lambdas(graph, cfg), ref.init_lambdas(graph, cfg))
+        assert _same(assemble(graph, cfg).lambdas, ref.init_lambdas(graph, cfg))
 
 
 def _degenerate_graph(x2, u1, u2):
@@ -185,8 +186,8 @@ def test_degenerate_records_are_named_as_the_loop_names_them(cfg, use_distance, 
                 path(graph, cfg, use_distance_error=use_distance)
             assert str(got.value) == str(exc)
         else:
-            table = graph.pose_table()
-            _check_values_and_system(graph, cfg, None, None, use_distance, table)
+            table, zeros = graph.pose_table(), np.zeros(len(graph) - 1)
+            _check_values_and_system(graph, cfg, None, zeros, use_distance, table)
     # in a stack, the degenerate trial's record is named as a call on it alone names it
     good = _degenerate_graph([1.0, 0.0], [1.0, 0.0], [1.0, 0.0]).pose_table()
     stack = np.stack((good, graph.pose_table(), good))

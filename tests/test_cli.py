@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import consistent_graph, random_graph
+from conftest import coincident_start, consistent_graph, random_graph
 
 import ovsam.cli as cli
 import ovsam.derivcheck as derivcheck
@@ -276,6 +276,19 @@ def test_solve_rejects_a_distance_weight_that_overflows(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "graph.txt"), "--out", str(tmp_path / "b")]) == 0
     trace = [(tmp_path / name / "trace.csv").read_text() for name in ("a", "b")]
     assert trace[0] == trace[1]
+
+
+def test_solve_rejects_a_start_that_collapses_a_distance_term(tmp_path, capsys):
+    # poses 1 and 2 coincide and no threshold masks the distance term:
+    # a validation error naming the record, as for a homing record
+    path = _write_graph(tmp_path, coincident_start())
+    out = tmp_path / "s"
+    flags = ["--use-distance-error", "--home-dist-threshold", "0", "--out", str(out)]
+    assert main(["solve", path, *flags]) == 2
+    assert capsys.readouterr().err == (
+        "error: odometry record 1 (1->2): pose position difference has norm 0.0, below 1e-09\n"
+    )
+    assert not out.exists()
 
 
 def test_solve_iteration_limit_exit(tmp_path, capsys):

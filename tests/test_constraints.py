@@ -1,4 +1,8 @@
-"""Unit-length constraint terms and multiplier initialization."""
+"""Unit-length constraint terms and the start's multiplier estimate.
+
+assemble without multipliers estimates them as lambda_i = -u_i^T g_i;
+its system carries them as .lambdas.
+"""
 
 import dataclasses
 
@@ -6,12 +10,13 @@ import numpy as np
 import pytest
 from conftest import consistent_graph, random_graph
 
-from ovsam.assembly import init_lambdas
+from ovsam.assembly import assemble
 from ovsam.constraints import eval_constraint, residual
 from ovsam.costs import RotCostConfig
 from ovsam.errors import PreconditionError
 from ovsam.findiff import fd_gradient
 from ovsam.graph import FactorGraph, OdometryMeasurement, Pose
+from ovsam.solver import SolverConfig, solve
 
 
 def test_residual_values():
@@ -63,10 +68,10 @@ def test_init_lambdas_zero_on_consistent_graph():
     # with the norm-offset form the cost gradient vanishes at consistency
     rng = np.random.default_rng(1)
     graph = consistent_graph(rng, n_poses=5)
-    lams = init_lambdas(graph, RotCostConfig(t1=0))
+    lams = assemble(graph, RotCostConfig(t1=0)).lambdas
     assert lams.shape == (4,)
     assert np.max(np.abs(lams)) < 1e-12
-    lams2 = init_lambdas(graph, RotCostConfig(form="second"))
+    lams2 = assemble(graph, RotCostConfig(form="second")).lambdas
     assert np.max(np.abs(lams2)) < 1e-12
 
 
@@ -86,7 +91,7 @@ def test_init_lambdas_single_rotation_example():
             )
         ],
     )
-    lams = init_lambdas(graph, RotCostConfig(t1=1, gamma=1.0))
+    lams = assemble(graph, RotCostConfig(t1=1, gamma=1.0)).lambdas
     assert lams.shape == (1,)
     assert lams[0] == pytest.approx(1.0, abs=1e-14)
 
@@ -96,7 +101,7 @@ def test_init_lambdas_scale_with_information():
     rng = np.random.default_rng(2)
     graph = random_graph(rng, n_poses=5, n_homing=4, unit_orientations=True)
     cfg = RotCostConfig(t1=1, gamma=1.3)
-    base = init_lambdas(graph, cfg)
+    base = assemble(graph, cfg).lambdas
     c = 3.0
     odo = [
         dataclasses.replace(m, T=c**2 * m.T, sigma=c * m.sigma, sigma_e=c * m.sigma_e)
@@ -112,29 +117,32 @@ def test_init_lambdas_scale_with_information():
         homing=hom,
         fixed_id=graph.fixed_id,
     )
-    assert np.max(np.abs(init_lambdas(scaled, cfg) - base / c**2)) < 1e-12
+    assert np.max(np.abs(assemble(scaled, cfg).lambdas - base / c**2)) < 1e-12
 
 
 def test_init_lambdas_measurement_order_invariant():
     rng = np.random.default_rng(3)
     graph = random_graph(rng, n_poses=6, n_homing=5, unit_orientations=True)
     cfg = RotCostConfig(t1=1)
-    base = init_lambdas(graph, cfg)
+    base = assemble(graph, cfg).lambdas
     shuffled = FactorGraph(
         poses=[graph.pose(i).copy() for i in graph.pose_ids()],
         odometry=list(graph.odometry)[::-1],
         homing=list(graph.homing)[::-1],
         fixed_id=graph.fixed_id,
     )
-    assert np.max(np.abs(init_lambdas(shuffled, cfg) - base)) < 1e-12
+    assert np.max(np.abs(assemble(shuffled, cfg).lambdas - base)) < 1e-12
 
 
 def test_init_lambdas_rejects_non_unit_orientation():
     rng = np.random.default_rng(4)
     graph = random_graph(rng, n_poses=4, n_homing=2, unit_orientations=True)
     graph.pose(3).u[:] = [1.1, 0.0]
-    with pytest.raises(PreconditionError, match="pose 3"):
-        init_lambdas(graph, RotCostConfig())
+    with pytest.raises(
+        PreconditionError,
+        match=r"^pose 3: initial orientation vector must be unit, got norm 1\.1$",
+    ):
+        solve(graph, SolverConfig())
 
 
 def test_init_lambdas_respects_active_mask():
@@ -143,17 +151,17 @@ def test_init_lambdas_respects_active_mask():
     rng = np.random.default_rng(5)
     graph = random_graph(rng, n_poses=5, n_homing=4, unit_orientations=True)
     cfg = RotCostConfig(t1=1)
-    all_on = init_lambdas(graph, cfg)
+    all_on = assemble(graph, cfg).lambdas
     mask = ActiveMask(
         homing=np.zeros(len(graph.homing), dtype=bool),
         distance=np.ones(len(graph.odometry), dtype=bool),
     )
-    none_on = init_lambdas(graph, cfg, active=mask)
+    none_on = assemble(graph, cfg, active=mask).lambdas
     bare = FactorGraph(
         poses=[graph.pose(i).copy() for i in graph.pose_ids()],
         odometry=graph.odometry,
         fixed_id=graph.fixed_id,
     )
-    assert np.array_equal(none_on, init_lambdas(bare, cfg))
+    assert np.array_equal(none_on, assemble(bare, cfg).lambdas)
     # and with homing present the multipliers genuinely differ
     assert np.max(np.abs(all_on - none_on)) > 1e-6

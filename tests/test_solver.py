@@ -9,7 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import consistent_graph, random_graph, state_of, two_pose_graph
+from conftest import (
+    coincident_start,
+    consistent_graph,
+    random_graph,
+    state_of,
+    two_pose_graph,
+)
 
 import ovsam.assembly as assembly_module
 import ovsam.graph as graph_module
@@ -578,14 +584,61 @@ def test_solve_inverts_the_covariances_in_one_batched_call(monkeypatch):
 
 
 def test_collapse_during_assembly_reports_diverged(monkeypatch):
-    def boom(*args, **kwargs):
-        raise DegenerateVectorError("odometry record 1 (1->2): collapsed")
+    # the start's assembly serves iteration 1; a collapse at the next one
+    # ends the solve as diverged after that one iteration
+    calls = []
+    assemble = solver_module.assemble
 
-    monkeypatch.setattr(solver_module, "assemble", boom)
-    report = solver_module.solve(two_pose_graph())
+    def boom_after_the_start(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            raise DegenerateVectorError("odometry record 1 (1->2): collapsed")
+        return assemble(*args, **kwargs)
+
+    graph = two_pose_graph()
+    graph.pose(2).x += [0.1, 0.1]
+    monkeypatch.setattr(solver_module, "assemble", boom_after_the_start)
+    report = solver_module.solve(graph)
     assert report.reason == "diverged"
     assert not report.converged
-    assert report.trace == []
+    assert (len(report.trace), len(calls)) == (1, 2)
+
+
+def test_degenerate_start_raises_naming_the_record_for_every_term():
+    # a collapsed pair at the start is a bad input, whichever term sees it:
+    # the distance term raises as the homing records already did
+    plain, homed = coincident_start(), coincident_start(homing=True)
+    for graph, cfg, record in (
+        (
+            plain,
+            SolverConfig(use_distance_error=True, home_dist_threshold=0.0),
+            "odometry record 1 (1->2)",
+        ),
+        (homed, SolverConfig(home_dist_threshold=0.0), "homing record 1 (2->1)"),
+    ):
+        with pytest.raises(DegenerateVectorError) as got:
+            solve(graph, cfg)
+        assert str(got.value) == f"{record}: pose position difference has norm 0.0, below 1e-09"
+    # without the distance term the same start solves
+    assert solve(plain, SolverConfig(max_iters=2)).iterations == 2
+
+
+def test_one_derivative_pass_per_iteration(monkeypatch):
+    # the start's assembly, which estimates the multipliers, is iteration 1's
+    calls = []
+    record_blocks = assembly_module.record_blocks
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return record_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(assembly_module, "record_blocks", counted)
+    report = solve(simulate(SimConfig())[0])
+    assert (report.reason, report.iterations, len(calls)) == ("grad_tol", 15, 15)
+
+    calls.clear()
+    report = solve(_truth_start(SimConfig(seed=34)), SolverConfig(max_iters=10))
+    assert (report.reason, report.iterations, len(calls)) == ("max_iters", 10, 10)
 
 
 def test_compute_active_mask_threshold():

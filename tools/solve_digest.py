@@ -1,4 +1,4 @@
-"""Print one sha256 per solve over a fixed set of 100 solves.
+"""Print one sha256 per solve over a fixed set of 101 solves.
 
     python3 tools/solve_digest.py [--only PREFIX] [--against FILE]
 
@@ -26,7 +26,9 @@ The set:
   * SimConfig(lanes=6, points_per_lane=20, seed=1) with max_iters=4: a
     sparse-path solve (120 poses) that escalates the ladder (8 rungs in
     iteration 1, 11 in iteration 4), where the benchmark's sparse
-    workload never escalates.
+    workload never escalates;
+  * SimConfig() anchored at pose 15 instead of pose 1, the one solve of
+    the set whose anchor row is not the first.
 
 The program and the benchmark are imported from this checkout's src/ and
 perfbench/ directories; the benchmark is only read, never changed.
@@ -82,6 +84,8 @@ def solve_set(only=""):
     for label, sim_cfg, cfg in sims:
         if label.startswith(only):
             yield label, simulate(sim_cfg)[0], cfg
+    if "anchor/seed=0".startswith(only):
+        yield "anchor/seed=0", simulate(SimConfig())[0].with_fixed(15), SolverConfig()
 
 
 def digest(report):
