@@ -6,9 +6,10 @@ copied or written.  The start's multipliers are the estimate that
 assemble makes at the start's poses, and that system serves iteration
 1; each later iteration assembles the bordered system H ds = -g at the
 current state.  Each iteration walks one constant regularization
-ladder, LADDER: each rung solves (H + R) ds = -g (dense
-symmetric-indefinite factorization at desk scale, sparse LU for large
-graphs) and backtracks on the augmented-Lagrangian merit L + mu sum|l_i|.  R repeats diag(eta_W, eta_W, eta_W, eta_W, -eta_A) per
+ladder, LADDER: each rung solves (H + R) ds = -g (LAPACK's dense
+Bunch-Kaufman LDL^T factorization at desk scale, sparse LU for large
+graphs) and backtracks on the augmented-Lagrangian merit
+L + mu sum|l_i|.  R repeats diag(eta_W, eta_W, eta_W, eta_W, -eta_A) per
 free pose; the sign flip on the multiplier entry preserves the saddle
 structure.  Rung 0 is plain Newton (R = 0); the rungs after it are the
 Levenberg-Marquardt zigzag (c, 0), (0, c), (c, c) for c = 1e-6 ... 1e6.
@@ -39,7 +40,7 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .assembly import ActiveMask, assemble, measurement_tables, merit
 from .assembly import pack_state, unpack_state
@@ -180,25 +181,44 @@ def spsolve(A, b):
             raise NumericalFailure(f"linear solve failed: {exc}") from exc
 
 
+def dense_solve(A, b):
+    """Solve the symmetric A x = b by Bunch-Kaufman LDL^T (LAPACK ?sytrf, ?sytrs).
+
+    Only the upper triangle of A is read.  The factorization takes the
+    workspace ?sytrf_lwork asks for, as scipy.linalg.solve(A, b,
+    assume_a="sym") does (scipy 1.17), so x equals that solve's bitwise;
+    unlike it, no condition number is estimated.  A and b must be
+    finite.  Raises NumericalFailure for an exactly singular A (a zero
+    pivot).
+    """
+    sytrf, sytrf_lwork, sytrs = get_lapack_funcs(("sytrf", "sytrf_lwork", "sytrs"), (A, b))
+    work, _ = sytrf_lwork(A.shape[0], lower=0)
+    ldu, piv, info = sytrf(A, lower=0, lwork=int(work))
+    if info > 0:
+        raise NumericalFailure(f"linear solve failed: zero pivot in column {info}")
+    x, _ = sytrs(ldu, piv, b, lower=0)
+    return x
+
+
 def newton_step(system, eta_w=0.0, eta_a=0.0):
     """Solve (H + R) ds = -g for the given regularization factors.
 
     R repeats diag(eta_w, eta_w, eta_w, eta_w, -eta_a) per free pose;
-    the system forms H + R afresh for each rung.  Raises NumericalFailure
-    when the system cannot be solved.
+    the system forms H + R afresh for each rung, dense (dense_solve)
+    below SPARSE_SOLVE_DIM and CSC (spsolve) at or above it.  Raises
+    NumericalFailure when H + R or g is not finite, when H + R is
+    singular, or when the step is not finite.
     """
-    try:
-        if system.dim >= SPARSE_SOLVE_DIM:
-            delta = spsolve(system.to_csc(eta_w, eta_a), -system.g)
-        else:
-            H = system.to_dense(eta_w, eta_a)
-            with warnings.catch_warnings():
-                # ill-conditioned solves are fine to attempt: the merit
-                # line search rejects any step they ruin
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                delta = scipy.linalg.solve(H, -system.g, assume_a="sym")
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"linear solve failed: {exc}") from exc
+    b = -system.g
+    if system.dim >= SPARSE_SOLVE_DIM:
+        A = system.to_csc(eta_w, eta_a)
+        entries, solver = A.data, spsolve
+    else:
+        A = system.to_dense(eta_w, eta_a)
+        entries, solver = A, dense_solve
+    if not (np.isfinite(entries).all() and np.isfinite(b).all()):
+        raise NumericalFailure("linear solve failed: non-finite system")
+    delta = solver(A, b)
     if not np.all(np.isfinite(delta)):
         raise NumericalFailure("linear solve produced non-finite step")
     return delta

@@ -12,6 +12,7 @@ from conftest import coincident_start, consistent_graph, random_graph
 
 import ovsam.cli as cli
 import ovsam.derivcheck as derivcheck
+import ovsam.solver as solver_module
 from ovsam.cli import main
 from ovsam.costs import RotCostConfig
 from ovsam.graph import load_graph, save_graph
@@ -335,6 +336,23 @@ def test_solve_diverged_exit(tmp_path, capsys, monkeypatch):
     code = main(["solve", path, "--out", str(tmp_path / "s")])
     assert code == 4
     assert "diverged" in capsys.readouterr().err
+
+
+def test_solve_exits_3_when_the_dense_system_is_not_finite(tmp_path, capsys, monkeypatch):
+    # a NaN in the gradient reaches every rung's linear solve; the dense
+    # path rejects each rung as a numerical failure, as the sparse path does
+    rng = np.random.default_rng(3)
+    path = _write_graph(tmp_path, random_graph(rng, n_poses=4, n_homing=2, unit_orientations=True))
+    assemble = solver_module.assemble
+
+    def nan_assemble(*args, **kwargs):
+        system = assemble(*args, **kwargs)
+        system.g[0] = np.nan
+        return system
+
+    monkeypatch.setattr(solver_module, "assemble", nan_assemble)
+    assert main(["solve", path, "--out", str(tmp_path / "s")]) == 3
+    assert "numerical failure: no rung" in capsys.readouterr().err
 
 
 def _solver_config_of(tmp_path, monkeypatch, flags):

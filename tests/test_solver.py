@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +43,10 @@ from ovsam.solver import (
     FIRST_CHUNKS,
     LADDER,
     LS_ALPHAS,
+    SPARSE_SOLVE_DIM,
     SolverConfig,
     compute_active_mask,
+    dense_solve,
     find_step,
     newton_step,
     solve,
@@ -62,6 +65,11 @@ class _StubSystem:
     def to_dense(self, eta_w=0.0, eta_a=0.0):
         self.rungs.append((eta_w, eta_a))
         return self._H + np.diag(np.resize([eta_w, eta_w, eta_w, eta_w, -eta_a], self.dim))
+
+    def to_csc(self, eta_w=0.0, eta_a=0.0):
+        import scipy.sparse
+
+        return scipy.sparse.csc_matrix(self.to_dense(eta_w, eta_a))
 
 
 def test_solver_config_validation():
@@ -114,6 +122,39 @@ def test_newton_step_saddle():
 def test_newton_step_singular_raises():
     with pytest.raises(NumericalFailure):
         newton_step(_StubSystem(np.zeros((2, 2)), np.ones(2)))
+
+
+@pytest.mark.parametrize("dim", [5, 500])
+@pytest.mark.parametrize("where", ["H", "g"])
+def test_newton_step_rejects_a_non_finite_system(dim, where):
+    # dim 5 takes the dense path, dim 500 the sparse one; both reject
+    # the system before factoring it
+    assert (dim >= SPARSE_SOLVE_DIM) == (dim == 500)
+    H, g = np.eye(dim), np.ones(dim)
+    if where == "H":
+        H[1, 2] = H[2, 1] = np.nan
+    else:
+        g[3] = np.inf
+    with pytest.raises(NumericalFailure, match="^linear solve failed: non-finite system$"):
+        newton_step(_StubSystem(H, g))
+
+
+@pytest.mark.parametrize("lanes,points_per_lane", [(2, 5), (3, 10), (4, 15), (5, 19)])
+def test_dense_solve_equals_scipy_solve_bitwise(lanes, points_per_lane):
+    # dense_solve runs the factorization and triangular solves of
+    # scipy.linalg.solve(assume_a="sym"); the blocked factorization's
+    # path depends on the dimension, hence four dims below SPARSE_SOLVE_DIM
+    import scipy.linalg
+
+    graph = simulate(SimConfig(lanes=lanes, points_per_lane=points_per_lane))[0]
+    system = assembly_module.assemble(graph, RotCostConfig())
+    assert system.dim == 5 * (lanes * points_per_lane - 1) < SPARSE_SOLVE_DIM
+    for rung in LADDER[::3]:
+        H = system.to_dense(*rung)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            expected = scipy.linalg.solve(H, -system.g, assume_a="sym")
+        assert np.array_equal(dense_solve(H, -system.g), expected), rung
 
 
 def test_newton_step_regularization_signs():

@@ -1,4 +1,4 @@
-"""Print one sha256 per solve over a fixed set of 101 solves.
+"""Print one sha256 per solve over a fixed set of 103 solves.
 
     python3 tools/solve_digest.py [--only PREFIX] [--against FILE]
 
@@ -27,6 +27,11 @@ The set:
     sparse-path solve (120 poses) that escalates the ladder (8 rungs in
     iteration 1, 11 in iteration 4), where the benchmark's sparse
     workload never escalates;
+  * SimConfig(lanes=4, points_per_lane=15, seed=0) with max_iters=5 and
+    SimConfig(lanes=5, points_per_lane=19, seed=1) with max_iters=6:
+    dense-path solves at dims 295 and 470 (just below SPARSE_SOLVE_DIM),
+    where every other dense solve of the set is dim 145 and the blocked
+    factorization takes a different path at each dimension;
   * SimConfig() anchored at pose 15 instead of pose 1, the one solve of
     the set whose anchor row is not the first.
 
@@ -79,6 +84,20 @@ def solve_set(only=""):
             "sparse/seed=1",
             SimConfig(lanes=6, points_per_lane=20, seed=1),
             SolverConfig(max_iters=4),
+        )
+    )
+    sims.append(
+        (
+            "dense/4x15/seed=0",
+            SimConfig(lanes=4, points_per_lane=15, seed=0),
+            SolverConfig(max_iters=5),
+        )
+    )
+    sims.append(
+        (
+            "dense/5x19/seed=1",
+            SimConfig(lanes=5, points_per_lane=19, seed=1),
+            SolverConfig(max_iters=6),
         )
     )
     for label, sim_cfg, cfg in sims:
