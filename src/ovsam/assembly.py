@@ -43,7 +43,7 @@ from .costs import (
     eval_translation,
     term_weight,
 )
-from .errors import DegenerateVectorError, PreconditionError
+from .errors import DegenerateVectorError, GraphValidationError, PreconditionError
 from .graph import record_name
 from .orvec import omega, rowdot
 
@@ -100,24 +100,24 @@ class MeasurementTables:
 def _weights(group, cols, name, gamma=None):
     """The weights of column cols[name]: term_weight with gamma, else distance_weight.
 
-    A failure is re-raised as ValueError naming the record and the field.
+    A failure is re-raised as GraphValidationError naming record and field.
     """
     try:
         return distance_weight(cols[name]) if gamma is None else term_weight(gamma, cols[name])
     except PreconditionError as exc:
         k = exc.index
         where = record_name(group, k, cols["i1"][k], cols["i2"][k])
-        raise ValueError(f"{where}: {name}: {exc}") from exc
+        raise GraphValidationError(f"{where}: {name}: {exc}") from exc
 
 
 def measurement_tables(graph, cfg, use_distance_error=False):
     """MeasurementTables of graph's measurements under the cost configuration cfg.
 
     Built from the columns that graph.validate() checks and returns.  Then
-    raises ValueError, naming the record and the field, for a weight that
-    is not finite and positive: gamma / sigma**2 of every rotational,
-    home-vector and compass term, and 1 / sigma_e of every distance term
-    if use_distance_error.
+    raises GraphValidationError, naming the record and the field, for a
+    weight that is not finite and positive: gamma / sigma**2 of every
+    rotational, home-vector and compass term, and 1 / sigma_e of every
+    distance term if use_distance_error.
     """
     odo, hom = graph.validate()
     free = np.delete(np.arange(len(graph)), graph.fixed_id - 1)

@@ -16,7 +16,8 @@ Levenberg-Marquardt zigzag (c, 0), (0, c), (c, c) for c = 1e-6 ... 1e6.
 The first rung whose step decreases the merit is taken.  If none does, a
 short emergency step of length EMERGENCY_STEP is taken along the last
 solvable direction.  Termination on gradient norm, step norm, iteration
-budget, or a divergence guard on the state norm.
+budget, or a divergence guard on the state norm.  Each iteration's
+system is checked once to be finite, before any rung of it is formed.
 
 Each rung's line search takes the first of the backtracking factors
 LS_ALPHAS whose merit is strictly smaller than at the iterate: the
@@ -205,20 +206,14 @@ def newton_step(system, eta_w=0.0, eta_a=0.0):
 
     R repeats diag(eta_w, eta_w, eta_w, eta_w, -eta_a) per free pose;
     the system forms H + R afresh for each rung, dense (dense_solve)
-    below SPARSE_SOLVE_DIM and CSC (spsolve) at or above it.  Raises
-    NumericalFailure when H + R or g is not finite, when H + R is
-    singular, or when the step is not finite.
+    below SPARSE_SOLVE_DIM and CSC (spsolve) at or above it.  The system
+    must be finite (solve checks it once per iteration).  Raises
+    NumericalFailure when H + R is singular or the step is not finite.
     """
-    b = -system.g
     if system.dim >= SPARSE_SOLVE_DIM:
-        A = system.to_csc(eta_w, eta_a)
-        entries, solver = A.data, spsolve
+        delta = spsolve(system.to_csc(eta_w, eta_a), -system.g)
     else:
-        A = system.to_dense(eta_w, eta_a)
-        entries, solver = A, dense_solve
-    if not (np.isfinite(entries).all() and np.isfinite(b).all()):
-        raise NumericalFailure("linear solve failed: non-finite system")
-    delta = solver(A, b)
+        delta = dense_solve(system.to_dense(eta_w, eta_a), -system.g)
     if not np.all(np.isfinite(delta)):
         raise NumericalFailure("linear solve produced non-finite step")
     return delta
@@ -248,10 +243,11 @@ def find_step(system, merit_fn, state):
     in the first call; each later rung evaluates all of them in one
     call.  Returns (direction, alpha, escalations, emergency),
     escalations being the index of the accepted rung (0 for plain
-    Newton).  A rung whose system cannot be solved is skipped.  If no
-    rung yields an acceptable step, the emergency result scales the last
-    solvable direction to length EMERGENCY_STEP.  Raises
-    NumericalFailure if no rung can be solved at all.
+    Newton).  A rung that cannot be solved (a zero pivot, a singular
+    sparse matrix, a non-finite step) is skipped.  If no rung yields an
+    acceptable step, the emergency result scales the last solvable
+    direction to length EMERGENCY_STEP.  Raises NumericalFailure if no
+    rung can be solved at all.
     """
     merit0 = None
     for escalations, (eta_w, eta_a) in enumerate(LADDER):
@@ -284,7 +280,8 @@ def solve(graph, cfg=None):
     (PreconditionError otherwise): the start's multiplier estimate is
     the least-squares one only there.  A degenerate start raises
     DegenerateVectorError naming the record; a collapse at a later
-    assembly ends the solve as diverged.
+    assembly ends the solve as diverged.  An iteration's system whose
+    blocks or gradient are not finite raises NumericalFailure.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -332,6 +329,8 @@ def solve(graph, cfg=None):
                 # state, not a numerical-solver defect.
                 reason = "diverged"
                 break
+        if not (np.isfinite(system.data).all() and np.isfinite(system.g).all()):
+            raise NumericalFailure(f"iteration {iteration}: assembled system is not finite")
         grad_norm = float(np.linalg.norm(system.g))
         record = IterationRecord(
             iteration=iteration,

@@ -339,8 +339,8 @@ def test_solve_diverged_exit(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_exits_3_when_the_dense_system_is_not_finite(tmp_path, capsys, monkeypatch):
-    # a NaN in the gradient reaches every rung's linear solve; the dense
-    # path rejects each rung as a numerical failure, as the sparse path does
+    # a NaN in the start's gradient is caught once, before any rung is
+    # formed, and reported as a numerical failure
     rng = np.random.default_rng(3)
     path = _write_graph(tmp_path, random_graph(rng, n_poses=4, n_homing=2, unit_orientations=True))
     assemble = solver_module.assemble
@@ -352,7 +352,8 @@ def test_solve_exits_3_when_the_dense_system_is_not_finite(tmp_path, capsys, mon
 
     monkeypatch.setattr(solver_module, "assemble", nan_assemble)
     assert main(["solve", path, "--out", str(tmp_path / "s")]) == 3
-    assert "numerical failure: no rung" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure: iteration 1: assembled system is not finite\n" in err
 
 
 def _solver_config_of(tmp_path, monkeypatch, flags):

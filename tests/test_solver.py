@@ -54,7 +54,9 @@ from ovsam.solver import (
 
 
 class _StubSystem:
-    """Duck-typed stand-in carrying just what newton_step consumes."""
+    """Duck-typed stand-in carrying just what newton_step and find_step
+    consume on the dense path: g, dim and to_dense.  It has no blocks
+    (data); solve, not newton_step, checks that a system is finite."""
 
     def __init__(self, H, g):
         self._H = np.asarray(H, dtype=float)
@@ -65,11 +67,6 @@ class _StubSystem:
     def to_dense(self, eta_w=0.0, eta_a=0.0):
         self.rungs.append((eta_w, eta_a))
         return self._H + np.diag(np.resize([eta_w, eta_w, eta_w, eta_w, -eta_a], self.dim))
-
-    def to_csc(self, eta_w=0.0, eta_a=0.0):
-        import scipy.sparse
-
-        return scipy.sparse.csc_matrix(self.to_dense(eta_w, eta_a))
 
 
 def test_solver_config_validation():
@@ -124,19 +121,42 @@ def test_newton_step_singular_raises():
         newton_step(_StubSystem(np.zeros((2, 2)), np.ones(2)))
 
 
-@pytest.mark.parametrize("dim", [5, 500])
+@pytest.mark.parametrize("lanes,points_per_lane", [(2, 5), (6, 20)], ids=["dense", "sparse"])
 @pytest.mark.parametrize("where", ["H", "g"])
-def test_newton_step_rejects_a_non_finite_system(dim, where):
-    # dim 5 takes the dense path, dim 500 the sparse one; both reject
-    # the system before factoring it
-    assert (dim >= SPARSE_SOLVE_DIM) == (dim == 500)
-    H, g = np.eye(dim), np.ones(dim)
-    if where == "H":
-        H[1, 2] = H[2, 1] = np.nan
-    else:
-        g[3] = np.inf
-    with pytest.raises(NumericalFailure, match="^linear solve failed: non-finite system$"):
-        newton_step(_StubSystem(H, g))
+def test_solve_rejects_a_non_finite_system(monkeypatch, lanes, points_per_lane, where):
+    # solve checks each assembled system once, before any rung of it is
+    # formed: the start's system (iteration 1: no rung solved at all) and
+    # the third assembly (iteration 3); 6x20 is dim 595, the sparse path
+    graph = simulate(SimConfig(lanes=lanes, points_per_lane=points_per_lane))[0]
+    assert (5 * (len(graph) - 1) >= SPARSE_SOLVE_DIM) == (lanes == 6)
+    assemble, newton_step = solver_module.assemble, solver_module.newton_step
+    steps, assemblies = [], []
+
+    def counted_step(*args):
+        steps.append(1)
+        return newton_step(*args)
+
+    def poisoned_assemble(*args, **kwargs):
+        system = assemble(*args, **kwargs)
+        assemblies.append(len(steps))  # the rungs solved before this assembly
+        if len(assemblies) == iteration:
+            if where == "H":
+                system.data[-1, 2, 3] = np.nan
+            else:
+                system.g[3] = np.inf
+        return system
+
+    monkeypatch.setattr(solver_module, "newton_step", counted_step)
+    monkeypatch.setattr(solver_module, "assemble", poisoned_assemble)
+    for iteration in (1, 3):
+        steps.clear()
+        assemblies.clear()
+        with pytest.raises(NumericalFailure) as got:
+            solve(graph)
+        assert str(got.value) == f"iteration {iteration}: assembled system is not finite"
+        assert len(assemblies) == iteration
+        assert assemblies[-1] == len(steps)  # no rung of the poisoned system
+    assert len(steps) > 0  # iterations 1 and 2 solved theirs
 
 
 @pytest.mark.parametrize("lanes,points_per_lane", [(2, 5), (3, 10), (4, 15), (5, 19)])
@@ -643,6 +663,29 @@ def test_collapse_during_assembly_reports_diverged(monkeypatch):
     assert report.reason == "diverged"
     assert not report.converged
     assert (len(report.trace), len(calls)) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "group, field, value",
+    [
+        ("odometry", "sigma", 1e200),
+        ("homing", "sigma_h", 1e-200),
+        ("homing", "sigma_c", 1e-170),
+        ("odometry", "sigma_e", 1e-309),
+    ],
+)
+def test_solve_rejects_a_weight_that_is_not_finite_and_positive(group, field, value):
+    # gamma / sigma**2 over- or underflows, 1 / sigma_e overflows: the graph
+    # is rejected as invalid, like every other bad record
+    graph = simulate(SimConfig())[0]
+    record = getattr(graph, group)[3]
+    setattr(record, field, value)
+    graph.validate()
+    with pytest.raises(GraphValidationError) as got:
+        solve(graph, SolverConfig(use_distance_error=field == "sigma_e"))
+    named = f"{group} record 4 ({record.i1}->{record.i2}): {field}: "
+    assert str(got.value).startswith(named + "weight ")
+    assert "is not finite and positive" in str(got.value)
 
 
 def test_degenerate_start_raises_naming_the_record_for_every_term():

@@ -1,4 +1,4 @@
-"""Print one sha256 per solve over a fixed set of 103 solves.
+"""Print one sha256 per solve over a fixed set of 104 solves.
 
     python3 tools/solve_digest.py [--only PREFIX] [--against FILE]
 
@@ -32,6 +32,9 @@ The set:
     dense-path solves at dims 295 and 470 (just below SPARSE_SOLVE_DIM),
     where every other dense solve of the set is dim 145 and the blocked
     factorization takes a different path at each dimension;
+  * SimConfig(lanes=4, points_per_lane=15, seed=0) with max_iters=100:
+    the one solve of the set that ends on step_tol (after 81 iterations,
+    at |g| = 1e-5, with the lanes detached);
   * SimConfig() anchored at pose 15 instead of pose 1, the one solve of
     the set whose anchor row is not the first.
 
@@ -98,6 +101,13 @@ def solve_set(only=""):
             "dense/5x19/seed=1",
             SimConfig(lanes=5, points_per_lane=19, seed=1),
             SolverConfig(max_iters=6),
+        )
+    )
+    sims.append(
+        (
+            "step_tol/4x15/seed=0",
+            SimConfig(lanes=4, points_per_lane=15, seed=0),
+            SolverConfig(max_iters=100),
         )
     )
     for label, sim_cfg, cfg in sims:
