@@ -10,21 +10,21 @@ the state layout: the flat state stacks one block [x (2), u (2), lambda]
 per free pose, in the order tables.free (pack_state, unpack_state).
 
 Each cost family is evaluated for all its active records in one batched
-kernel call (record_terms).  The value-only functions also take a stack
-(S, N, 4) of pose tables, S trial points, whose (S, K, 4) poses the
-kernels broadcast against the (K, ...) per-record data; each trial's
-numbers are those of a call on its table alone.  The results keep the
-numbers of a walk over the records one at a time: F adds the term values
-one by one in the canonical order (odometry in list order: translation,
-the optional distance term, rotation; then active homing in list order:
-home vector, compass); assembly sums each record's terms in that order
-and scatters the sums record by record to the free-pose blocks they
-touch; per-pose constraint terms are added afterwards, in pose-row order.
-The result is a block-sparse symmetric system whose lambda-lambda
-diagonal entries are exactly zero (a bordered saddle system).  Given
-no multipliers, assembly estimates them from the cost gradient it has
-just scattered, lambda_i = -u_i^T g_i, before adding the constraint
-terms; this estimate is the solver's start.
+kernel call (record_terms).  The merit also takes a stack (S, N, 4) of
+pose tables, S trial points, whose (S, K, 4) poses the kernels broadcast
+against the (K, ...) per-record data; each trial's numbers are those of
+a call on its table alone.  The results keep the numbers of a walk over
+the records one at a time: F adds the term values one by one in the
+canonical order (odometry in list order: translation, the optional
+distance term, rotation; then active homing in list order: home vector,
+compass), and L and sum |l_i| add the per-pose terms in pose-row order,
+for assemble and merit alike (_totals); assembly sums each record's
+terms in order and scatters the sums record by record to the free-pose
+blocks they touch, then adds the per-pose constraint terms.  The result
+is a block-sparse symmetric system whose lambda-lambda diagonal entries
+are exactly zero (a bordered saddle system).  Given no multipliers,
+assembly estimates them from the cost gradient it has just scattered,
+lambda_i = -u_i^T g_i; this estimate is the solver's start.
 """
 
 from dataclasses import dataclass
@@ -171,7 +171,7 @@ def unpack_state(tables, table, vec):
 
 
 class SparseSymmetricSystem:
-    """Block-sparse bordered Hessian H, gradient g, and the L/F values.
+    """Block-sparse bordered Hessian H, gradient g, and the F, L and sum |l_i| values.
 
     H is stored as 5x5 blocks, data[b] at block row/column keys[b] in
     state ranks (MeasurementTables.rank); only pairs sharing an active
@@ -181,13 +181,14 @@ class SparseSymmetricSystem:
     diag(eta_w, eta_w, eta_w, eta_w, -eta_a) to each diagonal block.
     """
 
-    def __init__(self, dim, keys, data, g, F, L, l_values, lambdas):
+    def __init__(self, dim, keys, data, g, F, L, l1, l_values, lambdas):
         self.dim = dim
         self.keys = keys
         self.data = data
         self.g = g
         self.F = F
         self.L = L
+        self.l1 = l1  # sum |l_i|
         self.l_values = l_values
         self.lambdas = lambdas  # the multipliers it was assembled with
 
@@ -303,15 +304,16 @@ def record_terms(tables, table, cfg, active, use_distance_error, derivs=True):
 _FIELDS = ("value", "grad1", "grad2", "h11", "h12", "h22")
 
 
-def record_blocks(tables, table, cfg, active, use_distance_error):
+def record_blocks(tables, terms):
     """(i1, i2, CostEval) over the active records, each record's terms summed in order.
 
+    terms is record_terms' result, summed into each group's first CostEval.
     Records are odometry then active homing, in list order; i1 and i2
     are their 0-based pose rows.
     """
-    odometry, d, homing, h = record_terms(tables, table, cfg, active, use_distance_error)
+    odometry, d, homing, h = terms
     odo = odometry[0]
-    if use_distance_error:
+    if d is not None:
         for name in _FIELDS:
             getattr(odo, name)[d] += getattr(odometry[1], name)
     odo += odometry[-1]
@@ -321,6 +323,32 @@ def record_blocks(tables, table, cfg, active, use_distance_error):
     i1 = np.concatenate((tables.odo_i1, tables.hom_i1[h]))
     i2 = np.concatenate((tables.odo_i2, tables.hom_i2[h]))
     return i1, i2, ev
+
+
+def _totals(tables, l, lambdas, odometry, d, homing):
+    """(F, L, sum |l_i|) from record_terms' values per term and the residuals l.
+
+    l and lambdas (zeros by default) are in state order; the per-pose
+    terms add in pose-row order.
+    """
+    stack = l.shape[:-1]  # () or (S,)
+    if d is not None:
+        # Masked distance terms become zeros, which change no running sum
+        # that starts at +0.0: it is never -0.0, and x + 0.0 == x otherwise.
+        full = np.zeros(stack + (len(tables.odo_i1),))
+        full[..., d] = odometry[1]
+        odometry = [odometry[0], full, odometry[-1]]
+
+    def per_trial(terms):
+        # each trial's records in order, each record's terms in order
+        return np.stack(terms, axis=-1).reshape(stack + (-1,))
+
+    F = _running_sum(np.concatenate((per_trial(odometry), per_trial(homing)), axis=-1))
+    slots = tables.rank[tables.rank >= 0]
+    l = l[..., slots]
+    if lambdas is None:
+        lambdas = np.zeros(l.shape)
+    return F, F + _running_sum(l * lambdas[..., slots]), _running_sum(np.abs(l))
 
 
 def _defaults(graph, cfg, active, table, tables, use_distance_error=False):
@@ -336,7 +364,7 @@ def _defaults(graph, cfg, active, table, tables, use_distance_error=False):
 def assemble(
     graph, cfg, active=None, lambdas=None, use_distance_error=False, table=None, tables=None
 ):
-    """Assemble gradient, bordered Hessian, and the L and F values.
+    """Assemble gradient, bordered Hessian, and the F, L and sum |l_i| values.
 
     Measurements touching the fixed pose in one slot still contribute
     to the other slot's blocks; the fixed pose's own rows and columns
@@ -344,12 +372,14 @@ def assemble(
     first-order estimate lambda_i = -u_i^T g_i, g_i the cost gradient
     (constraints excluded) with respect to u_i; it is the least-squares
     multiplier only where u_i is unit.  The system carries the
-    multipliers it was built with (lambdas).
+    multipliers it was built with (lambdas), and F, L and l1 as merit sums them.
     """
     active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
     n = len(tables.free)
-    i1, i2, ev = record_blocks(tables, table, cfg, active, use_distance_error)
-    F = float(_running_sum(ev.value))
+    terms = record_terms(tables, table, cfg, active, use_distance_error)
+    # copied: record_blocks sums each group's terms into its first, in place
+    values = [[t.value.copy() for t in terms[0]], terms[1], [t.value.copy() for t in terms[2]]]
+    i1, i2, ev = record_blocks(tables, terms)
 
     # Contributions to the anchor's rows go to the discarded slot n.
     r1, r2 = tables.rank[i1], tables.rank[i2]
@@ -371,8 +401,7 @@ def assemble(
     np.add.at(data[:, :4, :4], where[: len(key)], hs)
 
     u = table[tables.free, ORI]
-    if lambdas is None:
-        lambdas = -rowdot(u, G[:n, ORI])
+    lambdas = -rowdot(u, G[:n, ORI]) if lambdas is None else np.asarray(lambdas, dtype=float)
     ce = eval_constraint(lambdas, u)
     G[:n, 2:4] += ce.grad_u
     G[:n, 4] += ce.grad_lambda
@@ -383,42 +412,8 @@ def assemble(
 
     nb = np.searchsorted(keys, n * n)
     keys = np.column_stack(np.divmod(keys[:nb], n))
-    L = F + float(_running_sum(ce.w[tables.rank[tables.rank >= 0]]))  # in pose-row order
-    return SparseSymmetricSystem(5 * n, keys, data[:nb], G[:n].ravel(), F, L, ce.l, lambdas)
-
-
-def total_values(
-    graph, cfg, active=None, lambdas=None, use_distance_error=False, table=None, tables=None
-):
-    """Value-only evaluation of (F, L, sum |l_i|), same masking as assemble.
-
-    For a stack (S, N, 4) of tables, with lambdas (S, n), each value is
-    an (S,) array whose row s equals the value of a call on table[s].
-    """
-    active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
-    odometry, d, homing, _ = record_terms(tables, table, cfg, active, use_distance_error, False)
-    stack = table.shape[:-2]  # () or (S,)
-    if use_distance_error:
-        # Masked distance terms become zeros, which change no running sum
-        # that starts at +0.0: it is never -0.0, and x + 0.0 == x otherwise.
-        full = np.zeros(stack + (len(tables.odo_i1),))
-        full[..., d] = odometry[1]
-        odometry[1] = full
-
-    def per_trial(terms):
-        # each trial's records in order, each record's terms in order
-        return np.stack(terms, axis=-1).reshape(stack + (-1,))
-
-    F = _running_sum(np.concatenate((per_trial(odometry), per_trial(homing)), axis=-1))
-    # the per-pose terms add in pose-row order, whatever the state order
-    slots = tables.rank[tables.rank >= 0]
-    l = residual(np.take(table[..., ORI], tables.free, axis=-2))[..., slots]
-    if lambdas is None:
-        lambdas = np.zeros(l.shape)
-    L, l1 = F + _running_sum(l * lambdas[..., slots]), _running_sum(np.abs(l))
-    if not stack:
-        return float(F), float(L), float(l1)
-    return F, L, l1
+    F, L, l1 = map(float, _totals(tables, ce.l, lambdas, *values))
+    return SparseSymmetricSystem(5 * n, keys, data[:nb], G[:n].ravel(), F, L, l1, ce.l, lambdas)
 
 
 def merit(
@@ -426,10 +421,14 @@ def merit(
 ):
     """Augmented-Lagrangian merit: L plus mu times the constraint L1 norm.
 
-    A stack (S, N, 4) of tables with lambdas (S, n) gives the (S,)
-    merits of its trials.
+    Value-only, same masking as assemble, zero lambdas by default.  A
+    stack (S, N, 4) of tables with lambdas (S, n) gives the (S,) merits
+    of its trials.
     """
     if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu!r}")
-    _, L, l1 = total_values(graph, cfg, active, lambdas, use_distance_error, table, tables)
+    active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
+    values = record_terms(tables, table, cfg, active, use_distance_error, False)[:3]
+    l = residual(np.take(table[..., ORI], tables.free, axis=-2))
+    _, L, l1 = _totals(tables, l, lambdas, *values)
     return L + mu * l1

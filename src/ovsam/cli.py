@@ -73,9 +73,12 @@ def cmd_solve(args):
 
     print(f"termination: {report.reason} after {report.iterations} iterations")
     if report.trace:
-        last = report.trace[-1]
-        print(f"L = {last.L:.12g}  F = {last.F:.12g}")
-        print(f"|g| = {last.grad_norm:.6e}  max |l| = {last.max_constraint:.6e}")
+        last = report.trace[-1]  # the last assembled iterate
+        k = last.iteration
+        print(f"iteration {k}: L = {last.L:.12g}  F = {last.F:.12g}")
+        print(f"iteration {k}: |g| = {last.grad_norm:.6e}  max |l| = {last.max_constraint:.6e}")
+        if last.alpha:
+            print(f"solved.txt holds the state after iteration {k}'s step")
     print(f"wrote solved.txt, trace.csv to {out}")
 
     if report.converged:

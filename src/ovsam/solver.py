@@ -21,10 +21,10 @@ system is checked once to be finite, before any rung of it is formed.
 
 Each rung's line search takes the first of the backtracking factors
 LS_ALPHAS whose merit is strictly smaller than at the iterate: the
-factor a search trying one at a time would take.  A merit call
-evaluates a stack of trial points.  The first solvable rung evaluates
-its factors in chunks of FIRST_CHUNKS trials, the iterate riding in the
-call of the factor-1 trial, which costs little where plain Newton is
+factor a search trying one at a time would take.  The iterate's merit
+is its system's L + mu sum|l_i|; a merit call evaluates a stack of
+trial points only.  The first solvable rung evaluates its factors in
+chunks of FIRST_CHUNKS trials, which costs little where plain Newton is
 accepted early.  A later rung is reached only after the rung before it
 failed every factor, so it tries all 21 factors in one call.  A trial
 point that collapses a pose pair has merit inf.
@@ -48,6 +48,7 @@ from .assembly import pack_state, unpack_state
 from .costs import POS, RotCostConfig
 from .errors import DegenerateVectorError, NumericalFailure, PreconditionError, Settings
 from .graph import UNIT_TOL, write_text
+from .orvec import DEGENERATE_NORM
 
 # Dense factorization below this state dimension, sparse LU at or above
 # (dimension 495 corresponds to 100 poses).
@@ -110,7 +111,7 @@ class SolveReport:
     graph: object  # FactorGraph holding the final poses
     lambdas: np.ndarray
     merit_calls: int = 0  # stacked merit evaluations
-    merit_states: int = 0  # states (iterates and trial points) they evaluated
+    merit_states: int = 0  # trial points they evaluated
 
     @property
     def iterations(self):
@@ -233,15 +234,14 @@ def _merits(merit_fn, trials):
         return np.concatenate([_merits(merit_fn, trial[None]) for trial in trials])
 
 
-def find_step(system, merit_fn, state):
+def find_step(system, merit_fn, state, merit0):
     """Walk LADDER to the first rung whose step decreases the merit.
 
-    merit_fn maps (S, dim) states to their (S,) merits.  Each rung
+    merit_fn maps (S, dim) trial states to their (S,) merits.  Each rung
     tries the factors LS_ALPHAS in order and takes the first whose merit
-    is strictly smaller than the iterate's.  The first solvable rung
-    evaluates them in chunks of FIRST_CHUNKS trials, the iterate riding
-    in the first call; each later rung evaluates all of them in one
-    call.  Returns (direction, alpha, escalations, emergency),
+    is strictly smaller than merit0, the iterate's.  The first solvable
+    rung evaluates them in chunks of FIRST_CHUNKS trials, each later rung
+    in one call.  Returns (direction, alpha, escalations, emergency),
     escalations being the index of the accepted rung (0 for plain
     Newton).  A rung that cannot be solved (a zero pivot, a singular
     sparse matrix, a non-finite step) is skipped.  If no rung yields an
@@ -249,25 +249,22 @@ def find_step(system, merit_fn, state):
     direction to length EMERGENCY_STEP.  Raises NumericalFailure if no
     rung can be solved at all.
     """
-    merit0 = None
+    delta = None
     for escalations, (eta_w, eta_a) in enumerate(LADDER):
+        chunks = FIRST_CHUNKS if delta is None else (len(LS_ALPHAS),)
         try:
             delta = newton_step(system, eta_w, eta_a)
         except NumericalFailure:
             continue
         start = 0
-        for size in FIRST_CHUNKS if merit0 is None else (len(LS_ALPHAS),):
+        for size in chunks:
             alphas = LS_ALPHAS[start : start + size]
             start += size
-            trials = state + np.multiply.outer(alphas, delta)
-            if merit0 is None:
-                merit0, *merits = _merits(merit_fn, np.vstack((state, trials)))
-            else:
-                merits = _merits(merit_fn, trials)
-            accepted = np.flatnonzero(np.less(merits, merit0))
+            merits = _merits(merit_fn, state + np.multiply.outer(alphas, delta))
+            accepted = np.flatnonzero(merits < merit0)
             if accepted.size:
                 return delta, alphas[accepted[0]], escalations, False
-    if merit0 is None:
+    if delta is None:
         raise NumericalFailure("no rung of the regularization ladder could be solved")
     return delta, EMERGENCY_STEP / float(np.linalg.norm(delta)), escalations, True
 
@@ -276,9 +273,10 @@ def solve(graph, cfg=None):
     """Validate graph and run the full descent on it; returns a SolveReport.
 
     The input graph is not modified; the report carries a new graph
-    holding the final poses.  Initial orientation vectors must be unit
-    (PreconditionError otherwise): the start's multiplier estimate is
-    the least-squares one only there.  A degenerate start raises
+    holding the final poses.  A start orientation vector u whose norm is
+    off 1 by more than UNIT_TOL starts at u/|u|, where the start's
+    multiplier estimate is the least-squares one; one of norm at most
+    DEGENERATE_NORM raises PreconditionError.  A degenerate start raises
     DegenerateVectorError naming the record; a collapse at a later
     assembly ends the solve as diverged.  An iteration's system whose
     blocks or gradient are not finite raises NumericalFailure.
@@ -288,12 +286,15 @@ def solve(graph, cfg=None):
     tables = measurement_tables(graph, cfg.cost, cfg.use_distance_error)  # validates graph
     base = graph.pose_table()  # the anchor row is read from here throughout
     norms = np.hypot(base[:, 2], base[:, 3])
-    bad = np.abs(norms - 1.0) > UNIT_TOL
+    bad = norms <= DEGENERATE_NORM
     if bad.any():
         k = int(np.argmax(bad))
         raise PreconditionError(
-            f"pose {k + 1}: initial orientation vector must be unit, got norm {float(norms[k])!r}"
+            f"pose {k + 1}: initial orientation vector has norm {float(norms[k])!r}, "
+            f"below {DEGENERATE_NORM}"
         )
+    off = np.abs(norms - 1.0) > UNIT_TOL
+    base[off, 2:4] /= norms[off, None]
     mask = compute_active_mask(
         graph, cfg.home_dist_threshold, cfg.use_distance_error, base, tables
     )
@@ -352,7 +353,7 @@ def solve(graph, cfg=None):
             break
 
         delta, record.alpha, record.lm_escalations, record.emergency = find_step(
-            system, merit_at, state
+            system, merit_at, state, system.L + cfg.mu * system.l1
         )
         system = None  # free it and its matrix before the next is built
 

@@ -4,18 +4,19 @@ assemble_dense loops over all free-pose pairs (k, l) and matches each
 record's pose rows against them, instead of scattering record-wise as
 ovsam.assembly.assemble does.  Both consume the same per-record blocks
 (record_blocks) and add them in the same per-entry order, so the two
-agree bitwise.
+agree bitwise.  The F, L and sum |l_i| values have their oracle in
+loop_reference.total_values.
 """
 
 import numpy as np
 
-from ovsam.assembly import ActiveMask, measurement_tables, record_blocks
+from ovsam.assembly import ActiveMask, measurement_tables, record_blocks, record_terms
 from ovsam.constraints import eval_constraint
 from ovsam.costs import ORI
 
 
 def assemble_dense(graph, cfg, active=None, lambdas=None, use_distance_error=False):
-    """Dense (H, g, L, F) at the graph's own poses."""
+    """Dense (H, g) at the graph's own poses."""
     free = [pid for pid in graph.pose_ids() if pid != graph.fixed_id]
     dim = 5 * len(free)
     table = graph.pose_table()
@@ -24,7 +25,8 @@ def assemble_dense(graph, cfg, active=None, lambdas=None, use_distance_error=Fal
     if lambdas is None:
         lambdas = np.zeros(len(free))
     tables = measurement_tables(graph, cfg)
-    i1s, i2s, ev = record_blocks(tables, table, cfg, active, use_distance_error)
+    terms = record_terms(tables, table, cfg, active, use_distance_error)
+    i1s, i2s, ev = record_blocks(tables, terms)
     records = list(enumerate(zip(i1s + 1, i2s + 1)))
 
     H = np.zeros((dim, dim))
@@ -50,17 +52,12 @@ def assemble_dense(graph, cfg, active=None, lambdas=None, use_distance_error=Fal
                 if kp == i2 and lp == i2:
                     h += ev.h22[j]
 
-    F = 0.0
-    for value in ev.value:
-        F += value
-    w_sum = 0.0
     ce = eval_constraint(lambdas, table[np.subtract(free, 1), ORI])
     for k in range(len(free)):
-        w_sum += ce.w[k]
         o = 5 * k
         g[o + 2 : o + 4] += ce.grad_u[k]
         g[o + 4] += ce.grad_lambda[k]
         H[o + 2 : o + 4, o + 2 : o + 4] += ce.h_uu[k]
         H[o + 2 : o + 4, o + 4] += ce.h_ulambda[k]
         H[o + 4, o + 2 : o + 4] += ce.h_ulambda[k]
-    return H, g, F + w_sum, F
+    return H, g

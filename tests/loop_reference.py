@@ -2,8 +2,9 @@
 
 The bitwise reference for ovsam.assembly: scalar cost kernels over one
 pose pair each, the walk over the measurements one record at a time
-(_record_terms), and loop versions of assemble, total_values and
-init_lambdas that consume it.  tests/test_batched.py requires the
+(_record_terms), and loop versions of assemble (gradient and blocks),
+total_values (F, L and sum |l_i|, which an assembled system and the merit
+carry) and init_lambdas that consume it.  tests/test_batched.py requires the
 batched code to reproduce every number these produce exactly.
 
 validate is the reference for FactorGraph.validate: its checks one
@@ -382,7 +383,7 @@ def _free_ids(graph):
 
 
 def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False, table=None):
-    """(g, blocks, F, L, l_values) with blocks keyed (rank, rank) as 5x5 arrays."""
+    """(g, blocks, l_values) with blocks keyed (rank, rank) as 5x5 arrays."""
     free = _free_ids(graph)
     rank = {pid: k for k, pid in enumerate(free)}
     if table is None:
@@ -393,7 +394,6 @@ def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False, ta
         lambdas = np.zeros(len(free))
     g = np.zeros(5 * len(free))
     blocks = {}
-    F = 0.0
 
     def block(k, l):
         if (k, l) not in blocks:
@@ -401,7 +401,6 @@ def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False, ta
         return blocks[(k, l)]
 
     for i1, i2, ev in _measurement_blocks(graph, table, cfg, active, use_distance_error):
-        F += ev.value
         if i1 in rank:
             r1 = rank[i1]
             g[5 * r1 : 5 * r1 + 4] += ev.grad1
@@ -414,13 +413,11 @@ def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False, ta
             block(rank[i1], rank[i2])[0:4, 0:4] += ev.h12
             block(rank[i2], rank[i1])[0:4, 0:4] += ev.h21
 
-    w_sum = 0.0
     l_values = np.zeros(len(free))
     for k, pid in enumerate(free):
         u = table[pid - 1, ORI]
         lam = lambdas[k]
         l = residual(u)
-        w_sum += lam * l
         o = 5 * k
         g[o + 2 : o + 4] += lam * u
         g[o + 4] += l
@@ -429,7 +426,7 @@ def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False, ta
         d[2:4, 4] += u
         d[4, 2:4] += u
         l_values[k] = l
-    return g, blocks, F, F + w_sum, l_values
+    return g, blocks, l_values
 
 
 def total_values(graph, cfg, active=None, lambdas=None, use_distance_error=False, table=None):

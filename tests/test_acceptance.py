@@ -7,13 +7,14 @@ the test outcome itself is the pass/fail signal.
 import math
 import time
 
+import loop_reference as ref
 import numpy as np
 import pytest
 from conftest import random_graph, two_pose_graph
 from dense_assembly import assemble_dense
 from test_orvec import M
 
-from ovsam.assembly import assemble, total_values
+from ovsam.assembly import assemble
 from ovsam.costs import RotCostConfig, eval_generic_rotational
 from ovsam.derivcheck import run_checks
 from ovsam.findiff import fd_jacobian
@@ -85,10 +86,11 @@ def test_criterion_04_sparse_equals_dense_assembly():
         lambdas = rng.normal(size=n - 1)
         cfg = RotCostConfig(form="second" if seed % 3 == 2 else "first", t1=seed % 2)
         system = assemble(graph, cfg, lambdas=lambdas)
-        H, g, L, F = assemble_dense(graph, cfg, lambdas=lambdas)
+        H, g = assemble_dense(graph, cfg, lambdas=lambdas)
+        F, L, l1 = ref.total_values(graph, cfg, lambdas=lambdas)
         assert np.array_equal(system.to_dense(), H), f"seed {seed}: H differs"
         assert np.array_equal(system.g, g), f"seed {seed}: g differs"
-        assert system.L == L and system.F == F, f"seed {seed}: values differ"
+        assert (system.F, system.L, system.l1) == (F, L, l1), f"seed {seed}: values differ"
     print("criterion 4 PASS: sparse == dense assembly bitwise, 20 seeds, N up to 20")
 
 
@@ -133,10 +135,10 @@ def test_criterion_06_three_lane_end_to_end():
     assert report.trace[-1].max_constraint < 1e-6
 
     mask_sol = compute_active_mask(report.graph, cfg.home_dist_threshold)
-    f_sol = total_values(report.graph, cfg.cost, mask_sol)[0]
+    f_sol = assemble(report.graph, cfg.cost, mask_sol).F
     true_graph = _true_pose_graph(graph, truth)
     mask_true = compute_active_mask(true_graph, cfg.home_dist_threshold)
-    f_true = total_values(true_graph, cfg.cost, mask_true)[0]
+    f_true = assemble(true_graph, cfg.cost, mask_true).F
     assert f_sol <= f_true
 
     rms_initial = _rms(graph, truth)

@@ -1,16 +1,12 @@
 """Gradient/Hessian assembly: oracle checks and structural invariants."""
 
+import loop_reference as ref
 import numpy as np
 import pytest
 from conftest import at_state, consistent_graph, random_graph, state_of
 from dense_assembly import assemble_dense
 
-from ovsam.assembly import (
-    ActiveMask,
-    assemble,
-    merit,
-    total_values,
-)
+from ovsam.assembly import ActiveMask, assemble, merit
 from ovsam.costs import RotCostConfig
 from ovsam.errors import DegenerateVectorError
 from ovsam.findiff import fd_gradient, fd_jacobian
@@ -61,8 +57,7 @@ def test_gradient_matches_fd_of_lagrangian(cfg, use_distance):
 
     def L_of(vec):
         table, lams = at_state(graph, vec)
-        _, L, _ = total_values(graph, cfg, None, lams, use_distance, table)
-        return L
+        return assemble(graph, cfg, None, lams, use_distance, table).L
 
     system = assemble(graph, cfg, lambdas=lambdas, use_distance_error=use_distance)
     fd = fd_gradient(L_of, state0)
@@ -79,7 +74,7 @@ def test_gradient_matches_fd_with_nondefault_fixed_pose():
 
     def L_of(vec):
         table, lams = at_state(graph, vec)
-        return total_values(graph, RotCostConfig(), None, lams, table=table)[1]
+        return assemble(graph, RotCostConfig(), None, lams, table=table).L
 
     system = assemble(graph, RotCostConfig(), lambdas=lambdas)
     assert system.dim == 15
@@ -110,11 +105,11 @@ def test_sparse_and_dense_assembly_agree_bitwise():
         graph, lambdas = _perturbed(rng, n_poses=5, n_homing=4)
         cfg = RotCostConfig(t1=seed % 2)
         system = assemble(graph, cfg, lambdas=lambdas)
-        H, g, L, F = assemble_dense(graph, cfg, lambdas=lambdas)
+        H, g = assemble_dense(graph, cfg, lambdas=lambdas)
         assert np.array_equal(system.to_dense(), H)
         assert np.array_equal(system.g, g)
-        assert system.L == L
-        assert system.F == F
+        F, L, l1 = ref.total_values(graph, cfg, lambdas=lambdas)
+        assert (system.F, system.L, system.l1) == (F, L, l1)
 
 
 def test_table_evaluation_equals_graph_evaluation():
@@ -134,10 +129,7 @@ def test_table_evaluation_equals_graph_evaluation():
             b = assemble(moved, cfg, None, lams, use_distance)
             assert np.array_equal(a.to_dense(), b.to_dense())
             assert np.array_equal(a.g, b.g)
-            assert (a.F, a.L) == (b.F, b.L)
-            assert total_values(graph, cfg, None, lams, use_distance, table) == (
-                total_values(moved, cfg, None, lams, use_distance)
-            )
+            assert (a.F, a.L, a.l1) == (b.F, b.L, b.l1)
             assert merit(graph, cfg, None, 10.0, lams, use_distance, table) == (
                 merit(moved, cfg, None, 10.0, lams, use_distance)
             )
@@ -226,7 +218,7 @@ def test_merit_values():
     rng = np.random.default_rng(8)
     graph = consistent_graph(rng, n_poses=4)
     cfg = RotCostConfig(t1=0)
-    _, L, _ = total_values(graph, cfg)
+    L = assemble(graph, cfg, lambdas=np.zeros(len(graph) - 1)).L
     assert merit(graph, cfg, None, 10.0) == pytest.approx(L, abs=1e-18)
 
     bare = FactorGraph([Pose([0.0, 0.0], [1.0, 0.0]), Pose([1.0, 0.0], [2.0, 0.0])])
@@ -238,10 +230,10 @@ def test_total_values_match_assemble():
     graph, lambdas = _perturbed(rng)
     cfg = RotCostConfig(form="second")
     system = assemble(graph, cfg, lambdas=lambdas)
-    F, L, l1 = total_values(graph, cfg, lambdas=lambdas)
-    assert F == pytest.approx(system.F, rel=1e-14)
-    assert L == pytest.approx(system.L, rel=1e-14)
+    F, L, l1 = ref.total_values(graph, cfg, lambdas=lambdas)
+    assert (system.F, system.L, system.l1) == (F, L, l1)
     assert l1 == pytest.approx(np.sum(np.abs(system.l_values)), rel=1e-14)
+    assert merit(graph, cfg, None, 10.0, lambdas) == system.L + 10.0 * system.l1
 
 
 def test_masked_homing_equals_graph_without_homing():
@@ -327,4 +319,4 @@ def test_value_path_names_the_degenerate_homing_record():
         ],
     )
     with pytest.raises(DegenerateVectorError, match=r"homing record 1 \(2->1\)"):
-        total_values(graph, RotCostConfig())
+        merit(graph, RotCostConfig(), None, 10.0)

@@ -1,14 +1,16 @@
 """Bitwise gate: batched evaluation against the per-record loop reference.
 
-total_values, merit and assemble (with the multiplier estimate it makes
-when given none) must reproduce every number of tests/loop_reference.py
-exactly (same bytes, so even the sign of a zero), over all cost forms,
-masked distance and homing terms, a graph without homing records, a
-non-default anchor, and simulated graphs; a degenerate record must be
-named as the loop names it.  A
-stack of S = 3 states must give total_values and merit of the three
-single-state calls byte for byte, and so must each kernel's values.  A
-permuted state order must permute the state and the system, bitwise.
+merit and assemble (with the multiplier estimate it makes when given
+none) must reproduce every number of tests/loop_reference.py exactly
+(same bytes, so even the sign of a zero), over all cost forms, masked
+distance and homing terms, a graph without homing records, a
+non-default anchor, and simulated graphs: the system's F, L and l1 are
+the loop's total_values.  A degenerate record must be named as the loop
+names it.  A stack of S = 3 states must give the merits of the three
+single-state calls byte for byte, each the L + mu l1 of the system
+assembled at that state, and each kernel's values must be those of
+single calls.  A permuted state order must permute the state and the
+system, bitwise.
 """
 
 import dataclasses
@@ -24,7 +26,6 @@ from ovsam.assembly import (
     measurement_tables,
     merit,
     pack_state,
-    total_values,
     unpack_state,
 )
 from ovsam.costs import (
@@ -59,16 +60,14 @@ def _states(graph, rng, count=3, scale=0.05):
 def _check_values_and_system(graph, cfg, active, lambdas, use_distance, table):
     tables = measurement_tables(graph, cfg)
     args = (graph, cfg, active, lambdas, use_distance, table)
-    assert all(
-        _same(a, b) for a, b in zip(total_values(*args, tables), ref.total_values(*args))
-    )
     margs = (graph, cfg, active, 10.0, lambdas, use_distance, table)
     assert _same(merit(*margs, tables), ref.merit(*margs))
 
     system = assemble(*args, tables)
-    g, blocks, F, L, l_values = ref.assemble(*args)
+    g, blocks, l_values = ref.assemble(*args)
     assert _same(system.g, g)
-    assert _same(system.F, F) and _same(system.L, L)
+    values = (system.F, system.L, system.l1)
+    assert all(_same(a, b) for a, b in zip(values, ref.total_values(*args)))
     assert _same(system.l_values, l_values)
     got = system.blocks
     assert set(got) == set(blocks)
@@ -76,16 +75,15 @@ def _check_values_and_system(graph, cfg, active, lambdas, use_distance, table):
 
 
 def _check_stack(graph, cfg, active, use_distance, states):
-    """A stack of the states gives each state's total_values and merit byte for byte."""
+    """A stack of the states gives each state's merit byte for byte, its system's L + mu l1."""
     tables = measurement_tables(graph, cfg)
     stack = np.stack([table for table, _ in states])
     lambdas = np.stack([lam for _, lam in states])
-    got = total_values(graph, cfg, active, lambdas, use_distance, stack, tables)
-    want = [total_values(graph, cfg, active, lam, use_distance, t, tables) for t, lam in states]
-    assert all(_same(got[k], [w[k] for w in want]) for k in range(3))
     got = merit(graph, cfg, active, 10.0, lambdas, use_distance, stack, tables)
     want = [merit(graph, cfg, active, 10.0, lam, use_distance, t, tables) for t, lam in states]
     assert _same(got, want)
+    systems = [assemble(graph, cfg, active, lam, use_distance, t, tables) for t, lam in states]
+    assert _same(got, [s.L + 10.0 * s.l1 for s in systems])
 
 
 def _random_mask(graph, rng):
@@ -178,12 +176,13 @@ def _degenerate_graph(x2, u1, u2):
 )
 def test_degenerate_records_are_named_as_the_loop_names_them(cfg, use_distance, x2, u1, u2):
     graph = _degenerate_graph(x2, u1, u2)
-    for path, reference in ((total_values, ref.total_values), (assemble, ref.assemble)):
+    for path, reference in ((merit, ref.merit), (assemble, ref.assemble)):
+        args = (graph, cfg, None, 10.0) if path is merit else (graph, cfg)
         try:
-            reference(graph, cfg, use_distance_error=use_distance)
+            reference(*args, use_distance_error=use_distance)
         except DegenerateVectorError as exc:
             with pytest.raises(DegenerateVectorError) as got:
-                path(graph, cfg, use_distance_error=use_distance)
+                path(*args, use_distance_error=use_distance)
             assert str(got.value) == str(exc)
         else:
             table, zeros = graph.pose_table(), np.zeros(len(graph) - 1)
@@ -192,10 +191,10 @@ def test_degenerate_records_are_named_as_the_loop_names_them(cfg, use_distance, 
     good = _degenerate_graph([1.0, 0.0], [1.0, 0.0], [1.0, 0.0]).pose_table()
     stack = np.stack((good, graph.pose_table(), good))
     try:
-        total_values(graph, cfg, use_distance_error=use_distance)
+        merit(graph, cfg, None, 10.0, use_distance_error=use_distance)
     except DegenerateVectorError as exc:
         with pytest.raises(DegenerateVectorError) as got:
-            total_values(graph, cfg, None, np.zeros((3, 2)), use_distance, stack)
+            merit(graph, cfg, None, 10.0, np.zeros((3, 2)), use_distance, stack)
         assert str(got.value) == str(exc)
 
 
@@ -288,14 +287,14 @@ def test_a_permuted_state_order_permutes_the_state_and_the_system(cfg):
         for use_distance in (False, True):
             a = (graph, cfg, None, lambdas, use_distance, table, tables)
             b = (graph, cfg, None, lambdas[order], use_distance, table, permuted)
-            assert all(_same(x, y) for x, y in zip(total_values(*a), total_values(*b)))
+            assert _same(merit(*a[:3], 10.0, *a[3:]), merit(*b[:3], 10.0, *b[3:]))
             want, got = assemble(*a), assemble(*b)
             assert _same(got.g, want.g[cols])
             assert _same(got.to_dense(), want.to_dense()[np.ix_(cols, cols)])
-            assert _same(got.F, want.F) and _same(got.L, want.L)
+            assert _same((got.F, got.L, got.l1), (want.F, want.L, want.l1))
     stack = np.stack([table for table, _ in states])
     lambdas = np.stack([lam for _, lam in states])
     for use_distance in (False, True):
-        a = (graph, cfg, None, lambdas, use_distance, stack, tables)
-        b = (graph, cfg, None, lambdas[:, order], use_distance, stack, permuted)
-        assert all(_same(x, y) for x, y in zip(total_values(*a), total_values(*b)))
+        a = (graph, cfg, None, 10.0, lambdas, use_distance, stack, tables)
+        b = (graph, cfg, None, 10.0, lambdas[:, order], use_distance, stack, permuted)
+        assert _same(merit(*a), merit(*b))

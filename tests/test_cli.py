@@ -301,6 +301,28 @@ def test_solve_iteration_limit_exit(tmp_path, capsys):
     assert "iteration limit" in capsys.readouterr().err
 
 
+def test_solve_restarts_from_a_non_converged_output(tmp_path, capsys):
+    # after --max-iters 3 the summary names iteration 3, the last assembled
+    # iterate, and says solved.txt holds the state after its step; that
+    # output's orientations are off the unit circle and it solves again
+    assert main(["simulate", "--out", str(tmp_path / "sim")]) == 0
+    first, again = tmp_path / "first", tmp_path / "again"
+    capsys.readouterr()
+    graph = str(tmp_path / "sim" / "graph.txt")
+    assert main(["solve", graph, "--max-iters", "3", "--out", str(first)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "termination: max_iters after 3 iterations"
+    assert lines[1].startswith("iteration 3: L = ")
+    assert lines[2].startswith("iteration 3: |g| = ")
+    assert lines[3] == "solved.txt holds the state after iteration 3's step"
+    table = load_graph(first / "solved.txt").pose_table()
+    assert np.max(np.abs(np.hypot(table[:, 2], table[:, 3]) - 1.0)) > 1e-3
+    assert main(["solve", str(first / "solved.txt"), "--out", str(again)]) == 0
+    out = capsys.readouterr().out
+    assert "termination: grad_tol after 9 iterations" in out
+    assert "holds the state after" not in out
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

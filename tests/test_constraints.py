@@ -13,10 +13,8 @@ from conftest import consistent_graph, random_graph
 from ovsam.assembly import assemble
 from ovsam.constraints import eval_constraint, residual
 from ovsam.costs import RotCostConfig
-from ovsam.errors import PreconditionError
 from ovsam.findiff import fd_gradient
 from ovsam.graph import FactorGraph, OdometryMeasurement, Pose
-from ovsam.solver import SolverConfig, solve
 
 
 def test_residual_values():
@@ -132,17 +130,6 @@ def test_init_lambdas_measurement_order_invariant():
         fixed_id=graph.fixed_id,
     )
     assert np.max(np.abs(assemble(shuffled, cfg).lambdas - base)) < 1e-12
-
-
-def test_init_lambdas_rejects_non_unit_orientation():
-    rng = np.random.default_rng(4)
-    graph = random_graph(rng, n_poses=4, n_homing=2, unit_orientations=True)
-    graph.pose(3).u[:] = [1.1, 0.0]
-    with pytest.raises(
-        PreconditionError,
-        match=r"^pose 3: initial orientation vector must be unit, got norm 1\.1$",
-    ):
-        solve(graph, SolverConfig())
 
 
 def test_init_lambdas_respects_active_mask():

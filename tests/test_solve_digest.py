@@ -86,6 +86,7 @@ def test_only_builds_just_the_selected_graphs(monkeypatch):
         (LABEL, [LABEL], [1]),
         ("warm_3x10/seed=6", [f"warm_3x10/seed={s}" for s in warm], warm),
         ("sim/seed=12", ["sim/seed=12", "sim/seed=12,noise_ang=1e-4"], [12, 12]),
+        ("restart/", ["restart/warm_3x10/seed=34", "restart/seed=12,noise_ang=1e-4"], [34, 12]),
     ):
         seeds.clear()
         assert [label for label, _, _ in solve_digest.solve_set(only)] == labels

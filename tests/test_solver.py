@@ -209,7 +209,7 @@ def test_line_search_behavior():
     state = np.eye(5)[0]
 
     def search(g):
-        return find_step(_StubSystem(np.eye(5), g), _sq, state)
+        return find_step(_StubSystem(np.eye(5), g), _sq, state, 1.0)
 
     assert search(state)[1:] == (1.0, 0, False)
     assert search(3.0 * state)[1:] == (0.5, 0, False)
@@ -225,14 +225,12 @@ def _merit_of(merit_fn, vec):
         return np.inf
 
 
-def _sequential_find_step(system, merit_fn, state):
+def _sequential_find_step(system, merit_fn, state, merit0):
     """Reference step search: LADDER walked one trial point at a time.
 
-    The iterate's merit is one merit_fn call and every trial point one
-    more; newton_step is looked up on the solver module, so a patched
-    step applies here too.
+    Every trial point is one merit_fn call; newton_step is looked up on
+    the solver module, so a patched step applies here too.
     """
-    merit0 = _merit_of(merit_fn, state)
     last = None
     for escalations, (eta_w, eta_a) in enumerate(LADDER):
         try:
@@ -264,7 +262,7 @@ def _counting_newton_step(monkeypatch, flip_plain=False):
 def test_find_step_plain_newton_accepted(monkeypatch):
     rungs = _counting_newton_step(monkeypatch)
     system = _StubSystem(np.eye(5), np.ones(5))
-    delta, alpha, escalations, emergency = find_step(system, _sq, np.ones(5))
+    delta, alpha, escalations, emergency = find_step(system, _sq, np.ones(5), 5.0)
     assert (escalations, alpha, emergency) == (0, 1.0, False)
     assert rungs == [(0.0, 0.0)]
     assert np.array_equal(delta, -np.ones(5))
@@ -274,7 +272,7 @@ def test_find_step_rejected_plain_step_takes_rung_1(monkeypatch):
     # the plain direction points uphill, so its line search fails
     rungs = _counting_newton_step(monkeypatch, flip_plain=True)
     system = _StubSystem(np.eye(5), np.ones(5))
-    delta, alpha, escalations, emergency = find_step(system, _sq, np.ones(5))
+    delta, alpha, escalations, emergency = find_step(system, _sq, np.ones(5), 5.0)
     assert (escalations, alpha, emergency) == (1, 1.0, False)
     assert rungs == list(LADDER[:2])
 
@@ -287,7 +285,7 @@ def test_find_step_singular_plain_system_falls_through(monkeypatch):
     def pose_merit(states):
         return np.array([float(s[:4] @ s[:4]) for s in states])
 
-    delta, alpha, escalations, emergency = find_step(system, pose_merit, np.ones(5))
+    delta, alpha, escalations, emergency = find_step(system, pose_merit, np.ones(5), 4.0)
     assert (escalations, alpha, emergency) == (2, 1.0, False)
     assert LADDER[2] == (0.0, 1e-6)
     assert rungs == list(LADDER[:3])
@@ -297,7 +295,7 @@ def test_find_step_singular_plain_system_falls_through(monkeypatch):
 def test_find_step_emergency_step_length():
     # the state already minimizes the merit: every line search fails
     system = _StubSystem(np.eye(5), np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
-    delta, alpha, escalations, emergency = find_step(system, _sq, np.zeros(5))
+    delta, alpha, escalations, emergency = find_step(system, _sq, np.zeros(5), 0.0)
     assert emergency
     assert escalations == len(LADDER) - 1 == 39
     assert float(np.linalg.norm(alpha * delta)) == pytest.approx(EMERGENCY_STEP)
@@ -310,17 +308,17 @@ def test_find_step_nothing_solvable(monkeypatch):
     monkeypatch.setattr(solver_module, "newton_step", always_fail)
     system = _StubSystem(np.eye(2), np.ones(2))
     with pytest.raises(NumericalFailure):
-        find_step(system, lambda states: np.zeros(len(states)), np.zeros(2))
+        find_step(system, lambda states: np.zeros(len(states)), np.zeros(2), 0.0)
 
 
 def _ladder_stub(monkeypatch, accept, singular=(), degenerate=()):
     """Patch newton_step to step e_0 + r e_1 on rung r; merit_fn over its trials.
 
     Rung r raises NumericalFailure if r is in singular.  From state 0
-    (merit 0.5), trial LS_ALPHAS[k] of rung r has merit 0 if k is in
-    accept.get(r, ()), else 1; a stack holding (r, k) in degenerate
-    raises DegenerateVectorError.  Returns merit_fn and the list of its
-    call sizes.
+    (merit 0.5, given), trial LS_ALPHAS[k] of rung r has merit 0 if k is
+    in accept.get(r, ()), else 1; a stack holding (r, k) in degenerate
+    raises DegenerateVectorError, and a stack holding the state itself
+    fails the test.  Returns merit_fn and the list of its call sizes.
     """
     rung_of = {eta: r for r, eta in enumerate(LADDER)}
     index = {alpha: k for k, alpha in enumerate(LS_ALPHAS)}
@@ -336,35 +334,23 @@ def _ladder_stub(monkeypatch, accept, singular=(), degenerate=()):
 
     def merit_fn(states):
         calls.append(len(states))
-        trials = [(round(s[1] / s[0]), index[float(s[0])]) for s in states if s[0] != 0.0]
+        assert all(s[0] != 0.0 for s in states), "a merit stack holds the iterate"
+        trials = [(round(s[1] / s[0]), index[float(s[0])]) for s in states]
         if any(t in degenerate for t in trials):
             raise DegenerateVectorError("trial collapsed a pose pair")
-        merits = iter([0.0 if k in accept.get(r, ()) else 1.0 for r, k in trials])
-        return np.array([0.5 if s[0] == 0.0 else next(merits) for s in states])
+        return np.array([0.0 if k in accept.get(r, ()) else 1.0 for r, k in trials])
 
     return merit_fn, calls
 
 
 def _check_find_step(merit_fn, calls):
     """find_step against the sequential reference; returns find_step's call sizes."""
-    want = _sequential_find_step(None, merit_fn, np.zeros(2))
+    want = _sequential_find_step(None, merit_fn, np.zeros(2), 0.5)
     calls.clear()
-    got = find_step(None, merit_fn, np.zeros(2))
+    got = find_step(None, merit_fn, np.zeros(2), 0.5)
     assert got[1:] == want[1:]
     assert np.array_equal(got[0], want[0])
     return got, list(calls)
-
-
-@pytest.mark.parametrize("first", range(len(LS_ALPHAS)))
-def test_find_step_folds_the_iterate_into_the_first_chunk(monkeypatch, first):
-    # plain Newton accepts from factor index first on: the iterate and the
-    # factor-1 trial are one call, then chunks of 2, 4, 8, 6 factors
-    rng = np.random.default_rng(first)
-    later = {k for k in range(first + 1, len(LS_ALPHAS)) if rng.random() < 0.5}
-    merit_fn, calls = _ladder_stub(monkeypatch, {0: {first} | later, 1: {0}})
-    (_, alpha, escalations, emergency), sizes = _check_find_step(merit_fn, calls)
-    assert (alpha, escalations, emergency) == (LS_ALPHAS[first], 0, False)
-    assert sizes == [2] + [2, 4, 8, 6][: (first + 1).bit_length() - 1]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 17, 38])
@@ -376,7 +362,7 @@ def test_find_step_searches_every_later_rung_whole(monkeypatch, k):
         merit_fn, calls = _ladder_stub(monkeypatch, {k + 1: {first} | later})
         (_, alpha, escalations, emergency), sizes = _check_find_step(merit_fn, calls)
         assert (alpha, escalations, emergency) == (LS_ALPHAS[first], k + 1, False)
-        assert sizes == [2, 2, 4, 8, 6] + [21] * k + [21]
+        assert sizes == [1, 2, 4, 8, 6] + [21] * k + [21]
 
 
 def test_find_step_merit_calls_when_no_rung_accepts(monkeypatch):
@@ -384,16 +370,27 @@ def test_find_step_merit_calls_when_no_rung_accepts(monkeypatch):
     (delta, alpha, escalations, emergency), sizes = _check_find_step(merit_fn, calls)
     assert (escalations, emergency) == (len(LADDER) - 1, True)
     assert np.array_equal(delta, [1.0, len(LADDER) - 1])
-    assert sizes == [2, 2, 4, 8, 6] + [21] * (len(LADDER) - 1)
+    assert sizes == [1, 2, 4, 8, 6] + [21] * (len(LADDER) - 1)
 
 
-def test_find_step_folds_the_iterate_into_the_first_solvable_rung(monkeypatch):
-    # rungs 0, 1 and 4 cannot be solved: rung 2 is searched in chunks, rung 3
-    # whole, rung 4 not at all, and rung 5 accepts
+def test_find_step_evaluates_only_trial_points(monkeypatch):
+    # the iterate's merit is given, so no merit stack holds the iterate
+    # (_ladder_stub's merit_fn fails on it).  Rungs 0, 1 and 4 cannot be
+    # solved: rung 2, the first solvable one, is searched in chunks from
+    # its factor-1 trial on, rung 3 whole, rung 4 not at all, and rung 5
+    # accepts
     merit_fn, calls = _ladder_stub(monkeypatch, {5: {2}}, singular={0, 1, 4})
     (_, alpha, escalations, emergency), sizes = _check_find_step(merit_fn, calls)
     assert (alpha, escalations, emergency) == (LS_ALPHAS[2], 5, False)
-    assert sizes == [2, 2, 4, 8, 6, 21, 21]
+    assert sizes == [1, 2, 4, 8, 6, 21, 21]
+    # the factor-1 trial, alone in the first chunk, degenerates and is
+    # rejected; a degenerate trial on a later rung rejects only itself
+    merit_fn, calls = _ladder_stub(
+        monkeypatch, {0: {0}, 1: {0, 1, 3}}, degenerate={(0, 0), (1, 0), (1, 1)}
+    )
+    (_, alpha, escalations, emergency), sizes = _check_find_step(merit_fn, calls)
+    assert (alpha, escalations, emergency) == (LS_ALPHAS[3], 1, False)
+    assert sizes == [1, 2, 4, 8, 6, 21] + [1] * 21
 
 
 @pytest.mark.parametrize("first", [*range(len(LS_ALPHAS)), None])
@@ -408,9 +405,9 @@ def test_chunked_line_search_matches_the_sequential_search(monkeypatch, first):
         (_, alpha, escalations, _), sizes = _check_find_step(merit_fn, calls)
         assert (alpha, escalations) == ((1.0, 1) if first is None else (LS_ALPHAS[first], 0))
         # the chunk holding trial k is the bit_length(k + 1)-th, and it
-        # ends before trial 2 (k + 1) - 1; the first one also holds the iterate
-        assert len(sizes) == (6 if first is None else (first + 1).bit_length())
-        assert sum(sizes) <= (1 + 2 * len(LS_ALPHAS) if first is None else 2 * (first + 1) + 1)
+        # ends before trial 2 (k + 1) - 1
+        chunks = [1, 2, 4, 8, 6]
+        assert sizes == (chunks + [21] if first is None else chunks[: (first + 1).bit_length()])
 
 
 def test_line_search_chunk_sizes(monkeypatch):
@@ -421,7 +418,7 @@ def test_line_search_chunk_sizes(monkeypatch):
     merit_fn, calls = _ladder_stub(monkeypatch, {1: {len(LS_ALPHAS) - 1}})
     (_, alpha, escalations, _), sizes = _check_find_step(merit_fn, calls)
     assert (alpha, escalations) == (LS_ALPHAS[-1], 1)
-    assert sizes == [2, 2, 4, 8, 6, 21]
+    assert sizes == [1, 2, 4, 8, 6, 21]
 
 
 def test_degenerate_trial_rejects_only_itself(monkeypatch):
@@ -429,22 +426,11 @@ def test_degenerate_trial_rejects_only_itself(monkeypatch):
     merit_fn, calls = _ladder_stub(monkeypatch, {0: {5, 6}}, degenerate={(0, 4)})
     (_, alpha, escalations, _), sizes = _check_find_step(merit_fn, calls)
     assert (alpha, escalations) == (LS_ALPHAS[5], 0)
-    assert sizes == [2, 2, 4, 1, 1, 1, 1]
+    assert sizes == [1, 2, 4, 1, 1, 1, 1]
     # a degenerate trial is never accepted, also when it is the first acceptable one
     merit_fn, calls = _ladder_stub(monkeypatch, {0: {4, 5}}, degenerate={(0, 4)})
     (_, alpha, escalations, _), sizes = _check_find_step(merit_fn, calls)
     assert (alpha, escalations) == (LS_ALPHAS[5], 0)
-
-
-def test_find_step_degenerate_first_trial_keeps_the_iterate_merit(monkeypatch):
-    # the factor-1 trial degenerates: the folded call is redone one state at a
-    # time, and a degenerate trial on a later rung rejects only itself
-    merit_fn, calls = _ladder_stub(
-        monkeypatch, {0: {0}, 1: {0, 1, 3}}, degenerate={(0, 0), (1, 0), (1, 1)}
-    )
-    (_, alpha, escalations, emergency), sizes = _check_find_step(merit_fn, calls)
-    assert (alpha, escalations, emergency) == (LS_ALPHAS[3], 1, False)
-    assert sizes == [2, 1, 1, 2, 4, 8, 6, 21] + [1] * 21
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +515,16 @@ def test_chunked_line_search_solves_as_the_sequential_search(monkeypatch):
     # most iterations; and a run whose multipliers diverge.  Each case:
     # reason, escalations, newton_step calls, merit calls and states.
     cases = [
-        (simulate(SimConfig())[0], SolverConfig(), ("grad_tol", 95, 109, 130, 2115)),
+        (simulate(SimConfig())[0], SolverConfig(), ("grad_tol", 95, 109, 130, 2101)),
         (
             _truth_start(SimConfig(seed=34)),
             SolverConfig(max_iters=10),
-            ("max_iters", 123, 133, 163, 2747),
+            ("max_iters", 123, 133, 163, 2737),
         ),
         (
             simulate(SimConfig(seed=12, noise_ang=1e-4))[0],
             SolverConfig(),
-            ("diverged", 265, 287, 362, 5973),
+            ("diverged", 265, 287, 362, 5951),
         ),
     ]
     for graph, cfg, counts in cases:
@@ -564,8 +550,8 @@ def test_report_counts_merit_calls_and_records_alpha(monkeypatch):
     graph = simulate(SimConfig(lanes=2, points_per_lane=5))[0]
     alphas, stacks = [], []
 
-    def counted_find_step(system, merit_fn, state):
-        out = find_step(system, merit_fn, state)
+    def counted_find_step(system, merit_fn, state, merit0):
+        out = find_step(system, merit_fn, state, merit0)
         alphas.append(out[1])
         return out
 
@@ -579,7 +565,10 @@ def test_report_counts_merit_calls_and_records_alpha(monkeypatch):
     assert report.reason == "grad_tol"
     assert [t.alpha for t in report.trace] == alphas + [0.0]
     assert (report.merit_calls, report.merit_states) == (len(stacks), sum(stacks))
-    assert report.merit_calls < report.merit_states
+    # plain Newton's factor-1 trial is accepted on every step: no call
+    # evaluates the iterate, so each step costs one trial point
+    assert alphas == [1.0] * 6
+    assert report.merit_calls == report.merit_states == len(alphas)
 
 
 def test_step_tol_termination():
@@ -600,11 +589,64 @@ def test_max_iters_termination():
     assert report.iterations == 2
 
 
-def test_solve_rejects_non_unit_initial_orientation():
-    graph = two_pose_graph()
-    graph.pose(2).u *= 1.1
-    with pytest.raises(PreconditionError):
+def test_solve_projects_a_non_unit_start_orientation():
+    # a start u off the unit circle starts at u/|u|; the anchor's too
+    rng = np.random.default_rng(4)
+    graph = random_graph(rng, n_poses=4, n_homing=2, unit_orientations=True)
+    graph.pose(1).u[:] = graph.pose(3).u[:] = [1.0, 0.0]
+    want = solve(graph)
+    graph.pose(1).u[:] = [3.0, 0.0]
+    graph.pose(3).u[:] = [1.1, 0.0]
+    got = solve(graph)
+    assert (got.reason, got.trace) == (want.reason, want.trace)
+    assert save_graph(got.graph) == save_graph(want.graph)
+    assert got.lambdas.tobytes() == want.lambdas.tobytes()
+    assert np.array_equal(graph.pose(3).u, [1.1, 0.0])  # the input is not written
+
+
+def test_solve_rejects_a_zero_start_orientation():
+    rng = np.random.default_rng(4)
+    graph = random_graph(rng, n_poses=4, n_homing=2, unit_orientations=True)
+    graph.pose(3).u[:] = [0.0, 0.0]
+    with pytest.raises(
+        PreconditionError,
+        match=r"^pose 3: initial orientation vector has norm 0\.0, below 1e-09$",
+    ):
         solve(graph)
+
+
+@pytest.mark.parametrize(
+    "sim, cfg",
+    [
+        (SimConfig(), SolverConfig()),
+        (SimConfig(lanes=6, points_per_lane=20, seed=1), SolverConfig(max_iters=4)),
+        (SimConfig(), SolverConfig(cost=RotCostConfig(form="second"))),
+        (SimConfig(), SolverConfig(cost=RotCostConfig(t1=0))),
+        (SimConfig(), SolverConfig(use_distance_error=True)),
+    ],
+    ids=["default", "sparse", "second", "t1=0", "distance"],
+)
+def test_each_iterate_is_evaluated_once(monkeypatch, sim, cfg):
+    # the merit find_step compares against is the iterate's system's,
+    # bitwise the merit at the iterate, and no merit stack holds the iterate
+    searches = []
+
+    def checked_find_step(system, merit_fn, state, merit0):
+        stacks = []
+
+        def recorded(states):
+            stacks.append(states)
+            return merit_fn(states)
+
+        out = find_step(system, recorded, state, merit0)
+        assert not any((stack == state).all(axis=1).any() for stack in stacks)
+        assert merit_fn(state[None])[0].tobytes() == np.float64(merit0).tobytes()
+        searches.append(len(stacks))
+        return out
+
+    monkeypatch.setattr(solver_module, "find_step", checked_find_step)
+    report = solve(simulate(sim)[0], cfg)
+    assert len(searches) == sum(t.alpha > 0.0 for t in report.trace) > 0
 
 
 def test_solve_rejects_an_invalid_graph_built_in_code():

@@ -1,4 +1,4 @@
-"""Print one sha256 per solve over a fixed set of 104 solves.
+"""Print one sha256 per solve over a fixed set of 106 solves.
 
     python3 tools/solve_digest.py [--only PREFIX] [--against FILE]
 
@@ -36,7 +36,13 @@ The set:
     the one solve of the set that ends on step_tol (after 81 iterations,
     at |g| = 1e-5, with the lanes detached);
   * SimConfig() anchored at pose 15 instead of pose 1, the one solve of
-    the set whose anchor row is not the first.
+    the set whose anchor row is not the first;
+  * two restarts, each solving with the default SolverConfig the
+    save_graph text of a first solve that did not converge, so that
+    its orientation vectors are off the unit circle: warm_3x10's seed-34
+    graph after its workload's max_iters=10 ("restart/warm_3x10/seed=34"),
+    and SimConfig(seed=12, noise_ang=1e-4) after it diverged
+    ("restart/seed=12,noise_ang=1e-4").
 
 The program and the benchmark are imported from this checkout's src/ and
 perfbench/ directories; the benchmark is only read, never changed.
@@ -115,6 +121,21 @@ def solve_set(only=""):
             yield label, simulate(sim_cfg)[0], cfg
     if "anchor/seed=0".startswith(only):
         yield "anchor/seed=0", simulate(SimConfig())[0].with_fixed(15), SolverConfig()
+    if "restart/warm_3x10/seed=34".startswith(only):
+        wl = dataclasses.replace(bench.WORKLOADS["warm_3x10"], sim_seeds=(34,))
+        (inp,) = bench.make_inputs(wl)
+        graph = _restart(load_graph(io.StringIO(inp.text)), wl.solver)
+        yield "restart/warm_3x10/seed=34", graph, SolverConfig()
+    if "restart/seed=12,noise_ang=1e-4".startswith(only):
+        graph = _restart(simulate(SimConfig(seed=12, noise_ang=1e-4))[0], SolverConfig())
+        yield "restart/seed=12,noise_ang=1e-4", graph, SolverConfig()
+
+
+def _restart(graph, cfg):
+    """The graph of graph's solve under cfg, loaded from its save_graph text."""
+    from ovsam import load_graph, save_graph, solve
+
+    return load_graph(io.StringIO(save_graph(solve(graph, cfg).graph)))
 
 
 def digest(report):
