@@ -353,6 +353,19 @@ def _check_find_step(merit_fn, calls):
     return got, list(calls)
 
 
+@pytest.mark.parametrize("first", range(len(LS_ALPHAS)))
+def test_find_step_folds_the_iterate_into_the_first_chunk(monkeypatch, first):
+    # plain Newton accepts from factor index first on: the iterate's merit
+    # is given, so the factor-1 trial is a call of its own, then chunks of
+    # 2, 4, 8, 6 factors
+    rng = np.random.default_rng(first)
+    later = {k for k in range(first + 1, len(LS_ALPHAS)) if rng.random() < 0.5}
+    merit_fn, calls = _ladder_stub(monkeypatch, {0: {first} | later, 1: {0}})
+    (_, alpha, escalations, emergency), sizes = _check_find_step(merit_fn, calls)
+    assert (alpha, escalations, emergency) == (LS_ALPHAS[first], 0, False)
+    assert sizes == [1] + [2, 4, 8, 6][: (first + 1).bit_length() - 1]
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 17, 38])
 def test_find_step_searches_every_later_rung_whole(monkeypatch, k):
     # rung 0 and rungs 1..k fail every factor; rung k + 1 accepts
@@ -373,7 +386,7 @@ def test_find_step_merit_calls_when_no_rung_accepts(monkeypatch):
     assert sizes == [1, 2, 4, 8, 6] + [21] * (len(LADDER) - 1)
 
 
-def test_find_step_evaluates_only_trial_points(monkeypatch):
+def test_find_step_folds_the_iterate_into_the_first_solvable_rung(monkeypatch):
     # the iterate's merit is given, so no merit stack holds the iterate
     # (_ladder_stub's merit_fn fails on it).  Rungs 0, 1 and 4 cannot be
     # solved: rung 2, the first solvable one, is searched in chunks from
@@ -383,14 +396,6 @@ def test_find_step_evaluates_only_trial_points(monkeypatch):
     (_, alpha, escalations, emergency), sizes = _check_find_step(merit_fn, calls)
     assert (alpha, escalations, emergency) == (LS_ALPHAS[2], 5, False)
     assert sizes == [1, 2, 4, 8, 6, 21, 21]
-    # the factor-1 trial, alone in the first chunk, degenerates and is
-    # rejected; a degenerate trial on a later rung rejects only itself
-    merit_fn, calls = _ladder_stub(
-        monkeypatch, {0: {0}, 1: {0, 1, 3}}, degenerate={(0, 0), (1, 0), (1, 1)}
-    )
-    (_, alpha, escalations, emergency), sizes = _check_find_step(merit_fn, calls)
-    assert (alpha, escalations, emergency) == (LS_ALPHAS[3], 1, False)
-    assert sizes == [1, 2, 4, 8, 6, 21] + [1] * 21
 
 
 @pytest.mark.parametrize("first", [*range(len(LS_ALPHAS)), None])
@@ -431,6 +436,18 @@ def test_degenerate_trial_rejects_only_itself(monkeypatch):
     merit_fn, calls = _ladder_stub(monkeypatch, {0: {4, 5}}, degenerate={(0, 4)})
     (_, alpha, escalations, _), sizes = _check_find_step(merit_fn, calls)
     assert (alpha, escalations) == (LS_ALPHAS[5], 0)
+
+
+def test_find_step_degenerate_first_trial_keeps_the_iterate_merit(monkeypatch):
+    # the factor-1 trial, alone in the first chunk, degenerates and is
+    # rejected against the given iterate merit; a degenerate trial on a
+    # later rung rejects only itself
+    merit_fn, calls = _ladder_stub(
+        monkeypatch, {0: {0}, 1: {0, 1, 3}}, degenerate={(0, 0), (1, 0), (1, 1)}
+    )
+    (_, alpha, escalations, emergency), sizes = _check_find_step(merit_fn, calls)
+    assert (alpha, escalations, emergency) == (LS_ALPHAS[3], 1, False)
+    assert sizes == [1, 2, 4, 8, 6, 21] + [1] * 21
 
 
 # ---------------------------------------------------------------------------
