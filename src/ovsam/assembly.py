@@ -19,12 +19,14 @@ canonical order (odometry in list order: translation, the optional
 distance term, rotation; then active homing in list order: home vector,
 compass), and L and sum |l_i| add the per-pose terms in pose-row order,
 for assemble and merit alike (_totals); assembly sums each record's
-terms in order and scatters the sums record by record to the free-pose
-blocks they touch, then adds the per-pose constraint terms.  The result
-is a block-sparse symmetric system whose lambda-lambda diagonal entries
-are exactly zero (a bordered saddle system).  Given no multipliers,
-assembly estimates them from the cost gradient it has just scattered,
-lambda_i = -u_i^T g_i; this estimate is the solver's start.
+terms in order into its pose pair's gradients and 2 x 2 Hessian blocks
+(record_blocks, which writes nothing it reads), scatters those record
+by record to the free-pose blocks they touch, then adds the per-pose
+constraint terms.  The result is a block-sparse symmetric system whose
+lambda-lambda diagonal entries are exactly zero (a bordered saddle
+system).  Given no multipliers, assembly estimates them from the cost
+gradient it has just scattered, lambda_i = -u_i^T g_i; this estimate is
+the solver's start.
 """
 
 from dataclasses import dataclass
@@ -34,7 +36,6 @@ import numpy as np
 from .constraints import eval_constraint, residual
 from .costs import (
     ORI,
-    CostEval,
     distance_weight,
     eval_compass,
     eval_distance,
@@ -228,11 +229,6 @@ def _running_sum(values):
     return np.add.accumulate(np.concatenate((zero, values), axis=-1), axis=-1)[..., -1]
 
 
-def _interleave(a, b):
-    """Rows a[0], b[0], a[1], b[1], ..."""
-    return np.stack((a, b), axis=1).reshape(-1, *a.shape[1:])
-
-
 def _evaluate(group, i1, i2, calls):
     """Run one record group's kernel calls, in term order.
 
@@ -301,28 +297,32 @@ def record_terms(tables, table, cfg, active, use_distance_error, derivs=True):
     return odometry, d, homing, h
 
 
-_FIELDS = ("value", "grad1", "grad2", "h11", "h12", "h22")
-
-
 def record_blocks(tables, terms):
-    """(i1, i2, CostEval) over the active records, each record's terms summed in order.
+    """(rows, grads, hessians) of the active records, each record's terms summed in order.
 
-    terms is record_terms' result, summed into each group's first CostEval.
-    Records are odometry then active homing, in list order; i1 and i2
-    are their 0-based pose rows.
+    terms is record_terms' result, which is only read.  Records are
+    odometry then active homing, in list order: rows (K, 2) holds each
+    record's 0-based pose rows (i1, i2), grads (K, 2, 4) its gradients
+    [grad1, grad2] and hessians (K, 2, 2, 4, 4) its Hessian blocks
+    [[h11, h12], [h21, h22]].
     """
     odometry, d, homing, h = terms
-    odo = odometry[0]
-    if d is not None:
-        for name in _FIELDS:
-            getattr(odo, name)[d] += getattr(odometry[1], name)
-    odo += odometry[-1]
-    hom = homing[0]
-    hom += homing[1]
-    ev = CostEval(*(np.concatenate((getattr(odo, n), getattr(hom, n))) for n in _FIELDS))
+    m = len(tables.odo_i1)
     i1 = np.concatenate((tables.odo_i1, tables.hom_i1[h]))
     i2 = np.concatenate((tables.odo_i2, tables.hom_i2[h]))
-    return i1, i2, ev
+    rows = np.column_stack((i1, i2))
+    grads = np.empty((len(rows), 2, 4))
+    hessians = np.empty((len(rows), 2, 2, 4, 4))
+    outs = grads[:, 0], grads[:, 1], hessians[:, 0, 0], hessians[:, 0, 1], hessians[:, 1, 1]
+    for out, name in zip(outs, ("grad1", "grad2", "h11", "h12", "h22")):
+        odo = out[:m]
+        odo[...] = getattr(odometry[0], name)
+        if d is not None:
+            odo[d] += getattr(odometry[1], name)
+        odo += getattr(odometry[-1], name)
+        np.add(getattr(homing[0], name), getattr(homing[1], name), out=out[m:])
+    hessians[:, 1, 0] = np.swapaxes(hessians[:, 0, 1], -1, -2)
+    return rows, grads, hessians
 
 
 def _totals(tables, l, lambdas, odometry, d, homing):
@@ -371,34 +371,33 @@ def assemble(
     are dropped entirely.  Without lambdas, the multipliers are the
     first-order estimate lambda_i = -u_i^T g_i, g_i the cost gradient
     (constraints excluded) with respect to u_i; it is the least-squares
-    multiplier only where u_i is unit.  The system carries the
-    multipliers it was built with (lambdas), and F, L and l1 as merit sums them.
+    multiplier only where u_i is unit.  The records' blocks
+    (record_blocks) scatter from their (K, 2) slot pairs.  The system
+    carries the multipliers it was built with (lambdas), and F, L and l1
+    as merit sums them, from record_terms' values as they are.
     """
     active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
     n = len(tables.free)
     terms = record_terms(tables, table, cfg, active, use_distance_error)
-    # copied: record_blocks sums each group's terms into its first, in place
-    values = [[t.value.copy() for t in terms[0]], terms[1], [t.value.copy() for t in terms[2]]]
-    i1, i2, ev = record_blocks(tables, terms)
+    values = [t.value for t in terms[0]], terms[1], [t.value for t in terms[2]]
+    rows, grads, hessians = record_blocks(tables, terms)
 
     # Contributions to the anchor's rows go to the discarded slot n.
-    r1, r2 = tables.rank[i1], tables.rank[i2]
-    s1, s2 = np.where(r1 < 0, n, r1), np.where(r2 < 0, n, r2)
+    ranks = tables.rank[rows]
+    slots = np.where(ranks < 0, n, ranks)
     G = np.zeros((n + 1, 5))
-    np.add.at(G[:, :4], _interleave(s1, s2), _interleave(ev.grad1, ev.grad2))
+    np.add.at(G[:, :4], slots.ravel(), grads.reshape(-1, 4))
 
-    # Each record's blocks h11, h22, h12, h21 at (r1, r1), (r2, r2),
-    # (r1, r2), (r2, r1), keyed k * n + l; key n * n (sorting last) is
-    # discarded.  One add.at in record order keeps every block's sum in
-    # record order.
-    k = np.stack((s1, s2, s1, s2), axis=1)
-    l = np.stack((s1, s2, s2, s1), axis=1)
+    # Each record's blocks [[h11, h12], [h21, h22]] at its slot pairs,
+    # keyed k * n + l; key n * n (sorting last) is discarded.  A record's
+    # four keys differ (i1 != i2), so one add.at in record order keeps
+    # every block's sum in record order.
+    k, l = slots[:, :, None], slots[:, None, :]
     key = np.where((k < n) & (l < n), k * n + l, n * n).ravel()
     diag = np.arange(n) * (n + 1)
     keys, where = np.unique(np.concatenate((key, diag)), return_inverse=True)
     data = np.zeros((len(keys), 5, 5))
-    hs = np.stack((ev.h11, ev.h22, ev.h12, ev.h21), axis=1).reshape(-1, 4, 4)
-    np.add.at(data[:, :4, :4], where[: len(key)], hs)
+    np.add.at(data[:, :4, :4], where[: len(key)], hessians.reshape(-1, 4, 4))
 
     u = table[tables.free, ORI]
     lambdas = -rowdot(u, G[:n, ORI]) if lambdas is None else np.asarray(lambdas, dtype=float)

@@ -1,6 +1,7 @@
 """Command-line frontend: simulate scenarios, solve graphs, check derivatives.
 
-Exit codes: 0 success, 1 iteration limit or failed derivative check,
+Exit codes: 0 success, 1 no convergence (iteration limit, or a step
+below step_tol with |g| above grad_tol) or failed derivative check,
 2 validation error (bad flags, malformed graph), 3 numerical failure,
 4 solver divergence.
 """
@@ -86,7 +87,10 @@ def cmd_solve(args):
     if report.reason == "diverged":
         print("solver diverged", file=sys.stderr)
         return EXIT_DIVERGED
-    print("iteration limit reached without convergence", file=sys.stderr)
+    if report.reason == "step_tol":
+        print("last step fell below step_tol with |g| above grad_tol", file=sys.stderr)
+    else:
+        print("iteration limit reached without convergence", file=sys.stderr)
     return EXIT_FAILURE
 
 

@@ -112,15 +112,6 @@ class CostEval:
     def h21(self):
         return np.swapaxes(self.h12, -1, -2)
 
-    def __iadd__(self, other):
-        self.value += other.value
-        self.grad1 += other.grad1
-        self.grad2 += other.grad2
-        self.h11 += other.h11
-        self.h12 += other.h12
-        self.h22 += other.h22
-        return self
-
     @classmethod
     def zeros(cls, value):
         """Values with all-zero derivative blocks of matching batch size."""

@@ -119,7 +119,7 @@ class SolveReport:
 
     @property
     def converged(self):
-        return self.reason in ("grad_tol", "step_tol")
+        return self.reason == "grad_tol"
 
     def write_trace_csv(self, dest=None):
         """The trace as CSV, one column per IterationRecord field: floats as

@@ -26,31 +26,26 @@ def assemble_dense(graph, cfg, active=None, lambdas=None, use_distance_error=Fal
         lambdas = np.zeros(len(free))
     tables = measurement_tables(graph, cfg)
     terms = record_terms(tables, table, cfg, active, use_distance_error)
-    i1s, i2s, ev = record_blocks(tables, terms)
-    records = list(enumerate(zip(i1s + 1, i2s + 1)))
+    rows, grads, hessians = record_blocks(tables, terms)
+    records = list(enumerate(rows + 1))
 
     H = np.zeros((dim, dim))
     g = np.zeros(dim)
 
     for k, kp in enumerate(free):
         ok = 5 * k
-        for j, (i1, i2) in records:
-            if kp == i1:
-                g[ok : ok + 4] += ev.grad1[j]
-            if kp == i2:
-                g[ok : ok + 4] += ev.grad2[j]
+        for j, pair in records:
+            for a, ia in enumerate(pair):
+                if kp == ia:
+                    g[ok : ok + 4] += grads[j, a]
         for l, lp in enumerate(free):
             ol = 5 * l
             h = H[ok : ok + 4, ol : ol + 4]
-            for j, (i1, i2) in records:
-                if kp == i1 and lp == i1:
-                    h += ev.h11[j]
-                if kp == i1 and lp == i2:
-                    h += ev.h12[j]
-                if kp == i2 and lp == i1:
-                    h += ev.h21[j]
-                if kp == i2 and lp == i2:
-                    h += ev.h22[j]
+            for j, pair in records:
+                for a, ia in enumerate(pair):
+                    for b, ib in enumerate(pair):
+                        if kp == ia and lp == ib:
+                            h += hessians[j, a, b]
 
     ce = eval_constraint(lambdas, table[np.subtract(free, 1), ORI])
     for k in range(len(free)):

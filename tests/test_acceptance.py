@@ -218,7 +218,7 @@ def test_criterion_09_robustness_accounting():
         report = solve(graph)
         assert report.reason in ("grad_tol", "step_tol", "max_iters", "diverged")
         reasons.append(report.reason)
-    converged = sum(r in ("grad_tol", "step_tol") for r in reasons)
+    converged = reasons.count("grad_tol")
     assert converged >= 17, f"only {converged}/20 converged: {reasons}"
 
     # a configuration known to diverge must say so rather than hang or crash
@@ -227,9 +227,8 @@ def test_criterion_09_robustness_accounting():
     assert report.reason == "diverged"
     assert not report.converged
     print(
-        f"criterion 9 PASS: {converged}/20 seeds converged "
-        f"({reasons.count('grad_tol')} grad_tol, {reasons.count('step_tol')} "
-        f"step_tol); known-divergent run exits 'diverged'"
+        f"criterion 9 PASS: {converged}/20 seeds reach grad_tol "
+        f"({reasons.count('step_tol')} step_tol); known-divergent run exits 'diverged'"
     )
 
 

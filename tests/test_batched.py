@@ -10,7 +10,9 @@ names it.  A stack of S = 3 states must give the merits of the three
 single-state calls byte for byte, each the L + mu l1 of the system
 assembled at that state, and each kernel's values must be those of
 single calls.  A permuted state order must permute the state and the
-system, bitwise.
+system, bitwise.  record_blocks must give each record's gradients and
+Hessian blocks as the loop sums them, byte for byte, and neither it nor
+assemble may change the record_terms result they read.
 """
 
 import dataclasses
@@ -20,12 +22,15 @@ import numpy as np
 import pytest
 from conftest import at_state, random_graph, state_of
 
+import ovsam.assembly as assembly_module
 from ovsam.assembly import (
     ActiveMask,
     assemble,
     measurement_tables,
     merit,
     pack_state,
+    record_blocks,
+    record_terms,
     unpack_state,
 )
 from ovsam.costs import (
@@ -147,6 +152,58 @@ def test_init_lambdas_match_the_loop_with_nondefault_anchor():
     graph = random_graph(rng, n_poses=6, n_homing=6, unit_orientations=True).with_fixed(3)
     for cfg in CFGS:
         assert _same(assemble(graph, cfg).lambdas, ref.init_lambdas(graph, cfg))
+
+
+def _block_graphs():
+    """Simulated 3x6 seed 3, it anchored at pose 7, simulated 2x8 seed 5,
+    and a random graph with and without its homing records."""
+    rng = np.random.default_rng(44)
+    sim, _ = simulate(SimConfig(lanes=3, points_per_lane=6, seed=3))
+    other, _ = simulate(SimConfig(lanes=2, points_per_lane=8, seed=5))
+    rand = random_graph(rng, n_poses=7, n_homing=8)
+    return [sim, sim.with_fixed(7), other, rand, FactorGraph(rand.poses, rand.odometry, ())]
+
+
+@pytest.mark.parametrize("cfg", CFGS, ids=["t1=1", "t1=0", "second"])
+@pytest.mark.parametrize("use_distance", [False, True], ids=["plain", "distance"])
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 0.8])
+def test_record_blocks_are_the_loop_sums(cfg, use_distance, threshold):
+    # rows (i1, i2), grads [grad1, grad2] and hessians [[h11, h12], [h21, h22]]
+    for graph in _block_graphs():
+        table = graph.pose_table()
+        active = compute_active_mask(graph, threshold, use_distance, table)
+        tables = measurement_tables(graph, cfg, use_distance)
+        terms = record_terms(tables, table, cfg, active, use_distance)
+        rows, grads, hessians = record_blocks(tables, terms)
+        want = ref._measurement_blocks(graph, table, cfg, active, use_distance)
+        assert np.array_equal(rows, [(i1 - 1, i2 - 1) for i1, i2, _ in want])
+        assert _same(grads, [[ev.grad1, ev.grad2] for _, _, ev in want])
+        assert _same(hessians, [[[ev.h11, ev.h12], [ev.h21, ev.h22]] for _, _, ev in want])
+
+
+def _term_bytes(terms):
+    odometry, d, homing, h = terms
+    fields = [getattr(ev, f.name) for ev in (*odometry, *homing) for f in dataclasses.fields(ev)]
+    return [a.tobytes() for a in (*fields, d, h)]
+
+
+@pytest.mark.parametrize("cfg", CFGS, ids=["t1=1", "t1=0", "second"])
+def test_record_blocks_and_assemble_leave_the_terms_unchanged(cfg, monkeypatch):
+    graph, _ = simulate(SimConfig(lanes=3, points_per_lane=6, seed=3))
+    active = compute_active_mask(graph, 0.5, True)
+    seen = []
+
+    def kept(*args, **kwargs):
+        terms = record_terms(*args, **kwargs)
+        seen.append((terms, _term_bytes(terms)))
+        return terms
+
+    monkeypatch.setattr(assembly_module, "record_terms", kept)
+    assemble(graph, cfg, active, None, True)
+    ((terms, before),) = seen
+    assert _term_bytes(terms) == before
+    record_blocks(measurement_tables(graph, cfg, True), terms)
+    assert _term_bytes(terms) == before
 
 
 def _degenerate_graph(x2, u1, u2):

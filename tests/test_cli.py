@@ -301,6 +301,19 @@ def test_solve_iteration_limit_exit(tmp_path, capsys):
     assert "iteration limit" in capsys.readouterr().err
 
 
+def test_solve_step_tol_exit(tmp_path, capsys):
+    # a step below step_tol with |g| above grad_tol is a stall, not convergence
+    rng = np.random.default_rng(3)
+    graph = random_graph(rng, n_poses=6, n_homing=4, unit_orientations=True)
+    path = _write_graph(tmp_path, graph)
+    flags = ["--grad-tol", "1e-300", "--step-tol", "10"]
+    code = main(["solve", path, *flags, "--out", str(tmp_path / "s")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("termination: step_tol after 4 iterations\n")
+    assert captured.err == "last step fell below step_tol with |g| above grad_tol\n"
+
+
 def test_solve_restarts_from_a_non_converged_output(tmp_path, capsys):
     # after --max-iters 3 the summary names iteration 3, the last assembled
     # iterate, and says solved.txt holds the state after its step; that

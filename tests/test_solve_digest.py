@@ -1,6 +1,7 @@
 """tools/solve_digest.py: the bitwise gate as one command."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import math
 import os
@@ -45,6 +46,18 @@ def test_against_reports_each_label_that_differs(tmp_path):
     assert again.returncode == 0, again.stderr
     assert again.stdout == run.stdout
     assert again.stderr == ""
+
+
+def test_saved_baseline_holds_each_label_once_and_their_total():
+    # tools/solve_digest.txt is a whole run's output: 106 labels, then the
+    # sha256 of the lines above it
+    lines = (ROOT / "tools" / "solve_digest.txt").read_text(encoding="utf-8").splitlines()
+    pairs = [line.split() for line in lines[:-1]]
+    labels = [label for label, _ in pairs]
+    assert len(labels) == len(set(labels)) == 106
+    assert all(len(d) == 64 and int(d, 16) >= 0 for _, d in pairs)
+    total = hashlib.sha256("".join(line + "\n" for line in lines[:-1]).encode())
+    assert lines[-1] == f"all {total.hexdigest()}"
 
 
 def _load_tool():

@@ -593,7 +593,7 @@ def test_step_tol_termination():
     graph.pose(2).x += [0.05, -0.02]
     report = solve(graph, SolverConfig(grad_tol=1e-300, step_tol=10.0))
     assert report.reason == "step_tol"
-    assert report.converged
+    assert not report.converged
     assert report.iterations == 2
 
 

@@ -16,6 +16,16 @@ earlier run: each label whose digest differs from FILE's, or that only
 one of the two holds, is printed to stderr, and the exit status is 1 if
 there is any.  Labels outside --only are not compared.
 
+tools/solve_digest.txt is the saved output of the current trajectories,
+made with Python 3.11.7, numpy 2.4.6, scipy 1.17.1 and one BLAS thread:
+
+    python3 tools/solve_digest.py --against tools/solve_digest.txt
+
+exits 0 when a change leaves every solve bitwise alike.  On a host whose
+BLAS or libm differs, compare two checkouts' runs instead.  A change
+that moves trajectories on purpose rewrites the file with its output,
+so the diff names the labels that moved.
+
 The set:
   * the graphs of the three benchmark workloads (perfbench.bench.make_inputs),
     loaded from their text and solved with the workload's SolverConfig;
