@@ -20,16 +20,20 @@ distance term, rotation; then active homing in list order: home vector,
 compass), and L and sum |l_i| add the per-pose terms in pose-row order,
 for assemble and merit alike (_totals); assembly sums each record's
 terms in order into its pose pair's gradients and 2 x 2 Hessian blocks
-(record_blocks, which writes nothing it reads), scatters those record
-by record to the free-pose blocks they touch, then adds the per-pose
-constraint terms.  The result is a block-sparse symmetric system whose
+(record_blocks, which writes nothing it reads), scatters those in
+record order by np.bincount into the fixed slots of a ScatterPlan, then
+adds the per-pose constraint terms.  Which blocks exist depends only on
+the active homing records, so one plan serves every assembly under the
+same mask.  The result is a block-sparse symmetric system whose
 lambda-lambda diagonal entries are exactly zero (a bordered saddle
-system).  Given no multipliers, assembly estimates them from the cost
+system); each regularized matrix H + R is H with R added on its
+diagonal.  Given no multipliers, assembly estimates them from the cost
 gradient it has just scattered, lambda_i = -u_i^T g_i; this estimate is
 the solver's start.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -171,20 +175,86 @@ def unpack_state(tables, table, vec):
     return out, blocks[..., 4]
 
 
+class ScatterPlan:
+    """Where assembly scatters the records under one set of active homing rows.
+
+    The records are the odometry records and the active homing records
+    hrows, in list order (record_blocks).  Each record's pose rows give
+    its slot pair, its state ranks with the anchor mapped to the
+    discarded slot n.  keys (B, 2) holds the sorted (rank, rank) pairs
+    of the stored 5x5 blocks, those of pairs sharing a record plus the
+    diagonal, and diag (n,) the index in keys of each pose's diagonal
+    block.  grad_bins and hess_bins are the np.bincount targets of
+    record_blocks' grads and hessians, raveled: flat positions in a
+    (n + 1, 5) gradient and in (B + 1, 5, 5) blocks, the last slot and
+    the last block taking what falls on the anchor.  The plan depends
+    only on tables and hrows, so a solve builds one per mask change.
+    """
+
+    def __init__(self, tables, hrows):
+        self.tables = tables
+        self.hrows = hrows
+        n = self.n = len(tables.free)
+        ranks = tables.rank[_record_rows(tables, hrows)]
+        slots = np.where(ranks < 0, n, ranks)
+        self.grad_bins = (5 * slots[..., None] + np.arange(4)).ravel()
+
+        # Block keys k * n + l; key n * n (sorting last) is discarded.
+        k, l = slots[:, :, None], slots[:, None, :]
+        key = np.where((k < n) & (l < n), k * n + l, n * n).ravel()
+        keys, where = np.unique(np.concatenate((key, np.arange(n) * (n + 1))), return_inverse=True)
+        nb = np.searchsorted(keys, n * n)
+        self.keys = np.column_stack(np.divmod(keys[:nb], n))
+        self.diag = where[len(key) :]
+        entry = 5 * np.arange(4)[:, None] + np.arange(4)
+        self.hess_bins = (25 * where[: len(key)].reshape(-1, 2, 2, 1, 1) + entry).ravel()
+
+    def serves(self, tables, hrows):
+        """Whether the plan is the one for these tables and active homing rows."""
+        return tables is self.tables and np.array_equal(hrows, self.hrows)
+
+    @cached_property
+    def csc(self):
+        """(order, indices, indptr, diagonal) of the stored entries in CSC order.
+
+        order lists the flat positions in the (B, 5, 5) blocks by column,
+        then row; indices and indptr are the CSC row indices and column
+        pointers of all of them, and diagonal gives the position in order
+        of each true diagonal entry, in state order.  Built on the first
+        sparse rung only: dense solves never need it.
+        """
+        i, j = np.divmod(np.arange(25), 5)
+        rows = (5 * self.keys[:, :1] + i).ravel()
+        cols = (5 * self.keys[:, 1:] + j).ravel()
+        order = np.argsort(cols * (5 * self.n) + rows)
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        diagonal = position[(25 * self.diag[:, None] + 6 * np.arange(5)).ravel()]
+        # SuperLU takes C int indices
+        indptr = np.searchsorted(cols[order], np.arange(5 * self.n + 1)).astype(np.intc)
+        return order, rows[order].astype(np.intc), indptr, diagonal
+
+
 class SparseSymmetricSystem:
     """Block-sparse bordered Hessian H, gradient g, and the F, L and sum |l_i| values.
 
     H is stored as 5x5 blocks, data[b] at block row/column keys[b] in
-    state ranks (MeasurementTables.rank); only pairs sharing an active
-    measurement (plus the diagonal) have a block, all 25 entries stored.
-    Row/column order within a block is [x (2), u (2), lambda].  to_dense
-    and to_csc build H + R from the blocks on every call, where R adds
-    diag(eta_w, eta_w, eta_w, eta_w, -eta_a) to each diagonal block.
+    state ranks (MeasurementTables.rank), the plan's keys; only pairs
+    sharing an active measurement (plus the diagonal) have a block, all
+    25 entries stored.  Row/column order within a block is
+    [x (2), u (2), lambda].  Each rung's H + R, where R adds
+    diag(eta_w, eta_w, eta_w, eta_w, -eta_a) to each diagonal block, is
+    H plus R on its true diagonal: to_dense copies the dense H, built
+    from the blocks on its first call, and to_csc gathers the blocks in
+    the plan's CSC order.  That equals adding R to the whole blocks,
+    entry for entry: the block sums start at +0.0, so no entry is -0.0
+    and adding 0.0 off the diagonal changes none.
     """
 
-    def __init__(self, dim, keys, data, g, F, L, l1, l_values, lambdas):
-        self.dim = dim
-        self.keys = keys
+    def __init__(self, plan, data, g, F, L, l1, l_values, lambdas):
+        self.plan = plan
+        self.dim = 5 * plan.n
+        self.keys = plan.keys
         self.data = data
         self.g = g
         self.F = F
@@ -192,6 +262,7 @@ class SparseSymmetricSystem:
         self.l1 = l1  # sum |l_i|
         self.l_values = l_values
         self.lambdas = lambdas  # the multipliers it was assembled with
+        self._dense = None
 
     @property
     def blocks(self):
@@ -201,26 +272,32 @@ class SparseSymmetricSystem:
     def max_constraint(self):
         return float(np.max(np.abs(self.l_values))) if self.l_values.size else 0.0
 
-    def _regularized(self, eta_w, eta_a):
-        """The blocks of H + R."""
-        data = self.data.copy()
-        data[self.keys[:, 0] == self.keys[:, 1]] += np.diag([eta_w, eta_w, eta_w, eta_w, -eta_a])
-        return data
+    def _diagonal(self, eta_w, eta_a):
+        return np.tile([eta_w, eta_w, eta_w, eta_w, -eta_a], self.plan.n)
 
     def to_dense(self, eta_w=0.0, eta_a=0.0):
-        n = self.dim // 5
-        H = np.zeros((n, 5, n, 5))
-        H[self.keys[:, 0], :, self.keys[:, 1], :] = self._regularized(eta_w, eta_a)
-        return H.reshape(self.dim, self.dim)
+        """H + R as a new dense array."""
+        if self._dense is None:
+            n = self.plan.n
+            H = np.zeros((n, 5, n, 5))
+            H[self.keys[:, 0], :, self.keys[:, 1], :] = self.data
+            self._dense = H.reshape(self.dim, self.dim)
+        H = self._dense.copy()
+        H.ravel()[:: self.dim + 1] += self._diagonal(eta_w, eta_a)
+        return H
 
     def to_csc(self, eta_w=0.0, eta_a=0.0):
         """H + R in CSC form, holding only its nonzero entries."""
         from scipy import sparse as sp  # only the sparse solve path needs it
 
-        data = self._regularized(eta_w, eta_a)
-        b, i, j = np.nonzero(data)
-        rows, cols = 5 * self.keys[b, 0] + i, 5 * self.keys[b, 1] + j
-        return sp.csc_matrix((data[b, i, j], (rows, cols)), shape=(self.dim, self.dim))
+        order, indices, indptr, diagonal = self.plan.csc
+        values = self.data.ravel()[order]
+        values[diagonal] += self._diagonal(eta_w, eta_a)
+        kept = np.flatnonzero(values != 0.0)  # as np.nonzero: drops either zero, keeps NaN
+        return sp.csc_matrix(
+            (values[kept], indices[kept], np.searchsorted(kept, indptr).astype(np.intc)),
+            shape=(self.dim, self.dim),
+        )
 
 
 def _running_sum(values):
@@ -297,6 +374,13 @@ def record_terms(tables, table, cfg, active, use_distance_error, derivs=True):
     return odometry, d, homing, h
 
 
+def _record_rows(tables, hrows):
+    """(K, 2) pose rows (i1, i2) of the odometry records, then the homing records hrows."""
+    i1 = np.concatenate((tables.odo_i1, tables.hom_i1[hrows]))
+    i2 = np.concatenate((tables.odo_i2, tables.hom_i2[hrows]))
+    return np.column_stack((i1, i2))
+
+
 def record_blocks(tables, terms):
     """(rows, grads, hessians) of the active records, each record's terms summed in order.
 
@@ -308,9 +392,7 @@ def record_blocks(tables, terms):
     """
     odometry, d, homing, h = terms
     m = len(tables.odo_i1)
-    i1 = np.concatenate((tables.odo_i1, tables.hom_i1[h]))
-    i2 = np.concatenate((tables.odo_i2, tables.hom_i2[h]))
-    rows = np.column_stack((i1, i2))
+    rows = _record_rows(tables, h)
     grads = np.empty((len(rows), 2, 4))
     hessians = np.empty((len(rows), 2, 2, 4, 4))
     outs = grads[:, 0], grads[:, 1], hessians[:, 0, 0], hessians[:, 0, 1], hessians[:, 1, 1]
@@ -362,7 +444,14 @@ def _defaults(graph, cfg, active, table, tables, use_distance_error=False):
 
 
 def assemble(
-    graph, cfg, active=None, lambdas=None, use_distance_error=False, table=None, tables=None
+    graph,
+    cfg,
+    active=None,
+    lambdas=None,
+    use_distance_error=False,
+    table=None,
+    tables=None,
+    plan=None,
 ):
     """Assemble gradient, bordered Hessian, and the F, L and sum |l_i| values.
 
@@ -372,47 +461,41 @@ def assemble(
     first-order estimate lambda_i = -u_i^T g_i, g_i the cost gradient
     (constraints excluded) with respect to u_i; it is the least-squares
     multiplier only where u_i is unit.  The records' blocks
-    (record_blocks) scatter from their (K, 2) slot pairs.  The system
-    carries the multipliers it was built with (lambdas), and F, L and l1
-    as merit sums them, from record_terms' values as they are.
+    (record_blocks) scatter by np.bincount into the slots of plan, a
+    ScatterPlan, when it serves tables and the active homing rows;
+    otherwise into those of a new one.  The system carries its plan, the
+    multipliers it was built with (lambdas), and F, L and l1 as merit
+    sums them, from record_terms' values as they are.
     """
     active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
-    n = len(tables.free)
     terms = record_terms(tables, table, cfg, active, use_distance_error)
     values = [t.value for t in terms[0]], terms[1], [t.value for t in terms[2]]
-    rows, grads, hessians = record_blocks(tables, terms)
+    if plan is None or not plan.serves(tables, terms[3]):
+        plan = ScatterPlan(tables, terms[3])
+    n = plan.n
+    _, grads, hessians = record_blocks(tables, terms)
 
-    # Contributions to the anchor's rows go to the discarded slot n.
-    ranks = tables.rank[rows]
-    slots = np.where(ranks < 0, n, ranks)
-    G = np.zeros((n + 1, 5))
-    np.add.at(G[:, :4], slots.ravel(), grads.reshape(-1, 4))
-
-    # Each record's blocks [[h11, h12], [h21, h22]] at its slot pairs,
-    # keyed k * n + l; key n * n (sorting last) is discarded.  A record's
-    # four keys differ (i1 != i2), so one add.at in record order keeps
-    # every block's sum in record order.
-    k, l = slots[:, :, None], slots[:, None, :]
-    key = np.where((k < n) & (l < n), k * n + l, n * n).ravel()
-    diag = np.arange(n) * (n + 1)
-    keys, where = np.unique(np.concatenate((key, diag)), return_inverse=True)
-    data = np.zeros((len(keys), 5, 5))
-    np.add.at(data[:, :4, :4], where[: len(key)], hessians.reshape(-1, 4, 4))
+    # np.bincount adds each bin's weights in input order, from 0.0: every
+    # sum runs in record order (a record's four block keys differ, as
+    # i1 != i2).  Empty input gives ints, hence the cast.
+    G = np.bincount(plan.grad_bins, grads.ravel(), 5 * (n + 1)).astype(float, copy=False)
+    G = G.reshape(n + 1, 5)
+    size = 25 * (len(plan.keys) + 1)
+    data = np.bincount(plan.hess_bins, hessians.ravel(), size).astype(float, copy=False)
+    data = data.reshape(-1, 5, 5)
 
     u = table[tables.free, ORI]
     lambdas = -rowdot(u, G[:n, ORI]) if lambdas is None else np.asarray(lambdas, dtype=float)
     ce = eval_constraint(lambdas, u)
     G[:n, 2:4] += ce.grad_u
     G[:n, 4] += ce.grad_lambda
-    d = where[len(key) :]
+    d = plan.diag
     data[d, 2:4, 2:4] += ce.h_uu
     data[d, 2:4, 4] += ce.h_ulambda
     data[d, 4, 2:4] += ce.h_ulambda
 
-    nb = np.searchsorted(keys, n * n)
-    keys = np.column_stack(np.divmod(keys[:nb], n))
     F, L, l1 = map(float, _totals(tables, ce.l, lambdas, *values))
-    return SparseSymmetricSystem(5 * n, keys, data[:nb], G[:n].ravel(), F, L, l1, ce.l, lambdas)
+    return SparseSymmetricSystem(plan, data[:-1], G[:n].ravel(), F, L, l1, ce.l, lambdas)
 
 
 def merit(

@@ -6,8 +6,11 @@ from numbers import Integral, Real
 
 
 def is_integer(value):
-    """Whether value is an integer (numpy integers included) and not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+    """Whether value is an integer (numpy integers included) and not a bool.
+
+    A plain int is answered first: the ABC check against Integral is slow.
+    """
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
 class Settings:

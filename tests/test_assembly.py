@@ -6,11 +6,12 @@ import pytest
 from conftest import at_state, consistent_graph, random_graph, state_of
 from dense_assembly import assemble_dense
 
-from ovsam.assembly import ActiveMask, assemble, merit
+from ovsam.assembly import ActiveMask, assemble, measurement_tables, merit
 from ovsam.costs import RotCostConfig
 from ovsam.errors import DegenerateVectorError
 from ovsam.findiff import fd_gradient, fd_jacobian
 from ovsam.graph import FactorGraph, HomingMeasurement, OdometryMeasurement, Pose
+from ovsam.orvec import from_angle
 from ovsam.sim import SimConfig, simulate
 from ovsam.solver import LADDER
 
@@ -135,14 +136,77 @@ def test_table_evaluation_equals_graph_evaluation():
             )
 
 
+def _sim_system(sim, start):
+    """The system at the start's multiplier estimate of the simulated graph:
+    "odometry" as simulated, "truth" at the true poses, "masked" with
+    homing record 1 masked out."""
+    graph, truth = simulate(sim)
+    active = ActiveMask.all_active(graph)
+    if start == "truth":
+        poses = [Pose(t[:2], from_angle(t[2])) for t in truth.poses]
+        graph = FactorGraph(poses, graph.odometry, graph.homing, graph.fixed_id)
+    elif start == "masked":
+        active.homing[0] = False
+    system = assemble(graph, RotCostConfig(), active)
+    if start == "truth":
+        # from_angle(0) gives u = (1, 0) exactly: the pose blocks hold exact zeros
+        assert np.any(system.data[:, :4, :4] == 0.0)
+    if start == "masked":
+        # the dropped record's pose pair shares no other record
+        assert len(system.keys) < len(assemble(graph, RotCostConfig()).keys)
+    return system
+
+
 def test_csc_matches_dense_on_every_rung():
     rng = np.random.default_rng(6)
     graph, lambdas = _perturbed(rng)
-    system = assemble(graph, RotCostConfig(), lambdas=lambdas)
-    for rung in LADDER:
-        C = system.to_csc(*rung)
-        assert np.array_equal(C.toarray(), system.to_dense(*rung))
-        assert np.all(C.data != 0.0)
+    systems = [assemble(graph, RotCostConfig(), lambdas=lambdas)]
+    systems += [_sim_system(SimConfig(), start) for start in ("truth", "masked")]
+    for system in systems:
+        for rung in LADDER:
+            C = system.to_csc(*rung)
+            assert np.array_equal(C.toarray(), system.to_dense(*rung))
+            assert np.all(C.data != 0.0)
+
+
+@pytest.mark.parametrize("use_distance", [False, True])
+def test_assemble_with_a_prebuilt_plan_equals_assemble_without(use_distance):
+    # a plan built at one state serves every state with the same active
+    # homing rows and tables; for other rows or tables assemble builds its own
+    graph, _ = simulate(SimConfig(lanes=3, points_per_lane=6, seed=3))
+    graph = graph.with_fixed(7)
+    cfg = RotCostConfig()
+    tables = measurement_tables(graph, cfg, use_distance)
+    rng = np.random.default_rng(15)
+    start = graph.pose_table()
+    moved = start + rng.normal(0.0, 0.05, start.shape)
+    lambdas = rng.normal(size=len(graph) - 1)
+    everything = ActiveMask.all_active(graph)
+    masked = ActiveMask.all_active(graph)
+    masked.homing[::3] = False
+    masked.distance[1::2] = False
+
+    def same(got, want):
+        for name in ("keys", "data", "g"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert np.array([got.F, got.L, got.l1]).tobytes() == (
+            np.array([want.F, want.L, want.l1]).tobytes()
+        )
+
+    for active in (everything, masked):
+        plan = assemble(graph, cfg, active, None, use_distance, start, tables).plan
+        for table in (start, moved):
+            for lams in (None, lambdas):
+                got = assemble(graph, cfg, active, lams, use_distance, table, tables, plan)
+                assert got.plan is plan
+                same(got, assemble(graph, cfg, active, lams, use_distance, table, tables))
+    other_rows = assemble(graph, cfg, everything, None, use_distance, start, tables).plan
+    other_tables = assemble(graph, cfg, masked, None, use_distance, start).plan
+    for plan in (other_rows, other_tables):
+        got = assemble(graph, cfg, masked, lambdas, use_distance, moved, tables, plan)
+        assert got.plan is not plan
+        same(got, assemble(graph, cfg, masked, lambdas, use_distance, moved, tables))
 
 
 def test_regularization_adds_positive_pose_and_negative_multiplier_entries():
@@ -153,7 +217,7 @@ def test_regularization_adds_positive_pose_and_negative_multiplier_entries():
     H = system.to_dense()
     for w, a in ((1.0, 0.0), (0.0, 2.0), (1e-6, 1e6)):
         assert np.array_equal(system.to_dense(w, a), H + np.diag(np.tile([w, w, w, w, -a], n)))
-    # every call builds a fresh matrix from the unchanged blocks
+    # every call returns a fresh matrix: no rung changes the next one's
     assert np.array_equal(system.to_dense(), H) and system.to_dense() is not H
 
 
@@ -168,14 +232,20 @@ def _block_csr(system):
     return coo.tocsr()
 
 
-@pytest.mark.parametrize("lanes, points_per_lane, seed", [(3, 10, 0), (6, 20, 1)])
-def test_csc_equals_the_block_matrix_plus_diagonal_array_for_array(lanes, points_per_lane, seed):
+@pytest.mark.parametrize(
+    "lanes, points_per_lane, seed, start",
+    [(3, 10, 0, "odometry"), (6, 20, 1, "odometry"), (3, 10, 0, "truth"), (6, 20, 1, "masked")],
+    ids=["3-10-0", "6-20-1", "truth", "masked"],
+)
+def test_csc_equals_the_block_matrix_plus_diagonal_array_for_array(
+    lanes, points_per_lane, seed, start
+):
     # the regularized rungs equal CSR(blocks) + diags(R) converted to CSC;
     # rung 0 is that matrix with its stored zeros dropped
     from scipy.sparse import diags
 
-    graph, _ = simulate(SimConfig(lanes=lanes, points_per_lane=points_per_lane, seed=seed))
-    system = assemble(graph, RotCostConfig())  # at the start's multiplier estimate
+    sim = SimConfig(lanes=lanes, points_per_lane=points_per_lane, seed=seed)
+    system = _sim_system(sim, start)
     H = _block_csr(system)
     for w, a in LADDER:
         if (w, a) == (0.0, 0.0):

@@ -784,6 +784,38 @@ def test_one_derivative_pass_per_iteration(monkeypatch):
     assert (report.reason, report.iterations, len(calls)) == ("max_iters", 10, 10)
 
 
+def test_solve_builds_one_plan_per_change_of_the_homing_rows(monkeypatch):
+    # the start's plan, then one for each iteration whose active homing rows
+    # differ from the previous iteration's: the default scenario's mask moves
+    # four times, the 10x30 map from the truth keeps one mask throughout
+    built, masks = [], []
+
+    class Counted(assembly_module.ScatterPlan):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    compute = solver_module.compute_active_mask
+
+    def recorded(*args, **kwargs):
+        mask = compute(*args, **kwargs)
+        masks.append(mask.homing)
+        return mask
+
+    monkeypatch.setattr(assembly_module, "ScatterPlan", Counted)
+    monkeypatch.setattr(solver_module, "compute_active_mask", recorded)
+    for graph, cfg, changes in (
+        (simulate(SimConfig())[0], SolverConfig(), 4),
+        (_truth_start(SimConfig(lanes=10, points_per_lane=30)), SolverConfig(max_iters=40), 0),
+    ):
+        built.clear()
+        masks.clear()
+        report = solve(graph, cfg)
+        assert report.reason == "grad_tol" and len(masks) == report.iterations
+        moved = sum(not np.array_equal(a, b) for a, b in zip(masks, masks[1:]))
+        assert (moved, len(built)) == (changes, 1 + changes)
+
+
 def test_compute_active_mask_threshold():
     poses = [
         Pose([0.0, 0.0], [1.0, 0.0]),
