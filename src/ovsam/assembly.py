@@ -21,15 +21,16 @@ compass), and L and sum |l_i| add the per-pose terms in pose-row order,
 for assemble and merit alike (_totals); assembly sums each record's
 terms in order into its pose pair's gradients and 2 x 2 Hessian blocks
 (record_blocks, which writes nothing it reads), scatters those in
-record order by np.bincount into the fixed slots of a ScatterPlan, then
-adds the per-pose constraint terms.  Which blocks exist depends only on
-the active homing records, so one plan serves every assembly under the
-same mask.  The result is a block-sparse symmetric system whose
-lambda-lambda diagonal entries are exactly zero (a bordered saddle
-system); each regularized matrix H + R is H with R added on its
-diagonal.  Given no multipliers, assembly estimates them from the cost
-gradient it has just scattered, lambda_i = -u_i^T g_i; this estimate is
-the solver's start.
+record order by np.bincount into the fixed slots of tables.plan, then
+adds the per-pose constraint terms.  A measurement couples only its
+pose pair, so the graph fixes which blocks exist: the plan covers every
+record, and the homing mask only decides which are evaluated (a masked
+record's rows are +0.0, which changes no sum).  The result is a
+block-sparse symmetric system whose lambda-lambda diagonal entries are
+exactly zero (a bordered saddle system); each regularized matrix H + R
+is H with R added on its diagonal.  Given no multipliers, assembly
+estimates them from the cost gradient it has just scattered,
+lambda_i = -u_i^T g_i; this estimate is the solver's start.
 """
 
 from dataclasses import dataclass
@@ -100,6 +101,11 @@ class MeasurementTables:
     Psi: np.ndarray
     w_home: np.ndarray
     w_compass: np.ndarray
+
+    @cached_property
+    def plan(self):
+        """The ScatterPlan of these tables, built on first use."""
+        return ScatterPlan(self)
 
 
 def _weights(group, cols, name, gamma=None):
@@ -176,26 +182,25 @@ def unpack_state(tables, table, vec):
 
 
 class ScatterPlan:
-    """Where assembly scatters the records under one set of active homing rows.
+    """Where assembly scatters the records of one MeasurementTables (tables.plan).
 
-    The records are the odometry records and the active homing records
-    hrows, in list order (record_blocks).  Each record's pose rows give
-    its slot pair, its state ranks with the anchor mapped to the
+    The records are every odometry record, then every homing record, in
+    list order (record_blocks), masked or not.  Each record's pose rows
+    give its slot pair, its state ranks with the anchor mapped to the
     discarded slot n.  keys (B, 2) holds the sorted (rank, rank) pairs
     of the stored 5x5 blocks, those of pairs sharing a record plus the
     diagonal, and diag (n,) the index in keys of each pose's diagonal
     block.  grad_bins and hess_bins are the np.bincount targets of
     record_blocks' grads and hessians, raveled: flat positions in a
     (n + 1, 5) gradient and in (B + 1, 5, 5) blocks, the last slot and
-    the last block taking what falls on the anchor.  The plan depends
-    only on tables and hrows, so a solve builds one per mask change.
+    the last block taking what falls on the anchor.
     """
 
-    def __init__(self, tables, hrows):
-        self.tables = tables
-        self.hrows = hrows
+    def __init__(self, tables):
         n = self.n = len(tables.free)
-        ranks = tables.rank[_record_rows(tables, hrows)]
+        i1 = np.concatenate((tables.odo_i1, tables.hom_i1))
+        i2 = np.concatenate((tables.odo_i2, tables.hom_i2))
+        ranks = tables.rank[np.column_stack((i1, i2))]
         slots = np.where(ranks < 0, n, ranks)
         self.grad_bins = (5 * slots[..., None] + np.arange(4)).ravel()
 
@@ -209,25 +214,24 @@ class ScatterPlan:
         entry = 5 * np.arange(4)[:, None] + np.arange(4)
         self.hess_bins = (25 * where[: len(key)].reshape(-1, 2, 2, 1, 1) + entry).ravel()
 
-    def serves(self, tables, hrows):
-        """Whether the plan is the one for these tables and active homing rows."""
-        return tables is self.tables and np.array_equal(hrows, self.hrows)
-
     @cached_property
     def csc(self):
-        """(order, indices, indptr, diagonal) of the stored entries in CSC order.
+        """(order, indices, indptr, diagonal) of the structural entries in CSC order.
 
-        order lists the flat positions in the (B, 5, 5) blocks by column,
-        then row; indices and indptr are the CSC row indices and column
-        pointers of all of them, and diagonal gives the position in order
-        of each true diagonal entry, in state order.  Built on the first
+        Those are all of a diagonal block and the 4 x 4 pose part of an
+        off-diagonal one, whose multiplier row and column nothing writes.
+        order lists their flat positions in the (B, 5, 5) blocks by
+        column, then row; indices and indptr are their CSC row indices
+        and column pointers, and diagonal gives the position in order of
+        each true diagonal entry, in state order.  Built on the first
         sparse rung only: dense solves never need it.
         """
         i, j = np.divmod(np.arange(25), 5)
         rows = (5 * self.keys[:, :1] + i).ravel()
         cols = (5 * self.keys[:, 1:] + j).ravel()
-        order = np.argsort(cols * (5 * self.n) + rows)
-        position = np.empty_like(order)
+        stored = np.flatnonzero((self.keys[:, :1] == self.keys[:, 1:]) | ((i < 4) & (j < 4)))
+        order = stored[np.argsort(cols[stored] * (5 * self.n) + rows[stored])]
+        position = np.empty_like(rows)
         position[order] = np.arange(len(order))
         diagonal = position[(25 * self.diag[:, None] + 6 * np.arange(5)).ravel()]
         # SuperLU takes C int indices
@@ -239,16 +243,16 @@ class SparseSymmetricSystem:
     """Block-sparse bordered Hessian H, gradient g, and the F, L and sum |l_i| values.
 
     H is stored as 5x5 blocks, data[b] at block row/column keys[b] in
-    state ranks (MeasurementTables.rank), the plan's keys; only pairs
-    sharing an active measurement (plus the diagonal) have a block, all
-    25 entries stored.  Row/column order within a block is
+    state ranks (MeasurementTables.rank), the plan's keys: the diagonal
+    and each pair sharing a record, all 25 entries stored, +0.0 where
+    only masked records touch.  Row/column order within a block is
     [x (2), u (2), lambda].  Each rung's H + R, where R adds
     diag(eta_w, eta_w, eta_w, eta_w, -eta_a) to each diagonal block, is
     H plus R on its true diagonal: to_dense copies the dense H, built
-    from the blocks on its first call, and to_csc gathers the blocks in
-    the plan's CSC order.  That equals adding R to the whole blocks,
-    entry for entry: the block sums start at +0.0, so no entry is -0.0
-    and adding 0.0 off the diagonal changes none.
+    from the blocks on its first call, and to_csc gathers the plan's
+    structural entries in CSC order.  That equals adding R to the whole
+    blocks, entry for entry: the block sums start at +0.0, so no entry
+    is -0.0 and adding 0.0 off the diagonal changes none.
     """
 
     def __init__(self, plan, data, g, F, L, l1, l_values, lambdas):
@@ -374,27 +378,21 @@ def record_terms(tables, table, cfg, active, use_distance_error, derivs=True):
     return odometry, d, homing, h
 
 
-def _record_rows(tables, hrows):
-    """(K, 2) pose rows (i1, i2) of the odometry records, then the homing records hrows."""
-    i1 = np.concatenate((tables.odo_i1, tables.hom_i1[hrows]))
-    i2 = np.concatenate((tables.odo_i2, tables.hom_i2[hrows]))
-    return np.column_stack((i1, i2))
-
-
 def record_blocks(tables, terms):
-    """(rows, grads, hessians) of the active records, each record's terms summed in order.
+    """(grads, hessians) of every record, each active record's terms summed in order.
 
     terms is record_terms' result, which is only read.  Records are
-    odometry then active homing, in list order: rows (K, 2) holds each
-    record's 0-based pose rows (i1, i2), grads (K, 2, 4) its gradients
-    [grad1, grad2] and hessians (K, 2, 2, 4, 4) its Hessian blocks
-    [[h11, h12], [h21, h22]].
+    odometry then homing, in list order, masked homing records included:
+    grads (K, 2, 4) holds each record's gradients [grad1, grad2] and
+    hessians (K, 2, 2, 4, 4) its Hessian blocks [[h11, h12], [h21, h22]].
+    A masked record's rows are +0.0.
     """
     odometry, d, homing, h = terms
     m = len(tables.odo_i1)
-    rows = _record_rows(tables, h)
-    grads = np.empty((len(rows), 2, 4))
-    hessians = np.empty((len(rows), 2, 2, 4, 4))
+    k = m + len(tables.hom_i1)
+    grads = np.empty((k, 2, 4))
+    hessians = np.empty((k, 2, 2, 4, 4))
+    masked = np.delete(np.arange(m, k), h)
     outs = grads[:, 0], grads[:, 1], hessians[:, 0, 0], hessians[:, 0, 1], hessians[:, 1, 1]
     for out, name in zip(outs, ("grad1", "grad2", "h11", "h12", "h22")):
         odo = out[:m]
@@ -402,9 +400,14 @@ def record_blocks(tables, terms):
         if d is not None:
             odo[d] += getattr(odometry[1], name)
         odo += getattr(odometry[-1], name)
-        np.add(getattr(homing[0], name), getattr(homing[1], name), out=out[m:])
+        home, compass = getattr(homing[0], name), getattr(homing[1], name)
+        if masked.size:
+            out[masked] = 0.0
+            out[m + h] = home + compass
+        else:
+            np.add(home, compass, out=out[m:])
     hessians[:, 1, 0] = np.swapaxes(hessians[:, 0, 1], -1, -2)
-    return rows, grads, hessians
+    return grads, hessians
 
 
 def _totals(tables, l, lambdas, odometry, d, homing):
@@ -451,7 +454,6 @@ def assemble(
     use_distance_error=False,
     table=None,
     tables=None,
-    plan=None,
 ):
     """Assemble gradient, bordered Hessian, and the F, L and sum |l_i| values.
 
@@ -461,19 +463,17 @@ def assemble(
     first-order estimate lambda_i = -u_i^T g_i, g_i the cost gradient
     (constraints excluded) with respect to u_i; it is the least-squares
     multiplier only where u_i is unit.  The records' blocks
-    (record_blocks) scatter by np.bincount into the slots of plan, a
-    ScatterPlan, when it serves tables and the active homing rows;
-    otherwise into those of a new one.  The system carries its plan, the
+    (record_blocks) scatter by np.bincount into the slots of
+    tables.plan, whatever the mask.  The system carries that plan, the
     multipliers it was built with (lambdas), and F, L and l1 as merit
     sums them, from record_terms' values as they are.
     """
     active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
     terms = record_terms(tables, table, cfg, active, use_distance_error)
     values = [t.value for t in terms[0]], terms[1], [t.value for t in terms[2]]
-    if plan is None or not plan.serves(tables, terms[3]):
-        plan = ScatterPlan(tables, terms[3])
+    plan = tables.plan
     n = plan.n
-    _, grads, hessians = record_blocks(tables, terms)
+    grads, hessians = record_blocks(tables, terms)
 
     # np.bincount adds each bin's weights in input order, from 0.0: every
     # sum runs in record order (a record's four block keys differ, as

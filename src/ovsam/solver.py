@@ -323,7 +323,7 @@ def solve(graph, cfg=None):
             )
             try:
                 system = assemble(
-                    graph, cfg.cost, mask, lambdas, cfg.use_distance_error, table, tables, plan
+                    graph, cfg.cost, mask, lambdas, cfg.use_distance_error, table, tables
                 )
             except DegenerateVectorError:
                 # Collapsing pose pairs mid-run are a symptom of a diverging
@@ -355,7 +355,6 @@ def solve(graph, cfg=None):
         delta, record.alpha, record.lm_escalations, record.emergency = find_step(
             system, merit_at, state, system.L + cfg.mu * system.l1
         )
-        plan = system.plan  # serves every later iteration with the same homing rows
         system = None  # free it and its matrix before the next is built
 
         step = record.alpha * delta

@@ -3,8 +3,9 @@
 assemble_dense loops over all free-pose pairs (k, l) and matches each
 record's pose rows against them, instead of scattering record-wise as
 ovsam.assembly.assemble does.  Both consume the same per-record blocks
-(record_blocks) and add them in the same per-entry order, so the two
-agree bitwise.  The F, L and sum |l_i| values have their oracle in
+(record_blocks, one row per record of the tables, +0.0 for a masked
+one) and add them in the same per-entry order, so the two agree
+bitwise.  The F, L and sum |l_i| values have their oracle in
 loop_reference.total_values.
 """
 
@@ -13,6 +14,13 @@ import numpy as np
 from ovsam.assembly import ActiveMask, measurement_tables, record_blocks, record_terms
 from ovsam.constraints import eval_constraint
 from ovsam.costs import ORI
+
+
+def record_rows(tables):
+    """(K, 2) 0-based pose rows (i1, i2) of the odometry records, then the homing records."""
+    i1 = np.concatenate((tables.odo_i1, tables.hom_i1))
+    i2 = np.concatenate((tables.odo_i2, tables.hom_i2))
+    return np.column_stack((i1, i2))
 
 
 def assemble_dense(graph, cfg, active=None, lambdas=None, use_distance_error=False):
@@ -26,8 +34,8 @@ def assemble_dense(graph, cfg, active=None, lambdas=None, use_distance_error=Fal
         lambdas = np.zeros(len(free))
     tables = measurement_tables(graph, cfg)
     terms = record_terms(tables, table, cfg, active, use_distance_error)
-    rows, grads, hessians = record_blocks(tables, terms)
-    records = list(enumerate(rows + 1))
+    grads, hessians = record_blocks(tables, terms)
+    records = list(enumerate(record_rows(tables) + 1))
 
     H = np.zeros((dim, dim))
     g = np.zeros(dim)

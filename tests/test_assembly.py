@@ -139,7 +139,7 @@ def test_table_evaluation_equals_graph_evaluation():
 def _sim_system(sim, start):
     """The system at the start's multiplier estimate of the simulated graph:
     "odometry" as simulated, "truth" at the true poses, "masked" with
-    homing record 1 masked out."""
+    homing record 1 masked out, its pose pair's block kept as +0.0."""
     graph, truth = simulate(sim)
     active = ActiveMask.all_active(graph)
     if start == "truth":
@@ -152,8 +152,13 @@ def _sim_system(sim, start):
         # from_angle(0) gives u = (1, 0) exactly: the pose blocks hold exact zeros
         assert np.any(system.data[:, :4, :4] == 0.0)
     if start == "masked":
-        # the dropped record's pose pair shares no other record
-        assert len(system.keys) < len(assemble(graph, RotCostConfig()).keys)
+        # the dropped record's pose pair shares no other record, and the
+        # structure is the graph's: its block stays, all +0.0
+        assert np.array_equal(system.keys, assemble(graph, RotCostConfig()).keys)
+        rank = measurement_tables(graph, RotCostConfig()).rank
+        k, l = rank[graph.homing[0].i1 - 1], rank[graph.homing[0].i2 - 1]
+        for key in ((k, l), (l, k)):
+            assert system.blocks[key].tobytes() == np.zeros((5, 5)).tobytes()
     return system
 
 
@@ -171,8 +176,8 @@ def test_csc_matches_dense_on_every_rung():
 
 @pytest.mark.parametrize("use_distance", [False, True])
 def test_assemble_with_a_prebuilt_plan_equals_assemble_without(use_distance):
-    # a plan built at one state serves every state with the same active
-    # homing rows and tables; for other rows or tables assemble builds its own
+    # every assembly on one set of tables scatters with tables.plan, under
+    # any mask, and equals a graph-only assembly, which builds its own
     graph, _ = simulate(SimConfig(lanes=3, points_per_lane=6, seed=3))
     graph = graph.with_fixed(7)
     cfg = RotCostConfig()
@@ -195,18 +200,13 @@ def test_assemble_with_a_prebuilt_plan_equals_assemble_without(use_distance):
         )
 
     for active in (everything, masked):
-        plan = assemble(graph, cfg, active, None, use_distance, start, tables).plan
         for table in (start, moved):
             for lams in (None, lambdas):
-                got = assemble(graph, cfg, active, lams, use_distance, table, tables, plan)
-                assert got.plan is plan
-                same(got, assemble(graph, cfg, active, lams, use_distance, table, tables))
-    other_rows = assemble(graph, cfg, everything, None, use_distance, start, tables).plan
-    other_tables = assemble(graph, cfg, masked, None, use_distance, start).plan
-    for plan in (other_rows, other_tables):
-        got = assemble(graph, cfg, masked, lambdas, use_distance, moved, tables, plan)
-        assert got.plan is not plan
-        same(got, assemble(graph, cfg, masked, lambdas, use_distance, moved, tables))
+                got = assemble(graph, cfg, active, lams, use_distance, table, tables)
+                assert got.plan is tables.plan
+                want = assemble(graph, cfg, active, lams, use_distance, table)
+                assert want.plan is not tables.plan
+                same(got, want)
 
 
 def test_regularization_adds_positive_pose_and_negative_multiplier_entries():
@@ -257,6 +257,11 @@ def test_csc_equals_the_block_matrix_plus_diagonal_array_for_array(
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(C, name), getattr(expect, name)), (w, a, name)
         assert np.all(C.data != 0.0)
+    # the gathered entries are the structural ones: the 4 x 4 pose part of
+    # each off-diagonal block and all of each diagonal block
+    n = system.dim // 5
+    order, indices, indptr, _ = system.plan.csc
+    assert len(order) == len(indices) == indptr[-1] == 16 * (len(system.keys) - n) + 25 * n
 
 
 def test_hessian_symmetric_with_zero_lambda_diagonal():

@@ -10,9 +10,12 @@ names it.  A stack of S = 3 states must give the merits of the three
 single-state calls byte for byte, each the L + mu l1 of the system
 assembled at that state, and each kernel's values must be those of
 single calls.  A permuted state order must permute the state and the
-system, bitwise.  record_blocks must give each record's gradients and
-Hessian blocks as the loop sums them, byte for byte, and neither it nor
-assemble may change the record_terms result they read.
+system, bitwise.  record_blocks must give each active record's
+gradients and Hessian blocks as the loop sums them, byte for byte, and
++0.0 for each masked one, and neither it nor assemble may change the
+record_terms result they read.  The system holds every block the loop
+assembles, byte for byte; any other block belongs to the pose pair of
+a masked homing record and is all +0.0.
 """
 
 import dataclasses
@@ -21,6 +24,7 @@ import loop_reference as ref
 import numpy as np
 import pytest
 from conftest import at_state, random_graph, state_of
+from dense_assembly import record_rows
 
 import ovsam.assembly as assembly_module
 from ovsam.assembly import (
@@ -75,8 +79,21 @@ def _check_values_and_system(graph, cfg, active, lambdas, use_distance, table):
     assert all(_same(a, b) for a, b in zip(values, ref.total_values(*args)))
     assert _same(system.l_values, l_values)
     got = system.blocks
-    assert set(got) == set(blocks)
+    assert set(blocks) <= set(got)
     assert all(_same(got[key], blocks[key]) for key in blocks)
+    masked = _masked_pairs(tables, active)
+    for key in set(got) - set(blocks):
+        assert key in masked
+        assert _same(got[key], np.zeros((5, 5)))
+
+
+def _masked_pairs(tables, active):
+    """The (rank, rank) pairs, both orders, of the masked homing records' free poses."""
+    if active is None:
+        return set()
+    off = ~active.homing
+    ranks = zip(tables.rank[tables.hom_i1[off]], tables.rank[tables.hom_i2[off]])
+    return {pair for k, l in ranks if min(k, l) >= 0 for pair in ((k, l), (l, k))}
 
 
 def _check_stack(graph, cfg, active, use_distance, states):
@@ -168,17 +185,27 @@ def _block_graphs():
 @pytest.mark.parametrize("use_distance", [False, True], ids=["plain", "distance"])
 @pytest.mark.parametrize("threshold", [0.0, 0.5, 0.8])
 def test_record_blocks_are_the_loop_sums(cfg, use_distance, threshold):
-    # rows (i1, i2), grads [grad1, grad2] and hessians [[h11, h12], [h21, h22]]
+    # one row per record of the tables: the active records' grads [grad1,
+    # grad2] and hessians [[h11, h12], [h21, h22]] are the loop's sums for
+    # the same pose rows (i1, i2); a masked homing record's rows are +0.0
     for graph in _block_graphs():
         table = graph.pose_table()
         active = compute_active_mask(graph, threshold, use_distance, table)
         tables = measurement_tables(graph, cfg, use_distance)
         terms = record_terms(tables, table, cfg, active, use_distance)
-        rows, grads, hessians = record_blocks(tables, terms)
+        grads, hessians = record_blocks(tables, terms)
         want = ref._measurement_blocks(graph, table, cfg, active, use_distance)
-        assert np.array_equal(rows, [(i1 - 1, i2 - 1) for i1, i2, _ in want])
-        assert _same(grads, [[ev.grad1, ev.grad2] for _, _, ev in want])
-        assert _same(hessians, [[[ev.h11, ev.h12], [ev.h21, ev.h22]] for _, _, ev in want])
+        rows = record_rows(tables)
+        m = len(graph.odometry)
+        live = np.concatenate((np.arange(m), m + np.flatnonzero(active.homing)))
+        dead = np.delete(np.arange(len(rows)), live)
+        assert (len(grads), len(hessians)) == (len(rows), len(rows))
+        assert np.array_equal(rows[live], [(i1 - 1, i2 - 1) for i1, i2, _ in want])
+        assert _same(grads[live], [[ev.grad1, ev.grad2] for _, _, ev in want])
+        want_h = [[[ev.h11, ev.h12], [ev.h21, ev.h22]] for _, _, ev in want]
+        assert _same(hessians[live], want_h)
+        assert _same(grads[dead], np.zeros((len(dead), 2, 4)))
+        assert _same(hessians[dead], np.zeros((len(dead), 2, 2, 4, 4)))
 
 
 def _term_bytes(terms):

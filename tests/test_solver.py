@@ -1,5 +1,6 @@
 """Newton/LM stepping machinery and the full descent loop."""
 
+import functools
 import io
 import math
 import os
@@ -784,16 +785,23 @@ def test_one_derivative_pass_per_iteration(monkeypatch):
     assert (report.reason, report.iterations, len(calls)) == ("max_iters", 10, 10)
 
 
-def test_solve_builds_one_plan_per_change_of_the_homing_rows(monkeypatch):
-    # the start's plan, then one for each iteration whose active homing rows
-    # differ from the previous iteration's: the default scenario's mask moves
-    # four times, the 10x30 map from the truth keeps one mask throughout
-    built, masks = [], []
+def test_solve_builds_one_plan_whatever_the_mask(monkeypatch):
+    # the plan belongs to the solve's tables: the default scenario's mask
+    # moves four times, the 10x30 map from the truth keeps one mask, and
+    # each solve builds one plan; only the sparse 10x30 solve needs its
+    # CSC order, and builds it once
+    built, csc_built, masks = [], [], []
+    plan = assembly_module.ScatterPlan
 
-    class Counted(assembly_module.ScatterPlan):
+    class Counted(plan):
         def __init__(self, *args):
             built.append(1)
             super().__init__(*args)
+
+        @functools.cached_property
+        def csc(self):
+            csc_built.append(1)
+            return plan.csc.func(self)
 
     compute = solver_module.compute_active_mask
 
@@ -804,16 +812,17 @@ def test_solve_builds_one_plan_per_change_of_the_homing_rows(monkeypatch):
 
     monkeypatch.setattr(assembly_module, "ScatterPlan", Counted)
     monkeypatch.setattr(solver_module, "compute_active_mask", recorded)
-    for graph, cfg, changes in (
-        (simulate(SimConfig())[0], SolverConfig(), 4),
-        (_truth_start(SimConfig(lanes=10, points_per_lane=30)), SolverConfig(max_iters=40), 0),
+    for graph, cfg, changes, csc in (
+        (simulate(SimConfig())[0], SolverConfig(), 4, 0),
+        (_truth_start(SimConfig(lanes=10, points_per_lane=30)), SolverConfig(max_iters=40), 0, 1),
     ):
         built.clear()
+        csc_built.clear()
         masks.clear()
         report = solve(graph, cfg)
         assert report.reason == "grad_tol" and len(masks) == report.iterations
         moved = sum(not np.array_equal(a, b) for a, b in zip(masks, masks[1:]))
-        assert (moved, len(built)) == (changes, 1 + changes)
+        assert (moved, len(built), len(csc_built)) == (changes, 1, csc)
 
 
 def test_compute_active_mask_threshold():
