@@ -218,8 +218,8 @@ class ScatterPlan:
     def csc(self):
         """(order, indices, indptr, diagonal) of the structural entries in CSC order.
 
-        Those are all of a diagonal block and the 4 x 4 pose part of an
-        off-diagonal one, whose multiplier row and column nothing writes.
+        Those are the entries hess_bins scatters into (a block's 4 x 4 pose
+        part) and all of a diagonal block, where the constraint terms add.
         order lists their flat positions in the (B, 5, 5) blocks by
         column, then row; indices and indptr are their CSC row indices
         and column pointers, and diagonal gives the position in order of
@@ -229,7 +229,10 @@ class ScatterPlan:
         i, j = np.divmod(np.arange(25), 5)
         rows = (5 * self.keys[:, :1] + i).ravel()
         cols = (5 * self.keys[:, 1:] + j).ravel()
-        stored = np.flatnonzero((self.keys[:, :1] == self.keys[:, 1:]) | ((i < 4) & (j < 4)))
+        written = np.zeros((len(self.keys) + 1, 25), dtype=bool)
+        written.ravel()[self.hess_bins] = True
+        written[self.diag] = True
+        stored = np.flatnonzero(written[:-1])
         order = stored[np.argsort(cols[stored] * (5 * self.n) + rows[stored])]
         position = np.empty_like(rows)
         position[order] = np.arange(len(order))
@@ -400,12 +403,8 @@ def record_blocks(tables, terms):
         if d is not None:
             odo[d] += getattr(odometry[1], name)
         odo += getattr(odometry[-1], name)
-        home, compass = getattr(homing[0], name), getattr(homing[1], name)
-        if masked.size:
-            out[masked] = 0.0
-            out[m + h] = home + compass
-        else:
-            np.add(home, compass, out=out[m:])
+        out[masked] = 0.0
+        out[m + h] = getattr(homing[0], name) + getattr(homing[1], name)
     hessians[:, 1, 0] = np.swapaxes(hessians[:, 0, 1], -1, -2)
     return grads, hessians
 
