@@ -21,14 +21,16 @@ compass), and L and sum |l_i| add the per-pose terms in pose-row order,
 for assemble and merit alike (_totals); assembly sums each record's
 terms in order into its pose pair's gradients and 2 x 2 Hessian blocks
 (record_blocks, which writes nothing it reads), scatters those in
-record order by np.bincount into the fixed slots of tables.plan, then
-adds the per-pose constraint terms.  A measurement couples only its
-pose pair, so the graph fixes which blocks exist: the plan covers every
-record, and the homing mask only decides which are evaluated (a masked
-record's rows are +0.0, which changes no sum).  The result is a
-block-sparse symmetric system whose lambda-lambda diagonal entries are
-exactly zero (a bordered saddle system); each regularized matrix H + R
-is H with R added on its diagonal.  Given no multipliers, assembly
+record order by np.bincount straight into the CSC-ordered values of H
+at the positions tables.plan fixes, then adds the per-pose constraint
+terms.  A measurement couples only its pose pair, and a multiplier
+only its own orientation, so the graph fixes H's pattern: the plan
+covers every record, and the homing mask only decides which are
+evaluated (a masked record's rows are +0.0, which changes no sum).  The
+result is a sparse symmetric system, stored once as that CSC pattern
+plus values, whose lambda-lambda diagonal entries are exactly zero (a
+bordered saddle system); each regularized matrix H + R is H with R
+added on its diagonal.  Given no multipliers, assembly
 estimates them from the cost gradient it has just scattered,
 lambda_i = -u_i^T g_i; this estimate is the solver's start.
 """
@@ -187,13 +189,16 @@ class ScatterPlan:
     The records are every odometry record, then every homing record, in
     list order (record_blocks), masked or not.  Each record's pose rows
     give its slot pair, its state ranks with the anchor mapped to the
-    discarded slot n.  keys (B, 2) holds the sorted (rank, rank) pairs
-    of the stored 5x5 blocks, those of pairs sharing a record plus the
-    diagonal, and diag (n,) the index in keys of each pose's diagonal
-    block.  grad_bins and hess_bins are the np.bincount targets of
-    record_blocks' grads and hessians, raveled: flat positions in a
-    (n + 1, 5) gradient and in (B + 1, 5, 5) blocks, the last slot and
-    the last block taking what falls on the anchor.
+    discarded slot n.  H's structural entries are the 4 x 4 pose part of
+    each record's blocks over its slot pair and all 25 entries of each
+    diagonal block; indices and indptr are their CSC row indices and
+    column pointers (C ints, as SuperLU takes them), and flat their
+    positions in a raveled dense (5n, 5n) H.  grad_bins and
+    hess_bins are the np.bincount targets of record_blocks' grads and
+    hessians, raveled: flat positions in a (n + 1, 5) gradient and in
+    the CSC-ordered values (nnz + 1,), the last slot taking what falls
+    on the anchor.  diag_blocks (n, 5, 5) holds the position in the
+    values of each entry of each pose's diagonal block.
     """
 
     def __init__(self, tables):
@@ -204,65 +209,58 @@ class ScatterPlan:
         slots = np.where(ranks < 0, n, ranks)
         self.grad_bins = (5 * slots[..., None] + np.arange(4)).ravel()
 
-        # Block keys k * n + l; key n * n (sorting last) is discarded.
-        k, l = slots[:, :, None], slots[:, None, :]
-        key = np.where((k < n) & (l < n), k * n + l, n * n).ravel()
-        keys, where = np.unique(np.concatenate((key, np.arange(n) * (n + 1))), return_inverse=True)
-        nb = np.searchsorted(keys, n * n)
-        self.keys = np.column_stack(np.divmod(keys[:nb], n))
-        self.diag = where[len(key) :]
-        entry = 5 * np.arange(4)[:, None] + np.arange(4)
-        self.hess_bins = (25 * where[: len(key)].reshape(-1, 2, 2, 1, 1) + entry).ravel()
-
-    @cached_property
-    def csc(self):
-        """(order, indices, indptr, diagonal) of the structural entries in CSC order.
-
-        Those are the entries hess_bins scatters into (a block's 4 x 4 pose
-        part) and all of a diagonal block, where the constraint terms add.
-        order lists their flat positions in the (B, 5, 5) blocks by
-        column, then row; indices and indptr are their CSC row indices
-        and column pointers, and diagonal gives the position in order of
-        each true diagonal entry, in state order.  Built on the first
-        sparse rung only: dense solves never need it.
-        """
-        i, j = np.divmod(np.arange(25), 5)
-        rows = (5 * self.keys[:, :1] + i).ravel()
-        cols = (5 * self.keys[:, 1:] + j).ravel()
-        written = np.zeros((len(self.keys) + 1, 25), dtype=bool)
-        written.ravel()[self.hess_bins] = True
-        written[self.diag] = True
-        stored = np.flatnonzero(written[:-1])
-        order = stored[np.argsort(cols[stored] * (5 * self.n) + rows[stored])]
-        position = np.empty_like(rows)
-        position[order] = np.arange(len(order))
-        diagonal = position[(25 * self.diag[:, None] + 6 * np.arange(5)).ravel()]
-        # SuperLU takes C int indices
-        indptr = np.searchsorted(cols[order], np.arange(5 * self.n + 1)).astype(np.intc)
-        return order, rows[order].astype(np.intc), indptr, diagonal
+        # The blocks, de-duplicated before they are expanded to entries: the
+        # records' (K, 2, 2), then the diagonal, keyed column * (n + 1) + row
+        # so that they sort in CSC order; those on the anchor's slot n are
+        # discarded.
+        pairs = (slots[:, None, :] * (n + 1) + slots[:, :, None]).ravel()
+        keys = np.concatenate((pairs, np.arange(n) * (n + 2)))
+        keys, where = np.unique(keys, return_inverse=True)
+        col, row = np.divmod(keys, n + 1)
+        kept = (col < n) & (row < n)
+        col, row = col[kept], row[kept]
+        # In CSC order, a block column of m blocks holds 4 m + 1 entries in
+        # each of its four pose columns (4 per block, and the multiplier row
+        # under the diagonal block's) and then 5 in its multiplier column;
+        # place is a block's rank within its block column.
+        height = 4 * np.bincount(col, minlength=n) + 1
+        start = np.concatenate(([0], np.cumsum(4 * height + 5)))
+        place = np.arange(len(col)) - np.searchsorted(col, col)
+        diag = place[col == row]
+        i, j = np.arange(5)[:, None], np.arange(5)
+        top = start[:-1, None] + j * height[:, None]  # (n, 5): each column's first entry
+        # (B, 4, 4): each kept block's pose entries, below the multiplier row if
+        # it lies under the diagonal block
+        pose = top[col, None, :4] + (4 * place + (place > diag[col]))[:, None, None] + i[:4]
+        self.diag_blocks = top[:, None, :] + np.where(j < 4, 4 * diag[:, None, None], 0) + i
+        bins = np.full((len(keys), 16), start[-1])
+        bins[kept] = pose.reshape(-1, 16)
+        self.hess_bins = bins[where[: len(pairs)]].ravel()
+        rows = np.empty(start[-1], dtype=int)
+        rows[pose] = 5 * row[:, None, None] + i[:4]
+        rows[self.diag_blocks] = 5 * np.arange(n)[:, None, None] + i
+        self.indices = rows.astype(np.intc)
+        self.indptr = np.append(top, start[-1]).astype(np.intc)
+        self.flat = 5 * n * rows + np.repeat(np.arange(5 * n), np.diff(self.indptr))
 
 
 class SparseSymmetricSystem:
-    """Block-sparse bordered Hessian H, gradient g, and the F, L and sum |l_i| values.
+    """Sparse bordered Hessian H, gradient g, and the F, L and sum |l_i| values.
 
-    H is stored as 5x5 blocks, data[b] at block row/column keys[b] in
-    state ranks (MeasurementTables.rank), the plan's keys: the diagonal
-    and each pair sharing a record, all 25 entries stored, +0.0 where
-    only masked records touch.  Row/column order within a block is
-    [x (2), u (2), lambda].  Each rung's H + R, where R adds
-    diag(eta_w, eta_w, eta_w, eta_w, -eta_a) to each diagonal block, is
-    H plus R on its true diagonal: to_dense copies the dense H, built
-    from the blocks on its first call, and to_csc gathers the plan's
-    structural entries in CSC order.  That equals adding R to the whole
-    blocks, entry for entry: the block sums start at +0.0, so no entry
-    is -0.0 and adding 0.0 off the diagonal changes none.
+    H is stored once, as values: its structural entries in the CSC
+    order of the plan's indices and indptr, in state ranks
+    (MeasurementTables.rank), +0.0 where only masked records touch.  The
+    state stacks [x (2), u (2), lambda] per pose.  Each rung's H + R,
+    where R adds diag(eta_w, eta_w, eta_w, eta_w, -eta_a) per pose, is
+    H plus R on its true diagonal, whose entries are all structural:
+    to_csc copies the values and adds R there, and to_dense copies the
+    dense H, scattered from the values on its first call, and adds R.
     """
 
-    def __init__(self, plan, data, g, F, L, l1, l_values, lambdas):
+    def __init__(self, plan, values, g, F, L, l1, l_values, lambdas):
         self.plan = plan
         self.dim = 5 * plan.n
-        self.keys = plan.keys
-        self.data = data
+        self.values = values
         self.g = g
         self.F = F
         self.L = L
@@ -270,11 +268,6 @@ class SparseSymmetricSystem:
         self.l_values = l_values
         self.lambdas = lambdas  # the multipliers it was assembled with
         self._dense = None
-
-    @property
-    def blocks(self):
-        """The blocks as a dict keyed (rank, rank)."""
-        return {(int(k), int(l)): b for (k, l), b in zip(self.keys, self.data)}
 
     def max_constraint(self):
         return float(np.max(np.abs(self.l_values))) if self.l_values.size else 0.0
@@ -285,10 +278,8 @@ class SparseSymmetricSystem:
     def to_dense(self, eta_w=0.0, eta_a=0.0):
         """H + R as a new dense array."""
         if self._dense is None:
-            n = self.plan.n
-            H = np.zeros((n, 5, n, 5))
-            H[self.keys[:, 0], :, self.keys[:, 1], :] = self.data
-            self._dense = H.reshape(self.dim, self.dim)
+            self._dense = np.zeros((self.dim, self.dim))
+            self._dense.ravel()[self.plan.flat] = self.values
         H = self._dense.copy()
         H.ravel()[:: self.dim + 1] += self._diagonal(eta_w, eta_a)
         return H
@@ -297,12 +288,12 @@ class SparseSymmetricSystem:
         """H + R in CSC form, holding only its nonzero entries."""
         from scipy import sparse as sp  # only the sparse solve path needs it
 
-        order, indices, indptr, diagonal = self.plan.csc
-        values = self.data.ravel()[order]
-        values[diagonal] += self._diagonal(eta_w, eta_a)
+        plan = self.plan
+        values = self.values.copy()
+        values[plan.diag_blocks.reshape(-1, 25)[:, ::6].ravel()] += self._diagonal(eta_w, eta_a)
         kept = np.flatnonzero(values != 0.0)  # as np.nonzero: drops either zero, keeps NaN
         return sp.csc_matrix(
-            (values[kept], indices[kept], np.searchsorted(kept, indptr).astype(np.intc)),
+            (values[kept], plan.indices[kept], np.searchsorted(kept, plan.indptr).astype(np.intc)),
             shape=(self.dim, self.dim),
         )
 
@@ -462,8 +453,10 @@ def assemble(
     first-order estimate lambda_i = -u_i^T g_i, g_i the cost gradient
     (constraints excluded) with respect to u_i; it is the least-squares
     multiplier only where u_i is unit.  The records' blocks
-    (record_blocks) scatter by np.bincount into the slots of
-    tables.plan, whatever the mask.  The system carries that plan, the
+    (record_blocks) scatter by np.bincount into the CSC-ordered values
+    at the positions of tables.plan, whatever the mask, and the
+    constraint terms add at its diagonal blocks' u-u, u-lambda and
+    lambda-u positions.  The system carries that plan, the
     multipliers it was built with (lambdas), and F, L and l1 as merit
     sums them, from record_terms' values as they are.
     """
@@ -475,26 +468,25 @@ def assemble(
     grads, hessians = record_blocks(tables, terms)
 
     # np.bincount adds each bin's weights in input order, from 0.0: every
-    # sum runs in record order (a record's four block keys differ, as
+    # sum runs in record order (a record's four blocks differ, as
     # i1 != i2).  Empty input gives ints, hence the cast.
     G = np.bincount(plan.grad_bins, grads.ravel(), 5 * (n + 1)).astype(float, copy=False)
     G = G.reshape(n + 1, 5)
-    size = 25 * (len(plan.keys) + 1)
-    data = np.bincount(plan.hess_bins, hessians.ravel(), size).astype(float, copy=False)
-    data = data.reshape(-1, 5, 5)
+    size = len(plan.indices) + 1
+    H = np.bincount(plan.hess_bins, hessians.ravel(), size).astype(float, copy=False)
 
     u = table[tables.free, ORI]
     lambdas = -rowdot(u, G[:n, ORI]) if lambdas is None else np.asarray(lambdas, dtype=float)
     ce = eval_constraint(lambdas, u)
     G[:n, 2:4] += ce.grad_u
     G[:n, 4] += ce.grad_lambda
-    d = plan.diag
-    data[d, 2:4, 2:4] += ce.h_uu
-    data[d, 2:4, 4] += ce.h_ulambda
-    data[d, 4, 2:4] += ce.h_ulambda
+    d = plan.diag_blocks
+    H[d[:, 2:4, 2:4]] += ce.h_uu
+    H[d[:, 2:4, 4]] += ce.h_ulambda
+    H[d[:, 4, 2:4]] += ce.h_ulambda
 
     F, L, l1 = map(float, _totals(tables, ce.l, lambdas, *values))
-    return SparseSymmetricSystem(plan, data[:-1], G[:n].ravel(), F, L, l1, ce.l, lambdas)
+    return SparseSymmetricSystem(plan, H[:-1], G[:n].ravel(), F, L, l1, ce.l, lambdas)
 
 
 def merit(

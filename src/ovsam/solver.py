@@ -330,7 +330,7 @@ def solve(graph, cfg=None):
                 # state, not a numerical-solver defect.
                 reason = "diverged"
                 break
-        if not (np.isfinite(system.data).all() and np.isfinite(system.g).all()):
+        if not (np.isfinite(system.values).all() and np.isfinite(system.g).all()):
             raise NumericalFailure(f"iteration {iteration}: assembled system is not finite")
         grad_norm = float(np.linalg.norm(system.g))
         record = IterationRecord(

@@ -18,6 +18,18 @@ def at_state(graph, vec):
     return unpack_state(measurement_tables(graph, RotCostConfig()), graph.pose_table(), vec)
 
 
+def stored_entries(system):
+    """(rows, cols) of the system's stored H entries, in the order of its values."""
+    plan = system.plan
+    return plan.indices, np.repeat(np.arange(system.dim), np.diff(plan.indptr))
+
+
+def stored_blocks(system):
+    """The (rank, rank) pose pairs of the 5 x 5 blocks holding a stored entry."""
+    rows, cols = stored_entries(system)
+    return set(zip((rows // 5).tolist(), (cols // 5).tolist()))
+
+
 def random_spd(rng, lo=0.05, hi=1.0):
     R = omega(from_angle(rng.uniform(-np.pi, np.pi)))
     return (R * rng.uniform(lo, hi, 2)) @ R.T

@@ -3,8 +3,15 @@
 import loop_reference as ref
 import numpy as np
 import pytest
-from conftest import at_state, consistent_graph, random_graph, state_of
-from dense_assembly import assemble_dense
+from conftest import (
+    at_state,
+    consistent_graph,
+    random_graph,
+    state_of,
+    stored_blocks,
+    stored_entries,
+)
+from dense_assembly import assemble_dense, record_rows
 
 from ovsam.assembly import ActiveMask, assemble, measurement_tables, merit
 from ovsam.costs import RotCostConfig
@@ -148,17 +155,21 @@ def _sim_system(sim, start):
     elif start == "masked":
         active.homing[0] = False
     system = assemble(graph, RotCostConfig(), active)
+    rows, cols = stored_entries(system)
     if start == "truth":
-        # from_angle(0) gives u = (1, 0) exactly: the pose blocks hold exact zeros
-        assert np.any(system.data[:, :4, :4] == 0.0)
+        # from_angle(0) gives u = (1, 0) exactly: the pose entries hold exact zeros
+        assert np.any(system.values[(rows % 5 < 4) & (cols % 5 < 4)] == 0.0)
     if start == "masked":
         # the dropped record's pose pair shares no other record, and the
-        # structure is the graph's: its block stays, all +0.0
-        assert np.array_equal(system.keys, assemble(graph, RotCostConfig()).keys)
+        # structure is the graph's: its pose entries stay stored, all +0.0
+        bare = assemble(graph, RotCostConfig()).plan
+        assert np.array_equal(system.plan.indices, bare.indices)
+        assert np.array_equal(system.plan.indptr, bare.indptr)
         rank = measurement_tables(graph, RotCostConfig()).rank
         k, l = rank[graph.homing[0].i1 - 1], rank[graph.homing[0].i2 - 1]
         for key in ((k, l), (l, k)):
-            assert system.blocks[key].tobytes() == np.zeros((5, 5)).tobytes()
+            block = system.values[(rows // 5 == key[0]) & (cols // 5 == key[1])]
+            assert block.tobytes() == np.zeros(16).tobytes()
     return system
 
 
@@ -192,8 +203,9 @@ def test_assemble_with_a_prebuilt_plan_equals_assemble_without(use_distance):
     masked.distance[1::2] = False
 
     def same(got, want):
-        for name in ("keys", "data", "g"):
-            a, b = getattr(got, name), getattr(want, name)
+        pairs = [(got.values, want.values), (got.g, want.g)]
+        pairs += [(got.plan.indices, want.plan.indices), (got.plan.indptr, want.plan.indptr)]
+        for name, (a, b) in zip(("values", "g", "indices", "indptr"), pairs):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
         assert np.array([got.F, got.L, got.l1]).tobytes() == (
             np.array([want.F, want.L, want.l1]).tobytes()
@@ -221,14 +233,12 @@ def test_regularization_adds_positive_pose_and_negative_multiplier_entries():
     assert np.array_equal(system.to_dense(), H) and system.to_dense() is not H
 
 
-def _block_csr(system):
-    """All 25 stored entries of every block, as CSR."""
+def _stored_csr(system):
+    """Every stored entry of H, zeros included, as CSR."""
     from scipy import sparse as sp
 
-    i, j = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
-    rows = (5 * system.keys[:, 0, None, None] + i).ravel()
-    cols = (5 * system.keys[:, 1, None, None] + j).ravel()
-    coo = sp.coo_matrix((system.data.ravel(), (rows, cols)), shape=(system.dim, system.dim))
+    rows, cols = stored_entries(system)
+    coo = sp.coo_matrix((system.values, (rows, cols)), shape=(system.dim, system.dim))
     return coo.tocsr()
 
 
@@ -240,13 +250,14 @@ def _block_csr(system):
 def test_csc_equals_the_block_matrix_plus_diagonal_array_for_array(
     lanes, points_per_lane, seed, start
 ):
-    # the regularized rungs equal CSR(blocks) + diags(R) converted to CSC;
-    # rung 0 is that matrix with its stored zeros dropped
+    # the regularized rungs equal CSR(stored entries) + diags(R) converted
+    # to CSC; rung 0 is that matrix with its stored zeros dropped
     from scipy.sparse import diags
 
     sim = SimConfig(lanes=lanes, points_per_lane=points_per_lane, seed=seed)
     system = _sim_system(sim, start)
-    H = _block_csr(system)
+    H = _stored_csr(system)
+    assert np.array_equal(H.toarray(), system.to_dense())
     for w, a in LADDER:
         if (w, a) == (0.0, 0.0):
             expect = H.tocsc()
@@ -257,11 +268,37 @@ def test_csc_equals_the_block_matrix_plus_diagonal_array_for_array(
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(C, name), getattr(expect, name)), (w, a, name)
         assert np.all(C.data != 0.0)
-    # the gathered entries are the structural ones: the 4 x 4 pose part of
-    # each off-diagonal block and all of each diagonal block
+
+
+@pytest.mark.parametrize(
+    "lanes, points_per_lane, seed, start, stored",
+    [
+        (3, 10, 0, "odometry", 3317),
+        (6, 20, 1, "odometry", 16031),
+        (3, 10, 0, "truth", 3317),
+        (6, 20, 1, "masked", 16031),
+        (10, 30, 0, "truth", 42355),
+    ],
+    ids=["3-10-0", "6-20-1", "truth", "masked", "10-30-truth"],
+)
+def test_stored_entries_are_the_pose_part_of_each_pair_and_all_of_each_diagonal_block(
+    lanes, points_per_lane, seed, start, stored
+):
+    # no term writes an off-diagonal block's multiplier row or column, so H
+    # stores 16 entries per off-diagonal block a record touches, masked or
+    # not, and 25 per diagonal block, each once
+    sim = SimConfig(lanes=lanes, points_per_lane=points_per_lane, seed=seed)
+    system = _sim_system(sim, start)
+    tables = measurement_tables(simulate(sim)[0], RotCostConfig())
+    ranks = tables.rank[record_rows(tables)]
+    off = {(k, l) for k, l in ranks[(ranks >= 0).all(axis=1)].tolist()}
+    off |= {(l, k) for k, l in off}
     n = system.dim // 5
-    order, indices, indptr, _ = system.plan.csc
-    assert len(order) == len(indices) == indptr[-1] == 16 * (len(system.keys) - n) + 25 * n
+    rows, cols = stored_entries(system)
+    assert len(system.values) == len(rows) == 16 * len(off) + 25 * n == stored
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+    assert stored_blocks(system) == off | {(k, k) for k in range(n)}
+    assert not np.any((rows // 5 != cols // 5) & ((rows % 5 == 4) | (cols % 5 == 4)))
 
 
 def test_hessian_symmetric_with_zero_lambda_diagonal():
@@ -282,7 +319,7 @@ def test_block_sparsity_only_measurement_pairs():
     system = assemble(graph, RotCostConfig())
     free = [pid for pid in graph.pose_ids() if pid != graph.fixed_id]
     ranks = {pid: k for k, pid in enumerate(free)}
-    keys = set(system.blocks)
+    keys = stored_blocks(system)
     assert (ranks[2], ranks[4]) not in keys
     assert (ranks[2], ranks[3]) in keys
     for k, l in keys:
@@ -353,8 +390,9 @@ def test_fixed_pose_rows_dropped_but_contributions_kept():
     # pose 2 feels both edges (1->2 and 2->3): its diagonal block is the
     # sum of an h22 and an h11, strictly larger than pose 3's lone h22
     r2, r3 = 0, 1  # the free poses 2 and 3 in state order
-    b2 = system.blocks[(r2, r2)][0:2, 0:2]
-    b3 = system.blocks[(r3, r3)][0:2, 0:2]
+    H = system.to_dense()
+    b2 = H[5 * r2 : 5 * r2 + 2, 5 * r2 : 5 * r2 + 2]
+    b3 = H[5 * r3 : 5 * r3 + 2, 5 * r3 : 5 * r3 + 2]
     assert np.trace(b2) > np.trace(b3)
 
 

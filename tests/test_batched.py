@@ -13,9 +13,10 @@ single calls.  A permuted state order must permute the state and the
 system, bitwise.  record_blocks must give each active record's
 gradients and Hessian blocks as the loop sums them, byte for byte, and
 +0.0 for each masked one, and neither it nor assemble may change the
-record_terms result they read.  The system holds every block the loop
-assembles, byte for byte; any other block belongs to the pose pair of
-a masked homing record and is all +0.0.
+record_terms result they read.  The loop's blocks, placed in a dense
+matrix, are the system's dense H byte for byte, and the system stores
+entries in exactly the loop's blocks and those of the masked homing
+records' pose pairs.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ import dataclasses
 import loop_reference as ref
 import numpy as np
 import pytest
-from conftest import at_state, random_graph, state_of
+from conftest import at_state, random_graph, state_of, stored_blocks
 from dense_assembly import record_rows
 
 import ovsam.assembly as assembly_module
@@ -78,13 +79,11 @@ def _check_values_and_system(graph, cfg, active, lambdas, use_distance, table):
     values = (system.F, system.L, system.l1)
     assert all(_same(a, b) for a, b in zip(values, ref.total_values(*args)))
     assert _same(system.l_values, l_values)
-    got = system.blocks
-    assert set(blocks) <= set(got)
-    assert all(_same(got[key], blocks[key]) for key in blocks)
-    masked = _masked_pairs(tables, active)
-    for key in set(got) - set(blocks):
-        assert key in masked
-        assert _same(got[key], np.zeros((5, 5)))
+    dense = np.zeros((len(tables.free), 5, len(tables.free), 5))
+    for (k, l), block in blocks.items():
+        dense[k, :, l] = block
+    assert _same(system.to_dense(), dense.reshape(system.dim, system.dim))
+    assert stored_blocks(system) == set(blocks) | _masked_pairs(tables, active)
 
 
 def _masked_pairs(tables, active):

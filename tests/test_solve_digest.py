@@ -65,6 +65,8 @@ def test_against_reports_each_label_that_differs(tmp_path):
         "cold_3x10/seed=0",  # dense, the homing mask changes
         "warm_10x30/seed=0",  # sparse, masked homing records at the start
         "sparse/seed=1",  # sparse, ladder escalations
+        "anchor/seed=0",  # the only anchor not at the first pose: ranks skip its row
+        "dense/5x19/seed=1",  # the largest dense scatter, dim 470
     ],
 )
 def test_solves_match_the_saved_digests(label):

@@ -1,6 +1,5 @@
 """Newton/LM stepping machinery and the full descent loop."""
 
-import functools
 import io
 import math
 import os
@@ -142,7 +141,7 @@ def test_solve_rejects_a_non_finite_system(monkeypatch, lanes, points_per_lane, 
         assemblies.append(len(steps))  # the rungs solved before this assembly
         if len(assemblies) == iteration:
             if where == "H":
-                system.data[-1, 2, 3] = np.nan
+                system.values[system.plan.diag_blocks[-1, 2, 3]] = np.nan
             else:
                 system.g[3] = np.inf
         return system
@@ -788,20 +787,13 @@ def test_one_derivative_pass_per_iteration(monkeypatch):
 def test_solve_builds_one_plan_whatever_the_mask(monkeypatch):
     # the plan belongs to the solve's tables: the default scenario's mask
     # moves four times, the 10x30 map from the truth keeps one mask, and
-    # each solve builds one plan; only the sparse 10x30 solve needs its
-    # CSC order, and builds it once
-    built, csc_built, masks = [], [], []
-    plan = assembly_module.ScatterPlan
+    # each solve, dense or sparse, builds one plan
+    built, masks = [], []
 
-    class Counted(plan):
+    class Counted(assembly_module.ScatterPlan):
         def __init__(self, *args):
             built.append(1)
             super().__init__(*args)
-
-        @functools.cached_property
-        def csc(self):
-            csc_built.append(1)
-            return plan.csc.func(self)
 
     compute = solver_module.compute_active_mask
 
@@ -812,17 +804,16 @@ def test_solve_builds_one_plan_whatever_the_mask(monkeypatch):
 
     monkeypatch.setattr(assembly_module, "ScatterPlan", Counted)
     monkeypatch.setattr(solver_module, "compute_active_mask", recorded)
-    for graph, cfg, changes, csc in (
-        (simulate(SimConfig())[0], SolverConfig(), 4, 0),
-        (_truth_start(SimConfig(lanes=10, points_per_lane=30)), SolverConfig(max_iters=40), 0, 1),
+    for graph, cfg, changes in (
+        (simulate(SimConfig())[0], SolverConfig(), 4),
+        (_truth_start(SimConfig(lanes=10, points_per_lane=30)), SolverConfig(max_iters=40), 0),
     ):
         built.clear()
-        csc_built.clear()
         masks.clear()
         report = solve(graph, cfg)
         assert report.reason == "grad_tol" and len(masks) == report.iterations
         moved = sum(not np.array_equal(a, b) for a, b in zip(masks, masks[1:]))
-        assert (moved, len(built), len(csc_built)) == (changes, 1, csc)
+        assert (moved, len(built)) == (changes, 1)
 
 
 def test_compute_active_mask_threshold():
