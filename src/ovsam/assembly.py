@@ -158,13 +158,19 @@ def measurement_tables(graph, cfg, use_distance_error=False):
     )
 
 
+def _multipliers(tables, lambdas, stack=()):
+    """lambdas as a float array of shape stack + (n,), one per free pose,
+    else PreconditionError."""
+    shape = stack + (len(tables.free),)
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.shape != shape:
+        raise PreconditionError(f"expected multipliers of shape {shape}, got {lambdas.shape}")
+    return lambdas
+
+
 def pack_state(tables, table, lambdas):
     """The flat state of the pose table's free poses and their multipliers."""
-    n = len(tables.free)
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.shape != (n,):
-        raise PreconditionError(f"expected {n} multipliers, got shape {lambdas.shape}")
-    return np.column_stack((table[tables.free], lambdas)).ravel()
+    return np.column_stack((table[tables.free], _multipliers(tables, lambdas))).ravel()
 
 
 def unpack_state(tables, table, vec):
@@ -191,14 +197,17 @@ class ScatterPlan:
     give its slot pair, its state ranks with the anchor mapped to the
     discarded slot n.  H's structural entries are the 4 x 4 pose part of
     each record's blocks over its slot pair and all 25 entries of each
-    diagonal block; indices and indptr are their CSC row indices and
-    column pointers (C ints, as SuperLU takes them), and flat their
-    positions in a raveled dense (5n, 5n) H.  grad_bins and
-    hess_bins are the np.bincount targets of record_blocks' grads and
-    hessians, raveled: flat positions in a (n + 1, 5) gradient and in
-    the CSC-ordered values (nnz + 1,), the last slot taking what falls
-    on the anchor.  diag_blocks (n, 5, 5) holds the position in the
-    values of each entry of each pose's diagonal block.
+    diagonal block.  Keyed col * dim + row (dim = 5n), one sort lists
+    them once in CSC order; an entry on the anchor's slot is keyed
+    dim * dim, so it sorts last.  indices and indptr are the CSC row
+    indices and column pointers of the nnz entries (C ints, as SuperLU
+    takes them), and flat their positions in a raveled dense (dim, dim)
+    H.  grad_bins and hess_bins are the np.bincount targets of
+    record_blocks' grads and hessians, raveled: flat positions in a
+    (n + 1, 5) gradient and in the CSC-ordered values (nnz + 1,), the
+    last slot taking what falls on the anchor.  diag_blocks (n, 5, 5)
+    holds the position in the values of each entry of each pose's
+    diagonal block.
     """
 
     def __init__(self, tables):
@@ -207,41 +216,23 @@ class ScatterPlan:
         i2 = np.concatenate((tables.odo_i2, tables.hom_i2))
         ranks = tables.rank[np.column_stack((i1, i2))]
         slots = np.where(ranks < 0, n, ranks)
-        self.grad_bins = (5 * slots[..., None] + np.arange(4)).ravel()
+        first = 5 * slots[..., None] + np.arange(4)  # (K, 2, 4): each slot's pose rows
+        self.grad_bins = first.ravel()
 
-        # The blocks, de-duplicated before they are expanded to entries: the
-        # records' (K, 2, 2), then the diagonal, keyed column * (n + 1) + row
-        # so that they sort in CSC order; those on the anchor's slot n are
-        # discarded.
-        pairs = (slots[:, None, :] * (n + 1) + slots[:, :, None]).ravel()
-        keys = np.concatenate((pairs, np.arange(n) * (n + 2)))
-        keys, where = np.unique(keys, return_inverse=True)
-        col, row = np.divmod(keys, n + 1)
-        kept = (col < n) & (row < n)
-        col, row = col[kept], row[kept]
-        # In CSC order, a block column of m blocks holds 4 m + 1 entries in
-        # each of its four pose columns (4 per block, and the multiplier row
-        # under the diagonal block's) and then 5 in its multiplier column;
-        # place is a block's rank within its block column.
-        height = 4 * np.bincount(col, minlength=n) + 1
-        start = np.concatenate(([0], np.cumsum(4 * height + 5)))
-        place = np.arange(len(col)) - np.searchsorted(col, col)
-        diag = place[col == row]
-        i, j = np.arange(5)[:, None], np.arange(5)
-        top = start[:-1, None] + j * height[:, None]  # (n, 5): each column's first entry
-        # (B, 4, 4): each kept block's pose entries, below the multiplier row if
-        # it lies under the diagonal block
-        pose = top[col, None, :4] + (4 * place + (place > diag[col]))[:, None, None] + i[:4]
-        self.diag_blocks = top[:, None, :] + np.where(j < 4, 4 * diag[:, None, None], 0) + i
-        bins = np.full((len(keys), 16), start[-1])
-        bins[kept] = pose.reshape(-1, 16)
-        self.hess_bins = bins[where[: len(pairs)]].ravel()
-        rows = np.empty(start[-1], dtype=int)
-        rows[pose] = 5 * row[:, None, None] + i[:4]
-        rows[self.diag_blocks] = 5 * np.arange(n)[:, None, None] + i
-        self.indices = rows.astype(np.intc)
-        self.indptr = np.append(top, start[-1]).astype(np.intc)
-        self.flat = 5 * n * rows + np.repeat(np.arange(5 * n), np.diff(self.indptr))
+        # the keys of each record's (2, 2, 4, 4) pose part, then of each
+        # pose's (5, 5) diagonal block
+        dim = 5 * n
+        row, col = first[:, :, None, :, None], first[:, None, :, None, :]
+        pairs = np.where((row < dim) & (col < dim), col * dim + row, dim * dim).ravel()
+        block = 5 * np.arange(n)[:, None] + np.arange(5)  # (n, 5)
+        diag = (block[:, None, :] * dim + block[:, :, None]).ravel()
+        keys, where = np.unique(np.concatenate((pairs, diag)), return_inverse=True)
+        col, row = np.divmod(keys[keys < dim * dim], dim)
+        self.hess_bins = where[: len(pairs)]
+        self.diag_blocks = where[len(pairs) :].reshape(n, 5, 5)
+        self.indices = row.astype(np.intc)
+        self.indptr = np.searchsorted(col, np.arange(dim + 1)).astype(np.intc)
+        self.flat = row * dim + col
 
 
 class SparseSymmetricSystem:
@@ -458,9 +449,12 @@ def assemble(
     constraint terms add at its diagonal blocks' u-u, u-lambda and
     lambda-u positions.  The system carries that plan, the
     multipliers it was built with (lambdas), and F, L and l1 as merit
-    sums them, from record_terms' values as they are.
+    sums them, from record_terms' values as they are.  Multipliers not
+    of shape (n,) raise PreconditionError.
     """
     active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
+    if lambdas is not None:
+        lambdas = _multipliers(tables, lambdas)
     terms = record_terms(tables, table, cfg, active, use_distance_error)
     values = [t.value for t in terms[0]], terms[1], [t.value for t in terms[2]]
     plan = tables.plan
@@ -476,7 +470,7 @@ def assemble(
     H = np.bincount(plan.hess_bins, hessians.ravel(), size).astype(float, copy=False)
 
     u = table[tables.free, ORI]
-    lambdas = -rowdot(u, G[:n, ORI]) if lambdas is None else np.asarray(lambdas, dtype=float)
+    lambdas = -rowdot(u, G[:n, ORI]) if lambdas is None else lambdas
     ce = eval_constraint(lambdas, u)
     G[:n, 2:4] += ce.grad_u
     G[:n, 4] += ce.grad_lambda
@@ -492,15 +486,17 @@ def assemble(
 def merit(
     graph, cfg, active, mu, lambdas=None, use_distance_error=False, table=None, tables=None
 ):
-    """Augmented-Lagrangian merit: L plus mu times the constraint L1 norm.
+    """The l1 exact-penalty merit of the Lagrangian: L + mu * sum |l_i|.
 
     Value-only, same masking as assemble, zero lambdas by default.  A
     stack (S, N, 4) of tables with lambdas (S, n) gives the (S,) merits
-    of its trials.
+    of its trials.  Multipliers of any other shape raise PreconditionError.
     """
     if not mu > 0.0:
         raise ValueError(f"mu must be positive, got {mu!r}")
     active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
+    if lambdas is not None:
+        lambdas = _multipliers(tables, lambdas, np.shape(table)[:-2])
     values = record_terms(tables, table, cfg, active, use_distance_error, False)[:3]
     l = residual(np.take(table[..., ORI], tables.free, axis=-2))
     _, L, l1 = _totals(tables, l, lambdas, *values)

@@ -8,7 +8,7 @@ assemble makes at the start's poses, and that system serves iteration
 current state.  Each iteration walks one constant regularization
 ladder, LADDER: each rung solves (H + R) ds = -g (LAPACK's dense
 Bunch-Kaufman LDL^T factorization at desk scale, sparse LU for large
-graphs) and backtracks on the augmented-Lagrangian merit
+graphs) and backtracks on the l1 exact-penalty merit of the Lagrangian,
 L + mu sum|l_i|.  R repeats diag(eta_W, eta_W, eta_W, eta_W, -eta_A) per
 free pose; the sign flip on the multiplier entry preserves the saddle
 structure.  Rung 0 is plain Newton (R = 0); the rungs after it are the

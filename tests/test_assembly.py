@@ -13,9 +13,9 @@ from conftest import (
 )
 from dense_assembly import assemble_dense, record_rows
 
-from ovsam.assembly import ActiveMask, assemble, measurement_tables, merit
+from ovsam.assembly import ActiveMask, assemble, measurement_tables, merit, pack_state
 from ovsam.costs import RotCostConfig
-from ovsam.errors import DegenerateVectorError
+from ovsam.errors import DegenerateVectorError, PreconditionError
 from ovsam.findiff import fd_gradient, fd_jacobian
 from ovsam.graph import FactorGraph, HomingMeasurement, OdometryMeasurement, Pose
 from ovsam.orvec import from_angle
@@ -143,11 +143,13 @@ def test_table_evaluation_equals_graph_evaluation():
             )
 
 
-def _sim_system(sim, start):
-    """The system at the start's multiplier estimate of the simulated graph:
-    "odometry" as simulated, "truth" at the true poses, "masked" with
-    homing record 1 masked out, its pose pair's block kept as +0.0."""
+def _sim_system(sim, start, fixed=1):
+    """The system at the start's multiplier estimate of the simulated graph
+    anchored at pose fixed: "odometry" as simulated, "truth" at the true
+    poses, "masked" with homing record 1 masked out, its pose pair's block
+    kept as +0.0."""
     graph, truth = simulate(sim)
+    graph = graph.with_fixed(fixed)
     active = ActiveMask.all_active(graph)
     if start == "truth":
         poses = [Pose(t[:2], from_angle(t[2])) for t in truth.poses]
@@ -271,25 +273,26 @@ def test_csc_equals_the_block_matrix_plus_diagonal_array_for_array(
 
 
 @pytest.mark.parametrize(
-    "lanes, points_per_lane, seed, start, stored",
+    "lanes, points_per_lane, seed, start, fixed, stored",
     [
-        (3, 10, 0, "odometry", 3317),
-        (6, 20, 1, "odometry", 16031),
-        (3, 10, 0, "truth", 3317),
-        (6, 20, 1, "masked", 16031),
-        (10, 30, 0, "truth", 42355),
+        (3, 10, 0, "odometry", 1, 3317),
+        (6, 20, 1, "odometry", 1, 16031),
+        (3, 10, 0, "truth", 1, 3317),
+        (6, 20, 1, "masked", 1, 16031),
+        (10, 30, 0, "truth", 1, 42355),
+        (3, 10, 0, "odometry", 15, 3157),
     ],
-    ids=["3-10-0", "6-20-1", "truth", "masked", "10-30-truth"],
+    ids=["3-10-0", "6-20-1", "truth", "masked", "10-30-truth", "anchor-15"],
 )
 def test_stored_entries_are_the_pose_part_of_each_pair_and_all_of_each_diagonal_block(
-    lanes, points_per_lane, seed, start, stored
+    lanes, points_per_lane, seed, start, fixed, stored
 ):
     # no term writes an off-diagonal block's multiplier row or column, so H
     # stores 16 entries per off-diagonal block a record touches, masked or
     # not, and 25 per diagonal block, each once
     sim = SimConfig(lanes=lanes, points_per_lane=points_per_lane, seed=seed)
-    system = _sim_system(sim, start)
-    tables = measurement_tables(simulate(sim)[0], RotCostConfig())
+    system = _sim_system(sim, start, fixed)
+    tables = measurement_tables(simulate(sim)[0].with_fixed(fixed), RotCostConfig())
     ranks = tables.rank[record_rows(tables)]
     off = {(k, l) for k, l in ranks[(ranks >= 0).all(axis=1)].tolist()}
     off |= {(l, k) for k, l in off}
@@ -299,6 +302,25 @@ def test_stored_entries_are_the_pose_part_of_each_pair_and_all_of_each_diagonal_
     assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
     assert stored_blocks(system) == off | {(k, k) for k in range(n)}
     assert not np.any((rows // 5 != cols // 5) & ((rows % 5 == 4) | (cols % 5 == 4)))
+
+    # every plan array, read back to (row, col): entry (i, j) of record k's
+    # block (a, b) is H's entry (5 rank_a + i, 5 rank_b + j), or the
+    # discarded slot if either pose is the anchor; entry i of its pose a's
+    # gradient is entry 5 rank_a + i, row n taking the anchor's
+    plan, i = system.plan, np.arange(5)
+    slots = np.where(ranks < 0, n, ranks)
+    assert np.array_equal(plan.grad_bins, (5 * slots[..., None] + i[:4]).ravel())
+    bins = plan.hess_bins.reshape(-1, 2, 2, 4, 4)
+    row = np.broadcast_to(5 * slots[:, :, None, None, None] + i[:4, None], bins.shape)
+    col = np.broadcast_to(5 * slots[:, None, :, None, None] + i[:4], bins.shape)
+    anchored = (row >= system.dim) | (col >= system.dim)
+    assert anchored.any() and np.all((bins == len(rows)) == anchored)
+    assert np.array_equal(rows[bins[~anchored]], row[~anchored])
+    assert np.array_equal(cols[bins[~anchored]], col[~anchored])
+    diag = 5 * np.arange(n)[:, None, None]
+    assert np.all(rows[plan.diag_blocks] == diag + i[:, None])
+    assert np.all(cols[plan.diag_blocks] == diag + i)
+    assert np.array_equal(plan.flat, rows * system.dim + cols)
 
 
 def test_hessian_symmetric_with_zero_lambda_diagonal():
@@ -346,6 +368,28 @@ def test_total_values_match_assemble():
     assert (system.F, system.L, system.l1) == (F, L, l1)
     assert l1 == pytest.approx(np.sum(np.abs(system.l_values)), rel=1e-14)
     assert merit(graph, cfg, None, 10.0, lambdas) == system.L + 10.0 * system.l1
+
+
+@pytest.mark.parametrize("shape", [(32,), (28,), (29, 1), (), (1, 29), (3, 29)], ids=str)
+def test_multipliers_of_the_wrong_shape_are_rejected(shape):
+    # one multiplier per free pose: merit, assemble and pack_state all check
+    # the shape, instead of reading a prefix or failing inside numpy
+    graph, _ = simulate(SimConfig())
+    cfg = RotCostConfig()
+    tables = measurement_tables(graph, cfg)
+    table = graph.pose_table()
+    assert len(tables.free) == 29
+    lambdas = np.ones(shape)
+    calls = [
+        lambda: merit(graph, cfg, None, 10.0, lambdas),
+        lambda: assemble(graph, cfg, lambdas=lambdas),
+        lambda: pack_state(tables, table, lambdas),
+        # a stack of two tables takes (2, 29)
+        lambda: merit(graph, cfg, None, 10.0, lambdas, False, np.stack((table, table)), tables),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match=r"expected multipliers of shape"):
+            call()
 
 
 def test_masked_homing_equals_graph_without_homing():

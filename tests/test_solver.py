@@ -55,8 +55,8 @@ from ovsam.solver import (
 
 class _StubSystem:
     """Duck-typed stand-in carrying just what newton_step and find_step
-    consume on the dense path: g, dim and to_dense.  It has no blocks
-    (data); solve, not newton_step, checks that a system is finite."""
+    consume on the dense path: g, dim and to_dense.  It has no values
+    (the stored H); solve, not newton_step, checks that a system is finite."""
 
     def __init__(self, H, g):
         self._H = np.asarray(H, dtype=float)
