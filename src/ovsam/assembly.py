@@ -9,15 +9,19 @@ default to being built from the graph on each call.  The tables also hold
 the state layout: the flat state stacks one block [x (2), u (2), lambda]
 per free pose, in the order tables.free (pack_state, unpack_state).
 
-Each cost family is evaluated for all its active records in one batched
-kernel call (record_terms).  The merit also takes a stack (S, N, 4) of
-pose tables, S trial points, whose (S, K, 4) poses the kernels broadcast
-against the (K, ...) per-record data; each trial's numbers are those of
-a call on its table alone.  The results keep the numbers of a walk over
-the records one at a time: F adds the term values one by one in the
-canonical order (odometry in list order: translation, the optional
-distance term, rotation; then active homing in list order: home vector,
-compass), and L and sum |l_i| add the per-pose terms in pose-row order,
+The records form one sequence, the odometry records then the homing
+records, each group in list order.  record_terms evaluates each cost
+family for all its active records in one batched kernel call and lists
+the results as (rows, slot, result) entries, one per term, in canonical
+order: translation (slot 0), the optional distance term (1) and
+rotation (2) over the odometry records, then home vector (0) and
+compass (1) over the active homing records.  Everything downstream walks
+that one list.  The merit also takes a stack (S, N, 4) of pose tables,
+S trial points, whose (S, K, 4) poses the kernels broadcast against the
+(K, ...) per-record data; each trial's numbers are those of a call on
+its table alone.  The results keep the numbers of a walk over the
+records one at a time: F adds each record's slots in order, record by
+record, and L and sum |l_i| add the per-pose terms in pose-row order,
 for assemble and merit alike (_totals); assembly sums each record's
 terms in order into its pose pair's gradients and 2 x 2 Hessian blocks
 (record_blocks, which writes nothing it reads), scatters those in
@@ -25,8 +29,8 @@ record order by np.bincount straight into the CSC-ordered values of H
 at the positions tables.plan fixes, then adds the per-pose constraint
 terms.  A measurement couples only its pose pair, and a multiplier
 only its own orientation, so the graph fixes H's pattern: the plan
-covers every record, and the homing mask only decides which are
-evaluated (a masked record's rows are +0.0, which changes no sum).  The
+covers every record, and the masks only decide which terms are
+evaluated (a slot no term fills is +0.0, which changes no sum).  The
 result is a sparse symmetric system, stored once as that CSC pattern
 plus values, whose lambda-lambda diagonal entries are exactly zero (a
 bordered saddle system); each regularized matrix H + R is H with R
@@ -35,8 +39,10 @@ estimates them from the cost gradient it has just scattered,
 lambda_i = -u_i^T g_i; this estimate is the solver's start.
 """
 
+import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -78,27 +84,29 @@ class ActiveMask:
 
 @dataclass(frozen=True)
 class MeasurementTables:
-    """The measurements of a graph as stacked arrays, one row per record.
+    """The measurements of a graph as stacked arrays.
 
-    Pose indices are 0-based rows of the pose table.  Per-record
-    constants are computed once, with the expressions the kernels use:
-    Tinv by _spd_inverse (in validate), Q, A and Psi as Omega(q),
-    Omega(alpha) and Omega(psi), and the w_* weights by term_weight for
-    the cost configuration the tables were built with.
+    The records form one sequence: the odometry records, then the homing
+    records, each group in list order.  i1 and i2 hold the 0-based pose
+    rows of every record of it; each other field holds one row per record
+    of its group (r to rho odometry, A to w_compass homing), so the
+    odometry records are the first len(r).  Per-record constants are
+    computed once, with the expressions the kernels use: Tinv by
+    _spd_inverse (in validate), Q, A and Psi as Omega(q), Omega(alpha)
+    and Omega(psi), and the w_* weights by term_weight for the cost
+    configuration the tables were built with.
     """
 
     rank: np.ndarray  # (N,) state rank of each pose row, -1 for the anchor
     free: np.ndarray  # (N - 1,) pose rows of the free poses, in state order
-    odo_i1: np.ndarray
-    odo_i2: np.ndarray
+    i1: np.ndarray
+    i2: np.ndarray
     r: np.ndarray
     Tinv: np.ndarray
     Q: np.ndarray
     w_rot: np.ndarray
     sigma_e: np.ndarray
     rho: np.ndarray
-    hom_i1: np.ndarray
-    hom_i2: np.ndarray
     A: np.ndarray
     Psi: np.ndarray
     w_home: np.ndarray
@@ -123,6 +131,12 @@ def _weights(group, cols, name, gamma=None):
         raise GraphValidationError(f"{where}: {name}: {exc}") from exc
 
 
+def pose_rows(odometry, homing):
+    """(i1, i2) of the record sequence from graph.validate()'s columns: 0-based
+    pose rows of the odometry records, then of the homing records."""
+    return tuple(np.concatenate((odometry[end], homing[end])) - 1 for end in ("i1", "i2"))
+
+
 def measurement_tables(graph, cfg, use_distance_error=False):
     """MeasurementTables of graph's measurements under the cost configuration cfg.
 
@@ -139,18 +153,15 @@ def measurement_tables(graph, cfg, use_distance_error=False):
     if use_distance_error:  # only checked: eval_distance divides by sigma_e itself
         _weights("odometry", odo, "sigma_e")
     return MeasurementTables(
-        rank=rank,
-        free=free,
-        odo_i1=odo["i1"] - 1,
-        odo_i2=odo["i2"] - 1,
+        rank,
+        free,
+        *pose_rows(odo, hom),
         r=odo["r"],
         Tinv=odo["Tinv"],
         Q=omega(odo["q"]),
         w_rot=_weights("odometry", odo, "sigma", cfg.gamma),
         sigma_e=odo["sigma_e"],
         rho=odo["rho"],
-        hom_i1=hom["i1"] - 1,
-        hom_i2=hom["i2"] - 1,
         A=omega(hom["alpha"]),
         Psi=omega(hom["psi"]),
         w_home=_weights("homing", hom, "sigma_h", cfg.gamma),
@@ -192,8 +203,8 @@ def unpack_state(tables, table, vec):
 class ScatterPlan:
     """Where assembly scatters the records of one MeasurementTables (tables.plan).
 
-    The records are every odometry record, then every homing record, in
-    list order (record_blocks), masked or not.  Each record's pose rows
+    The records are those of the tables' one sequence (record_blocks),
+    masked or not.  Each record's pose rows
     give its slot pair, its state ranks with the anchor mapped to the
     discarded slot n.  H's structural entries are the 4 x 4 pose part of
     each record's blocks over its slot pair and all 25 entries of each
@@ -212,9 +223,7 @@ class ScatterPlan:
 
     def __init__(self, tables):
         n = self.n = len(tables.free)
-        i1 = np.concatenate((tables.odo_i1, tables.hom_i1))
-        i2 = np.concatenate((tables.odo_i2, tables.hom_i2))
-        ranks = tables.rank[np.column_stack((i1, i2))]
+        ranks = tables.rank[np.column_stack((tables.i1, tables.i2))]
         slots = np.where(ranks < 0, n, ranks)
         first = 5 * slots[..., None] + np.arange(4)  # (K, 2, 4): each slot's pose rows
         self.grad_bins = first.ravel()
@@ -295,126 +304,115 @@ def _running_sum(values):
     return np.add.accumulate(np.concatenate((zero, values), axis=-1), axis=-1)[..., -1]
 
 
-def _evaluate(group, i1, i2, calls):
-    """Run one record group's kernel calls, in term order.
-
-    calls holds (rows, call) per term: call() evaluates the term for
-    the records rows (None for all records of the group), at every
-    trial of a stack.  If any call hits a degenerate vector, re-raises
-    for the first such record in list order, and within it the first
-    such term, with the record named (for a stack, the first failing
-    position of the flattened (S, K) values; its trial is not named).
-    """
-    outs, failures = [], []
-    for pos, (rows, call) in enumerate(calls):
-        try:
-            outs.append(call())
-        except DegenerateVectorError as exc:
-            if rows is None:
-                k = exc.index % len(i1)
-            else:
-                k = int(rows[exc.index % len(rows)])
-            failures.append((k, pos, exc))
-    if failures:
-        k, _, exc = min(failures, key=lambda f: f[:2])
-        where = record_name(group, k, i1[k] + 1, i2[k] + 1)
-        raise DegenerateVectorError(f"{where}: {exc}") from exc
-    return outs
-
-
 def record_terms(tables, table, cfg, active, use_distance_error, derivs=True):
     """Evaluate every cost family over its active records at the table's poses.
 
-    Returns (odometry, drows, homing, hrows).  odometry holds the
-    translation, the distance term if use_distance_error (over the
-    odometry records drows, those active in active.distance) and the
-    rotation; translation and rotation cover all odometry records.
-    homing holds the home vector and the compass over the active homing
-    records hrows.  Each entry is a CostEval, or the (K,) values when
-    derivs is false.
+    Returns one (rows, slot, result) entry per term, in canonical order:
+    translation (slot 0), distance (slot 1, only if use_distance_error,
+    over the odometry records active in active.distance) and rotation
+    (slot 2) over the odometry records, then home vector (slot 0) and
+    compass (slot 1) over the active homing records.  rows index the
+    tables' record sequence (a slice for a whole group); result is a
+    CostEval, or the values when derivs is false.  A record's terms are
+    those entries that cover it, in slot order.
 
-    A stack (S, N, 4) of tables (derivs false) gives (S, K) values.
+    A stack (S, N, 4) of tables (derivs false) gives (S, K) values.  If
+    any term hits a degenerate vector, re-raises for the first such
+    record in the sequence, and within it the first such term, with the
+    record named (for a stack, the first failing position of the
+    flattened (S, K) values; its trial is not named).
     """
     t = tables
+    m = len(t.r)
 
     def poses(rows):
-        return np.take(table, rows, axis=-2)
+        return np.take(table, t.i1[rows], axis=-2), np.take(table, t.i2[rows], axis=-2)
 
-    p1, p2 = poses(t.odo_i1), poses(t.odo_i2)
-    d = np.flatnonzero(active.distance) if use_distance_error else None
-    calls = [(None, lambda: eval_translation(p1, p2, t.Tinv, t.r, derivs))]
+    odometry = slice(0, m)
+    p1, p2 = poses(odometry)
+    calls = [(odometry, 0, lambda: eval_translation(p1, p2, t.Tinv, t.r, derivs))]
     if use_distance_error:
-        e1, e2 = poses(t.odo_i1[d]), poses(t.odo_i2[d])
-        calls.append((d, lambda: eval_distance(e1, e2, t.sigma_e[d], t.rho[d], derivs)))
-    calls.append((None, lambda: eval_rotation(p1, p2, t.Q, t.w_rot, cfg, derivs)))
-    odometry = _evaluate("odometry", t.odo_i1, t.odo_i2, calls)
-
+        d = np.flatnonzero(active.distance)
+        e1, e2 = poses(d)
+        calls.append((d, 1, lambda: eval_distance(e1, e2, t.sigma_e[d], t.rho[d], derivs)))
+    calls.append((odometry, 2, lambda: eval_rotation(p1, p2, t.Q, t.w_rot, cfg, derivs)))
     h = np.flatnonzero(active.homing)
-    q1, q2 = poses(t.hom_i1[h]), poses(t.hom_i2[h])
-    homing = _evaluate(
-        "homing",
-        t.hom_i1,
-        t.hom_i2,
-        [
-            (h, lambda: eval_home_vector(q1, q2, t.A[h], t.w_home[h], cfg, derivs)),
-            (h, lambda: eval_compass(q1, q2, t.Psi[h], t.w_compass[h], cfg, derivs)),
-        ],
-    )
-    return odometry, d, homing, h
+    homing = m + h
+    q1, q2 = poses(homing)
+    calls.append((homing, 0, lambda: eval_home_vector(q1, q2, t.A[h], t.w_home[h], cfg, derivs)))
+    calls.append((homing, 1, lambda: eval_compass(q1, q2, t.Psi[h], t.w_compass[h], cfg, derivs)))
+
+    terms, failures = [], []
+    for pos, (rows, slot, call) in enumerate(calls):
+        try:
+            terms.append((rows, slot, call()))
+        except DegenerateVectorError as exc:
+            records = np.arange(len(t.i1))[rows]
+            failures.append((int(records[exc.index % len(records)]), pos, exc))
+    if failures:
+        k, _, exc = min(failures, key=lambda f: f[:2])
+        group, j = ("odometry", k) if k < m else ("homing", k - m)
+        where = record_name(group, j, t.i1[k] + 1, t.i2[k] + 1)
+        raise DegenerateVectorError(f"{where}: {exc}") from exc
+    return terms
 
 
 def record_blocks(tables, terms):
-    """(grads, hessians) of every record, each active record's terms summed in order.
+    """(grads, hessians) of every record, each record's terms summed in order.
 
-    terms is record_terms' result, which is only read.  Records are
-    odometry then homing, in list order, masked homing records included:
-    grads (K, 2, 4) holds each record's gradients [grad1, grad2] and
-    hessians (K, 2, 2, 4, 4) its Hessian blocks [[h11, h12], [h21, h22]].
-    A masked record's rows are +0.0.
+    terms is record_terms' result, which is only read.  One row per
+    record of the tables' sequence, masked records included: grads
+    (K, 2, 4) holds each record's gradients [grad1, grad2] and hessians
+    (K, 2, 2, 4, 4) its Hessian blocks [[h11, h12], [h21, h22]].  A
+    slot-0 term is copied into its rows and later slots add; a row no
+    term covers is +0.0.
     """
-    odometry, d, homing, h = terms
-    m = len(tables.odo_i1)
-    k = m + len(tables.hom_i1)
+    k = len(tables.i1)
     grads = np.empty((k, 2, 4))
     hessians = np.empty((k, 2, 2, 4, 4))
-    masked = np.delete(np.arange(m, k), h)
+    uncovered = np.ones(k, dtype=bool)
+    # (rows, slot, results) of each write: a slot-0 term takes in the terms
+    # right after it over the same rows, as writing a, then adding b, is a + b
+    runs = []
+    for rows, slot, ev in terms:
+        uncovered[rows] = False
+        if slot and runs and runs[-1][0] is rows and runs[-1][1] == 0:
+            runs[-1][2].append(ev)
+        else:
+            runs.append((rows, slot, [ev]))
+    grads[uncovered] = 0.0
+    hessians[uncovered] = 0.0
     outs = grads[:, 0], grads[:, 1], hessians[:, 0, 0], hessians[:, 0, 1], hessians[:, 1, 1]
     for out, name in zip(outs, ("grad1", "grad2", "h11", "h12", "h22")):
-        odo = out[:m]
-        odo[...] = getattr(odometry[0], name)
-        if d is not None:
-            odo[d] += getattr(odometry[1], name)
-        odo += getattr(odometry[-1], name)
-        out[masked] = 0.0
-        out[m + h] = getattr(homing[0], name) + getattr(homing[1], name)
+        for rows, slot, evs in runs:
+            value = reduce(operator.add, [getattr(ev, name) for ev in evs])
+            if slot == 0:
+                out[rows] = value
+            else:
+                out[rows] += value
     hessians[:, 1, 0] = np.swapaxes(hessians[:, 0, 1], -1, -2)
     return grads, hessians
 
 
-def _totals(tables, l, lambdas, odometry, d, homing):
-    """(F, L, sum |l_i|) from record_terms' values per term and the residuals l.
+def _totals(tables, l, lambdas, terms):
+    """(F, L, sum |l_i|) from record_terms' entries of values and the residuals l.
 
-    l and lambdas (zeros by default) are in state order; the per-pose
-    terms add in pose-row order.
+    F adds each record's slots in order, record by record; a slot no
+    term fills is +0.0, which changes no running sum that starts at
+    +0.0 (it is never -0.0, and x + 0.0 == x otherwise).  l and lambdas
+    (zeros by default) are in state order; the per-pose terms add in
+    pose-row order.
     """
     stack = l.shape[:-1]  # () or (S,)
-    if d is not None:
-        # Masked distance terms become zeros, which change no running sum
-        # that starts at +0.0: it is never -0.0, and x + 0.0 == x otherwise.
-        full = np.zeros(stack + (len(tables.odo_i1),))
-        full[..., d] = odometry[1]
-        odometry = [odometry[0], full, odometry[-1]]
-
-    def per_trial(terms):
-        # each trial's records in order, each record's terms in order
-        return np.stack(terms, axis=-1).reshape(stack + (-1,))
-
-    F = _running_sum(np.concatenate((per_trial(odometry), per_trial(homing)), axis=-1))
-    slots = tables.rank[tables.rank >= 0]
-    l = l[..., slots]
+    values = np.zeros(stack + (len(tables.i1), 3))
+    for rows, slot, value in terms:
+        values[..., rows, slot] = value
+    F = _running_sum(values.reshape(stack + (-1,)))
+    order = tables.rank[tables.rank >= 0]  # the free poses' ranks in pose-row order
+    l = l[..., order]
     if lambdas is None:
         lambdas = np.zeros(l.shape)
-    return F, F + _running_sum(l * lambdas[..., slots]), _running_sum(np.abs(l))
+    return F, F + _running_sum(l * lambdas[..., order]), _running_sum(np.abs(l))
 
 
 def _defaults(graph, cfg, active, table, tables, use_distance_error=False):
@@ -456,7 +454,6 @@ def assemble(
     if lambdas is not None:
         lambdas = _multipliers(tables, lambdas)
     terms = record_terms(tables, table, cfg, active, use_distance_error)
-    values = [t.value for t in terms[0]], terms[1], [t.value for t in terms[2]]
     plan = tables.plan
     n = plan.n
     grads, hessians = record_blocks(tables, terms)
@@ -479,7 +476,8 @@ def assemble(
     H[d[:, 2:4, 4]] += ce.h_ulambda
     H[d[:, 4, 2:4]] += ce.h_ulambda
 
-    F, L, l1 = map(float, _totals(tables, ce.l, lambdas, *values))
+    values = [(rows, slot, ev.value) for rows, slot, ev in terms]
+    F, L, l1 = map(float, _totals(tables, ce.l, lambdas, values))
     return SparseSymmetricSystem(plan, H[:-1], G[:n].ravel(), F, L, l1, ce.l, lambdas)
 
 
@@ -492,12 +490,12 @@ def merit(
     stack (S, N, 4) of tables with lambdas (S, n) gives the (S,) merits
     of its trials.  Multipliers of any other shape raise PreconditionError.
     """
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
+    if not 0.0 < mu < math.inf:
+        raise PreconditionError(f"mu must be finite and positive, got {mu!r}")
     active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
     if lambdas is not None:
         lambdas = _multipliers(tables, lambdas, np.shape(table)[:-2])
-    values = record_terms(tables, table, cfg, active, use_distance_error, False)[:3]
+    values = record_terms(tables, table, cfg, active, use_distance_error, False)
     l = residual(np.take(table[..., ORI], tables.free, axis=-2))
-    _, L, l1 = _totals(tables, l, lambdas, *values)
+    _, L, l1 = _totals(tables, l, lambdas, values)
     return L + mu * l1

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .assembly import ActiveMask, assemble, measurement_tables, merit
-from .assembly import pack_state, unpack_state
+from .assembly import pack_state, pose_rows, unpack_state
 from .costs import POS, RotCostConfig
 from .errors import DegenerateVectorError, NumericalFailure, PreconditionError, Settings
 from .graph import UNIT_TOL, write_text
@@ -135,32 +135,26 @@ class SolveReport:
 def compute_active_mask(graph, threshold, use_distance_error=False, table=None, tables=None):
     """Mask measurements whose pose pair (in table) is closer than the threshold.
 
-    The pose rows of the pairs come from tables (MeasurementTables) when
-    given, else from graph.validate().  Each decision is that of math.hypot:
-    np.hypot can differ from it in the last bit, so distances within two
-    ulps of the threshold are re-decided with math.hypot.
+    The homing pairs are tested, and the odometry pairs too if
+    use_distance_error.  Their pose rows come from tables
+    (MeasurementTables) when given, else from graph.validate().  Each
+    decision is that of math.hypot: np.hypot can differ from it in the
+    last bit, so distances within two ulps of the threshold are
+    re-decided with math.hypot.
     """
     if table is None:
         table = graph.pose_table()
-
-    if tables is None:
-        odo, hom = graph.validate()
-        hom, odo = (hom["i1"] - 1, hom["i2"] - 1), (odo["i1"] - 1, odo["i2"] - 1)
-    else:
-        hom, odo = (tables.hom_i1, tables.hom_i2), (tables.odo_i1, tables.odo_i2)
-
-    def far(pairs):
-        i1, i2 = pairs
-        d = table[i2, POS] - table[i1, POS]
-        h = np.hypot(d[:, 0], d[:, 1])
-        out = h >= threshold
-        for k in np.flatnonzero(np.abs(h - threshold) <= 2.0 * np.spacing(threshold)):
-            out[k] = math.hypot(d[k, 0], d[k, 1]) >= threshold
-        return out
-
+    i1, i2 = pose_rows(*graph.validate()) if tables is None else (tables.i1, tables.i2)
+    m = len(graph.odometry)
+    first = 0 if use_distance_error else m  # the first record whose pair is tested
+    d = table[i2[first:], POS] - table[i1[first:], POS]
+    h = np.hypot(d[:, 0], d[:, 1])
+    far = h >= threshold
+    for k in np.flatnonzero(np.abs(h - threshold) <= 2.0 * np.spacing(threshold)):
+        far[k] = math.hypot(d[k, 0], d[k, 1]) >= threshold
     return ActiveMask(
-        homing=far(hom),
-        distance=far(odo) if use_distance_error else np.ones(len(graph.odometry), dtype=bool),
+        homing=far[m - first :],
+        distance=far[: m - first] if use_distance_error else np.ones(m, dtype=bool),
     )
 
 

@@ -18,9 +18,7 @@ from ovsam.costs import ORI
 
 def record_rows(tables):
     """(K, 2) 0-based pose rows (i1, i2) of the odometry records, then the homing records."""
-    i1 = np.concatenate((tables.odo_i1, tables.hom_i1))
-    i2 = np.concatenate((tables.odo_i2, tables.hom_i2))
-    return np.column_stack((i1, i2))
+    return np.column_stack((tables.i1, tables.i2))
 
 
 def assemble_dense(graph, cfg, active=None, lambdas=None, use_distance_error=False):

@@ -1,5 +1,7 @@
 """Gradient/Hessian assembly: oracle checks and structural invariants."""
 
+import math
+
 import loop_reference as ref
 import numpy as np
 import pytest
@@ -390,6 +392,16 @@ def test_multipliers_of_the_wrong_shape_are_rejected(shape):
     for call in calls:
         with pytest.raises(PreconditionError, match=r"expected multipliers of shape"):
             call()
+
+
+@pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0, -1.0], ids=str)
+def test_merit_rejects_a_mu_that_is_not_finite_and_positive(mu):
+    # with every u unit, sum |l_i| is 0.0 and inf * 0.0 would make the merit NaN
+    graph, _ = simulate(SimConfig())
+    table = graph.pose_table()
+    table[:, 2:4] = [1.0, 0.0]
+    with pytest.raises(PreconditionError, match=r"^mu must be finite and positive, got"):
+        merit(graph.with_poses(table), RotCostConfig(), None, mu)
 
 
 def test_masked_homing_equals_graph_without_homing():

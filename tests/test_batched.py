@@ -10,7 +10,9 @@ names it.  A stack of S = 3 states must give the merits of the three
 single-state calls byte for byte, each the L + mu l1 of the system
 assembled at that state, and each kernel's values must be those of
 single calls.  A permuted state order must permute the state and the
-system, bitwise.  record_blocks must give each active record's
+system, bitwise.  record_terms must list each term's rows and slot in
+canonical order and name the first degenerate record of the one record
+sequence.  record_blocks must give each active record's
 gradients and Hessian blocks as the loop sums them, byte for byte, and
 +0.0 for each masked one, and neither it nor assemble may change the
 record_terms result they read.  The loop's blocks, placed in a dense
@@ -90,8 +92,8 @@ def _masked_pairs(tables, active):
     """The (rank, rank) pairs, both orders, of the masked homing records' free poses."""
     if active is None:
         return set()
-    off = ~active.homing
-    ranks = zip(tables.rank[tables.hom_i1[off]], tables.rank[tables.hom_i2[off]])
+    off = len(tables.r) + np.flatnonzero(~active.homing)
+    ranks = zip(tables.rank[tables.i1[off]], tables.rank[tables.i2[off]])
     return {pair for k, l in ranks if min(k, l) >= 0 for pair in ((k, l), (l, k))}
 
 
@@ -207,10 +209,60 @@ def test_record_blocks_are_the_loop_sums(cfg, use_distance, threshold):
         assert _same(hessians[dead], np.zeros((len(dead), 2, 2, 4, 4)))
 
 
+@pytest.mark.parametrize("use_distance", [False, True], ids=["plain", "distance"])
+def test_record_terms_lists_each_term_with_its_rows_and_slot(use_distance):
+    # one entry per term in canonical order, rows over the one record
+    # sequence (odometry, then homing): translation 0, distance 1 over the
+    # active distance terms (with the flag only), rotation 2 over every
+    # odometry record, then home vector 0 and compass 1 over active homing
+    rng = np.random.default_rng(46)
+    graph = random_graph(rng, n_poses=7, n_homing=8).with_fixed(4)
+    cfg = RotCostConfig()
+    tables = measurement_tables(graph, cfg, use_distance)
+    m, k = len(graph.odometry), len(graph.odometry) + len(graph.homing)
+    for _ in range(3):
+        active = _random_mask(graph, rng)
+        assert 0 < active.homing.sum() < len(graph.homing)
+        assert 0 < active.distance.sum() < m
+        odometry, homing = np.arange(m), m + np.flatnonzero(active.homing)
+        want = [(odometry, 0), (odometry, 2), (homing, 0), (homing, 1)]
+        if use_distance:
+            want.insert(1, (np.flatnonzero(active.distance), 1))
+        stack = np.stack([table for table, _ in _states(graph, rng, count=2)])
+        for table, derivs in ((stack[0], True), (stack[0], False), (stack, False)):
+            terms = record_terms(tables, table, cfg, active, use_distance, derivs)
+            assert len(terms) == len(want)
+            for (rows, slot, result), (want_rows, want_slot) in zip(terms, want):
+                assert np.array_equal(np.arange(k)[rows], want_rows) and slot == want_slot
+                value = result.value if derivs else result
+                assert value.shape == table.shape[:-2] + (len(want_rows),)
+
+
+@pytest.mark.parametrize("derivs", [True, False], ids=["derivs", "values"])
+def test_record_terms_names_the_first_degenerate_record_of_the_sequence(derivs):
+    # poses 1 and 2 coincide: the distance term of odometry record 1 and
+    # the home vectors of homing records 3 (1->2) and 4 (2->1) fail; the
+    # first record of the sequence is named, as the loop names it
+    graph = _degenerate_graph([0.0, 0.0], [1.0, 0.0], [1.0, 0.0])
+    cfg = RotCostConfig()
+    active = ActiveMask.all_active(graph)
+    named = {True: "odometry record 1 (1->2): ", False: "homing record 3 (1->2): "}
+    for use_distance, where in named.items():
+        tables = measurement_tables(graph, cfg, use_distance)
+        with pytest.raises(DegenerateVectorError) as got:
+            record_terms(tables, graph.pose_table(), cfg, active, use_distance, derivs)
+        with pytest.raises(DegenerateVectorError) as want:
+            ref.merit(graph, cfg, None, 10.0, use_distance_error=use_distance)
+        assert str(got.value).startswith(where)
+        assert str(got.value) == str(want.value)
+
+
 def _term_bytes(terms):
-    odometry, d, homing, h = terms
-    fields = [getattr(ev, f.name) for ev in (*odometry, *homing) for f in dataclasses.fields(ev)]
-    return [a.tobytes() for a in (*fields, d, h)]
+    out = []
+    for rows, slot, ev in terms:
+        out += [rows if isinstance(rows, slice) else rows.tobytes(), slot]
+        out += [getattr(ev, f.name).tobytes() for f in dataclasses.fields(ev)]
+    return out
 
 
 @pytest.mark.parametrize("cfg", CFGS, ids=["t1=1", "t1=0", "second"])
@@ -284,7 +336,8 @@ def test_degenerate_records_are_named_as_the_loop_names_them(cfg, use_distance, 
 def _kernels(tables, cfg):
     """(name, pose rows of the pairs, values of poses (p, pp)) of each kernel's value path."""
     t = tables
-    odo, hom = (t.odo_i1, t.odo_i2), (t.hom_i1, t.hom_i2)
+    m = len(t.r)
+    odo, hom = (t.i1[:m], t.i2[:m]), (t.i1[m:], t.i2[m:])
     return [
         ("translation", odo, lambda p, pp: eval_translation(p, pp, t.Tinv, t.r, False)),
         ("distance", odo, lambda p, pp: eval_distance(p, pp, t.sigma_e, t.rho, False)),

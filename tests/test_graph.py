@@ -215,11 +215,10 @@ def test_measurement_tables_pose_rows_are_contiguous_intp():
     # strided index arrays such as the columns of a transposed (K, 2) array
     g = random_graph(np.random.default_rng(3), n_poses=5, n_homing=4)
     tables = measurement_tables(g, RotCostConfig())
-    for name, ms in (("odo", g.odometry), ("hom", g.homing)):
-        for end in ("i1", "i2"):
-            rows = getattr(tables, f"{name}_{end}")
-            assert rows.dtype == np.intp and rows.flags.c_contiguous
-            assert rows.tolist() == [getattr(m, end) - 1 for m in ms]
+    for end in ("i1", "i2"):
+        rows = getattr(tables, end)
+        assert rows.dtype == np.intp and rows.flags.c_contiguous
+        assert rows.tolist() == [getattr(m, end) - 1 for m in (*g.odometry, *g.homing)]
 
 
 def test_pack_state_with_poses_round_trip():

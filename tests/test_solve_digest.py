@@ -67,6 +67,8 @@ def test_against_reports_each_label_that_differs(tmp_path):
         "sparse/seed=1",  # sparse, ladder escalations
         "anchor/seed=0",  # the only anchor not at the first pose: ranks skip its row
         "dense/5x19/seed=1",  # the largest dense scatter, dim 470
+        "distance/seed=1",  # the distance term, to grad_tol
+        "second+distance/seed=0",  # the distance term under the second form, diverged
     ],
 )
 def test_solves_match_the_saved_digests(label):
