@@ -218,7 +218,9 @@ class ScatterPlan:
     (n + 1, 5) gradient and in the CSC-ordered values (nnz + 1,), the
     last slot taking what falls on the anchor.  diag_blocks (n, 5, 5)
     holds the position in the values of each entry of each pose's
-    diagonal block.
+    diagonal block.  orders keeps the SuperLU column orders of this
+    plan's solve (solver.spsolve), at most two, and orderings counts the
+    COLAMD runs that made them.
     """
 
     def __init__(self, tables):
@@ -242,6 +244,8 @@ class ScatterPlan:
         self.indices = row.astype(np.intc)
         self.indptr = np.searchsorted(col, np.arange(dim + 1)).astype(np.intc)
         self.flat = row * dim + col
+        self.orders = {}
+        self.orderings = 0
 
 
 class SparseSymmetricSystem:
@@ -284,13 +288,19 @@ class SparseSymmetricSystem:
         H.ravel()[:: self.dim + 1] += self._diagonal(eta_w, eta_a)
         return H
 
+    def regularized(self, eta_w=0.0, eta_a=0.0):
+        """The values of H + R: a copy of values with R added on the diagonal."""
+        values = self.values.copy()
+        diagonal = self.plan.diag_blocks.reshape(-1, 25)[:, ::6].ravel()
+        values[diagonal] += self._diagonal(eta_w, eta_a)
+        return values
+
     def to_csc(self, eta_w=0.0, eta_a=0.0):
         """H + R in CSC form, holding only its nonzero entries."""
         from scipy import sparse as sp  # only the sparse solve path needs it
 
         plan = self.plan
-        values = self.values.copy()
-        values[plan.diag_blocks.reshape(-1, 25)[:, ::6].ravel()] += self._diagonal(eta_w, eta_a)
+        values = self.regularized(eta_w, eta_a)
         kept = np.flatnonzero(values != 0.0)  # as np.nonzero: drops either zero, keeps NaN
         return sp.csc_matrix(
             (values[kept], plan.indices[kept], np.searchsorted(kept, plan.indptr).astype(np.intc)),

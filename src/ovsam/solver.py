@@ -7,12 +7,18 @@ assemble makes at the start's poses, and that system serves iteration
 1; each later iteration assembles the bordered system H ds = -g at the
 current state.  Each iteration walks one constant regularization
 ladder, LADDER: each rung solves (H + R) ds = -g (LAPACK's dense
-Bunch-Kaufman LDL^T factorization at desk scale, sparse LU for large
+Bunch-Kaufman LDL^T factorization at desk scale, SuperLU for large
 graphs) and backtracks on the l1 exact-penalty merit of the Lagrangian,
 L + mu sum|l_i|.  R repeats diag(eta_W, eta_W, eta_W, eta_W, -eta_A) per
 free pose; the sign flip on the multiplier entry preserves the saddle
-structure.  Rung 0 is plain Newton (R = 0); the rungs after it are the
-Levenberg-Marquardt zigzag (c, 0), (0, c), (c, c) for c = 1e-6 ... 1e6.
+structure.  The graph and the homing mask fix the sparsity pattern of
+H + R, up to the two classes eta_A = 0 and eta_A != 0, so SuperLU's
+fill-reducing column order is computed once per pattern and kept in the
+solve's plan (spsolve): the sparse steps are bitwise those of a fresh
+COLAMD order on every rung, except where a pivot column ties exactly
+for its largest magnitude.  Rung 0 is plain Newton (R = 0); the rungs
+after it are the Levenberg-Marquardt zigzag (c, 0), (0, c), (c, c) for
+c = 1e-6 ... 1e6.
 The first rung whose step decreases the merit is taken.  If none does, a
 short emergency step of length EMERGENCY_STEP is taken along the last
 solvable direction.  Termination on gradient norm, step norm, iteration
@@ -112,6 +118,8 @@ class SolveReport:
     lambdas: np.ndarray
     merit_calls: int = 0  # stacked merit evaluations
     merit_states: int = 0  # trial points they evaluated
+    factorizations: int = 0  # newton_step calls, one per rung tried
+    orderings: int = 0  # COLAMD column orders computed (spsolve), 0 on the dense path
 
     @property
     def iterations(self):
@@ -158,23 +166,97 @@ def compute_active_mask(graph, threshold, use_distance_error=False, table=None, 
     )
 
 
-def spsolve(A, b):
-    """Sparse LU solve of A x = b (scipy.sparse.linalg.spsolve).
+@dataclass(frozen=True)
+class ColumnOrder:
+    """SuperLU's column order for one pattern of H + R (spsolve).
 
-    Raises NumericalFailure for a singular A.  scipy.sparse and its
-    solvers are imported here, on the first sparse solve: systems below
-    SPARSE_SOLVE_DIM never need them, and they add about 2.5 MB to a
-    process that holds only scipy.linalg.
+    nonzero marks the pattern: the entries of the plan's values that
+    to_csc keeps.  A[:, q] is A Pc, Pc the column permutation SuperLU
+    chose for a matrix A of that pattern; data, indices and indptr are
+    the CSC of A[:, q], data as positions in the values.
     """
-    from scipy.sparse.linalg import MatrixRankWarning
+
+    nonzero: np.ndarray
+    q: np.ndarray
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _column_order(A, nonzero, perm_c):
+    """The ColumnOrder of the CSC matrix A, to_csc's of the pattern nonzero."""
+    q = np.argsort(perm_c)
+    starts = A.indptr[q]
+    counts = A.indptr[q + 1] - starts
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intc)
+    at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)  # in A.data
+    return ColumnOrder(nonzero, q, np.flatnonzero(nonzero)[at], A.indices[at], indptr)
+
+
+def spsolve(system, eta_w=0.0, eta_a=0.0):
+    """Sparse LU solve of (H + R) x = -g by SuperLU (scipy.sparse.linalg).
+
+    The fill-reducing column order (COLAMD) depends on the pattern of
+    H + R only, so it is computed once per pattern and kept in the
+    system's plan.  H's multiplier diagonal is exactly zero and R's
+    -eta_a entries are the only ones on it, so a rung's pattern has one
+    of two classes: the rungs with eta_a = 0 drop that diagonal, the
+    others keep it.  plan.orders holds one ColumnOrder per class, and a
+    pattern that changes within its class (the homing mask changed)
+    replaces its entry.  A miss, counted in plan.orderings, factors
+    to_csc's A by splu with its defaults, the COLAMD order spsolve's
+    gssv takes, and keeps q = argsort(perm_c).  A hit gathers the CSC
+    of A[:, q] from the values and solves it by spsolve with
+    permc_spec="NATURAL", then x[q] = y; splu(permc_spec="NATURAL")
+    would force SymmetricMode, which changes the pivots.  SuperLU postorders the column elimination
+    tree of A Pc, and an order already postordered maps to itself, so
+    the hit factors the same columns with the same row numbering as a
+    COLAMD solve.  The one gap: at DiagPivotThresh 1.0, dpivotL prefers
+    row iperm_c[jcol] when it ties for the largest magnitude in its
+    column, and under NATURAL that row is jcol, not q[jcol], so the
+    pivots can differ where a column has an exact tie for its largest
+    magnitude at pivot time.  All 107 solves of tools/solve_digest.py
+    stay bitwise, and so do 18 sparse solves at 6x20 (seeds 0-5) and
+    10x30 (seeds 0-2), from odometry and from the truth: of their 911
+    factorizations (678 ladder escalations) one differs from a COLAMD
+    solve's, by 1e-10 relative, through such a tie, on a rung whose step
+    was rejected.
+
+    Raises NumericalFailure for a singular H + R; a failed miss keeps no
+    order.  scipy.sparse and its solvers are imported here, on the first
+    sparse solve: systems below SPARSE_SOLVE_DIM never need them, and
+    they add about 2.5 MB to a process that holds only scipy.linalg.
+    """
+    from scipy import sparse as sp
+    from scipy.sparse.linalg import MatrixRankWarning, splu
     from scipy.sparse.linalg import spsolve as superlu_solve
 
+    plan, b = system.plan, -system.g
+    values = system.regularized(eta_w, eta_a)
+    nonzero = values != 0.0
+    key = eta_a != 0.0
+    order = plan.orders.get(key)
+    if order is None or not np.array_equal(order.nonzero, nonzero):
+        A = system.to_csc(eta_w, eta_a)
+        plan.orderings += 1
+        try:
+            lu = splu(A)
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            raise NumericalFailure(f"linear solve failed: {exc}") from exc
+        plan.orders[key] = _column_order(A, nonzero, lu.perm_c)
+        return lu.solve(b)
+    A = sp.csc_matrix(
+        (values[order.data], order.indices, order.indptr), shape=(system.dim, system.dim)
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
-            return superlu_solve(A, b)
+            y = superlu_solve(A, b, permc_spec="NATURAL")
         except MatrixRankWarning as exc:
             raise NumericalFailure(f"linear solve failed: {exc}") from exc
+    x = np.empty_like(y)
+    x[order.q] = y
+    return x
 
 
 def dense_solve(A, b):
@@ -201,12 +283,13 @@ def newton_step(system, eta_w=0.0, eta_a=0.0):
 
     R repeats diag(eta_w, eta_w, eta_w, eta_w, -eta_a) per free pose;
     the system forms H + R afresh for each rung, dense (dense_solve)
-    below SPARSE_SOLVE_DIM and CSC (spsolve) at or above it.  The system
-    must be finite (solve checks it once per iteration).  Raises
-    NumericalFailure when H + R is singular or the step is not finite.
+    below SPARSE_SOLVE_DIM and sparse (spsolve, which reuses one column
+    order per pattern) at or above it.  The system must be finite (solve
+    checks it once per iteration).  Raises NumericalFailure when H + R
+    is singular or the step is not finite.
     """
     if system.dim >= SPARSE_SOLVE_DIM:
-        delta = spsolve(system.to_csc(eta_w, eta_a), -system.g)
+        delta = spsolve(system, eta_w, eta_a)
     else:
         delta = dense_solve(system.to_dense(eta_w, eta_a), -system.g)
     if not np.all(np.isfinite(delta)):
@@ -295,7 +378,7 @@ def solve(graph, cfg=None):
     system = assemble(graph, cfg.cost, mask, None, cfg.use_distance_error, base, tables)
     state = pack_state(tables, base, system.lambdas)
     guard = 1e6 * max(1.0, float(np.linalg.norm(state)))
-    merit_calls = merit_states = 0
+    merit_calls = merit_states = factorizations = 0
 
     def merit_at(vecs):
         nonlocal merit_calls, merit_states
@@ -350,6 +433,7 @@ def solve(graph, cfg=None):
             system, merit_at, state, system.L + cfg.mu * system.l1
         )
         system = None  # free it and its matrix before the next is built
+        factorizations += record.lm_escalations + 1  # find_step tried rungs 0 .. escalations
 
         step = record.alpha * delta
         state = state + step
@@ -366,4 +450,6 @@ def solve(graph, cfg=None):
         lambdas=lambdas.copy(),
         merit_calls=merit_calls,
         merit_states=merit_states,
+        factorizations=factorizations,
+        orderings=tables.plan.orderings,
     )

@@ -561,6 +561,7 @@ def test_chunked_line_search_solves_as_the_sequential_search(monkeypatch):
         assert len(rungs) == 2 * steps
         assert (chunked.merit_calls, chunked.merit_states) == counts[3:]
         assert sequential.merit_calls == sequential.merit_states
+        assert (chunked.factorizations, chunked.orderings) == (steps, 0)  # dense: no COLAMD
 
 
 def test_report_counts_merit_calls_and_records_alpha(monkeypatch):
@@ -911,6 +912,94 @@ def test_sparse_solve_path_matches_dense(monkeypatch):
         dense = np.linalg.solve(system.to_dense(*LADDER[rung]), -system.g)
         scale = max(1.0, float(np.max(np.abs(dense))))
         assert np.max(np.abs(delta - dense)) / scale < 1e-8, rung
+
+
+def _colamd_solve(system, rung):
+    """scipy's spsolve of to_csc's H + R, which runs COLAMD on every call."""
+    from scipy.sparse.linalg import spsolve
+
+    return spsolve(system.to_csc(*rung), -system.g)
+
+
+def test_sparse_newton_step_is_the_colamd_solve_bitwise():
+    # one 6x20 system solved at every rung twice, so each rung of each
+    # pattern class misses once or hits, then a system of the same tables
+    # with a different homing mask, which changes both classes' patterns,
+    # then the first again: every step is the COLAMD solve's bytes
+    from ovsam.assembly import ActiveMask, assemble
+
+    graph = simulate(SimConfig(lanes=6, points_per_lane=20))[0]
+    tables = measurement_tables(graph, RotCostConfig())
+    lambdas = np.random.default_rng(2).normal(0.0, 0.1, len(tables.free))
+    homing = np.ones(len(graph.homing), dtype=bool)
+    homing[::3] = False
+    masks = (ActiveMask.all_active(graph), ActiveMask(homing, np.ones(len(graph.odometry), bool)))
+    first, second = (assemble(graph, RotCostConfig(), m, lambdas, tables=tables) for m in masks)
+    assert first.dim >= SPARSE_SOLVE_DIM
+    assert first.plan is second.plan is tables.plan
+    assert not np.array_equal(first.values != 0.0, second.values != 0.0)
+    plan = tables.plan
+    orderings = []
+    for system in (first, first, second, first):
+        for rung in LADDER:
+            want = _colamd_solve(system, rung)
+            assert newton_step(system, *rung).tobytes() == want.tobytes(), rung
+            assert len(plan.orders) <= 2
+        orderings.append(plan.orderings)
+    # one COLAMD run per class and pattern: rung 0 and rung 2 miss
+    assert orderings == [2, 2, 4, 6]
+    assert sorted(plan.orders) == [False, True]
+
+
+def test_sparse_solve_raises_for_a_singular_matrix_on_miss_and_hit():
+    # an all-ones H on a real system's pattern has equal rows (each x pair
+    # couples the same poses), so it is singular whatever the ordering:
+    # splu raises on a miss, spsolve warns on a hit; a failed miss keeps
+    # no order
+    from ovsam.assembly import SparseSymmetricSystem, assemble
+
+    graph = random_graph(np.random.default_rng(0))
+    tables = measurement_tables(graph, RotCostConfig())
+    system = assemble(graph, RotCostConfig(), tables=tables)
+    ones = np.where(system.values != 0.0, 1.0, 0.0)
+    singular = SparseSymmetricSystem(
+        system.plan, ones, system.g, 0.0, 0.0, 0.0, system.l_values, system.lambdas
+    )
+    plan = tables.plan
+    for rung, key in ((LADDER[0], False), (LADDER[2], True)):
+        kept = dict(plan.orders)
+        with pytest.raises(NumericalFailure, match="Factor is exactly singular"):
+            solver_module.spsolve(singular, *rung)  # a miss
+        assert plan.orders.keys() == kept.keys()
+        assert all(plan.orders[k] is order for k, order in kept.items())
+        want = _colamd_solve(system, rung)
+        assert solver_module.spsolve(system, *rung).tobytes() == want.tobytes()
+        order = plan.orders[key]
+        with pytest.raises(NumericalFailure, match="Matrix is exactly singular"):
+            solver_module.spsolve(singular, *rung)  # a hit: the same pattern
+        assert plan.orders[key] is order
+    assert plan.orderings == 4  # the failed misses ran COLAMD too
+
+
+def test_report_counts_factorizations_and_orderings(monkeypatch):
+    # a short 6x20 solve that escalates the ladder: every newton_step call
+    # is a factorization, every splu call a COLAMD run
+    import scipy.sparse.linalg
+
+    splu, orderings = scipy.sparse.linalg.splu, []
+
+    def counted_splu(A):
+        orderings.append(A.nnz)
+        return splu(A)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+    rungs = _counting_newton_step(monkeypatch)
+    graph = simulate(SimConfig(lanes=6, points_per_lane=20, seed=1))[0]
+    report = solve(graph, SolverConfig(max_iters=4))
+    assert sum(t.lm_escalations for t in report.trace) > 0
+    assert report.factorizations == len(rungs)
+    assert report.orderings == len(orderings)
+    assert 2 <= report.orderings < report.factorizations
 
 
 def test_dense_solves_do_not_import_scipy_sparse():

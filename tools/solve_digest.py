@@ -1,4 +1,4 @@
-"""Print one sha256 per solve over a fixed set of 106 solves.
+"""Print one sha256 per solve over a fixed set of 107 solves.
 
     python3 tools/solve_digest.py [--only PREFIX] [--against FILE]
 
@@ -37,6 +37,10 @@ The set:
     sparse-path solve (120 poses) that escalates the ladder (8 rungs in
     iteration 1, 11 in iteration 4), where the benchmark's sparse
     workload never escalates;
+  * SimConfig(lanes=10, points_per_lane=30, seed=0) with max_iters=6:
+    a sparse-path solve (300 poses) from odometry that escalates the
+    ladder, 51 factorizations whose patterns alternate between the two
+    classes of solver.spsolve's column orders;
   * SimConfig(lanes=4, points_per_lane=15, seed=0) with max_iters=5 and
     SimConfig(lanes=5, points_per_lane=19, seed=1) with max_iters=6:
     dense-path solves at dims 295 and 470 (just below SPARSE_SOLVE_DIM),
@@ -103,6 +107,13 @@ def solve_set(only=""):
             "sparse/seed=1",
             SimConfig(lanes=6, points_per_lane=20, seed=1),
             SolverConfig(max_iters=4),
+        )
+    )
+    sims.append(
+        (
+            "sparse/10x30/seed=0",
+            SimConfig(lanes=10, points_per_lane=30, seed=0),
+            SolverConfig(max_iters=6),
         )
     )
     sims.append(
