@@ -10,13 +10,15 @@ the state layout: the flat state stacks one block [x (2), u (2), lambda]
 per free pose, in the order tables.free (pack_state, unpack_state).
 
 The records form one sequence, the odometry records then the homing
-records, each group in list order.  record_terms evaluates each cost
-family for all its active records in one batched kernel call and lists
-the results as (rows, slot, result) entries, one per term, in canonical
-order: translation (slot 0), the optional distance term (1) and
-rotation (2) over the odometry records, then home vector (0) and
-compass (1) over the active homing records.  Everything downstream walks
-that one list.  The merit also takes a stack (S, N, 4) of pose tables,
+records, each group in list order, and the distance mask is one flag
+per record of it (compute_active_mask): a homing record's flag gates
+the whole record, an odometry record's only its distance term.
+record_terms evaluates each cost family for all its active records in
+one batched kernel call and lists the results as (rows, slot, result)
+entries, one per term, in canonical order: translation (slot 0), the
+optional distance term (1) and rotation (2) over the odometry records,
+then home vector (0) and compass (1) over the active homing records.
+Everything downstream walks that one list.  The merit also takes a stack (S, N, 4) of pose tables,
 S trial points, whose (S, K, 4) poses the kernels broadcast against the
 (K, ...) per-record data; each trial's numbers are those of a call on
 its table alone.  The results keep the numbers of a walk over the
@@ -29,7 +31,7 @@ record order by np.bincount straight into the CSC-ordered values of H
 at the positions tables.plan fixes, then adds the per-pose constraint
 terms.  A measurement couples only its pose pair, and a multiplier
 only its own orientation, so the graph fixes H's pattern: the plan
-covers every record, and the masks only decide which terms are
+covers every record, and the mask only decides which terms are
 evaluated (a slot no term fills is +0.0, which changes no sum).  The
 result is a sparse symmetric system, stored once as that CSC pattern
 plus values, whose lambda-lambda diagonal entries are exactly zero (a
@@ -49,6 +51,7 @@ import numpy as np
 from .constraints import eval_constraint, residual
 from .costs import (
     ORI,
+    POS,
     distance_weight,
     eval_compass,
     eval_distance,
@@ -60,26 +63,6 @@ from .costs import (
 from .errors import DegenerateVectorError, GraphValidationError, PreconditionError
 from .graph import record_name
 from .orvec import omega, rowdot
-
-
-@dataclass
-class ActiveMask:
-    """Flags for measurements not suppressed by the distance threshold.
-
-    homing masks whole homing measurements; distance masks only the
-    optional traveled-distance term of odometry measurements (their
-    translation and rotation terms are never suppressed).
-    """
-
-    homing: np.ndarray
-    distance: np.ndarray
-
-    @classmethod
-    def all_active(cls, graph):
-        return cls(
-            homing=np.ones(len(graph.homing), dtype=bool),
-            distance=np.ones(len(graph.odometry), dtype=bool),
-        )
 
 
 @dataclass(frozen=True)
@@ -169,6 +152,32 @@ def measurement_tables(graph, cfg, use_distance_error=False):
     )
 
 
+def compute_active_mask(graph, threshold, use_distance_error=False, table=None, tables=None):
+    """Flag the records whose pose pair (in table) is at least the threshold apart.
+
+    One flag per record of the tables' sequence, shape (K,): a homing
+    record's flag gates the whole record, an odometry record's only its
+    distance term.  The homing pairs are tested, and the odometry pairs
+    too if use_distance_error; otherwise the odometry flags are all
+    True.  The pose rows come from tables (MeasurementTables) when
+    given, else from graph.validate().  Each decision is that of
+    math.hypot: np.hypot can differ from it in the last bit, so
+    distances within two ulps of the threshold are re-decided with
+    math.hypot.
+    """
+    if table is None:
+        table = graph.pose_table()
+    i1, i2 = pose_rows(*graph.validate()) if tables is None else (tables.i1, tables.i2)
+    first = 0 if use_distance_error else len(graph.odometry)  # the first record tested
+    d = table[i2[first:], POS] - table[i1[first:], POS]
+    h = np.hypot(d[:, 0], d[:, 1])
+    active = np.ones(len(i1), dtype=bool)
+    active[first:] = h >= threshold
+    for k in np.flatnonzero(np.abs(h - threshold) <= 2.0 * np.spacing(threshold)):
+        active[first + k] = math.hypot(d[k, 0], d[k, 1]) >= threshold
+    return active
+
+
 def _multipliers(tables, lambdas, stack=()):
     """lambdas as a float array of shape stack + (n,), one per free pose,
     else PreconditionError."""
@@ -219,7 +228,8 @@ class ScatterPlan:
     last slot taking what falls on the anchor.  diag_blocks (n, 5, 5)
     holds the position in the values of each entry of each pose's
     diagonal block.  orders keeps the SuperLU column orders of this
-    plan's solve (solver.spsolve), at most two, and orderings counts the
+    plan's solve (solver.spsolve), at most two, each with its gather of
+    the CSC of A[:, q] from indices and indptr, and orderings counts the
     COLAMD runs that made them.
     """
 
@@ -257,7 +267,8 @@ class SparseSymmetricSystem:
     state stacks [x (2), u (2), lambda] per pose.  Each rung's H + R,
     where R adds diag(eta_w, eta_w, eta_w, eta_w, -eta_a) per pose, is
     H plus R on its true diagonal, whose entries are all structural:
-    to_csc copies the values and adds R there, and to_dense copies the
+    regularized copies the values and adds R there (solver.spsolve
+    gathers its nonzero entries into CSC form), and to_dense copies the
     dense H, scattered from the values on its first call, and adds R.
     """
 
@@ -295,18 +306,6 @@ class SparseSymmetricSystem:
         values[diagonal] += self._diagonal(eta_w, eta_a)
         return values
 
-    def to_csc(self, eta_w=0.0, eta_a=0.0):
-        """H + R in CSC form, holding only its nonzero entries."""
-        from scipy import sparse as sp  # only the sparse solve path needs it
-
-        plan = self.plan
-        values = self.regularized(eta_w, eta_a)
-        kept = np.flatnonzero(values != 0.0)  # as np.nonzero: drops either zero, keeps NaN
-        return sp.csc_matrix(
-            (values[kept], plan.indices[kept], np.searchsorted(kept, plan.indptr).astype(np.intc)),
-            shape=(self.dim, self.dim),
-        )
-
 
 def _running_sum(values):
     """0.0 + v[0] + v[1] + ... over the last axis, added one at a time in order."""
@@ -317,14 +316,16 @@ def _running_sum(values):
 def record_terms(tables, table, cfg, active, use_distance_error, derivs=True):
     """Evaluate every cost family over its active records at the table's poses.
 
+    active holds one flag per record of the tables' sequence
+    (compute_active_mask); another shape raises PreconditionError.
     Returns one (rows, slot, result) entry per term, in canonical order:
     translation (slot 0), distance (slot 1, only if use_distance_error,
-    over the odometry records active in active.distance) and rotation
-    (slot 2) over the odometry records, then home vector (slot 0) and
-    compass (slot 1) over the active homing records.  rows index the
-    tables' record sequence (a slice for a whole group); result is a
-    CostEval, or the values when derivs is false.  A record's terms are
-    those entries that cover it, in slot order.
+    over the active odometry records) and rotation (slot 2) over the
+    odometry records, then home vector (slot 0) and compass (slot 1)
+    over the active homing records.  rows index the sequence (a slice
+    for a whole group); result is a CostEval, or the values when derivs
+    is false.  A record's terms are those entries that cover it, in
+    slot order.
 
     A stack (S, N, 4) of tables (derivs false) gives (S, K) values.  If
     any term hits a degenerate vector, re-raises for the first such
@@ -334,6 +335,9 @@ def record_terms(tables, table, cfg, active, use_distance_error, derivs=True):
     """
     t = tables
     m = len(t.r)
+    shape = (len(t.i1),)
+    if np.shape(active) != shape:
+        raise PreconditionError(f"expected a mask of shape {shape}, got {np.shape(active)}")
 
     def poses(rows):
         return np.take(table, t.i1[rows], axis=-2), np.take(table, t.i2[rows], axis=-2)
@@ -342,11 +346,11 @@ def record_terms(tables, table, cfg, active, use_distance_error, derivs=True):
     p1, p2 = poses(odometry)
     calls = [(odometry, 0, lambda: eval_translation(p1, p2, t.Tinv, t.r, derivs))]
     if use_distance_error:
-        d = np.flatnonzero(active.distance)
+        d = np.flatnonzero(active[:m])
         e1, e2 = poses(d)
         calls.append((d, 1, lambda: eval_distance(e1, e2, t.sigma_e[d], t.rho[d], derivs)))
     calls.append((odometry, 2, lambda: eval_rotation(p1, p2, t.Q, t.w_rot, cfg, derivs)))
-    h = np.flatnonzero(active.homing)
+    h = np.flatnonzero(active[m:])
     homing = m + h
     q1, q2 = poses(homing)
     calls.append((homing, 0, lambda: eval_home_vector(q1, q2, t.A[h], t.w_home[h], cfg, derivs)))
@@ -431,7 +435,7 @@ def _defaults(graph, cfg, active, table, tables, use_distance_error=False):
     if table is None:
         table = graph.pose_table()
     if active is None:
-        active = ActiveMask.all_active(graph)
+        active = np.ones(len(tables.i1), dtype=bool)
     return active, table, tables
 
 

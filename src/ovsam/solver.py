@@ -11,7 +11,7 @@ Bunch-Kaufman LDL^T factorization at desk scale, SuperLU for large
 graphs) and backtracks on the l1 exact-penalty merit of the Lagrangian,
 L + mu sum|l_i|.  R repeats diag(eta_W, eta_W, eta_W, eta_W, -eta_A) per
 free pose; the sign flip on the multiplier entry preserves the saddle
-structure.  The graph and the homing mask fix the sparsity pattern of
+structure.  The graph and the distance mask fix the sparsity pattern of
 H + R, up to the two classes eta_A = 0 and eta_A != 0, so SuperLU's
 fill-reducing column order is computed once per pattern and kept in the
 solve's plan (spsolve): the sparse steps are bitwise those of a fresh
@@ -38,20 +38,20 @@ point that collapses a pose pair has merit inf.
 Home-vector and compass measurements (and the optional traveled-
 distance term) are masked out for any iteration in which their pose
 pair is closer than home_dist_threshold, since the home direction is
-discontinuous where the positions coincide.
+discontinuous where the positions coincide: assembly.compute_active_mask
+gives one flag per record of the measurement tables' sequence.
 """
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .assembly import ActiveMask, assemble, measurement_tables, merit
-from .assembly import pack_state, pose_rows, unpack_state
-from .costs import POS, RotCostConfig
+from .assembly import assemble, compute_active_mask, measurement_tables, merit
+from .assembly import pack_state, unpack_state
+from .costs import RotCostConfig
 from .errors import DegenerateVectorError, NumericalFailure, PreconditionError, Settings
 from .graph import UNIT_TOL, write_text
 from .orvec import DEGENERATE_NORM
@@ -140,40 +140,15 @@ class SolveReport:
         return write_text("\n".join(lines) + "\n", dest)
 
 
-def compute_active_mask(graph, threshold, use_distance_error=False, table=None, tables=None):
-    """Mask measurements whose pose pair (in table) is closer than the threshold.
-
-    The homing pairs are tested, and the odometry pairs too if
-    use_distance_error.  Their pose rows come from tables
-    (MeasurementTables) when given, else from graph.validate().  Each
-    decision is that of math.hypot: np.hypot can differ from it in the
-    last bit, so distances within two ulps of the threshold are
-    re-decided with math.hypot.
-    """
-    if table is None:
-        table = graph.pose_table()
-    i1, i2 = pose_rows(*graph.validate()) if tables is None else (tables.i1, tables.i2)
-    m = len(graph.odometry)
-    first = 0 if use_distance_error else m  # the first record whose pair is tested
-    d = table[i2[first:], POS] - table[i1[first:], POS]
-    h = np.hypot(d[:, 0], d[:, 1])
-    far = h >= threshold
-    for k in np.flatnonzero(np.abs(h - threshold) <= 2.0 * np.spacing(threshold)):
-        far[k] = math.hypot(d[k, 0], d[k, 1]) >= threshold
-    return ActiveMask(
-        homing=far[m - first :],
-        distance=far[: m - first] if use_distance_error else np.ones(m, dtype=bool),
-    )
-
-
 @dataclass(frozen=True)
 class ColumnOrder:
     """SuperLU's column order for one pattern of H + R (spsolve).
 
     nonzero marks the pattern: the entries of the plan's values that
-    to_csc keeps.  A[:, q] is A Pc, Pc the column permutation SuperLU
-    chose for a matrix A of that pattern; data, indices and indptr are
-    the CSC of A[:, q], data as positions in the values.
+    are not zero, the ones SuperLU is handed.  A[:, q] is A Pc, Pc a
+    column permutation of a matrix A of that pattern: the identity for
+    the natural order, or the one SuperLU chose; data, indices and
+    indptr are the CSC of A[:, q], data as positions in the values.
     """
 
     nonzero: np.ndarray
@@ -183,14 +158,15 @@ class ColumnOrder:
     indptr: np.ndarray
 
 
-def _column_order(A, nonzero, perm_c):
-    """The ColumnOrder of the CSC matrix A, to_csc's of the pattern nonzero."""
-    q = np.argsort(perm_c)
-    starts = A.indptr[q]
-    counts = A.indptr[q + 1] - starts
+def _column_order(plan, nonzero, q):
+    """The ColumnOrder of the column order q for the pattern nonzero of the plan's values."""
+    kept = np.flatnonzero(nonzero)
+    ptr = np.searchsorted(kept, plan.indptr)  # the column pointers of the kept entries
+    starts = ptr[q]
+    counts = ptr[q + 1] - starts
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intc)
-    at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)  # in A.data
-    return ColumnOrder(nonzero, q, np.flatnonzero(nonzero)[at], A.indices[at], indptr)
+    data = kept[np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)]
+    return ColumnOrder(nonzero, q, data, plan.indices[data], indptr)
 
 
 def spsolve(system, eta_w=0.0, eta_a=0.0):
@@ -202,20 +178,22 @@ def spsolve(system, eta_w=0.0, eta_a=0.0):
     -eta_a entries are the only ones on it, so a rung's pattern has one
     of two classes: the rungs with eta_a = 0 drop that diagonal, the
     others keep it.  plan.orders holds one ColumnOrder per class, and a
-    pattern that changes within its class (the homing mask changed)
-    replaces its entry.  A miss, counted in plan.orderings, factors
-    to_csc's A by splu with its defaults, the COLAMD order spsolve's
-    gssv takes, and keeps q = argsort(perm_c).  A hit gathers the CSC
-    of A[:, q] from the values and solves it by spsolve with
-    permc_spec="NATURAL", then x[q] = y; splu(permc_spec="NATURAL")
-    would force SymmetricMode, which changes the pivots.  SuperLU postorders the column elimination
+    pattern that changes within its class (the mask changed) replaces
+    its entry.  Either path hands SuperLU one gather of the values
+    (_column_order).  A miss, counted in plan.orderings, gathers A in
+    its natural order, factors it by splu with its defaults, the COLAMD
+    order spsolve's gssv takes, and keeps the gather for
+    q = argsort(perm_c).  A hit gathers the CSC of A[:, q] and solves it
+    by spsolve with permc_spec="NATURAL", then x[q] = y;
+    splu(permc_spec="NATURAL") would force SymmetricMode, which changes
+    the pivots.  SuperLU postorders the column elimination
     tree of A Pc, and an order already postordered maps to itself, so
     the hit factors the same columns with the same row numbering as a
     COLAMD solve.  The one gap: at DiagPivotThresh 1.0, dpivotL prefers
     row iperm_c[jcol] when it ties for the largest magnitude in its
     column, and under NATURAL that row is jcol, not q[jcol], so the
     pivots can differ where a column has an exact tie for its largest
-    magnitude at pivot time.  All 107 solves of tools/solve_digest.py
+    magnitude at pivot time.  All 108 solves of tools/solve_digest.py
     stay bitwise, and so do 18 sparse solves at 6x20 (seeds 0-5) and
     10x30 (seeds 0-2), from odometry and from the truth: of their 911
     factorizations (678 ladder escalations) one differs from a COLAMD
@@ -231,23 +209,23 @@ def spsolve(system, eta_w=0.0, eta_a=0.0):
     from scipy.sparse.linalg import MatrixRankWarning, splu
     from scipy.sparse.linalg import spsolve as superlu_solve
 
-    plan, b = system.plan, -system.g
+    plan, b, dim = system.plan, -system.g, system.dim
     values = system.regularized(eta_w, eta_a)
     nonzero = values != 0.0
     key = eta_a != 0.0
     order = plan.orders.get(key)
-    if order is None or not np.array_equal(order.nonzero, nonzero):
-        A = system.to_csc(eta_w, eta_a)
+    miss = order is None or not np.array_equal(order.nonzero, nonzero)
+    if miss:
+        order = _column_order(plan, nonzero, np.arange(dim))
+    A = sp.csc_matrix((values[order.data], order.indices, order.indptr), shape=(dim, dim))
+    if miss:
         plan.orderings += 1
         try:
             lu = splu(A)
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise NumericalFailure(f"linear solve failed: {exc}") from exc
-        plan.orders[key] = _column_order(A, nonzero, lu.perm_c)
+        plan.orders[key] = _column_order(plan, nonzero, np.argsort(lu.perm_c))
         return lu.solve(b)
-    A = sp.csc_matrix(
-        (values[order.data], order.indices, order.indptr), shape=(system.dim, system.dim)
-    )
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:

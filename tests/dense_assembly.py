@@ -11,7 +11,7 @@ loop_reference.total_values.
 
 import numpy as np
 
-from ovsam.assembly import ActiveMask, measurement_tables, record_blocks, record_terms
+from ovsam.assembly import measurement_tables, record_blocks, record_terms
 from ovsam.constraints import eval_constraint
 from ovsam.costs import ORI
 
@@ -26,11 +26,11 @@ def assemble_dense(graph, cfg, active=None, lambdas=None, use_distance_error=Fal
     free = [pid for pid in graph.pose_ids() if pid != graph.fixed_id]
     dim = 5 * len(free)
     table = graph.pose_table()
-    if active is None:
-        active = ActiveMask.all_active(graph)
     if lambdas is None:
         lambdas = np.zeros(len(free))
     tables = measurement_tables(graph, cfg)
+    if active is None:
+        active = np.ones(len(tables.i1), dtype=bool)
     terms = record_terms(tables, table, cfg, active, use_distance_error)
     grads, hessians = record_blocks(tables, terms)
     records = list(enumerate(record_rows(tables) + 1))

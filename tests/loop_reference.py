@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ovsam.assembly import ActiveMask
 from ovsam.costs import ORI, POS, _spd_inverse
 from ovsam.errors import (
     DegenerateVectorError,
@@ -342,7 +341,7 @@ def _record_terms(graph, table, cfg, active, use_distance_error, derivs=True):
         pa, pb = table[m.i1 - 1], table[m.i2 - 1]
         try:
             terms = [eval_translation(pa, pb, m.T, m.r, derivs)]
-            if use_distance_error and active.distance[k]:
+            if use_distance_error and active[k]:
                 terms.append(eval_distance(pa, pb, m.sigma_e, m.rho, derivs))
             terms.append(eval_rotation(pa, pb, _omega(m.q), m.sigma, cfg, derivs))
         except DegenerateVectorError as exc:
@@ -351,7 +350,7 @@ def _record_terms(graph, table, cfg, active, use_distance_error, derivs=True):
             ) from exc
         yield m.i1, m.i2, terms
     for k, m in enumerate(graph.homing):
-        if not active.homing[k]:
+        if not active[len(graph.odometry) + k]:
             continue
         pa, pb = table[m.i1 - 1], table[m.i2 - 1]
         try:
@@ -389,7 +388,7 @@ def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False, ta
     if table is None:
         table = graph.pose_table()
     if active is None:
-        active = ActiveMask.all_active(graph)
+        active = np.ones(len(graph.odometry) + len(graph.homing), dtype=bool)
     if lambdas is None:
         lambdas = np.zeros(len(free))
     g = np.zeros(5 * len(free))
@@ -433,7 +432,7 @@ def total_values(graph, cfg, active=None, lambdas=None, use_distance_error=False
     if table is None:
         table = graph.pose_table()
     if active is None:
-        active = ActiveMask.all_active(graph)
+        active = np.ones(len(graph.odometry) + len(graph.homing), dtype=bool)
     F = 0.0
     for _, _, terms in _record_terms(graph, table, cfg, active, use_distance_error, False):
         for value in terms:
@@ -466,7 +465,7 @@ def init_lambdas(graph, cfg, active=None, table=None):
                 f"pose {pid}: initial orientation vector must be unit, got norm {n!r}"
             )
     if active is None:
-        active = ActiveMask.all_active(graph)
+        active = np.ones(len(graph.odometry) + len(graph.homing), dtype=bool)
 
     grads = np.zeros((len(table), 2))
     for i1, i2, ev in _measurement_blocks(graph, table, cfg, active, False):

@@ -15,14 +15,14 @@ from conftest import (
 )
 from dense_assembly import assemble_dense, record_rows
 
-from ovsam.assembly import ActiveMask, assemble, measurement_tables, merit, pack_state
+from ovsam.assembly import assemble, measurement_tables, merit, pack_state
 from ovsam.costs import RotCostConfig
 from ovsam.errors import DegenerateVectorError, PreconditionError
 from ovsam.findiff import fd_gradient, fd_jacobian
 from ovsam.graph import FactorGraph, HomingMeasurement, OdometryMeasurement, Pose
 from ovsam.orvec import from_angle
 from ovsam.sim import SimConfig, simulate
-from ovsam.solver import LADDER
+from ovsam.solver import LADDER, _column_order
 
 
 def _perturbed(rng, n_poses=5, n_homing=4):
@@ -152,12 +152,12 @@ def _sim_system(sim, start, fixed=1):
     kept as +0.0."""
     graph, truth = simulate(sim)
     graph = graph.with_fixed(fixed)
-    active = ActiveMask.all_active(graph)
+    active = np.ones(len(graph.odometry) + len(graph.homing), dtype=bool)
     if start == "truth":
         poses = [Pose(t[:2], from_angle(t[2])) for t in truth.poses]
         graph = FactorGraph(poses, graph.odometry, graph.homing, graph.fixed_id)
     elif start == "masked":
-        active.homing[0] = False
+        active[len(graph.odometry)] = False
     system = assemble(graph, RotCostConfig(), active)
     rows, cols = stored_entries(system)
     if start == "truth":
@@ -177,16 +177,34 @@ def _sim_system(sim, start, fixed=1):
     return system
 
 
+def _natural_csc(system, eta_w=0.0, eta_a=0.0):
+    """H + R in CSC form, holding only its nonzero entries: the natural-order
+    gather that solver.spsolve factors on a miss."""
+    from scipy import sparse as sp
+
+    values = system.regularized(eta_w, eta_a)
+    order = _column_order(system.plan, values != 0.0, np.arange(system.dim))
+    return sp.csc_matrix(
+        (values[order.data], order.indices, order.indptr), shape=(system.dim, system.dim)
+    )
+
+
 def test_csc_matches_dense_on_every_rung():
+    from scipy import sparse as sp
+
     rng = np.random.default_rng(6)
     graph, lambdas = _perturbed(rng)
     systems = [assemble(graph, RotCostConfig(), lambdas=lambdas)]
     systems += [_sim_system(SimConfig(), start) for start in ("truth", "masked")]
     for system in systems:
         for rung in LADDER:
-            C = system.to_csc(*rung)
+            C = _natural_csc(system, *rung)
             assert np.array_equal(C.toarray(), system.to_dense(*rung))
             assert np.all(C.data != 0.0)
+            # byte for byte the CSC that scipy builds from the dense H + R
+            D = sp.csc_matrix(system.to_dense(*rung))
+            for name in ("data", "indices", "indptr"):
+                assert getattr(C, name).tobytes() == getattr(D, name).tobytes(), (rung, name)
 
 
 @pytest.mark.parametrize("use_distance", [False, True])
@@ -201,10 +219,11 @@ def test_assemble_with_a_prebuilt_plan_equals_assemble_without(use_distance):
     start = graph.pose_table()
     moved = start + rng.normal(0.0, 0.05, start.shape)
     lambdas = rng.normal(size=len(graph) - 1)
-    everything = ActiveMask.all_active(graph)
-    masked = ActiveMask.all_active(graph)
-    masked.homing[::3] = False
-    masked.distance[1::2] = False
+    m = len(graph.odometry)
+    everything = np.ones(m + len(graph.homing), dtype=bool)
+    masked = everything.copy()
+    masked[m:][::3] = False
+    masked[:m][1::2] = False
 
     def same(got, want):
         pairs = [(got.values, want.values), (got.g, want.g)]
@@ -268,7 +287,7 @@ def test_csc_equals_the_block_matrix_plus_diagonal_array_for_array(
             expect.eliminate_zeros()
         else:
             expect = (H + diags(np.tile([w, w, w, w, -a], system.dim // 5))).tocsc()
-        C = system.to_csc(w, a)
+        C = _natural_csc(system, w, a)
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(C, name), getattr(expect, name)), (w, a, name)
         assert np.all(C.data != 0.0)
@@ -394,6 +413,25 @@ def test_multipliers_of_the_wrong_shape_are_rejected(shape):
             call()
 
 
+@pytest.mark.parametrize("flags", ["homing", "K+1"])
+def test_masks_of_the_wrong_shape_are_rejected(flags):
+    # one flag per record of the sequence: a per-group array (the homing
+    # records' flags alone) or one flag too many would otherwise be
+    # sliced at the group boundary and gate the wrong records
+    graph, _ = simulate(SimConfig())
+    cfg = RotCostConfig()
+    k = len(graph.odometry) + len(graph.homing)
+    active = np.ones({"homing": len(graph.homing), "K+1": k + 1}[flags], dtype=bool)
+    for use_distance in (False, True):
+        calls = [
+            lambda: assemble(graph, cfg, active, None, use_distance),
+            lambda: merit(graph, cfg, active, 10.0, None, use_distance),
+        ]
+        for call in calls:
+            with pytest.raises(PreconditionError, match=rf"^expected a mask of shape \({k},\), got"):
+                call()
+
+
 @pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0, -1.0], ids=str)
 def test_merit_rejects_a_mu_that_is_not_finite_and_positive(mu):
     # with every u unit, sum |l_i| is 0.0 and inf * 0.0 would make the merit NaN
@@ -407,9 +445,8 @@ def test_merit_rejects_a_mu_that_is_not_finite_and_positive(mu):
 def test_masked_homing_equals_graph_without_homing():
     rng = np.random.default_rng(10)
     graph, lambdas = _perturbed(rng, n_poses=5, n_homing=4)
-    mask = ActiveMask(
-        homing=np.zeros(len(graph.homing), dtype=bool),
-        distance=np.ones(len(graph.odometry), dtype=bool),
+    mask = np.concatenate(
+        (np.ones(len(graph.odometry), dtype=bool), np.zeros(len(graph.homing), dtype=bool))
     )
     bare = FactorGraph(
         [graph.pose(i).copy() for i in graph.pose_ids()],
@@ -427,9 +464,8 @@ def test_masked_homing_equals_graph_without_homing():
 def test_distance_mask_equals_flag_off():
     rng = np.random.default_rng(11)
     graph, lambdas = _perturbed(rng)
-    mask = ActiveMask(
-        homing=np.ones(len(graph.homing), dtype=bool),
-        distance=np.zeros(len(graph.odometry), dtype=bool),
+    mask = np.concatenate(
+        (np.zeros(len(graph.odometry), dtype=bool), np.ones(len(graph.homing), dtype=bool))
     )
     cfg = RotCostConfig()
     a = assemble(graph, cfg, active=mask, lambdas=lambdas, use_distance_error=True)

@@ -31,7 +31,6 @@ from dense_assembly import record_rows
 
 import ovsam.assembly as assembly_module
 from ovsam.assembly import (
-    ActiveMask,
     assemble,
     measurement_tables,
     merit,
@@ -92,7 +91,7 @@ def _masked_pairs(tables, active):
     """The (rank, rank) pairs, both orders, of the masked homing records' free poses."""
     if active is None:
         return set()
-    off = len(tables.r) + np.flatnonzero(~active.homing)
+    off = len(tables.r) + np.flatnonzero(~active[len(tables.r) :])
     ranks = zip(tables.rank[tables.i1[off]], tables.rank[tables.i2[off]])
     return {pair for k, l in ranks if min(k, l) >= 0 for pair in ((k, l), (l, k))}
 
@@ -110,10 +109,9 @@ def _check_stack(graph, cfg, active, use_distance, states):
 
 
 def _random_mask(graph, rng):
-    return ActiveMask(
-        homing=rng.random(len(graph.homing)) < 0.6,
-        distance=rng.random(len(graph.odometry)) < 0.6,
-    )
+    homing = rng.random(len(graph.homing)) < 0.6
+    distance = rng.random(len(graph.odometry)) < 0.6
+    return np.concatenate((distance, homing))
 
 
 @pytest.mark.parametrize("cfg", CFGS, ids=["t1=1", "t1=0", "second"])
@@ -153,7 +151,8 @@ def test_simulated_graphs_match_the_loop(cfg):
     for table, lambdas in states:
         for use_distance in (False, True):
             active = compute_active_mask(graph, 0.5, use_distance, table)
-            assert not active.homing.all() and active.homing.any()
+            homing = active[len(graph.odometry) :]
+            assert not homing.all() and homing.any()
             _check_values_and_system(graph, cfg, active, lambdas, use_distance, table)
             _check_stack(graph, cfg, active, use_distance, states[1:])
         unit = table.copy()
@@ -198,7 +197,7 @@ def test_record_blocks_are_the_loop_sums(cfg, use_distance, threshold):
         want = ref._measurement_blocks(graph, table, cfg, active, use_distance)
         rows = record_rows(tables)
         m = len(graph.odometry)
-        live = np.concatenate((np.arange(m), m + np.flatnonzero(active.homing)))
+        live = np.concatenate((np.arange(m), m + np.flatnonzero(active[m:])))
         dead = np.delete(np.arange(len(rows)), live)
         assert (len(grads), len(hessians)) == (len(rows), len(rows))
         assert np.array_equal(rows[live], [(i1 - 1, i2 - 1) for i1, i2, _ in want])
@@ -222,12 +221,12 @@ def test_record_terms_lists_each_term_with_its_rows_and_slot(use_distance):
     m, k = len(graph.odometry), len(graph.odometry) + len(graph.homing)
     for _ in range(3):
         active = _random_mask(graph, rng)
-        assert 0 < active.homing.sum() < len(graph.homing)
-        assert 0 < active.distance.sum() < m
-        odometry, homing = np.arange(m), m + np.flatnonzero(active.homing)
+        assert 0 < active[m:].sum() < len(graph.homing)
+        assert 0 < active[:m].sum() < m
+        odometry, homing = np.arange(m), m + np.flatnonzero(active[m:])
         want = [(odometry, 0), (odometry, 2), (homing, 0), (homing, 1)]
         if use_distance:
-            want.insert(1, (np.flatnonzero(active.distance), 1))
+            want.insert(1, (np.flatnonzero(active[:m]), 1))
         stack = np.stack([table for table, _ in _states(graph, rng, count=2)])
         for table, derivs in ((stack[0], True), (stack[0], False), (stack, False)):
             terms = record_terms(tables, table, cfg, active, use_distance, derivs)
@@ -245,7 +244,7 @@ def test_record_terms_names_the_first_degenerate_record_of_the_sequence(derivs):
     # first record of the sequence is named, as the loop names it
     graph = _degenerate_graph([0.0, 0.0], [1.0, 0.0], [1.0, 0.0])
     cfg = RotCostConfig()
-    active = ActiveMask.all_active(graph)
+    active = np.ones(len(graph.odometry) + len(graph.homing), dtype=bool)
     named = {True: "odometry record 1 (1->2): ", False: "homing record 3 (1->2): "}
     for use_distance, where in named.items():
         tables = measurement_tables(graph, cfg, use_distance)

@@ -69,6 +69,7 @@ def test_against_reports_each_label_that_differs(tmp_path):
         "anchor/seed=0",  # the only anchor not at the first pose: ranks skip its row
         "dense/5x19/seed=1",  # the largest dense scatter, dim 470
         "distance/seed=1",  # the distance term, to grad_tol
+        "distance/threshold=0.5/seed=1",  # masked distance terms, to grad_tol
         "second+distance/seed=0",  # the distance term under the second form, diverged
     ],
 )
@@ -79,12 +80,12 @@ def test_solves_match_the_saved_digests(label):
 
 
 def test_saved_baseline_holds_each_label_once_and_their_total():
-    # tools/solve_digest.txt is a whole run's output: 107 labels, then the
+    # tools/solve_digest.txt is a whole run's output: 108 labels, then the
     # sha256 of the lines above it
     lines = (ROOT / "tools" / "solve_digest.txt").read_text(encoding="utf-8").splitlines()
     pairs = [line.split() for line in lines[:-1]]
     labels = [label for label, _ in pairs]
-    assert len(labels) == len(set(labels)) == 107
+    assert len(labels) == len(set(labels)) == 108
     assert all(len(d) == 64 and int(d, 16) >= 0 for _, d in pairs)
     total = hashlib.sha256("".join(line + "\n" for line in lines[:-1]).encode())
     assert lines[-1] == f"all {total.hexdigest()}"

@@ -800,7 +800,7 @@ def test_solve_builds_one_plan_whatever_the_mask(monkeypatch):
 
     def recorded(*args, **kwargs):
         mask = compute(*args, **kwargs)
-        masks.append(mask.homing)
+        masks.append(mask[len(args[0].odometry) :])
         return mask
 
     monkeypatch.setattr(assembly_module, "ScatterPlan", Counted)
@@ -831,11 +831,11 @@ def test_compute_active_mask_threshold():
         OdometryMeasurement(1, 2, [0.03, 0.0], [1.0, 0.0], np.eye(2), 1.0, 1.0),
     ]
     graph = FactorGraph(poses, odometry, homing)
+    # one flag per record of the sequence: the odometry record, then the homing records
     mask = compute_active_mask(graph, 0.05)
-    assert mask.homing.tolist() == [False, True]
-    assert mask.distance.tolist() == [True]  # distance untouched unless enabled
+    assert mask.tolist() == [True, False, True]  # distance untouched unless enabled
     mask2 = compute_active_mask(graph, 0.05, use_distance_error=True)
-    assert mask2.distance.tolist() == [False]
+    assert mask2.tolist() == [False, False, True]
 
 
 def test_compute_active_mask_decides_as_math_hypot():
@@ -864,8 +864,9 @@ def test_compute_active_mask_decides_as_math_hypot():
         compute_active_mask(graph, threshold, True),
         compute_active_mask(graph, threshold, True, table, tables),
     ):
-        assert mask.homing.tolist() == [far(m) for m in homing]
-        assert mask.distance.tolist() == [far(m) for m in odometry]
+        assert mask.shape == (len(odometry) + len(homing),)
+        assert mask[len(odometry) :].tolist() == [far(m) for m in homing]
+        assert mask[: len(odometry)].tolist() == [far(m) for m in odometry]
     # the check is sharp: np.hypot alone decides some of these pairs the other way
     d = x0 - xs
     assert list(np.hypot(d[:, 0], d[:, 1]) >= threshold) != [far(m) for m in homing]
@@ -915,10 +916,11 @@ def test_sparse_solve_path_matches_dense(monkeypatch):
 
 
 def _colamd_solve(system, rung):
-    """scipy's spsolve of to_csc's H + R, which runs COLAMD on every call."""
+    """scipy's spsolve of the CSC of the dense H + R, which runs COLAMD on every call."""
+    import scipy.sparse
     from scipy.sparse.linalg import spsolve
 
-    return spsolve(system.to_csc(*rung), -system.g)
+    return spsolve(scipy.sparse.csc_matrix(system.to_dense(*rung)), -system.g)
 
 
 def test_sparse_newton_step_is_the_colamd_solve_bitwise():
@@ -926,14 +928,16 @@ def test_sparse_newton_step_is_the_colamd_solve_bitwise():
     # pattern class misses once or hits, then a system of the same tables
     # with a different homing mask, which changes both classes' patterns,
     # then the first again: every step is the COLAMD solve's bytes
-    from ovsam.assembly import ActiveMask, assemble
+    from ovsam.assembly import assemble
 
     graph = simulate(SimConfig(lanes=6, points_per_lane=20))[0]
     tables = measurement_tables(graph, RotCostConfig())
     lambdas = np.random.default_rng(2).normal(0.0, 0.1, len(tables.free))
-    homing = np.ones(len(graph.homing), dtype=bool)
-    homing[::3] = False
-    masks = (ActiveMask.all_active(graph), ActiveMask(homing, np.ones(len(graph.odometry), bool)))
+    m = len(graph.odometry)
+    everything = np.ones(m + len(graph.homing), dtype=bool)
+    masked = everything.copy()
+    masked[m:][::3] = False
+    masks = (everything, masked)
     first, second = (assemble(graph, RotCostConfig(), m, lambdas, tables=tables) for m in masks)
     assert first.dim >= SPARSE_SOLVE_DIM
     assert first.plan is second.plan is tables.plan

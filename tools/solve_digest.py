@@ -1,4 +1,4 @@
-"""Print one sha256 per solve over a fixed set of 107 solves.
+"""Print one sha256 per solve over a fixed set of 108 solves.
 
     python3 tools/solve_digest.py [--only PREFIX] [--against FILE]
 
@@ -33,6 +33,9 @@ The set:
     default SolverConfig;
   * seeds 0-2 under the second form, t1 = 0, the distance error, and the
     second form with the distance error;
+  * SimConfig(seed=1) with the distance error and home_dist_threshold=0.5,
+    the one solve of the set that masks distance terms (11 of 27 at the
+    start, and 11 of 57 homing records);
   * SimConfig(lanes=6, points_per_lane=20, seed=1) with max_iters=4: a
     sparse-path solve (120 poses) that escalates the ladder (8 rungs in
     iteration 1, 11 in iteration 4), where the benchmark's sparse
@@ -102,6 +105,13 @@ def solve_set(only=""):
             use_distance_error=kwargs.get("use_distance_error", False),
         )
         sims += [(f"{variant}/seed={seed}", SimConfig(seed=seed), cfg) for seed in range(3)]
+    sims.append(
+        (
+            "distance/threshold=0.5/seed=1",
+            SimConfig(seed=1),
+            SolverConfig(home_dist_threshold=0.5, use_distance_error=True),
+        )
+    )
     sims.append(
         (
             "sparse/seed=1",
