@@ -42,15 +42,15 @@ lambda_i = -u_i^T g_i; this estimate is the solver's start.
 """
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
 from .constraints import eval_constraint, residual
 from .costs import (
     ORI,
+    PARTS,
     POS,
     distance_weight,
     eval_compass,
@@ -99,6 +99,11 @@ class MeasurementTables:
     def plan(self):
         """The ScatterPlan of these tables, built on first use."""
         return ScatterPlan(self)
+
+    @cached_property
+    def anchor(self):
+        """The pose row of the anchor, the one pose without a state rank."""
+        return int(np.flatnonzero(self.rank < 0)[0])
 
 
 def _weights(group, cols, name, gamma=None):
@@ -189,48 +194,52 @@ def _multipliers(tables, lambdas, stack=()):
 
 
 def pack_state(tables, table, lambdas):
-    """The flat state of the pose table's free poses and their multipliers."""
-    return np.column_stack((table[tables.free], _multipliers(tables, lambdas))).ravel()
+    """The flat state of the pose table's free poses and their multipliers.
+
+    A stack (S, N, 4) of tables with multipliers (S, n) gives (S, 5n) states.
+    """
+    table = np.asarray(table, dtype=float)
+    lambdas = _multipliers(tables, lambdas, table.shape[:-2])
+    blocks = np.concatenate((table[..., tables.free, :], lambdas[..., None]), axis=-1)
+    return blocks.reshape(table.shape[:-2] + (-1,))
 
 
 def unpack_state(tables, table, vec):
     """(poses, lambdas) of the flat state vec: a copy of the pose table with
-    the free poses' rows taken from vec, and the multipliers, a view of vec.
-
-    A stack (S, dim) of states gives (S, N, 4) tables and (S, N - 1) multipliers.
-    """
+    the free poses' rows taken from vec, and the multipliers, a view of vec."""
     vec = np.asarray(vec, dtype=float)
     dim = 5 * len(tables.free)
-    if vec.ndim not in (1, 2) or vec.shape[-1] != dim:
+    if vec.shape != (dim,):
         raise PreconditionError(f"expected state of length {dim}, got {vec.shape}")
-    blocks = vec.reshape(vec.shape[:-1] + (-1, 5))
-    out = np.broadcast_to(table, vec.shape[:-1] + table.shape).copy()
-    out[..., tables.free, :] = blocks[..., :4]
-    return out, blocks[..., 4]
+    blocks = vec.reshape(-1, 5)
+    out = table.copy()
+    out[tables.free] = blocks[:, :4]
+    return out, blocks[:, 4]
 
 
 class ScatterPlan:
-    """Where assembly scatters the records of one MeasurementTables (tables.plan).
+    """Where assembly scatters into H and g, fixed by the graph (tables.plan).
 
-    The records are those of the tables' one sequence (record_blocks),
-    masked or not.  Each record's pose rows
-    give its slot pair, its state ranks with the anchor mapped to the
-    discarded slot n.  H's structural entries are the 4 x 4 pose part of
-    each record's blocks over its slot pair and all 25 entries of each
-    diagonal block.  Keyed col * dim + row (dim = 5n), one sort lists
-    them once in CSC order; an entry on the anchor's slot is keyed
-    dim * dim, so it sorts last.  indices and indptr are the CSC row
-    indices and column pointers of the nnz entries (C ints, as SuperLU
-    takes them), and flat their positions in a raveled dense (dim, dim)
-    H.  grad_bins and hess_bins are the np.bincount targets of
-    record_blocks' grads and hessians, raveled: flat positions in a
-    (n + 1, 5) gradient and in the CSC-ordered values (nnz + 1,), the
-    last slot taking what falls on the anchor.  diag_blocks (n, 5, 5)
-    holds the position in the values of each entry of each pose's
-    diagonal block.  orders keeps the SuperLU column orders of this
-    plan's solve (solver.spsolve), at most two, each with its gather of
-    the CSC of A[:, q] from indices and indptr, and orderings counts the
-    COLAMD runs that made them.
+    Each record's pose rows give its slot pair, its state ranks with the
+    anchor mapped to the discarded slot n.  H's structural entries are
+    the 4 x 4 pose part of each record's blocks over its slot pair,
+    masked or not, and all 25 entries of each diagonal block.  Keyed
+    col * dim + row (dim = 5n), one sort lists them once in CSC order;
+    an entry on the anchor's slot is keyed dim * dim, so it sorts last.
+    indices and indptr are the CSC row indices and column pointers of
+    the nnz entries (C ints, as SuperLU takes them), and flat their
+    positions in a raveled dense (dim, dim) H.  grad_bins and hess_bins,
+    raveled from (K, 2, 4) and (K, 2, 2, 4, 4), hold where entry i of
+    record k's gradient over its pose a goes, [k, a, i], a position in a
+    raveled (n + 1, 5) gradient, and where entry (i, j) of its Hessian
+    block (a, b) goes, [k, a, b, i, j], a position in the CSC-ordered
+    values (nnz + 1,); the last of each takes what falls on the anchor
+    (EvaluationPlan reads them).  diag_blocks (n, 5, 5) holds the
+    position in the values of each entry of each pose's diagonal block.
+    orders keeps the SuperLU column orders of this plan's solve
+    (solver.spsolve), at most two, each with its gather of the CSC of
+    A[:, q] from indices and indptr, and orderings counts the COLAMD
+    runs that made them.
     """
 
     def __init__(self, tables):
@@ -244,13 +253,13 @@ class ScatterPlan:
         # pose's (5, 5) diagonal block
         dim = 5 * n
         row, col = first[:, :, None, :, None], first[:, None, :, None, :]
-        pairs = np.where((row < dim) & (col < dim), col * dim + row, dim * dim).ravel()
+        pairs = np.where((row < dim) & (col < dim), col * dim + row, dim * dim)
         block = 5 * np.arange(n)[:, None] + np.arange(5)  # (n, 5)
         diag = (block[:, None, :] * dim + block[:, :, None]).ravel()
-        keys, where = np.unique(np.concatenate((pairs, diag)), return_inverse=True)
+        keys, where = np.unique(np.concatenate((pairs.ravel(), diag)), return_inverse=True)
         col, row = np.divmod(keys[keys < dim * dim], dim)
-        self.hess_bins = where[: len(pairs)]
-        self.diag_blocks = where[len(pairs) :].reshape(n, 5, 5)
+        self.hess_bins = where[: pairs.size]
+        self.diag_blocks = where[pairs.size :].reshape(n, 5, 5)
         self.indices = row.astype(np.intc)
         self.indptr = np.searchsorted(col, np.arange(dim + 1)).astype(np.intc)
         self.flat = row * dim + col
@@ -313,120 +322,220 @@ def _running_sum(values):
     return np.add.accumulate(np.concatenate((zero, values), axis=-1), axis=-1)[..., -1]
 
 
-def record_terms(tables, table, cfg, active, use_distance_error, derivs=True):
-    """Evaluate every cost family over its active records at the table's poses.
+class EvaluationPlan:
+    """How the terms of one mask are evaluated and scattered (one per mask).
 
     active holds one flag per record of the tables' sequence
-    (compute_active_mask); another shape raises PreconditionError.
-    Returns one (rows, slot, result) entry per term, in canonical order:
-    translation (slot 0), distance (slot 1, only if use_distance_error,
-    over the active odometry records) and rotation (slot 2) over the
-    odometry records, then home vector (slot 0) and compass (slot 1)
-    over the active homing records.  rows index the sequence (a slice
-    for a whole group); result is a CostEval, or the values when derivs
-    is false.  A record's terms are those entries that cover it, in
-    slot order.
+    (compute_active_mask); another shape raises PreconditionError.  A
+    state here is flat, (5n,) or a stack (S, 5n), and the anchor's pose
+    row is appended to it, so the poses of every term come from one
+    gather, gather (T, 4), into the extended state.  Each kernel
+    function runs once per evaluation over all its records, calls
+    holding (records, slots, kernel, first, second, data) for each:
+    translation (slot 0) over the odometry records, the distance term
+    (slot 1, only if use_distance_error) over the active ones, the home
+    vector (slot 0) over the active homing records, and eval_rotation
+    over the odometry records (rotation, slot 2) and then the active
+    homing records (compass, slot 1), one call over [Q; Psi[h]] and
+    [w_rot; w_compass[h]].  records index the sequence, slots are each
+    record's slot, first and second slice the gathered poses, and data
+    are the per-record constants.
 
-    A stack (S, N, 4) of tables (derivs false) gives (S, K) values.  If
-    any term hits a degenerate vector, re-raises for the first such
-    record in the sequence, and within it the first such term, with the
-    record named (for a stack, the first failing position of the
-    flattened (S, K) values; its trial is not named).
+    F adds each record's terms in slot order, record by record: f_order
+    puts a leading 0.0 and then the calls' values in that order.
+    L and sum |l_i| add the per-pose terms in pose-row order
+    (rows_u and rows_lambda gather them).  Assembly sums each record's
+    derivative sub-blocks (CostEval) that share an entry of H or g in
+    slot order, then scatters the records' sums in record order
+    (_scatter, built on the first assembly from the sub-blocks the
+    kernels list).  A record's four blocks differ (i1 != i2), so each
+    of H's sums adds its records in order, as a walk over the records
+    one at a time does; a masked record or a sub-block no term lists
+    adds nothing, which changes no sum that starts at +0.0.
     """
-    t = tables
-    m = len(t.r)
-    shape = (len(t.i1),)
-    if np.shape(active) != shape:
-        raise PreconditionError(f"expected a mask of shape {shape}, got {np.shape(active)}")
 
-    def poses(rows):
-        return np.take(table, t.i1[rows], axis=-2), np.take(table, t.i2[rows], axis=-2)
+    def __init__(self, tables, cfg, active, use_distance_error=False):
+        t = tables
+        m, n = len(t.r), len(t.free)
+        shape = (len(t.i1),)
+        if np.shape(active) != shape:
+            raise PreconditionError(f"expected a mask of shape {shape}, got {np.shape(active)}")
+        self.tables = tables
+        self.active = np.array(active, dtype=bool)
+        h = np.flatnonzero(self.active[m:])
+        d = np.flatnonzero(self.active[:m]) if use_distance_error else np.arange(0)
+        pairs = np.concatenate((np.arange(m), m + h))  # odometry, then active homing
+        k, e = len(pairs), len(d)
+        slot = np.where(t.rank < 0, n, t.rank)  # the anchor's row is appended at 5n
+        rows = np.concatenate((t.i1[pairs], t.i2[pairs], t.i1[d], t.i2[d]))
+        self.gather = 5 * slot[rows][:, None] + np.arange(4)
 
-    odometry = slice(0, m)
-    p1, p2 = poses(odometry)
-    calls = [(odometry, 0, lambda: eval_translation(p1, p2, t.Tinv, t.r, derivs))]
-    if use_distance_error:
-        d = np.flatnonzero(active[:m])
-        e1, e2 = poses(d)
-        calls.append((d, 1, lambda: eval_distance(e1, e2, t.sigma_e[d], t.rho[d], derivs)))
-    calls.append((odometry, 2, lambda: eval_rotation(p1, p2, t.Q, t.w_rot, cfg, derivs)))
-    h = np.flatnonzero(active[m:])
-    homing = m + h
-    q1, q2 = poses(homing)
-    calls.append((homing, 0, lambda: eval_home_vector(q1, q2, t.A[h], t.w_home[h], cfg, derivs)))
-    calls.append((homing, 1, lambda: eval_compass(q1, q2, t.Psi[h], t.w_compass[h], cfg, derivs)))
+        def pair(lo, hi):
+            return slice(lo, hi), slice(k + lo, k + hi)
 
-    terms, failures = [], []
-    for pos, (rows, slot, call) in enumerate(calls):
-        try:
-            terms.append((rows, slot, call()))
-        except DegenerateVectorError as exc:
-            records = np.arange(len(t.i1))[rows]
-            failures.append((int(records[exc.index % len(records)]), pos, exc))
-    if failures:
-        k, _, exc = min(failures, key=lambda f: f[:2])
-        group, j = ("odometry", k) if k < m else ("homing", k - m)
-        where = record_name(group, j, t.i1[k] + 1, t.i2[k] + 1)
-        raise DegenerateVectorError(f"{where}: {exc}") from exc
-    return terms
+        self.calls = [(pairs[:m], np.zeros(m, int), eval_translation, *pair(0, m), (t.Tinv, t.r))]
+        if use_distance_error:
+            between = slice(2 * k, 2 * k + e), slice(2 * k + e, 2 * k + 2 * e)
+            self.calls.append((d, np.ones(e, int), eval_distance, *between, (t.sigma_e[d], t.rho[d])))
+        home = (t.A[h], t.w_home[h], cfg)
+        self.calls.append((pairs[m:], np.zeros(len(h), int), eval_home_vector, *pair(m, k), home))
+        rotation = (np.concatenate((t.Q, t.Psi[h])), np.concatenate((t.w_rot, t.w_compass[h])), cfg)
+        slots = np.repeat([2, 1], [m, len(h)])
+        self.calls.append((pairs, slots, eval_rotation, *pair(0, k), rotation))
+
+        keys = np.concatenate([3 * records + slots for records, slots, *_ in self.calls])
+        self.f_order = np.concatenate(([0], 1 + np.argsort(keys)))
+        ranks = t.rank[t.rank >= 0]  # the free poses' ranks in pose-row order
+        self.rows_u = 5 * ranks[:, None] + np.arange(2, 4)
+        self.rows_lambda = 5 * ranks + 4
+        self.pose_rows = ranks
+        self._scatter = None
+
+    def evaluate(self, states, anchor, derivs=True):
+        """Each call's result at the flat states, anchor the anchor's [x, u]
+        row: a CostEval, or with derivs false the values.
+
+        states is (5n,) or a stack (S, 5n), whose values come out (S, K).
+        If any term hits a degenerate vector, re-raises for the first
+        such record in the sequence, and within it the first such term
+        (slot), with the record named; for a stack, each kernel reports
+        its first failing position in the flattened (S, K) values, and
+        the trial is not named.
+        """
+        states = np.asarray(states, dtype=float)
+        x = np.empty(states.shape[:-1] + (states.shape[-1] + 4,))
+        x[..., :-4] = states
+        x[..., -4:] = anchor
+        poses = x[..., self.gather]
+        results, failures = [], []
+        for records, slots, kernel, first, second, data in self.calls:
+            try:
+                results.append(kernel(poses[..., first, :], poses[..., second, :], *data, derivs))
+            except DegenerateVectorError as exc:
+                j = exc.index % len(records)
+                failures.append((int(records[j]), int(slots[j]), exc))
+        if failures:
+            k, _, exc = min(failures, key=lambda f: f[:2])
+            t = self.tables
+            m = len(t.r)
+            group, j = ("odometry", k) if k < m else ("homing", k - m)
+            where = record_name(group, j, t.i1[k] + 1, t.i2[k] + 1)
+            raise DegenerateVectorError(f"{where}: {exc}") from exc
+        return results
+
+    def _totals(self, values, l, lambdas):
+        """(F, L, sum |l_i|) of the calls' values and the residuals l and
+        multipliers lambdas, both in pose-row order."""
+        terms = np.concatenate((np.zeros(l.shape[:-1] + (1,)), *values), axis=-1)
+        F = np.add.accumulate(terms[..., self.f_order], axis=-1)[..., -1]
+        return F, F + _running_sum(l * lambdas), _running_sum(np.abs(l))
+
+    def merit(self, states, anchor, mu):
+        """The l1 exact-penalty merit L + mu * sum |l_i| of each flat state.
+
+        states is (5n,) or a stack (S, 5n), anchor the anchor's [x, u]
+        row; a stack gives the (S,) merits of its trials, each that of
+        a call on its state alone.
+        """
+        if not 0.0 < mu < math.inf:
+            raise PreconditionError(f"mu must be finite and positive, got {mu!r}")
+        states = np.asarray(states, dtype=float)
+        values = self.evaluate(states, anchor, False)
+        u, lambdas = states[..., self.rows_u], states[..., self.rows_lambda]
+        _, L, l1 = self._totals(values, residual(u), lambdas)
+        return L + mu * l1
+
+    def assemble(self, state, anchor, estimate=False):
+        """The SparseSymmetricSystem at the flat state (5n,), anchor its anchor row.
+
+        With estimate, the state's multipliers are replaced by the
+        first-order estimate lambda_i = -u_i^T g_i, g_i the cost gradient
+        (constraints excluded) with respect to u_i; it is the
+        least-squares multiplier only where u_i is unit.
+        """
+        plan = self.tables.plan
+        n = plan.n
+        state = np.asarray(state, dtype=float)
+        evs = self.evaluate(state, anchor)
+        if self._scatter is None:
+            self._scatter = _Scatter(plan, self.calls, evs)
+        G, H = self._scatter(evs)
+
+        u = state.reshape(n, 5)[:, ORI]
+        lambdas = -rowdot(u, G[:n, ORI]) if estimate else state[4::5]
+        ce = eval_constraint(lambdas, u)
+        G[:n, 2:4] += ce.grad_u
+        G[:n, 4] += ce.grad_lambda
+        d = plan.diag_blocks
+        H[d[:, 2:4, 2:4]] += ce.h_uu
+        H[d[:, 2:4, 4]] += ce.h_ulambda
+        H[d[:, 4, 2:4]] += ce.h_ulambda
+
+        values = [ev.value for ev in evs]
+        order = self.pose_rows
+        F, L, l1 = map(float, self._totals(values, ce.l[order], lambdas[order]))
+        return SparseSymmetricSystem(plan, H[:-1], G[:n].ravel(), F, L, l1, ce.l, lambdas)
 
 
-def record_blocks(tables, terms):
-    """(grads, hessians) of every record, each record's terms summed in order.
+class _Scatter:
+    """The scatter of an EvaluationPlan's derivative sub-blocks into g and H.
 
-    terms is record_terms' result, which is only read.  One row per
-    record of the tables' sequence, masked records included: grads
-    (K, 2, 4) holds each record's gradients [grad1, grad2] and hessians
-    (K, 2, 2, 4, 4) its Hessian blocks [[h11, h12], [h21, h22]].  A
-    slot-0 term is copied into its rows and later slots add; a row no
-    term covers is +0.0.
+    Built from the calls and their first CostEvals: each call's listed
+    sub-blocks, in call order (so each record's terms come in slot
+    order), and each sub-block (a, p, b, q) with a < b again, whose
+    transpose is the record's block (b, a).  Each entry of a sub-block
+    goes to one entry of g or H (ScatterPlan's grad_bins and hess_bins)
+    for its record; keyed record * size + position, one sort lists the
+    (record, position) pairs record by record.  The first np.bincount
+    adds each pair's entries in order, the second adds the pairs into
+    g or H in record order.
     """
-    k = len(tables.i1)
-    grads = np.empty((k, 2, 4))
-    hessians = np.empty((k, 2, 2, 4, 4))
-    uncovered = np.ones(k, dtype=bool)
-    # (rows, slot, results) of each write: a slot-0 term takes in the terms
-    # right after it over the same rows, as writing a, then adding b, is a + b
-    runs = []
-    for rows, slot, ev in terms:
-        uncovered[rows] = False
-        if slot and runs and runs[-1][0] is rows and runs[-1][1] == 0:
-            runs[-1][2].append(ev)
-        else:
-            runs.append((rows, slot, [ev]))
-    grads[uncovered] = 0.0
-    hessians[uncovered] = 0.0
-    outs = grads[:, 0], grads[:, 1], hessians[:, 0, 0], hessians[:, 0, 1], hessians[:, 1, 1]
-    for out, name in zip(outs, ("grad1", "grad2", "h11", "h12", "h22")):
-        for rows, slot, evs in runs:
-            value = reduce(operator.add, [getattr(ev, name) for ev in evs])
-            if slot == 0:
-                out[rows] = value
-            else:
-                out[rows] += value
-    hessians[:, 1, 0] = np.swapaxes(hessians[:, 0, 1], -1, -2)
-    return grads, hessians
+
+    def __init__(self, plan, calls, evs):
+        n = plan.n
+        self.grads, self.hess = [], []
+        targets_g, targets_h = [], []
+        for c, ((records, *_), ev) in enumerate(zip(calls, evs)):
+            g = plan.grad_bins.reshape(-1, 2, 4)[records]
+            h = plan.hess_bins.reshape(-1, 2, 2, 4, 4)[records]
+            for a, p in ev.grads:
+                self.grads.append((c, (a, p)))
+                targets_g.append((records, g[:, a, PARTS[p]]))
+            for a, p, b, q in ev.hess:
+                self.hess.append((c, (a, p, b, q)))
+                targets_h.append((records, h[:, a, b, PARTS[p], PARTS[q]]))
+        for c, (a, p, b, q) in list(self.hess):
+            if a != b:
+                records = calls[c][0]
+                self.hess.append((c, (a, p, b, q)))
+                block = plan.hess_bins.reshape(-1, 2, 2, 4, 4)[records][:, b, a, PARTS[q], PARTS[p]]
+                targets_h.append((records, np.swapaxes(block, -1, -2)))
+        self.g_sum, self.g_to = _bins(targets_g, 5 * (n + 1))
+        self.h_sum, self.h_to = _bins(targets_h, len(plan.indices) + 1)
+        self.sizes = 5 * (n + 1), len(plan.indices) + 1
+
+    def __call__(self, evs):
+        """(G, H): the gradient (n + 1, 5) and the CSC-ordered values (nnz + 1,)
+        of the sub-blocks, the last row and entry taking the anchor's."""
+        g = np.concatenate([evs[c].grads[key].ravel() for c, key in self.grads])
+        h = np.concatenate([evs[c].hess[key].ravel() for c, key in self.hess])
+        G = _scatter(g, self.g_sum, self.g_to, self.sizes[0]).reshape(-1, 5)
+        return G, _scatter(h, self.h_sum, self.h_to, self.sizes[1])
 
 
-def _totals(tables, l, lambdas, terms):
-    """(F, L, sum |l_i|) from record_terms' entries of values and the residuals l.
+def _bins(targets, size):
+    """(sum, to): the record-entry pair of each entry of the (records,
+    positions) targets, and the position of each pair, in record order."""
+    keys = [records.reshape((-1,) + (1,) * (pos.ndim - 1)) * size + pos for records, pos in targets]
+    pairs, where = np.unique(np.concatenate([k.ravel() for k in keys]), return_inverse=True)
+    return where, pairs % size
 
-    F adds each record's slots in order, record by record; a slot no
-    term fills is +0.0, which changes no running sum that starts at
-    +0.0 (it is never -0.0, and x + 0.0 == x otherwise).  l and lambdas
-    (zeros by default) are in state order; the per-pose terms add in
-    pose-row order.
-    """
-    stack = l.shape[:-1]  # () or (S,)
-    values = np.zeros(stack + (len(tables.i1), 3))
-    for rows, slot, value in terms:
-        values[..., rows, slot] = value
-    F = _running_sum(values.reshape(stack + (-1,)))
-    order = tables.rank[tables.rank >= 0]  # the free poses' ranks in pose-row order
-    l = l[..., order]
-    if lambdas is None:
-        lambdas = np.zeros(l.shape)
-    return F, F + _running_sum(l * lambdas[..., order]), _running_sum(np.abs(l))
+
+def _scatter(weights, pair_of, position_of, size):
+    # np.bincount adds each bin's weights in input order, from 0.0.  Empty
+    # input gives ints, hence the cast.
+    pairs = np.bincount(pair_of, weights, len(position_of))
+    return np.bincount(position_of, pairs, size).astype(float, copy=False)
 
 
 def _defaults(graph, cfg, active, table, tables, use_distance_error=False):
@@ -453,46 +562,18 @@ def assemble(
     Measurements touching the fixed pose in one slot still contribute
     to the other slot's blocks; the fixed pose's own rows and columns
     are dropped entirely.  Without lambdas, the multipliers are the
-    first-order estimate lambda_i = -u_i^T g_i, g_i the cost gradient
-    (constraints excluded) with respect to u_i; it is the least-squares
-    multiplier only where u_i is unit.  The records' blocks
-    (record_blocks) scatter by np.bincount into the CSC-ordered values
-    at the positions of tables.plan, whatever the mask, and the
-    constraint terms add at its diagonal blocks' u-u, u-lambda and
-    lambda-u positions.  The system carries that plan, the
-    multipliers it was built with (lambdas), and F, L and l1 as merit
-    sums them, from record_terms' values as they are.  Multipliers not
-    of shape (n,) raise PreconditionError.
+    first-order estimate (EvaluationPlan.assemble).  The pose table's
+    flat state goes through an EvaluationPlan built for this call, which
+    scatters into tables.plan's pattern whatever the mask, and the
+    system carries that pattern, the multipliers it was built with
+    (lambdas), and F, L and l1 as merit sums them.  Multipliers not of
+    shape (n,) raise PreconditionError.
     """
     active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
-    if lambdas is not None:
-        lambdas = _multipliers(tables, lambdas)
-    terms = record_terms(tables, table, cfg, active, use_distance_error)
-    plan = tables.plan
-    n = plan.n
-    grads, hessians = record_blocks(tables, terms)
-
-    # np.bincount adds each bin's weights in input order, from 0.0: every
-    # sum runs in record order (a record's four blocks differ, as
-    # i1 != i2).  Empty input gives ints, hence the cast.
-    G = np.bincount(plan.grad_bins, grads.ravel(), 5 * (n + 1)).astype(float, copy=False)
-    G = G.reshape(n + 1, 5)
-    size = len(plan.indices) + 1
-    H = np.bincount(plan.hess_bins, hessians.ravel(), size).astype(float, copy=False)
-
-    u = table[tables.free, ORI]
-    lambdas = -rowdot(u, G[:n, ORI]) if lambdas is None else lambdas
-    ce = eval_constraint(lambdas, u)
-    G[:n, 2:4] += ce.grad_u
-    G[:n, 4] += ce.grad_lambda
-    d = plan.diag_blocks
-    H[d[:, 2:4, 2:4]] += ce.h_uu
-    H[d[:, 2:4, 4]] += ce.h_ulambda
-    H[d[:, 4, 2:4]] += ce.h_ulambda
-
-    values = [(rows, slot, ev.value) for rows, slot, ev in terms]
-    F, L, l1 = map(float, _totals(tables, ce.l, lambdas, values))
-    return SparseSymmetricSystem(plan, H[:-1], G[:n].ravel(), F, L, l1, ce.l, lambdas)
+    plan = EvaluationPlan(tables, cfg, active, use_distance_error)
+    given = np.zeros(len(tables.free)) if lambdas is None else lambdas
+    state = pack_state(tables, table, given)
+    return plan.assemble(state, table[tables.anchor], estimate=lambdas is None)
 
 
 def merit(
@@ -502,14 +583,15 @@ def merit(
 
     Value-only, same masking as assemble, zero lambdas by default.  A
     stack (S, N, 4) of tables with lambdas (S, n) gives the (S,) merits
-    of its trials.  Multipliers of any other shape raise PreconditionError.
+    of its trials (EvaluationPlan.merit, of a plan built for this call).
+    Multipliers of any other shape raise PreconditionError.
     """
     if not 0.0 < mu < math.inf:
         raise PreconditionError(f"mu must be finite and positive, got {mu!r}")
     active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
-    if lambdas is not None:
-        lambdas = _multipliers(tables, lambdas, np.shape(table)[:-2])
-    values = record_terms(tables, table, cfg, active, use_distance_error, False)
-    l = residual(np.take(table[..., ORI], tables.free, axis=-2))
-    _, L, l1 = _totals(tables, l, lambdas, values)
-    return L + mu * l1
+    stack = np.shape(table)[:-2]
+    if lambdas is None:
+        lambdas = np.zeros(stack + (len(tables.free),))
+    states = pack_state(tables, table, lambdas)
+    plan = EvaluationPlan(tables, cfg, active, use_distance_error)
+    return plan.merit(states, np.asarray(table)[..., tables.anchor, :], mu)

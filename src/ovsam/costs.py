@@ -52,6 +52,7 @@ transposed view, never a copy), and squares of norms go through libm pow
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,8 @@ from .orvec import DEGENERATE_NORM, omega, omega_bar, rowdot
 # Slices of the stacked per-pose coordinates [x, u].
 POS = slice(0, 2)
 ORI = slice(2, 4)
+# The parts of a pose named in a derivative sub-block's key (CostEval).
+PARTS = {"x": POS, "u": ORI}
 
 _I2 = np.eye(2)
 
@@ -91,32 +94,63 @@ class RotCostConfig(Settings):
         return self.form == "second" or self.t1 == 0
 
 
-@dataclass
 class CostEval:
-    """Values and derivative blocks of K cost terms over K pose pairs.
+    """Values and the structurally nonzero derivative sub-blocks of K cost terms.
 
-    value is (K,); grad1/grad2 (K, 4) are the gradients with respect to
-    the stacked coordinates [x, u] of the first/second pose; h11, h12,
-    h22 (K, 4, 4) the corresponding Hessian blocks, h12 being
-    d^2 f / (dp dp').
+    value is (K,).  grads maps (a, p) to a (K, 2) sub-gradient, the
+    derivative with respect to part p ("x", the position, or "u", the
+    orientation vector) of pose a (0 the first, 1 the second of each
+    pair).  hess maps (a, p, b, q), a <= b, to a (K, 2, 2) sub-block
+    d^2 f / (d part p of pose a) (d part q of pose b); the sub-blocks
+    with a > b are those with a < b transposed.  A sub-block a kernel
+    does not list is zero.  The full blocks over [x, u], grad1 and grad2
+    (K, 4) and h11, h12, h22 (K, 4, 4), h12 being d^2 f / (dp dp'), are
+    built from the sub-blocks on first use, for the derivative oracle;
+    h21 is h12 transposed.
     """
 
-    value: np.ndarray
-    grad1: np.ndarray
-    grad2: np.ndarray
-    h11: np.ndarray
-    h12: np.ndarray
-    h22: np.ndarray
+    def __init__(self, value, grads=None, hess=None):
+        self.value = value
+        self.grads = {} if grads is None else grads
+        self.hess = {} if hess is None else hess
+
+    def _gradient(self, a):
+        out = np.zeros(np.shape(self.value) + (4,))
+        for (c, p), block in self.grads.items():
+            if c == a:
+                out[..., PARTS[p]] = block
+        return out
+
+    def _hessian(self, a, b):
+        out = np.zeros(np.shape(self.value) + (4, 4))
+        for (c, p, d, q), block in self.hess.items():
+            if (c, d) == (a, b):
+                out[..., PARTS[p], PARTS[q]] = block
+        return out
+
+    @cached_property
+    def grad1(self):
+        return self._gradient(0)
+
+    @cached_property
+    def grad2(self):
+        return self._gradient(1)
+
+    @cached_property
+    def h11(self):
+        return self._hessian(0, 0)
+
+    @cached_property
+    def h12(self):
+        return self._hessian(0, 1)
+
+    @cached_property
+    def h22(self):
+        return self._hessian(1, 1)
 
     @property
     def h21(self):
         return np.swapaxes(self.h12, -1, -2)
-
-    @classmethod
-    def zeros(cls, value):
-        """Values with all-zero derivative blocks of matching batch size."""
-        k = len(value)
-        return cls(value, *np.zeros((2, k, 4)), *np.zeros((3, k, 4, 4)))
 
 
 def first_failure(failed):
@@ -283,23 +317,23 @@ def eval_translation(p, pp, Tinv, r, derivs=True):
     D = omega_bar(delta)
     w = _mv(Tinv, e)
 
-    out = CostEval.zeros(value)
-    out.grad1[:, POS] = _mv(-U, w)
-    out.grad1[:, ORI] = _mv(D, w)
-    out.grad2[:, POS] = _mv(U, w)
+    grads = {(0, "x"): _mv(-U, w), (0, "u"): _mv(D, w), (1, "x"): _mv(U, w)}
 
     UTinv = U @ Tinv
     core = UTinv @ _T(U)  # U T^-1 U^T
     Ow = omega(w)
 
-    out.h11[:, POS, POS] = core
-    out.h11[:, POS, ORI] = -(UTinv @ D + Ow)
-    out.h11[:, ORI, POS] = _T(out.h11[:, POS, ORI])
-    out.h11[:, ORI, ORI] = D @ Tinv @ D
-    out.h12[:, POS, POS] = -core
-    out.h12[:, ORI, POS] = _T(UTinv @ D + Ow)
-    out.h22[:, POS, POS] = core
-    return out
+    xu = -(UTinv @ D + Ow)
+    hess = {
+        (0, "x", 0, "x"): core,
+        (0, "x", 0, "u"): xu,
+        (0, "u", 0, "x"): _T(xu),
+        (0, "u", 0, "u"): D @ Tinv @ D,
+        (0, "x", 1, "x"): -core,
+        (0, "u", 1, "x"): _T(UTinv @ D + Ow),
+        (1, "x", 1, "x"): core,
+    }
+    return CostEval(value, grads, hess)
 
 
 def eval_distance(p, pp, sigma_e, rho, derivs=True):
@@ -322,18 +356,13 @@ def eval_distance(p, pp, sigma_e, rho, derivs=True):
     d0 = delta / _col(nd)
     winv = 1.0 / sigma_e
 
-    out = CostEval.zeros(value)
     g = _col(winv * resid) * d0
-    out.grad1[:, POS] = -g
-    out.grad2[:, POS] = g
 
     # d^2/d(delta)^2 [0.5 (|delta| - rho)^2] = I - rho (I - d0 d0^T)/|delta|
     P = (_I2 - _outer(d0, d0)) / _mat(nd)
     core = _mat(winv) * (_I2 - _mat(rho) * P)
-    out.h11[:, POS, POS] = core
-    out.h12[:, POS, POS] = -core
-    out.h22[:, POS, POS] = core
-    return out
+    hess = {(0, "x", 0, "x"): core, (0, "x", 1, "x"): -core, (1, "x", 1, "x"): core}
+    return CostEval(value, {(0, "x"): -g, (1, "x"): g}, hess)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +373,8 @@ def eval_generic_rotational(Phi, u, up, cfg, weight=1.0, derivs=True):
     """Rotational costs s (first form) or s-bar (second form), times weight.
 
     Phi is (K, 2, 2), u and up are (K, 2), weight is (K,) or one scalar.
-    Returns the (K,) values when derivs is false, else a CostEval whose
-    position blocks are zero.
+    Returns the (K,) values when derivs is false, else a CostEval of
+    orientation sub-blocks only.
     """
     Phiu = _mv(Phi, u)
     c = rowdot(Phiu, up)
@@ -375,24 +404,23 @@ def eval_generic_rotational(Phi, u, up, cfg, weight=1.0, derivs=True):
     else:
         gu = -_mv(PhiT, up)
         gup = -Phiu
-        huu = hupup = np.zeros_like(Phi)
+        huu = hupup = None  # the plain first form is bilinear in (u, u')
         huup = -PhiT
         if cfg.t1 == 0:
             u0 = u / _col(nu)
             up0 = up / _col(nup)
             gu = gu + _col(nup) * u0
             gup = gup + _col(nu) * up0
-            huu = huu + _mat(nup / nu) * (_I2 - _outer(u0, u0))
+            huu = _mat(nup / nu) * (_I2 - _outer(u0, u0))
             huup = huup + _outer(u0, up0)
-            hupup = hupup + _mat(nu / nup) * (_I2 - _outer(up0, up0))
+            hupup = _mat(nu / nup) * (_I2 - _outer(up0, up0))
 
-    out = CostEval.zeros(weight * value)
-    out.grad1[:, ORI] = _col(weight) * gu
-    out.grad2[:, ORI] = _col(weight) * gup
-    out.h11[:, ORI, ORI] = _mat(weight) * huu
-    out.h12[:, ORI, ORI] = _mat(weight) * huup
-    out.h22[:, ORI, ORI] = _mat(weight) * hupup
-    return out
+    w1, w2 = _col(weight), _mat(weight)
+    hess = {(0, "u", 1, "u"): w2 * huup}
+    if huu is not None:
+        hess[0, "u", 0, "u"] = w2 * huu
+        hess[1, "u", 1, "u"] = w2 * hupup
+    return CostEval(weight * value, {(0, "u"): w1 * gu, (1, "u"): w1 * gup}, hess)
 
 
 def eval_rotation(p, pp, Phi, weight, cfg, derivs=True):
@@ -450,7 +478,6 @@ def eval_home_vector(p, pp, A, weight, cfg, derivs=True):
     AT = _T(A)
     w1, w2 = _col(w), _mat(w)
 
-    out = CostEval.zeros(value)
     if cfg.uses_norms:
         u0 = u / _col(nu)
     if cfg.form == "second":
@@ -458,23 +485,19 @@ def eval_home_vector(p, pp, A, weight, cfg, derivs=True):
         a = _mv(A, u0)
     S = _proj_curvature(a, d0, nd)
 
-    out.grad1[:, POS] = w1 * _mv(Pd, a)
-    out.grad2[:, POS] = -w1 * _mv(Pd, a)
-    out.h11[:, POS, POS] = w2 * S
-    out.h12[:, POS, POS] = -w2 * S
-    out.h22[:, POS, POS] = w2 * S
-
+    grads = {(0, "x"): w1 * _mv(Pd, a), (1, "x"): -w1 * _mv(Pd, a)}
+    hess = {(0, "x", 0, "x"): w2 * S, (0, "x", 1, "x"): -w2 * S, (1, "x", 1, "x"): w2 * S}
     if cfg.form == "second":
-        out.grad1[:, ORI] = -w1 * _mv(Pu @ AT, d0)
-        out.h11[:, POS, ORI] = w2 * (Pd @ A @ Pu)
-        out.h11[:, ORI, ORI] = w2 * _proj_curvature(_mv(AT, d0), u0, nu)
-        out.h12[:, ORI, POS] = -w2 * (Pu @ AT @ Pd)
+        grads[0, "u"] = -w1 * _mv(Pu @ AT, d0)
+        hess[0, "x", 0, "u"] = w2 * (Pd @ A @ Pu)
+        hess[0, "u", 0, "u"] = w2 * _proj_curvature(_mv(AT, d0), u0, nu)
+        hess[0, "u", 1, "x"] = -w2 * (Pu @ AT @ Pd)
     else:
-        out.grad1[:, ORI] = -w1 * _mv(AT, d0)
-        out.h11[:, POS, ORI] = w2 * (Pd @ A)
-        out.h12[:, ORI, POS] = -w2 * (AT @ Pd)
+        grads[0, "u"] = -w1 * _mv(AT, d0)
+        hess[0, "x", 0, "u"] = w2 * (Pd @ A)
+        hess[0, "u", 1, "x"] = -w2 * (AT @ Pd)
         if cfg.t1 == 0:
-            out.grad1[:, ORI] += w1 * u0
-            out.h11[:, ORI, ORI] += w2 * (_I2 - _outer(u0, u0)) / _mat(nu)
-    out.h11[:, ORI, POS] = _T(out.h11[:, POS, ORI])
-    return out
+            grads[0, "u"] = grads[0, "u"] + w1 * u0
+            hess[0, "u", 0, "u"] = w2 * (_I2 - _outer(u0, u0)) / _mat(nu)
+    hess[0, "u", 0, "x"] = _T(hess[0, "x", 0, "u"])
+    return CostEval(value, grads, hess)

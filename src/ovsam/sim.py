@@ -226,10 +226,11 @@ def simulate(cfg=None):
     k = cfg.homing_neighbors
     for lane in range(1, cfg.lanes):
         prev = lane_ids[lane - 1]
+        prev_xy = truth[np.asarray(prev) - 1, :2]
         for a in lane_ids[lane]:
             ta = truth[a - 1]
-            dists = [np.hypot(*(truth[b - 1][:2] - ta[:2])) for b in prev]
-            m = int(np.argmin(dists))
+            d = prev_xy - ta[:2]
+            m = int(np.argmin(np.hypot(d[:, 0], d[:, 1])))  # the nearest point of the previous lane
             lo = max(0, m - (k - 1) // 2)
             hi = min(len(prev) - 1, m + k // 2)
             for b in prev[lo : hi + 1]:

@@ -43,13 +43,15 @@ gives one flag per record of the measurement tables' sequence.
 """
 
 import itertools
+import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .assembly import assemble, compute_active_mask, measurement_tables, merit
+from .assembly import EvaluationPlan, compute_active_mask, measurement_tables
 from .assembly import pack_state, unpack_state
 from .costs import RotCostConfig
 from .errors import DegenerateVectorError, NumericalFailure, PreconditionError, Settings
@@ -75,6 +77,8 @@ LS_ALPHAS = tuple(0.5**k for k in range(21))
 FIRST_CHUNKS = (1, 2, 4, 8, 6)
 # Length of the step taken when no rung of the ladder decreases the merit.
 EMERGENCY_STEP = 1e-3
+# The phases of SolveReport.phase_seconds.
+PHASES = ("mask", "assembly", "factorization", "merits")
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,11 @@ class SolveReport:
     merit_states: int = 0  # trial points they evaluated
     factorizations: int = 0  # newton_step calls, one per rung tried
     orderings: int = 0  # COLAMD column orders computed (spsolve), 0 on the dense path
+    # wall seconds (time.perf_counter) per phase: "mask" (compute_active_mask
+    # and the plan a changed mask rebuilds), "assembly", "factorization"
+    # (find_step outside its merit calls: the rungs' newton_step calls and
+    # the trial states) and "merits" (the trial merits)
+    phase_seconds: dict = field(default_factory=dict)
 
     @property
     def iterations(self):
@@ -275,6 +284,16 @@ def newton_step(system, eta_w=0.0, eta_a=0.0):
     return delta
 
 
+@contextmanager
+def _timed(seconds, phase):
+    """Add the wall time of the block to seconds[phase]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - start
+
+
 def _merits(merit_fn, trials):
     """merit_fn over the (S, dim) trials, inf for a trial whose poses degenerate.
 
@@ -350,10 +369,24 @@ def solve(graph, cfg=None):
         )
     off = np.abs(norms - 1.0) > UNIT_TOL
     base[off, 2:4] /= norms[off, None]
-    mask = compute_active_mask(
-        graph, cfg.home_dist_threshold, cfg.use_distance_error, base, tables
-    )
-    system = assemble(graph, cfg.cost, mask, None, cfg.use_distance_error, base, tables)
+    anchor = base[tables.anchor]
+    seconds = dict.fromkeys(PHASES, 0.0)
+    plan = None
+
+    def masked(table):
+        """The plan of the mask at the table's poses: the last one unless the mask moved."""
+        with _timed(seconds, "mask"):
+            mask = compute_active_mask(
+                graph, cfg.home_dist_threshold, cfg.use_distance_error, table, tables
+            )
+            if plan is not None and np.array_equal(mask, plan.active):
+                return plan
+            return EvaluationPlan(tables, cfg.cost, mask, cfg.use_distance_error)
+
+    plan = masked(base)
+    with _timed(seconds, "assembly"):
+        start = pack_state(tables, base, np.zeros(len(tables.free)))
+        system = plan.assemble(start, anchor, estimate=True)
     state = pack_state(tables, base, system.lambdas)
     guard = 1e6 * max(1.0, float(np.linalg.norm(state)))
     merit_calls = merit_states = factorizations = 0
@@ -362,24 +395,18 @@ def solve(graph, cfg=None):
         nonlocal merit_calls, merit_states
         merit_calls += 1
         merit_states += len(vecs)
-        trials, lambdas = unpack_state(tables, base, vecs)
-        return merit(
-            graph, cfg.cost, mask, cfg.mu, lambdas, cfg.use_distance_error, trials, tables
-        )
+        with _timed(seconds, "merits"):
+            return plan.merit(vecs, anchor, cfg.mu)
 
     trace = []
     reason = "max_iters"
     prev_step_norm = np.inf
     for iteration in range(1, cfg.max_iters + 1):
         if system is None:
-            table, lambdas = unpack_state(tables, base, state)
-            mask = compute_active_mask(
-                graph, cfg.home_dist_threshold, cfg.use_distance_error, table, tables
-            )
+            plan = masked(unpack_state(tables, base, state)[0])
             try:
-                system = assemble(
-                    graph, cfg.cost, mask, lambdas, cfg.use_distance_error, table, tables
-                )
+                with _timed(seconds, "assembly"):
+                    system = plan.assemble(state, anchor)
             except DegenerateVectorError:
                 # Collapsing pose pairs mid-run are a symptom of a diverging
                 # state, not a numerical-solver defect.
@@ -407,9 +434,13 @@ def solve(graph, cfg=None):
             reason = "step_tol"
             break
 
-        delta, record.alpha, record.lm_escalations, record.emergency = find_step(
-            system, merit_at, state, system.L + cfg.mu * system.l1
-        )
+        merits = seconds["merits"]
+        with _timed(seconds, "factorization"):
+            delta, record.alpha, record.lm_escalations, record.emergency = find_step(
+                system, merit_at, state, system.L + cfg.mu * system.l1
+            )
+        seconds["factorization"] -= seconds["merits"] - merits  # the search outside its merits
+
         system = None  # free it and its matrix before the next is built
         factorizations += record.lm_escalations + 1  # find_step tried rungs 0 .. escalations
 
@@ -430,4 +461,5 @@ def solve(graph, cfg=None):
         merit_states=merit_states,
         factorizations=factorizations,
         orderings=tables.plan.orderings,
+        phase_seconds=seconds,
     )

@@ -14,7 +14,7 @@ def state_of(graph, lambdas):
 
 
 def at_state(graph, vec):
-    """(pose table, multipliers) of a flat state, or a stack, over the graph's free poses."""
+    """(pose table, multipliers) of a flat state over the graph's free poses."""
     return unpack_state(measurement_tables(graph, RotCostConfig()), graph.pose_table(), vec)
 
 

@@ -2,16 +2,16 @@
 
 assemble_dense loops over all free-pose pairs (k, l) and matches each
 record's pose rows against them, instead of scattering record-wise as
-ovsam.assembly.assemble does.  Both consume the same per-record blocks
-(record_blocks, one row per record of the tables, +0.0 for a masked
-one) and add them in the same per-entry order, so the two agree
-bitwise.  The F, L and sum |l_i| values have their oracle in
-loop_reference.total_values.
+ovsam.assembly.assemble does.  It takes each active record's full
+blocks as the per-record loop sums them (loop_reference, which the
+batched sums reproduce bitwise) and adds them in the same per-entry
+order, record by record, so the two agree bitwise.  The F, L and
+sum |l_i| values have their oracle in loop_reference.total_values.
 """
 
+import loop_reference as ref
 import numpy as np
 
-from ovsam.assembly import measurement_tables, record_blocks, record_terms
 from ovsam.constraints import eval_constraint
 from ovsam.costs import ORI
 
@@ -28,12 +28,12 @@ def assemble_dense(graph, cfg, active=None, lambdas=None, use_distance_error=Fal
     table = graph.pose_table()
     if lambdas is None:
         lambdas = np.zeros(len(free))
-    tables = measurement_tables(graph, cfg)
     if active is None:
-        active = np.ones(len(tables.i1), dtype=bool)
-    terms = record_terms(tables, table, cfg, active, use_distance_error)
-    grads, hessians = record_blocks(tables, terms)
-    records = list(enumerate(record_rows(tables) + 1))
+        active = np.ones(len(graph.odometry) + len(graph.homing), dtype=bool)
+    blocks = ref._measurement_blocks(graph, table, cfg, active, use_distance_error)
+    grads = [(ev.grad1, ev.grad2) for _, _, ev in blocks]
+    hessians = [((ev.h11, ev.h12), (ev.h21, ev.h22)) for _, _, ev in blocks]
+    records = [(j, (i1, i2)) for j, (i1, i2, _) in enumerate(blocks)]
 
     H = np.zeros((dim, dim))
     g = np.zeros(dim)
@@ -43,7 +43,7 @@ def assemble_dense(graph, cfg, active=None, lambdas=None, use_distance_error=Fal
         for j, pair in records:
             for a, ia in enumerate(pair):
                 if kp == ia:
-                    g[ok : ok + 4] += grads[j, a]
+                    g[ok : ok + 4] += grads[j][a]
         for l, lp in enumerate(free):
             ol = 5 * l
             h = H[ok : ok + 4, ol : ol + 4]
@@ -51,7 +51,7 @@ def assemble_dense(graph, cfg, active=None, lambdas=None, use_distance_error=Fal
                 for a, ia in enumerate(pair):
                     for b, ib in enumerate(pair):
                         if kp == ia and lp == ib:
-                            h += hessians[j, a, b]
+                            h += hessians[j][a][b]
 
     ce = eval_constraint(lambdas, table[np.subtract(free, 1), ORI])
     for k in range(len(free)):

@@ -10,15 +10,15 @@ names it.  A stack of S = 3 states must give the merits of the three
 single-state calls byte for byte, each the L + mu l1 of the system
 assembled at that state, and each kernel's values must be those of
 single calls.  A permuted state order must permute the state and the
-system, bitwise.  record_terms must list each term's rows and slot in
-canonical order and name the first degenerate record of the one record
-sequence.  record_blocks must give each active record's
-gradients and Hessian blocks as the loop sums them, byte for byte, and
-+0.0 for each masked one, and neither it nor assemble may change the
-record_terms result they read.  The loop's blocks, placed in a dense
-matrix, are the system's dense H byte for byte, and the system stores
-entries in exactly the loop's blocks and those of the masked homing
-records' pose pairs.
+system, bitwise.  An EvaluationPlan must list each kernel call's
+records and their slots in canonical order and name the first
+degenerate record of the one record sequence.  Each kernel must list
+exactly the derivative sub-blocks that are not zero, and their full
+blocks must be the loop's; assemble may not change the kernels' results
+it scatters.  The loop's blocks, placed in a dense matrix, are the
+system's dense H byte for byte, and the system stores entries in
+exactly the loop's blocks and those of the masked homing records' pose
+pairs.
 """
 
 import dataclasses
@@ -27,16 +27,13 @@ import loop_reference as ref
 import numpy as np
 import pytest
 from conftest import at_state, random_graph, state_of, stored_blocks
-from dense_assembly import record_rows
 
-import ovsam.assembly as assembly_module
 from ovsam.assembly import (
+    EvaluationPlan,
     assemble,
     measurement_tables,
     merit,
     pack_state,
-    record_blocks,
-    record_terms,
     unpack_state,
 )
 from ovsam.costs import (
@@ -184,61 +181,93 @@ def _block_graphs():
 @pytest.mark.parametrize("cfg", CFGS, ids=["t1=1", "t1=0", "second"])
 @pytest.mark.parametrize("use_distance", [False, True], ids=["plain", "distance"])
 @pytest.mark.parametrize("threshold", [0.0, 0.5, 0.8])
-def test_record_blocks_are_the_loop_sums(cfg, use_distance, threshold):
-    # one row per record of the tables: the active records' grads [grad1,
-    # grad2] and hessians [[h11, h12], [h21, h22]] are the loop's sums for
-    # the same pose rows (i1, i2); a masked homing record's rows are +0.0
+def test_the_plan_scatters_the_loop_sums_of_each_record(cfg, use_distance, threshold):
+    # each record's sub-blocks summed in slot order, then the records in
+    # record order: g and every block of H are the loop's, byte for byte,
+    # and a masked homing record's pose pair stores +0.0
+    rng = np.random.default_rng(44)
     for graph in _block_graphs():
         table = graph.pose_table()
         active = compute_active_mask(graph, threshold, use_distance, table)
-        tables = measurement_tables(graph, cfg, use_distance)
-        terms = record_terms(tables, table, cfg, active, use_distance)
-        grads, hessians = record_blocks(tables, terms)
-        want = ref._measurement_blocks(graph, table, cfg, active, use_distance)
-        rows = record_rows(tables)
-        m = len(graph.odometry)
-        live = np.concatenate((np.arange(m), m + np.flatnonzero(active[m:])))
-        dead = np.delete(np.arange(len(rows)), live)
-        assert (len(grads), len(hessians)) == (len(rows), len(rows))
-        assert np.array_equal(rows[live], [(i1 - 1, i2 - 1) for i1, i2, _ in want])
-        assert _same(grads[live], [[ev.grad1, ev.grad2] for _, _, ev in want])
-        want_h = [[[ev.h11, ev.h12], [ev.h21, ev.h22]] for _, _, ev in want]
-        assert _same(hessians[live], want_h)
-        assert _same(grads[dead], np.zeros((len(dead), 2, 4)))
-        assert _same(hessians[dead], np.zeros((len(dead), 2, 2, 4, 4)))
+        lambdas = rng.normal(size=len(graph) - 1)
+        _check_values_and_system(graph, cfg, active, lambdas, use_distance, table)
+
+
+def _extended(tables, table, lambdas=None):
+    """(flat state, anchor row) of a pose table."""
+    lambdas = np.zeros(len(tables.free)) if lambdas is None else lambdas
+    return pack_state(tables, table, lambdas), table[tables.anchor]
+
+
+@pytest.mark.parametrize("cfg", CFGS, ids=["t1=1", "t1=0", "second"])
+def test_kernels_list_exactly_the_sub_blocks_that_are_not_zero(cfg):
+    # a sub-block a kernel lists is nonzero somewhere, one it does not list
+    # is zero in the loop's full blocks, and the full blocks built from the
+    # sub-blocks are the loop's, byte for byte (the sign of a zero aside)
+    graph = random_graph(np.random.default_rng(48), n_poses=7, n_homing=8)
+    tables = measurement_tables(graph, cfg, True)
+    active = np.ones(len(tables.i1), dtype=bool)
+    plan = EvaluationPlan(tables, cfg, active, True)
+    table = graph.pose_table()
+    evs = plan.evaluate(*_extended(tables, table))
+    loop = [terms for _, _, terms in ref._record_terms(graph, table, cfg, active, True)]
+    names = ("grad1", "grad2", "h11", "h12", "h22")
+    for ev, (records, slots, *_) in zip(evs, plan.calls):
+        assert all(np.any(block != 0.0) for block in [*ev.grads.values(), *ev.hess.values()])
+        want = [loop[k][s] for k, s in zip(records, slots)]
+        for name in names:
+            full = getattr(ev, name)
+            assert np.array_equal(full, [getattr(w, name) for w in want]), name
+        parts = {"x": slice(0, 2), "u": slice(2, 4)}
+        for a, p in [(a, p) for a in (0, 1) for p in parts]:
+            if (a, p) not in ev.grads:
+                assert not np.any(getattr(ev, names[a])[:, parts[p]])
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            block = getattr(ev, f"h{a + 1}{b + 1}")
+            for p in parts:
+                for q in parts:
+                    if (a, p, b, q) not in ev.hess:
+                        assert not np.any(block[:, parts[p], parts[q]])
 
 
 @pytest.mark.parametrize("use_distance", [False, True], ids=["plain", "distance"])
-def test_record_terms_lists_each_term_with_its_rows_and_slot(use_distance):
-    # one entry per term in canonical order, rows over the one record
-    # sequence (odometry, then homing): translation 0, distance 1 over the
-    # active distance terms (with the flag only), rotation 2 over every
-    # odometry record, then home vector 0 and compass 1 over active homing
+def test_the_plan_lists_each_call_with_its_records_and_slots(use_distance):
+    # one call per kernel function, records over the one record sequence
+    # (odometry, then homing): translation 0 over every odometry record,
+    # distance 1 over the active distance terms (with the flag only), home
+    # vector 0 over the active homing records, and rotation over every
+    # odometry record (slot 2) and then the active homing records
+    # (compass, slot 1)
     rng = np.random.default_rng(46)
     graph = random_graph(rng, n_poses=7, n_homing=8).with_fixed(4)
     cfg = RotCostConfig()
     tables = measurement_tables(graph, cfg, use_distance)
-    m, k = len(graph.odometry), len(graph.odometry) + len(graph.homing)
+    m = len(graph.odometry)
     for _ in range(3):
         active = _random_mask(graph, rng)
         assert 0 < active[m:].sum() < len(graph.homing)
         assert 0 < active[:m].sum() < m
         odometry, homing = np.arange(m), m + np.flatnonzero(active[m:])
-        want = [(odometry, 0), (odometry, 2), (homing, 0), (homing, 1)]
+        want = [(odometry, [0] * m), (homing, [0] * len(homing))]
+        want.append((np.concatenate((odometry, homing)), [2] * m + [1] * len(homing)))
         if use_distance:
-            want.insert(1, (np.flatnonzero(active[:m]), 1))
-        stack = np.stack([table for table, _ in _states(graph, rng, count=2)])
-        for table, derivs in ((stack[0], True), (stack[0], False), (stack, False)):
-            terms = record_terms(tables, table, cfg, active, use_distance, derivs)
-            assert len(terms) == len(want)
-            for (rows, slot, result), (want_rows, want_slot) in zip(terms, want):
-                assert np.array_equal(np.arange(k)[rows], want_rows) and slot == want_slot
+            distance = np.flatnonzero(active[:m])
+            want.insert(1, (distance, [1] * len(distance)))
+        plan = EvaluationPlan(tables, cfg, active, use_distance)
+        assert len(plan.calls) == len(want)
+        for (records, slots, *_), (want_records, want_slots) in zip(plan.calls, want):
+            assert np.array_equal(records, want_records) and np.array_equal(slots, want_slots)
+        states = [_extended(tables, table, lam) for table, lam in _states(graph, rng, count=2)]
+        stack = (np.stack([state for state, _ in states]), states[0][1])
+        for (state, anchor), derivs in ((states[0], True), (states[0], False), (stack, False)):
+            results = plan.evaluate(state, anchor, derivs)
+            for result, (want_records, _) in zip(results, want):
                 value = result.value if derivs else result
-                assert value.shape == table.shape[:-2] + (len(want_rows),)
+                assert value.shape == state.shape[:-1] + (len(want_records),)
 
 
 @pytest.mark.parametrize("derivs", [True, False], ids=["derivs", "values"])
-def test_record_terms_names_the_first_degenerate_record_of_the_sequence(derivs):
+def test_the_plan_names_the_first_degenerate_record_of_the_sequence(derivs):
     # poses 1 and 2 coincide: the distance term of odometry record 1 and
     # the home vectors of homing records 3 (1->2) and 4 (2->1) fail; the
     # first record of the sequence is named, as the loop names it
@@ -248,39 +277,40 @@ def test_record_terms_names_the_first_degenerate_record_of_the_sequence(derivs):
     named = {True: "odometry record 1 (1->2): ", False: "homing record 3 (1->2): "}
     for use_distance, where in named.items():
         tables = measurement_tables(graph, cfg, use_distance)
+        plan = EvaluationPlan(tables, cfg, active, use_distance)
         with pytest.raises(DegenerateVectorError) as got:
-            record_terms(tables, graph.pose_table(), cfg, active, use_distance, derivs)
+            plan.evaluate(*_extended(tables, graph.pose_table()), derivs)
         with pytest.raises(DegenerateVectorError) as want:
             ref.merit(graph, cfg, None, 10.0, use_distance_error=use_distance)
         assert str(got.value).startswith(where)
         assert str(got.value) == str(want.value)
 
 
-def _term_bytes(terms):
+def _result_bytes(results):
     out = []
-    for rows, slot, ev in terms:
-        out += [rows if isinstance(rows, slice) else rows.tobytes(), slot]
-        out += [getattr(ev, f.name).tobytes() for f in dataclasses.fields(ev)]
+    for ev in results:
+        out.append(ev.value.tobytes())
+        out += [(key, block.tobytes()) for key, block in ev.grads.items()]
+        out += [(key, block.tobytes()) for key, block in ev.hess.items()]
     return out
 
 
 @pytest.mark.parametrize("cfg", CFGS, ids=["t1=1", "t1=0", "second"])
-def test_record_blocks_and_assemble_leave_the_terms_unchanged(cfg, monkeypatch):
+def test_assemble_leaves_the_kernel_results_unchanged(cfg, monkeypatch):
     graph, _ = simulate(SimConfig(lanes=3, points_per_lane=6, seed=3))
     active = compute_active_mask(graph, 0.5, True)
     seen = []
+    evaluate = EvaluationPlan.evaluate
 
     def kept(*args, **kwargs):
-        terms = record_terms(*args, **kwargs)
-        seen.append((terms, _term_bytes(terms)))
-        return terms
+        results = evaluate(*args, **kwargs)
+        seen.append((results, _result_bytes(results)))
+        return results
 
-    monkeypatch.setattr(assembly_module, "record_terms", kept)
+    monkeypatch.setattr(EvaluationPlan, "evaluate", kept)
     assemble(graph, cfg, active, None, True)
-    ((terms, before),) = seen
-    assert _term_bytes(terms) == before
-    record_blocks(measurement_tables(graph, cfg, True), terms)
-    assert _term_bytes(terms) == before
+    ((results, before),) = seen
+    assert _result_bytes(results) == before
 
 
 def _degenerate_graph(x2, u1, u2):

@@ -13,6 +13,7 @@ from conftest import coincident_start, consistent_graph, random_graph
 import ovsam.cli as cli
 import ovsam.derivcheck as derivcheck
 import ovsam.solver as solver_module
+from ovsam.assembly import EvaluationPlan
 from ovsam.cli import main
 from ovsam.costs import RotCostConfig
 from ovsam.graph import load_graph, save_graph
@@ -378,14 +379,14 @@ def test_solve_exits_3_when_the_dense_system_is_not_finite(tmp_path, capsys, mon
     # formed, and reported as a numerical failure
     rng = np.random.default_rng(3)
     path = _write_graph(tmp_path, random_graph(rng, n_poses=4, n_homing=2, unit_orientations=True))
-    assemble = solver_module.assemble
+    assemble = EvaluationPlan.assemble
 
     def nan_assemble(*args, **kwargs):
         system = assemble(*args, **kwargs)
         system.g[0] = np.nan
         return system
 
-    monkeypatch.setattr(solver_module, "assemble", nan_assemble)
+    monkeypatch.setattr(EvaluationPlan, "assemble", nan_assemble)
     assert main(["solve", path, "--out", str(tmp_path / "s")]) == 3
     err = capsys.readouterr().err
     assert "numerical failure: iteration 1: assembled system is not finite\n" in err

@@ -42,8 +42,8 @@ def _one(out, derivs=True):
     """The single record of a kernel's output over a batch of one."""
     if not derivs:
         return out[0]
-    fields = ("value", "grad1", "grad2", "h11", "h12", "h22")
-    return CostEval(*(getattr(out, name)[0] for name in fields))
+    grads = {key: block[0] for key, block in out.grads.items()}
+    return CostEval(out.value[0], grads, {key: block[0] for key, block in out.hess.items()})
 
 
 def eval_translation(p, pp, T, r, derivs=True):
@@ -151,7 +151,7 @@ def test_distance_weight_rejects_weights_that_are_not_finite_and_positive(sigma_
 
 def test_cost_eval_h21_is_h12_transposed():
     rng = np.random.default_rng(0)
-    ev = CostEval.zeros(np.array([1.0]))
+    ev = CostEval(np.array([1.0]))
     ev.h12[:] = rng.normal(size=(1, 4, 4))
     assert np.array_equal(ev.h21[0], ev.h12[0].T)
 

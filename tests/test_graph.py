@@ -236,9 +236,9 @@ def test_pack_state_with_poses_round_trip():
     table, unpacked = unpack_state(tables, blank, vec)
     assert np.array_equal(unpacked, lams)
     assert np.array_equal(table[2], blank[2])  # anchor row kept
-    stack, stacked = unpack_state(tables, blank, np.stack((vec, 2.0 * vec)))
-    assert np.array_equal(stack, [table, unpack_state(tables, blank, 2.0 * vec)[0]])
-    assert np.array_equal(stacked, [lams, 2.0 * lams])
+    # a stack of tables packs to the stack of their states
+    stack = pack_state(tables, np.stack((g.pose_table(), blank)), np.stack((lams, 2.0 * lams)))
+    assert np.array_equal(stack, [vec, pack_state(tables, blank, 2.0 * lams)])
     table[2] = g.pose_table()[2]
     assert np.array_equal(table, g.pose_table())
 
@@ -263,6 +263,8 @@ def test_state_layout_errors():
         unpack_state(tables, g.pose_table(), np.zeros(7))
     with pytest.raises(PreconditionError):
         unpack_state(tables, g.pose_table(), np.zeros((1, 1, 5)))
+    with pytest.raises(PreconditionError):  # one state, not a stack
+        unpack_state(tables, g.pose_table(), np.zeros((2, 5)))
     with pytest.raises(PreconditionError):
         g.with_poses(np.zeros((3, 4)))
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from conftest import (
 import ovsam.assembly as assembly_module
 import ovsam.graph as graph_module
 import ovsam.solver as solver_module
-from ovsam.assembly import measurement_tables, merit
+from ovsam.assembly import EvaluationPlan, measurement_tables
 from ovsam.costs import RotCostConfig
 from ovsam.errors import (
     DegenerateVectorError,
@@ -43,6 +44,7 @@ from ovsam.solver import (
     FIRST_CHUNKS,
     LADDER,
     LS_ALPHAS,
+    PHASES,
     SPARSE_SOLVE_DIM,
     SolverConfig,
     compute_active_mask,
@@ -129,7 +131,7 @@ def test_solve_rejects_a_non_finite_system(monkeypatch, lanes, points_per_lane, 
     # the third assembly (iteration 3); 6x20 is dim 595, the sparse path
     graph = simulate(SimConfig(lanes=lanes, points_per_lane=points_per_lane))[0]
     assert (5 * (len(graph) - 1) >= SPARSE_SOLVE_DIM) == (lanes == 6)
-    assemble, newton_step = solver_module.assemble, solver_module.newton_step
+    assemble, newton_step = EvaluationPlan.assemble, solver_module.newton_step
     steps, assemblies = [], []
 
     def counted_step(*args):
@@ -147,7 +149,7 @@ def test_solve_rejects_a_non_finite_system(monkeypatch, lanes, points_per_lane, 
         return system
 
     monkeypatch.setattr(solver_module, "newton_step", counted_step)
-    monkeypatch.setattr(solver_module, "assemble", poisoned_assemble)
+    monkeypatch.setattr(EvaluationPlan, "assemble", poisoned_assemble)
     for iteration in (1, 3):
         steps.clear()
         assemblies.clear()
@@ -573,12 +575,14 @@ def test_report_counts_merit_calls_and_records_alpha(monkeypatch):
         alphas.append(out[1])
         return out
 
-    def counted_merit(graph, cfg, active, mu, lambdas, use_distance_error, table, tables):
-        stacks.append(len(table))
-        return merit(graph, cfg, active, mu, lambdas, use_distance_error, table, tables)
+    merit = EvaluationPlan.merit
+
+    def counted_merit(plan, states, anchor, mu):
+        stacks.append(len(states))
+        return merit(plan, states, anchor, mu)
 
     monkeypatch.setattr(solver_module, "find_step", counted_find_step)
-    monkeypatch.setattr(solver_module, "merit", counted_merit)
+    monkeypatch.setattr(EvaluationPlan, "merit", counted_merit)
     report = solve(graph)
     assert report.reason == "grad_tol"
     assert [t.alpha for t in report.trace] == alphas + [0.0]
@@ -587,6 +591,20 @@ def test_report_counts_merit_calls_and_records_alpha(monkeypatch):
     # evaluates the iterate, so each step costs one trial point
     assert alphas == [1.0] * 6
     assert report.merit_calls == report.merit_states == len(alphas)
+
+
+def test_report_splits_the_solve_time_into_phases():
+    # every phase is present and nonnegative, and the phases, timed apart,
+    # sum to no more than the whole solve
+    for graph in (simulate(SimConfig())[0], two_pose_graph()):
+        start = time.perf_counter()
+        report = solve(graph, SolverConfig(max_iters=5))
+        elapsed = time.perf_counter() - start
+        seconds = report.phase_seconds
+        assert list(seconds) == list(PHASES) == ["mask", "assembly", "factorization", "merits"]
+        assert all(s >= 0.0 for s in seconds.values())
+        assert sum(seconds.values()) <= elapsed
+        assert seconds["assembly"] > 0.0
 
 
 def test_step_tol_termination():
@@ -708,7 +726,7 @@ def test_collapse_during_assembly_reports_diverged(monkeypatch):
     # the start's assembly serves iteration 1; a collapse at the next one
     # ends the solve as diverged after that one iteration
     calls = []
-    assemble = solver_module.assemble
+    assemble = EvaluationPlan.assemble
 
     def boom_after_the_start(*args, **kwargs):
         calls.append(1)
@@ -718,7 +736,7 @@ def test_collapse_during_assembly_reports_diverged(monkeypatch):
 
     graph = two_pose_graph()
     graph.pose(2).x += [0.1, 0.1]
-    monkeypatch.setattr(solver_module, "assemble", boom_after_the_start)
+    monkeypatch.setattr(EvaluationPlan, "assemble", boom_after_the_start)
     report = solver_module.solve(graph)
     assert report.reason == "diverged"
     assert not report.converged
@@ -770,51 +788,66 @@ def test_degenerate_start_raises_naming_the_record_for_every_term():
 def test_one_derivative_pass_per_iteration(monkeypatch):
     # the start's assembly, which estimates the multipliers, is iteration 1's
     calls = []
-    record_blocks = assembly_module.record_blocks
+    evaluate = EvaluationPlan.evaluate
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return record_blocks(*args, **kwargs)
+    def counted(plan, states, anchor, derivs=True):
+        calls.append(derivs)
+        return evaluate(plan, states, anchor, derivs)
 
-    monkeypatch.setattr(assembly_module, "record_blocks", counted)
+    monkeypatch.setattr(EvaluationPlan, "evaluate", counted)
     report = solve(simulate(SimConfig())[0])
-    assert (report.reason, report.iterations, len(calls)) == ("grad_tol", 15, 15)
+    assert (report.reason, report.iterations, sum(calls)) == ("grad_tol", 15, 15)
 
     calls.clear()
     report = solve(_truth_start(SimConfig(seed=34)), SolverConfig(max_iters=10))
-    assert (report.reason, report.iterations, len(calls)) == ("max_iters", 10, 10)
+    assert (report.reason, report.iterations, sum(calls)) == ("max_iters", 10, 10)
 
 
 def test_solve_builds_one_plan_whatever_the_mask(monkeypatch):
-    # the plan belongs to the solve's tables: the default scenario's mask
-    # moves four times, the 10x30 map from the truth keeps one mask, and
-    # each solve, dense or sparse, builds one plan
-    built, masks = [], []
+    # the scatter plan belongs to the solve's tables: the default
+    # scenario's mask moves four times, the 10x30 map from the truth keeps
+    # one mask, and each solve, dense or sparse, builds one ScatterPlan;
+    # the EvaluationPlan is rebuilt exactly when the mask changes, one per
+    # run of equal masks, each for the mask of its run
+    built, evaluated, masks = [], [], []
 
     class Counted(assembly_module.ScatterPlan):
         def __init__(self, *args):
             built.append(1)
             super().__init__(*args)
 
+    class CountedEvaluation(EvaluationPlan):
+        def __init__(self, tables, cfg, active, *args):
+            evaluated.append(np.array(active))
+            super().__init__(tables, cfg, active, *args)
+
     compute = solver_module.compute_active_mask
 
     def recorded(*args, **kwargs):
         mask = compute(*args, **kwargs)
-        masks.append(mask[len(args[0].odometry) :])
+        masks.append(mask)
         return mask
 
     monkeypatch.setattr(assembly_module, "ScatterPlan", Counted)
+    monkeypatch.setattr(solver_module, "EvaluationPlan", CountedEvaluation)
     monkeypatch.setattr(solver_module, "compute_active_mask", recorded)
     for graph, cfg, changes in (
         (simulate(SimConfig())[0], SolverConfig(), 4),
         (_truth_start(SimConfig(lanes=10, points_per_lane=30)), SolverConfig(max_iters=40), 0),
     ):
         built.clear()
+        evaluated.clear()
         masks.clear()
         report = solve(graph, cfg)
         assert report.reason == "grad_tol" and len(masks) == report.iterations
-        moved = sum(not np.array_equal(a, b) for a, b in zip(masks, masks[1:]))
-        assert (moved, len(built)) == (changes, 1)
+        moved = [not np.array_equal(a, b) for a, b in zip(masks, masks[1:])]
+        homing = [not np.array_equal(a[len(graph.odometry) :], b[len(graph.odometry) :])
+                  for a, b in zip(masks, masks[1:])]
+        assert moved == homing  # no distance term: only homing flags move
+        assert (sum(moved), len(built)) == (changes, 1)
+        runs = [masks[0]] + [b for b, move in zip(masks[1:], moved) if move]
+        assert len(evaluated) == len(runs) == changes + 1
+        assert all(np.array_equal(a, b) for a, b in zip(evaluated, runs))
 
 
 def test_compute_active_mask_threshold():

@@ -1,6 +1,6 @@
 """Print one sha256 per solve over a fixed set of 108 solves.
 
-    python3 tools/solve_digest.py [--only PREFIX] [--against FILE]
+    python3 tools/solve_digest.py [--only PREFIX [PREFIX ...]] [--against FILE]
 
 Each line is "<label> <sha256>", the digest covering the termination
 reason, the iteration count, every field of every per-iteration trace
@@ -11,6 +11,7 @@ Run it on two checkouts and diff the outputs: identical lines mean the
 two programs solve every graph of the set bitwise alike.  The last line
 digests all lines above it.
 
+--only solves just the labels that start with one of the prefixes.
 --against FILE compares the run with FILE, the saved output of an
 earlier run: each label whose digest differs from FILE's, or that only
 one of the two holds, is printed to stderr, and the exit status is 1 if
@@ -86,8 +87,9 @@ VARIANTS = {
 def solve_set(only=""):
     """(label, graph, SolverConfig) for each solve of the set whose label starts with only.
 
-    In set order; a graph is simulated and loaded only if its label is
-    selected.
+    only is a prefix or a tuple of prefixes (str.startswith takes
+    either).  In set order; a graph is simulated and loaded only if its
+    label is selected.
     """
     import bench
     from ovsam import RotCostConfig, SimConfig, SolverConfig, load_graph, simulate
@@ -186,7 +188,9 @@ def digest(report):
 
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--only", default="", help="solve only labels starting with this")
+    parser.add_argument(
+        "--only", nargs="+", default=[""], help="solve only labels starting with one of these"
+    )
     parser.add_argument("--against", help="saved output to compare the digests with")
     args = parser.parse_args(argv)
     saved = None
@@ -200,7 +204,8 @@ def main(argv):
 
     total = hashlib.sha256()
     digests = {}
-    for label, graph, cfg in solve_set(args.only):
+    only = tuple(args.only)
+    for label, graph, cfg in solve_set(only):
         digests[label] = digest(solve(graph, cfg))
         line = f"{label} {digests[label]}"
         print(line, flush=True)
@@ -208,7 +213,7 @@ def main(argv):
     print(f"all {total.hexdigest()}")
     if saved is None:
         return 0
-    saved = {label: d for label, d in saved.items() if label.startswith(args.only)}
+    saved = {label: d for label, d in saved.items() if label.startswith(only)}
     saved.pop("all", None)
     differ = [label for label in {**saved, **digests} if saved.get(label) != digests.get(label)]
     for label in differ:
