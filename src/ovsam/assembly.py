@@ -1,44 +1,44 @@
 """State layout, gradient and bordered-Hessian assembly of the Lagrangian.
 
 The Lagrangian is L = F + sum_i lambda_i l(u_i) over the free poses,
-where F sums all active measurement costs.  Every evaluation reads the
-poses from a pose table (graph.pose_table), which defaults to the graph's
-own poses, and the measurements from MeasurementTables, structure-of-arrays
-copies of the graph's measurement data that solve builds once and that
-default to being built from the graph on each call.  The tables also hold
-the state layout: the flat state stacks one block [x (2), u (2), lambda]
-per free pose, in the order tables.free (pack_state, unpack_state).
+where F sums all active measurement costs.  The measurements come from
+MeasurementTables, structure-of-arrays copies of the graph's measurement
+data that solve builds once and that default to being built from the
+graph on each call.  The tables also hold the state layout: the flat
+state stacks one block [x (2), u (2), lambda] per free pose, in the
+order tables.free (pack_state, unpack_state).
 
 The records form one sequence, the odometry records then the homing
 records, each group in list order, and the distance mask is one flag
 per record of it (compute_active_mask): a homing record's flag gates
-the whole record, an odometry record's only its distance term.
-record_terms evaluates each cost family for all its active records in
-one batched kernel call and lists the results as (rows, slot, result)
-entries, one per term, in canonical order: translation (slot 0), the
-optional distance term (1) and rotation (2) over the odometry records,
-then home vector (0) and compass (1) over the active homing records.
-Everything downstream walks that one list.  The merit also takes a stack (S, N, 4) of pose tables,
-S trial points, whose (S, K, 4) poses the kernels broadcast against the
-(K, ...) per-record data; each trial's numbers are those of a call on
-its table alone.  The results keep the numbers of a walk over the
-records one at a time: F adds each record's slots in order, record by
-record, and L and sum |l_i| add the per-pose terms in pose-row order,
-for assemble and merit alike (_totals); assembly sums each record's
-terms in order into its pose pair's gradients and 2 x 2 Hessian blocks
-(record_blocks, which writes nothing it reads), scatters those in
-record order by np.bincount straight into the CSC-ordered values of H
-at the positions tables.plan fixes, then adds the per-pose constraint
-terms.  A measurement couples only its pose pair, and a multiplier
-only its own orientation, so the graph fixes H's pattern: the plan
+the whole record, an odometry record's only its distance term.  An
+EvaluationPlan holds what evaluating the terms under one mask takes:
+each term's pose rows as positions in the flat state with the anchor's
+row appended, so one gather gives the poses of every term, the active
+records' stacked constants, and one call per kernel function, the
+rotation and the compass being one eval_rotation call.  It evaluates a
+stack (S, 5n) of trial states as it does one state, and each trial's
+numbers are those of a call on its state alone.  The results keep the
+numbers of a walk over the records one at a time: F adds each record's
+terms in slot order, record by record, and L and sum |l_i| add the
+per-pose terms in pose-row order, for assembly and merit alike;
+assembly adds each record's derivative sub-blocks (CostEval) that
+share an entry in slot order, scatters the records' sums in record
+order by np.bincount straight into the CSC-ordered values of H at the
+positions tables.plan fixes, then adds the per-pose constraint terms.
+A measurement couples only its pose pair, and a multiplier only its
+own orientation, so the graph fixes H's pattern: the scatter plan
 covers every record, and the mask only decides which terms are
-evaluated (a slot no term fills is +0.0, which changes no sum).  The
+evaluated (an entry no term reaches is +0.0, and skipping a masked
+record or a zero sub-block changes no sum that starts at +0.0).  The
 result is a sparse symmetric system, stored once as that CSC pattern
 plus values, whose lambda-lambda diagonal entries are exactly zero (a
 bordered saddle system); each regularized matrix H + R is H with R
-added on its diagonal.  Given no multipliers, assembly
-estimates them from the cost gradient it has just scattered,
-lambda_i = -u_i^T g_i; this estimate is the solver's start.
+added on its diagonal.  Given no multipliers, assembly estimates them
+from the cost gradient it has just scattered, lambda_i = -u_i^T g_i;
+this estimate is the solver's start.  The graph-first assemble and
+merit read the poses from a pose table (graph.pose_table), which
+defaults to the graph's own, and go through a plan built for the call.
 """
 
 import math
@@ -347,7 +347,7 @@ class EvaluationPlan:
     (rows_u and rows_lambda gather them).  Assembly sums each record's
     derivative sub-blocks (CostEval) that share an entry of H or g in
     slot order, then scatters the records' sums in record order
-    (_scatter, built on the first assembly from the sub-blocks the
+    (scatter, built on the first assembly from the sub-blocks the
     kernels list).  A record's four blocks differ (i1 != i2), so each
     of H's sums adds its records in order, as a walk over the records
     one at a time does; a masked record or a sub-block no term lists
@@ -365,31 +365,34 @@ class EvaluationPlan:
         h = np.flatnonzero(self.active[m:])
         d = np.flatnonzero(self.active[:m]) if use_distance_error else np.arange(0)
         pairs = np.concatenate((np.arange(m), m + h))  # odometry, then active homing
-        k, e = len(pairs), len(d)
+        rows = np.concatenate((pairs, d))  # the records whose poses are gathered
+        w = len(rows)
         slot = np.where(t.rank < 0, n, t.rank)  # the anchor's row is appended at 5n
-        rows = np.concatenate((t.i1[pairs], t.i2[pairs], t.i1[d], t.i2[d]))
-        self.gather = 5 * slot[rows][:, None] + np.arange(4)
+        ends = np.concatenate((t.i1[rows], t.i2[rows]))  # first poses, then second poses
+        self.gather = 5 * slot[ends][:, None] + np.arange(4)
 
-        def pair(lo, hi):
-            return slice(lo, hi), slice(k + lo, k + hi)
+        def call(kernel, records, slots, lo, *data):
+            """The call over records, whose pose pairs start at position lo of rows."""
+            first = slice(lo, lo + len(records))
+            second = slice(w + lo, w + lo + len(records))
+            return records, np.broadcast_to(slots, len(records)), kernel, first, second, data
 
-        self.calls = [(pairs[:m], np.zeros(m, int), eval_translation, *pair(0, m), (t.Tinv, t.r))]
+        self.calls = [call(eval_translation, pairs[:m], 0, 0, t.Tinv, t.r)]
         if use_distance_error:
-            between = slice(2 * k, 2 * k + e), slice(2 * k + e, 2 * k + 2 * e)
-            self.calls.append((d, np.ones(e, int), eval_distance, *between, (t.sigma_e[d], t.rho[d])))
-        home = (t.A[h], t.w_home[h], cfg)
-        self.calls.append((pairs[m:], np.zeros(len(h), int), eval_home_vector, *pair(m, k), home))
-        rotation = (np.concatenate((t.Q, t.Psi[h])), np.concatenate((t.w_rot, t.w_compass[h])), cfg)
-        slots = np.repeat([2, 1], [m, len(h)])
-        self.calls.append((pairs, slots, eval_rotation, *pair(0, k), rotation))
+            self.calls.append(call(eval_distance, d, 1, len(pairs), t.sigma_e[d], t.rho[d]))
+        self.calls.append(call(eval_home_vector, pairs[m:], 0, m, t.A[h], t.w_home[h], cfg))
+        Phi = np.concatenate((t.Q, t.Psi[h]))
+        weight = np.concatenate((t.w_rot, t.w_compass[h]))
+        slots = np.repeat([2, 1], [m, len(h)])  # rotation, then compass
+        self.calls.append(call(eval_rotation, pairs, slots, 0, Phi, weight, cfg))
 
         keys = np.concatenate([3 * records + slots for records, slots, *_ in self.calls])
         self.f_order = np.concatenate(([0], 1 + np.argsort(keys)))
         ranks = t.rank[t.rank >= 0]  # the free poses' ranks in pose-row order
+        self.ranks = ranks
         self.rows_u = 5 * ranks[:, None] + np.arange(2, 4)
         self.rows_lambda = 5 * ranks + 4
-        self.pose_rows = ranks
-        self._scatter = None
+        self.scatter = None  # a _Scatter, from the first assembly
 
     def evaluate(self, states, anchor, derivs=True):
         """Each call's result at the flat states, anchor the anchor's [x, u]
@@ -457,9 +460,9 @@ class EvaluationPlan:
         n = plan.n
         state = np.asarray(state, dtype=float)
         evs = self.evaluate(state, anchor)
-        if self._scatter is None:
-            self._scatter = _Scatter(plan, self.calls, evs)
-        G, H = self._scatter(evs)
+        if self.scatter is None:
+            self.scatter = _Scatter(plan, self.calls, evs)
+        G, H = self.scatter(evs)
 
         u = state.reshape(n, 5)[:, ORI]
         lambdas = -rowdot(u, G[:n, ORI]) if estimate else state[4::5]
@@ -472,66 +475,58 @@ class EvaluationPlan:
         H[d[:, 4, 2:4]] += ce.h_ulambda
 
         values = [ev.value for ev in evs]
-        order = self.pose_rows
-        F, L, l1 = map(float, self._totals(values, ce.l[order], lambdas[order]))
+        r = self.ranks
+        F, L, l1 = map(float, self._totals(values, ce.l[r], lambdas[r]))
         return SparseSymmetricSystem(plan, H[:-1], G[:n].ravel(), F, L, l1, ce.l, lambdas)
 
 
 class _Scatter:
     """The scatter of an EvaluationPlan's derivative sub-blocks into g and H.
 
-    Built from the calls and their first CostEvals: each call's listed
-    sub-blocks, in call order (so each record's terms come in slot
-    order), and each sub-block (a, p, b, q) with a < b again, whose
-    transpose is the record's block (b, a).  Each entry of a sub-block
-    goes to one entry of g or H (ScatterPlan's grad_bins and hess_bins)
-    for its record; keyed record * size + position, one sort lists the
-    (record, position) pairs record by record.  The first np.bincount
-    adds each pair's entries in order, the second adds the pairs into
-    g or H in record order.
+    Built from the calls and their first CostEvals.  grads and hess list
+    each call's sub-blocks as (call, key), in call order, so each
+    record's terms come in slot order, and hess then lists each
+    sub-block (a, p, b, q) with a < b again: transposed, it is the
+    record's block (b, a).  Each entry of a sub-block goes to one entry
+    of g or H for its record (ScatterPlan's grad_bins and hess_bins).
+    The first np.bincount adds the entries that share a (record,
+    position) pair in input order, the second adds the pairs into g or
+    H in record order.
     """
 
     def __init__(self, plan, calls, evs):
-        n = plan.n
-        self.grads, self.hess = [], []
-        targets_g, targets_h = [], []
-        for c, ((records, *_), ev) in enumerate(zip(calls, evs)):
-            g = plan.grad_bins.reshape(-1, 2, 4)[records]
-            h = plan.hess_bins.reshape(-1, 2, 2, 4, 4)[records]
-            for a, p in ev.grads:
-                self.grads.append((c, (a, p)))
-                targets_g.append((records, g[:, a, PARTS[p]]))
-            for a, p, b, q in ev.hess:
-                self.hess.append((c, (a, p, b, q)))
-                targets_h.append((records, h[:, a, b, PARTS[p], PARTS[q]]))
-        for c, (a, p, b, q) in list(self.hess):
-            if a != b:
-                records = calls[c][0]
-                self.hess.append((c, (a, p, b, q)))
-                block = plan.hess_bins.reshape(-1, 2, 2, 4, 4)[records][:, b, a, PARTS[q], PARTS[p]]
-                targets_h.append((records, np.swapaxes(block, -1, -2)))
-        self.g_sum, self.g_to = _bins(targets_g, 5 * (n + 1))
-        self.h_sum, self.h_to = _bins(targets_h, len(plan.indices) + 1)
-        self.sizes = 5 * (n + 1), len(plan.indices) + 1
+        grad_bins = plan.grad_bins.reshape(-1, 2, 4)
+        hess_bins = plan.hess_bins.reshape(-1, 2, 2, 4, 4)
+        self.grads = [(c, key) for c, ev in enumerate(evs) for key in ev.grads]
+        self.hess = [(c, key) for c, ev in enumerate(evs) for key in ev.hess]
+        g = [grad_bins[calls[c][0], a, PARTS[p]] for c, (a, p) in self.grads]
+        h = [hess_bins[calls[c][0], a, b, PARTS[p], PARTS[q]] for c, (a, p, b, q) in self.hess]
+        mixed = [(c, key) for c, key in self.hess if key[0] != key[2]]
+        for c, (a, p, b, q) in mixed:
+            h.append(np.swapaxes(hess_bins[calls[c][0], b, a, PARTS[q], PARTS[p]], 1, 2))
+        self.hess += mixed
+        self.g = _pairs([calls[c][0] for c, _ in self.grads], g, 5 * (plan.n + 1))
+        self.h = _pairs([calls[c][0] for c, _ in self.hess], h, len(plan.indices) + 1)
 
     def __call__(self, evs):
         """(G, H): the gradient (n + 1, 5) and the CSC-ordered values (nnz + 1,)
         of the sub-blocks, the last row and entry taking the anchor's."""
         g = np.concatenate([evs[c].grads[key].ravel() for c, key in self.grads])
         h = np.concatenate([evs[c].hess[key].ravel() for c, key in self.hess])
-        G = _scatter(g, self.g_sum, self.g_to, self.sizes[0]).reshape(-1, 5)
-        return G, _scatter(h, self.h_sum, self.h_to, self.sizes[1])
+        return _bincounts(g, *self.g).reshape(-1, 5), _bincounts(h, *self.h)
 
 
-def _bins(targets, size):
-    """(sum, to): the record-entry pair of each entry of the (records,
-    positions) targets, and the position of each pair, in record order."""
-    keys = [records.reshape((-1,) + (1,) * (pos.ndim - 1)) * size + pos for records, pos in targets]
-    pairs, where = np.unique(np.concatenate([k.ravel() for k in keys]), return_inverse=True)
-    return where, pairs % size
+def _pairs(records, positions, size):
+    """(pair_of, position_of, size) of the entries of the positions
+    (R, ...) of each array of records (R,): the (record, position) pair
+    of each entry, the pairs listed record by record, and the position
+    of each pair."""
+    keys = [r.reshape((-1,) + (1,) * (p.ndim - 1)) * size + p for r, p in zip(records, positions)]
+    pairs, pair_of = np.unique(np.concatenate([k.ravel() for k in keys]), return_inverse=True)
+    return pair_of, pairs % size, size
 
 
-def _scatter(weights, pair_of, position_of, size):
+def _bincounts(weights, pair_of, position_of, size):
     # np.bincount adds each bin's weights in input order, from 0.0.  Empty
     # input gives ints, hence the cast.
     pairs = np.bincount(pair_of, weights, len(position_of))
@@ -586,8 +581,6 @@ def merit(
     of its trials (EvaluationPlan.merit, of a plan built for this call).
     Multipliers of any other shape raise PreconditionError.
     """
-    if not 0.0 < mu < math.inf:
-        raise PreconditionError(f"mu must be finite and positive, got {mu!r}")
     active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
     stack = np.shape(table)[:-2]
     if lambdas is None:

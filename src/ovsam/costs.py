@@ -33,15 +33,18 @@ each weighted by gamma/sigma^2 of the respective measurement
 normalized position difference delta0 = (x' - x)/|x' - x|, and the
 first-form offset is t1 + (1 - t1)|u| since |delta0| = 1 identically.
 
-Every kernel returns a CostEval holding the K values together with all
-gradient and Hessian blocks over the stacked pose-pair coordinates
-[x (2), u (2)]; with derivs=False it returns the (K,) values alone and
-skips all derivative work, so the merit and the derivative oracle run
-the same value code as assembly.  Blocks are written exactly in the form
-in which they were derived (no re-simplification), so each term can be
-checked in isolation against the finite-difference oracle.  Only the
-forward mixed block d^2 f / (dp dp') is stored; the reverse block is
-always its transpose.
+Every kernel returns a CostEval holding the K values together with the
+derivative sub-blocks the cost has, each a (K, 2) sub-gradient or a
+(K, 2, 2) Hessian sub-block over the position x or the orientation u of
+one pose of the pair; a sub-block it does not list is zero, and the
+full gradient and Hessian blocks over [x (2), u (2)] are built from the
+sub-blocks on demand.  With derivs=False a kernel returns the (K,)
+values alone and skips all derivative work, so the merit and the
+derivative oracle run the same value code as assembly.  Sub-blocks are
+written exactly in the form in which they were derived (no
+re-simplification), so each term can be checked in isolation against
+the finite-difference oracle.  Only the forward mixed sub-blocks
+d^2 f / (dp dp') are stored; the reverse ones are their transposes.
 
 Each record's numbers are those of the single-pair formulas: every
 product of small matrices is a batched matmul whose operands have the

@@ -1,11 +1,12 @@
 """Lagrange-Newton descent over the factor graph.
 
 The iterate is the flat state [x, u, lambda] per free pose (assembly.py),
-evaluated through the pose table at that state; the input graph is never
-copied or written.  The start's multipliers are the estimate that
-assemble makes at the start's poses, and that system serves iteration
-1; each later iteration assembles the bordered system H ds = -g at the
-current state.  Each iteration walks one constant regularization
+evaluated, with every stack of trial states, through the EvaluationPlan
+of the current mask, which is rebuilt only when the mask changes; the
+input graph is never copied or written.  The start's multipliers are
+the estimate that assembly makes at the start's poses, and that system
+serves iteration 1; each later iteration assembles the bordered system
+H ds = -g at the current state.  Each iteration walks one constant regularization
 ladder, LADDER: each rung solves (H + R) ds = -g (LAPACK's dense
 Bunch-Kaufman LDL^T factorization at desk scale, SuperLU for large
 graphs) and backtracks on the l1 exact-penalty merit of the Lagrangian,
@@ -40,6 +41,8 @@ distance term) are masked out for any iteration in which their pose
 pair is closer than home_dist_threshold, since the home direction is
 discontinuous where the positions coincide: assembly.compute_active_mask
 gives one flag per record of the measurement tables' sequence.
+SolveReport.phase_seconds splits the solve's wall time into the mask,
+assembly, factorization and trial-merit phases.
 """
 
 import itertools
