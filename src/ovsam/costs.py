@@ -112,44 +112,24 @@ class CostEval:
     h21 is h12 transposed.
     """
 
-    def __init__(self, value, grads=None, hess=None):
+    def __init__(self, value, grads, hess):
         self.value = value
-        self.grads = {} if grads is None else grads
-        self.hess = {} if hess is None else hess
+        self.grads = grads
+        self.hess = hess
 
-    def _gradient(self, a):
-        out = np.zeros(np.shape(self.value) + (4,))
-        for (c, p), block in self.grads.items():
-            if c == a:
-                out[..., PARTS[p]] = block
+    def _full(self, blocks, *poses):
+        """The full gradient of one pose, or Hessian block of a pose pair, over [x, u]."""
+        out = np.zeros(np.shape(self.value) + (4,) * len(poses))
+        for key, block in blocks.items():
+            if key[::2] == poses:
+                out[(...,) + tuple(PARTS[p] for p in key[1::2])] = block
         return out
 
-    def _hessian(self, a, b):
-        out = np.zeros(np.shape(self.value) + (4, 4))
-        for (c, p, d, q), block in self.hess.items():
-            if (c, d) == (a, b):
-                out[..., PARTS[p], PARTS[q]] = block
-        return out
-
-    @cached_property
-    def grad1(self):
-        return self._gradient(0)
-
-    @cached_property
-    def grad2(self):
-        return self._gradient(1)
-
-    @cached_property
-    def h11(self):
-        return self._hessian(0, 0)
-
-    @cached_property
-    def h12(self):
-        return self._hessian(0, 1)
-
-    @cached_property
-    def h22(self):
-        return self._hessian(1, 1)
+    grad1 = cached_property(lambda self: self._full(self.grads, 0))
+    grad2 = cached_property(lambda self: self._full(self.grads, 1))
+    h11 = cached_property(lambda self: self._full(self.hess, 0, 0))
+    h12 = cached_property(lambda self: self._full(self.hess, 0, 1))
+    h22 = cached_property(lambda self: self._full(self.hess, 1, 1))
 
     @property
     def h21(self):

@@ -151,7 +151,7 @@ def test_distance_weight_rejects_weights_that_are_not_finite_and_positive(sigma_
 
 def test_cost_eval_h21_is_h12_transposed():
     rng = np.random.default_rng(0)
-    ev = CostEval(np.array([1.0]))
+    ev = CostEval(np.array([1.0]), {}, {})
     ev.h12[:] = rng.normal(size=(1, 4, 4))
     assert np.array_equal(ev.h21[0], ev.h12[0].T)
 
