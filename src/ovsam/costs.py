@@ -276,7 +276,7 @@ def _proj_curvature(a, z0, nz):
 
 
 def eval_translation(p, pp, Tinv, r, derivs=True):
-    """Mahalanobis translation cost with all derivative blocks.
+    """Mahalanobis translation cost with its derivative sub-blocks.
 
     Parameters
     ----------
@@ -320,7 +320,7 @@ def eval_translation(p, pp, Tinv, r, derivs=True):
 
 
 def eval_distance(p, pp, sigma_e, rho, derivs=True):
-    """Scalar traveled-distance cost with all derivative blocks.
+    """Scalar traveled-distance cost with its derivative sub-blocks.
 
     p and pp are (K, 4) [x, u] poses; sigma_e and rho are (K,), each term
     weighted by 1/sigma_e.  Orientations do not enter.  Raises
@@ -426,7 +426,7 @@ eval_compass = eval_rotation
 
 
 def eval_home_vector(p, pp, A, weight, cfg, derivs=True):
-    """Home-vector costs with all derivative blocks.
+    """Home-vector costs with its derivative sub-blocks.
 
     p and pp are (K, 4) [x, u] poses.  A holds the orientation matrices
     of the measured unit directions from pose p toward pose pp, expressed
