@@ -18,10 +18,12 @@ row appended, so one gather gives the poses of every term, the active
 records' stacked constants, and one call per kernel function, the
 rotation and the compass being one eval_rotation call.  It evaluates a
 stack (S, 5n) of trial states as it does one state, and each trial's
-numbers are those of a call on its state alone.  The results keep the
+numbers are those of a call on its state alone.  Assembly evaluates
+and does not judge: EvaluationPlan.totals gives F, L and sum |l_i|,
+and the merit formed from them belongs to the step method (solver).  The results keep the
 numbers of a walk over the records one at a time: F adds each record's
 terms in slot order, record by record, and L and sum |l_i| add the
-per-pose terms in pose-row order, for assembly and merit alike;
+per-pose terms in pose-row order, for assembly and totals alike;
 assembly adds each record's derivative sub-blocks (CostEval) that
 share an entry in slot order, scatters the records' sums in record
 order by np.bincount straight into the CSC-ordered values of H at the
@@ -36,9 +38,8 @@ plus values, whose lambda-lambda diagonal entries are exactly zero (a
 bordered saddle system); each regularized matrix H + R is H with R
 added on its diagonal.  Given no multipliers, assembly estimates them
 from the cost gradient it has just scattered, lambda_i = -u_i^T g_i;
-this estimate is the solver's start.  The graph-first assemble and
-merit read the poses from a pose table (graph.pose_table), which
-defaults to the graph's own, and go through a plan built for the call.
+this estimate is the solver's start.  The graph-first assemble
+evaluates the graph's own poses through a plan built for the call.
 """
 
 import math
@@ -183,25 +184,14 @@ def compute_active_mask(graph, threshold, use_distance_error=False, table=None, 
     return active
 
 
-def _multipliers(tables, lambdas, stack=()):
-    """lambdas as a float array of shape stack + (n,), one per free pose,
-    else PreconditionError."""
-    shape = stack + (len(tables.free),)
+def pack_state(tables, table, lambdas):
+    """The flat state (5n,) of the pose table's free poses and their
+    multipliers; multipliers not of shape (n,) raise PreconditionError."""
+    shape = (len(tables.free),)
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.shape != shape:
         raise PreconditionError(f"expected multipliers of shape {shape}, got {lambdas.shape}")
-    return lambdas
-
-
-def pack_state(tables, table, lambdas):
-    """The flat state of the pose table's free poses and their multipliers.
-
-    A stack (S, N, 4) of tables with multipliers (S, n) gives (S, 5n) states.
-    """
-    table = np.asarray(table, dtype=float)
-    lambdas = _multipliers(tables, lambdas, table.shape[:-2])
-    blocks = np.concatenate((table[..., tables.free, :], lambdas[..., None]), axis=-1)
-    return blocks.reshape(table.shape[:-2] + (-1,))
+    return np.column_stack((np.asarray(table, dtype=float)[tables.free], lambdas)).ravel()
 
 
 def unpack_state(tables, table, vec):
@@ -433,20 +423,17 @@ class EvaluationPlan:
         F = np.add.accumulate(terms[..., self.f_order], axis=-1)[..., -1]
         return F, F + _running_sum(l * lambdas), _running_sum(np.abs(l))
 
-    def merit(self, states, anchor, mu):
-        """The l1 exact-penalty merit L + mu * sum |l_i| of each flat state.
+    def totals(self, states, anchor):
+        """(F, L, sum |l_i|) of each flat state, by the value path alone.
 
         states is (5n,) or a stack (S, 5n), anchor the anchor's [x, u]
-        row; a stack gives the (S,) merits of its trials, each that of
-        a call on its state alone.
+        row; a stack gives three (S,) arrays, each trial's numbers those
+        of a call on its state alone, and bitwise those of assemble.
         """
-        if not 0.0 < mu < math.inf:
-            raise PreconditionError(f"mu must be finite and positive, got {mu!r}")
         states = np.asarray(states, dtype=float)
         values = self.evaluate(states, anchor, False)
         u, lambdas = states[..., self.rows_u], states[..., self.rows_lambda]
-        _, L, l1 = self._totals(values, residual(u), lambdas)
-        return L + mu * l1
+        return self._totals(values, residual(u), lambdas)
 
     def assemble(self, state, anchor, estimate=False):
         """The SparseSymmetricSystem at the flat state (5n,), anchor its anchor row.
@@ -536,58 +523,25 @@ def _bincounts(weights, pair_of, position_of, size):
     return np.bincount(position_of, pairs, size).astype(float, copy=False)
 
 
-def _defaults(graph, cfg, active, table, tables, use_distance_error=False):
-    if tables is None:
-        tables = measurement_tables(graph, cfg, use_distance_error)
-    if table is None:
-        table = graph.pose_table()
-    if active is None:
-        active = np.ones(len(tables.i1), dtype=bool)
-    return active, table, tables
-
-
-def assemble(
-    graph,
-    cfg,
-    active=None,
-    lambdas=None,
-    use_distance_error=False,
-    table=None,
-    tables=None,
-):
+def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False):
     """Assemble gradient, bordered Hessian, and the F, L and sum |l_i| values.
 
     Measurements touching the fixed pose in one slot still contribute
     to the other slot's blocks; the fixed pose's own rows and columns
-    are dropped entirely.  Without lambdas, the multipliers are the
-    first-order estimate (EvaluationPlan.assemble).  The pose table's
-    flat state goes through an EvaluationPlan built for this call, which
-    scatters into tables.plan's pattern whatever the mask, and the
-    system carries that pattern, the multipliers it was built with
-    (lambdas), and F, L and l1 as merit sums them.  Multipliers not of
-    shape (n,) raise PreconditionError.
+    are dropped entirely.  active defaults to every record, and without
+    lambdas the multipliers are the first-order estimate
+    (EvaluationPlan.assemble).  The graph's own poses go through an
+    EvaluationPlan built for this call, which scatters into
+    tables.plan's pattern whatever the mask, and the system carries
+    that pattern, the multipliers it was built with (lambdas), and F, L
+    and l1 as totals sums them.  Multipliers not of shape (n,) raise
+    PreconditionError.
     """
-    active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
+    tables = measurement_tables(graph, cfg, use_distance_error)
+    table = graph.pose_table()
+    if active is None:
+        active = np.ones(len(tables.i1), dtype=bool)
     plan = EvaluationPlan(tables, cfg, active, use_distance_error)
     given = np.zeros(len(tables.free)) if lambdas is None else lambdas
     state = pack_state(tables, table, given)
     return plan.assemble(state, table[tables.anchor], estimate=lambdas is None)
-
-
-def merit(
-    graph, cfg, active, mu, lambdas=None, use_distance_error=False, table=None, tables=None
-):
-    """The l1 exact-penalty merit of the Lagrangian: L + mu * sum |l_i|.
-
-    Value-only, same masking as assemble, zero lambdas by default.  A
-    stack (S, N, 4) of tables with lambdas (S, n) gives the (S,) merits
-    of its trials (EvaluationPlan.merit, of a plan built for this call).
-    Multipliers of any other shape raise PreconditionError.
-    """
-    active, table, tables = _defaults(graph, cfg, active, table, tables, use_distance_error)
-    stack = np.shape(table)[:-2]
-    if lambdas is None:
-        lambdas = np.zeros(stack + (len(tables.free),))
-    states = pack_state(tables, table, lambdas)
-    plan = EvaluationPlan(tables, cfg, active, use_distance_error)
-    return plan.merit(states, np.asarray(table)[..., tables.anchor, :], mu)

@@ -313,7 +313,7 @@ def eval_translation(p, pp, Tinv, r, derivs=True):
         (0, "u", 0, "x"): _T(xu),
         (0, "u", 0, "u"): D @ Tinv @ D,
         (0, "x", 1, "x"): -core,
-        (0, "u", 1, "x"): _T(UTinv @ D + Ow),
+        (0, "u", 1, "x"): _T(-xu),
         (1, "x", 1, "x"): core,
     }
     return CostEval(value, grads, hess)

@@ -28,13 +28,15 @@ system is checked once to be finite, before any rung of it is formed.
 
 Each rung's line search takes the first of the backtracking factors
 LS_ALPHAS whose merit is strictly smaller than at the iterate: the
-factor a search trying one at a time would take.  The iterate's merit
-is its system's L + mu sum|l_i|; a merit call evaluates a stack of
-trial points only.  The first solvable rung evaluates its factors in
-chunks of FIRST_CHUNKS trials, which costs little where plain Newton is
-accepted early.  A later rung is reached only after the rung before it
-failed every factor, so it tries all 21 factors in one call.  A trial
-point that collapses a pose pair has merit inf.
+factor a search trying one at a time would take.  The plan's totals
+give each stack of trial points its L and sum|l_i|, and the iterate's
+system carries its own; solve forms L + mu sum|l_i| from them in one
+place, so a merit call evaluates trial points only.  The first
+solvable rung evaluates its factors in chunks of FIRST_CHUNKS trials,
+which costs little where plain Newton is accepted early.  A later rung
+is reached only after the rung before it failed every factor, so it
+tries all 21 factors in one call.  A trial point that collapses a pose
+pair has merit inf.
 
 Home-vector and compass measurements (and the optional traveled-
 distance term) are masked out for any iteration in which their pose
@@ -123,7 +125,7 @@ class SolveReport:
     trace: list
     graph: object  # FactorGraph holding the final poses
     lambdas: np.ndarray
-    merit_calls: int = 0  # stacked merit evaluations
+    merit_calls: int = 0  # EvaluationPlan.totals calls on trial stacks
     merit_states: int = 0  # trial points they evaluated
     factorizations: int = 0  # newton_step calls, one per rung tried
     orderings: int = 0  # COLAMD column orders computed (spsolve), 0 on the dense path
@@ -394,12 +396,17 @@ def solve(graph, cfg=None):
     guard = 1e6 * max(1.0, float(np.linalg.norm(state)))
     merit_calls = merit_states = factorizations = 0
 
+    def merit(L, l1):
+        """The l1 exact-penalty merit of the Lagrangian."""
+        return L + cfg.mu * l1
+
     def merit_at(vecs):
         nonlocal merit_calls, merit_states
         merit_calls += 1
         merit_states += len(vecs)
         with _timed(seconds, "merits"):
-            return plan.merit(vecs, anchor, cfg.mu)
+            _, L, l1 = plan.totals(vecs, anchor)
+            return merit(L, l1)
 
     trace = []
     reason = "max_iters"
@@ -440,7 +447,7 @@ def solve(graph, cfg=None):
         merits = seconds["merits"]
         with _timed(seconds, "factorization"):
             delta, record.alpha, record.lm_escalations, record.emergency = find_step(
-                system, merit_at, state, system.L + cfg.mu * system.l1
+                system, merit_at, state, merit(system.L, system.l1)
             )
         seconds["factorization"] -= seconds["merits"] - merits  # the search outside its merits
 

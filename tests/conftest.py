@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ovsam.assembly import measurement_tables, pack_state, unpack_state
+from ovsam.assembly import EvaluationPlan, measurement_tables, pack_state, unpack_state
 from ovsam.costs import RotCostConfig
 from ovsam.graph import FactorGraph, HomingMeasurement, OdometryMeasurement, Pose
 from ovsam.orvec import from_angle, omega
@@ -16,6 +16,25 @@ def state_of(graph, lambdas):
 def at_state(graph, vec):
     """(pose table, multipliers) of a flat state over the graph's free poses."""
     return unpack_state(measurement_tables(graph, RotCostConfig()), graph.pose_table(), vec)
+
+
+def evaluation(
+    graph, cfg, active=None, lambdas=None, use_distance_error=False, table=None, tables=None
+):
+    """(plan, state, anchor): the EvaluationPlan of the mask active (every
+    record by default) over tables (the graph's by default), the flat state
+    of the pose table (the graph's) and multipliers (zeros), and the table's
+    anchor row, as solve evaluates them."""
+    if tables is None:
+        tables = measurement_tables(graph, cfg, use_distance_error)
+    if table is None:
+        table = graph.pose_table()
+    if active is None:
+        active = np.ones(len(tables.i1), dtype=bool)
+    if lambdas is None:
+        lambdas = np.zeros(len(tables.free))
+    plan = EvaluationPlan(tables, cfg, active, use_distance_error)
+    return plan, pack_state(tables, table, lambdas), table[tables.anchor]
 
 
 def stored_entries(system):

@@ -3,8 +3,8 @@
 The bitwise reference for ovsam.assembly: scalar cost kernels over one
 pose pair each, the walk over the measurements one record at a time
 (_record_terms), and loop versions of assemble (gradient and blocks),
-total_values (F, L and sum |l_i|, which an assembled system and the merit
-carry) and init_lambdas that consume it.  tests/test_batched.py requires the
+total_values (F, L and sum |l_i|, which an assembled system and
+EvaluationPlan.totals carry) and init_lambdas that consume it.  tests/test_batched.py requires the
 batched code to reproduce every number these produce exactly.
 
 validate is the reference for FactorGraph.validate: its checks one
@@ -448,11 +448,6 @@ def total_values(graph, cfg, active=None, lambdas=None, use_distance_error=False
         w_sum += lam * l
         l1 += abs(l)
     return F, F + w_sum, l1
-
-
-def merit(graph, cfg, active, mu, lambdas=None, use_distance_error=False, table=None):
-    _, L, l1 = total_values(graph, cfg, active, lambdas, use_distance_error, table)
-    return L + mu * l1
 
 
 def init_lambdas(graph, cfg, active=None, table=None):

@@ -1,13 +1,12 @@
 """Gradient/Hessian assembly: oracle checks and structural invariants."""
 
-import math
-
 import loop_reference as ref
 import numpy as np
 import pytest
 from conftest import (
     at_state,
     consistent_graph,
+    evaluation,
     random_graph,
     state_of,
     stored_blocks,
@@ -15,7 +14,7 @@ from conftest import (
 )
 from dense_assembly import assemble_dense, record_rows
 
-from ovsam.assembly import assemble, measurement_tables, merit, pack_state
+from ovsam.assembly import EvaluationPlan, assemble, measurement_tables, pack_state
 from ovsam.costs import RotCostConfig
 from ovsam.errors import DegenerateVectorError, PreconditionError
 from ovsam.findiff import fd_gradient, fd_jacobian
@@ -67,7 +66,7 @@ def test_gradient_matches_fd_of_lagrangian(cfg, use_distance):
 
     def L_of(vec):
         table, lams = at_state(graph, vec)
-        return assemble(graph, cfg, None, lams, use_distance, table).L
+        return assemble(graph.with_poses(table), cfg, None, lams, use_distance).L
 
     system = assemble(graph, cfg, lambdas=lambdas, use_distance_error=use_distance)
     fd = fd_gradient(L_of, state0)
@@ -84,7 +83,7 @@ def test_gradient_matches_fd_with_nondefault_fixed_pose():
 
     def L_of(vec):
         table, lams = at_state(graph, vec)
-        return assemble(graph, RotCostConfig(), None, lams, table=table).L
+        return assemble(graph.with_poses(table), RotCostConfig(), None, lams).L
 
     system = assemble(graph, RotCostConfig(), lambdas=lambdas)
     assert system.dim == 15
@@ -101,7 +100,7 @@ def test_hessian_matches_fd_of_gradient(cfg):
 
     def g_of(vec):
         table, lams = at_state(graph, vec)
-        return assemble(graph, cfg, lambdas=lams, table=table).g
+        return assemble(graph.with_poses(table), cfg, lambdas=lams).g
 
     H = assemble(graph, cfg, lambdas=lambdas).to_dense()
     fd = fd_jacobian(g_of, state0)
@@ -123,8 +122,9 @@ def test_sparse_and_dense_assembly_agree_bitwise():
 
 
 def test_table_evaluation_equals_graph_evaluation():
-    # a table built from a random state evaluates bitwise like a graph
-    # carrying those poses, anchor row included
+    # a table built from a random state evaluates bitwise, through the
+    # evaluation plan, like a graph carrying those poses, anchor row
+    # included
     rng = np.random.default_rng(14)
     graph, _ = _perturbed(rng, n_poses=6, n_homing=5)
     graph = graph.with_fixed(4)
@@ -135,14 +135,13 @@ def test_table_evaluation_equals_graph_evaluation():
     assert np.array_equal(moved.pose(4).x, graph.pose(4).x)
     for cfg in (RotCostConfig(t1=0), RotCostConfig(t1=1), RotCostConfig(form="second")):
         for use_distance in (False, True):
-            a = assemble(graph, cfg, None, lams, use_distance, table)
+            plan, state, anchor = evaluation(graph, cfg, None, lams, use_distance, table)
+            a = plan.assemble(state, anchor)
             b = assemble(moved, cfg, None, lams, use_distance)
             assert np.array_equal(a.to_dense(), b.to_dense())
             assert np.array_equal(a.g, b.g)
             assert (a.F, a.L, a.l1) == (b.F, b.L, b.l1)
-            assert merit(graph, cfg, None, 10.0, lams, use_distance, table) == (
-                merit(moved, cfg, None, 10.0, lams, use_distance)
-            )
+            assert plan.totals(state, anchor) == (b.F, b.L, b.l1)
 
 
 def _sim_system(sim, start, fixed=1):
@@ -209,8 +208,8 @@ def test_csc_matches_dense_on_every_rung():
 
 @pytest.mark.parametrize("use_distance", [False, True])
 def test_assemble_with_a_prebuilt_plan_equals_assemble_without(use_distance):
-    # every assembly on one set of tables scatters with tables.plan, under
-    # any mask, and equals a graph-only assembly, which builds its own
+    # every plan's assembly on one set of tables scatters with tables.plan,
+    # under any mask, and equals a graph-first assembly, which builds its own
     graph, _ = simulate(SimConfig(lanes=3, points_per_lane=6, seed=3))
     graph = graph.with_fixed(7)
     cfg = RotCostConfig()
@@ -237,9 +236,11 @@ def test_assemble_with_a_prebuilt_plan_equals_assemble_without(use_distance):
     for active in (everything, masked):
         for table in (start, moved):
             for lams in (None, lambdas):
-                got = assemble(graph, cfg, active, lams, use_distance, table, tables)
+                args = (graph, cfg, active, lams, use_distance, table, tables)
+                plan, state, anchor = evaluation(*args)
+                got = plan.assemble(state, anchor, estimate=lams is None)
                 assert got.plan is tables.plan
-                want = assemble(graph, cfg, active, lams, use_distance, table)
+                want = assemble(graph.with_poses(table), cfg, active, lams, use_distance)
                 assert want.plan is not tables.plan
                 same(got, want)
 
@@ -369,15 +370,23 @@ def test_block_sparsity_only_measurement_pairs():
         assert abs(k - l) <= 1
 
 
+def _merit(graph, cfg, mu=10.0):
+    """L + mu * sum |l_i| at the graph's poses and zero multipliers, from
+    EvaluationPlan.totals."""
+    plan, state, anchor = evaluation(graph, cfg)
+    _, L, l1 = plan.totals(state, anchor)
+    return L + mu * l1
+
+
 def test_merit_values():
     rng = np.random.default_rng(8)
     graph = consistent_graph(rng, n_poses=4)
     cfg = RotCostConfig(t1=0)
     L = assemble(graph, cfg, lambdas=np.zeros(len(graph) - 1)).L
-    assert merit(graph, cfg, None, 10.0) == pytest.approx(L, abs=1e-18)
+    assert _merit(graph, cfg) == pytest.approx(L, abs=1e-18)
 
     bare = FactorGraph([Pose([0.0, 0.0], [1.0, 0.0]), Pose([1.0, 0.0], [2.0, 0.0])])
-    assert merit(bare, cfg, None, 10.0) == pytest.approx(15.0, abs=1e-15)
+    assert _merit(bare, cfg) == pytest.approx(15.0, abs=1e-15)
 
 
 def test_total_values_match_assemble():
@@ -388,12 +397,13 @@ def test_total_values_match_assemble():
     F, L, l1 = ref.total_values(graph, cfg, lambdas=lambdas)
     assert (system.F, system.L, system.l1) == (F, L, l1)
     assert l1 == pytest.approx(np.sum(np.abs(system.l_values)), rel=1e-14)
-    assert merit(graph, cfg, None, 10.0, lambdas) == system.L + 10.0 * system.l1
+    plan, state, anchor = evaluation(graph, cfg, None, lambdas)
+    assert plan.totals(state, anchor) == (system.F, system.L, system.l1)
 
 
 @pytest.mark.parametrize("shape", [(32,), (28,), (29, 1), (), (1, 29), (3, 29)], ids=str)
 def test_multipliers_of_the_wrong_shape_are_rejected(shape):
-    # one multiplier per free pose: merit, assemble and pack_state all check
+    # one multiplier per free pose: assemble and pack_state both check
     # the shape, instead of reading a prefix or failing inside numpy
     graph, _ = simulate(SimConfig())
     cfg = RotCostConfig()
@@ -402,11 +412,8 @@ def test_multipliers_of_the_wrong_shape_are_rejected(shape):
     assert len(tables.free) == 29
     lambdas = np.ones(shape)
     calls = [
-        lambda: merit(graph, cfg, None, 10.0, lambdas),
         lambda: assemble(graph, cfg, lambdas=lambdas),
         lambda: pack_state(tables, table, lambdas),
-        # a stack of two tables takes (2, 29)
-        lambda: merit(graph, cfg, None, 10.0, lambdas, False, np.stack((table, table)), tables),
     ]
     for call in calls:
         with pytest.raises(PreconditionError, match=r"expected multipliers of shape"):
@@ -422,24 +429,15 @@ def test_masks_of_the_wrong_shape_are_rejected(flags):
     cfg = RotCostConfig()
     k = len(graph.odometry) + len(graph.homing)
     active = np.ones({"homing": len(graph.homing), "K+1": k + 1}[flags], dtype=bool)
+    tables = measurement_tables(graph, cfg)
     for use_distance in (False, True):
         calls = [
             lambda: assemble(graph, cfg, active, None, use_distance),
-            lambda: merit(graph, cfg, active, 10.0, None, use_distance),
+            lambda: EvaluationPlan(tables, cfg, active, use_distance),
         ]
         for call in calls:
             with pytest.raises(PreconditionError, match=rf"^expected a mask of shape \({k},\), got"):
                 call()
-
-
-@pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0, -1.0], ids=str)
-def test_merit_rejects_a_mu_that_is_not_finite_and_positive(mu):
-    # with every u unit, sum |l_i| is 0.0 and inf * 0.0 would make the merit NaN
-    graph, _ = simulate(SimConfig())
-    table = graph.pose_table()
-    table[:, 2:4] = [1.0, 0.0]
-    with pytest.raises(PreconditionError, match=r"^mu must be finite and positive, got"):
-        merit(graph.with_poses(table), RotCostConfig(), None, mu)
 
 
 def test_masked_homing_equals_graph_without_homing():
@@ -523,5 +521,6 @@ def test_value_path_names_the_degenerate_homing_record():
             )
         ],
     )
+    plan, state, anchor = evaluation(graph, RotCostConfig())
     with pytest.raises(DegenerateVectorError, match=r"homing record 1 \(2->1\)"):
-        merit(graph, RotCostConfig(), None, 10.0)
+        plan.totals(state, anchor)

@@ -1,16 +1,17 @@
 """Bitwise gate: batched evaluation against the per-record loop reference.
 
-merit and assemble (with the multiplier estimate it makes when given
-none) must reproduce every number of tests/loop_reference.py exactly
-(same bytes, so even the sign of a zero), over all cost forms, masked
-distance and homing terms, a graph without homing records, a
-non-default anchor, and simulated graphs: the system's F, L and l1 are
-the loop's total_values.  A degenerate record must be named as the loop
-names it.  A stack of S = 3 states must give the merits of the three
-single-state calls byte for byte, each the L + mu l1 of the system
-assembled at that state, and each kernel's values must be those of
-single calls.  A permuted state order must permute the state and the
-system, bitwise.  An EvaluationPlan must list each kernel call's
+EvaluationPlan.totals and assembly (with the multiplier estimate it
+makes when given none) must reproduce every number of
+tests/loop_reference.py exactly (same bytes, so even the sign of a
+zero), over all cost forms, masked distance and homing terms, a graph
+without homing records, a non-default anchor, and simulated graphs:
+totals and the system's F, L and l1 are the loop's total_values.  A
+degenerate record must be named as the loop names it.  A stack of
+S = 3 states must give each state's totals byte for byte: those of a
+call on it alone, the loop's, and the F, L and l1 of the system
+assembled at it; each kernel's values must be those of single calls.
+A permuted state order must permute the state and the system,
+bitwise.  An EvaluationPlan must list each kernel call's
 records and their slots in canonical order and name the first
 degenerate record of the one record sequence.  Each kernel must list
 exactly the derivative sub-blocks that are not zero, and their full
@@ -26,13 +27,12 @@ import dataclasses
 import loop_reference as ref
 import numpy as np
 import pytest
-from conftest import at_state, random_graph, state_of, stored_blocks
+from conftest import at_state, evaluation, random_graph, state_of, stored_blocks
 
 from ovsam.assembly import (
     EvaluationPlan,
     assemble,
     measurement_tables,
-    merit,
     pack_state,
     unpack_state,
 )
@@ -57,6 +57,11 @@ def _same(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _same_totals(a, b):
+    """(F, L, sum |l_i|) a and b hold the same bytes, term by term."""
+    return len(a) == len(b) == 3 and all(_same(x, y) for x, y in zip(a, b))
+
+
 def _states(graph, rng, count=3, scale=0.05):
     """(table, lambdas) at the graph's poses and at perturbed states."""
     base = state_of(graph, rng.normal(size=len(graph) - 1))
@@ -66,16 +71,16 @@ def _states(graph, rng, count=3, scale=0.05):
 
 
 def _check_values_and_system(graph, cfg, active, lambdas, use_distance, table):
-    tables = measurement_tables(graph, cfg)
     args = (graph, cfg, active, lambdas, use_distance, table)
-    margs = (graph, cfg, active, 10.0, lambdas, use_distance, table)
-    assert _same(merit(*margs, tables), ref.merit(*margs))
+    plan, state, anchor = evaluation(*args)
+    tables = plan.tables
+    want = ref.total_values(*args)
+    assert _same_totals(plan.totals(state, anchor), want)
 
-    system = assemble(*args, tables)
+    system = plan.assemble(state, anchor)
     g, blocks, l_values = ref.assemble(*args)
     assert _same(system.g, g)
-    values = (system.F, system.L, system.l1)
-    assert all(_same(a, b) for a, b in zip(values, ref.total_values(*args)))
+    assert _same_totals((system.F, system.L, system.l1), want)
     assert _same(system.l_values, l_values)
     dense = np.zeros((len(tables.free), 5, len(tables.free), 5))
     for (k, l), block in blocks.items():
@@ -94,15 +99,16 @@ def _masked_pairs(tables, active):
 
 
 def _check_stack(graph, cfg, active, use_distance, states):
-    """A stack of the states gives each state's merit byte for byte, its system's L + mu l1."""
-    tables = measurement_tables(graph, cfg)
-    stack = np.stack([table for table, _ in states])
-    lambdas = np.stack([lam for _, lam in states])
-    got = merit(graph, cfg, active, 10.0, lambdas, use_distance, stack, tables)
-    want = [merit(graph, cfg, active, 10.0, lam, use_distance, t, tables) for t, lam in states]
-    assert _same(got, want)
-    systems = [assemble(graph, cfg, active, lam, use_distance, t, tables) for t, lam in states]
-    assert _same(got, [s.L + 10.0 * s.l1 for s in systems])
+    """A stack of the states gives each state's totals byte for byte: those
+    of a call on it alone, the loop's, and its system's F, L and l1."""
+    plan, _, anchor = evaluation(graph, cfg, active, None, use_distance)
+    stack = np.stack([pack_state(plan.tables, table, lam) for table, lam in states])
+    got = plan.totals(stack, anchor)
+    singles = [plan.totals(state, anchor) for state in stack]
+    loops = [ref.total_values(graph, cfg, active, lam, use_distance, t) for t, lam in states]
+    systems = [plan.assemble(state, anchor) for state in stack]
+    for rows in (singles, loops, [(s.F, s.L, s.l1) for s in systems]):
+        assert _same_totals(got, [np.array(column) for column in zip(*rows)])
 
 
 def _random_mask(graph, rng):
@@ -157,7 +163,7 @@ def test_simulated_graphs_match_the_loop(cfg):
         want = ref.init_lambdas(graph, cfg, compute_active_mask(graph, 0.5, False, unit), unit)
         for use_distance in (False, True):  # the distance term has no orientation gradient
             active = compute_active_mask(graph, 0.5, use_distance, unit)
-            system = assemble(graph, cfg, active, None, use_distance, unit)
+            system = assemble(graph.with_poses(unit), cfg, active, None, use_distance)
             assert _same(system.lambdas, want)
 
 
@@ -281,7 +287,7 @@ def test_the_plan_names_the_first_degenerate_record_of_the_sequence(derivs):
         with pytest.raises(DegenerateVectorError) as got:
             plan.evaluate(*_extended(tables, graph.pose_table()), derivs)
         with pytest.raises(DegenerateVectorError) as want:
-            ref.merit(graph, cfg, None, 10.0, use_distance_error=use_distance)
+            ref.total_values(graph, cfg, use_distance_error=use_distance)
         assert str(got.value).startswith(where)
         assert str(got.value) == str(want.value)
 
@@ -340,25 +346,31 @@ def _degenerate_graph(x2, u1, u2):
 )
 def test_degenerate_records_are_named_as_the_loop_names_them(cfg, use_distance, x2, u1, u2):
     graph = _degenerate_graph(x2, u1, u2)
-    for path, reference in ((merit, ref.merit), (assemble, ref.assemble)):
-        args = (graph, cfg, None, 10.0) if path is merit else (graph, cfg)
+    plan, state, anchor = evaluation(graph, cfg, use_distance_error=use_distance)
+    paths = (
+        (lambda: plan.totals(state, anchor), ref.total_values),
+        (lambda: assemble(graph, cfg, use_distance_error=use_distance), ref.assemble),
+    )
+    for path, reference in paths:
         try:
-            reference(*args, use_distance_error=use_distance)
+            reference(graph, cfg, use_distance_error=use_distance)
         except DegenerateVectorError as exc:
             with pytest.raises(DegenerateVectorError) as got:
-                path(*args, use_distance_error=use_distance)
+                path()
             assert str(got.value) == str(exc)
         else:
             table, zeros = graph.pose_table(), np.zeros(len(graph) - 1)
             _check_values_and_system(graph, cfg, None, zeros, use_distance, table)
     # in a stack, the degenerate trial's record is named as a call on it alone names it
     good = _degenerate_graph([1.0, 0.0], [1.0, 0.0], [1.0, 0.0]).pose_table()
-    stack = np.stack((good, graph.pose_table(), good))
+    trials = (good, graph.pose_table(), good)
+    stack = np.stack([pack_state(plan.tables, table, np.zeros(2)) for table in trials])
+    anchors = np.stack([table[plan.tables.anchor] for table in trials])
     try:
-        merit(graph, cfg, None, 10.0, use_distance_error=use_distance)
+        plan.totals(state, anchor)
     except DegenerateVectorError as exc:
         with pytest.raises(DegenerateVectorError) as got:
-            merit(graph, cfg, None, 10.0, np.zeros((3, 2)), use_distance, stack)
+            plan.totals(stack, anchors)
         assert str(got.value) == str(exc)
 
 
@@ -450,16 +462,17 @@ def test_a_permuted_state_order_permutes_the_state_and_the_system(cfg):
         assert _same(back[perm], table[perm]) and _same(back[2], np.zeros(4))
         assert _same(lams, lambdas[order])
         for use_distance in (False, True):
-            a = (graph, cfg, None, lambdas, use_distance, table, tables)
-            b = (graph, cfg, None, lambdas[order], use_distance, table, permuted)
-            assert _same(merit(*a[:3], 10.0, *a[3:]), merit(*b[:3], 10.0, *b[3:]))
-            want, got = assemble(*a), assemble(*b)
+            a = evaluation(graph, cfg, None, lambdas, use_distance, table, tables)
+            b = evaluation(graph, cfg, None, lambdas[order], use_distance, table, permuted)
+            assert _same_totals(a[0].totals(*a[1:]), b[0].totals(*b[1:]))
+            want, got = a[0].assemble(*a[1:]), b[0].assemble(*b[1:])
             assert _same(got.g, want.g[cols])
             assert _same(got.to_dense(), want.to_dense()[np.ix_(cols, cols)])
             assert _same((got.F, got.L, got.l1), (want.F, want.L, want.l1))
-    stack = np.stack([table for table, _ in states])
-    lambdas = np.stack([lam for _, lam in states])
+    anchor = states[0][0][tables.anchor]
     for use_distance in (False, True):
-        a = (graph, cfg, None, 10.0, lambdas, use_distance, stack, tables)
-        b = (graph, cfg, None, 10.0, lambdas[:, order], use_distance, stack, permuted)
-        assert _same(merit(*a), merit(*b))
+        a, _, _ = evaluation(graph, cfg, None, None, use_distance, tables=tables)
+        b, _, _ = evaluation(graph, cfg, None, None, use_distance, tables=permuted)
+        want = np.stack([pack_state(tables, table, lam) for table, lam in states])
+        got = np.stack([pack_state(permuted, table, lam[order]) for table, lam in states])
+        assert _same_totals(a.totals(want, anchor), b.totals(got, anchor))

@@ -236,9 +236,6 @@ def test_pack_state_with_poses_round_trip():
     table, unpacked = unpack_state(tables, blank, vec)
     assert np.array_equal(unpacked, lams)
     assert np.array_equal(table[2], blank[2])  # anchor row kept
-    # a stack of tables packs to the stack of their states
-    stack = pack_state(tables, np.stack((g.pose_table(), blank)), np.stack((lams, 2.0 * lams)))
-    assert np.array_equal(stack, [vec, pack_state(tables, blank, 2.0 * lams)])
     table[2] = g.pose_table()[2]
     assert np.array_equal(table, g.pose_table())
 

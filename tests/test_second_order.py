@@ -12,9 +12,9 @@ minimum (Nocedal & Wright, Thm 12.6).
 
 import numpy as np
 import pytest
-from conftest import random_graph
+from conftest import evaluation, random_graph
 
-from ovsam.assembly import assemble, measurement_tables
+from ovsam.assembly import measurement_tables
 from ovsam.costs import RotCostConfig
 from ovsam.findiff import fd_jacobian
 from ovsam.sim import SimConfig, simulate
@@ -40,7 +40,8 @@ def null_space_basis(table, tables):
 
 def reduced(graph, cfg, table, tables, active):
     """(R, Z^T g) of the system assembled at table with estimated multipliers."""
-    system = assemble(graph, cfg, active, None, False, table, tables)
+    plan, state, anchor = evaluation(graph, cfg, active, None, False, table, tables)
+    system = plan.assemble(state, anchor, estimate=True)
     Z = null_space_basis(table, tables)
     return Z.T @ system.to_dense() @ Z, Z.T @ system.g
 

@@ -14,6 +14,7 @@ import pytest
 from conftest import (
     coincident_start,
     consistent_graph,
+    evaluation,
     random_graph,
     state_of,
     two_pose_graph,
@@ -35,6 +36,7 @@ from ovsam.graph import (
     HomingMeasurement,
     OdometryMeasurement,
     Pose,
+    load_graph,
     save_graph,
 )
 from ovsam.orvec import from_angle, omega
@@ -575,14 +577,14 @@ def test_report_counts_merit_calls_and_records_alpha(monkeypatch):
         alphas.append(out[1])
         return out
 
-    merit = EvaluationPlan.merit
+    totals = EvaluationPlan.totals
 
-    def counted_merit(plan, states, anchor, mu):
+    def counted_totals(plan, states, anchor):
         stacks.append(len(states))
-        return merit(plan, states, anchor, mu)
+        return totals(plan, states, anchor)
 
     monkeypatch.setattr(solver_module, "find_step", counted_find_step)
-    monkeypatch.setattr(EvaluationPlan, "merit", counted_merit)
+    monkeypatch.setattr(EvaluationPlan, "totals", counted_totals)
     report = solve(graph)
     assert report.reason == "grad_tol"
     assert [t.alpha for t in report.trace] == alphas + [0.0]
@@ -902,6 +904,38 @@ def test_compute_active_mask_decides_as_math_hypot():
     assert list(np.hypot(d[:, 0], d[:, 1]) >= threshold) != [far(m) for m in homing]
 
 
+@pytest.mark.parametrize(
+    "sim, start, cfg",
+    [
+        (SimConfig(), "odometry", SolverConfig()),
+        (SimConfig(lanes=10, points_per_lane=30), "truth", SolverConfig(max_iters=40)),
+    ]
+    + [(SimConfig(seed=seed), "truth", SolverConfig(max_iters=10)) for seed in range(3)],
+    ids=["cold_3x10", "warm_10x30", "warm_3x10/seed=0", "warm_3x10/seed=1", "warm_3x10/seed=2"],
+)
+def test_the_graph_first_calls_reproduce_the_last_iterate(sim, start, cfg):
+    # the benchmark's output check: compute_active_mask and assemble on
+    # the solved graph, as given and reloaded from its text, reproduce
+    # the last record's grad_norm, F and L bitwise, so the graph-first
+    # calls evaluate as solve does
+    from ovsam.assembly import assemble
+
+    graph, truth = simulate(sim)
+    if start == "truth":
+        poses = [Pose(t[:2], from_angle(t[2])) for t in truth.poses]
+        graph = FactorGraph(poses, graph.odometry, graph.homing, graph.fixed_id)
+    report = solve(load_graph(io.StringIO(save_graph(graph))), cfg)
+    assert report.reason == "grad_tol"
+    last = report.trace[-1]
+    reloaded = load_graph(io.StringIO(save_graph(report.graph)))
+    for solved in (report.graph, reloaded):
+        flag = cfg.use_distance_error
+        mask = compute_active_mask(solved, cfg.home_dist_threshold, flag)
+        system = assemble(solved, cfg.cost, mask, report.lambdas, flag)
+        got = (float(np.linalg.norm(system.g)), system.F, system.L)
+        assert np.array(got).tobytes() == np.array([last.grad_norm, last.F, last.L]).tobytes()
+
+
 def test_sparse_solve_path_matches_dense(monkeypatch):
     # 100-pose chain crosses the sparse-dimension threshold (dim 495)
     from ovsam.assembly import assemble
@@ -958,8 +992,6 @@ def test_sparse_newton_step_is_the_colamd_solve_bitwise():
     # pattern class misses once or hits, then a system of the same tables
     # with a different homing mask, which changes both classes' patterns,
     # then the first again: every step is the COLAMD solve's bytes
-    from ovsam.assembly import assemble
-
     graph = simulate(SimConfig(lanes=6, points_per_lane=20))[0]
     tables = measurement_tables(graph, RotCostConfig())
     lambdas = np.random.default_rng(2).normal(0.0, 0.1, len(tables.free))
@@ -968,7 +1000,8 @@ def test_sparse_newton_step_is_the_colamd_solve_bitwise():
     masked = everything.copy()
     masked[m:][::3] = False
     masks = (everything, masked)
-    first, second = (assemble(graph, RotCostConfig(), m, lambdas, tables=tables) for m in masks)
+    evaluations = (evaluation(graph, RotCostConfig(), m, lambdas, tables=tables) for m in masks)
+    first, second = (plan.assemble(state, anchor) for plan, state, anchor in evaluations)
     assert first.dim >= SPARSE_SOLVE_DIM
     assert first.plan is second.plan is tables.plan
     assert not np.array_equal(first.values != 0.0, second.values != 0.0)
@@ -993,13 +1026,12 @@ def test_sparse_solve_raises_for_a_singular_matrix_on_miss_and_hit():
     from ovsam.assembly import SparseSymmetricSystem, assemble
 
     graph = random_graph(np.random.default_rng(0))
-    tables = measurement_tables(graph, RotCostConfig())
-    system = assemble(graph, RotCostConfig(), tables=tables)
+    system = assemble(graph, RotCostConfig())
     ones = np.where(system.values != 0.0, 1.0, 0.0)
     singular = SparseSymmetricSystem(
         system.plan, ones, system.g, 0.0, 0.0, 0.0, system.l_values, system.lambdas
     )
-    plan = tables.plan
+    plan = system.plan
     for rung, key in ((LADDER[0], False), (LADDER[2], True)):
         kept = dict(plan.orders)
         with pytest.raises(NumericalFailure, match="Factor is exactly singular"):
