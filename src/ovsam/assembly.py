@@ -12,7 +12,9 @@ The records form one sequence, the odometry records then the homing
 records, each group in list order, and the distance mask is one flag
 per record of it (compute_active_mask): a homing record's flag gates
 the whole record, an odometry record's only its distance term.  An
-EvaluationPlan holds what evaluating the terms under one mask takes:
+EvaluationPlan holds what evaluating the terms under one mask takes,
+for the problem its tables fix (their cost configuration and distance
+flag):
 each term's pose rows as positions in the flat state with the anchor's
 row appended, so one gather gives the poses of every term, the active
 records' stacked constants, and one call per kernel function, the
@@ -35,10 +37,10 @@ evaluated (an entry no term reaches is +0.0, and skipping a masked
 record or a zero sub-block changes no sum that starts at +0.0).  The
 result is a sparse symmetric system, stored once as that CSC pattern
 plus values, whose lambda-lambda diagonal entries are exactly zero (a
-bordered saddle system); each regularized matrix H + R is H with R
-added on its diagonal.  Given no multipliers, assembly estimates them
-from the cost gradient it has just scattered, lambda_i = -u_i^T g_i;
-this estimate is the solver's start.  The graph-first assemble
+bordered saddle system); the step method forms each regularized matrix
+H + R from it (solver.newton_step).  Given no multipliers, assembly
+estimates them from the cost gradient it has just scattered,
+lambda_i = -u_i^T g_i; this estimate is the solver's start.  The graph-first assemble
 evaluates the graph's own poses through a plan built for the call.
 """
 
@@ -54,7 +56,6 @@ from .costs import (
     PARTS,
     POS,
     distance_weight,
-    eval_compass,
     eval_distance,
     eval_home_vector,
     eval_rotation,
@@ -77,8 +78,9 @@ class MeasurementTables:
     odometry records are the first len(r).  Per-record constants are
     computed once, with the expressions the kernels use: Tinv by
     _spd_inverse (in validate), Q, A and Psi as Omega(q), Omega(alpha)
-    and Omega(psi), and the w_* weights by term_weight for the cost
-    configuration the tables were built with.
+    and Omega(psi), and the w_* weights by term_weight for cost, the
+    cost configuration the tables were built with.  cost and
+    use_distance_error fix the problem that EvaluationPlan evaluates.
     """
 
     rank: np.ndarray  # (N,) state rank of each pose row, -1 for the anchor
@@ -95,6 +97,8 @@ class MeasurementTables:
     Psi: np.ndarray
     w_home: np.ndarray
     w_compass: np.ndarray
+    cost: object  # the RotCostConfig
+    use_distance_error: bool
 
     @cached_property
     def plan(self):
@@ -155,6 +159,8 @@ def measurement_tables(graph, cfg, use_distance_error=False):
         Psi=omega(hom["psi"]),
         w_home=_weights("homing", hom, "sigma_h", cfg.gamma),
         w_compass=_weights("homing", hom, "sigma_c", cfg.gamma),
+        cost=cfg,
+        use_distance_error=use_distance_error,
     )
 
 
@@ -225,7 +231,8 @@ class ScatterPlan:
     block (a, b) goes, [k, a, b, i, j], a position in the CSC-ordered
     values (nnz + 1,); the last of each takes what falls on the anchor
     (EvaluationPlan reads them).  diag_blocks (n, 5, 5) holds the
-    position in the values of each entry of each pose's diagonal block.
+    position in the values of each entry of each pose's diagonal block,
+    and diagonal (5n,) that of each entry of H's diagonal.
     orders keeps the SuperLU column orders of this plan's solve
     (solver.spsolve), at most two, each with its gather of the CSC of
     A[:, q] from indices and indptr, and orderings counts the COLAMD
@@ -250,6 +257,7 @@ class ScatterPlan:
         col, row = np.divmod(keys[keys < dim * dim], dim)
         self.hess_bins = where[: pairs.size]
         self.diag_blocks = where[pairs.size :].reshape(n, 5, 5)
+        self.diagonal = self.diag_blocks.reshape(n, 25)[:, ::6].ravel()
         self.indices = row.astype(np.intc)
         self.indptr = np.searchsorted(col, np.arange(dim + 1)).astype(np.intc)
         self.flat = row * dim + col
@@ -263,12 +271,10 @@ class SparseSymmetricSystem:
     H is stored once, as values: its structural entries in the CSC
     order of the plan's indices and indptr, in state ranks
     (MeasurementTables.rank), +0.0 where only masked records touch.  The
-    state stacks [x (2), u (2), lambda] per pose.  Each rung's H + R,
-    where R adds diag(eta_w, eta_w, eta_w, eta_w, -eta_a) per pose, is
-    H plus R on its true diagonal, whose entries are all structural:
-    regularized copies the values and adds R there (solver.spsolve
-    gathers its nonzero entries into CSC form), and to_dense copies the
-    dense H, scattered from the values on its first call, and adds R.
+    state stacks [x (2), u (2), lambda] per pose.  H's diagonal entries
+    are all structural (plan.diagonal), and the system forms no other
+    matrix: the step method adds its regularization there
+    (solver.newton_step).
     """
 
     def __init__(self, plan, values, g, F, L, l1, l_values, lambdas):
@@ -281,29 +287,9 @@ class SparseSymmetricSystem:
         self.l1 = l1  # sum |l_i|
         self.l_values = l_values
         self.lambdas = lambdas  # the multipliers it was assembled with
-        self._dense = None
 
     def max_constraint(self):
         return float(np.max(np.abs(self.l_values))) if self.l_values.size else 0.0
-
-    def _diagonal(self, eta_w, eta_a):
-        return np.tile([eta_w, eta_w, eta_w, eta_w, -eta_a], self.plan.n)
-
-    def to_dense(self, eta_w=0.0, eta_a=0.0):
-        """H + R as a new dense array."""
-        if self._dense is None:
-            self._dense = np.zeros((self.dim, self.dim))
-            self._dense.ravel()[self.plan.flat] = self.values
-        H = self._dense.copy()
-        H.ravel()[:: self.dim + 1] += self._diagonal(eta_w, eta_a)
-        return H
-
-    def regularized(self, eta_w=0.0, eta_a=0.0):
-        """The values of H + R: a copy of values with R added on the diagonal."""
-        values = self.values.copy()
-        diagonal = self.plan.diag_blocks.reshape(-1, 25)[:, ::6].ravel()
-        values[diagonal] += self._diagonal(eta_w, eta_a)
-        return values
 
 
 def _running_sum(values):
@@ -323,13 +309,13 @@ class EvaluationPlan:
     function runs once per evaluation over all its records, calls
     holding (records, slots, kernel, first, second, data) for each:
     translation (slot 0) over the odometry records, the distance term
-    (slot 1, only if use_distance_error) over the active ones, the home
-    vector (slot 0) over the active homing records, and eval_rotation
-    over the odometry records (rotation, slot 2) and then the active
-    homing records (compass, slot 1), one call over [Q; Psi[h]] and
-    [w_rot; w_compass[h]].  records index the sequence, slots are each
-    record's slot, first and second slice the gathered poses, and data
-    are the per-record constants.
+    (slot 1, only if tables.use_distance_error) over the active ones,
+    the home vector (slot 0) over the active homing records, and
+    eval_rotation over the odometry records (rotation, slot 2) and then
+    the active homing records (compass, slot 1), one call over
+    [Q; Psi[h]] and [w_rot; w_compass[h]].  records index the sequence,
+    slots are each record's slot, first and second slice the gathered
+    poses, and data are the per-record constants and tables.cost.
 
     F adds each record's terms in slot order, record by record: f_order
     puts a leading 0.0 and then the calls' values in that order.
@@ -344,7 +330,7 @@ class EvaluationPlan:
     adds nothing, which changes no sum that starts at +0.0.
     """
 
-    def __init__(self, tables, cfg, active, use_distance_error=False):
+    def __init__(self, tables, active):
         t = tables
         m, n = len(t.r), len(t.free)
         shape = (len(t.i1),)
@@ -353,7 +339,7 @@ class EvaluationPlan:
         self.tables = tables
         self.active = np.array(active, dtype=bool)
         h = np.flatnonzero(self.active[m:])
-        d = np.flatnonzero(self.active[:m]) if use_distance_error else np.arange(0)
+        d = np.flatnonzero(self.active[:m]) if t.use_distance_error else np.arange(0)
         pairs = np.concatenate((np.arange(m), m + h))  # odometry, then active homing
         rows = np.concatenate((pairs, d))  # the records whose poses are gathered
         w = len(rows)
@@ -368,13 +354,13 @@ class EvaluationPlan:
             return records, np.broadcast_to(slots, len(records)), kernel, first, second, data
 
         self.calls = [call(eval_translation, pairs[:m], 0, 0, t.Tinv, t.r)]
-        if use_distance_error:
+        if t.use_distance_error:
             self.calls.append(call(eval_distance, d, 1, len(pairs), t.sigma_e[d], t.rho[d]))
-        self.calls.append(call(eval_home_vector, pairs[m:], 0, m, t.A[h], t.w_home[h], cfg))
+        self.calls.append(call(eval_home_vector, pairs[m:], 0, m, t.A[h], t.w_home[h], t.cost))
         Phi = np.concatenate((t.Q, t.Psi[h]))
         weight = np.concatenate((t.w_rot, t.w_compass[h]))
         slots = np.repeat([2, 1], [m, len(h)])  # rotation, then compass
-        self.calls.append(call(eval_rotation, pairs, slots, 0, Phi, weight, cfg))
+        self.calls.append(call(eval_rotation, pairs, slots, 0, Phi, weight, t.cost))
 
         keys = np.concatenate([3 * records + slots for records, slots, *_ in self.calls])
         self.f_order = np.concatenate(([0], 1 + np.argsort(keys)))
@@ -541,7 +527,7 @@ def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False):
     table = graph.pose_table()
     if active is None:
         active = np.ones(len(tables.i1), dtype=bool)
-    plan = EvaluationPlan(tables, cfg, active, use_distance_error)
+    plan = EvaluationPlan(tables, active)
     given = np.zeros(len(tables.free)) if lambdas is None else lambdas
     state = pack_state(tables, table, given)
     return plan.assemble(state, table[tables.anchor], estimate=lambdas is None)

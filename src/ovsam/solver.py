@@ -183,15 +183,18 @@ def _column_order(plan, nonzero, q):
     return ColumnOrder(nonzero, q, data, plan.indices[data], indptr)
 
 
-def spsolve(system, eta_w=0.0, eta_a=0.0):
-    """Sparse LU solve of (H + R) x = -g by SuperLU (scipy.sparse.linalg).
+def spsolve(plan, values, b):
+    """Sparse LU solve of A x = b by SuperLU (scipy.sparse.linalg).
 
-    The fill-reducing column order (COLAMD) depends on the pattern of
-    H + R only, so it is computed once per pattern and kept in the
-    system's plan.  H's multiplier diagonal is exactly zero and R's
-    -eta_a entries are the only ones on it, so a rung's pattern has one
-    of two classes: the rungs with eta_a = 0 drop that diagonal, the
-    others keep it.  plan.orders holds one ColumnOrder per class, and a
+    A is the matrix of the values in the CSC order of the plan (a
+    ScatterPlan), and SuperLU is handed its nonzero entries.  The
+    fill-reducing column order (COLAMD) depends on that pattern only,
+    so it is computed once per pattern and kept in the plan.  A rung's
+    H + R has one of two classes of pattern: H's multiplier diagonal is
+    exactly zero and R's -eta_a entries are the only ones on it, so the
+    rungs with eta_a = 0 drop that diagonal and the others keep it; the
+    class is read from the pattern, as whether the multiplier diagonal
+    is nonzero.  plan.orders holds one ColumnOrder per class, and a
     pattern that changes within its class (the mask changed) replaces
     its entry.  Either path hands SuperLU one gather of the values
     (_column_order).  A miss, counted in plan.orderings, gathers A in
@@ -214,7 +217,7 @@ def spsolve(system, eta_w=0.0, eta_a=0.0):
     solve's, by 1e-10 relative, through such a tie, on a rung whose step
     was rejected.
 
-    Raises NumericalFailure for a singular H + R; a failed miss keeps no
+    Raises NumericalFailure for a singular A; a failed miss keeps no
     order.  scipy.sparse and its solvers are imported here, on the first
     sparse solve: systems below SPARSE_SOLVE_DIM never need them, and
     they add about 2.5 MB to a process that holds only scipy.linalg.
@@ -223,10 +226,9 @@ def spsolve(system, eta_w=0.0, eta_a=0.0):
     from scipy.sparse.linalg import MatrixRankWarning, splu
     from scipy.sparse.linalg import spsolve as superlu_solve
 
-    plan, b, dim = system.plan, -system.g, system.dim
-    values = system.regularized(eta_w, eta_a)
+    dim = 5 * plan.n
     nonzero = values != 0.0
-    key = eta_a != 0.0
+    key = bool(nonzero[plan.diagonal[4::5]].any())
     order = plan.orders.get(key)
     miss = order is None or not np.array_equal(order.nonzero, nonzero)
     if miss:
@@ -273,17 +275,24 @@ def dense_solve(A, b):
 def newton_step(system, eta_w=0.0, eta_a=0.0):
     """Solve (H + R) ds = -g for the given regularization factors.
 
-    R repeats diag(eta_w, eta_w, eta_w, eta_w, -eta_a) per free pose;
-    the system forms H + R afresh for each rung, dense (dense_solve)
-    below SPARSE_SOLVE_DIM and sparse (spsolve, which reuses one column
-    order per pattern) at or above it.  The system must be finite (solve
-    checks it once per iteration).  Raises NumericalFailure when H + R
-    is singular or the step is not finite.
+    R repeats diag(eta_w, eta_w, eta_w, eta_w, -eta_a) per free pose.
+    Each rung forms H + R afresh: a copy of the system's values with R
+    added at H's diagonal positions (plan.diagonal), solved sparse
+    (spsolve, which reuses one column order per pattern) at or above
+    SPARSE_SOLVE_DIM, and below it scattered into a zeroed dense matrix
+    for dense_solve.  The system must be finite (solve checks it once
+    per iteration).  Raises NumericalFailure when H + R is singular or
+    the step is not finite.
     """
-    if system.dim >= SPARSE_SOLVE_DIM:
-        delta = spsolve(system, eta_w, eta_a)
+    plan, dim = system.plan, system.dim
+    values = system.values.copy()
+    values[plan.diagonal] += np.tile([eta_w, eta_w, eta_w, eta_w, -eta_a], plan.n)
+    if dim >= SPARSE_SOLVE_DIM:
+        delta = spsolve(plan, values, -system.g)
     else:
-        delta = dense_solve(system.to_dense(eta_w, eta_a), -system.g)
+        A = np.zeros((dim, dim))
+        A.ravel()[plan.flat] = values
+        delta = dense_solve(A, -system.g)
     if not np.all(np.isfinite(delta)):
         raise NumericalFailure("linear solve produced non-finite step")
     return delta
@@ -386,7 +395,7 @@ def solve(graph, cfg=None):
             )
             if plan is not None and np.array_equal(mask, plan.active):
                 return plan
-            return EvaluationPlan(tables, cfg.cost, mask, cfg.use_distance_error)
+            return EvaluationPlan(tables, mask)
 
     plan = masked(base)
     with _timed(seconds, "assembly"):

@@ -22,18 +22,20 @@ def evaluation(
     graph, cfg, active=None, lambdas=None, use_distance_error=False, table=None, tables=None
 ):
     """(plan, state, anchor): the EvaluationPlan of the mask active (every
-    record by default) over tables (the graph's by default), the flat state
-    of the pose table (the graph's) and multipliers (zeros), and the table's
-    anchor row, as solve evaluates them."""
+    record by default) over tables (the graph's under cfg and
+    use_distance_error by default, and given tables must have been built
+    with both), the flat state of the pose table (the graph's) and
+    multipliers (zeros), and the table's anchor row, as solve evaluates them."""
     if tables is None:
         tables = measurement_tables(graph, cfg, use_distance_error)
+    assert (tables.cost, tables.use_distance_error) == (cfg, use_distance_error)
     if table is None:
         table = graph.pose_table()
     if active is None:
         active = np.ones(len(tables.i1), dtype=bool)
     if lambdas is None:
         lambdas = np.zeros(len(tables.free))
-    plan = EvaluationPlan(tables, cfg, active, use_distance_error)
+    plan = EvaluationPlan(tables, active)
     return plan, pack_state(tables, table, lambdas), table[tables.anchor]
 
 

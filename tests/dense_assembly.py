@@ -7,6 +7,9 @@ blocks as the per-record loop sums them (loop_reference, which the
 batched sums reproduce bitwise) and adds them in the same per-entry
 order, record by record, so the two agree bitwise.  The F, L and
 sum |l_i| values have their oracle in loop_reference.total_values.
+dense_matrix reads an assembled system's H + R from its values column
+by column through the CSC indices and indptr, independently of the
+dense scatter (ScatterPlan.flat) that solver.newton_step uses.
 """
 
 import loop_reference as ref
@@ -19,6 +22,26 @@ from ovsam.costs import ORI
 def record_rows(tables):
     """(K, 2) 0-based pose rows (i1, i2) of the odometry records, then the homing records."""
     return np.column_stack((tables.i1, tables.i2))
+
+
+def dense_matrix(system, eta_w=0.0, eta_a=0.0):
+    """The system's H + R as a dense array, R repeating
+    diag(eta_w, eta_w, eta_w, eta_w, -eta_a) per free pose."""
+    plan, dim = system.plan, system.dim
+    H = np.zeros((dim, dim))
+    for col in range(dim):
+        stored = slice(plan.indptr[col], plan.indptr[col + 1])
+        H[plan.indices[stored], col] = system.values[stored]
+    H[np.diag_indices(dim)] += np.tile([eta_w, eta_w, eta_w, eta_w, -eta_a], dim // 5)
+    return H
+
+
+def regularized_values(system, eta_w=0.0, eta_a=0.0):
+    """The entries of dense_matrix(system, eta_w, eta_a) at the system's
+    stored entries, in the order of its values."""
+    plan = system.plan
+    cols = np.repeat(np.arange(system.dim), np.diff(plan.indptr))
+    return dense_matrix(system, eta_w, eta_a)[plan.indices, cols]
 
 
 def assemble_dense(graph, cfg, active=None, lambdas=None, use_distance_error=False):

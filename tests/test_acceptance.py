@@ -9,9 +9,8 @@ import time
 
 import loop_reference as ref
 import numpy as np
-import pytest
 from conftest import random_graph, two_pose_graph
-from dense_assembly import assemble_dense
+from dense_assembly import assemble_dense, dense_matrix
 from test_orvec import M
 
 from ovsam.assembly import assemble
@@ -88,7 +87,7 @@ def test_criterion_04_sparse_equals_dense_assembly():
         system = assemble(graph, cfg, lambdas=lambdas)
         H, g = assemble_dense(graph, cfg, lambdas=lambdas)
         F, L, l1 = ref.total_values(graph, cfg, lambdas=lambdas)
-        assert np.array_equal(system.to_dense(), H), f"seed {seed}: H differs"
+        assert np.array_equal(dense_matrix(system), H), f"seed {seed}: H differs"
         assert np.array_equal(system.g, g), f"seed {seed}: g differs"
         assert (system.F, system.L, system.l1) == (F, L, l1), f"seed {seed}: values differ"
     print("criterion 4 PASS: sparse == dense assembly bitwise, 20 seeds, N up to 20")
@@ -161,7 +160,7 @@ def test_criterion_07_saddle_at_converged_solution():
 
     system = assemble(report.graph, SolverConfig().cost, lambdas=report.lambdas)
     grad_norm = float(np.linalg.norm(system.g))
-    eigenvalues = np.linalg.eigvalsh(system.to_dense())
+    eigenvalues = np.linalg.eigvalsh(dense_matrix(system))
     assert grad_norm < 1e-8
     assert eigenvalues[0] < 0.0
     print(

@@ -12,8 +12,9 @@ from conftest import (
     stored_blocks,
     stored_entries,
 )
-from dense_assembly import assemble_dense, record_rows
+from dense_assembly import assemble_dense, dense_matrix, record_rows, regularized_values
 
+import ovsam.solver as solver_module
 from ovsam.assembly import EvaluationPlan, assemble, measurement_tables, pack_state
 from ovsam.costs import RotCostConfig
 from ovsam.errors import DegenerateVectorError, PreconditionError
@@ -47,7 +48,7 @@ def test_constraint_only_system():
     graph = FactorGraph([Pose([0.0, 0.0], [1.0, 0.0]), Pose([1.0, 0.0], [1.0, 0.0])])
     system = assemble(graph, RotCostConfig(), lambdas=np.array([3.0]))
     assert np.array_equal(system.g, [0.0, 0.0, 3.0, 0.0, 0.0])
-    H = system.to_dense()
+    H = dense_matrix(system)
     expect = np.zeros((5, 5))
     expect[2:4, 2:4] = 3.0 * np.eye(2)
     expect[2:4, 4] = [1.0, 0.0]
@@ -102,7 +103,7 @@ def test_hessian_matches_fd_of_gradient(cfg):
         table, lams = at_state(graph, vec)
         return assemble(graph.with_poses(table), cfg, lambdas=lams).g
 
-    H = assemble(graph, cfg, lambdas=lambdas).to_dense()
+    H = dense_matrix(assemble(graph, cfg, lambdas=lambdas))
     fd = fd_jacobian(g_of, state0)
     scale = max(1.0, np.max(np.abs(fd)))
     assert np.max(np.abs(H - fd)) / scale < 1e-4
@@ -115,7 +116,7 @@ def test_sparse_and_dense_assembly_agree_bitwise():
         cfg = RotCostConfig(t1=seed % 2)
         system = assemble(graph, cfg, lambdas=lambdas)
         H, g = assemble_dense(graph, cfg, lambdas=lambdas)
-        assert np.array_equal(system.to_dense(), H)
+        assert np.array_equal(dense_matrix(system), H)
         assert np.array_equal(system.g, g)
         F, L, l1 = ref.total_values(graph, cfg, lambdas=lambdas)
         assert (system.F, system.L, system.l1) == (F, L, l1)
@@ -138,7 +139,7 @@ def test_table_evaluation_equals_graph_evaluation():
             plan, state, anchor = evaluation(graph, cfg, None, lams, use_distance, table)
             a = plan.assemble(state, anchor)
             b = assemble(moved, cfg, None, lams, use_distance)
-            assert np.array_equal(a.to_dense(), b.to_dense())
+            assert np.array_equal(dense_matrix(a), dense_matrix(b))
             assert np.array_equal(a.g, b.g)
             assert (a.F, a.L, a.l1) == (b.F, b.L, b.l1)
             assert plan.totals(state, anchor) == (b.F, b.L, b.l1)
@@ -181,7 +182,7 @@ def _natural_csc(system, eta_w=0.0, eta_a=0.0):
     gather that solver.spsolve factors on a miss."""
     from scipy import sparse as sp
 
-    values = system.regularized(eta_w, eta_a)
+    values = regularized_values(system, eta_w, eta_a)
     order = _column_order(system.plan, values != 0.0, np.arange(system.dim))
     return sp.csc_matrix(
         (values[order.data], order.indices, order.indptr), shape=(system.dim, system.dim)
@@ -198,10 +199,10 @@ def test_csc_matches_dense_on_every_rung():
     for system in systems:
         for rung in LADDER:
             C = _natural_csc(system, *rung)
-            assert np.array_equal(C.toarray(), system.to_dense(*rung))
+            assert np.array_equal(C.toarray(), dense_matrix(system, *rung))
             assert np.all(C.data != 0.0)
             # byte for byte the CSC that scipy builds from the dense H + R
-            D = sp.csc_matrix(system.to_dense(*rung))
+            D = sp.csc_matrix(dense_matrix(system, *rung))
             for name in ("data", "indices", "indptr"):
                 assert getattr(C, name).tobytes() == getattr(D, name).tobytes(), (rung, name)
 
@@ -245,16 +246,28 @@ def test_assemble_with_a_prebuilt_plan_equals_assemble_without(use_distance):
                 same(got, want)
 
 
-def test_regularization_adds_positive_pose_and_negative_multiplier_entries():
+def test_regularization_adds_positive_pose_and_negative_multiplier_entries(monkeypatch):
+    # the matrix newton_step hands the dense factorization is H + R
     rng = np.random.default_rng(12)
     graph, lambdas = _perturbed(rng)
     system = assemble(graph, RotCostConfig(), lambdas=lambdas)
     n = system.dim // 5
-    H = system.to_dense()
+    H = dense_matrix(system)
+    handed = []
+    dense_solve = solver_module.dense_solve
+
+    def spy(A, b):
+        handed.append(A)
+        return dense_solve(A, b)
+
+    monkeypatch.setattr(solver_module, "dense_solve", spy)
     for w, a in ((1.0, 0.0), (0.0, 2.0), (1e-6, 1e6)):
-        assert np.array_equal(system.to_dense(w, a), H + np.diag(np.tile([w, w, w, w, -a], n)))
-    # every call returns a fresh matrix: no rung changes the next one's
-    assert np.array_equal(system.to_dense(), H) and system.to_dense() is not H
+        solver_module.newton_step(system, w, a)
+        assert np.array_equal(handed[-1], H + np.diag(np.tile([w, w, w, w, -a], n)))
+    # every rung forms a fresh matrix: no rung changes the next one's
+    solver_module.newton_step(system)
+    assert np.array_equal(handed[-1], H) and handed[-1] is not handed[0]
+    assert np.array_equal(dense_matrix(system), H)
 
 
 def _stored_csr(system):
@@ -281,7 +294,7 @@ def test_csc_equals_the_block_matrix_plus_diagonal_array_for_array(
     sim = SimConfig(lanes=lanes, points_per_lane=points_per_lane, seed=seed)
     system = _sim_system(sim, start)
     H = _stored_csr(system)
-    assert np.array_equal(H.toarray(), system.to_dense())
+    assert np.array_equal(H.toarray(), dense_matrix(system))
     for w, a in LADDER:
         if (w, a) == (0.0, 0.0):
             expect = H.tocsc()
@@ -342,6 +355,8 @@ def test_stored_entries_are_the_pose_part_of_each_pair_and_all_of_each_diagonal_
     diag = 5 * np.arange(n)[:, None, None]
     assert np.all(rows[plan.diag_blocks] == diag + i[:, None])
     assert np.all(cols[plan.diag_blocks] == diag + i)
+    assert np.array_equal(rows[plan.diagonal], np.arange(system.dim))
+    assert np.array_equal(cols[plan.diagonal], np.arange(system.dim))
     assert np.array_equal(plan.flat, rows * system.dim + cols)
 
 
@@ -350,7 +365,7 @@ def test_hessian_symmetric_with_zero_lambda_diagonal():
         rng = np.random.default_rng(seed)
         graph, lambdas = _perturbed(rng, n_poses=6, n_homing=5)
         system = assemble(graph, RotCostConfig(), lambdas=lambdas)
-        H = system.to_dense()
+        H = dense_matrix(system)
         assert np.max(np.abs(H - H.T)) < 1e-10
         for k in range(system.dim // 5):
             assert H[5 * k + 4, 5 * k + 4] == 0.0
@@ -429,11 +444,10 @@ def test_masks_of_the_wrong_shape_are_rejected(flags):
     cfg = RotCostConfig()
     k = len(graph.odometry) + len(graph.homing)
     active = np.ones({"homing": len(graph.homing), "K+1": k + 1}[flags], dtype=bool)
-    tables = measurement_tables(graph, cfg)
     for use_distance in (False, True):
         calls = [
             lambda: assemble(graph, cfg, active, None, use_distance),
-            lambda: EvaluationPlan(tables, cfg, active, use_distance),
+            lambda: EvaluationPlan(measurement_tables(graph, cfg, use_distance), active),
         ]
         for call in calls:
             with pytest.raises(PreconditionError, match=rf"^expected a mask of shape \({k},\), got"):
@@ -454,7 +468,7 @@ def test_masked_homing_equals_graph_without_homing():
     cfg = RotCostConfig()
     sys_masked = assemble(graph, cfg, active=mask, lambdas=lambdas)
     sys_bare = assemble(bare, cfg, lambdas=lambdas)
-    assert np.array_equal(sys_masked.to_dense(), sys_bare.to_dense())
+    assert np.array_equal(dense_matrix(sys_masked), dense_matrix(sys_bare))
     assert np.array_equal(sys_masked.g, sys_bare.g)
     assert sys_masked.L == sys_bare.L
 
@@ -468,7 +482,7 @@ def test_distance_mask_equals_flag_off():
     cfg = RotCostConfig()
     a = assemble(graph, cfg, active=mask, lambdas=lambdas, use_distance_error=True)
     b = assemble(graph, cfg, lambdas=lambdas, use_distance_error=False)
-    assert np.array_equal(a.to_dense(), b.to_dense())
+    assert np.array_equal(dense_matrix(a), dense_matrix(b))
     assert np.array_equal(a.g, b.g)
 
 
@@ -480,7 +494,7 @@ def test_fixed_pose_rows_dropped_but_contributions_kept():
     # pose 2 feels both edges (1->2 and 2->3): its diagonal block is the
     # sum of an h22 and an h11, strictly larger than pose 3's lone h22
     r2, r3 = 0, 1  # the free poses 2 and 3 in state order
-    H = system.to_dense()
+    H = dense_matrix(system)
     b2 = H[5 * r2 : 5 * r2 + 2, 5 * r2 : 5 * r2 + 2]
     b3 = H[5 * r3 : 5 * r3 + 2, 5 * r3 : 5 * r3 + 2]
     assert np.trace(b2) > np.trace(b3)

@@ -28,6 +28,7 @@ import loop_reference as ref
 import numpy as np
 import pytest
 from conftest import at_state, evaluation, random_graph, state_of, stored_blocks
+from dense_assembly import dense_matrix
 
 from ovsam.assembly import (
     EvaluationPlan,
@@ -85,7 +86,7 @@ def _check_values_and_system(graph, cfg, active, lambdas, use_distance, table):
     dense = np.zeros((len(tables.free), 5, len(tables.free), 5))
     for (k, l), block in blocks.items():
         dense[k, :, l] = block
-    assert _same(system.to_dense(), dense.reshape(system.dim, system.dim))
+    assert _same(dense_matrix(system), dense.reshape(system.dim, system.dim))
     assert stored_blocks(system) == set(blocks) | _masked_pairs(tables, active)
 
 
@@ -213,7 +214,7 @@ def test_kernels_list_exactly_the_sub_blocks_that_are_not_zero(cfg):
     graph = random_graph(np.random.default_rng(48), n_poses=7, n_homing=8)
     tables = measurement_tables(graph, cfg, True)
     active = np.ones(len(tables.i1), dtype=bool)
-    plan = EvaluationPlan(tables, cfg, active, True)
+    plan = EvaluationPlan(tables, active)
     table = graph.pose_table()
     evs = plan.evaluate(*_extended(tables, table))
     loop = [terms for _, _, terms in ref._record_terms(graph, table, cfg, active, True)]
@@ -259,7 +260,7 @@ def test_the_plan_lists_each_call_with_its_records_and_slots(use_distance):
         if use_distance:
             distance = np.flatnonzero(active[:m])
             want.insert(1, (distance, [1] * len(distance)))
-        plan = EvaluationPlan(tables, cfg, active, use_distance)
+        plan = EvaluationPlan(tables, active)
         assert len(plan.calls) == len(want)
         for (records, slots, *_), (want_records, want_slots) in zip(plan.calls, want):
             assert np.array_equal(records, want_records) and np.array_equal(slots, want_slots)
@@ -283,7 +284,7 @@ def test_the_plan_names_the_first_degenerate_record_of_the_sequence(derivs):
     named = {True: "odometry record 1 (1->2): ", False: "homing record 3 (1->2): "}
     for use_distance, where in named.items():
         tables = measurement_tables(graph, cfg, use_distance)
-        plan = EvaluationPlan(tables, cfg, active, use_distance)
+        plan = EvaluationPlan(tables, active)
         with pytest.raises(DegenerateVectorError) as got:
             plan.evaluate(*_extended(tables, graph.pose_table()), derivs)
         with pytest.raises(DegenerateVectorError) as want:
@@ -447,11 +448,13 @@ def test_a_permuted_state_order_permutes_the_state_and_the_system(cfg):
     # the order item RCM would give: tables.free non-ascending, rank its inverse
     rng = np.random.default_rng(47)
     graph = random_graph(rng, n_poses=7, n_homing=8).with_fixed(3)
-    tables = measurement_tables(graph, cfg, True)
+    flagged = {flag: measurement_tables(graph, cfg, flag) for flag in (False, True)}
+    tables = flagged[True]
     perm = tables.free[[4, 1, 5, 0, 3, 2]]
     rank = np.full(len(graph), -1)
     rank[perm] = np.arange(len(perm))
-    permuted = dataclasses.replace(tables, free=perm, rank=rank)
+    permutes = {flag: dataclasses.replace(t, free=perm, rank=rank) for flag, t in flagged.items()}
+    permuted = permutes[True]
     order = tables.rank[perm]  # each permuted slot's slot in the ascending order
     cols = (5 * order[:, None] + np.arange(5)).ravel()
     states = list(_states(graph, rng))
@@ -462,17 +465,18 @@ def test_a_permuted_state_order_permutes_the_state_and_the_system(cfg):
         assert _same(back[perm], table[perm]) and _same(back[2], np.zeros(4))
         assert _same(lams, lambdas[order])
         for use_distance in (False, True):
-            a = evaluation(graph, cfg, None, lambdas, use_distance, table, tables)
-            b = evaluation(graph, cfg, None, lambdas[order], use_distance, table, permuted)
+            t_a, t_b = flagged[use_distance], permutes[use_distance]
+            a = evaluation(graph, cfg, None, lambdas, use_distance, table, t_a)
+            b = evaluation(graph, cfg, None, lambdas[order], use_distance, table, t_b)
             assert _same_totals(a[0].totals(*a[1:]), b[0].totals(*b[1:]))
             want, got = a[0].assemble(*a[1:]), b[0].assemble(*b[1:])
             assert _same(got.g, want.g[cols])
-            assert _same(got.to_dense(), want.to_dense()[np.ix_(cols, cols)])
+            assert _same(dense_matrix(got), dense_matrix(want)[np.ix_(cols, cols)])
             assert _same((got.F, got.L, got.l1), (want.F, want.L, want.l1))
     anchor = states[0][0][tables.anchor]
     for use_distance in (False, True):
-        a, _, _ = evaluation(graph, cfg, None, None, use_distance, tables=tables)
-        b, _, _ = evaluation(graph, cfg, None, None, use_distance, tables=permuted)
+        a, _, _ = evaluation(graph, cfg, None, None, use_distance, tables=flagged[use_distance])
+        b, _, _ = evaluation(graph, cfg, None, None, use_distance, tables=permutes[use_distance])
         want = np.stack([pack_state(tables, table, lam) for table, lam in states])
         got = np.stack([pack_state(permuted, table, lam[order]) for table, lam in states])
         assert _same_totals(a.totals(want, anchor), b.totals(got, anchor))

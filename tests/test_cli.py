@@ -12,7 +12,6 @@ from conftest import coincident_start, consistent_graph, random_graph
 
 import ovsam.cli as cli
 import ovsam.derivcheck as derivcheck
-import ovsam.solver as solver_module
 from ovsam.assembly import EvaluationPlan
 from ovsam.cli import main
 from ovsam.costs import RotCostConfig

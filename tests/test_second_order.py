@@ -13,6 +13,7 @@ minimum (Nocedal & Wright, Thm 12.6).
 import numpy as np
 import pytest
 from conftest import evaluation, random_graph
+from dense_assembly import dense_matrix
 
 from ovsam.assembly import measurement_tables
 from ovsam.costs import RotCostConfig
@@ -43,7 +44,7 @@ def reduced(graph, cfg, table, tables, active):
     plan, state, anchor = evaluation(graph, cfg, active, None, False, table, tables)
     system = plan.assemble(state, anchor, estimate=True)
     Z = null_space_basis(table, tables)
-    return Z.T @ system.to_dense() @ Z, Z.T @ system.g
+    return Z.T @ dense_matrix(system) @ Z, Z.T @ system.g
 
 
 def at_angles(table, tables, v):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from conftest import (
     state_of,
     two_pose_graph,
 )
+from dense_assembly import dense_matrix, regularized_values
 
 import ovsam.assembly as assembly_module
 import ovsam.graph as graph_module
@@ -59,18 +61,18 @@ from ovsam.solver import (
 
 class _StubSystem:
     """Duck-typed stand-in carrying just what newton_step and find_step
-    consume on the dense path: g, dim and to_dense.  It has no values
-    (the stored H); solve, not newton_step, checks that a system is finite."""
+    consume on the dense path: g, dim, values and a plan's n, flat and
+    diagonal.  It stores every entry of the dense H (dim a multiple of
+    5), column by column, as a CSC plan orders them; solve, not
+    newton_step, checks that a system is finite."""
 
     def __init__(self, H, g):
-        self._H = np.asarray(H, dtype=float)
         self.g = np.asarray(g, dtype=float)
-        self.dim = len(self.g)
-        self.rungs = []  # the (eta_w, eta_a) of each to_dense call
-
-    def to_dense(self, eta_w=0.0, eta_a=0.0):
-        self.rungs.append((eta_w, eta_a))
-        return self._H + np.diag(np.resize([eta_w, eta_w, eta_w, eta_w, -eta_a], self.dim))
+        self.dim = dim = len(self.g)
+        self.values = np.asarray(H, dtype=float).T.ravel()
+        cols, rows = np.divmod(np.arange(dim * dim), dim)
+        diagonal = np.arange(dim) * (dim + 1)
+        self.plan = types.SimpleNamespace(n=dim // 5, flat=rows * dim + cols, diagonal=diagonal)
 
 
 def test_solver_config_validation():
@@ -108,21 +110,23 @@ def test_solver_config_validation():
 
 
 def test_newton_step_identity():
-    g = np.array([2.0, -1.0])
-    delta = newton_step(_StubSystem(np.eye(2), g))
+    g = np.array([2.0, -1.0, 0.5, 3.0, -4.0])
+    delta = newton_step(_StubSystem(np.eye(5), g))
     assert np.max(np.abs(delta + g)) < 1e-14
 
 
 def test_newton_step_saddle():
-    # indefinite bordered system: the step still solves H ds = -g exactly
-    H = np.array([[1.0, 1.0], [1.0, 0.0]])
-    delta = newton_step(_StubSystem(H, np.array([1.0, 1.0])))
-    assert np.max(np.abs(delta - [-1.0, 0.0])) < 1e-14
+    # indefinite bordered system: the step still solves H ds = -g exactly;
+    # u_y and lambda form the saddle block [[1, 1], [1, 0]]
+    H = np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
+    H[3, 4] = H[4, 3] = 1.0
+    delta = newton_step(_StubSystem(H, np.array([0.0, 0.0, 0.0, 1.0, 1.0])))
+    assert np.max(np.abs(delta - [0.0, 0.0, 0.0, -1.0, 0.0])) < 1e-14
 
 
 def test_newton_step_singular_raises():
     with pytest.raises(NumericalFailure):
-        newton_step(_StubSystem(np.zeros((2, 2)), np.ones(2)))
+        newton_step(_StubSystem(np.zeros((5, 5)), np.ones(5)))
 
 
 @pytest.mark.parametrize("lanes,points_per_lane", [(2, 5), (6, 20)], ids=["dense", "sparse"])
@@ -174,25 +178,49 @@ def test_dense_solve_equals_scipy_solve_bitwise(lanes, points_per_lane):
     system = assembly_module.assemble(graph, RotCostConfig())
     assert system.dim == 5 * (lanes * points_per_lane - 1) < SPARSE_SOLVE_DIM
     for rung in LADDER[::3]:
-        H = system.to_dense(*rung)
+        H = dense_matrix(system, *rung)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             expected = scipy.linalg.solve(H, -system.g, assume_a="sym")
         assert np.array_equal(dense_solve(H, -system.g), expected), rung
 
 
-def test_newton_step_regularization_signs():
-    # the rung's factors reach the system, which forms H + R itself:
-    # +eta_w on pose coordinates, -eta_a on the multiplier
+def test_newton_step_regularization_signs(monkeypatch):
+    # newton_step forms H + R from the rung's factors: +eta_w on pose
+    # coordinates, -eta_a on the multiplier
+    rungs = _counting_newton_step(monkeypatch)
     stub = _StubSystem(np.diag([1.0, 1.0, 1.0, 1.0, 2.0]), np.ones(5))
-    delta = newton_step(stub, eta_w=1.0, eta_a=1.0)
-    assert stub.rungs == [(1.0, 1.0)]
+    delta = solver_module.newton_step(stub, eta_w=1.0, eta_a=1.0)
+    assert rungs == [(1.0, 1.0)]
     assert np.max(np.abs(delta - [-0.5, -0.5, -0.5, -0.5, -1.0])) < 1e-14
     graph = random_graph(np.random.default_rng(5), n_poses=4, n_homing=3)
     system = assembly_module.assemble(graph, RotCostConfig(), lambdas=np.ones(3))
-    H = system.to_dense() + np.diag(np.tile([1e-3, 1e-3, 1e-3, 1e-3, -2e-3], 3))
+    H = dense_matrix(system) + np.diag(np.tile([1e-3, 1e-3, 1e-3, 1e-3, -2e-3], 3))
     delta = newton_step(system, eta_w=1e-3, eta_a=2e-3)
     assert np.max(np.abs(H @ delta + system.g)) < 1e-10 * max(1.0, np.max(np.abs(system.g)))
+
+
+def test_dense_newton_step_hands_over_the_oracle_matrix(monkeypatch):
+    # below SPARSE_SOLVE_DIM each rung scatters H + R into a zeroed dense
+    # matrix: byte for byte the oracle's, read through the CSC arrays
+    system = assembly_module.assemble(simulate(SimConfig())[0], RotCostConfig())
+    assert system.dim < SPARSE_SOLVE_DIM
+    stored = system.values.copy()
+    handed = []
+
+    def spy(A, b):
+        handed.append(A.copy())
+        return dense_solve(A, b)
+
+    monkeypatch.setattr(solver_module, "dense_solve", spy)
+    for rung in LADDER:
+        try:
+            newton_step(system, *rung)
+        except NumericalFailure:
+            pass
+        assert handed[-1].tobytes() == dense_matrix(system, *rung).tobytes(), rung
+    assert len(handed) == len(LADDER)
+    assert system.values.tobytes() == stored.tobytes()  # no rung writes the stored H
 
 
 def test_ladder_rungs():
@@ -819,9 +847,9 @@ def test_solve_builds_one_plan_whatever_the_mask(monkeypatch):
             super().__init__(*args)
 
     class CountedEvaluation(EvaluationPlan):
-        def __init__(self, tables, cfg, active, *args):
+        def __init__(self, tables, active):
             evaluated.append(np.array(active))
-            super().__init__(tables, cfg, active, *args)
+            super().__init__(tables, active)
 
     compute = solver_module.compute_active_mask
 
@@ -974,7 +1002,7 @@ def test_sparse_solve_path_matches_dense(monkeypatch):
         used["spsolve"] = False
         delta = solver_module.newton_step(system, *LADDER[rung])
         assert used["spsolve"]
-        dense = np.linalg.solve(system.to_dense(*LADDER[rung]), -system.g)
+        dense = np.linalg.solve(dense_matrix(system, *LADDER[rung]), -system.g)
         scale = max(1.0, float(np.max(np.abs(dense))))
         assert np.max(np.abs(delta - dense)) / scale < 1e-8, rung
 
@@ -984,7 +1012,7 @@ def _colamd_solve(system, rung):
     import scipy.sparse
     from scipy.sparse.linalg import spsolve
 
-    return spsolve(scipy.sparse.csc_matrix(system.to_dense(*rung)), -system.g)
+    return spsolve(scipy.sparse.csc_matrix(dense_matrix(system, *rung)), -system.g)
 
 
 def test_sparse_newton_step_is_the_colamd_solve_bitwise():
@@ -1031,18 +1059,19 @@ def test_sparse_solve_raises_for_a_singular_matrix_on_miss_and_hit():
     singular = SparseSymmetricSystem(
         system.plan, ones, system.g, 0.0, 0.0, 0.0, system.l_values, system.lambdas
     )
-    plan = system.plan
+    plan, b = system.plan, -system.g
     for rung, key in ((LADDER[0], False), (LADDER[2], True)):
         kept = dict(plan.orders)
         with pytest.raises(NumericalFailure, match="Factor is exactly singular"):
-            solver_module.spsolve(singular, *rung)  # a miss
+            solver_module.spsolve(plan, regularized_values(singular, *rung), b)  # a miss
         assert plan.orders.keys() == kept.keys()
         assert all(plan.orders[k] is order for k, order in kept.items())
         want = _colamd_solve(system, rung)
-        assert solver_module.spsolve(system, *rung).tobytes() == want.tobytes()
+        got = solver_module.spsolve(plan, regularized_values(system, *rung), b)
+        assert got.tobytes() == want.tobytes()
         order = plan.orders[key]
         with pytest.raises(NumericalFailure, match="Matrix is exactly singular"):
-            solver_module.spsolve(singular, *rung)  # a hit: the same pattern
+            solver_module.spsolve(plan, regularized_values(singular, *rung), b)  # a hit
         assert plan.orders[key] is order
     assert plan.orderings == 4  # the failed misses ran COLAMD too
 
