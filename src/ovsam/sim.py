@@ -12,17 +12,30 @@ turn-advance-turn transitions between lanes, so homing is the only
 thing tying the lanes together.
 
 Kinematics are integrated with a first-order Euler scheme in several
-substeps per segment.  Odometry covariance is propagated per segment,
-starting from zero at each lane point: C <- G C G^T + V W V^T with the
-usual pose-composition Jacobians, evaluated along the believed path in
-the frame of the segment-start pose.  The 2x2 position block becomes T,
-the angular variance becomes sigma^2, the cross terms are discarded,
-and sigma_e is the standard deviation of T projected onto the travel
-direction.  Degenerate (zero-noise) covariances are floored: T's
-eigenvalues at 1e-12, sigma and sigma_e at 1e-9.
+substeps per segment.  A run is simulated in array passes: a table of
+every substep's command, built from the configuration alone; one noise
+draw over the whole table; the true and believed poses, summed substep
+by substep; then the odometry covariances of all segments at once.
+Each segment's covariance starts from zero at its lane point and
+follows C <- G C G^T + V W V^T with the usual pose-composition
+Jacobians, evaluated along the believed path in the frame of the
+segment-start pose; one step of the recursion advances every segment by
+one substep, on (segments, 3, 3) stacks.  The 2x2 position block
+becomes T, the angular variance becomes sigma^2, the cross terms are
+discarded, and sigma_e is the standard deviation of T projected onto
+the travel direction.  Degenerate (zero-noise) covariances are floored:
+T's eigenvalues at 1e-12, sigma and sigma_e at 1e-9.
 
-Randomness comes from numpy's default_rng (PCG64), so graphs are
-bitwise reproducible for a fixed seed across platforms.
+Randomness comes from numpy's default_rng (PCG64), whose draws are the
+same on every platform; the floats made from them pass through libm,
+numpy's dispatched trig, BLAS matmuls and LAPACK eigh.  So graph and
+truth texts are bitwise reproducible for a fixed seed only on one host
+with fixed library versions: the tests pin them for the versions that
+tools/solve_digest.py names for its saved digests.  The array passes
+round each float as a loop over the substeps would: math's functions
+where numpy's differ (arctan2, hypot), running sums in substep order,
+and small matmuls on operands of the same memory layout (BLAS orders
+its fused multiply-adds by layout).
 """
 
 import io
@@ -83,107 +96,119 @@ class GroundTruth:
         return len(self.poses)
 
 
-class _Drive:
-    """True and believed kinematic state with per-substep noise injection."""
+def _commands(cfg):
+    """The run's substep table and the substep count at each lane point.
 
-    def __init__(self, cfg, rng):
-        self.cfg = cfg
-        self.rng = rng
-        self.true = np.zeros(3)
-        self.bel = np.zeros(3)
-        # Wheel speeds v (1 -/+ bias/2) give exact mean speed v and a
-        # constant true curvature bias/wheel_base when driving forward.
-        self.kappa = cfg.wheel_speed_bias / WHEEL_BASE
+    The (N, 5) table has one row per Euler substep in driving order: the
+    true move and turn, the commanded move and turn, and the wheel path;
+    a leg (segment, turn or lane change) takes euler_substeps rows.  The
+    (lanes, points_per_lane) array counts the substeps driven before each
+    lane point; a lane's segment j runs from its point j to point j + 1.
+    """
+    n = cfg.euler_substeps
+    # Wheel speeds v (1 -/+ bias/2) give exact mean speed v and a
+    # constant true curvature bias/wheel_base when driving forward.
+    kappa = cfg.wheel_speed_bias / WHEEL_BASE
 
-    def _substep(self, move, turn, cmd_move, cmd_turn, wheel_path):
-        """One Euler substep; returns the believed heading before it and (dsf, dsl).
+    def straight(length):
+        ds = length / n
+        return (ds, kappa * ds, ds, 0.0, ds)
 
-        The true pose moves by (move, turn), the believed one by the command
-        (cmd_move, cmd_turn) plus noise for wheel_path meters of wheel travel:
-        dsf forward, dsl lateral.  rng.normal(0.0, s) never returns -0.0, so
-        a zero command adds nothing to its noise.
-        """
-        th = self.true[2]
-        self.true[0] += math.cos(th) * move
-        self.true[1] += math.sin(th) * move
-        self.true[2] += turn
-
-        st = math.sqrt(self.cfg.noise_trans * wheel_path)
-        sa = math.sqrt(self.cfg.noise_ang * wheel_path)
-        rng = self.rng
-        ef, el, eth = rng.normal(0.0, st), rng.normal(0.0, st), rng.normal(0.0, sa)
-        dsf, dsl, dth = cmd_move + ef, el, cmd_turn + eth
-        thb = self.bel[2]
-        c, s = math.cos(thb), math.sin(thb)
-        self.bel[0] += c * dsf - s * dsl
-        self.bel[1] += s * dsf + c * dsl
-        self.bel[2] += dth
-        return thb, dsf, dsl
-
-    def straight(self, length, with_cov):
-        """Drive a commanded-straight segment; optionally propagate covariance.
-
-        Returns the 3x3 covariance of the believed segment displacement,
-        expressed in the frame of the segment-start believed pose (zeros
-        when with_cov is false).
-        """
-        cfg = self.cfg
-        ds = length / cfg.euler_substeps
-        start_theta = self.bel[2]
-        C = np.zeros((3, 3))
-        W = np.diag([cfg.noise_trans * ds, cfg.noise_trans * ds, cfg.noise_ang * ds])
-        for _ in range(cfg.euler_substeps):
-            thb, dsf, dsl = self._substep(ds, self.kappa * ds, ds, 0.0, ds)
-            if with_cov:
-                rel = thb - start_theta
-                cr, sr = math.cos(rel), math.sin(rel)
-                G = np.array(
-                    [
-                        [1.0, 0.0, -sr * dsf - cr * dsl],
-                        [0.0, 1.0, cr * dsf - sr * dsl],
-                        [0.0, 0.0, 1.0],
-                    ]
-                )
-                V = np.array([[cr, -sr, 0.0], [sr, cr, 0.0], [0.0, 0.0, 1.0]])
-                C = G @ C @ G.T + V @ W @ V.T
-        return C
-
-    def turn(self, angle):
-        """Turn in place by the commanded angle (plus bias drift and noise)."""
-        cfg = self.cfg
-        dth = angle / cfg.euler_substeps
-        wheel_path = abs(dth) * WHEEL_BASE / 2.0
+    def turn(angle):
+        dth = angle / n
         # The wheel-speed mismatch makes the nominally-in-place turn
         # creep forward by bias * wheel_base / 4 meters per radian.
         drift = cfg.wheel_speed_bias * WHEEL_BASE / 4.0 * dth
-        for _ in range(cfg.euler_substeps):
-            self._substep(drift, dth, 0.0, dth, wheel_path)
+        return (drift, dth, 0.0, dth, abs(dth) * WHEEL_BASE / 2.0)
+
+    legs = []
+    for lane in range(cfg.lanes):
+        legs += [straight(cfg.segment_length)] * (cfg.points_per_lane - 1)
+        if lane < cfg.lanes - 1:
+            u = turn((1.0 if lane % 2 == 0 else -1.0) * math.pi / 2.0)
+            legs += [u, straight(cfg.lane_spacing), u]
+    first_leg = np.arange(cfg.lanes) * (cfg.points_per_lane + 2)
+    at = n * (first_leg[:, None] + np.arange(cfg.points_per_lane))
+    return np.repeat(np.array(legs), n, axis=0), at
 
 
-def _floor_spd(T):
-    """Symmetrize and floor the eigenvalues of a 2x2 covariance."""
-    T = 0.5 * (T + T.T)
+def _running_sum(steps):
+    """0, s0, s0 + s1, ...: np.cumsum adds in order, one step at a time, as a loop does."""
+    return np.cumsum(np.concatenate(([0.0], steps)))
+
+
+def _libm(fn, *args):
+    """fn (a math function) of each element of the equal-shape arrays args."""
+    return np.array(list(map(fn, *(a.ravel().tolist() for a in args)))).reshape(args[0].shape)
+
+
+def _path(dth, fwd, lat):
+    """Poses (N + 1, 3) from the origin on, each substep moving by (fwd, lat) in the
+    frame of the heading before it, then turning by dth."""
+    th = _running_sum(dth)
+    c, s = _libm(math.cos, th[:-1]), _libm(math.sin, th[:-1])
+    return np.column_stack([_running_sum(c * fwd - s * lat), _running_sum(s * fwd + c * lat), th])
+
+
+def _segment_covariances(cfg, thb, dsf, dsl, first):
+    """Covariance (K, 3, 3) of the believed displacement over each segment, in its start frame.
+
+    Segment k is the euler_substeps substeps from first[k] on; thb holds the believed
+    heading before each substep, dsf and dsl its noisy forward and lateral moves."""
+    n = cfg.euler_substeps
+    ds = cfg.segment_length / n
+    i = first + np.arange(n)[:, None]  # (n, K): substep i of segment k
+    cr, sr = _libm(math.cos, thb[i] - thb[first]), _libm(math.sin, thb[i] - thb[first])
+    G = np.zeros(i.shape + (3, 3))
+    G[..., [0, 1, 2], [0, 1, 2]] = 1.0
+    G[..., 0, 2] = -sr * dsf[i] - cr * dsl[i]
+    G[..., 1, 2] = cr * dsf[i] - sr * dsl[i]
+    V = np.zeros(G.shape)
+    V[..., :2, :2] = omega(np.stack([cr, sr], axis=-1))
+    V[..., 2, 2] = 1.0
+    W = np.diag([cfg.noise_trans * ds, cfg.noise_trans * ds, cfg.noise_ang * ds])
+    Q = V @ W @ np.swapaxes(V, -1, -2)
+    C = np.zeros(G.shape[1:])
+    for Gi, Qi in zip(G, Q):
+        C = Gi @ C @ np.swapaxes(Gi, -1, -2) + Qi
+    return C
+
+
+def _odometry(i1, start, end, C):
+    """Odometry records from pose ids i1 to i1 + 1, believed poses start, end and covariances C."""
+    # R^T and evecs^T stay transposed views, the layout of the loop's 2-D operands.
+    R = omega(from_angle(start[:, 2]).T)
+    r = (np.swapaxes(R, -1, -2) @ (end[:, :2] - start[:, :2])[:, :, None])[:, :, 0]
+    q = from_angle(end[:, 2] - start[:, 2]).T
+    T = 0.5 * (C[:, :2, :2] + np.swapaxes(C[:, :2, :2], -1, -2))
     evals, evecs = np.linalg.eigh(T)
-    if evals[0] >= T_EIGENVALUE_FLOOR:
-        return T
-    return (evecs * np.maximum(evals, T_EIGENVALUE_FLOOR)) @ evecs.T
+    low = ~(evals[:, 0] >= T_EIGENVALUE_FLOOR)
+    floored = evecs[low] * np.maximum(evals[low], T_EIGENVALUE_FLOOR)[:, None, :]
+    T[low] = floored @ np.swapaxes(evecs[low], -1, -2)
+    rho = _libm(math.hypot, r[:, 0], r[:, 1])
+    along = rho > 1e-12
+    r0 = r / np.where(along, rho, 1.0)[:, None]
+    var_e = (r0[:, None, :] @ T @ r0[:, :, None])[:, 0, 0]
+    var_e[~along] = np.linalg.eigvalsh(T[~along])[:, -1]
+    sigma, sigma_e = np.maximum(np.sqrt(np.maximum([C[:, 2, 2], var_e], 0.0)), SIGMA_FLOOR)
+    return [
+        OdometryMeasurement(i1=i, i2=i + 1, r=rk, q=qk, T=Tk, sigma=sk, sigma_e=sek)
+        for i, rk, qk, Tk, sk, sek in zip(i1.tolist(), r, q, T, sigma.tolist(), sigma_e.tolist())
+    ]
 
 
-def _make_odometry(i1, i2, start_bel, end_bel, C):
-    theta = start_bel[2]
-    R = omega(from_angle(theta))
-    r = R.T @ (end_bel[:2] - start_bel[:2])
-    q = from_angle(end_bel[2] - start_bel[2])
-    T = _floor_spd(C[:2, :2])
-    sigma = max(math.sqrt(max(C[2, 2], 0.0)), SIGMA_FLOOR)
-    rho = math.hypot(r[0], r[1])
-    if rho > 1e-12:
-        r0 = r / rho
-        var_e = float(r0 @ T @ r0)
-    else:
-        var_e = float(np.linalg.eigvalsh(T)[-1])
-    sigma_e = max(math.sqrt(max(var_e, 0.0)), SIGMA_FLOOR)
-    return OdometryMeasurement(i1=i1, i2=i2, r=r, q=q, T=T, sigma=sigma, sigma_e=sigma_e)
+def _homing_pairs(cfg, truth):
+    """0-based pose index pairs (a, b): a on a lane, b near it on the previous lane."""
+    n, k = cfg.points_per_lane, cfg.homing_neighbors
+    pairs = []
+    for lane in range(1, cfg.lanes):
+        cur = truth[lane * n : (lane + 1) * n, :2]
+        d = truth[(lane - 1) * n : lane * n, :2] - cur[:, None, :]
+        nearest = np.argmin(np.hypot(d[..., 0], d[..., 1]), axis=1).tolist()
+        for a, m in enumerate(nearest, start=lane * n):
+            lo, hi = max(0, m - (k - 1) // 2), min(n - 1, m + k // 2)
+            pairs += [(a, (lane - 1) * n + b) for b in range(lo, hi + 1)]
+    return np.array(pairs).T
 
 
 def simulate(cfg=None):
@@ -195,60 +220,35 @@ def simulate(cfg=None):
     if cfg is None:
         cfg = SimConfig()
     rng = np.random.default_rng(cfg.seed)
-    drive = _Drive(cfg, rng)
+    steps, at = _commands(cfg)
+    move, turn, cmd_move, cmd_turn, wheel = steps.T
+    density = [cfg.noise_trans, cfg.noise_trans, cfg.noise_ang]
+    ef, el, eth = rng.normal(0.0, np.sqrt(wheel[:, None] * density)).T
+    dsf, dth = cmd_move + ef, cmd_turn + eth  # 0.0 + e is e: rng.normal(0.0, s) is never -0.0
+    # A zero lateral move changes a step's sign of zero at most, which the sums drop.
+    true = _path(turn, move, np.zeros_like(move))
+    bel = _path(dth, dsf, el)
 
-    true_pts = []
-    bel_pts = []
-    lane_ids = []  # pose ids per lane, in traversal order
-    odometry = []
+    first, last = at[:, :-1].ravel(), at[:, 1:].ravel()
+    C = _segment_covariances(cfg, bel[:, 2], dsf, el, first)
+    ids = np.arange(1, at.size + 1).reshape(at.shape)
+    odometry = _odometry(ids[:, :-1].ravel(), bel[first], bel[last], C)
 
-    for lane in range(cfg.lanes):
-        ids = []
-        for j in range(cfg.points_per_lane):
-            if j > 0:
-                start_bel = drive.bel.copy()
-                C = drive.straight(cfg.segment_length, with_cov=True)
-                odometry.append(
-                    _make_odometry(len(bel_pts), len(bel_pts) + 1, start_bel, drive.bel, C)
-                )
-            true_pts.append(drive.true.copy())
-            bel_pts.append(drive.bel.copy())
-            ids.append(len(bel_pts))
-        lane_ids.append(ids)
-        if lane < cfg.lanes - 1:
-            direction = 1.0 if lane % 2 == 0 else -1.0
-            drive.turn(direction * math.pi / 2.0)
-            drive.straight(cfg.lane_spacing, with_cov=False)
-            drive.turn(direction * math.pi / 2.0)
+    truth = true[at.ravel()]
+    a, b = _homing_pairs(cfg, truth)
+    ta, tb = truth[a], truth[b]
+    home = _libm(math.atan2, tb[:, 1] - ta[:, 1], tb[:, 0] - ta[:, 0]) - ta[:, 2]
+    comp = tb[:, 2] - ta[:, 2]
+    eh, ec = rng.normal(0.0, [cfg.sigma_h, cfg.sigma_c], (len(a), 2)).T
+    homing = [
+        HomingMeasurement(i1=i, i2=j, alpha=al, psi=ps, sigma_h=cfg.sigma_h, sigma_c=cfg.sigma_c)
+        for i, j, al, ps in zip(
+            (a + 1).tolist(), (b + 1).tolist(), from_angle(home + eh).T, from_angle(comp + ec).T
+        )
+    ]
 
-    truth = np.array(true_pts)
-    homing = []
-    k = cfg.homing_neighbors
-    for lane in range(1, cfg.lanes):
-        prev = lane_ids[lane - 1]
-        prev_xy = truth[np.asarray(prev) - 1, :2]
-        for a in lane_ids[lane]:
-            ta = truth[a - 1]
-            d = prev_xy - ta[:2]
-            m = int(np.argmin(np.hypot(d[:, 0], d[:, 1])))  # the nearest point of the previous lane
-            lo = max(0, m - (k - 1) // 2)
-            hi = min(len(prev) - 1, m + k // 2)
-            for b in prev[lo : hi + 1]:
-                tb = truth[b - 1]
-                home = math.atan2(tb[1] - ta[1], tb[0] - ta[0]) - ta[2]
-                comp = tb[2] - ta[2]
-                homing.append(
-                    HomingMeasurement(
-                        i1=a,
-                        i2=b,
-                        alpha=from_angle(home + rng.normal(0.0, cfg.sigma_h)),
-                        psi=from_angle(comp + rng.normal(0.0, cfg.sigma_c)),
-                        sigma_h=cfg.sigma_h,
-                        sigma_c=cfg.sigma_c,
-                    )
-                )
-
-    poses = [Pose(b[:2], from_angle(b[2])) for b in bel_pts]
+    points = bel[at.ravel()]
+    poses = [Pose(x, u) for x, u in zip(points[:, :2], from_angle(points[:, 2]).T)]
     graph = FactorGraph(poses, odometry, homing, fixed_id=1)
     graph.validate()
     return graph, GroundTruth(truth)

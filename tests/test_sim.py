@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import sim_reference
 
 from ovsam.graph import save_graph
 from ovsam.orvec import from_angle, omega, to_angle
@@ -70,6 +71,78 @@ def test_benchmark_scenarios_are_pinned_bitwise(cfg, graph_sha, truth_sha):
     graph, gt = simulate(cfg)
     assert hashlib.sha256(save_graph(graph).encode()).hexdigest() == graph_sha
     assert hashlib.sha256(save_ground_truth(gt).encode()).hexdigest() == truth_sha
+
+
+@pytest.mark.parametrize(
+    "cfg, graph_sha, truth_sha",
+    [
+        (  # zero noise: every covariance on its floors
+            SimConfig(noise_trans=0.0, noise_ang=0.0),
+            "5cb8a6ea152e04d7c77516fbe0fafe008266dccd6a7854a4e3f9319fb2051bb6",
+            "221de1cafd73b6b5f5e0c815e48fd8aadace14630bed31fdf9aa08c1ad0351e9",
+        ),
+        (  # no true curvature, and turns that do not creep
+            SimConfig(wheel_speed_bias=0.0),
+            "4471ebdc9bd841d602731aecc826971b51d0d14a3f9afb30c5dd5ff3db09b1b2",
+            "2488c04d6d4fb798f2eb153104f775e4cb29ea9dc58819271556de3b5d87f412",
+        ),
+        (  # one substep per leg: one covariance step per segment
+            SimConfig(euler_substeps=1),
+            "96b3437ff2a5075e527d9265b494a6024674a59a8c45bf35a0e3e22570c68d2f",
+            "f3b28b80cc923160207e17789e84198aa63594e1351964bf5fe2157a4a4defe0",
+        ),
+        (  # wider homing windows, clipped at the lane ends
+            SimConfig(homing_neighbors=5),
+            "f23ed7b6e29bf1cbee8b282d1cc276ad56dc60eebfeba871dbc2ce12b1ef3845",
+            "221de1cafd73b6b5f5e0c815e48fd8aadace14630bed31fdf9aa08c1ad0351e9",
+        ),
+        (  # the fewest lanes: one lane change
+            SimConfig(lanes=2),
+            "197829a6b19c4b1e80b6a64207f47b0cb7b7cc017cfe4f57fb91278e708917e5",
+            "5e2f5fa312e9dc5531fd93bbdcd9ed605f34f5555a7a82570e16d45ed334b0fb",
+        ),
+        (  # an even lane count, so the run ends on a return lane
+            SimConfig(lanes=4, points_per_lane=15, seed=3),
+            "6d3b9b93b2c6ce8b51a48ee1de1fbc01a90afa3fb88421f513f6ec52e963149d",
+            "48207469e9d6b46290cbf8694eb2d42ee0bb97bbd37ac9efb54608517fc41580",
+        ),
+        (  # segment and lane-change legs of different lengths
+            SimConfig(segment_length=0.3, lane_spacing=0.7),
+            "007af6351d0d2aa622e4c69421de92ae3bf9cb229e1c2607d8d64d77186e728b",
+            "81696d33c414efbc304936bfbec996c1e73bd093f091f8b8e883a6f48d433702",
+        ),
+        (  # the 20x50 yardstick (1,000 poses)
+            SimConfig(lanes=20, points_per_lane=50),
+            "31b98fca5be435caa7496703540f7fc1e5419ec3929378c2be4afd4310ec3718",
+            "76f213e6f9265dea3b6ebdd567dc9ae06b60bff3dc9372b8807813b492595c91",
+        ),
+    ],
+)
+def test_edge_scenarios_are_pinned_bitwise(cfg, graph_sha, truth_sha):
+    # digests of the per-substep loop's output: the array passes must
+    # round every float as it did, on each kind of leg, floor and window
+    graph, gt = simulate(cfg)
+    assert hashlib.sha256(save_graph(graph).encode()).hexdigest() == graph_sha
+    assert hashlib.sha256(save_ground_truth(gt).encode()).hexdigest() == truth_sha
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SimConfig(lanes=5, points_per_lane=7, seed=11, euler_substeps=3, homing_neighbors=2),
+        SimConfig(lanes=3, points_per_lane=2, wheel_speed_bias=1.9, segment_length=2.5),
+        SimConfig(lanes=4, points_per_lane=6, seed=7, noise_trans=0.3, noise_ang=0.5),
+        SimConfig(seed=4, noise_trans=1e-12, noise_ang=0.0, euler_substeps=12),
+        SimConfig(seed=9, lane_spacing=0.05, segment_length=0.01, homing_neighbors=7),
+        SimConfig(seed=2, sigma_h=1e-12, sigma_c=3.0, homing_neighbors=4),
+    ],
+)
+def test_simulate_matches_the_substep_loop(cfg):
+    # the loop the array passes replaced, on settings the pins leave out
+    graph, gt = simulate(cfg)
+    ref_graph, ref_gt = sim_reference.simulate(cfg)
+    assert save_graph(graph) == save_graph(ref_graph)
+    assert save_ground_truth(gt) == save_ground_truth(ref_gt)
 
 
 def test_pose_one_at_origin():
