@@ -3,10 +3,10 @@
 The Lagrangian is L = F + sum_i lambda_i l(u_i) over the free poses,
 where F sums all active measurement costs.  The measurements come from
 MeasurementTables, structure-of-arrays copies of the graph's measurement
-data that solve builds once and that default to being built from the
-graph on each call.  The tables also hold the state layout: the flat
-state stacks one block [x (2), u (2), lambda] per free pose, in the
-order tables.free (pack_state, unpack_state).
+data that solve builds once; they derive rho = |r| and are the one place
+that checks the term weights (measurement_tables).  The tables also hold
+the state layout: the flat state stacks one block [x (2), u (2), lambda]
+per free pose, in the order tables.free (pack_state, unpack_state).
 
 The records form one sequence, the odometry records then the homing
 records, each group in list order, and the distance mask is one flag
@@ -55,7 +55,6 @@ from .costs import (
     ORI,
     PARTS,
     POS,
-    distance_weight,
     eval_distance,
     eval_home_vector,
     eval_rotation,
@@ -78,8 +77,8 @@ class MeasurementTables:
     odometry records are the first len(r).  Per-record constants are
     computed once, with the expressions the kernels use: Tinv by
     _spd_inverse (in validate), Q, A and Psi as Omega(q), Omega(alpha)
-    and Omega(psi), and the w_* weights by term_weight for cost, the
-    cost configuration the tables were built with.  cost and
+    and Omega(psi), rho as |r|, and the w_* weights by term_weight for
+    cost, the cost configuration the tables were built with.  cost and
     use_distance_error fix the problem that EvaluationPlan evaluates.
     """
 
@@ -112,16 +111,22 @@ class MeasurementTables:
 
 
 def _weights(group, cols, name, gamma=None):
-    """The weights of column cols[name]: term_weight with gamma, else distance_weight.
+    """The weights of column cols[name]: term_weight with gamma, else 1 / sigma_e.
 
-    A failure is re-raised as GraphValidationError naming record and field.
+    Raises GraphValidationError, naming record and field, for the first
+    weight that is not finite and positive.
     """
-    try:
-        return distance_weight(cols[name]) if gamma is None else term_weight(gamma, cols[name])
-    except PreconditionError as exc:
-        k = exc.index
-        where = record_name(group, k, cols["i1"][k], cols["i2"][k])
-        raise GraphValidationError(f"{where}: {name}: {exc}") from exc
+    sigma = cols[name]
+    with np.errstate(all="ignore"):
+        weight = 1.0 / sigma if gamma is None else term_weight(gamma, sigma)
+    bad = ~((0.0 < weight) & (weight < math.inf))
+    if not bad.any():
+        return weight
+    k = int(bad.argmax())
+    where = record_name(group, k, cols["i1"][k], cols["i2"][k])
+    s = repr(float(sigma[k]))
+    what = f"1 / sigma_e = 1 / {s}" if gamma is None else f"gamma / sigma**2 = {gamma!r} / {s}**2"
+    raise GraphValidationError(f"{where}: {name}: weight {what} is not finite and positive")
 
 
 def pose_rows(odometry, homing):
@@ -133,11 +138,11 @@ def pose_rows(odometry, homing):
 def measurement_tables(graph, cfg, use_distance_error=False):
     """MeasurementTables of graph's measurements under the cost configuration cfg.
 
-    Built from the columns that graph.validate() checks and returns.  Then
-    raises GraphValidationError, naming the record and the field, for a
-    weight that is not finite and positive: gamma / sigma**2 of every
-    rotational, home-vector and compass term, and 1 / sigma_e of every
-    distance term if use_distance_error.
+    Built from the columns that graph.validate() checks and returns, rho
+    being |r| of each odometry record.  Then raises GraphValidationError,
+    naming the record and the field, for a weight that is not finite and
+    positive: gamma / sigma**2 of every rotational, home-vector and compass
+    term, and 1 / sigma_e of every distance term if use_distance_error.
     """
     odo, hom = graph.validate()
     free = np.delete(np.arange(len(graph)), graph.fixed_id - 1)
@@ -154,7 +159,7 @@ def measurement_tables(graph, cfg, use_distance_error=False):
         Q=omega(odo["q"]),
         w_rot=_weights("odometry", odo, "sigma", cfg.gamma),
         sigma_e=odo["sigma_e"],
-        rho=odo["rho"],
+        rho=np.hypot(odo["r"][:, 0], odo["r"][:, 1]),
         A=omega(hom["alpha"]),
         Psi=omega(hom["psi"]),
         w_home=_weights("homing", hom, "sigma_h", cfg.gamma),

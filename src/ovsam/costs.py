@@ -32,6 +32,8 @@ each weighted by gamma/sigma^2 of the respective measurement
 (term_weight).  For the home vector the role of u' is taken by the
 normalized position difference delta0 = (x' - x)/|x' - x|, and the
 first-form offset is t1 + (1 - t1)|u| since |delta0| = 1 identically.
+Neither term_weight nor the kernels check a weight: the measurement
+tables (assembly.py) reject each one that is not finite and positive.
 
 Every kernel returns a CostEval holding the K values together with the
 derivative sub-blocks the cost has, each a (K, 2) sub-gradient or a
@@ -59,7 +61,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateVectorError, InvalidCovarianceError, PreconditionError, Settings
+from .errors import DegenerateVectorError, InvalidCovarianceError, Settings
 from .orvec import DEGENERATE_NORM, omega, omega_bar, rowdot
 
 # Slices of the stacked per-pose coordinates [x, u].
@@ -148,47 +150,13 @@ def first_failure(failed):
     return k, int(failed[:, k].argmax())
 
 
-def _checked_weight(weight, sigma, failed, messages):
-    """weight, unless a position fails a check.
-
-    The checks are failed, then the weight's own: finite and positive.  The
-    first failing position raises PreconditionError, indexed by it, with
-    the message of its first failing check formatting its sigma.
-    """
-    hit = first_failure(failed + [~((0.0 < weight) & (weight < math.inf))])
-    if hit is None:
-        return weight
-    k, j = hit
-    raise PreconditionError(messages[j].format(float(sigma.flat[k])), index=k)
-
-
 def term_weight(gamma, sigma):
-    """Weights gamma / sigma^2 of rotational, compass or home-vector terms.
+    """Weights gamma / sigma^2 of rotational, compass or home-vector terms, unchecked.
 
-    sigma is one standard deviation or an array of them.  Raises
-    PreconditionError (a ValueError) unless every weight is finite and
-    positive (_checked_weight): sigma**2 underflows to 0 for sigma below
-    about 1e-162 and overflows above about 1e154, and a large gamma
-    overflows the quotient.
+    sigma is one standard deviation or an array of them.  sigma**2 under-
+    and overflows for sigma beyond about 1e-162 and 1e154.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    with np.errstate(all="ignore"):
-        weight = gamma / np.float_power(sigma, 2.0)  # libm pow, as a float's ** 2
-    positive = "standard deviation must be positive, got {!r}"
-    finite = f"weight gamma / sigma**2 = {gamma!r} / {{!r}}**2 is not finite and positive"
-    return _checked_weight(weight, sigma, [~(sigma > 0.0)], [positive, finite])
-
-
-def distance_weight(sigma_e):
-    """Weights 1 / sigma_e of traveled-distance terms, checked as term_weight's.
-
-    1 / sigma_e overflows for sigma_e below about 5.6e-309.
-    """
-    sigma_e = np.asarray(sigma_e, dtype=float)
-    with np.errstate(all="ignore"):
-        weight = 1.0 / sigma_e
-    finite = "weight 1 / sigma_e = 1 / {!r} is not finite and positive"
-    return _checked_weight(weight, sigma_e, [], [finite])
+    return gamma / np.float_power(sigma, 2.0)  # libm pow, as a float's ** 2
 
 
 def _spd_inverse(T):
@@ -327,8 +295,6 @@ def eval_distance(p, pp, sigma_e, rho, derivs=True):
     DegenerateVectorError when two positions (numerically) coincide.
     With derivs false, returns only the (K,) values.
     """
-    if not np.all(sigma_e > 0.0):
-        raise ValueError(f"sigma_e must be positive, got {sigma_e!r}")
     delta = pp[..., POS] - p[..., POS]
     nd = _norms(delta)
     _check_norms((nd, "pose position difference"))

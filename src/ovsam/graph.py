@@ -14,7 +14,9 @@ full round-trip precision:
 
 Exactly one POSE carries the FIXED tag; T is given by its upper
 triangle.  Measured angles appear only as unit orientation vectors; any
-angle-to-vector conversion happens before a file is written.
+angle-to-vector conversion happens before a file is written.  A record
+holds its line's fields, each shape given once (_FIELDS); the measured
+distance |r| is derived where the measurement tables are built.
 """
 
 import io
@@ -34,12 +36,21 @@ from .errors import (
 UNIT_TOL = 1e-9
 
 
-def _array(name, value, shape):
-    """A float copy of the record array field name, checked to have the given shape."""
-    a = np.array(value, dtype=float)
-    if a.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    return a
+# Each group's record fields and their shapes, in the order a rejection names a non-finite one.
+_FIELDS = {
+    "odometry": {"r": (2,), "q": (2,), "T": (2, 2), "sigma": (), "sigma_e": ()},
+    "homing": {"alpha": (2,), "psi": (2,), "sigma_h": (), "sigma_c": ()},
+}
+
+
+def _copy_arrays(record, fields):
+    """Replace each array field of the record by a float copy, checked to have its shape."""
+    for name, shape in fields.items():
+        if shape:
+            a = np.array(getattr(record, name), dtype=float)
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+            setattr(record, name, a)
 
 
 @dataclass
@@ -54,8 +65,7 @@ class Pose:
     u: np.ndarray
 
     def __post_init__(self):
-        self.x = _array("x", self.x, (2,))
-        self.u = _array("u", self.u, (2,))
+        _copy_arrays(self, {"x": (2,), "u": (2,)})
 
     def copy(self):
         return Pose(self.x, self.u)
@@ -67,8 +77,7 @@ class OdometryMeasurement:
 
     r is the measured translation, q the unit rotation vector, T the
     2x2 translation covariance, sigma the rotation standard deviation,
-    sigma_e the distance standard deviation, and rho the measured
-    distance (always |r|; stored for transparency).
+    and sigma_e the standard deviation of the traveled distance |r|.
     """
 
     i1: int
@@ -78,15 +87,9 @@ class OdometryMeasurement:
     T: np.ndarray
     sigma: float
     sigma_e: float
-    rho: float = None
 
     def __post_init__(self):
-        self.r = _array("r", self.r, (2,))
-        self.q = _array("q", self.q, (2,))
-        self.T = _array("T", self.T, (2, 2))
-        if self.rho is None:
-            with np.errstate(over="ignore"):  # an |r| that overflows validate rejects
-                self.rho = float(np.hypot(self.r[0], self.r[1]))
+        _copy_arrays(self, _FIELDS["odometry"])
 
 
 @dataclass
@@ -106,8 +109,7 @@ class HomingMeasurement:
     sigma_c: float
 
     def __post_init__(self):
-        self.alpha = _array("alpha", self.alpha, (2,))
-        self.psi = _array("psi", self.psi, (2,))
+        _copy_arrays(self, _FIELDS["homing"])
 
 
 class FactorGraph:
@@ -128,6 +130,8 @@ class FactorGraph:
         return len(self.poses)
 
     def pose(self, pid):
+        if pid not in self.pose_ids():
+            raise PreconditionError(f"pose id {pid} out of range 1..{len(self)}")
         return self.poses[pid - 1]
 
     def pose_ids(self):
@@ -183,13 +187,6 @@ def record_name(group, k, i1, i2):
     return f"{group} record {k + 1} ({i1}->{i2})"
 
 
-# Each group's record fields and their shapes, in the order a rejection names a non-finite one.
-_FIELDS = {
-    "odometry": {"r": (2,), "q": (2,), "T": (2, 2), "sigma": (), "sigma_e": (), "rho": ()},
-    "homing": {"alpha": (2,), "psi": (2,), "sigma_h": (), "sigma_c": ()},
-}
-
-
 def _checked_columns(group, ms, n):
     """The field columns of records ms, of a graph with n poses, once they pass every check.
 
@@ -224,9 +221,9 @@ def _checked_columns(group, ms, n):
                 checks.append((np.arange(len(ms)) == exc.index, str(exc)))
         positive = np.logical_and(*[(0.0 < cols[s]) & (cols[s] < np.inf) for s in sigmas])
         checks.append((~positive, " and ".join(sigmas) + " must be positive"))
-        if group == "odometry":
-            failed = ~(np.abs(cols["rho"] - np.hypot(*cols["r"].T)) <= UNIT_TOL)
-            checks.append((failed, "rho must equal |r|"))
+        if group == "odometry":  # the distance term's measured |r|
+            norm = np.hypot(*cols["r"].T)
+            checks.append((~(norm < np.inf), "r must have a finite norm, |r| = {!r}", norm))
     hit = first_failure([check[0] for check in checks])
     if hit is None:
         cols["i1"], cols["i2"] = i1.astype(np.intp), i2.astype(np.intp)

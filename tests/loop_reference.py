@@ -342,7 +342,7 @@ def _record_terms(graph, table, cfg, active, use_distance_error, derivs=True):
         try:
             terms = [eval_translation(pa, pb, m.T, m.r, derivs)]
             if use_distance_error and active[k]:
-                terms.append(eval_distance(pa, pb, m.sigma_e, m.rho, derivs))
+                terms.append(eval_distance(pa, pb, m.sigma_e, float(np.hypot(*m.r)), derivs))
             terms.append(eval_rotation(pa, pb, _omega(m.q), m.sigma, cfg, derivs))
         except DegenerateVectorError as exc:
             raise DegenerateVectorError(
@@ -499,7 +499,7 @@ def validate(graph):
         raise GraphValidationError(f"pose {int(bad.argmax()) + 1}: non-finite components")
     for k, m in enumerate(graph.odometry):
         where = f"odometry record {k + 1} ({m.i1}->{m.i2})"
-        fields = ("r", "q", "T", "sigma", "sigma_e", "rho")
+        fields = ("r", "q", "T", "sigma", "sigma_e")
         _check_indices(where, m.i1, m.i2, n)
         _check_unit(where, m, fields, "q")
         try:
@@ -508,8 +508,9 @@ def validate(graph):
             _reject(where, m, fields, str(exc))
         if not (0.0 < m.sigma < np.inf and 0.0 < m.sigma_e < np.inf):
             _reject(where, m, fields, "sigma and sigma_e must be positive")
-        if not abs(m.rho - float(np.hypot(m.r[0], m.r[1]))) <= UNIT_TOL:
-            _reject(where, m, fields, "rho must equal |r|")
+        norm = float(np.hypot(m.r[0], m.r[1]))
+        if not norm < np.inf:
+            _reject(where, m, fields, f"r must have a finite norm, |r| = {norm!r}")
     for k, m in enumerate(graph.homing):
         where = f"homing record {k + 1} ({m.i1}->{m.i2})"
         fields = ("alpha", "psi", "sigma_h", "sigma_c")

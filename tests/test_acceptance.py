@@ -244,7 +244,7 @@ def test_criterion_10_file_round_trip():
             assert (a.i1, a.i2) == (b.i1, b.i2)
             assert np.array_equal(a.r, b.r) and np.array_equal(a.q, b.q)
             assert np.array_equal(a.T, b.T)
-            assert (a.sigma, a.sigma_e, a.rho) == (b.sigma, b.sigma_e, b.rho)
+            assert (a.sigma, a.sigma_e) == (b.sigma, b.sigma_e)
         for a, b in zip(loaded.homing, graph.homing):
             assert (a.i1, a.i2) == (b.i1, b.i2)
             assert np.array_equal(a.alpha, b.alpha) and np.array_equal(a.psi, b.psi)

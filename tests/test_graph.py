@@ -47,19 +47,15 @@ def _two_poses():
     return [Pose([0.0, 0.0], [1.0, 0.0]), Pose([1.0, 0.0], [1.0, 0.0])]
 
 
-def test_rho_defaults_to_translation_norm():
-    m = _odom(r=np.array([3.0, 4.0]))
-    assert m.rho == 5.0
-    m2 = _odom(r=np.array([3.0, 4.0]), rho=5.0)
-    assert m2.rho == 5.0
-
-
 def test_accessors_and_copy():
     g = FactorGraph(_two_poses(), odometry=[_odom()])
     assert len(g) == 2
     assert list(g.pose_ids()) == [1, 2]
     assert measurement_tables(g, RotCostConfig()).free.tolist() == [1]
     assert g.pose(2).x[0] == 1.0
+    for pid in (0, -1, 3):
+        with pytest.raises(PreconditionError, match=rf"^pose id {pid} out of range 1\.\.2$"):
+            g.pose(pid)
     c = g.copy()
     c.pose(2).x[0] = 9.0
     assert g.pose(2).x[0] == 1.0
@@ -117,7 +113,14 @@ def test_with_fixed():
         ),
         (lambda: FactorGraph(_two_poses(), odometry=[_odom(sigma=0.0)]), "positive"),
         (lambda: FactorGraph(_two_poses(), odometry=[_odom(sigma_e=-1.0)]), "positive"),
-        (lambda: FactorGraph(_two_poses(), odometry=[_odom(rho=2.5)]), "rho"),
+        (
+            lambda: FactorGraph(_two_poses(), odometry=[_odom(r=np.full(2, 1.5e308))]),
+            r"^odometry record 1 \(1->2\): r must have a finite norm, \|r\| = inf$",
+        ),
+        (
+            lambda: FactorGraph(_two_poses(), odometry=[_odom(r=np.array([np.nan, 0.0]))]),
+            r"^odometry record 1 \(1->2\): non-finite r: ",
+        ),
         (lambda: FactorGraph(_two_poses(), homing=[_home(i1=3)]), "homing record 1"),
         (
             lambda: FactorGraph(_two_poses(), homing=[_home(alpha=np.array([2.0, 0.0]))]),
@@ -164,7 +167,7 @@ def test_records_own_float_copies_of_their_arrays():
     r, T = np.array([3, 4]), np.eye(2)
     m = _odom(r=r, T=T)
     T[0, 0] = 9.0
-    assert m.r.dtype == float and m.T[0, 0] == 1.0 and m.rho == 5.0
+    assert m.r.dtype == float and m.T[0, 0] == 1.0
     x = np.zeros(2)
     p = Pose(x, [1, 0])
     x[0] = 9.0
@@ -287,7 +290,7 @@ def test_load_minimal():
     m = g.odometry[0]
     assert (m.i1, m.i2) == (1, 2)
     assert np.array_equal(m.T, np.eye(2))
-    assert m.rho == 1.0
+    assert measurement_tables(g, RotCostConfig()).rho.tolist() == [1.0]
     h = g.homing[0]
     assert h.sigma_c == 0.2
 
@@ -383,11 +386,6 @@ def test_load_rejects_an_overflowing_covariance_without_numpy_warnings(T):
             match=r"^odometry record 1 \(1->2\): covariance not positive definite",
         ):
             load_graph(io.StringIO(text))
-
-
-def test_validate_rejects_non_finite_rho():
-    with pytest.raises(GraphValidationError, match="non-finite rho"):
-        FactorGraph(_two_poses(), odometry=[_odom(rho=np.nan)]).validate()
 
 
 def test_load_blank_and_comment_lines():

@@ -774,23 +774,30 @@ def test_collapse_during_assembly_reports_diverged(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "group, field, value",
+    "group, field, value, gamma",
     [
-        ("odometry", "sigma", 1e200),
-        ("homing", "sigma_h", 1e-200),
-        ("homing", "sigma_c", 1e-170),
-        ("odometry", "sigma_e", 1e-309),
+        ("odometry", "sigma", 1e200, 1.0),  # sigma**2 overflows
+        ("homing", "sigma_h", 1e-200, 1.0),  # sigma**2 underflows to 0
+        ("homing", "sigma_c", 1e-170, 1.0),
+        ("odometry", "sigma", 0.1, 1e308),  # the quotient overflows
+        ("homing", "sigma_h", 1e10, 1e-320),  # the quotient underflows to 0
+        ("odometry", "sigma_e", 1e-309, 1.0),  # 1 / sigma_e overflows
+        ("odometry", "sigma_e", 5e-324, 1.0),
     ],
 )
-def test_solve_rejects_a_weight_that_is_not_finite_and_positive(group, field, value):
-    # gamma / sigma**2 over- or underflows, 1 / sigma_e overflows: the graph
-    # is rejected as invalid, like every other bad record
+def test_solve_rejects_a_weight_that_is_not_finite_and_positive(group, field, value, gamma):
+    # the graph is rejected as invalid, like every other bad record; the
+    # group's other records hold sigma = 1, whose weight gamma or 1 is fine
     graph = simulate(SimConfig())[0]
-    record = getattr(graph, group)[3]
+    records = getattr(graph, group)
+    for record in records:
+        setattr(record, field, 1.0)
+    record = records[3]
     setattr(record, field, value)
     graph.validate()
+    cfg = SolverConfig(use_distance_error=field == "sigma_e", cost=RotCostConfig(gamma=gamma))
     with pytest.raises(GraphValidationError) as got:
-        solve(graph, SolverConfig(use_distance_error=field == "sigma_e"))
+        solve(graph, cfg)
     named = f"{group} record 4 ({record.i1}->{record.i2}): {field}: "
     assert str(got.value).startswith(named + "weight ")
     assert "is not finite and positive" in str(got.value)

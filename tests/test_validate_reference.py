@@ -69,7 +69,6 @@ def _corruptions(group):
             "T": _covariances(),
             "sigma": SCALARS,
             "sigma_e": SCALARS,
-            "rho": SCALARS,
         },
         "homing": {
             "alpha": _vectors(),
@@ -80,8 +79,6 @@ def _corruptions(group):
     }[group]
     out = [(end, v) for end in ("i1", "i2") for v in INDICES + [np.int64(2), None]]
     out += [(name, v) for name, values in fields.items() for v in values]
-    if group == "odometry":
-        out += [("r+rho", v) for v in _vectors()]  # r with rho = |r| recomputed
     return out
 
 
@@ -90,8 +87,6 @@ def _corrupt(graph, group, k, field, value):
     m = records[k]
     if value is None:
         changes = {field: m.i2 if field == "i1" else m.i1}
-    elif field == "r+rho":
-        changes = {"r": value, "rho": None}
     else:
         changes = {field: value}
     records[k] = dataclasses.replace(m, **changes)
