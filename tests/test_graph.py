@@ -1,6 +1,7 @@
 """Graph data model, state layout, and the text file format."""
 
 import io
+import math
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from ovsam.graph import (
     load_graph,
     save_graph,
 )
+from ovsam.sim import SimConfig, simulate
 
 
 def _odom(i1=1, i2=2, **kw):
@@ -172,6 +174,58 @@ def test_records_own_float_copies_of_their_arrays():
     p = Pose(x, [1, 0])
     x[0] = 9.0
     assert p.x[0] == 0.0 and p.u.dtype == float
+
+
+def test_tables_rho_is_the_translation_norm_of_each_record():
+    graph = simulate(SimConfig())[0]
+    rho = measurement_tables(graph, RotCostConfig()).rho
+    assert rho.tolist() == [float(np.hypot(m.r[0], m.r[1])) for m in graph.odometry]
+    g = FactorGraph(_two_poses(), odometry=[_odom(r=np.array([3.0, 4.0]))])
+    assert measurement_tables(g, RotCostConfig()).rho.tolist() == [5.0]
+
+
+ODOM_1 = r"^odometry record 1 \(1->2\): "
+
+
+@pytest.mark.parametrize(
+    "gamma, sigma, message",
+    [
+        (1.0, 0.0, "sigma and sigma_e must be positive"),
+        (1.0, float("nan"), "non-finite sigma: nan"),
+        # sigma**2 under- and overflows, then the quotient over- and underflows
+        (1.0, 1e-200, r"sigma: weight gamma / sigma\*\*2 = 1\.0 / 1e-200\*\*2 "),
+        (1.0, 1e200, r"sigma: weight gamma / sigma\*\*2 = 1\.0 / 1e\+200\*\*2 "),
+        (1e308, 0.1, r"sigma: weight gamma / sigma\*\*2 = 1e\+308 / 0\.1\*\*2 "),
+        (1e-320, 1e10, r"sigma: weight gamma / sigma\*\*2 = 1e-320 / 10000000000\.0\*\*2 "),
+    ],
+)
+def test_tables_reject_a_term_weight_that_is_not_finite_and_positive(gamma, sigma, message):
+    # validate rejects a sigma that is not positive and finite, the tables a weight
+    graph = FactorGraph(_two_poses(), odometry=[_odom(sigma=sigma)])
+    with pytest.raises(GraphValidationError, match=ODOM_1 + message):
+        measurement_tables(graph, RotCostConfig(gamma=gamma))
+    graph = FactorGraph(_two_poses(), odometry=[_odom(sigma=0.3)])
+    assert measurement_tables(graph, RotCostConfig(gamma=1.7)).w_rot.tolist() == [1.7 / 0.3**2]
+
+
+@pytest.mark.parametrize(
+    "sigma_e, message",
+    [
+        (1e-320, r"sigma_e: weight 1 / sigma_e = 1 / 1e-320 is not finite and positive$"),
+        (5e-324, r"sigma_e: weight 1 / sigma_e = 1 / 5e-324 is not finite and positive$"),
+        (0.0, "sigma and sigma_e must be positive$"),
+        (-1.0, "sigma and sigma_e must be positive$"),
+        (math.inf, "non-finite sigma_e: inf$"),
+        (math.nan, "non-finite sigma_e: nan$"),
+    ],
+)
+def test_tables_reject_a_distance_weight_that_is_not_finite_and_positive(sigma_e, message):
+    # 1 / sigma_e overflows below about 5.6e-309; only the distance term reads it
+    graph = FactorGraph(_two_poses(), odometry=[_odom(sigma_e=sigma_e)])
+    with pytest.raises(GraphValidationError, match=ODOM_1 + message):
+        measurement_tables(graph, RotCostConfig(), use_distance_error=True)
+    graph = FactorGraph(_two_poses(), odometry=[_odom(sigma_e=1e-308)])
+    assert measurement_tables(graph, RotCostConfig(), use_distance_error=True).sigma_e == [1e-308]
 
 
 def test_validate_names_the_lowest_non_finite_pose():
