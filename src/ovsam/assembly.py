@@ -130,8 +130,8 @@ def _weights(group, cols, name, gamma=None):
 
 
 def pose_rows(odometry, homing):
-    """(i1, i2) of the record sequence from graph.validate()'s columns: 0-based
-    pose rows of the odometry records, then of the homing records."""
+    """(i1, i2) of the record sequence from graph.validate()'s (or validate_ids())
+    columns: 0-based pose rows of the odometry records, then of the homing records."""
     return tuple(np.concatenate((odometry[end], homing[end])) - 1 for end in ("i1", "i2"))
 
 
@@ -177,14 +177,14 @@ def compute_active_mask(graph, threshold, use_distance_error=False, table=None, 
     distance term.  The homing pairs are tested, and the odometry pairs
     too if use_distance_error; otherwise the odometry flags are all
     True.  The pose rows come from tables (MeasurementTables) when
-    given, else from graph.validate().  Each decision is that of
-    math.hypot: np.hypot can differ from it in the last bit, so
-    distances within two ulps of the threshold are re-decided with
-    math.hypot.
+    given, else from the graph's pose ids (graph.validate_ids()).  Each
+    decision is that of math.hypot: np.hypot can differ from it in the
+    last bit, so distances within two ulps of the threshold are
+    re-decided with math.hypot.
     """
     if table is None:
         table = graph.pose_table()
-    i1, i2 = pose_rows(*graph.validate()) if tables is None else (tables.i1, tables.i2)
+    i1, i2 = pose_rows(*graph.validate_ids()) if tables is None else (tables.i1, tables.i2)
     first = 0 if use_distance_error else len(graph.odometry)  # the first record tested
     d = table[i2[first:], POS] - table[i1[first:], POS]
     h = np.hypot(d[:, 0], d[:, 1])

@@ -5,6 +5,16 @@ gives the poses as an (N, 4) array whose row pid - 1 holds [x1, x2, u1, u2]
 of pose pid.  One pose is the fixed anchor; the state layout of the other,
 free poses is MeasurementTables' (assembly.py).
 
+A graph stores each measurement group as columns (Records), its one
+copy of the measurements: per record field a read-only float array with
+a leading record axis (each field's shape given once, _FIELDS), and the
+pose ids i1 and i2.  load_graph parses lines into columns, sim.simulate
+hands over the arrays it computed, and validate and save_graph read the
+columns; none makes a record object.  The record classes are an adapter
+at the edge: a list of records is stacked once, another graph's Records
+are shared, and graph.odometry[k] builds record k on first access, a
+frozen value with read-only arrays.
+
 Graph file format, line based, '#' starts a comment, floats written in
 full round-trip precision:
 
@@ -15,11 +25,13 @@ full round-trip precision:
 Exactly one POSE carries the FIXED tag; T is given by its upper
 triangle.  Measured angles appear only as unit orientation vectors; any
 angle-to-vector conversion happens before a file is written.  A record
-holds its line's fields, each shape given once (_FIELDS); the measured
-distance |r| is derived where the measurement tables are built.
+holds its line's fields; the measured distance |r| is derived where the
+measurement tables are built.
 """
 
-import io
+import copy
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,16 +53,25 @@ _FIELDS = {
     "odometry": {"r": (2,), "q": (2,), "T": (2, 2), "sigma": (), "sigma_e": ()},
     "homing": {"alpha": (2,), "psi": (2,), "sigma_h": (), "sigma_c": ()},
 }
+# Each group's file tag and, for each entry of its fields flattened in _FIELDS
+# order, its position among the line's values after the pose ids (T's lower
+# off-diagonal entry is its upper one).
+_LINES = {
+    "odometry": ("ODOM", [0, 1, 2, 3, 4, 5, 5, 6, 7, 8]),
+    "homing": ("HOME", [0, 1, 2, 3, 4, 5]),
+}
 
 
-def _copy_arrays(record, fields):
-    """Replace each array field of the record by a float copy, checked to have its shape."""
+def _float_fields(obj, fields, frozen=False):
+    """Set each field of obj to a float copy of it, checked to have the field's
+    shape: read-only if frozen, and a float for a scalar field."""
     for name, shape in fields.items():
-        if shape:
-            a = np.array(getattr(record, name), dtype=float)
-            if a.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-            setattr(record, name, a)
+        a = np.array(getattr(obj, name), dtype=float)
+        if a.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+        if frozen:
+            a.setflags(write=False)
+        obj.__dict__[name] = a if shape else float(a)  # past a frozen class's __setattr__
 
 
 @dataclass
@@ -65,13 +86,13 @@ class Pose:
     u: np.ndarray
 
     def __post_init__(self):
-        _copy_arrays(self, {"x": (2,), "u": (2,)})
+        _float_fields(self, {"x": (2,), "u": (2,)})
 
     def copy(self):
         return Pose(self.x, self.u)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OdometryMeasurement:
     """Relative motion between two poses, expressed in the frame of i1.
 
@@ -89,10 +110,10 @@ class OdometryMeasurement:
     sigma_e: float
 
     def __post_init__(self):
-        _copy_arrays(self, _FIELDS["odometry"])
+        _float_fields(self, _FIELDS["odometry"], frozen=True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomingMeasurement:
     """Visual homing between the current pose i1 and an earlier pose i2.
 
@@ -109,21 +130,93 @@ class HomingMeasurement:
     sigma_c: float
 
     def __post_init__(self):
-        _copy_arrays(self, _FIELDS["homing"])
+        _float_fields(self, _FIELDS["homing"], frozen=True)
+
+
+_RECORD = {"odometry": OdometryMeasurement, "homing": HomingMeasurement}
+_IDS = (int(np.iinfo(np.intp).min), int(np.iinfo(np.intp).max))
+
+
+class Records(Sequence):
+    """One group's measurements, stored as columns and read as records.
+
+    columns maps each field of _FIELDS[group] to a (K, *shape) float
+    array, and i1 and i2 to (K,) intp arrays, each C-contiguous and
+    read-only.  given maps the index of each record whose pose ids are
+    no integers that intp holds to its ids as given; its i1 and i2 hold
+    0, a pose id out of range in every graph.  Record k is built on its
+    first access, once for every Records sharing these columns.
+    """
+
+    def __init__(self, group, columns, given=None):
+        self.group, self.given, self._built = group, given or {}, {}
+        self.columns = {}
+        for name, a in columns.items():
+            a = np.ascontiguousarray(a, dtype=np.intp if name in ("i1", "i2") else float)
+            a.setflags(write=False)
+            self.columns[name] = a
+
+    @classmethod
+    def of(cls, group, records):
+        """group's Records of another graph's Records, sharing its columns and
+        built records, or of a list of record objects, stacked once."""
+        if isinstance(records, Records):
+            if records.group != group:
+                raise PreconditionError(f"expected {group} records, got {records.group} records")
+            return copy.copy(records)
+        records = list(records)
+        columns = {
+            name: np.array([getattr(m, name) for m in records], dtype=float).reshape(-1, *shape)
+            for name, shape in _FIELDS[group].items()
+        }
+        return cls(group, *_with_ids(columns, [(m.i1, m.i2) for m in records]))
+
+    def __len__(self):
+        return len(self.columns["i1"])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        k = range(len(self))[k]
+        if k not in self._built:
+            fields = {name: self.columns[name][k] for name in _FIELDS[self.group]}
+            self._built[k] = _RECORD[self.group](*self.ends(k), **fields)
+        return self._built[k]
+
+    def ends(self, k):
+        """The pose ids (i1, i2) of record k, as given."""
+        if k in self.given:
+            return self.given[k]
+        return int(self.columns["i1"][k]), int(self.columns["i2"][k])
+
+
+def _with_ids(columns, ends):
+    """columns with i1 and i2 of the pose id pairs ends, and Records.given of ends."""
+    lo, hi = _IDS
+    given = {
+        k: (a, b)
+        for k, (a, b) in enumerate(ends)
+        if not (is_integer(a) and is_integer(b) and lo <= a <= hi and lo <= b <= hi)
+    }
+    ids = np.array([(0, 0) if k in given else e for k, e in enumerate(ends)], dtype=np.intp)
+    ids = ids.reshape(-1, 2)
+    return {**columns, "i1": ids[:, 0], "i2": ids[:, 1]}, given
 
 
 class FactorGraph:
-    """Poses plus odometry and homing measurement lists.
+    """Poses plus odometry and homing measurements (Records).
 
     Treated as immutable after validation.  The solver never writes
     poses: it evaluates trial states from a pose table and returns its
-    result through with_poses().
+    result through with_poses().  odometry and homing may be record
+    lists, stacked once, or another graph's Records, whose columns the
+    new graph shares.
     """
 
     def __init__(self, poses, odometry=(), homing=(), fixed_id=1):
         self.poses = list(poses)
-        self.odometry = list(odometry)
-        self.homing = list(homing)
+        self.odometry = Records.of("odometry", odometry)
+        self.homing = Records.of("homing", homing)
         self.fixed_id = fixed_id
 
     def __len__(self):
@@ -165,9 +258,9 @@ class FactorGraph:
     def validate(self):
         """Check every structural invariant; raises GraphValidationError.
 
-        Returns the checked columns (odometry, homing): per group a dict from
-        each record field to its values over the records, i1 and i2 as intp
-        arrays, and for odometry also Tinv, the inverses of T (_spd_inverse).
+        Returns the checked columns (odometry, homing): per group a dict
+        from each record field, i1 and i2 to the stored column, and for
+        odometry also Tinv, the inverses of T (_spd_inverse).
         """
         n = len(self.poses)
         if n < 2:
@@ -179,7 +272,11 @@ class FactorGraph:
         bad = ~np.isfinite(self.pose_table()).all(axis=1)
         if bad.any():
             raise GraphValidationError(f"pose {int(bad.argmax()) + 1}: non-finite components")
-        return tuple(_checked_columns(group, getattr(self, group), n) for group in _FIELDS)
+        return tuple(_checked_columns(records, n) for records in (self.odometry, self.homing))
+
+    def validate_ids(self):
+        """validate's checks of the records' pose ids alone; returns their columns."""
+        return tuple(_checked_columns(r, len(self), True) for r in (self.odometry, self.homing))
 
 
 def record_name(group, k, i1, i2):
@@ -187,29 +284,46 @@ def record_name(group, k, i1, i2):
     return f"{group} record {k + 1} ({i1}->{i2})"
 
 
-def _checked_columns(group, ms, n):
-    """The field columns of records ms, of a graph with n poses, once they pass every check.
+def _checked_columns(records, n, ids_only=False):
+    """The columns of records, of a graph with n poses, once they pass every
+    check, or the checks of their pose ids alone.
 
     A check is a column, True where a record fails it, its message and the
     columns the message formats.  A record's first failing check names it.
     """
-    cols = {
-        name: np.array([getattr(m, name) for m in ms], dtype=float).reshape(-1, *shape)
-        for name, shape in _FIELDS[group].items()
-    }
-    # NaN stands for a pose index that is no integer
-    ends = [(m.i1, m.i2) if is_integer(m.i1) and is_integer(m.i2) else (np.nan,) * 2 for m in ms]
-    try:
-        i1, i2 = np.array(ends, dtype=float).reshape(-1, 2).T
-    except OverflowError:  # an integer beyond float range, out of range once clamped
-        i1, i2 = np.array([[max(min(i, n + 1), 0) for i in e] for e in ends]).T
+    group, cols = records.group, dict(records.columns)
+    i1, i2 = cols["i1"], cols["i2"]
+    integer = np.ones(len(records), dtype=bool)
+    for k, (a, b) in records.given.items():
+        integer[k] = is_integer(a) and is_integer(b)
+    checks = [
+        (~integer, "pose indices must be integers"),
+        (~((1 <= i1) & (i1 <= n) & (1 <= i2) & (i2 <= n)), f"pose index out of range 1..{n}"),
+        (i1 == i2, "measurement connects a pose to itself"),
+    ]
+    if not ids_only:
+        checks += _field_checks(group, cols)
+    hit = first_failure([check[0] for check in checks])
+    if hit is None:
+        return cols
+    k, j = hit
+    _, message, *values = checks[j]
+    where = record_name(group, k, *records.ends(k))
+    if j >= 3:  # every non-finite field fails such a check: name the field instead
+        for name in _FIELDS[group]:
+            v = cols[name][k]
+            if not np.isfinite(v).all():
+                v = v if v.ndim else float(v)
+                raise GraphValidationError(f"{where}: non-finite {name}: {v!r}")
+    raise GraphValidationError(f"{where}: " + message.format(*(float(x[k]) for x in values)))
+
+
+def _field_checks(group, cols):
+    """The checks of a group's columns other than the pose ids, in check
+    order; cols gains Tinv, the inverses of T, once T passes."""
+    checks = []
     sigmas = [name for name in cols if name.startswith("sigma")]
     with np.errstate(all="ignore"):
-        checks = [
-            (np.isnan(i1), "pose indices must be integers"),
-            (~((1 <= i1) & (i1 <= n) & (1 <= i2) & (i2 <= n)), f"pose index out of range 1..{n}"),
-            (i1 == i2, "measurement connects a pose to itself"),
-        ]
         for v in ("q",) if group == "odometry" else ("alpha", "psi"):
             norm = np.hypot(*cols[v].T)
             message = f"{v} must be a unit vector, |{v}| = {{!r}}"
@@ -218,32 +332,17 @@ def _checked_columns(group, ms, n):
             try:
                 cols["Tinv"] = _spd_inverse(cols["T"])
             except InvalidCovarianceError as exc:  # marks the first record it fails
-                checks.append((np.arange(len(ms)) == exc.index, str(exc)))
+                checks.append((np.arange(len(cols["T"])) == exc.index, str(exc)))
         positive = np.logical_and(*[(0.0 < cols[s]) & (cols[s] < np.inf) for s in sigmas])
         checks.append((~positive, " and ".join(sigmas) + " must be positive"))
         if group == "odometry":  # the distance term's measured |r|
             norm = np.hypot(*cols["r"].T)
             checks.append((~(norm < np.inf), "r must have a finite norm, |r| = {!r}", norm))
-    hit = first_failure([check[0] for check in checks])
-    if hit is None:
-        cols["i1"], cols["i2"] = i1.astype(np.intp), i2.astype(np.intp)
-        return cols
-    k, j = hit
-    m, (_, message, *values) = ms[k], checks[j]
-    where = record_name(group, k, m.i1, m.i2)
-    if j >= 3:  # every non-finite field fails such a check: name the field instead
-        for name in _FIELDS[group]:
-            if not np.all(np.isfinite(getattr(m, name))):
-                raise GraphValidationError(f"{where}: non-finite {name}: {getattr(m, name)!r}")
-    raise GraphValidationError(f"{where}: " + message.format(*(float(x[k]) for x in values)))
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # text format
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def write_text(text, dest=None):
@@ -267,8 +366,11 @@ def load_graph(source):
             text = fh.read()
     poses = {}
     fixed_ids = []
-    odometry = []
-    homing = []
+    # per measurement tag its group and field count; per group the values
+    # after the pose ids of all its lines, in one list, and the id pairs
+    tags = {tag: (group, 3 + max(at)) for group, (tag, at) in _LINES.items()}
+    values = {group: [] for group in _LINES}
+    ends = {group: [] for group in _LINES}
     for ln, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
@@ -289,35 +391,12 @@ def load_graph(source):
                 )
                 if fixed:
                     fixed_ids.append(pid)
-            elif tag == "ODOM":
-                if len(args) != 11:
-                    raise ValueError(f"ODOM needs 11 fields, got {len(args)}")
-                v = [float(a) for a in args[2:]]
-                odometry.append(
-                    OdometryMeasurement(
-                        i1=int(args[0]),
-                        i2=int(args[1]),
-                        r=v[0:2],
-                        q=v[2:4],
-                        T=[[v[4], v[5]], [v[5], v[6]]],
-                        sigma=v[7],
-                        sigma_e=v[8],
-                    )
-                )
-            elif tag == "HOME":
-                if len(args) != 8:
-                    raise ValueError(f"HOME needs 8 fields, got {len(args)}")
-                v = [float(a) for a in args[2:]]
-                homing.append(
-                    HomingMeasurement(
-                        i1=int(args[0]),
-                        i2=int(args[1]),
-                        alpha=v[0:2],
-                        psi=v[2:4],
-                        sigma_h=v[4],
-                        sigma_c=v[5],
-                    )
-                )
+            elif tag in tags:
+                group, width = tags[tag]
+                if len(args) != width:
+                    raise ValueError(f"{tag} needs {width} fields, got {len(args)}")
+                values[group].extend(map(float, args[2:]))
+                ends[group].append((int(args[0]), int(args[1])))
             else:
                 raise ValueError(f"unknown record tag {tag!r}")
         except (ValueError, IndexError) as exc:
@@ -329,30 +408,43 @@ def load_graph(source):
         raise GraphFormatError(f"exactly one POSE must carry FIXED, found {len(fixed_ids)}")
 
     graph = FactorGraph(
-        [poses[pid] for pid in sorted(poses)], odometry, homing, fixed_ids[0]
+        [poses[pid] for pid in sorted(poses)],
+        *(_parsed(group, values[group], ends[group]) for group in _LINES),
+        fixed_ids[0],
     )
     graph.validate()
     return graph
 
 
+def _parsed(group, values, ends):
+    """The Records of a group's lines: their values after the pose ids, and the ids."""
+    at = _LINES[group][1]
+    flat = np.array(values, dtype=float).reshape(len(ends), max(at) + 1)[:, at]
+    columns, start = {}, 0
+    for name, shape in _FIELDS[group].items():
+        size = math.prod(shape)
+        columns[name] = flat[:, start : start + size].reshape(-1, *shape)
+        start += size
+    return Records(group, *_with_ids(columns, ends))
+
+
+def _lines(records):
+    """The file lines of a group's records."""
+    (tag, at), cols = _LINES[records.group], records.columns
+    fields = _FIELDS[records.group].items()
+    flat = np.hstack([cols[name].reshape(len(records), math.prod(shape)) for name, shape in fields])
+    values = flat[:, [at.index(j) for j in range(max(at) + 1)]].tolist()
+    ends = list(zip(cols["i1"].tolist(), cols["i2"].tolist()))
+    for k, pair in records.given.items():
+        ends[k] = pair
+    return [f"{tag} {a} {b} " + " ".join(map(repr, v)) + "\n" for (a, b), v in zip(ends, values)]
+
+
 def save_graph(graph, dest=None):
     """Write a graph in the text format; returns the text if dest is None."""
-    buf = io.StringIO()
-    for pid, pose in graph.items():
-        tail = " FIXED" if pid == graph.fixed_id else ""
-        buf.write(
-            f"POSE {pid} {_fmt(pose.x[0])} {_fmt(pose.x[1])} "
-            f"{_fmt(pose.u[0])} {_fmt(pose.u[1])}{tail}\n"
-        )
-    for m in graph.odometry:
-        buf.write(
-            f"ODOM {m.i1} {m.i2} {_fmt(m.r[0])} {_fmt(m.r[1])} "
-            f"{_fmt(m.q[0])} {_fmt(m.q[1])} {_fmt(m.T[0, 0])} {_fmt(m.T[0, 1])} "
-            f"{_fmt(m.T[1, 1])} {_fmt(m.sigma)} {_fmt(m.sigma_e)}\n"
-        )
-    for m in graph.homing:
-        buf.write(
-            f"HOME {m.i1} {m.i2} {_fmt(m.alpha[0])} {_fmt(m.alpha[1])} "
-            f"{_fmt(m.psi[0])} {_fmt(m.psi[1])} {_fmt(m.sigma_h)} {_fmt(m.sigma_c)}\n"
-        )
-    return write_text(buf.getvalue(), dest)
+    lines = [
+        f"POSE {pid} {x1!r} {x2!r} {u1!r} {u2!r}{' FIXED' if pid == graph.fixed_id else ''}\n"
+        for pid, (x1, x2, u1, u2) in enumerate(graph.pose_table().tolist(), start=1)
+    ]
+    lines += _lines(graph.odometry) + _lines(graph.homing)
+    return write_text("".join(lines), dest)

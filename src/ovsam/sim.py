@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Settings
-from .graph import FactorGraph, HomingMeasurement, OdometryMeasurement, Pose, write_text
+from .graph import FactorGraph, Pose, Records, write_text
 from .orvec import from_angle, omega, to_angle
 
 WHEEL_BASE = 1.0  # m; track width of the simulated robot
@@ -175,7 +175,7 @@ def _segment_covariances(cfg, thb, dsf, dsl, first):
 
 
 def _odometry(i1, start, end, C):
-    """Odometry records from pose ids i1 to i1 + 1, believed poses start, end and covariances C."""
+    """Odometry Records from pose ids i1 to i1 + 1, believed poses start, end and covariances C."""
     # R^T and evecs^T stay transposed views, the layout of the loop's 2-D operands.
     R = omega(from_angle(start[:, 2]).T)
     r = (np.swapaxes(R, -1, -2) @ (end[:, :2] - start[:, :2])[:, :, None])[:, :, 0]
@@ -191,10 +191,7 @@ def _odometry(i1, start, end, C):
     var_e = (r0[:, None, :] @ T @ r0[:, :, None])[:, 0, 0]
     var_e[~along] = np.linalg.eigvalsh(T[~along])[:, -1]
     sigma, sigma_e = np.maximum(np.sqrt(np.maximum([C[:, 2, 2], var_e], 0.0)), SIGMA_FLOOR)
-    return [
-        OdometryMeasurement(i1=i, i2=i + 1, r=rk, q=qk, T=Tk, sigma=sk, sigma_e=sek)
-        for i, rk, qk, Tk, sk, sek in zip(i1.tolist(), r, q, T, sigma.tolist(), sigma_e.tolist())
-    ]
+    return Records("odometry", dict(i1=i1, i2=i1 + 1, r=r, q=q, T=T, sigma=sigma, sigma_e=sigma_e))
 
 
 def _homing_pairs(cfg, truth):
@@ -240,12 +237,10 @@ def simulate(cfg=None):
     home = _libm(math.atan2, tb[:, 1] - ta[:, 1], tb[:, 0] - ta[:, 0]) - ta[:, 2]
     comp = tb[:, 2] - ta[:, 2]
     eh, ec = rng.normal(0.0, [cfg.sigma_h, cfg.sigma_c], (len(a), 2)).T
-    homing = [
-        HomingMeasurement(i1=i, i2=j, alpha=al, psi=ps, sigma_h=cfg.sigma_h, sigma_c=cfg.sigma_c)
-        for i, j, al, ps in zip(
-            (a + 1).tolist(), (b + 1).tolist(), from_angle(home + eh).T, from_angle(comp + ec).T
-        )
-    ]
+    alpha, psi = from_angle(home + eh).T, from_angle(comp + ec).T
+    sigma_h, sigma_c = np.full((2, len(a)), [[cfg.sigma_h], [cfg.sigma_c]])
+    columns = dict(i1=a + 1, i2=b + 1, alpha=alpha, psi=psi, sigma_h=sigma_h, sigma_c=sigma_c)
+    homing = Records("homing", columns)
 
     points = bel[at.ravel()]
     poses = [Pose(x, u) for x, u in zip(points[:, :2], from_angle(points[:, 2]).T)]

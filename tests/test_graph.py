@@ -1,5 +1,6 @@
 """Graph data model, state layout, and the text file format."""
 
+import dataclasses
 import io
 import math
 import warnings
@@ -12,6 +13,7 @@ from ovsam.assembly import measurement_tables, pack_state, unpack_state
 from ovsam.costs import RotCostConfig
 from ovsam.errors import GraphFormatError, GraphValidationError, PreconditionError
 from ovsam.graph import (
+    _FIELDS,
     FactorGraph,
     HomingMeasurement,
     OdometryMeasurement,
@@ -174,6 +176,49 @@ def test_records_own_float_copies_of_their_arrays():
     p = Pose(x, [1, 0])
     x[0] = 9.0
     assert p.x[0] == 0.0 and p.u.dtype == float
+
+
+def test_records_read_from_a_graph_are_immutable_values():
+    g = FactorGraph(_two_poses(), [_odom()], [_home()])
+    m = g.odometry[0]
+    assert g.odometry[-1] is m and list(g.odometry) == [m] and g.odometry[:5] == [m]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.sigma = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        m.r[0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        g.homing.columns["alpha"][0, 0] = 2.0
+    with pytest.raises(IndexError):
+        g.homing[1]
+    with pytest.raises(PreconditionError, match="^expected odometry records, got homing records$"):
+        FactorGraph(_two_poses(), g.homing)
+
+
+def test_simulate_load_save_and_adoption_build_no_record_objects(monkeypatch):
+    built = []
+    for cls in (OdometryMeasurement, HomingMeasurement):
+        post_init = cls.__post_init__
+
+        def counted(self, post_init=post_init):
+            built.append(type(self).__name__)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    g = simulate(SimConfig(lanes=10, points_per_lane=30))[0]
+    text = save_graph(g)
+    loaded = load_graph(io.StringIO(text))
+    assert save_graph(loaded) == text
+    adopted = FactorGraph([p.copy() for p in g.poses], g.odometry, g.homing, g.fixed_id)
+    assert save_graph(adopted) == text
+    assert built == []
+    for group in ("odometry", "homing"):
+        columns = getattr(g, group).columns
+        assert set(columns) == {*_FIELDS[group], "i1", "i2"}
+        for name, column in getattr(adopted, group).columns.items():
+            assert np.shares_memory(column, columns[name])
+    # a record is built on its first access, once for the graphs sharing the columns
+    assert adopted.homing[5] is g.homing[5] and loaded.homing[5] is not g.homing[5]
+    assert built == ["HomingMeasurement", "HomingMeasurement"]
 
 
 def test_tables_rho_is_the_translation_norm_of_each_record():

@@ -1,5 +1,6 @@
 """Newton/LM stepping machinery and the full descent loop."""
 
+import dataclasses
 import io
 import math
 import os
@@ -789,11 +790,10 @@ def test_solve_rejects_a_weight_that_is_not_finite_and_positive(group, field, va
     # the graph is rejected as invalid, like every other bad record; the
     # group's other records hold sigma = 1, whose weight gamma or 1 is fine
     graph = simulate(SimConfig())[0]
-    records = getattr(graph, group)
-    for record in records:
-        setattr(record, field, 1.0)
-    record = records[3]
-    setattr(record, field, value)
+    records = [dataclasses.replace(m, **{field: 1.0}) for m in getattr(graph, group)]
+    record = records[3] = dataclasses.replace(records[3], **{field: value})
+    parts = {"odometry": graph.odometry, "homing": graph.homing, group: records}
+    graph = FactorGraph(graph.poses, parts["odometry"], parts["homing"], graph.fixed_id)
     graph.validate()
     cfg = SolverConfig(use_distance_error=field == "sigma_e", cost=RotCostConfig(gamma=gamma))
     with pytest.raises(GraphValidationError) as got:
@@ -903,6 +903,29 @@ def test_compute_active_mask_threshold():
     assert mask.tolist() == [True, False, True]  # distance untouched unless enabled
     mask2 = compute_active_mask(graph, 0.05, use_distance_error=True)
     assert mask2.tolist() == [False, False, True]
+
+
+def test_compute_active_mask_checks_the_pose_ids_and_not_the_other_fields():
+    graph = simulate(SimConfig())[0]
+    table = graph.pose_table()
+    tables = measurement_tables(graph, RotCostConfig())
+    for flag in (False, True):
+        mask = compute_active_mask(graph, 0.3, flag)
+        assert np.array_equal(mask, compute_active_mask(graph, 0.3, flag, table, tables))
+    poses = graph.poses[:2]
+    odometry = OdometryMeasurement(1, 2, [0.03, 0.0], [1.0, 0.0], np.eye(2), 1.0, 1.0)
+    for changes in (dict(i2=1), dict(i1=3), dict(i1=2.5), dict(i2=10**400)):
+        bad = FactorGraph(poses, [dataclasses.replace(odometry, **changes)])
+        with pytest.raises(GraphValidationError) as expected:
+            bad.validate()
+        with pytest.raises(GraphValidationError) as got:
+            compute_active_mask(bad, 0.05)
+        assert str(got.value) == str(expected.value)
+    # a field other than the pose ids is validate's to reject
+    bad = FactorGraph(poses, [dataclasses.replace(odometry, sigma=0.0)])
+    assert compute_active_mask(bad, 1e9, True).tolist() == [False]
+    with pytest.raises(GraphValidationError, match="sigma and sigma_e must be positive"):
+        bad.validate()
 
 
 def test_compute_active_mask_decides_as_math_hypot():

@@ -4,10 +4,13 @@ Each case corrupts one field of one or two records of a valid graph and
 requires validate to raise the reference's exception with the same
 message, or to pass where the reference passes.  The only inputs the
 reference accepts and validate rejects are covariances whose inverse
-has a non-finite entry.
+has a non-finite entry.  load_graph of a corrupted graph's file must
+raise what validate raises on the graph, where the file can hold the
+corruption.
 """
 
 import dataclasses
+import io
 import re
 
 import numpy as np
@@ -17,8 +20,8 @@ from loop_reference import _check_spd
 from loop_reference import validate as reference_validate
 
 from ovsam.costs import _spd_inverse
-from ovsam.errors import GraphValidationError, InvalidCovarianceError
-from ovsam.graph import FactorGraph
+from ovsam.errors import GraphValidationError, InvalidCovarianceError, is_integer
+from ovsam.graph import FactorGraph, load_graph, save_graph
 
 N_POSES = 6
 NAN, INF = float("nan"), float("inf")
@@ -202,3 +205,31 @@ def test_the_batched_covariance_checks_match_the_scalar_ones():
     with pytest.raises(InvalidCovarianceError, match="not positive definite") as info:
         _spd_inverse(batch)
     assert info.value.index == 2
+
+
+def _carried(field, value):
+    """Whether a graph file can hold the corruption: pose ids that are
+    integers (or a self-loop) and a T equal to its transpose, the file
+    holding T's upper triangle."""
+    if field in ("i1", "i2"):
+        return value is None or is_integer(value)
+    return field != "T" or np.array_equal(value, value.T, equal_nan=True)
+
+
+@pytest.mark.parametrize("group", ["odometry", "homing"])
+def test_load_graph_rejects_a_corrupted_file_as_validate_rejects_its_graph(group):
+    base = _base()
+    last = len(getattr(base, group)) - 1
+    outcomes = []
+    for field, value in _corruptions(group):
+        for k in (0, last // 2, last) if _carried(field, value) else ():
+            graph = _corrupt(base, group, k, field, value)
+            text = save_graph(graph)
+            expected = _outcome(FactorGraph.validate, graph)
+            assert _outcome(load_graph, io.StringIO(text)) == expected, (k, field, value)
+            if expected is None:  # a valid graph round-trips
+                assert save_graph(load_graph(io.StringIO(text))) == text
+            outcomes.append(expected)
+    rejected = [outcome for outcome in outcomes if outcome is not None]
+    assert {kind for kind, _ in rejected} == {GraphValidationError}
+    assert 0.6 * len(outcomes) < len(rejected) < len(outcomes)
