@@ -177,14 +177,20 @@ def compute_active_mask(graph, threshold, use_distance_error=False, table=None, 
     distance term.  The homing pairs are tested, and the odometry pairs
     too if use_distance_error; otherwise the odometry flags are all
     True.  The pose rows come from tables (MeasurementTables) when
-    given, else from the graph's pose ids (graph.validate_ids()).  Each
-    decision is that of math.hypot: np.hypot can differ from it in the
-    last bit, so distances within two ulps of the threshold are
-    re-decided with math.hypot.
+    given, which must be built with the same use_distance_error
+    (PreconditionError otherwise), else from the graph's pose ids
+    (graph.validate_ids()).  Each decision is that of math.hypot:
+    np.hypot can differ from it in the last bit, so distances within two
+    ulps of the threshold are re-decided with math.hypot.
     """
     if table is None:
-        table = graph.pose_table()
-    i1, i2 = pose_rows(*graph.validate_ids()) if tables is None else (tables.i1, tables.i2)
+        table = graph.table
+    if tables is None:
+        i1, i2 = pose_rows(*graph.validate_ids())
+    elif use_distance_error == tables.use_distance_error:
+        i1, i2 = tables.i1, tables.i2
+    else:
+        raise PreconditionError(f"tables built with use_distance_error={tables.use_distance_error}")
     first = 0 if use_distance_error else len(graph.odometry)  # the first record tested
     d = table[i2[first:], POS] - table[i1[first:], POS]
     h = np.hypot(d[:, 0], d[:, 1])
@@ -529,10 +535,9 @@ def assemble(graph, cfg, active=None, lambdas=None, use_distance_error=False):
     PreconditionError.
     """
     tables = measurement_tables(graph, cfg, use_distance_error)
-    table = graph.pose_table()
     if active is None:
         active = np.ones(len(tables.i1), dtype=bool)
     plan = EvaluationPlan(tables, active)
     given = np.zeros(len(tables.free)) if lambdas is None else lambdas
-    state = pack_state(tables, table, given)
-    return plan.assemble(state, table[tables.anchor], estimate=lambdas is None)
+    state = pack_state(tables, graph.table, given)
+    return plan.assemble(state, graph.table[tables.anchor], estimate=lambdas is None)

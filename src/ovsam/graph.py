@@ -1,9 +1,10 @@
 """Factor-graph data model and text persistence.
 
-Pose ids are 1-based everywhere (files, measurements, APIs).  pose_table
-gives the poses as an (N, 4) array whose row pid - 1 holds [x1, x2, u1, u2]
-of pose pid.  One pose is the fixed anchor; the state layout of the other,
-free poses is MeasurementTables' (assembly.py).
+Pose ids are 1-based everywhere (files, measurements, APIs).  A graph owns
+its one copy of the poses, its pose table: an (N, 4) float array whose row
+pid - 1 holds [x1, x2, u1, u2] of pose pid, read as Pose views of its rows.
+One pose is the fixed anchor; the state layout of the other, free poses is
+MeasurementTables' (assembly.py).
 
 A graph stores each measurement group as columns (Records), its one
 copy of the measurements: per record field a read-only float array with
@@ -88,8 +89,12 @@ class Pose:
     def __post_init__(self):
         _float_fields(self, {"x": (2,), "u": (2,)})
 
-    def copy(self):
-        return Pose(self.x, self.u)
+    @classmethod
+    def view(cls, row):
+        """The pose whose x and u are views of a pose table row."""
+        pose = object.__new__(cls)  # no __post_init__: it would copy
+        pose.x, pose.u = row[POS], row[ORI]
+        return pose
 
 
 @dataclass(frozen=True)
@@ -204,56 +209,62 @@ def _with_ids(columns, ends):
 
 
 class FactorGraph:
-    """Poses plus odometry and homing measurements (Records).
+    """The pose table plus odometry and homing measurements (Records).
 
-    Treated as immutable after validation.  The solver never writes
-    poses: it evaluates trial states from a pose table and returns its
-    result through with_poses().  odometry and homing may be record
-    lists, stacked once, or another graph's Records, whose columns the
-    new graph shares.
+    poses may be an (N, 4) pose table, copied, or Pose objects, stacked.
+    pose(pid), poses and items() give Pose views of the table's rows: a
+    write through one lands in this graph's table alone.  odometry and
+    homing may be record lists, stacked once, or another graph's
+    Records, whose columns the new graph shares.  The solver never
+    writes poses: it returns its result through with_poses().
     """
 
     def __init__(self, poses, odometry=(), homing=(), fixed_id=1):
-        self.poses = list(poses)
+        if not isinstance(poses, np.ndarray):  # Pose objects
+            poses = np.array([(p.x, p.u) for p in poses], dtype=float).reshape(-1, 4)
+        self.table = np.array(poses, dtype=float)
+        if self.table.ndim != 2 or self.table.shape[1] != 4:
+            raise PreconditionError(f"expected an (N, 4) pose table, got {self.table.shape}")
         self.odometry = Records.of("odometry", odometry)
         self.homing = Records.of("homing", homing)
         self.fixed_id = fixed_id
 
     def __len__(self):
-        return len(self.poses)
+        return len(self.table)
 
     def pose(self, pid):
-        if pid not in self.pose_ids():
-            raise PreconditionError(f"pose id {pid} out of range 1..{len(self)}")
-        return self.poses[pid - 1]
+        if not (is_integer(pid) and 1 <= pid <= len(self)):
+            raise PreconditionError(f"pose id {pid!r} out of range 1..{len(self)}")
+        return Pose.view(self.table[pid - 1])
+
+    @property
+    def poses(self):
+        return [Pose.view(row) for row in self.table]
 
     def pose_ids(self):
-        return range(1, len(self.poses) + 1)
+        return range(1, len(self) + 1)
 
     def items(self):
-        return ((i + 1, p) for i, p in enumerate(self.poses))
+        return zip(self.pose_ids(), self.poses)
 
     def copy(self):
-        return FactorGraph(
-            [p.copy() for p in self.poses], self.odometry, self.homing, self.fixed_id
-        )
+        return FactorGraph(self.table, self.odometry, self.homing, self.fixed_id)
 
     def with_fixed(self, pid):
         if pid not in self.pose_ids():
             raise GraphValidationError(f"fixed pose id {pid} out of range 1..{len(self)}")
-        return FactorGraph(self.poses, self.odometry, self.homing, pid)
+        return FactorGraph(self.table, self.odometry, self.homing, pid)
 
     def pose_table(self):
-        """The poses as an (N, 4) array, row pid - 1 holding [x, u] of pose pid."""
-        return np.array([[*p.x, *p.u] for p in self.poses])
+        """A copy of the pose table."""
+        return self.table.copy()
 
     def with_poses(self, table):
         """A graph with the same measurements and anchor and the table's poses."""
         table = np.asarray(table, dtype=float)
         if table.shape != (len(self), 4):
             raise PreconditionError(f"expected a ({len(self)}, 4) pose table, got {table.shape}")
-        poses = [Pose(row[POS], row[ORI]) for row in table]
-        return FactorGraph(poses, self.odometry, self.homing, self.fixed_id)
+        return FactorGraph(table, self.odometry, self.homing, self.fixed_id)
 
     def validate(self):
         """Check every structural invariant; raises GraphValidationError.
@@ -262,14 +273,14 @@ class FactorGraph:
         from each record field, i1 and i2 to the stored column, and for
         odometry also Tinv, the inverses of T (_spd_inverse).
         """
-        n = len(self.poses)
+        n = len(self)
         if n < 2:
             raise GraphValidationError(f"need at least 2 poses, got {n}")
         if not is_integer(self.fixed_id):
             raise GraphValidationError(f"fixed pose id must be an integer, got {self.fixed_id!r}")
         if not 1 <= self.fixed_id <= n:
             raise GraphValidationError(f"fixed pose id {self.fixed_id} out of range 1..{n}")
-        bad = ~np.isfinite(self.pose_table()).all(axis=1)
+        bad = ~np.isfinite(self.table).all(axis=1)
         if bad.any():
             raise GraphValidationError(f"pose {int(bad.argmax()) + 1}: non-finite components")
         return tuple(_checked_columns(records, n) for records in (self.odometry, self.homing))
@@ -386,9 +397,7 @@ def load_graph(source):
                 pid = int(args[0])
                 if pid in poses:
                     raise ValueError(f"duplicate pose id {pid}")
-                poses[pid] = Pose(
-                    [float(args[1]), float(args[2])], [float(args[3]), float(args[4])]
-                )
+                poses[pid] = [float(a) for a in args[1:]]
                 if fixed:
                     fixed_ids.append(pid)
             elif tag in tags:
@@ -408,7 +417,7 @@ def load_graph(source):
         raise GraphFormatError(f"exactly one POSE must carry FIXED, found {len(fixed_ids)}")
 
     graph = FactorGraph(
-        [poses[pid] for pid in sorted(poses)],
+        np.array([poses[pid] for pid in sorted(poses)]),
         *(_parsed(group, values[group], ends[group]) for group in _LINES),
         fixed_ids[0],
     )
@@ -444,7 +453,7 @@ def save_graph(graph, dest=None):
     """Write a graph in the text format; returns the text if dest is None."""
     lines = [
         f"POSE {pid} {x1!r} {x2!r} {u1!r} {u2!r}{' FIXED' if pid == graph.fixed_id else ''}\n"
-        for pid, (x1, x2, u1, u2) in enumerate(graph.pose_table().tolist(), start=1)
+        for pid, (x1, x2, u1, u2) in enumerate(graph.table.tolist(), start=1)
     ]
     lines += _lines(graph.odometry) + _lines(graph.homing)
     return write_text("".join(lines), dest)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Settings
-from .graph import FactorGraph, Pose, Records, write_text
+from .graph import FactorGraph, Records, write_text
 from .orvec import from_angle, omega, to_angle
 
 WHEEL_BASE = 1.0  # m; track width of the simulated robot
@@ -243,8 +243,8 @@ def simulate(cfg=None):
     homing = Records("homing", columns)
 
     points = bel[at.ravel()]
-    poses = [Pose(x, u) for x, u in zip(points[:, :2], from_angle(points[:, 2]).T)]
-    graph = FactorGraph(poses, odometry, homing, fixed_id=1)
+    table = np.column_stack((points[:, :2], from_angle(points[:, 2]).T))
+    graph = FactorGraph(table, odometry, homing, fixed_id=1)
     graph.validate()
     return graph, GroundTruth(truth)
 
@@ -261,10 +261,9 @@ def write_plot_csv(graph, gt, dest=None):
     """Estimated-vs-true pose table for external plotting tools."""
     buf = io.StringIO()
     buf.write("id,est_x,est_y,est_theta,true_x,true_y,true_theta\n")
-    for pid, pose in graph.items():
-        tx, ty, tth = gt.poses[pid - 1]
+    for pid, (row, (tx, ty, tth)) in enumerate(zip(graph.table, gt.poses), start=1):
         buf.write(
-            f"{pid},{float(pose.x[0])!r},{float(pose.x[1])!r},{to_angle(pose.u)!r},"
+            f"{pid},{float(row[0])!r},{float(row[1])!r},{to_angle(row[2:])!r},"
             f"{float(tx)!r},{float(ty)!r},{float(tth)!r}\n"
         )
     return write_text(buf.getvalue(), dest)

@@ -461,7 +461,7 @@ def test_masked_homing_equals_graph_without_homing():
         (np.ones(len(graph.odometry), dtype=bool), np.zeros(len(graph.homing), dtype=bool))
     )
     bare = FactorGraph(
-        [graph.pose(i).copy() for i in graph.pose_ids()],
+        graph.poses,
         odometry=graph.odometry,
         fixed_id=graph.fixed_id,
     )

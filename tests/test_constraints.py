@@ -110,7 +110,7 @@ def test_init_lambdas_scale_with_information():
         for m in graph.homing
     ]
     scaled = FactorGraph(
-        poses=[graph.pose(i).copy() for i in graph.pose_ids()],
+        poses=graph.poses,
         odometry=odo,
         homing=hom,
         fixed_id=graph.fixed_id,
@@ -124,7 +124,7 @@ def test_init_lambdas_measurement_order_invariant():
     cfg = RotCostConfig(t1=1)
     base = assemble(graph, cfg).lambdas
     shuffled = FactorGraph(
-        poses=[graph.pose(i).copy() for i in graph.pose_ids()],
+        poses=graph.poses,
         odometry=list(graph.odometry)[::-1],
         homing=list(graph.homing)[::-1],
         fixed_id=graph.fixed_id,
@@ -142,7 +142,7 @@ def test_init_lambdas_respects_active_mask():
     )
     none_on = assemble(graph, cfg, active=mask).lambdas
     bare = FactorGraph(
-        poses=[graph.pose(i).copy() for i in graph.pose_ids()],
+        poses=graph.poses,
         odometry=graph.odometry,
         fixed_id=graph.fixed_id,
     )

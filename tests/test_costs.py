@@ -84,7 +84,7 @@ def test_pose_copies_inputs():
     p = Pose(x, [1.0, 0.0])
     x[0] = 99.0
     assert p.x[0] == 1.0
-    q = p.copy()
+    q = Pose(p.x, p.u)
     q.x[1] = -5.0
     assert p.x[1] == 2.0
 

@@ -22,6 +22,7 @@ from ovsam.graph import (
     save_graph,
 )
 from ovsam.sim import SimConfig, simulate
+from ovsam.solver import SolverConfig, solve
 
 
 def _odom(i1=1, i2=2, **kw):
@@ -65,6 +66,49 @@ def test_accessors_and_copy():
     assert g.pose(2).x[0] == 1.0
     assert c.odometry is not g.odometry  # list is fresh
     assert c.odometry[0] is g.odometry[0]  # records are shared
+
+
+def test_pose_takes_integer_ids_only():
+    g = FactorGraph(_two_poses())
+    for pid in (True, 2.0, "2"):
+        with pytest.raises(PreconditionError, match=rf"^pose id {pid!r} out of range 1\.\.2$"):
+            g.pose(pid)
+    assert g.pose(np.int64(2)).x.tolist() == [1.0, 0.0]
+
+
+def test_poses_are_views_of_the_graph_table():
+    g = FactorGraph(_two_poses())
+    assert g.table.tolist() == [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0]]
+    g.pose(2).x[0] = 5.0
+    g.poses[0].u[:] = [0.0, 1.0]
+    assert g.table.tolist() == [[0.0, 0.0, 0.0, 1.0], [5.0, 0.0, 1.0, 0.0]]
+    assert save_graph(g).startswith("POSE 1 0.0 0.0 0.0 1.0 FIXED\nPOSE 2 5.0 0.0 1.0 0.0\n")
+    assert [(pid, p.x.tolist()) for pid, p in g.items()] == [(1, [0.0, 0.0]), (2, [5.0, 0.0])]
+    assert np.shares_memory(g.pose(1).u, g.table)
+
+
+@pytest.mark.parametrize("poses", [np.zeros(4), np.zeros((2, 3)), np.zeros((2, 4, 1))])
+def test_graph_rejects_a_pose_table_of_the_wrong_shape(poses):
+    with pytest.raises(PreconditionError, match=r"^expected an \(N, 4\) pose table, got "):
+        FactorGraph(poses)
+
+
+def test_derived_graphs_own_their_pose_table():
+    g = FactorGraph(_two_poses() + [Pose([2.0, 0.0], [1.0, 0.0])], [_odom()])
+    derived = [
+        g.with_fixed(2),
+        FactorGraph(g.poses, g.odometry, g.homing, g.fixed_id),
+        FactorGraph(g.table, g.odometry, g.homing, g.fixed_id),
+        g.with_poses(g.table),
+        g.copy(),
+    ]
+    for d in derived:
+        d.pose(3).x[0] = 5.0
+        assert g.pose(3).x[0] == 2.0
+        assert not np.shares_memory(d.table, g.table)
+    table = g.pose_table()
+    table[2, 0] = 5.0
+    assert g.pose(3).x[0] == 2.0
 
 
 def test_with_fixed():
@@ -208,7 +252,7 @@ def test_simulate_load_save_and_adoption_build_no_record_objects(monkeypatch):
     text = save_graph(g)
     loaded = load_graph(io.StringIO(text))
     assert save_graph(loaded) == text
-    adopted = FactorGraph([p.copy() for p in g.poses], g.odometry, g.homing, g.fixed_id)
+    adopted = FactorGraph(g.poses, g.odometry, g.homing, g.fixed_id)
     assert save_graph(adopted) == text
     assert built == []
     for group in ("odometry", "homing"):
@@ -219,6 +263,25 @@ def test_simulate_load_save_and_adoption_build_no_record_objects(monkeypatch):
     # a record is built on its first access, once for the graphs sharing the columns
     assert adopted.homing[5] is g.homing[5] and loaded.homing[5] is not g.homing[5]
     assert built == ["HomingMeasurement", "HomingMeasurement"]
+
+
+def test_simulate_load_solve_save_and_derive_build_no_pose_objects(monkeypatch):
+    built = []
+    post_init = Pose.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Pose, "__post_init__", counted)
+    g = simulate(SimConfig(lanes=10, points_per_lane=30))[0]
+    text = save_graph(g)
+    loaded = load_graph(io.StringIO(text))
+    solved = solve(loaded, SolverConfig(max_iters=1)).graph
+    assert len(save_graph(solved)) > 0
+    assert save_graph(loaded.with_poses(loaded.table)) == save_graph(loaded.copy()) == text
+    assert built == []
+    assert len(loaded.poses) == len(g) == 300 and built == []  # views run no __post_init__
 
 
 def test_tables_rho_is_the_translation_norm_of_each_record():

@@ -908,8 +908,8 @@ def test_compute_active_mask_threshold():
 def test_compute_active_mask_checks_the_pose_ids_and_not_the_other_fields():
     graph = simulate(SimConfig())[0]
     table = graph.pose_table()
-    tables = measurement_tables(graph, RotCostConfig())
     for flag in (False, True):
+        tables = measurement_tables(graph, RotCostConfig(), flag)
         mask = compute_active_mask(graph, 0.3, flag)
         assert np.array_equal(mask, compute_active_mask(graph, 0.3, flag, table, tables))
     poses = graph.poses[:2]
@@ -949,7 +949,7 @@ def test_compute_active_mask_decides_as_math_hypot():
         d = table[m.i2 - 1, :2] - table[m.i1 - 1, :2]
         return math.hypot(d[0], d[1]) >= threshold
 
-    tables = measurement_tables(graph, RotCostConfig())
+    tables = measurement_tables(graph, RotCostConfig(), use_distance_error=True)
     for mask in (
         compute_active_mask(graph, threshold, True),
         compute_active_mask(graph, threshold, True, table, tables),
@@ -960,6 +960,27 @@ def test_compute_active_mask_decides_as_math_hypot():
     # the check is sharp: np.hypot alone decides some of these pairs the other way
     d = x0 - xs
     assert list(np.hypot(d[:, 0], d[:, 1]) >= threshold) != [far(m) for m in homing]
+
+
+def test_compute_active_mask_rejects_a_distance_flag_the_tables_were_not_built_with():
+    # with the distance term on, the coincident odometry pair 1->2 must be
+    # masked: a mask made with the flag off leaves it to collapse the evaluation
+    graph, cfg = coincident_start(), RotCostConfig()
+    table = graph.pose_table()
+    for flag in (False, True):
+        tables = measurement_tables(graph, cfg, use_distance_error=not flag)
+        with pytest.raises(
+            PreconditionError, match=rf"^tables built with use_distance_error={not flag}$"
+        ):
+            compute_active_mask(graph, 0.3, flag, table, tables)
+    tables = measurement_tables(graph, cfg, use_distance_error=True)
+    mask = compute_active_mask(graph, 0.3, True, table, tables)
+    assert mask.tolist() == [False, True]
+    plan, state, anchor = evaluation(graph, cfg, mask, use_distance_error=True, tables=tables)
+    assert np.isfinite(plan.totals(state, anchor)).all()
+    unmasked = EvaluationPlan(tables, compute_active_mask(graph, 0.3, False))
+    with pytest.raises(DegenerateVectorError, match=r"^odometry record 1 \(1->2\): pose position"):
+        unmasked.totals(state, anchor)
 
 
 @pytest.mark.parametrize(
